@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import render_table
-from repro.experiments import autoscale_sweep
+from repro.sweep import run_sweep
 
 DEFAULT_REPEATS = 3
 
@@ -46,7 +46,7 @@ def _by_mode(result):
 
 def _simulated_pair(load: float):
     """(reactive, predictive) points for one load multiplier."""
-    result = autoscale_sweep.run(loads=(load,), seed=0)
+    result = run_sweep("autoscale", loads=(load,), seed=0)
     modes = _by_mode(result)[load]
     return modes["reactive"], modes["predictive"]
 
@@ -75,7 +75,7 @@ def measure_sweep_wall(repeats: int = DEFAULT_REPEATS) -> dict:
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        autoscale_sweep.run(loads=WALL_LOADS, seed=0)
+        run_sweep("autoscale", loads=WALL_LOADS, seed=0)
         wall = time.perf_counter() - start
         if best is None or wall < best:
             best = wall
@@ -101,7 +101,7 @@ def measure_all(repeats: int = DEFAULT_REPEATS) -> dict[str, dict]:
 
 def test_autoscale_predictive_vs_reactive(benchmark, report):
     result = benchmark.pedantic(
-        lambda: autoscale_sweep.run(loads=LOADS, seed=0),
+        lambda: run_sweep("autoscale", loads=LOADS, seed=0),
         rounds=1, iterations=1,
     )
     pairs = _by_mode(result)

@@ -27,9 +27,10 @@ import time
 
 import pytest
 
-from repro.experiments import chaos_sweep, fig07_latency
+from repro.experiments import fig07_latency
 from repro.sim import Environment
 from repro.sim.resources import Resource
+from repro.sweep import run_sweep
 
 pytestmark = pytest.mark.perf
 
@@ -109,7 +110,7 @@ def run_fig07() -> None:
 
 
 def run_chaos() -> None:
-    chaos_sweep.run(rates=(0.0, 8.0), window_s=10.0, seed=0)
+    run_sweep("chaos", rates=(0.0, 8.0), window_s=10.0, seed=0)
 
 
 def measure_event_loop(repeats: int = DEFAULT_REPEATS) -> dict:

@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.experiments import gpu_scaling_sweep
+from repro.sweep import run_sweep
 
 pytestmark = pytest.mark.perf
 
@@ -76,7 +77,7 @@ def measure_sweep_wall(repeats: int = DEFAULT_REPEATS) -> dict:
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        gpu_scaling_sweep.run(batch_sizes=WALL_BATCH_SIZES,
+        run_sweep("gpu_scaling", batch_sizes=WALL_BATCH_SIZES,
                               requests=WALL_REQUESTS)
         wall = time.perf_counter() - start
         if best is None or wall < best:

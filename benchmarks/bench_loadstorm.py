@@ -28,6 +28,7 @@ import time
 import pytest
 
 from repro.experiments import loadstorm_sweep
+from repro.sweep import run_sweep
 
 pytestmark = pytest.mark.perf
 
@@ -85,7 +86,7 @@ def measure_sweep_wall(repeats: int = DEFAULT_REPEATS) -> dict:
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        loadstorm_sweep.run(shards=WALL_SHARDS, **WALL_PARAMS)
+        run_sweep("loadstorm", shards=WALL_SHARDS, **WALL_PARAMS)
         wall = time.perf_counter() - start
         if best is None or wall < best:
             best = wall

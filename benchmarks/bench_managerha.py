@@ -27,6 +27,7 @@ import time
 import pytest
 
 from repro.experiments import manager_failover_sweep
+from repro.sweep import run_sweep
 
 pytestmark = pytest.mark.perf
 
@@ -81,7 +82,7 @@ def measure_sweep_wall(repeats: int = DEFAULT_REPEATS) -> dict:
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        manager_failover_sweep.run(standbys=WALL_STANDBYS,
+        run_sweep("manager_failover", standbys=WALL_STANDBYS,
                                    window_s=WALL_WINDOW_S)
         wall = time.perf_counter() - start
         if best is None or wall < best:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis import render_table
-from repro.experiments import memdurability_sweep
+from repro.sweep import run_sweep
 
 DEFAULT_REPEATS = 3
 
@@ -35,7 +35,7 @@ WALL_FACTORS = (1, 2)
 
 
 def _simulated_points() -> dict:
-    result = memdurability_sweep.run(factors=FACTORS, seed=0)
+    result = run_sweep("memdurability", factors=FACTORS, seed=0)
     return {p.replication: p for p in result.points}
 
 
@@ -53,7 +53,7 @@ def measure_sweep_wall(repeats: int = DEFAULT_REPEATS) -> dict:
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        memdurability_sweep.run(factors=WALL_FACTORS, seed=0)
+        run_sweep("memdurability", factors=WALL_FACTORS, seed=0)
         wall = time.perf_counter() - start
         if best is None or wall < best:
             best = wall
@@ -78,7 +78,7 @@ def measure_all(repeats: int = DEFAULT_REPEATS) -> dict[str, dict]:
 
 def test_memdurability_replication_beats_crashes(benchmark, report):
     result = benchmark.pedantic(
-        lambda: memdurability_sweep.run(factors=FACTORS, seed=0),
+        lambda: run_sweep("memdurability", factors=FACTORS, seed=0),
         rounds=1, iterations=1,
     )
     points = {p.replication: p for p in result.points}

@@ -28,7 +28,7 @@ import time
 
 import pytest
 
-from repro.experiments import chaos_sweep
+from repro.sweep import run_sweep
 from repro.telemetry import Span, SpanPipeline, StreamConfig, TelemetryCollector
 
 pytestmark = pytest.mark.perf
@@ -40,7 +40,7 @@ PIPELINE_SPANS = 200_000
 
 
 def run_chaos_off() -> None:
-    chaos_sweep.run(rates=(0.0, 8.0), window_s=10.0, seed=0)
+    run_sweep("chaos", rates=(0.0, 8.0), window_s=10.0, seed=0)
 
 
 def run_chaos_streamed() -> None:
@@ -49,7 +49,7 @@ def run_chaos_streamed() -> None:
     try:
         pipeline = SpanPipeline(stream_path=path)
         with TelemetryCollector(pipeline=pipeline):
-            chaos_sweep.run(rates=(0.0, 8.0), window_s=10.0, seed=0)
+            run_sweep("chaos", rates=(0.0, 8.0), window_s=10.0, seed=0)
         pipeline.close()
     finally:
         os.unlink(path)

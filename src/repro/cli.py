@@ -7,32 +7,29 @@ Usage::
     python -m repro run fig07 --trace trace.json --metrics-out metrics.txt
     python -m repro run all
     python -m repro telemetry summary trace.json
-    python -m repro chaos --rates 0,8,16 --seed 1 --jobs 4
-    python -m repro chaos --plan plan.json --spans spans.jsonl
-    python -m repro autoscale --loads 1,4,16 --json autoscale.json
-    python -m repro autoscale --no-crash --window 30
-    python -m repro chaos --memservice
-    python -m repro memdurability --factors 1,2,3 --json memdurability.json
-    python -m repro managerha --standbys 0,1,2 --jobs 3
-    python -m repro loadstorm --shards 1,2,4,8 --jobs 4
-    python -m repro certify --budget 5 --standbys 1
     python -m repro sweep list
-    python -m repro sweep chaos --jobs 8 --set "rates=(0, 8, 16)"
+    python -m repro sweep chaos --set "rates=(0, 8, 16)" --seed 1 --jobs 4
+    python -m repro sweep chaos --plan plan.json --spans spans.jsonl
+    python -m repro sweep autoscale --set "loads=(1, 4, 16)" --json autoscale.json
+    python -m repro sweep memdurability --set "factors=(1, 2, 3)" --jobs 3
+    python -m repro sweep loadstorm --set "shards=(1, 2, 4, 8)" --jobs 4
+    python -m repro certify --budget 5 --standbys 1
 
-``--set key=value`` pairs are parsed as Python literals and forwarded to
-the experiment's ``run()``.  ``--trace`` writes a Chrome ``trace_event``
-JSON (open in Perfetto / about://tracing), ``--spans`` a JSONL span
-dump, and ``--metrics-out`` a Prometheus-style text exposition; all
-three observe the run through a :class:`~repro.telemetry.TelemetryCollector`
-without perturbing simulated time.
+``run`` executes one figure/table module; ``--set key=value`` pairs are
+parsed as Python literals and forwarded to its ``run()``.  ``--trace``
+writes a Chrome ``trace_event`` JSON (open in Perfetto /
+about://tracing), ``--spans`` a JSONL span dump, and ``--metrics-out`` a
+Prometheus-style text exposition; all three observe the run through a
+:class:`~repro.telemetry.TelemetryCollector` without perturbing
+simulated time.
 
-The sweep commands (``chaos`` / ``autoscale`` / ``memdurability`` and
-the generic ``sweep``) share one flag set — ``--jobs`` / ``--seed`` /
-``--json`` / ``--stream-spans`` — and execute through
-:func:`repro.sweep.run_sweep`: scenarios fan out across a process pool
-and merge in canonical plan order, so the report, the ``--json`` file,
-and the ``--stream-spans`` stream are byte-identical at every jobs
-count.  The batch exporters (``--trace`` / ``--spans`` /
+``sweep <name>`` runs any registered sweep through
+:func:`repro.sweep.run_sweep`: ``--set`` pairs are the sweep's
+``plan_scenarios()`` arguments, ``--plan FILE`` replays a saved
+:class:`~repro.faults.FaultPlan`, and scenarios fan out across ``--jobs``
+worker processes and merge in canonical plan order, so the report, the
+``--json`` file, and the ``--stream-spans`` stream are byte-identical at
+every jobs count.  The batch exporters (``--trace`` / ``--spans`` /
 ``--metrics-out``) observe the whole run in one process and therefore
 require ``--jobs 1``.
 """
@@ -41,13 +38,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import sys
 import time
 from typing import Any, Callable
 
 from .experiments import (
-    autoscale_sweep,
-    chaos_sweep,
     fig01_utilization,
     fig07_latency,
     fig08_storage,
@@ -56,13 +52,9 @@ from .experiments import (
     fig11_memory_sharing,
     fig12_gpu_sharing,
     fig13_offloading,
-    gpu_scaling_sweep,
-    loadstorm_sweep,
-    manager_failover_sweep,
-    memdurability_sweep,
     tab03_idle_node,
 )
-from .experiments.base import get_sweep
+from .experiments.base import get_sweep, registered_sweeps
 from .faults import FaultPlan, certify
 from .sweep import SweepScenarioError, run_sweep, sweep_names
 from .telemetry import (
@@ -96,12 +88,6 @@ EXPERIMENTS: dict[str, tuple[Any, str]] = {
     "fig11": (fig11_memory_sharing, "remote-memory traffic perturbation"),
     "fig12": (fig12_gpu_sharing, "GPU co-location overheads"),
     "fig13": (fig13_offloading, "real offloading: Black-Scholes + MC transport"),
-    "chaos": (chaos_sweep, "invocation latency under injected faults"),
-    "autoscale": (autoscale_sweep, "predictive vs reactive warm pools under load"),
-    "memdurability": (memdurability_sweep, "replicated memory service under a crash+drain storm"),
-    "gpu_scaling": (gpu_scaling_sweep, "GPU invocation batching: batch size vs throughput/latency"),
-    "manager_failover": (manager_failover_sweep, "completion through manager crash/partition, by standby count"),
-    "loadstorm": (loadstorm_sweep, "open-loop million-client lease churn vs control-plane shards"),
 }
 
 
@@ -165,11 +151,17 @@ def _export_telemetry(collector: TelemetryCollector, args: argparse.Namespace,
         out(f"[metrics -> {args.metrics_out}]")
 
 
-def _run_sweep_command(name: str, kwargs: dict[str, Any],
-                       args: argparse.Namespace,
+def _list_sweeps(out: Callable[[str], None], width: int = 0) -> None:
+    sweeps = registered_sweeps()
+    width = max(width, *(len(name) for name in sweeps))
+    for name, sweep in sweeps.items():
+        out(f"{name.ljust(width)}  {sweep.description}")
+
+
+def _run_sweep_command(args: argparse.Namespace,
                        parser: argparse.ArgumentParser,
                        out: Callable[[str], None]) -> int:
-    """Shared execution path of every sweep command.
+    """``repro sweep <name>``: plan, fan out, merge, report.
 
     Fan-out and in-order merge go through :func:`repro.sweep.run_sweep`,
     so the report, ``--json`` file, and ``--stream-spans`` stream are
@@ -177,6 +169,20 @@ def _run_sweep_command(name: str, kwargs: dict[str, Any],
     exporters (``--trace``/``--spans``/``--metrics-out``) observe one
     process and therefore require ``--jobs 1``.
     """
+    name = args.name
+    kwargs = _parse_overrides(args.set)
+    kwargs.setdefault("seed", args.seed)
+    if args.plan:
+        try:
+            kwargs["plan"] = FaultPlan.load(args.plan)
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            parser.error(f"cannot load fault plan: {exc}")
+    plan_scenarios = get_sweep(name).plan
+    try:
+        plan_scenarios(**kwargs)  # reject bad parameters before any work
+    except (TypeError, ValueError) as exc:
+        accepted = ", ".join(inspect.signature(plan_scenarios).parameters)
+        parser.error(f"sweep {name!r}: {exc} (parameters: {accepted})")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     batch_exports = args.trace or args.spans or args.metrics_out
@@ -322,127 +328,6 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         help="stream spans to FILE as JSONL while the run executes "
              "(bounded memory; batch exports then cover only the tail)",
     )
-    chaos_parser = sub.add_parser(
-        "chaos", help="fault-injection sweep: latency/recovery under faults",
-    )
-    chaos_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="JSON FaultPlan to replay (instead of the built-in rate sweep)",
-    )
-    chaos_parser.add_argument(
-        "--rates", default=None, metavar="R1,R2,...",
-        help="comma-separated fault rates (events per simulated minute)",
-    )
-    chaos_parser.add_argument("--seed", type=int, default=0)
-    chaos_parser.add_argument(
-        "--window", type=float, default=30.0, metavar="SECONDS",
-        help="simulated measurement window per scenario",
-    )
-    chaos_parser.add_argument(
-        "--memservice", action="store_true",
-        help="co-run a remote-paging stream on a replicated (k=2) memory "
-             "service, so the storm also exercises durable-memory failover",
-    )
-    chaos_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    autoscale_parser = sub.add_parser(
-        "autoscale", help="capacity sweep: predictive vs reactive warm pools",
-    )
-    autoscale_parser.add_argument(
-        "--loads", default=None, metavar="L1,L2,...",
-        help="comma-separated load multipliers (default 1,4,16)",
-    )
-    autoscale_parser.add_argument("--seed", type=int, default=0)
-    autoscale_parser.add_argument(
-        "--window", type=float, default=20.0, metavar="SECONDS",
-        help="simulated arrival window per scenario",
-    )
-    autoscale_parser.add_argument(
-        "--plan", metavar="FILE", default=None,
-        help="JSON FaultPlan to replay (instead of the built-in crash storm)",
-    )
-    autoscale_parser.add_argument(
-        "--no-crash", action="store_true",
-        help="disable the default node-crash storm",
-    )
-    autoscale_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    memdur_parser = sub.add_parser(
-        "memdurability",
-        help="durable-memory sweep: replication factors under a crash+drain storm",
-    )
-    memdur_parser.add_argument(
-        "--factors", default=None, metavar="K1,K2,...",
-        help="comma-separated replication factors (default 1,2,3)",
-    )
-    memdur_parser.add_argument("--seed", type=int, default=0)
-    memdur_parser.add_argument(
-        "--window", type=float, default=20.0, metavar="SECONDS",
-        help="simulated paging window per factor",
-    )
-    memdur_parser.add_argument(
-        "--accesses", type=int, default=400,
-        help="pager accesses replayed per factor",
-    )
-    memdur_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    managerha_parser = sub.add_parser(
-        "managerha",
-        help="control-plane HA sweep: completion through manager crash/partition",
-    )
-    managerha_parser.add_argument(
-        "--standbys", default=None, metavar="K1,K2,...",
-        help="comma-separated standby counts (default 0,1,2)",
-    )
-    managerha_parser.add_argument("--seed", type=int, default=0)
-    managerha_parser.add_argument(
-        "--window", type=float, default=20.0, metavar="SECONDS",
-        help="simulated measurement window per standby count",
-    )
-    managerha_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
-    loadstorm_parser = sub.add_parser(
-        "loadstorm",
-        help="shard sweep: open-loop million-client lease churn vs shard count",
-    )
-    loadstorm_parser.add_argument(
-        "--shards", default=None, metavar="N1,N2,...",
-        help="comma-separated shard counts (default 1,2,4,8)",
-    )
-    loadstorm_parser.add_argument("--seed", type=int, default=0)
-    loadstorm_parser.add_argument(
-        "--window", type=float, default=8.0, metavar="SECONDS",
-        help="simulated arrival window per shard count",
-    )
-    loadstorm_parser.add_argument(
-        "--rate", type=float, default=3000.0, metavar="REQ_PER_S",
-        help="open-loop arrival rate (default 3000)",
-    )
-    loadstorm_parser.add_argument(
-        "--population", type=int, default=1_200_000, metavar="N",
-        help="synthetic tenant population behind the Zipf mix (default 1.2M)",
-    )
-    loadstorm_parser.add_argument(
-        "--arrival", choices=("poisson", "mmpp"), default="poisson",
-        help="arrival process (default poisson)",
-    )
-    loadstorm_parser.add_argument(
-        "--crash-at", type=float, default=0.0, metavar="FRACTION",
-        dest="crash_at", help="crash the last shard at this fraction of the "
-                              "window (0 disables; default 0)",
-    )
-    loadstorm_parser.add_argument(
-        "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable sweep result as JSON",
-    )
     certify_parser = sub.add_parser(
         "certify",
         help="chaos certification: control-plane invariants under randomized "
@@ -469,42 +354,43 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         "--json", metavar="FILE", default=None, dest="json_out",
         help="write the machine-readable certification report as JSON",
     )
-    generic_sweep_parser = sub.add_parser(
+    sweep_parser = sub.add_parser(
         "sweep",
         help="run any registered sweep ('sweep list' shows them) across a pool",
     )
-    generic_sweep_parser.add_argument(
+    sweep_parser.add_argument(
         "name", choices=[*sweep_names(), "list"],
         help="registered sweep name, or 'list' to enumerate the registry",
     )
-    generic_sweep_parser.add_argument(
+    sweep_parser.add_argument(
         "--set", action="append", default=[], metavar="key=value",
         help="override a plan_scenarios() keyword argument (repeatable)",
     )
-    generic_sweep_parser.add_argument("--seed", type=int, default=0)
-    for sweep_parser in (chaos_parser, autoscale_parser, memdur_parser,
-                         managerha_parser, loadstorm_parser,
-                         generic_sweep_parser):
-        sweep_parser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes to fan scenarios across (default 1; "
-                 "the merged result is byte-identical at any count)",
-        )
-        sweep_parser.add_argument("--trace", metavar="FILE", default=None,
-                                  help="write a Chrome trace_event JSON of the "
-                                       "run (requires --jobs 1)")
-        sweep_parser.add_argument("--spans", metavar="FILE", default=None,
-                                  help="write a JSONL dump of all recorded "
-                                       "spans (requires --jobs 1)")
-        sweep_parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                                  help="write a Prometheus-style text metrics "
-                                       "dump (requires --jobs 1)")
-        sweep_parser.add_argument(
-            "--stream-spans", metavar="FILE", default=None,
-            help="stream spans to FILE as JSONL while the run executes "
-                 "(bounded memory; works at any --jobs count)",
-        )
-    generic_sweep_parser.add_argument(
+    sweep_parser.add_argument("--seed", type=int, default=0)
+    sweep_parser.add_argument(
+        "--plan", metavar="FILE", default=None,
+        help="JSON FaultPlan to replay (passed to the sweep as plan=)",
+    )
+    sweep_parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes to fan scenarios across (default 1; "
+             "the merged result is byte-identical at any count)",
+    )
+    sweep_parser.add_argument("--trace", metavar="FILE", default=None,
+                              help="write a Chrome trace_event JSON of the "
+                                   "run (requires --jobs 1)")
+    sweep_parser.add_argument("--spans", metavar="FILE", default=None,
+                              help="write a JSONL dump of all recorded "
+                                   "spans (requires --jobs 1)")
+    sweep_parser.add_argument("--metrics-out", metavar="FILE", default=None,
+                              help="write a Prometheus-style text metrics "
+                                   "dump (requires --jobs 1)")
+    sweep_parser.add_argument(
+        "--stream-spans", metavar="FILE", default=None,
+        help="stream spans to FILE as JSONL while the run executes "
+             "(bounded memory; works at any --jobs count)",
+    )
+    sweep_parser.add_argument(
         "--json", metavar="FILE", default=None, dest="json_out",
         help="write the machine-readable sweep result as JSON",
     )
@@ -558,9 +444,11 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        width = max(len(name) for name in EXPERIMENTS)
+        width = max(len(name) for name in [*EXPERIMENTS, *sweep_names()])
         for name, (_, description) in EXPERIMENTS.items():
             out(f"{name.ljust(width)}  {description}")
+        out("\nsweeps (repro sweep <name> --set key=value):")
+        _list_sweeps(out, width)
         return 0
 
     if args.command == "telemetry":
@@ -573,53 +461,6 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
 
     if args.command == "obs":
         return _run_obs(args, parser, out)
-
-    if args.command == "chaos":
-        kwargs: dict[str, Any] = {"seed": args.seed, "window_s": args.window,
-                                  "memservice": args.memservice}
-        if args.plan:
-            try:
-                kwargs["plan"] = FaultPlan.load(args.plan)
-            except (OSError, ValueError, TypeError, KeyError) as exc:
-                parser.error(f"cannot load fault plan: {exc}")
-        if args.rates:
-            if args.plan:
-                parser.error("--rates and --plan are mutually exclusive")
-            try:
-                kwargs["rates"] = tuple(float(r) for r in args.rates.split(","))
-            except ValueError:
-                parser.error(f"--rates expects comma-separated numbers, got {args.rates!r}")
-        return _run_sweep_command("chaos", kwargs, args, parser, out)
-
-    if args.command == "memdurability":
-        kwargs = {"seed": args.seed, "window_s": args.window,
-                  "accesses": args.accesses}
-        if args.factors:
-            try:
-                kwargs["factors"] = tuple(int(k) for k in args.factors.split(","))
-            except ValueError:
-                parser.error(f"--factors expects comma-separated integers, got {args.factors!r}")
-        return _run_sweep_command("memdurability", kwargs, args, parser, out)
-
-    if args.command == "managerha":
-        kwargs = {"seed": args.seed, "window_s": args.window}
-        if args.standbys:
-            try:
-                kwargs["standbys"] = tuple(int(k) for k in args.standbys.split(","))
-            except ValueError:
-                parser.error(f"--standbys expects comma-separated integers, got {args.standbys!r}")
-        return _run_sweep_command("manager_failover", kwargs, args, parser, out)
-
-    if args.command == "loadstorm":
-        kwargs = {"seed": args.seed, "window_s": args.window,
-                  "rate_per_s": args.rate, "population": args.population,
-                  "arrival": args.arrival, "crash_at_frac": args.crash_at}
-        if args.shards:
-            try:
-                kwargs["shards"] = tuple(int(n) for n in args.shards.split(","))
-            except ValueError:
-                parser.error(f"--shards expects comma-separated integers, got {args.shards!r}")
-        return _run_sweep_command("loadstorm", kwargs, args, parser, out)
 
     if args.command == "certify":
         if args.budget < 1:
@@ -639,34 +480,11 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
             out(f"[json -> {args.json_out}]")
         return 0 if report.ok else 1
 
-    if args.command == "autoscale":
-        kwargs = {"seed": args.seed, "window_s": args.window}
-        if args.loads:
-            try:
-                kwargs["loads"] = tuple(float(l) for l in args.loads.split(","))
-            except ValueError:
-                parser.error(f"--loads expects comma-separated numbers, got {args.loads!r}")
-        if args.plan:
-            if args.no_crash:
-                parser.error("--plan and --no-crash are mutually exclusive")
-            try:
-                kwargs["plan"] = FaultPlan.load(args.plan)
-            except (OSError, ValueError, TypeError, KeyError) as exc:
-                parser.error(f"cannot load fault plan: {exc}")
-        if args.no_crash:
-            kwargs["crash"] = False
-        return _run_sweep_command("autoscale", kwargs, args, parser, out)
-
     if args.command == "sweep":
         if args.name == "list":
-            names = sweep_names()
-            width = max(len(n) for n in names)
-            for n in names:
-                out(f"{n.ljust(width)}  {get_sweep(n).description}")
+            _list_sweeps(out)
             return 0
-        kwargs = _parse_overrides(args.set)
-        kwargs.setdefault("seed", args.seed)
-        return _run_sweep_command(args.name, kwargs, args, parser, out)
+        return _run_sweep_command(args, parser, out)
 
     overrides = _parse_overrides(args.set)
     collector = _make_collector(args)

@@ -1,14 +1,18 @@
-"""Experiment harness: one module per paper table/figure.
+"""Experiment harness: one module per paper table/figure, plus sweeps.
 
-Each module exposes ``run(...) -> result`` and ``format_report(result)``;
-the benchmark suite (``benchmarks/``) executes them and prints the same
-rows/series the paper reports.  See DESIGN.md for the experiment index.
+Each figure/table module (``fig*``, ``tab*``) exposes ``run(...) ->
+result`` and ``format_report(result)``; the benchmark suite
+(``benchmarks/``) executes them and prints the same rows/series the
+paper reports (``repro run <name>``).  See DESIGN.md for the experiment
+index.
 
-The sweep-shaped experiments additionally implement the
-:mod:`repro.experiments.base` protocol — ``plan_scenarios(...)`` /
-``scenario(params, seed)`` / ``assemble(points, meta)`` — and register
-themselves so :func:`repro.sweep.run_sweep` can fan their scenarios out
-across a process pool (``repro <sweep> --jobs N``).
+Each ``*_sweep`` module is data for the :mod:`repro.experiments.base`
+protocol: ``plan_scenarios(...)``, a module-level ``scenario(params,
+seed)``, a point dataclass, and a report column spec, registered as a
+:class:`~repro.experiments.base.Sweep`.  :func:`repro.sweep.run_sweep`
+runs any of them — serially or across a process pool — into one
+:class:`~repro.experiments.base.SweepResult` (``repro sweep <name>
+--jobs N``).
 """
 
 from . import (

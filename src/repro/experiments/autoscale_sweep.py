@@ -24,19 +24,18 @@ Fully deterministic: same seed ⇒ identical JSON (asserted across fresh
 interpreters by ``tests/capacity/test_autoscale_determinism.py``).
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
-``(params, seed)``; :func:`plan_scenarios` / :func:`assemble` are
-registered as the ``autoscale`` sweep and :func:`run` is the serial
-shim over them (``repro autoscale --jobs N`` fans scenarios out).
+``(params, seed)``; :func:`plan_scenarios` and the report columns are
+registered as the ``autoscale`` sweep (``repro sweep autoscale --jobs N``
+fans scenarios out).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..capacity import (
     AdmissionConfig,
@@ -48,17 +47,13 @@ from ..containers import Image
 from ..faults import FaultPlan
 from ..interference import ResourceDemand
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
     "AutoscalePoint",
-    "AutoscaleResult",
     "default_crash_plan",
     "scenario",
     "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
     "SWEEP",
 ]
 
@@ -101,47 +96,6 @@ class AutoscalePoint:
     @property
     def burst_fraction(self) -> float:
         return self.bursts / self.invocations if self.invocations else 0.0
-
-
-@dataclass
-class AutoscaleResult:
-    points: list[AutoscalePoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                f"{p.load:g}x", p.mode, p.invocations,
-                p.completed, p.bursts, p.rejected,
-                f"{p.warm_start_rate * 100:.1f}%",
-                p.prewarms,
-                f"{p.p50_ms:.3f}", f"{p.p99_ms:.3f}",
-                f"{p.burst_fraction * 100:.1f}%",
-                f"{p.burst_cost:.6f}",
-            ])
-        table = render_table(
-            ["load", "mode", "arrivals", "hpc", "cloud", "rejected", "warm",
-             "prewarms", "p50 (ms)", "p99 (ms)", "burst", "burst cost"],
-            rows,
-            title=(f"Autoscale sweep — predictive vs reactive warm pools "
-                   f"({self.window_s:g}s window)"),
-        )
-        return table + (
-            "\nEvery arrival is accounted for: served on harvested HPC cores,"
-            " overflowed to the cloud (billed), or explicitly rejected."
-        )
 
 
 def default_crash_plan(window_s: float) -> FaultPlan:
@@ -304,11 +258,22 @@ def plan_scenarios(
     plan: Optional[FaultPlan] = None,
 ) -> SweepPlan:
     """Fix the canonical scenario order: each load reactive, then
-    predictive, all replaying the same schedule (and crash storm)."""
+    predictive, all replaying the same schedule (and crash storm).
+
+    ``crash=True`` (default) replays :func:`default_crash_plan` in every
+    scenario; pass an explicit ``plan`` to replace it, or ``crash=False``
+    for a fault-free sweep.
+    """
+    window_s = float(window_s)
+    runtime_s = float(runtime_s)
+    base_rate_per_s = float(base_rate_per_s)
+    loads = tuple(float(load) for load in loads)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
     if tenants < 1:
         raise ValueError("need at least one tenant")
+    if plan is not None and not crash:
+        raise ValueError("plan and crash=False are mutually exclusive")
     if plan is None and crash:
         plan = default_crash_plan(window_s)
     scenarios = []
@@ -335,46 +300,27 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-def assemble(points: list[dict], meta: dict) -> AutoscaleResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = AutoscaleResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [AutoscalePoint(**point) for point in points]
-    return result
-
-
-def run(
-    loads=DEFAULT_LOADS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    runtime_s: float = 0.15,
-    payload_bytes: int = 1024,
-    tenants: int = 10,
-    base_rate_per_s: float = DEFAULT_RATE,
-    crash: bool = True,
-    plan: Optional[FaultPlan] = None,
-) -> AutoscaleResult:
-    """Serial shim over the sweep protocol.
-
-    ``crash=True`` (default) replays :func:`default_crash_plan` in every
-    scenario; pass an explicit ``plan`` to override it, or ``crash=False``
-    for a fault-free sweep.  For multi-core execution use
-    :func:`repro.sweep.run_sweep` (``repro autoscale --jobs N``).
-    """
-    return SWEEP.run_serial(
-        loads=loads, window_s=window_s, seed=seed, runtime_s=runtime_s,
-        payload_bytes=payload_bytes, tenants=tenants,
-        base_rate_per_s=base_rate_per_s, crash=crash, plan=plan,
-    )
-
-
-def format_report(result: AutoscaleResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="autoscale",
     description="predictive vs reactive warm pools under load",
     plan=plan_scenarios,
-    assemble=assemble,
-    result_type=AutoscaleResult,
+    point_type=AutoscalePoint,
+    columns=(
+        ("load", lambda p: f"{p.load:g}x"),
+        ("mode", lambda p: p.mode),
+        ("arrivals", lambda p: p.invocations),
+        ("hpc", lambda p: p.completed),
+        ("cloud", lambda p: p.bursts),
+        ("rejected", lambda p: p.rejected),
+        ("warm", lambda p: f"{p.warm_start_rate * 100:.1f}%"),
+        ("prewarms", lambda p: p.prewarms),
+        ("p50 (ms)", lambda p: f"{p.p50_ms:.3f}"),
+        ("p99 (ms)", lambda p: f"{p.p99_ms:.3f}"),
+        ("burst", lambda p: f"{p.burst_fraction * 100:.1f}%"),
+        ("burst cost", lambda p: f"{p.burst_cost:.6f}"),
+    ),
+    title=("Autoscale sweep — predictive vs reactive warm pools "
+           "({window_s:g}s window)"),
+    footer=("Every arrival is accounted for: served on harvested HPC cores,"
+            " overflowed to the cloud (billed), or explicitly rejected."),
 ))

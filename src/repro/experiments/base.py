@@ -3,8 +3,8 @@
 Every sweep in this repo has the same shape — a list of *scenarios*
 (one fault rate, one load multiplier, one replication factor), each
 fully determined by a parameter dict and a seed, whose outcomes are
-merged in a fixed order into a result object the CLI can print and
-serialize.  This module names that shape so one runner
+merged in a fixed order into one :class:`SweepResult` the CLI can print
+and serialize.  This module names that shape so one runner
 (:mod:`repro.sweep`) can execute *any* sweep, serially or fanned out
 across a process pool, with byte-identical output either way:
 
@@ -17,36 +17,25 @@ across a process pool, with byte-identical output either way:
   (one base seed, derived deterministically per component), so neither
   worker identity nor execution order can influence a scenario.
 * :class:`SweepPlan` — the canonical scenario order plus the run-level
-  metadata (``window_s``, ``seed``, ...) the assembler needs.  The plan
+  metadata (``window_s``, ``seed``, ...) the result carries.  The plan
   *is* the merge contract: points are always assembled in plan order,
   no matter which worker finished first.
-* :class:`SweepResult` — the protocol every sweep's result object
-  satisfies: ``points`` plus ``to_dict()`` / ``to_json()`` /
-  ``format_report()``.  ``tools/check_sweeps.py`` lints the registry
-  against it.
-* :class:`Sweep` + :func:`register_sweep` — the registry consumed by
-  both the CLI (``repro chaos --jobs 8``, ``repro sweep <name>``) and
-  :func:`repro.sweep.run_sweep`.
-
-The legacy per-module ``run(...)`` entry points survive as thin shims:
-``plan_scenarios(...)`` → execute serially → ``assemble(...)``, the
-exact code path the parallel runner uses at ``jobs=1``.
+* :class:`Sweep` + :func:`register_sweep` — what a sweep module
+  declares: its ``plan_scenarios``, its point dataclass, and how its
+  report table looks (a column spec, a title template over the plan
+  metadata, a footer line).  The registry is consumed by the CLI
+  (``repro sweep <name>``) and :func:`repro.sweep.run_sweep`.
+* :class:`SweepResult` — the one result type every sweep produces:
+  typed points plus ``to_dict()`` / ``to_json()`` / ``format_report()``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Tuple
+
+from ..analysis.tables import render_table
 
 __all__ = [
     "ScenarioSpec",
@@ -56,7 +45,6 @@ __all__ = [
     "register_sweep",
     "get_sweep",
     "registered_sweeps",
-    "result_to_json",
 ]
 
 
@@ -83,7 +71,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The canonical scenario order plus run-level assembler metadata."""
+    """The canonical scenario order plus run-level result metadata."""
 
     scenarios: Tuple[ScenarioSpec, ...]
     meta: Dict[str, Any] = field(default_factory=dict)
@@ -92,49 +80,60 @@ class SweepPlan:
         return len(self.scenarios)
 
 
-@runtime_checkable
-class SweepResult(Protocol):
-    """What every sweep's result object exposes (plus a ``points`` list).
-
-    ``points`` is a data attribute, which :func:`isinstance` cannot see
-    through a runtime protocol; the ``sweeps`` lint checks it explicitly
-    on each registered result type.
-    """
-
-    def to_dict(self) -> dict: ...
-
-    def to_json(self) -> str: ...
-
-    def format_report(self) -> str: ...
-
-
-def result_to_json(result: Any) -> str:
-    """The repo-wide sweep JSON convention: sorted keys, 2-space indent."""
-    return json.dumps(result.to_dict(), sort_keys=True, indent=2)
+#: One report column: its header and the cell it shows for a point.
+Column = Tuple[str, Callable[[Any], Any]]
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """A registered sweep: how to plan scenarios and assemble points.
+    """A registered sweep: how to plan it and how its report looks.
 
     ``plan(**kwargs) -> SweepPlan`` validates the run arguments and
     fixes the canonical scenario order (and every per-scenario seed);
-    ``assemble(points, meta) -> SweepResult`` rebuilds the typed result
-    from the point dicts, in plan order.  ``result_type`` is the
-    concrete result class, under the :class:`SweepResult` contract.
+    scenario point dicts are rebuilt as ``point_type(**point)``.  The
+    report is one table of ``columns`` under ``title`` (a
+    :meth:`str.format` template over the plan metadata), then
+    ``footer``.
     """
 
     name: str
     description: str
     plan: Callable[..., SweepPlan]
-    assemble: Callable[[List[Dict[str, Any]], Mapping[str, Any]], Any]
-    result_type: type
+    point_type: type
+    columns: Tuple[Column, ...]
+    title: str
+    footer: str
 
-    def run_serial(self, **kwargs) -> Any:
-        """Plan + execute in-process + assemble — the ``jobs=1`` path."""
-        plan = self.plan(**kwargs)
-        points = [spec.execute() for spec in plan.scenarios]
-        return self.assemble(points, plan.meta)
+    def assemble(self, points: List[Dict[str, Any]],
+                 meta: Mapping[str, Any]) -> SweepResult:
+        """The typed result of point dicts, kept in plan order."""
+        return SweepResult(self, dict(meta),
+                           [self.point_type(**point) for point in points])
+
+
+@dataclass
+class SweepResult:
+    """One sweep run: the plan metadata plus typed points in plan order."""
+
+    sweep: Sweep
+    meta: Dict[str, Any]
+    points: List[Any]
+
+    def to_dict(self) -> dict:
+        return {**self.meta, "points": [asdict(p) for p in self.points]}
+
+    def to_json(self) -> str:
+        """The repo-wide sweep JSON convention: sorted keys, 2-space indent."""
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+    def format_report(self) -> str:
+        columns = self.sweep.columns
+        table = render_table(
+            [header for header, _ in columns],
+            [[cell(p) for _, cell in columns] for p in self.points],
+            title=self.sweep.title.format(**self.meta),
+        )
+        return f"{table}\n{self.sweep.footer}"
 
 
 #: name -> Sweep, populated by each sweep module at import time.

@@ -20,19 +20,17 @@ fault schedule, victims, and recovery trace — asserted byte-for-byte by
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)`` so scenarios cross the process-pool boundary of
-:func:`repro.sweep.run_sweep`; :func:`plan_scenarios` /
-:func:`assemble` are registered as the ``chaos`` sweep and
-:func:`run` is the serial shim over them.
+:func:`repro.sweep.run_sweep`; :func:`plan_scenarios` and the report
+columns are registered as the ``chaos`` sweep (``repro sweep chaos``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..containers import Image
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy
@@ -40,17 +38,13 @@ from ..interference import ResourceDemand
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
     "ChaosPoint",
-    "ChaosResult",
     "default_plan",
     "scenario",
     "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
     "SWEEP",
 ]
 
@@ -87,44 +81,6 @@ class ChaosPoint:
     @property
     def completion_ratio(self) -> float:
         return self.completed / self.invocations if self.invocations else 0.0
-
-
-@dataclass
-class ChaosResult:
-    points: list[ChaosPoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.label, p.faults_injected, p.invocations,
-                f"{p.completion_ratio * 100:.1f}%",
-                f"{p.p50_ms:.3f}", f"{p.p95_ms:.3f}",
-                p.retries, p.recovered, p.gave_up + p.rejected + p.timed_out,
-                f"{p.mean_recovery_ms:.3f}",
-            ])
-        table = render_table(
-            ["plan", "faults", "invocations", "completed", "p50 (ms)", "p95 (ms)",
-             "retries", "recovered", "failed", "recovery (ms)"],
-            rows,
-            title=f"Chaos sweep — noop latency under faults ({self.window_s:g}s window)",
-        )
-        return table + (
-            "\nReclamation is routine, not fatal: retries keep completion high"
-            " while faults tax the tail."
-        )
 
 
 def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
@@ -263,7 +219,7 @@ def scenario(params: dict, seed: int) -> dict:
 
 
 def plan_scenarios(
-    rates=DEFAULT_RATES,
+    rates=None,
     window_s: float = 30.0,
     seed: int = 0,
     runtime_s: float = 0.02,
@@ -272,11 +228,24 @@ def plan_scenarios(
     plan: Optional[FaultPlan] = None,
     memservice: bool = False,
 ) -> SweepPlan:
-    """Fix the canonical scenario order (and each scenario's seed)."""
+    """Fix the canonical scenario order (and each scenario's seed).
+
+    One scenario per fault rate (default :data:`DEFAULT_RATES`), or a
+    single one replaying ``plan``.  ``memservice=True`` co-runs a
+    remote-paging stream on a replicated (k=2) memory service, so the
+    same storms also hit durable-memory chunks.
+    """
+    window_s = float(window_s)
+    runtime_s = float(runtime_s)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
-    plans = ([plan] if plan is not None
-             else [default_plan(rate, window_s) for rate in rates])
+    if plan is not None:
+        if rates is not None:
+            raise ValueError("rates and plan are mutually exclusive")
+        plans = [plan]
+    else:
+        rates = DEFAULT_RATES if rates is None else rates
+        plans = [default_plan(float(rate), window_s) for rate in rates]
     scenarios = tuple(
         ScenarioSpec(
             fn=scenario,
@@ -297,45 +266,24 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-def assemble(points: list[dict], meta: dict) -> ChaosResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = ChaosResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [ChaosPoint(**point) for point in points]
-    return result
-
-
-def run(
-    rates=DEFAULT_RATES,
-    window_s: float = 30.0,
-    seed: int = 0,
-    runtime_s: float = 0.02,
-    payload_bytes: int = 1024,
-    streams: int = 2,
-    plan: FaultPlan = None,
-    memservice: bool = False,
-) -> ChaosResult:
-    """Serial shim over the sweep protocol; pass ``plan`` for one plan.
-
-    ``memservice=True`` co-runs a remote-paging stream on a replicated
-    (k=2) memory service, so the same storms also hit durable-memory
-    chunks (``repro chaos --memservice``).  For multi-core execution
-    use :func:`repro.sweep.run_sweep` (``repro chaos --jobs N``).
-    """
-    return SWEEP.run_serial(
-        rates=rates, window_s=window_s, seed=seed, runtime_s=runtime_s,
-        payload_bytes=payload_bytes, streams=streams, plan=plan,
-        memservice=memservice,
-    )
-
-
-def format_report(result: ChaosResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="chaos",
     description="invocation latency under injected faults",
     plan=plan_scenarios,
-    assemble=assemble,
-    result_type=ChaosResult,
+    point_type=ChaosPoint,
+    columns=(
+        ("plan", lambda p: p.label),
+        ("faults", lambda p: p.faults_injected),
+        ("invocations", lambda p: p.invocations),
+        ("completed", lambda p: f"{p.completion_ratio * 100:.1f}%"),
+        ("p50 (ms)", lambda p: f"{p.p50_ms:.3f}"),
+        ("p95 (ms)", lambda p: f"{p.p95_ms:.3f}"),
+        ("retries", lambda p: p.retries),
+        ("recovered", lambda p: p.recovered),
+        ("failed", lambda p: p.gave_up + p.rejected + p.timed_out),
+        ("recovery (ms)", lambda p: f"{p.mean_recovery_ms:.3f}"),
+    ),
+    title="Chaos sweep — noop latency under faults ({window_s:g}s window)",
+    footer=("Reclamation is routine, not fatal: retries keep completion high"
+            " while faults tax the tail."),
 ))

@@ -28,23 +28,18 @@ interpreters (asserted by ``tests/sweep/test_parallel_determinism.py``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..gpu.gpu_function import GpuFunctionSpec
 from ..gpuservice import BatchPolicy, GpuServiceConfig
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
     "GpuScalingPoint",
-    "GpuScalingResult",
     "scenario",
     "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
     "SWEEP",
 ]
 
@@ -80,44 +75,6 @@ class GpuScalingPoint:
     size_flushes: int
     timer_flushes: int
     completed: int
-
-
-@dataclass
-class GpuScalingResult:
-    points: list[GpuScalingPoint] = field(default_factory=list)
-    requests: int = 0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.batch_size, f"{p.offered_rps:.1f}", f"{p.throughput_rps:.1f}",
-                f"{p.p50_ms:.2f}", f"{p.p99_ms:.2f}",
-                f"{p.mean_batch_size:.2f}", p.size_flushes, p.timer_flushes,
-            ])
-        table = render_table(
-            ["batch", "offered (r/s)", "throughput (r/s)", "p50 (ms)",
-             "p99 (ms)", "mean batch", "size flushes", "timer flushes"],
-            rows,
-            title=(f"GPU invocation batching — {self.requests} requests per "
-                   f"stream, {len(FUNCTIONS)} streams"),
-        )
-        return table + (
-            "\nBatching amortizes launch overheads: throughput rises with the"
-            " batch size until the offered-rate cap, while p99 pays the"
-            " batch-fill wait plus the longer coalesced launch."
-        )
 
 
 def _function_spec(name: str) -> GpuFunctionSpec:
@@ -239,6 +196,8 @@ def plan_scenarios(
     seed: int = 0,
 ) -> SweepPlan:
     """Fix the canonical scenario order: one scenario per batch size."""
+    max_rate_rps = float(max_rate_rps)
+    batch_sizes = tuple(int(b) for b in batch_sizes)
     if requests < 1:
         raise ValueError("need at least one request per stream")
     if max_rate_rps <= 0:
@@ -247,12 +206,12 @@ def plan_scenarios(
         ScenarioSpec(
             fn=scenario,
             params={
-                "batch_size": int(b),
+                "batch_size": b,
                 "requests": requests,
                 "max_rate_rps": max_rate_rps,
             },
             seed=seed,
-            label=f"B={int(b)}",
+            label=f"B={b}",
         )
         for b in batch_sizes
     )
@@ -260,38 +219,24 @@ def plan_scenarios(
                      meta={"requests": requests, "seed": seed})
 
 
-def assemble(points: list[dict], meta: dict) -> GpuScalingResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = GpuScalingResult(requests=meta["requests"], seed=meta["seed"])
-    result.points = [GpuScalingPoint(**point) for point in points]
-    return result
-
-
-def run(
-    batch_sizes=DEFAULT_BATCH_SIZES,
-    requests: int = 4096,
-    max_rate_rps: float = 800.0,
-    seed: int = 0,
-) -> GpuScalingResult:
-    """Serial shim: sweep the batch sizes one scenario at a time.
-
-    For multi-core execution use :func:`repro.sweep.run_sweep`
-    (``repro sweep gpu_scaling --jobs N``).
-    """
-    return SWEEP.run_serial(
-        batch_sizes=batch_sizes, requests=requests,
-        max_rate_rps=max_rate_rps, seed=seed,
-    )
-
-
-def format_report(result: GpuScalingResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="gpu_scaling",
     description="GPU invocation batching: batch size vs throughput/latency",
     plan=plan_scenarios,
-    assemble=assemble,
-    result_type=GpuScalingResult,
+    point_type=GpuScalingPoint,
+    columns=(
+        ("batch", lambda p: p.batch_size),
+        ("offered (r/s)", lambda p: f"{p.offered_rps:.1f}"),
+        ("throughput (r/s)", lambda p: f"{p.throughput_rps:.1f}"),
+        ("p50 (ms)", lambda p: f"{p.p50_ms:.2f}"),
+        ("p99 (ms)", lambda p: f"{p.p99_ms:.2f}"),
+        ("mean batch", lambda p: f"{p.mean_batch_size:.2f}"),
+        ("size flushes", lambda p: p.size_flushes),
+        ("timer flushes", lambda p: p.timer_flushes),
+    ),
+    title=("GPU invocation batching — {requests} requests per stream, "
+           f"{len(FUNCTIONS)} streams"),
+    footer=("Batching amortizes launch overheads: throughput rises with the"
+            " batch size until the offered-rate cap, while p99 pays the"
+            " batch-fill wait plus the longer coalesced launch."),
 ))

@@ -19,16 +19,16 @@ grants, one primary per epoch, monotone epochs, no silent drops.
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)``; registered as the ``manager_failover`` sweep, so
-``repro managerha --jobs N`` is byte-identical at any jobs count.
+``repro sweep manager_failover --jobs N`` is byte-identical at any jobs
+count.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..containers import Image
 from ..controlplane import HAConfig
@@ -43,17 +43,13 @@ from ..faults import (
 )
 from ..interference import ResourceDemand
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
     "FailoverPoint",
-    "FailoverResult",
     "default_plan",
     "scenario",
     "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
     "SWEEP",
 ]
 
@@ -92,47 +88,6 @@ class FailoverPoint:
     @property
     def completion_ratio(self) -> float:
         return self.completed / self.invocations if self.invocations else 0.0
-
-
-@dataclass
-class FailoverResult:
-    points: list[FailoverPoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.label, p.invocations,
-                f"{p.completion_ratio * 100:.1f}%",
-                f"{p.p50_ms:.3f}", f"{p.p99_ms:.3f}",
-                p.manager_down_retries, p.failovers, p.epochs,
-                p.fenced_grants, p.orphaned_leases,
-                "PASS" if p.invariants_ok else "FAIL",
-            ])
-        table = render_table(
-            ["standbys", "invocations", "completed", "p50 (ms)", "p99 (ms)",
-             "mgr retries", "failovers", "epochs", "fenced", "orphaned",
-             "invariants"],
-            rows,
-            title=(f"Manager failover — lease storms through primary "
-                   f"crash + partition ({self.window_s:g}s window)"),
-        )
-        return table + (
-            "\nWith zero standbys the crash orphans every lease; one standby"
-            " turns the outage into tail latency."
-        )
 
 
 def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
@@ -262,7 +217,11 @@ def plan_scenarios(
     heartbeat_interval_s: float = 0.1,
     suspect_after: int = 3,
 ) -> SweepPlan:
-    """Fix the canonical scenario order (and each scenario's seed)."""
+    """Fix the canonical scenario order: one scenario per standby count."""
+    window_s = float(window_s)
+    runtime_s = float(runtime_s)
+    heartbeat_interval_s = float(heartbeat_interval_s)
+    standbys = tuple(int(k) for k in standbys)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
     scenarios = tuple(
@@ -286,39 +245,26 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-def assemble(points: list[dict], meta: dict) -> FailoverResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = FailoverResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [FailoverPoint(**point) for point in points]
-    return result
-
-
-def run(
-    standbys=DEFAULT_STANDBYS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    runtime_s: float = 0.02,
-    payload_bytes: int = 1024,
-    streams: int = 3,
-    heartbeat_interval_s: float = 0.1,
-    suspect_after: int = 3,
-) -> FailoverResult:
-    """Serial shim over the sweep protocol (``repro managerha``)."""
-    return SWEEP.run_serial(
-        standbys=standbys, window_s=window_s, seed=seed, runtime_s=runtime_s,
-        payload_bytes=payload_bytes, streams=streams,
-        heartbeat_interval_s=heartbeat_interval_s, suspect_after=suspect_after,
-    )
-
-
-def format_report(result: FailoverResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="manager_failover",
     description="completion through manager crash/partition, by standby count",
     plan=plan_scenarios,
-    assemble=assemble,
-    result_type=FailoverResult,
+    point_type=FailoverPoint,
+    columns=(
+        ("standbys", lambda p: p.label),
+        ("invocations", lambda p: p.invocations),
+        ("completed", lambda p: f"{p.completion_ratio * 100:.1f}%"),
+        ("p50 (ms)", lambda p: f"{p.p50_ms:.3f}"),
+        ("p99 (ms)", lambda p: f"{p.p99_ms:.3f}"),
+        ("mgr retries", lambda p: p.manager_down_retries),
+        ("failovers", lambda p: p.failovers),
+        ("epochs", lambda p: p.epochs),
+        ("fenced", lambda p: p.fenced_grants),
+        ("orphaned", lambda p: p.orphaned_leases),
+        ("invariants", lambda p: "PASS" if p.invariants_ok else "FAIL"),
+    ),
+    title=("Manager failover — lease storms through primary "
+           "crash + partition ({window_s:g}s window)"),
+    footer=("With zero standbys the crash orphans every lease; one standby"
+            " turns the outage into tail latency."),
 ))

@@ -30,34 +30,29 @@ byte-identical across fresh interpreters for one seed (asserted by
 ``tests/memservice/test_memdurability_determinism.py``).
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
-``(params, seed)``; :func:`plan_scenarios` / :func:`assemble` are
-registered as the ``memdurability`` sweep and :func:`run` is the serial
-shim over them (``repro memdurability --jobs N`` fans scenarios out).
+``(params, seed)``; :func:`plan_scenarios` and the report columns are
+registered as the ``memdurability`` sweep (``repro sweep memdurability
+--jobs N`` fans scenarios out).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..faults import FaultPlan
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from ..telemetry import NULL_TELEMETRY, telemetry_of
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep, result_to_json
+from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
     "MemDurabilityPoint",
-    "MemDurabilityResult",
     "default_storm",
     "scenario",
     "plan_scenarios",
-    "assemble",
-    "run",
-    "format_report",
     "SWEEP",
 ]
 
@@ -96,45 +91,6 @@ class MemDurabilityPoint:
     resyncs: int
     moved_mib: float
     faults_injected: int
-
-
-@dataclass
-class MemDurabilityResult:
-    points: list[MemDurabilityPoint] = field(default_factory=list)
-    window_s: float = 0.0
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_s": self.window_s,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return result_to_json(self)
-
-    def format_report(self) -> str:
-        rows = []
-        for p in self.points:
-            rows.append([
-                p.label, p.accesses,
-                f"{p.completion_ratio * 100:.1f}%",
-                p.data_loss_accesses, p.retried_accesses, p.failovers,
-                p.stale_reads_averted, p.replicas_lost, p.migrations,
-                p.repairs + p.resyncs, f"{p.moved_mib:.1f}",
-            ])
-        table = render_table(
-            ["factor", "accesses", "completed", "lost", "retried", "failovers",
-             "stale averted", "replicas lost", "migrated", "repaired", "moved (MiB)"],
-            rows,
-            title=(f"Memory durability — paging through a crash+drain storm "
-                   f"({self.window_s:g}s window)"),
-        )
-        return table + (
-            "\nk=1 is the seed service: destroyed replicas are gone for good."
-            " Replication turns the same storm into failovers and repairs."
-        )
 
 
 def default_storm(window_s: float) -> FaultPlan:
@@ -272,7 +228,10 @@ def plan_scenarios(
     size_bytes: int = 64 * MiB,
     chunk_bytes: int = 16 * MiB,
 ) -> SweepPlan:
-    """Fix the canonical scenario order: one scenario per factor."""
+    """Fix the canonical scenario order: one scenario per factor, each
+    replaying the same storm and access trace."""
+    window_s = float(window_s)
+    factors = tuple(int(k) for k in factors)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
     if accesses < 1:
@@ -296,40 +255,26 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-def assemble(points: list[dict], meta: dict) -> MemDurabilityResult:
-    """Rebuild the typed result from point dicts, in plan order."""
-    result = MemDurabilityResult(window_s=meta["window_s"], seed=meta["seed"])
-    result.points = [MemDurabilityPoint(**point) for point in points]
-    return result
-
-
-def run(
-    factors=DEFAULT_FACTORS,
-    window_s: float = 20.0,
-    seed: int = 0,
-    accesses: int = 400,
-    size_bytes: int = 64 * MiB,
-    chunk_bytes: int = 16 * MiB,
-) -> MemDurabilityResult:
-    """Serial shim: replay the storm + trace for each replication factor.
-
-    For multi-core execution use :func:`repro.sweep.run_sweep`
-    (``repro memdurability --jobs N``).
-    """
-    return SWEEP.run_serial(
-        factors=factors, window_s=window_s, seed=seed, accesses=accesses,
-        size_bytes=size_bytes, chunk_bytes=chunk_bytes,
-    )
-
-
-def format_report(result: MemDurabilityResult) -> str:
-    return result.format_report()
-
-
 SWEEP = register_sweep(Sweep(
     name="memdurability",
     description="replicated memory service under a crash+drain storm",
     plan=plan_scenarios,
-    assemble=assemble,
-    result_type=MemDurabilityResult,
+    point_type=MemDurabilityPoint,
+    columns=(
+        ("factor", lambda p: p.label),
+        ("accesses", lambda p: p.accesses),
+        ("completed", lambda p: f"{p.completion_ratio * 100:.1f}%"),
+        ("lost", lambda p: p.data_loss_accesses),
+        ("retried", lambda p: p.retried_accesses),
+        ("failovers", lambda p: p.failovers),
+        ("stale averted", lambda p: p.stale_reads_averted),
+        ("replicas lost", lambda p: p.replicas_lost),
+        ("migrated", lambda p: p.migrations),
+        ("repaired", lambda p: p.repairs + p.resyncs),
+        ("moved (MiB)", lambda p: f"{p.moved_mib:.1f}"),
+    ),
+    title=("Memory durability — paging through a crash+drain storm "
+           "({window_s:g}s window)"),
+    footer=("k=1 is the seed service: destroyed replicas are gone for good."
+            " Replication turns the same storm into failovers and repairs."),
 ))

@@ -46,7 +46,13 @@ import os
 import traceback
 from typing import Any, Dict, List, Optional, Union
 
-from .experiments.base import ScenarioSpec, Sweep, get_sweep, registered_sweeps
+from .experiments.base import (
+    ScenarioSpec,
+    Sweep,
+    SweepResult,
+    get_sweep,
+    registered_sweeps,
+)
 
 # Importing the experiment package registers every built-in sweep.
 from . import experiments as _experiments  # noqa: F401  (registration side effect)
@@ -148,16 +154,16 @@ def run_sweep(
     start_method: Optional[str] = None,
     stream_stats: Optional[Dict[str, int]] = None,
     **kwargs: Any,
-) -> Any:
+) -> SweepResult:
     """Run a registered sweep, fanning scenarios across ``jobs`` workers.
 
     ``sweep`` is a registry name (``"chaos"``, ``"autoscale"``,
     ``"memdurability"``) or a :class:`~repro.experiments.base.Sweep`;
-    ``kwargs`` are the sweep's ``plan_scenarios`` arguments (the same
-    names the legacy ``run(...)`` shims take).  ``jobs=1`` executes
-    in-process over the identical plan/merge path, so the result —
-    and, with ``stream_spans``, the merged span stream — is
-    byte-identical at every jobs count.
+    ``kwargs`` are the sweep's ``plan_scenarios`` arguments.  ``jobs=1``
+    executes in-process over the identical plan/merge path, so the
+    :class:`~repro.experiments.base.SweepResult` — and, with
+    ``stream_spans``, the merged span stream — is byte-identical at
+    every jobs count.
 
     With ``stream_spans``, pass a ``stream_stats`` dict to receive the
     aggregated pipeline accounting (``seen`` spans, max

@@ -17,9 +17,9 @@ REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 # run gets a fresh process, like the CLI.
 _SWEEP_EXPORT = """
 import sys
-from repro.experiments import autoscale_sweep
+from repro.sweep import run_sweep
 crash = sys.argv[2] == "crash"
-result = autoscale_sweep.run(loads=(4.0,), window_s=8.0, seed=7, crash=crash)
+result = run_sweep("autoscale", loads=(4.0,), window_s=8.0, seed=7, crash=crash)
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     fh.write(result.to_json())
 """

@@ -6,12 +6,13 @@ import pytest
 
 from repro.experiments import autoscale_sweep
 from repro.faults import FaultPlan
+from repro.sweep import run_sweep
 
 
 @pytest.fixture(scope="module")
 def default_sweep():
     """One full default run (crash storm, 1x/4x/16x) shared by the asserts."""
-    return autoscale_sweep.run()
+    return run_sweep("autoscale")
 
 
 def pairs_by_load(result):
@@ -55,34 +56,36 @@ def test_pressure_grows_with_load(default_sweep):
 
 def test_json_round_trip(default_sweep):
     blob = json.loads(default_sweep.to_json())
-    assert blob["window_s"] == default_sweep.window_s
+    assert blob["window_s"] == default_sweep.meta["window_s"]
     assert len(blob["points"]) == len(default_sweep.points)
     # sort_keys makes the dump canonical for byte-comparison.
     assert default_sweep.to_json() == json.dumps(blob, sort_keys=True, indent=2)
 
 
 def test_report_renders(default_sweep):
-    report = autoscale_sweep.format_report(default_sweep)
+    report = default_sweep.format_report()
     assert "predictive" in report and "reactive" in report
     assert "warm" in report and "burst cost" in report
 
 
 def test_crash_false_disables_the_storm():
-    result = autoscale_sweep.run(loads=(1.0,), window_s=4.0, crash=False)
+    result = run_sweep("autoscale", loads=(1.0,), window_s=4.0, crash=False)
     assert all(p.faults_injected == 0 for p in result.points)
 
 
 def test_custom_plan_overrides_default():
     plan = FaultPlan(name="one-crash").node_crash(
         at_s=1.0, node="n0001", duration_s=1.0, immediate=True)
-    result = autoscale_sweep.run(loads=(1.0,), window_s=4.0, plan=plan)
+    result = run_sweep("autoscale", loads=(1.0,), window_s=4.0, plan=plan)
     assert all(p.faults_injected >= 1 for p in result.points)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        autoscale_sweep.run(window_s=0.0)
+        autoscale_sweep.plan_scenarios(window_s=0.0)
     with pytest.raises(ValueError):
-        autoscale_sweep.run(loads=(0.0,), window_s=1.0)
+        autoscale_sweep.plan_scenarios(loads=(0.0,), window_s=1.0)
     with pytest.raises(ValueError):
-        autoscale_sweep.run(tenants=0)
+        autoscale_sweep.plan_scenarios(tenants=0)
+    with pytest.raises(ValueError):
+        autoscale_sweep.plan_scenarios(plan=FaultPlan(name="p"), crash=False)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import gpu_scaling_sweep
+from repro.sweep import run_sweep
 
 BATCH_SIZES = (1, 4, 16, 64)
 REQUESTS = 512
@@ -10,7 +11,7 @@ REQUESTS = 512
 
 @pytest.fixture(scope="module")
 def result():
-    return gpu_scaling_sweep.run(batch_sizes=BATCH_SIZES, requests=REQUESTS)
+    return run_sweep("gpu_scaling", batch_sizes=BATCH_SIZES, requests=REQUESTS)
 
 
 def test_throughput_rises_with_batch_size_then_plateaus(result):
@@ -50,6 +51,6 @@ def test_scenario_is_a_pure_function_of_params_and_seed():
 
 
 def test_report_renders_the_tradeoff_table(result):
-    text = gpu_scaling_sweep.format_report(result)
+    text = result.format_report()
     assert "GPU invocation batching" in text
     assert "p99 (ms)" in text and "throughput (r/s)" in text

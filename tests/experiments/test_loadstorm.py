@@ -3,11 +3,9 @@
 import pytest
 
 from repro.experiments import loadstorm_sweep
-from repro.experiments.loadstorm_sweep import (
-    LoadstormResult,
-    plan_scenarios,
-    scenario,
-)
+from repro.experiments.base import SweepResult
+from repro.experiments.loadstorm_sweep import plan_scenarios, scenario
+from repro.sweep import run_sweep
 
 #: Small enough for the default suite, large enough to exercise batching.
 SMALL = dict(window_s=2.0, rate_per_s=600.0, population=50_000,
@@ -77,17 +75,20 @@ def test_unknown_arrival_kind_is_rejected():
 def test_assemble_rebuilds_the_typed_result_in_plan_order():
     plan = plan_scenarios(shards=(2, 1), seed=0, **SMALL)
     points = [spec.execute() for spec in plan.scenarios]
-    result = loadstorm_sweep.assemble(points, plan.meta)
-    assert isinstance(result, LoadstormResult)
+    result = loadstorm_sweep.SWEEP.assemble(points, plan.meta)
+    assert isinstance(result, SweepResult)
+    assert all(isinstance(p, loadstorm_sweep.LoadstormPoint) for p in result.points)
     assert [p.shards for p in result.points] == [2, 1]
-    assert result.population == SMALL["population"]
+    assert result.meta["population"] == SMALL["population"]
     report = result.format_report()
     assert "shards=2" in report and "conserved" in report
 
 
 def test_run_shim_matches_serial_protocol():
-    result = loadstorm_sweep.run(shards=(1,), seed=0, **SMALL)
+    result = run_sweep("loadstorm", shards=(1,), seed=0, **SMALL)
     assert len(result.points) == 1
     assert result.points[0].conservation_ok
-    text = result.to_json()
-    assert text.startswith("{")
+    plan = plan_scenarios(shards=(1,), seed=0, **SMALL)
+    serial = loadstorm_sweep.SWEEP.assemble(
+        [spec.execute() for spec in plan.scenarios], plan.meta)
+    assert result.to_json() == serial.to_json()

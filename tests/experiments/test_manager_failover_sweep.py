@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import manager_failover_sweep
+from repro.sweep import run_sweep
 
 
 def test_default_plan_pairs_storms_with_manager_faults():
@@ -18,7 +19,7 @@ def test_default_plan_pairs_storms_with_manager_faults():
 
 
 def test_acceptance_bar_k0_loses_k1_completes():
-    result = manager_failover_sweep.run(standbys=(0, 1), window_s=12.0, seed=0)
+    result = run_sweep("manager_failover", standbys=(0, 1), window_s=12.0, seed=0)
     lost, ha = result.points
     assert lost.standbys == 0 and ha.standbys == 1
     # k=0: the crash wipes lease state; the storm is rejected wholesale.
@@ -34,7 +35,7 @@ def test_acceptance_bar_k0_loses_k1_completes():
 
 
 def test_more_standbys_change_nothing_when_one_suffices():
-    result = manager_failover_sweep.run(standbys=(1, 2), window_s=10.0, seed=0)
+    result = run_sweep("manager_failover", standbys=(1, 2), window_s=10.0, seed=0)
     one, two = result.points
     assert one.completion_ratio >= 0.99
     assert two.completion_ratio >= 0.99
@@ -43,18 +44,18 @@ def test_more_standbys_change_nothing_when_one_suffices():
 
 def test_window_must_be_positive():
     with pytest.raises(ValueError):
-        manager_failover_sweep.run(window_s=0.0)
+        manager_failover_sweep.plan_scenarios(window_s=0.0)
 
 
 def test_format_report_mentions_the_sweep():
-    result = manager_failover_sweep.run(standbys=(1,), window_s=8.0, seed=0)
-    report = manager_failover_sweep.format_report(result)
+    result = run_sweep("manager_failover", standbys=(1,), window_s=8.0, seed=0)
+    report = result.format_report()
     assert "Manager failover" in report
     assert "invariants" in report
     assert "PASS" in report
 
 
 def test_scenarios_are_seed_deterministic():
-    a = manager_failover_sweep.run(standbys=(1,), window_s=8.0, seed=0)
-    b = manager_failover_sweep.run(standbys=(1,), window_s=8.0, seed=0)
+    a = run_sweep("manager_failover", standbys=(1,), window_s=8.0, seed=0)
+    b = run_sweep("manager_failover", standbys=(1,), window_s=8.0, seed=0)
     assert a.to_json() == b.to_json()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import chaos_sweep
 from repro.faults import FaultPlan
+from repro.sweep import run_sweep
 
 
 def test_default_plan_scales_with_rate():
@@ -18,7 +19,7 @@ def test_default_plan_scales_with_rate():
 def test_sweep_faultless_baseline_and_faulted_point():
     # Rate 24/min over a 10 s window = 4 events, including an immediate
     # node crash — enough to force the client through actual retries.
-    result = chaos_sweep.run(rates=(0.0, 24.0), window_s=10.0, seed=0)
+    result = run_sweep("chaos", rates=(0.0, 24.0), window_s=10.0, seed=0)
     baseline, faulted = result.points
     assert baseline.faults_injected == 0
     assert baseline.invocations > 0
@@ -33,7 +34,7 @@ def test_sweep_faultless_baseline_and_faulted_point():
 
 def test_explicit_plan_runs_one_scenario():
     plan = FaultPlan(name="one-storm").lease_storm(at_s=1.0, count=2)
-    result = chaos_sweep.run(plan=plan, window_s=5.0, seed=1)
+    result = run_sweep("chaos", plan=plan, window_s=5.0, seed=1)
     (point,) = result.points
     assert point.label == "one-storm"
     assert point.faults_injected == 1
@@ -42,11 +43,11 @@ def test_explicit_plan_runs_one_scenario():
 
 def test_window_must_be_positive():
     with pytest.raises(ValueError):
-        chaos_sweep.run(window_s=0.0)
+        chaos_sweep.plan_scenarios(window_s=0.0)
 
 
 def test_format_report_mentions_the_sweep():
-    result = chaos_sweep.run(rates=(0.0,), window_s=5.0, seed=0)
-    report = chaos_sweep.format_report(result)
+    result = run_sweep("chaos", rates=(0.0,), window_s=5.0, seed=0)
+    report = result.format_report()
     assert "Chaos sweep" in report
     assert "p95 (ms)" in report

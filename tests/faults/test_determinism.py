@@ -21,11 +21,11 @@ REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 # same claim the CLI makes.  Each run therefore gets a fresh process.
 _CHAOS_EXPORT = """
 import sys
-from repro.experiments import chaos_sweep
+from repro.sweep import run_sweep
 from repro.telemetry import TelemetryCollector, write_spans_jsonl
 collector = TelemetryCollector()
 with collector:
-    chaos_sweep.run(rates=(8.0,), window_s=8.0, seed=3)
+    run_sweep("chaos", rates=(8.0,), window_s=8.0, seed=3)
 write_spans_jsonl(collector.spans, sys.argv[1])
 """
 

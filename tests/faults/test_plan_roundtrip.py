@@ -1,6 +1,6 @@
 """FaultPlan JSON round-trips: every builder, every kind, exact fields.
 
-The ``repro chaos --plan`` / ``repro certify`` workflows ship plans
+The ``repro sweep chaos --plan`` / ``repro certify`` workflows ship plans
 through JSON files; a field silently dropped (or defaulted differently)
 on the way back would replay a *different* storm than the one reviewed.
 Round-tripping every fluent builder pins the serialization contract.

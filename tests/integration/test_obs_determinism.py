@@ -18,7 +18,7 @@ REPO_SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 SCRIPT = """
 import sys
-from repro.experiments import chaos_sweep
+from repro.sweep import run_sweep
 from repro.telemetry import SpanPipeline, TelemetryCollector
 
 mode, stream = sys.argv[1], sys.argv[2]
@@ -26,11 +26,11 @@ kwargs = dict(rates=(8.0,), window_s=6.0, seed=3)
 if mode == "traced":
     pipeline = SpanPipeline(stream_path=stream)
     with TelemetryCollector(pipeline=pipeline):
-        result = chaos_sweep.run(**kwargs)
+        result = run_sweep("chaos", **kwargs)
     pipeline.close()
 else:
-    result = chaos_sweep.run(**kwargs)
-sys.stdout.write(chaos_sweep.format_report(result))
+    result = run_sweep("chaos", **kwargs)
+sys.stdout.write(result.format_report())
 """
 
 

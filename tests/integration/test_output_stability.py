@@ -32,8 +32,8 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
 
 _AUTOSCALE_EXPORT = """
 import sys
-from repro.experiments import autoscale_sweep
-result = autoscale_sweep.run(loads=(1.0, 4.0), window_s=12.0, seed=2)
+from repro.sweep import run_sweep
+result = run_sweep("autoscale", loads=(1.0, 4.0), window_s=12.0, seed=2)
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     fh.write(result.to_json())
 """

@@ -16,9 +16,9 @@ REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 
 _SWEEP_EXPORT = """
 import sys
-from repro.experiments import memdurability_sweep
-result = memdurability_sweep.run(factors=(1, 2), window_s=8.0, seed=7,
-                                 accesses=120)
+from repro.sweep import run_sweep
+result = run_sweep("memdurability", factors=(1, 2), window_s=8.0, seed=7,
+                   accesses=120)
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
     fh.write(result.to_json())
 """

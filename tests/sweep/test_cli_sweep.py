@@ -1,4 +1,4 @@
-"""The ``repro sweep`` umbrella command and the shared ``--jobs`` flags."""
+"""The ``repro sweep`` command: overrides, ``--jobs``, exports, errors."""
 
 import json
 
@@ -6,6 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.sweep import sweep_names
+
+
+CHAOS = ["sweep", "chaos", "--set", "rates=(0, 8)", "--set", "window_s=4"]
 
 
 def collect():
@@ -44,32 +47,48 @@ def test_sweep_rejects_bad_overrides():
         main(["sweep", "chaos", "--set", "not-a-pair"], out=lambda s: None)
 
 
+def test_unknown_key_exits_2_naming_the_accepted_parameters(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "chaos", "--set", "bogus=1"], out=lambda s: None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro: error: sweep 'chaos'" in err and "bogus" in err
+    assert "rates, window_s, seed" in err
+
+
+def test_invalid_value_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "loadstorm", "--set", "window_s=0"], out=lambda s: None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro: error: sweep 'loadstorm': window_s must be positive" in err
+    assert "shards, window_s, rate_per_s" in err
+
+
 def test_jobs_flag_reports_the_fan_out():
     lines, out = collect()
-    code = main(["chaos", "--rates", "0,8", "--window", "4", "--jobs", "2"],
-                out=out)
+    code = main([*CHAOS, "--jobs", "2"], out=out)
     assert code == 0
     assert "with 2 jobs" in "\n".join(lines)
 
 
 def test_jobs_must_be_positive():
     with pytest.raises(SystemExit):
-        main(["chaos", "--rates", "0", "--window", "4", "--jobs", "0"],
-             out=lambda s: None)
+        main([*CHAOS, "--jobs", "0"], out=lambda s: None)
 
 
 @pytest.mark.parametrize("export_flag", ["--trace", "--spans", "--metrics-out"])
 def test_batch_exporters_require_serial_execution(tmp_path, export_flag):
     with pytest.raises(SystemExit):
-        main(["chaos", "--rates", "0,8", "--window", "4", "--jobs", "2",
-              export_flag, str(tmp_path / "export.out")], out=lambda s: None)
+        main([*CHAOS, "--jobs", "2", export_flag, str(tmp_path / "export.out")],
+             out=lambda s: None)
 
 
 def test_stream_spans_works_with_parallel_jobs(tmp_path):
     stream = tmp_path / "spans.jsonl"
     lines, out = collect()
-    code = main(["chaos", "--rates", "0,8", "--window", "4", "--jobs", "2",
-                 "--stream-spans", str(stream)], out=out)
+    code = main([*CHAOS, "--jobs", "2", "--stream-spans", str(stream)],
+                out=out)
     assert code == 0
     text = "\n".join(lines)
     assert "[stream:" in text and "peak retained" in text
@@ -81,9 +100,9 @@ def test_parallel_json_matches_serial_json(tmp_path):
     blobs = {}
     for jobs in ("1", "3"):
         path = tmp_path / f"mem-{jobs}.json"
-        code = main(["memdurability", "--factors", "1,2", "--accesses", "40",
-                     "--window", "5", "--jobs", jobs, "--json", str(path)],
-                    out=lambda s: None)
+        code = main(["sweep", "memdurability", "--set", "factors=(1, 2)",
+                     "--set", "accesses=40", "--set", "window_s=5",
+                     "--jobs", jobs, "--json", str(path)], out=lambda s: None)
         assert code == 0
         blobs[jobs] = path.read_bytes()
     assert blobs["1"] == blobs["3"]

@@ -16,15 +16,18 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
 SWEEP_ARGS = {
-    "chaos": ["chaos", "--rates", "0,8", "--window", "4"],
-    "autoscale": ["autoscale", "--loads", "1.0", "--window", "6"],
-    "memdurability": ["memdurability", "--factors", "1,2",
-                      "--accesses", "40", "--window", "5"],
+    "chaos": ["sweep", "chaos", "--set", "rates=(0, 8)", "--set", "window_s=4"],
+    "autoscale": ["sweep", "autoscale", "--set", "loads=(1.0,)",
+                  "--set", "window_s=6"],
+    "memdurability": ["sweep", "memdurability", "--set", "factors=(1, 2)",
+                      "--set", "accesses=40", "--set", "window_s=5"],
     "gpu_scaling": ["sweep", "gpu_scaling", "--set", "batch_sizes=(1, 4, 16)",
                     "--set", "requests=512"],
-    "manager_failover": ["managerha", "--standbys", "0,1", "--window", "8"],
-    "loadstorm": ["loadstorm", "--shards", "1,2", "--window", "2",
-                  "--rate", "600", "--population", "50000"],
+    "manager_failover": ["sweep", "manager_failover", "--set", "standbys=(0, 1)",
+                         "--set", "window_s=8"],
+    "loadstorm": ["sweep", "loadstorm", "--set", "shards=(1, 2)",
+                  "--set", "window_s=2", "--set", "rate_per_s=600",
+                  "--set", "population=50000"],
 }
 
 
@@ -63,12 +66,14 @@ def test_merged_span_stream_is_byte_identical_serial_vs_parallel(tmp_path):
     assert streams[1]
 
 
-def test_generic_sweep_subcommand_matches_the_dedicated_one(tmp_path):
-    dedicated = tmp_path / "dedicated.json"
-    generic = tmp_path / "generic.json"
-    _run_cli([*SWEEP_ARGS["chaos"], "--jobs", "1", "--json", str(dedicated)],
+def test_int_and_float_set_literals_give_identical_json(tmp_path):
+    """Int and float ``--set`` literals name the same plan: the JSON is
+    byte-identical whichever spelling (and jobs count) produced it."""
+    ints = tmp_path / "ints.json"
+    floats = tmp_path / "floats.json"
+    _run_cli([*SWEEP_ARGS["chaos"], "--jobs", "1", "--json", str(ints)],
              cwd=tmp_path)
     _run_cli(["sweep", "chaos", "--set", "rates=(0.0, 8.0)",
-              "--set", "window_s=4.0", "--jobs", "2", "--json", str(generic)],
+              "--set", "window_s=4.0", "--jobs", "2", "--json", str(floats)],
              cwd=tmp_path)
-    assert dedicated.read_bytes() == generic.read_bytes()
+    assert ints.read_bytes() == floats.read_bytes()

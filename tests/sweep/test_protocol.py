@@ -1,4 +1,7 @@
-"""The experiment protocol: specs, plans, the registry, result contract."""
+"""The experiment protocol: specs, plans, the registry, the result type."""
+
+import dataclasses
+import json
 
 import pytest
 
@@ -12,9 +15,8 @@ from repro.experiments.base import (
     get_sweep,
     register_sweep,
     registered_sweeps,
-    result_to_json,
 )
-from repro.sweep import sweep_names
+from repro.sweep import run_sweep, sweep_names
 
 
 def _echo(params, seed):
@@ -44,7 +46,8 @@ def test_register_sweep_rejects_a_second_sweep_under_the_same_name():
     assert register_sweep(sweep) is sweep
     # ...but a different object under a taken name is a wiring bug.
     clone = Sweep(name="chaos", description="imposter", plan=sweep.plan,
-                  assemble=sweep.assemble, result_type=sweep.result_type)
+                  point_type=sweep.point_type, columns=sweep.columns,
+                  title=sweep.title, footer=sweep.footer)
     with pytest.raises(ValueError):
         register_sweep(clone)
 
@@ -70,16 +73,13 @@ def test_plan_seed_fans_out_per_scenario():
     assert [s.seed for s in one.scenarios] != [s.seed for s in two.scenarios]
 
 
-def test_run_serial_result_satisfies_the_sweep_result_protocol():
-    result = chaos_sweep.SWEEP.run_serial(rates=(0.0,), window_s=4.0)
+def test_run_sweep_returns_the_generic_sweep_result():
+    result = run_sweep("chaos", rates=(0.0,), window_s=4.0)
     assert isinstance(result, SweepResult)
-    assert hasattr(result, "points")
-    assert result.to_json() == result_to_json(result)
-    assert result.format_report()
+    assert isinstance(result.points[0], chaos_sweep.ChaosPoint)
+    data = result.to_dict()
+    assert data == {"window_s": 4.0, "seed": 0,
+                    "points": [dataclasses.asdict(result.points[0])]}
+    assert result.to_json() == json.dumps(data, sort_keys=True, indent=2)
+    assert result.format_report().startswith("Chaos sweep")
 
-
-def test_legacy_run_shim_matches_run_serial():
-    via_shim = chaos_sweep.run(rates=(0.0, 8.0), window_s=4.0, seed=3)
-    via_sweep = chaos_sweep.SWEEP.run_serial(rates=(0.0, 8.0), window_s=4.0,
-                                             seed=3)
-    assert via_shim.to_json() == via_sweep.to_json()

@@ -81,17 +81,9 @@ def _failing_plan(**kwargs):
     ))
 
 
-class _ListResult:
-    def __init__(self, points):
-        self.points = points
-
-
-def _assemble(points, meta):
-    return _ListResult(points)
-
-
 FAILING = Sweep(name="failing-test-sweep", description="always fails",
-                plan=_failing_plan, assemble=_assemble, result_type=_ListResult)
+                plan=_failing_plan, point_type=dict, columns=(), title="",
+                footer="")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

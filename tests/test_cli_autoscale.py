@@ -1,4 +1,4 @@
-"""The ``repro autoscale`` subcommand."""
+"""``repro sweep autoscale``: loads, plan files, the crash switch."""
 
 import json
 
@@ -8,6 +8,9 @@ from repro.cli import main
 from repro.faults import FaultPlan
 
 
+AUTOSCALE = ["sweep", "autoscale", "--set", "loads=(1,)", "--set", "window_s=5"]
+
+
 def collect():
     lines = []
     return lines, lambda text: lines.append(text)
@@ -15,7 +18,7 @@ def collect():
 
 def test_autoscale_sweep_runs():
     lines, out = collect()
-    assert main(["autoscale", "--loads", "1", "--window", "5"], out=out) == 0
+    assert main([*AUTOSCALE], out=out) == 0
     text = "\n".join(lines)
     assert "Autoscale sweep" in text
     assert "reactive" in text and "predictive" in text
@@ -25,8 +28,7 @@ def test_autoscale_sweep_runs():
 def test_autoscale_writes_json(tmp_path):
     out_path = tmp_path / "sweep.json"
     lines, out = collect()
-    code = main(["autoscale", "--loads", "1", "--window", "5",
-                 "--json", str(out_path)], out=out)
+    code = main([*AUTOSCALE, "--json", str(out_path)], out=out)
     assert code == 0
     blob = json.loads(out_path.read_text())
     assert blob["window_s"] == 5.0
@@ -36,8 +38,7 @@ def test_autoscale_writes_json(tmp_path):
 
 def test_autoscale_no_crash_flag():
     lines, out = collect()
-    assert main(["autoscale", "--loads", "1", "--window", "5", "--no-crash"],
-                out=out) == 0
+    assert main([*AUTOSCALE, "--set", "crash=False"], out=out) == 0
 
 
 def test_autoscale_replays_a_plan_file(tmp_path):
@@ -46,21 +47,21 @@ def test_autoscale_replays_a_plan_file(tmp_path):
         at_s=1.0, node="n0001", duration_s=1.0, immediate=True,
     ).save(str(plan_path))
     lines, out = collect()
-    assert main(["autoscale", "--loads", "1", "--window", "5",
-                 "--plan", str(plan_path)], out=out) == 0
+    assert main([*AUTOSCALE, "--plan", str(plan_path)], out=out) == 0
 
 
 def test_autoscale_plan_and_no_crash_are_mutually_exclusive(tmp_path):
     plan_path = tmp_path / "plan.json"
     FaultPlan().node_crash(at_s=1.0, node="n0001").save(str(plan_path))
     with pytest.raises(SystemExit):
-        main(["autoscale", "--plan", str(plan_path), "--no-crash"],
-             out=lambda s: None)
+        main(["sweep", "autoscale", "--plan", str(plan_path),
+              "--set", "crash=False"], out=lambda s: None)
 
 
 def test_autoscale_rejects_malformed_loads():
     with pytest.raises(SystemExit):
-        main(["autoscale", "--loads", "high,higher"], out=lambda s: None)
+        main(["sweep", "autoscale", "--set", "loads=high,higher"],
+             out=lambda s: None)
 
 
 def test_autoscale_listed_as_experiment():
@@ -72,8 +73,7 @@ def test_autoscale_listed_as_experiment():
 def test_autoscale_metrics_export(tmp_path):
     metrics = tmp_path / "metrics.txt"
     lines, out = collect()
-    code = main(["autoscale", "--loads", "1", "--window", "5",
-                 "--metrics-out", str(metrics)], out=out)
+    code = main([*AUTOSCALE, "--metrics-out", str(metrics)], out=out)
     assert code == 0
     text = metrics.read_text()
     assert "repro_capacity_admitted_total" in text

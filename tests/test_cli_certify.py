@@ -1,4 +1,4 @@
-"""The ``repro certify`` and ``repro managerha`` subcommands."""
+"""``repro certify`` and ``repro sweep manager_failover``."""
 
 import json
 
@@ -49,7 +49,8 @@ def test_certify_zero_standbys_still_certifies():
 
 def test_managerha_sweep_runs():
     lines, out = collect()
-    code = main(["managerha", "--standbys", "0,1", "--window", "8"], out=out)
+    code = main(["sweep", "manager_failover", "--set", "standbys=(0, 1)",
+                 "--set", "window_s=8"], out=out)
     assert code == 0
     text = "\n".join(lines)
     assert "Manager failover" in text
@@ -59,7 +60,8 @@ def test_managerha_sweep_runs():
 
 def test_managerha_rejects_malformed_standbys():
     with pytest.raises(SystemExit):
-        main(["managerha", "--standbys", "some,none"], out=lambda s: None)
+        main(["sweep", "manager_failover", "--set", "standbys=some,none"],
+             out=lambda s: None)
 
 
 def test_manager_failover_listed_as_experiment():

@@ -1,4 +1,4 @@
-"""The ``repro chaos`` subcommand."""
+"""``repro sweep chaos``: rate sweeps, plan files, span export."""
 
 import json
 
@@ -15,7 +15,8 @@ def collect():
 
 def test_chaos_rate_sweep_runs():
     lines, out = collect()
-    assert main(["chaos", "--rates", "0,8", "--window", "5"], out=out) == 0
+    assert main(["sweep", "chaos", "--set", "rates=(0, 8)", "--set", "window_s=5"],
+                out=out) == 0
     text = "\n".join(lines)
     assert "Chaos sweep" in text
     assert "rate-0" in text and "rate-8" in text
@@ -26,7 +27,8 @@ def test_chaos_replays_a_plan_file(tmp_path):
     plan_path = tmp_path / "plan.json"
     FaultPlan(name="file-plan").lease_storm(at_s=1.0, count=2).save(str(plan_path))
     lines, out = collect()
-    assert main(["chaos", "--plan", str(plan_path), "--window", "5"], out=out) == 0
+    assert main(["sweep", "chaos", "--plan", str(plan_path), "--set", "window_s=5"],
+                out=out) == 0
     assert "file-plan" in "\n".join(lines)
 
 
@@ -34,28 +36,30 @@ def test_chaos_rates_and_plan_are_mutually_exclusive(tmp_path):
     plan_path = tmp_path / "plan.json"
     FaultPlan().lease_storm(at_s=1.0).save(str(plan_path))
     with pytest.raises(SystemExit):
-        main(["chaos", "--plan", str(plan_path), "--rates", "8"], out=lambda s: None)
+        main(["sweep", "chaos", "--plan", str(plan_path), "--set", "rates=(8,)"],
+             out=lambda s: None)
 
 
 def test_chaos_rejects_unreadable_plan(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SystemExit):
-        main(["chaos", "--plan", str(bad)], out=lambda s: None)
+        main(["sweep", "chaos", "--plan", str(bad)], out=lambda s: None)
     with pytest.raises(SystemExit):
-        main(["chaos", "--plan", str(tmp_path / "missing.json")], out=lambda s: None)
+        main(["sweep", "chaos", "--plan", str(tmp_path / "missing.json")],
+             out=lambda s: None)
 
 
 def test_chaos_rejects_malformed_rates():
     with pytest.raises(SystemExit):
-        main(["chaos", "--rates", "fast,faster"], out=lambda s: None)
+        main(["sweep", "chaos", "--set", "rates=fast,faster"], out=lambda s: None)
 
 
 def test_chaos_span_export(tmp_path):
     spans = tmp_path / "spans.jsonl"
     lines, out = collect()
-    code = main(["chaos", "--rates", "8", "--window", "5", "--spans", str(spans)],
-                out=out)
+    code = main(["sweep", "chaos", "--set", "rates=(8,)", "--set", "window_s=5",
+                 "--spans", str(spans)], out=out)
     assert code == 0
     dumped = spans.read_text().strip().splitlines()
     assert len(dumped) > 0

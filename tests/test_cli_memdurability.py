@@ -1,10 +1,13 @@
-"""The ``repro memdurability`` subcommand and ``repro chaos --memservice``."""
+"""``repro sweep memdurability`` and chaos with ``memservice=True``."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+
+
+MEMDUR = ["sweep", "memdurability", "--set", "window_s=8", "--set", "accesses=80"]
 
 
 def collect():
@@ -14,8 +17,7 @@ def collect():
 
 def test_memdurability_sweep_runs():
     lines, out = collect()
-    assert main(["memdurability", "--factors", "1,2", "--window", "8",
-                 "--accesses", "80"], out=out) == 0
+    assert main([*MEMDUR, "--set", "factors=(1, 2)"], out=out) == 0
     text = "\n".join(lines)
     assert "Memory durability" in text
     assert "k=1" in text and "k=2" in text
@@ -25,8 +27,8 @@ def test_memdurability_sweep_runs():
 def test_memdurability_writes_json(tmp_path):
     out_path = tmp_path / "sweep.json"
     lines, out = collect()
-    code = main(["memdurability", "--factors", "1,2", "--window", "8",
-                 "--accesses", "80", "--json", str(out_path)], out=out)
+    code = main([*MEMDUR, "--set", "factors=(1, 2)", "--json", str(out_path)],
+                out=out)
     assert code == 0
     blob = json.loads(out_path.read_text())
     assert blob["window_s"] == 8.0
@@ -36,7 +38,8 @@ def test_memdurability_writes_json(tmp_path):
 
 def test_memdurability_rejects_malformed_factors():
     with pytest.raises(SystemExit):
-        main(["memdurability", "--factors", "one,two"], out=lambda s: None)
+        main(["sweep", "memdurability", "--set", "factors=one,two"],
+             out=lambda s: None)
 
 
 def test_memdurability_listed_as_experiment():
@@ -48,8 +51,8 @@ def test_memdurability_listed_as_experiment():
 def test_memdurability_metrics_export(tmp_path):
     metrics = tmp_path / "metrics.txt"
     lines, out = collect()
-    code = main(["memdurability", "--factors", "2", "--window", "8",
-                 "--accesses", "80", "--metrics-out", str(metrics)], out=out)
+    code = main([*MEMDUR, "--set", "factors=(2,)", "--metrics-out", str(metrics)],
+                out=out)
     assert code == 0
     text = metrics.read_text()
     assert "repro_memservice_replicas_lost_total" in text
@@ -58,6 +61,6 @@ def test_memdurability_metrics_export(tmp_path):
 
 def test_chaos_memservice_flag():
     lines, out = collect()
-    assert main(["chaos", "--rates", "0", "--window", "5", "--memservice"],
-                out=out) == 0
+    assert main(["sweep", "chaos", "--set", "rates=(0,)", "--set", "window_s=5",
+                 "--set", "memservice=True"], out=out) == 0
     assert "Chaos sweep" in "\n".join(lines)

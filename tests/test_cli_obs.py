@@ -17,7 +17,7 @@ def streamed_chaos(tmp_path_factory):
     """One traced chaos run shared by every obs test (they only read)."""
     path = tmp_path_factory.mktemp("obs") / "stream.jsonl"
     lines, out = collect()
-    code = main(["chaos", "--rates", "8", "--window", "6",
+    code = main(["sweep", "chaos", "--set", "rates=(8,)", "--set", "window_s=6",
                  "--stream-spans", str(path)], out=out)
     assert code == 0
     return path, "\n".join(lines)

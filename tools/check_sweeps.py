@@ -2,16 +2,12 @@
 """Lint: every registered sweep must honor the parallel-runner contract.
 
 :func:`repro.sweep.run_sweep` can only promise byte-identical output at
-any ``jobs`` count if each registered sweep keeps two promises that
-nothing in the type system enforces:
-
-* its ``result_type`` exposes the :class:`repro.experiments.base.SweepResult`
-  protocol — ``to_dict()`` / ``to_json()`` / ``format_report()`` plus a
-  ``points`` attribute — so the CLI and JSON export work uniformly; and
-* every :class:`~repro.experiments.base.ScenarioSpec` in its default
-  plan crosses the process-pool boundary intact: a module-level ``fn``
-  (closures and lambdas don't pickle), picklable ``params``, an ``int``
-  seed, and a unique label (labels name scenarios in failure reports).
+any ``jobs`` count if every :class:`~repro.experiments.base.ScenarioSpec`
+in each registered sweep's default plan crosses the process-pool
+boundary intact: a module-level ``fn`` (closures and lambdas don't
+pickle), picklable ``params``, an ``int`` seed, and a unique label
+(labels name scenarios in failure reports).  Nothing in the type system
+enforces that.
 
 Run standalone or through the unified entry point::
 
@@ -26,24 +22,6 @@ import pickle
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _result_type_problems(name: str, result_type: type) -> list[str]:
-    problems: list[str] = []
-    for method in ("to_dict", "to_json", "format_report"):
-        if not callable(getattr(result_type, method, None)):
-            problems.append(
-                f"sweep {name!r}: result type {result_type.__name__} has no "
-                f"{method}() (SweepResult protocol)"
-            )
-    fields = getattr(result_type, "__dataclass_fields__", {})
-    annotations = getattr(result_type, "__annotations__", {})
-    if "points" not in fields and "points" not in annotations:
-        problems.append(
-            f"sweep {name!r}: result type {result_type.__name__} has no "
-            f"'points' attribute (SweepResult protocol)"
-        )
-    return problems
 
 
 def _spec_problems(name: str, spec) -> list[str]:
@@ -91,7 +69,6 @@ def violations() -> list[str]:
 
     problems: list[str] = []
     for name, sweep in registry.items():
-        problems.extend(_result_type_problems(name, sweep.result_type))
         try:
             plan = sweep.plan()
         except Exception as exc:  # noqa: BLE001
