@@ -4,28 +4,9 @@ Each benchmark regenerates one of the paper's tables or figures and
 prints the corresponding report (run with ``-s`` to see them inline);
 pytest-benchmark records the harness runtimes.  Keep parameters modest:
 the goal is the paper's *shape*, reproduced in seconds, not hours.
-
-Tests marked ``perf`` (the engine perf harness) time wall-clock
-throughput and are skipped unless explicitly opted in with ``-m perf``
-or ``REPRO_PERF=1``, so collecting the benchmark directory does not grow
-the default suite's wall time.
 """
 
-import os
-
 import pytest
-
-
-def pytest_collection_modifyitems(config, items):
-    markexpr = config.getoption("-m", default="") or ""
-    if "perf" in markexpr or os.environ.get("REPRO_PERF"):
-        return
-    skip_perf = pytest.mark.skip(
-        reason="perf measurement; opt in with -m perf or REPRO_PERF=1"
-    )
-    for item in items:
-        if "perf" in item.keywords:
-            item.add_marker(skip_perf)
 
 
 @pytest.fixture

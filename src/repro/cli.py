@@ -466,9 +466,12 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         if args.budget < 1:
             parser.error("--budget must be >= 1")
         t0 = time.perf_counter()
-        report = certify(budget=args.budget, seed=args.seed,
-                         standbys=args.standbys, window_s=args.window,
-                         events_per_schedule=args.events)
+        try:
+            report = certify(budget=args.budget, seed=args.seed,
+                             standbys=args.standbys, window_s=args.window,
+                             events_per_schedule=args.events)
+        except ValueError as exc:
+            parser.error(f"certify: {exc}")
         out(report.format_report())
         out(f"[certify completed in {time.perf_counter() - t0:.2f}s]\n")
         if args.json_out:

@@ -76,6 +76,10 @@ class SweepPlan:
     scenarios: Tuple[ScenarioSpec, ...]
     meta: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not self.scenarios:
+            raise ValueError("the sweep plans no scenarios")
+
     def __len__(self) -> int:
         return len(self.scenarios)
 

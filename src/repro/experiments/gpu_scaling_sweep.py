@@ -198,6 +198,8 @@ def plan_scenarios(
     """Fix the canonical scenario order: one scenario per batch size."""
     max_rate_rps = float(max_rate_rps)
     batch_sizes = tuple(int(b) for b in batch_sizes)
+    if any(b < 1 for b in batch_sizes):
+        raise ValueError("batch sizes must be >= 1")
     if requests < 1:
         raise ValueError("need at least one request per stream")
     if max_rate_rps <= 0:

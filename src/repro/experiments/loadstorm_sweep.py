@@ -291,6 +291,8 @@ def plan_scenarios(
     shards = tuple(int(n) for n in shards)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
+    if any(n < 1 for n in shards):
+        raise ValueError("shard counts must be >= 1")
     if arrival not in ("poisson", "mmpp"):
         raise ValueError("arrival must be 'poisson' or 'mmpp'")
     scenarios = tuple(

@@ -224,6 +224,8 @@ def plan_scenarios(
     standbys = tuple(int(k) for k in standbys)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
+    if any(k < 0 for k in standbys):
+        raise ValueError("standby counts must be >= 0")
     scenarios = tuple(
         ScenarioSpec(
             fn=scenario,

@@ -234,6 +234,8 @@ def plan_scenarios(
     factors = tuple(int(k) for k in factors)
     if window_s <= 0:
         raise ValueError("window_s must be positive")
+    if any(k < 1 for k in factors):
+        raise ValueError("replication factors must be >= 1")
     if accesses < 1:
         raise ValueError("need at least one access")
     scenarios = tuple(

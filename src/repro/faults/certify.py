@@ -330,6 +330,8 @@ def certify(budget: int = 5, seed: int = 0, standbys: int = 1,
     remote-paging stream — so a random schedule always finds a target
     no matter which taxonomy row it draws.
     """
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
     # Imported here, not at module top: repro.api imports this package.
     from ..api import ClusterSpec, Platform
     from ..containers import Image

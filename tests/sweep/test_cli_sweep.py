@@ -65,6 +65,34 @@ def test_invalid_value_exits_2(capsys):
     assert "shards, window_s, rate_per_s" in err
 
 
+@pytest.mark.parametrize("name, override, message", [
+    ("loadstorm", "shards=(0,)", "shard counts must be >= 1"),
+    ("gpu_scaling", "batch_sizes=(0,)", "batch sizes must be >= 1"),
+    ("manager_failover", "standbys=(-1,)", "standby counts must be >= 0"),
+    ("memdurability", "factors=(0,)", "replication factors must be >= 1"),
+])
+def test_out_of_range_list_element_exits_2(capsys, name, override, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", name, "--set", override, "--jobs", "2"],
+             out=lambda s: None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro: error: sweep '{name}': {message} (parameters: " in err
+
+
+@pytest.mark.parametrize("name, override", [
+    ("loadstorm", "shards=()"),
+    ("chaos", "rates=()"),
+    ("autoscale", "loads=()"),
+])
+def test_empty_sweep_list_exits_2(capsys, name, override):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", name, "--set", override], out=lambda s: None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro: error: sweep '{name}': the sweep plans no scenarios" in err
+
+
 def test_jobs_flag_reports_the_fan_out():
     lines, out = collect()
     code = main([*CHAOS, "--jobs", "2"], out=out)

@@ -40,6 +40,16 @@ def test_certify_rejects_a_nonpositive_budget():
         main(["certify", "--budget", "0"], out=lambda s: None)
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_certify_rejects_a_nonpositive_window(capsys, window):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["certify", "--budget", "1", "--window", window],
+             out=lambda s: None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro: error: certify: window_s must be positive" in err
+
+
 def test_certify_zero_standbys_still_certifies():
     """k=0 loses work; it does not violate invariants — loss is honest."""
     lines, out = collect()

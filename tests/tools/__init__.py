@@ -1,1 +1,1 @@
-"""Tests for the repo tooling (unified checks, perf gate)."""
+"""Tests for the repo tooling (unified checks)."""

@@ -13,14 +13,12 @@ from tools import checks  # noqa: E402
 
 
 def test_registry_contains_every_repo_lint():
-    assert set(checks.CHECKS) == {"benches", "metric-names", "public-api",
-                                  "sweeps"}
+    assert set(checks.CHECKS) == {"metric-names", "public-api", "sweeps"}
     for fn in checks.CHECKS.values():
         assert callable(fn)
 
 
 def test_run_executes_a_single_check():
-    assert checks.run("benches") == []
     assert checks.run("metric-names") == []
     assert checks.run("public-api") == []
     assert checks.run("sweeps") == []
@@ -53,7 +51,7 @@ def test_main_exit_codes(capsys, monkeypatch):
 
     assert checks.main(["--list"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "benches", "metric-names", "public-api", "sweeps",
+        "metric-names", "public-api", "sweeps",
     ]
 
     assert checks.main(["bogus"]) == 2

@@ -1,4 +1,3 @@
-"""Repo maintenance tooling: lints, the unified checks entry point, and
-the perf gate.  ``python -m tools.checks`` runs every lint; see
-``tools/perfgate.py`` for the benchmark regression gate.
+"""Repo maintenance tooling: lints and the unified checks entry point.
+``python -m tools.checks`` runs every lint.
 """
