@@ -135,6 +135,9 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self._buckets: dict[str, TokenBucket] = {}
         self._queue: list[_QueueEntry] = []
+        # Live count of queued entries not cancelled: the heap keeps
+        # cancelled entries until they surface, so its length overcounts.
+        self._depth = 0
         self._seq = itertools.count()
         self._pump = None
         self.admitted = 0
@@ -159,7 +162,7 @@ class AdmissionController:
 
     # -- views ---------------------------------------------------------------
     def queue_depth(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return self._depth
 
     def bucket_for(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -174,22 +177,29 @@ class AdmissionController:
         """Process body (``yield from`` it): returns seconds spent queued.
 
         Raises :class:`AdmissionRejected` with ``reason="queue_full"``
-        when the bounded queue is at depth, or ``reason="timeout"`` when
-        the request waited past ``max_queue_wait_s``.
+        when the bounded queue is at depth, ``reason="timeout"`` when
+        the request waited past ``max_queue_wait_s``, or
+        ``reason="cost_exceeds_burst"`` when even a full bucket could
+        never cover ``cost``.
         """
         bucket = self.bucket_for(tenant)
+        # Tokens never accrue past the burst, so such a request would
+        # wait forever (or time out, hiding the cause): refuse it now.
+        if cost - TokenBucket._EPS > bucket.capacity:
+            self._reject(tenant, "cost_exceeds_burst", ctx)
         # Fast path: nothing ahead of us and tokens available right now.
-        if not self.queue_depth() and bucket.try_take(self.env.now, cost):
+        if not self._depth and bucket.try_take(self.env.now, cost):
             self._note_admitted(tenant, 0.0, ctx)
             return 0.0
-        if self.queue_depth() >= self.config.max_queue_depth:
+        if self._depth >= self.config.max_queue_depth:
             self._reject(tenant, "queue_full", ctx)
         entry = _QueueEntry(
             priority, next(self._seq), tenant, cost,
             self.env.event(), self.env.now,
         )
         heapq.heappush(self._queue, entry)
-        self._m_depth.set(self.queue_depth())
+        self._depth += 1
+        self._m_depth.set(self._depth)
         self._ensure_pump()
         max_wait = self.config.max_queue_wait_s
         if max_wait is None:
@@ -198,8 +208,11 @@ class AdmissionController:
             timer = self.env.timeout(max_wait)
             yield self.env.any_of([entry.event, timer])
             if not entry.event.triggered:
+                # Still queued (the pump succeeds the event as it pops
+                # the entry), so this is the only place it is counted out.
                 entry.cancelled = True
-                self._m_depth.set(self.queue_depth())
+                self._depth -= 1
+                self._m_depth.set(self._depth)
                 self._reject(tenant, "timeout", ctx)
         waited = self.env.now - entry.enqueued_at
         self._note_admitted(tenant, waited, ctx)
@@ -253,5 +266,6 @@ class AdmissionController:
                 continue  # re-examine: a higher-priority entry may have arrived
             bucket.try_take(self.env.now, head.cost)
             heapq.heappop(self._queue)
-            self._m_depth.set(self.queue_depth())
+            self._depth -= 1
+            self._m_depth.set(self._depth)
             head.event.succeed()

@@ -89,6 +89,9 @@ class ResourceManager:
         self.log = log if log is not None else EventLog()
         self._nodes: dict[str, RegisteredNode] = {}
         self._lease_owner: dict[int, str] = {}   # lease_id -> node_name
+        # Sum of cores_free over registered nodes, kept live: every
+        # mutation of RegisteredNode.cores_free happens in this class.
+        self._free_cores = 0
         # Reclaim observers: called as hook(node_name, immediate) when the
         # batch system retrieves a node.  Co-located services (the durable
         # memory service) subscribe so a graceful reclaim lets them migrate
@@ -153,6 +156,7 @@ class ResourceManager:
             node_name, cores, memory_bytes, gpus, executor, warm_pool, credential
         )
         self._nodes[node_name] = registered
+        self._free_cores += cores
         self.log.emit(self.env.now, "register_node", node=node_name, cores=cores,
                       memory=memory_bytes, gpus=gpus)
         self._record_pool()
@@ -219,6 +223,7 @@ class ResourceManager:
             lease.cancel()
             self._release(registered, lease)
         registered.warm_pool.drain()
+        self._free_cores -= registered.cores_free
         del self._nodes[node_name]
         self.log.emit(self.env.now, "remove_node", node=node_name, immediate=immediate)
         self._record_pool()
@@ -267,7 +272,9 @@ class ResourceManager:
         exclude: tuple[str, ...] = (),
     ) -> tuple[Lease, Executor]:
         """Grant a lease; prefers nodes with warm containers for ``image``."""
-        candidates = [
+        # More cores than the whole pool has free: no single node fits,
+        # so skip the scan and deny exactly as an empty scan would.
+        candidates = [] if cores > self._free_cores else [
             r for name, r in self._nodes.items()
             if name not in exclude and r.fits(cores, memory_bytes, gpus)
         ]
@@ -299,6 +306,7 @@ class ResourceManager:
             lease_id=self.env.next_id("rfaas-lease"),
         )
         chosen.cores_free -= cores
+        self._free_cores -= cores
         chosen.memory_free -= memory_bytes
         chosen.gpus_free -= gpus
         chosen.leases[lease.lease_id] = (lease, alloc)
@@ -379,6 +387,7 @@ class ResourceManager:
         _, alloc = entry
         self.cluster.node(registered.node_name).release(alloc)
         registered.cores_free += lease.cores
+        self._free_cores += lease.cores
         registered.memory_free += lease.memory_bytes
         registered.gpus_free += lease.gpus
         self._lease_owner.pop(lease.lease_id, None)
@@ -396,4 +405,4 @@ class ResourceManager:
         return sum(r.cores_total for r in self._nodes.values())
 
     def total_free_cores(self) -> int:
-        return sum(r.cores_free for r in self._nodes.values())
+        return self._free_cores
