@@ -116,7 +116,6 @@ class Platform:
         cloud_config: Optional[CloudConfig] = None,
         durable_memory: Optional[ReplicatedMemoryService] = None,
         gpuservice: Optional[GpuService] = None,
-        controlplane: Optional[ReplicatedResourceManager] = None,
     ):
         self.env = env
         self.cluster = cluster
@@ -130,7 +129,6 @@ class Platform:
         self.injector = injector
         self.durable_memory = durable_memory
         self.gpuservice = gpuservice
-        self.controlplane = controlplane
         self.capacity: Optional[CapacityPlane] = None
         self._cloud: Optional[CloudFaaSPlatform] = None
         self._cloud_config = cloud_config
@@ -191,10 +189,12 @@ class Platform:
 
         ``ha`` replicates the resource manager: ``True`` with a default
         :class:`~repro.controlplane.HAConfig` (one standby), or pass an
-        ``HAConfig``.  ``platform.manager`` then *is* the
-        :class:`~repro.controlplane.ReplicatedResourceManager` — every
-        downstream consumer (clients, capacity plane, injector,
-        durable memory) rides the replicated front door, and
+        ``HAConfig``.  ``platform.manager`` is then built as a
+        :class:`~repro.controlplane.ReplicatedResourceManager`, the
+        :class:`~repro.rfaas.ResourceManager` subclass whose mutations
+        are fenced and replicated, and ``platform.ha`` returns it.
+        Every downstream consumer (clients, capacity plane, injector,
+        durable memory) uses it like any manager, and
         ``manager_crash`` / ``manager_partition`` fault events find it.
         Its heartbeat/failure-detector loop is started immediately; call
         ``platform.ha.stop()`` before draining the event queue with an
@@ -226,22 +226,18 @@ class Platform:
             env, cluster, provider, rng=np.random.default_rng(seed), drc=drc
         )
         loads = NodeLoadRegistry(cluster)
-        manager = ResourceManager(
-            env, cluster, loads=loads, drc=drc,
-            rng=np.random.default_rng(seed + 1),
-        )
-        controlplane = None
-        if ha is not None:
+        manager_args = dict(loads=loads, drc=drc,
+                            rng=np.random.default_rng(seed + 1))
+        if ha is None:
+            manager = ResourceManager(env, cluster, **manager_args)
+        else:
             if ha is True:
-                ha_config = HAConfig()
-            elif isinstance(ha, HAConfig):
-                ha_config = ha
-            else:
+                ha = HAConfig()
+            elif not isinstance(ha, HAConfig):
                 raise TypeError("ha must be None, True, or an HAConfig")
-            controlplane = ReplicatedResourceManager(env, manager, config=ha_config)
-            controlplane.start()
-            # Everything downstream uses the replicated front door.
-            manager = controlplane
+            manager = ReplicatedResourceManager(env, cluster, config=ha,
+                                                **manager_args)
+            manager.start()
         functions = FunctionRegistry()
         durable = None
         if durable_memory is not None:
@@ -287,7 +283,6 @@ class Platform:
             manager=manager, functions=functions, spec=spec, seed=seed,
             injector=injector, cloud_config=cloud_config,
             durable_memory=durable, gpuservice=gpuservice,
-            controlplane=controlplane,
         )
         if build_cloud:
             platform.cloud  # noqa: B018 - force eager construction
@@ -332,13 +327,13 @@ class Platform:
 
     @property
     def ha(self) -> ReplicatedResourceManager:
-        """The replicated control plane (requires ``ha=`` at build time)."""
-        if self.controlplane is None:
+        """The replicated manager (requires ``ha=`` at build time)."""
+        if not isinstance(self.manager, ReplicatedResourceManager):
             raise RuntimeError(
                 "platform was built without a replicated control plane; "
                 "pass ha=True (or an HAConfig) to build()"
             )
-        return self.controlplane
+        return self.manager
 
     @property
     def controller(self) -> Optional[DisaggregationController]:

@@ -1,10 +1,10 @@
 """The replicated resource manager: election, fencing, reconciliation.
 
-:class:`ReplicatedResourceManager` wraps one ordinary
-:class:`~repro.rfaas.manager.ResourceManager` (the *data plane* of the
-control plane — pools, allocations, credentials) behind a group of
-1 + k :class:`~repro.controlplane.replica.ManagerReplica` members and
-adds the three mechanisms that make a manager crash survivable:
+:class:`ReplicatedResourceManager` is a
+:class:`~repro.rfaas.manager.ResourceManager` whose pools, allocations
+and credentials (the *data plane*) are governed by a group of 1 + k
+:class:`~repro.controlplane.replica.ManagerReplica` members.  It adds
+the three mechanisms that make a manager crash survivable:
 
 **Election** is rank-based and seed-free: the live standby with the
 lowest rank wins, always.  No randomness means identical failover
@@ -32,7 +32,7 @@ before touching any state — no split brain, no double grant.
 
 With **zero standbys** a primary crash is total control-plane loss:
 outstanding leases can no longer be renewed or safely reused, so the
-wrapper models lease-expiry fencing by orphaning the data plane
+manager models lease-expiry fencing by orphaning the data plane
 (every node removed immediately, terminating in-flight work) and the
 restarted primary comes back *empty* — exactly the blast radius the
 standbys exist to remove.
@@ -44,12 +44,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
+from ..rfaas.manager import ResourceManager
 from ..telemetry import telemetry_of
 from .replica import LogRecord, ManagerReplica, ReplicaRole
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cluster.machine import Cluster
     from ..rfaas.lease import Lease
-    from ..rfaas.manager import ResourceManager
     from ..sim.engine import Environment
 
 __all__ = ["HAConfig", "ElectionRecord", "ReplicatedResourceManager"]
@@ -93,21 +94,23 @@ class ElectionRecord:
     cause: str  # "bootstrap" | "crash" | "partition" | "restart"
 
 
-class ReplicatedResourceManager:
-    """1 primary + k standbys around one :class:`ResourceManager`.
+class ReplicatedResourceManager(ResourceManager):
+    """A :class:`ResourceManager` run by 1 primary + k standbys.
 
-    Duck-type compatible with the wrapped manager: reads are served
-    from the (always-consistent) data plane regardless of control-plane
-    health, mutations require a live, reachable, current-epoch primary
+    Reads are inherited and served from the (always-consistent) data
+    plane regardless of control-plane health.  The five mutations
+    (``register_node``, ``remove_node``, ``lease``, ``revoke_lease``,
+    ``release_lease``) require a live, reachable, current-epoch primary
     and otherwise raise :class:`ManagerUnavailableError` (no primary in
     reach — transient, retryable) or :class:`StaleEpochError` (fenced
-    issuer — the split-brain guard).
+    issuer — the split-brain guard); each one fences, applies the base
+    mutation, then commits it to the replicated log.  Keyword arguments
+    other than ``config`` go to :class:`ResourceManager`.
     """
 
-    def __init__(self, env: "Environment", inner: "ResourceManager",
-                 config: Optional[HAConfig] = None):
-        self.env = env
-        self.inner = inner
+    def __init__(self, env: "Environment", cluster: "Cluster", *,
+                 config: Optional[HAConfig] = None, **kwargs):
+        super().__init__(env, cluster, **kwargs)
         self.config = config if config is not None else HAConfig()
         self.replicas = [ManagerReplica(rank=i, epoch=1)
                          for i in range(self.config.standbys + 1)]
@@ -128,9 +131,7 @@ class ReplicatedResourceManager:
         self._stopped = False
         self._process = None
 
-        telemetry = telemetry_of(env)
-        self._tracer = telemetry.tracer
-        metrics = telemetry.metrics
+        metrics = telemetry_of(env).metrics
         self._m_heartbeats = metrics.counter(
             "repro_controlplane_heartbeats_total",
             help="heartbeat rounds delivered primary -> standbys",
@@ -266,15 +267,15 @@ class ReplicatedResourceManager:
     def _reconcile(self, primary: ManagerReplica) -> None:
         """Align the data plane with the new primary's replicated view."""
         known = set(primary.lease_records)
-        stale = [lease for lease, _node in self.inner.active_leases()
+        stale = [lease for lease, _node in self.active_leases()
                  if lease.lease_id not in known]
         for lease in stale:
-            self.inner.revoke_lease(lease, reason="failover-reconcile")
+            super().revoke_lease(lease, reason="failover-reconcile")
         pending, self._pending_releases = self._pending_releases, []
         released = 0
         for lease in pending:
             if lease.lease_id in primary.lease_records:
-                self.inner.release_lease(lease)
+                super().release_lease(lease)
                 self._commit("release", {"lease_id": lease.lease_id})
                 released += 1
         if stale or pending:
@@ -413,11 +414,14 @@ class ReplicatedResourceManager:
         With no replica left to renew or account for leases, the data
         plane cannot be safely reused: every registration is withdrawn
         immediately, terminating in-flight work — the k=0 blast radius
-        the standbys exist to remove.
+        the standbys exist to remove.  Each withdrawal is logged like
+        any removal, so a replay of the log sees the pool empty before
+        a restarted primary registers nodes again.
         """
-        orphaned = len(self.inner.active_leases())
-        for node_name in list(self.inner.registered_nodes()):
-            self.inner.remove_node(node_name, immediate=True)
+        orphaned = len(self.active_leases())
+        for node_name in self.registered_nodes():
+            super().remove_node(node_name, immediate=True)
+            self._commit("remove", {"node": node_name, "immediate": True})
         self._m_orphaned.inc(orphaned)
         self._tracer.instant(
             "controlplane.orphan", track="controlplane",
@@ -466,50 +470,37 @@ class ReplicatedResourceManager:
 
     # -- fenced mutations (the ResourceManager front door) -----------------------
     def register_node(self, node_name: str, *args, **kwargs):
-        issuer = self._require_primary("register_node")
-        self._fence(issuer)
-        registered = self.inner.register_node(node_name, *args, **kwargs)
+        self._fence(self._require_primary("register_node"))
+        registered = super().register_node(node_name, *args, **kwargs)
         self._commit("register", {
             "node": node_name,
-            "registration": self.inner.registration_of(node_name),
+            "registration": self.registration_of(node_name),
         })
         return registered
 
     def remove_node(self, node_name: str, immediate: bool = False) -> bool:
-        issuer = self._require_primary("remove_node")
-        self._fence(issuer)
-        removed = self.inner.remove_node(node_name, immediate=immediate)
+        self._fence(self._require_primary("remove_node"))
+        removed = super().remove_node(node_name, immediate=immediate)
         if removed:
             self._commit("remove", {"node": node_name, "immediate": immediate})
         return removed
 
     def lease(self, client: str, cores: int = 1, memory_bytes: int = 0,
               gpus: int = 0, image=None, exclude: tuple = ()):
-        issuer = self._require_primary("lease")
-        self._fence(issuer)
-        lease, executor = self.inner.lease(
-            client, cores=cores, memory_bytes=memory_bytes, gpus=gpus,
-            image=image, exclude=exclude,
+        return self._grant(
+            self._require_primary("lease"), client, cores=cores,
+            memory_bytes=memory_bytes, gpus=gpus, image=image, exclude=exclude,
         )
-        lease.epoch = self.epoch
-        self._commit("grant", {
-            "lease_id": lease.lease_id, "client": client,
-            "node": lease.node_name, "cores": cores,
-            "memory_bytes": memory_bytes, "gpus": gpus,
-        })
-        return lease, executor
 
     def revoke_lease(self, lease, reason: str = "revoked") -> bool:
-        issuer = self._require_primary("revoke_lease")
-        self._fence(issuer)
-        revoked = self.inner.revoke_lease(lease, reason=reason)
+        self._fence(self._require_primary("revoke_lease"))
+        revoked = super().revoke_lease(lease, reason=reason)
         if revoked:
             self._commit("revoke", {"lease_id": lease.lease_id, "reason": reason})
         return revoked
 
     def release_lease(self, lease) -> None:
-        rank = self._primary_rank
-        if rank is None or rank in self._partitioned:
+        if not self.available:
             # The client is done with the lease but nobody is listening:
             # buffer the release for takeover reconciliation instead of
             # failing a voluntary return.
@@ -517,8 +508,8 @@ class ReplicatedResourceManager:
             if lease not in self._pending_releases:
                 self._pending_releases.append(lease)
             return
-        self._fence(self.replicas[rank])
-        self.inner.release_lease(lease)
+        self._fence(self.primary)
+        super().release_lease(lease)
         self._commit("release", {"lease_id": lease.lease_id})
 
     def attempt_grant_via(self, rank: int, client: str, **kwargs):
@@ -535,8 +526,12 @@ class ReplicatedResourceManager:
             raise ManagerUnavailableError(
                 f"replica {replica.name} is down", epoch=self.epoch, cause="crash",
             )
-        self._fence(replica)
-        lease, executor = self.inner.lease(client, **kwargs)
+        return self._grant(replica, client, **kwargs)
+
+    def _grant(self, issuer: ManagerReplica, client: str, **kwargs):
+        """Fence ``issuer``, grant on the data plane, commit the grant."""
+        self._fence(issuer)
+        lease, executor = super().lease(client, **kwargs)
         lease.epoch = self.epoch
         self._commit("grant", {
             "lease_id": lease.lease_id, "client": client,
@@ -544,63 +539,3 @@ class ReplicatedResourceManager:
             "memory_bytes": lease.memory_bytes, "gpus": lease.gpus,
         })
         return lease, executor
-
-    # -- unfenced reads (served regardless of control-plane health) --------------
-    def registered_nodes(self):
-        return self.inner.registered_nodes()
-
-    def registration_of(self, node_name: str) -> dict:
-        return self.inner.registration_of(node_name)
-
-    def is_registered(self, node_name: str) -> bool:
-        return self.inner.is_registered(node_name)
-
-    def node_info(self, node_name: str):
-        return self.inner.node_info(node_name)
-
-    def credential_for(self, node_name: str):
-        return self.inner.credential_for(node_name)
-
-    def active_leases(self):
-        return self.inner.active_leases()
-
-    def total_registered_cores(self) -> int:
-        return self.inner.total_registered_cores()
-
-    def total_free_cores(self) -> int:
-        return self.inner.total_free_cores()
-
-    def migrate_warm_containers(self, src_node: str, dst_node: str,
-                                transfer_bandwidth: float = 5e9):
-        return self.inner.migrate_warm_containers(
-            src_node, dst_node, transfer_bandwidth=transfer_bandwidth,
-        )
-
-    # -- data-plane attributes services hook into --------------------------------
-    @property
-    def on_remove_node(self) -> list:
-        return self.inner.on_remove_node
-
-    @property
-    def cluster(self):
-        return self.inner.cluster
-
-    @property
-    def loads(self):
-        return self.inner.loads
-
-    @property
-    def drc(self):
-        return self.inner.drc
-
-    @property
-    def runtime(self):
-        return self.inner.runtime
-
-    @property
-    def rng(self):
-        return self.inner.rng
-
-    @property
-    def log(self):
-        return self.inner.log

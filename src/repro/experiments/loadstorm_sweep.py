@@ -218,8 +218,7 @@ def scenario(params: dict, seed: int) -> dict:
             at_s=crash_at_frac * window_s, duration_s=0.1 * window_s,
             shard=shards - 1,
         )
-        injector = Injector(env, plan, manager=plane,
-                            rng=np.random.default_rng(seed + 2))
+        injector = Injector(env, plan, manager=plane, seed=seed + 2)
         injector.start()
 
     census = {"completed": 0, "rejected": 0, "degraded": 0}

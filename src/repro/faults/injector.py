@@ -43,13 +43,11 @@ class Injector:
         self,
         env: Environment,
         plan: FaultPlan,
-        manager,                      # ResourceManager (duck-typed)
+        manager,                      # ResourceManager or ShardedControlPlane
         fabric=None,                  # NetworkFabric, for network faults
-        rng: Optional[np.random.Generator] = None,
         seed: int = 0,
         memservice=None,              # ReplicatedMemoryService, for memservice faults
         gpuservice=None,              # GpuService, for gpu_device_loss faults
-        controlplane=None,            # ReplicatedResourceManager, for manager faults
     ):
         self.env = env
         self.plan = plan
@@ -57,12 +55,7 @@ class Injector:
         self.fabric = fabric
         self.memservice = memservice
         self.gpuservice = gpuservice
-        # When the manager handed in *is* the replicated control plane,
-        # the manager fault kinds target it directly.
-        if controlplane is None and hasattr(manager, "crash_primary"):
-            controlplane = manager
-        self.controlplane = controlplane
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self._process: Optional[Process] = None
         #: (time, kind, target) triples of faults actually applied.
         self.injected: list[tuple[float, str, Optional[str]]] = []
@@ -320,43 +313,46 @@ class Injector:
                                  node=node, devices=restored)
 
     def _apply_manager_crash(self, event: FaultEvent) -> None:
-        """Kill a control-plane primary replica.
+        """Kill a control-plane primary replica, or a whole manager shard.
 
-        Untargeted (``event.node`` unset), the victim is whoever leads
-        *at injection time* — no seeded pick, since a replicated manager
-        has exactly one primary.  Against a sharded control plane
-        (:mod:`repro.shard`) the event may name ``"shard-N"``
-        (``FaultPlan.manager_crash(shard=N)``) to kill that shard's
-        manager specifically.  Skipped when the platform runs a bare
+        The target follows from the type of the manager.  A replicated
+        manager loses whoever leads *at injection time* — no seeded
+        pick, since it has exactly one primary.  A sharded control plane
+        (:mod:`repro.shard`) loses the shard the event names as
+        ``"shard-N"`` (``FaultPlan.manager_crash(shard=N)``), or shard 0
+        when it names none.  Skipped when the platform runs a bare
         unreplicated manager, no primary is up to kill, or the shard
         target does not resolve.
         """
-        if self.controlplane is None:
-            self.skipped.append(event)
-            return
-        target = event.node
+        # Imported here: repro.rfaas.client imports this package.
+        from ..controlplane import ReplicatedResourceManager
+        from ..shard import ShardedControlPlane
+
+        manager, target = self.manager, event.node
+        shard = None
         if target is not None and target.startswith("shard-"):
-            if not hasattr(self.controlplane, "crash_shard"):
-                self.skipped.append(event)
-                return
-            index = int(target.removeprefix("shard-"))
-            if not 0 <= index < len(self.controlplane.shards):
-                self.skipped.append(event)
-                return
-            victim = self.controlplane.crash_shard(index, outage_s=event.duration_s)
-        else:
-            victim = self.controlplane.crash_primary(outage_s=event.duration_s)
+            shard = int(target.removeprefix("shard-"))
+        victim = None
+        if isinstance(manager, ShardedControlPlane):
+            index = 0 if shard is None else shard
+            if 0 <= index < len(manager.shards):
+                victim = manager.crash_shard(index, outage_s=event.duration_s)
+        elif isinstance(manager, ReplicatedResourceManager) and shard is None:
+            victim = manager.crash_primary(outage_s=event.duration_s)
         if victim is None:
             self.skipped.append(event)
             return
         self._note(event, victim, duration=event.duration_s)
 
     def _apply_manager_partition(self, event: FaultEvent) -> None:
-        """Cut the current primary off from clients and standbys."""
-        if self.controlplane is None:
-            self.skipped.append(event)
-            return
-        victim = self.controlplane.partition_primary(heal_after_s=event.duration_s)
+        """Cut the current primary of a replicated manager off from
+        clients and standbys.  Skipped on any other manager, a sharded
+        control plane included."""
+        from ..controlplane import ReplicatedResourceManager
+
+        victim = None
+        if isinstance(self.manager, ReplicatedResourceManager):
+            victim = self.manager.partition_primary(heal_after_s=event.duration_s)
         if victim is None:
             self.skipped.append(event)
             return

@@ -88,7 +88,9 @@ class Executor:
         # Fault-injection hook (repro.faults): a straggling executor
         # picks work up late by this factor; 1.0 = healthy.
         self.dispatch_multiplier = 1.0
-        self._active: set[Process] = set()
+        # In-flight invocations as an insertion-ordered set, so an
+        # immediate drain interrupts them in launch order on every run.
+        self._active: dict[Process, None] = {}
         # Containers attached to this executor: after the first invocation
         # of an image, the function process stays resident, so subsequent
         # invocations skip sandbox acquisition entirely (true warm path).
@@ -190,7 +192,7 @@ class Executor:
                 request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
             )
         me = self.env.active_process
-        self._active.add(me)
+        self._active[me] = None
         timings = Timings()
         load_key = f"inv-{request.invocation_id}"
         registered = False
@@ -265,7 +267,7 @@ class Executor:
                 for attached in self._attached.values():
                     self.warm_pool.discard(attached)
                 self._attached.clear()
-            self._active.discard(me)
+            self._active.pop(me, None)
 
     def _execute_traced(self, fdef: FunctionDef, request: InvocationRequest):
         if self.draining:
@@ -275,7 +277,7 @@ class Executor:
                 request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
             )
         me = self.env.active_process
-        self._active.add(me)
+        self._active[me] = None
         timings = Timings()
         load_key = f"inv-{request.invocation_id}"
         registered = False
@@ -378,4 +380,4 @@ class Executor:
                 for attached in self._attached.values():
                     self.warm_pool.discard(attached)
                 self._attached.clear()
-            self._active.discard(me)
+            self._active.pop(me, None)

@@ -4,7 +4,7 @@ PR 9 made the resource manager *replicated*; it is still one
 serialization point for every tenant.  :class:`ShardedControlPlane`
 removes that by consistent-hashing tenants onto ``shards`` independent
 :class:`~repro.rfaas.manager.ResourceManager` instances — each
-optionally HA-wrapped in a
+optionally a replicated
 :class:`~repro.controlplane.ha.ReplicatedResourceManager` — so lease
 churn scales horizontally with client count (the Function Delivery
 Network premise, applied to the rFaaS lease model).
@@ -21,12 +21,10 @@ Mechanics:
   a node (:meth:`drain_node`), :meth:`rebalance` moves *idle* nodes
   from capacity-rich shards to starved ones, so one shard's reclaim
   does not strand its tenants while neighbours sit on free cores.
-* **Shard-targeted faults** — :meth:`crash_shard` kills one shard: an
-  HA-wrapped shard fails over via its replica group; a bare shard
+* **Shard-targeted faults** — :meth:`crash_shard` kills one shard: a
+  replicated shard fails over via its replica group; a bare shard
   models lease-expiry fencing (every active lease cancelled) and
   rejects ops with :class:`ManagerUnavailableError` until it restarts.
-  :meth:`crash_primary` aliases shard 0 so the fault injector's
-  control-plane auto-detection works unchanged.
 * **Conservation** — the no-silent-drops invariant, global across
   shards: every submitted op is applied or failed
   (``ops_submitted == ops_applied + ops_failed + queued``), and every
@@ -73,7 +71,7 @@ class ShardConfig:
     #: Per-op sim-time cost — the serialization floor that saturates a
     #: single shard and motivates horizontal scale.
     per_op_s: float = 2e-4
-    #: HA-wrap every shard with this replica config (None = bare shards).
+    #: Replicate every shard with this replica config (None = bare shards).
     ha: Optional[HAConfig] = None
     #: Period of the automatic rebalance loop; 0 disables it (rebalance
     #: then runs only on drain_node / explicit calls).
@@ -97,7 +95,7 @@ class Shard:
 
     def __init__(self, index: int, manager, batcher: ShardBatcher):
         self.index = index
-        #: ResourceManager, or ReplicatedResourceManager when HA-wrapped.
+        #: ResourceManager, or ReplicatedResourceManager when replicated.
         self.manager = manager
         self.batcher = batcher
         #: Bare-shard outage flag (HA shards track liveness themselves).
@@ -199,12 +197,13 @@ class ShardedControlPlane:
         seeds = rng.integers(0, 2**31 - 1, size=self.config.shards)
         self.shards: list[Shard] = []
         for index in range(self.config.shards):
-            inner = ResourceManager(
-                env, cluster, rng=np.random.default_rng(int(seeds[index])),
-            )
-            manager = inner
-            if self.config.ha is not None:
-                manager = ReplicatedResourceManager(env, inner, self.config.ha)
+            shard_rng = np.random.default_rng(int(seeds[index]))
+            if self.config.ha is None:
+                manager = ResourceManager(env, cluster, rng=shard_rng)
+            else:
+                manager = ReplicatedResourceManager(
+                    env, cluster, config=self.config.ha, rng=shard_rng,
+                )
                 manager.start()
             shard = Shard(index, manager, None)
             shard.batcher = ShardBatcher(
@@ -237,11 +236,21 @@ class ShardedControlPlane:
     # -- node pool ---------------------------------------------------------------
     def register_node(self, node_name: str, cores: int, memory_bytes: int,
                       gpus: int = 0, shard: Optional[int] = None, **kwargs):
-        """Add spare capacity; spreads across shards least-cores-first."""
+        """Add spare capacity; spreads across shards least-cores-first.
+
+        Untargeted, the node goes to the available shard with the
+        fewest registered cores; with every shard down it raises
+        :class:`ManagerUnavailableError`.
+        """
         if shard is None:
+            live = [s for s in self.shards if s.available]
+            if not live:
+                raise ManagerUnavailableError(
+                    f"register_node: every shard is down ({node_name})",
+                    cause="crash",
+                )
             shard = min(
-                (s for s in self.shards if s.available),
-                key=lambda s: (s.manager.total_registered_cores(), s.index),
+                live, key=lambda s: (s.manager.total_registered_cores(), s.index),
             ).index
         registered = self.shards[shard].manager.register_node(
             node_name, cores, memory_bytes, gpus=gpus, **kwargs,
@@ -381,7 +390,7 @@ class ShardedControlPlane:
     def crash_shard(self, index: int, outage_s: float = 0.0) -> Optional[str]:
         """Kill shard ``index``; restart it after ``outage_s`` (0 = never).
 
-        HA-wrapped shards delegate to their replica group (standby
+        Replicated shards delegate to their replica group (standby
         takeover, epoch fencing).  Bare shards model lease-expiry
         fencing: every active lease is cancelled, and ops fail with
         :class:`ManagerUnavailableError` until the shard restarts.
@@ -414,11 +423,6 @@ class ShardedControlPlane:
             self.env.process(self._restart_shard(shard, outage_s),
                              name=f"shard-{index}-restart")
         return f"shard-{index}"
-
-    def crash_primary(self, outage_s: float = 0.0) -> Optional[str]:
-        """Injector compatibility: an untargeted ``manager_crash`` lands
-        on shard 0 (the auto-detected control-plane hook)."""
-        return self.crash_shard(0, outage_s=outage_s)
 
     def _restart_shard(self, shard: Shard, outage_s: float):
         yield self.env.timeout(outage_s)

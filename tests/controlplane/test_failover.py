@@ -1,7 +1,7 @@
 """Crash failover: detection, election, reconciliation, k=0 blast radius."""
 
 from repro.controlplane import ReplicaRole
-from repro.rfaas import NoCapacityError
+from repro.rfaas import NoCapacityError, ResourceManager
 
 import pytest
 
@@ -81,7 +81,8 @@ def test_takeover_revokes_leases_the_standby_never_saw():
     platform = build_ha_platform(standbys=1)
     ha = platform.ha
     replicated, _ = ha.lease("client-0")
-    unreplicated, _ = ha.inner.lease("client-1")  # behind the wrapper's back
+    # The unfenced base grant: reaches the data plane, never the log.
+    unreplicated, _ = ResourceManager.lease(ha, "client-1")
     platform.run_until(0.25)
     ha.crash_primary()
     platform.run_until(2.0)

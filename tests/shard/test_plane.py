@@ -6,7 +6,7 @@ from repro.controlplane import HAConfig
 from repro.rfaas.errors import ManagerUnavailableError, NoCapacityError
 from repro.rfaas.lease import LeaseState
 
-from .conftest import build_plane, drive
+from .conftest import GiB, build_plane, drive
 
 
 def test_tenants_stick_to_their_home_shard():
@@ -110,11 +110,12 @@ def test_ha_shard_crash_fails_over_instead_of_fencing():
     env.run()
 
 
-def test_crash_primary_aliases_shard_zero_for_the_injector():
-    env, plane = build_plane(shards=3, nodes=6)
-    assert plane.crash_primary() == "shard-0"
-    assert not plane.shards[0].available
-    assert plane.shards[1].available and plane.shards[2].available
+def test_untargeted_register_with_every_shard_down_is_unavailable():
+    env, plane = build_plane(shards=1, nodes=0)   # one spare node, n0000
+    plane.crash_shard(0)
+    with pytest.raises(ManagerUnavailableError):
+        plane.register_node("n0000", cores=4, memory_bytes=4 * GiB)
+    assert plane.registered_nodes() == []
     plane.stop()
     env.run()
 

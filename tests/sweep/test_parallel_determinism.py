@@ -66,6 +66,21 @@ def test_merged_span_stream_is_byte_identical_serial_vs_parallel(tmp_path):
     assert streams[1]
 
 
+def test_orphaned_executors_replay_identical_span_streams(tmp_path):
+    """A crash with zero standbys withdraws every node at once and
+    interrupts all in-flight invocations at one instant: they must end
+    in the same order in every interpreter."""
+    streams = []
+    for run in range(2):
+        path = tmp_path / f"spans-{run}.jsonl"
+        _run_cli(["sweep", "manager_failover", "--set", "standbys=(0,)",
+                  "--set", "window_s=8", "--stream-spans", str(path)],
+                 cwd=tmp_path)
+        streams.append(path.read_bytes())
+    assert streams[0] == streams[1]
+    assert b'"rfaas.execution"' in streams[0]
+
+
 def test_int_and_float_set_literals_give_identical_json(tmp_path):
     """Int and float ``--set`` literals name the same plan: the JSON is
     byte-identical whichever spelling (and jobs count) produced it."""
