@@ -167,25 +167,20 @@ class Platform:
         capacity plane at ``platform.capacity``: ``None`` means no
         plane, ``True`` a default :class:`CapacityConfig`, or pass a
         :class:`CapacityConfig`.  The plane's autoscaler loop is started
-        immediately; call ``platform.capacity.stop()`` before draining
-        the event queue with an open-ended ``run()``.
+        immediately.
 
         ``durable_memory`` builds the replicated memory service at
         ``platform.durable_memory``: ``True`` with defaults, or pass a
         :class:`~repro.memservice.DurableMemoryConfig`.  The service is
         started (chunks placed and allocated), subscribed to the
         manager's reclaim events, and handed to the fault injector so
-        ``memservice_kill`` events find it.  Its repair loop ticks
-        forever — call ``platform.durable_memory.stop()`` before
-        draining the event queue with an open-ended ``run()``.
+        ``memservice_kill`` events find it.
 
         ``gpu`` builds the GPU control plane at ``platform.gpu``:
         ``True`` with defaults, or pass a
         :class:`~repro.gpuservice.GpuServiceConfig`.  The service is
         started and handed to the fault injector so
-        ``gpu_device_loss`` events find it.  When its config enables
-        the warm-context autoscaler, call ``platform.gpu.stop()``
-        before draining the event queue with an open-ended ``run()``.
+        ``gpu_device_loss`` events find it.
 
         ``ha`` replicates the resource manager: ``True`` with a default
         :class:`~repro.controlplane.HAConfig` (one standby), or pass an
@@ -196,9 +191,11 @@ class Platform:
         Every downstream consumer (clients, capacity plane, injector,
         durable memory) uses it like any manager, and
         ``manager_crash`` / ``manager_partition`` fault events find it.
-        Its heartbeat/failure-detector loop is started immediately; call
-        ``platform.ha.stop()`` before draining the event queue with an
-        open-ended ``run()``.
+        Its heartbeat/failure-detector loop is started immediately.
+
+        Every background loop these options start (autoscalers, repair,
+        heartbeat) is a daemon process, so an open-ended ``run()``
+        returns once the foreground work is done.
         """
         spec = cluster_spec if cluster_spec is not None else ClusterSpec()
         env = Environment()
@@ -388,7 +385,8 @@ class Platform:
         return self.env.process(generator, name=name)
 
     def run_until(self, until: Optional[float] = None):
-        """Advance the simulation (to ``until``, or until the queue drains)."""
+        """Advance the simulation (to ``until``, or until only daemon
+        loops remain)."""
         return self.env.run(until=until)
 
     def run(self):

@@ -34,7 +34,7 @@ from ..cluster.machine import Cluster
 from ..cluster.node import AllocationError
 from ..rfaas.manager import ResourceManager
 from ..rfaas.registry import FunctionRegistry
-from ..sim.engine import Environment, Interrupt
+from ..sim.engine import Environment
 from ..telemetry import telemetry_of
 from .forecast import DemandForecaster
 
@@ -88,7 +88,6 @@ class WarmPoolAutoscaler:
         self.forecaster = forecaster
         self.config = config or AutoscalerConfig()
         self._proc = None
-        self._stopped = False
         self._pending: dict[str, int] = {}
         self.prewarms = 0
         self.shrinks = 0
@@ -111,17 +110,12 @@ class WarmPoolAutoscaler:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self):
-        """Kick off the control loop (idempotent)."""
+        """Kick off the control loop (idempotent; a daemon, so it never
+        keeps an open-ended ``env.run()`` alive)."""
         if self._proc is None or self._proc.triggered:
-            self._stopped = False
             self._proc = self.env.process(self._loop(), name="autoscaler")
+            self._proc.daemon = True
         return self._proc
-
-    def stop(self) -> None:
-        """Stop the loop so the event queue can drain."""
-        self._stopped = True
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt(cause="autoscaler-stop")
 
     @property
     def running(self) -> bool:
@@ -192,24 +186,19 @@ class WarmPoolAutoscaler:
 
     # -- the loop --------------------------------------------------------------
     def _loop(self):
-        try:
-            while not self._stopped:
-                yield self.env.timeout(self.config.interval_s)
-                if self._stopped:
-                    return
-                self.ticks += 1
-                now = self.env.now
-                supply = self.manager.total_registered_cores()
-                self.forecaster.observe_supply(now, supply)
-                self._m_supply.set(supply)
-                if not self.config.predictive:
-                    continue
-                targets = self._image_targets(now)
-                self._m_target.set(sum(targets.values()))
-                for image_name in sorted(targets):
-                    self._resize(image_name, targets[image_name])
-        except Interrupt:
-            return
+        while True:
+            yield self.env.timeout(self.config.interval_s)
+            self.ticks += 1
+            now = self.env.now
+            supply = self.manager.total_registered_cores()
+            self.forecaster.observe_supply(now, supply)
+            self._m_supply.set(supply)
+            if not self.config.predictive:
+                continue
+            targets = self._image_targets(now)
+            self._m_target.set(sum(targets.values()))
+            for image_name in sorted(targets):
+                self._resize(image_name, targets[image_name])
 
     def _resize(self, image_name: str, target: int) -> None:
         current = self._warm_now(image_name) + self._pending.get(image_name, 0)
@@ -243,7 +232,7 @@ class WarmPoolAutoscaler:
     def _grow_node(self, image, node_name: str, want: int):
         image_name = image.name
         try:
-            if self._stopped or not self.manager.is_registered(node_name):
+            if not self.manager.is_registered(node_name):
                 return
             pool = self.manager.node_info(node_name).warm_pool
             # ``acquire`` hands back an existing warm container before it
@@ -268,8 +257,6 @@ class WarmPoolAutoscaler:
                     "capacity.prewarm", track="capacity",
                     node=node_name, image=image_name, kind=acquired.kind,
                 )
-                if self._stopped:
-                    break
             # The node may have been reclaimed (or reclaimed and freshly
             # re-registered with a new pool) while containers were
             # starting; only park them if *this* pool is still the live one.

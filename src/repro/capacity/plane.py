@@ -113,10 +113,6 @@ class CapacityPlane:
         """Start the autoscaler control loop."""
         self.autoscaler.start()
 
-    def stop(self) -> None:
-        """Stop background loops so ``env.run()`` can drain."""
-        self.autoscaler.stop()
-
     # -- accounting helpers ----------------------------------------------------
     def _count_route(self, route: str, latency_s: float) -> None:
         counter = self._m_route.get(route)

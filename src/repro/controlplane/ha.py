@@ -128,7 +128,6 @@ class ReplicatedResourceManager(ResourceManager):
         #: the next primary during takeover reconciliation.
         self._pending_releases: list["Lease"] = []
         self._lost_at: Optional[float] = None
-        self._stopped = False
         self._process = None
 
         metrics = telemetry_of(env).metrics
@@ -179,13 +178,12 @@ class ReplicatedResourceManager(ResourceManager):
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
-        """Start the combined heartbeat + failure-detector loop."""
+        """Start the combined heartbeat + failure-detector loop (a daemon:
+        it never keeps an open-ended ``env.run()`` alive)."""
         if self._process is None:
-            self._process = self.env.process(self._run(), name="controlplane-detector")
-
-    def stop(self) -> None:
-        """Stop the loop (lets an open-ended ``env.run()`` drain)."""
-        self._stopped = True
+            self._process = self.env.process(self._run(),
+                                             name="controlplane-detector")
+            self._process.daemon = True
 
     # -- group introspection -----------------------------------------------------
     @property
@@ -210,10 +208,8 @@ class ReplicatedResourceManager(ResourceManager):
     # -- heartbeats + detection --------------------------------------------------
     def _run(self):
         interval = self.config.heartbeat_interval_s
-        while not self._stopped:
+        while True:
             yield self.env.timeout(interval)
-            if self._stopped:
-                return
             self._tick()
 
     def _tick(self) -> None:
@@ -343,7 +339,7 @@ class ReplicatedResourceManager(ResourceManager):
 
     def _restart(self, replica: ManagerReplica, outage_s: float):
         yield self.env.timeout(outage_s)
-        if self._stopped or replica.role is not ReplicaRole.DOWN:
+        if replica.role is not ReplicaRole.DOWN:
             return
         live = [r for r in self.replicas if r.live]
         if live:
@@ -381,8 +377,6 @@ class ReplicatedResourceManager(ResourceManager):
 
     def _heal(self, rank: int, after_s: float):
         yield self.env.timeout(after_s)
-        if self._stopped:
-            return
         self._partitioned.discard(rank)
         replica = self.replicas[rank]
         if replica.role not in (ReplicaRole.PRIMARY, ReplicaRole.FENCED):

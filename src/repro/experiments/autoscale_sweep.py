@@ -208,10 +208,8 @@ def scenario(params: dict, seed: int) -> dict:
     platform.process(_arrival_source(env, plane, clients, names, results,
                                      load, base_rate_per_s, window_s,
                                      payload_bytes))
-    # Let the window play out (plus slack for stragglers), then stop the
-    # autoscaler's control loop so the event queue can fully drain.
+    # Let the window play out (plus slack for stragglers), then drain.
     platform.run_until(window_s + 5.0)
-    plane.stop()
     platform.run()
     for client in clients:
         client.close()

@@ -192,8 +192,6 @@ def scenario(params: dict, seed: int) -> dict:
                             resident_pages=4)
         platform.process(_paging_stream(env, pager, window_s))
     platform.run_until(window_s + 30.0)
-    if platform.durable_memory is not None:
-        platform.durable_memory.stop()
     platform.run()
 
     latencies = [d.elapsed_s for d in outcomes if d.ok]

@@ -148,8 +148,6 @@ def run_platform(
 
     platform.process(probe())
     platform.run()
-    service.stop()
-    platform.run()
 
     result = Fig12Result(cost_discount=core_hour_discount(9, spec.cores))
     configs = [("lulesh", s, lulesh_model(s, gpu=True), 9, min(lulesh_sizes)) for s in lulesh_sizes]

@@ -129,7 +129,7 @@ def _request_stream(env, service, function: str, count: int, gap_s: float,
     # (device, function) pair complete FIFO, so the final ``done``
     # resolves last.  Pending no-op batch timers run the clock past
     # this, which is why the makespan is taken here and not after the
-    # drain.
+    # run.
     finish_times.append(env.now)
 
 
@@ -166,8 +166,6 @@ def scenario(params: dict, seed: int) -> dict:
             _request_stream(env, service, function, per_stream, gap_s,
                             latencies, finish_times)
         )
-    platform.run()
-    service.stop()
     platform.run()
 
     total = service.completed

@@ -165,7 +165,6 @@ def scenario(params: dict, seed: int) -> dict:
         platform.process(_invocation_stream(env, client, outcomes, started,
                                             window_s, payload_bytes))
     platform.run_until(window_s + 30.0)
-    platform.ha.stop()
     client.close()
     platform.run()
 

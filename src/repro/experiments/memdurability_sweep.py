@@ -193,11 +193,9 @@ def scenario(params: dict, seed: int) -> dict:
 
     platform.process(_paging_workload(env, pager, pages, dirty, gap, counters))
     platform.run_until(window_s + 10.0)
-    service = platform.durable_memory
-    service.stop()
     platform.run()
 
-    stats = service.stats()
+    stats = platform.durable_memory.stats()
     completed = counters["completed"]
     return asdict(MemDurabilityPoint(
         label=f"k={replication}",

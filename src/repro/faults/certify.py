@@ -382,9 +382,6 @@ def certify(budget: int = 5, seed: int = 0, standbys: int = 1,
                             resident_pages=4)
         platform.process(_paging_stream(env, pager, window_s))
         platform.run_until(window_s + 30.0)
-        platform.ha.stop()
-        platform.durable_memory.stop()
-        platform.gpu.stop()
         client.close()
         platform.run()
 

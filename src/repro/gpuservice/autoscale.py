@@ -30,7 +30,7 @@ from typing import Optional
 from ..capacity.autoscaler import AutoscalerConfig
 from ..capacity.forecast import DemandForecaster
 from ..cluster.machine import Cluster
-from ..sim.engine import Environment, Interrupt
+from ..sim.engine import Environment
 from ..telemetry import telemetry_of
 
 __all__ = ["GpuWarmPoolAutoscaler"]
@@ -53,8 +53,6 @@ class GpuWarmPoolAutoscaler:
         self.forecaster = forecaster
         self.config = config or AutoscalerConfig()
         self._proc = None
-        self._stopped = False
-        self._began = False
         self._pending: set[tuple[str, str]] = set()   # (function, device)
         self.ticks = 0
         telemetry = telemetry_of(env)
@@ -66,26 +64,12 @@ class GpuWarmPoolAutoscaler:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self):
-        """Kick off the control loop (idempotent)."""
+        """Kick off the control loop (idempotent; a daemon, so it never
+        keeps an open-ended ``env.run()`` alive)."""
         if self._proc is None or self._proc.triggered:
-            self._stopped = False
-            self._began = False
             self._proc = self.env.process(self._loop(), name="gpu-autoscaler")
+            self._proc.daemon = True
         return self._proc
-
-    def stop(self) -> None:
-        """Stop the loop so the event queue can drain.
-
-        A loop that was started but never stepped (stop before the first
-        simulation step) cannot be interrupted — throwing into a fresh
-        generator bypasses its ``try`` — so it is left to exit on the
-        ``_stopped`` flag the moment it first runs.
-        """
-        if self._stopped:
-            return  # idempotent: a second interrupt would hit a dead loop
-        self._stopped = True
-        if self._began and self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt(cause="gpu-autoscaler-stop")
 
     @property
     def running(self) -> bool:
@@ -135,35 +119,29 @@ class GpuWarmPoolAutoscaler:
 
     # -- the loop -------------------------------------------------------------
     def _loop(self):
-        self._began = True
-        try:
-            while not self._stopped:
-                yield self.env.timeout(self.config.interval_s)
-                if self._stopped:
-                    return
-                self.ticks += 1
-                now = self.env.now
-                online = len(self.service.devices_online())
-                total_target = 0
-                for function in self.forecaster.functions_seen():
-                    if self.service._functions.get(function) is None:
-                        continue
-                    target = self._target_for(function, now, online)
-                    total_target += target
-                    warm = len(self.service.warm_devices_for(function)) + sum(
-                        1 for fn, _ in self._pending if fn == function
+        while True:
+            yield self.env.timeout(self.config.interval_s)
+            self.ticks += 1
+            now = self.env.now
+            online = len(self.service.devices_online())
+            total_target = 0
+            for function in self.forecaster.functions_seen():
+                if self.service._functions.get(function) is None:
+                    continue
+                target = self._target_for(function, now, online)
+                total_target += target
+                warm = len(self.service.warm_devices_for(function)) + sum(
+                    1 for fn, _ in self._pending if fn == function
+                )
+                if warm >= target:
+                    continue
+                for device in self._spread(function, target - warm):
+                    self._pending.add((function, device))
+                    self.env.process(
+                        self._prewarm(function, device),
+                        name=f"gpu-prewarm:{device}:{function}",
                     )
-                    if warm >= target:
-                        continue
-                    for device in self._spread(function, target - warm):
-                        self._pending.add((function, device))
-                        self.env.process(
-                            self._prewarm(function, device),
-                            name=f"gpu-prewarm:{device}:{function}",
-                        )
-                self._m_target.set(total_target)
-        except Interrupt:
-            return
+            self._m_target.set(total_target)
 
     def _prewarm(self, function: str, device: str):
         try:

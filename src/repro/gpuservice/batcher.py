@@ -114,11 +114,6 @@ class GpuBatcher:
         device, function = key
         self._flush_fn(device, function, batch, trigger)
 
-    def flush_all(self) -> None:
-        """Flush every non-empty queue now (the service-stop path)."""
-        for key in self.keys():
-            self._fire(key, trigger="timer")
-
     def drain(self, device: Optional[str] = None) -> list:
         """Remove and return queued requests without flushing them.
 

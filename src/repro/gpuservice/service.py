@@ -221,12 +221,6 @@ class GpuService:
             self.autoscaler.start()
         return self
 
-    def stop(self) -> None:
-        """Stop loops and flush partial batches so the queue can drain."""
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-        self.batcher.flush_all()
-
     # -- registry -------------------------------------------------------------
     def register(self, spec: GpuFunctionSpec) -> GpuFunctionSpec:
         self._functions[spec.name] = spec

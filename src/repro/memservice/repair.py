@@ -37,7 +37,6 @@ class RepairLoop:
         self.repairs = 0
         self.resyncs = 0
         self._proc = None
-        self._stopped = False
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
@@ -51,17 +50,17 @@ class RepairLoop:
         )
 
     def start(self):
-        """Begin ticking (idempotent while the loop is alive)."""
+        """Begin ticking (idempotent while the loop is alive; a daemon,
+        so it never keeps an open-ended ``env.run()`` alive)."""
         if self.interval_s <= 0:
             raise ValueError("repair interval must be positive")
         if self._proc is None or self._proc.triggered:
-            self._stopped = False
             self._proc = self.env.process(self._loop(), name="memservice-repair")
+            self._proc.daemon = True
         return self._proc
 
     def stop(self) -> None:
-        """Stop ticking (idempotent)."""
-        self._stopped = True
+        """Stop ticking."""
         if self._proc is not None and self._proc.is_alive:
             self._proc.interrupt(cause="repair-stop")
 
@@ -71,10 +70,8 @@ class RepairLoop:
 
     def _loop(self):
         try:
-            while not self._stopped:
+            while True:
                 yield self.env.timeout(self.interval_s)
-                if self._stopped:
-                    return
                 self.ticks += 1
                 yield from self._tick()
         except Interrupt:

@@ -69,7 +69,6 @@ class ShardBatcher:
         self._on_flush = on_flush   # (shard_index, batch_size) per flush
         self._queue: deque[BatchOp] = deque()
         self._wake: Optional[Event] = None
-        self._stopped = False
         self.ops_submitted = 0
         self.ops_applied = 0
         self.ops_failed = 0
@@ -81,8 +80,6 @@ class ShardBatcher:
 
     def submit(self, kind: str, payload: dict) -> Event:
         """Enqueue one op; the returned event resolves when it applies."""
-        if self._stopped:
-            raise RuntimeError(f"shard-{self.index} batcher is stopped")
         op = BatchOp(kind, payload, self.env.event(), self.env.now)
         self._queue.append(op)
         self.ops_submitted += 1
@@ -91,22 +88,13 @@ class ShardBatcher:
             wake.succeed()
         return op.event
 
-    def stop(self) -> None:
-        """Stop after draining what is already queued (no silent drops)."""
-        self._stopped = True
-        if self._wake is not None:
-            wake, self._wake = self._wake, None
-            wake.succeed()
-
     def _run(self):
         while True:
             if not self._queue:
-                if self._stopped:
-                    return
+                # Parked on an untriggered event, the batcher holds no
+                # queue entry, so an idle batcher never keeps a run alive.
                 self._wake = self.env.event()
                 yield self._wake
-                if not self._queue:   # stop() woke us with nothing to do
-                    return
             batch = [self._queue.popleft()
                      for _ in range(min(self.max_batch, len(self._queue)))]
             # The serialization cost: fixed flush overhead amortized

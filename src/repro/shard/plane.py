@@ -145,7 +145,6 @@ class ShardedControlPlane:
         #: Every lease this plane ever granted (the conservation ledger).
         self._leases: dict[int, Lease] = {}
         self.migrations = 0
-        self._stopped = False
 
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
@@ -216,17 +215,9 @@ class ShardedControlPlane:
             )
             self.shards.append(shard)
         if self.config.rebalance_interval_s > 0:
-            env.process(self._rebalance_loop(), name="shard-rebalancer")
-
-    # -- lifecycle ---------------------------------------------------------------
-    def stop(self) -> None:
-        """Stop batchers and HA detectors (lets open-ended runs drain)."""
-        self._stopped = True
-        for shard in self.shards:
-            shard.batcher.stop()
-            ha = shard.ha
-            if ha is not None:
-                ha.stop()
+            rebalancer = env.process(self._rebalance_loop(),
+                                     name="shard-rebalancer")
+            rebalancer.daemon = True
 
     # -- placement ---------------------------------------------------------------
     def shard_of(self, tenant: str) -> int:
@@ -426,7 +417,7 @@ class ShardedControlPlane:
 
     def _restart_shard(self, shard: Shard, outage_s: float):
         yield self.env.timeout(outage_s)
-        if self._stopped or not shard.down:
+        if not shard.down:
             return
         shard.down = False
         self._tracer.instant("shard.recover", track="shard", shard=shard.index)
@@ -508,10 +499,8 @@ class ShardedControlPlane:
 
     def _rebalance_loop(self):
         interval = self.config.rebalance_interval_s
-        while not self._stopped:
+        while True:
             yield self.env.timeout(interval)
-            if self._stopped:
-                return
             self.rebalance()
 
     # -- conservation ------------------------------------------------------------

@@ -22,6 +22,12 @@ single-heap order without paying ``heappush``/``heappop`` for most
 events.  Events additionally keep a ``_waiter`` slot so the dominant
 single-waiter case (one process blocked on one event) resumes without
 touching the callback list.
+
+Background loops run as daemon processes (``Process.daemon``).  A delayed
+:class:`Timeout` created while a daemon is active is a *daemon entry*;
+every other entry, including any zero-delay one a daemon schedules, is
+live.  An open-ended :meth:`Environment.run` returns once only daemon
+entries remain, so no caller has to stop a loop before draining.
 """
 
 from __future__ import annotations
@@ -174,6 +180,12 @@ class Timeout(Event):
             env._immediate.append((env._now, env._seq, self))
         else:
             heapq.heappush(env._queue, (env._now + delay, env._seq, self))
+            active = env._active_process
+            if active is not None and active.daemon:
+                # A daemon entry: counted until it fires, so the drain
+                # loop can tell a heap holding only daemon ticks.
+                env._daemon_entries += 1
+                self.callbacks = [env._daemon_entry_fired]
 
 
 class Initialize(Event):
@@ -205,9 +217,11 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "_resume", "name")
+    __slots__ = ("_generator", "_send", "_throw", "_target", "_resume", "name",
+                 "daemon")
 
-    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = ""):
+    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = "",
+                 daemon: bool = False):
         try:
             self._send = generator.send
             self._throw = generator.throw
@@ -222,24 +236,39 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._generator = generator
-        self._target: Optional[Event] = None
+        self.daemon = daemon
         # One bound method for the process's lifetime: waits register this
         # exact object, so detach can compare with ``is`` and every wait
         # skips a bound-method allocation.
         self._resume = self._resume_event
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        self._target: Optional[Event] = Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        A process that has not started yet first runs to its first
+        ``yield`` and is interrupted there, so its ``try`` sees it.
+        """
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
         if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
+        if type(self._target) is Initialize:
+            # Throwing into a fresh generator would bypass its ``try``:
+            # re-issue the interrupt behind the queued Initialize.
+            def deliver(_event: Event) -> None:
+                if not self._triggered:
+                    self.interrupt(cause)
+
+            later = Event(self.env)
+            later._waiter = deliver
+            later.succeed()
+            return
         event = Event(self.env)
         event._ok = False
         event._value = Interrupt(cause)
@@ -386,6 +415,8 @@ class Environment:
     docstring): ``_queue`` is a heap of ``(time, priority, seq, event)``
     and ``_immediate`` a deque of ``(time, seq, event)`` zero-delay
     priority-1 entries, already sorted by the same key.
+    ``_daemon_entries`` counts the daemon timeouts among ``_queue``'s
+    entries (only delayed entries can be daemon entries).
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -394,6 +425,7 @@ class Environment:
         self._immediate: deque[tuple[float, int, Event]] = deque()
         self._urgent: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        self._daemon_entries = 0
         self._active_process: Optional[Process] = None
         self._id_streams: dict[str, int] = {}
 
@@ -421,7 +453,8 @@ class Environment:
 
     @property
     def event_count(self) -> int:
-        """Events scheduled so far (equals events processed once idle)."""
+        """Events scheduled so far (after an open-ended :meth:`run`: the
+        events processed plus the daemon entries still queued)."""
         return self._seq
 
     # -- factories -----------------------------------------------------------
@@ -431,8 +464,12 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        return Process(self, generator, name=name)
+    def process(self, generator: ProcessGenerator, name: str = "",
+                daemon: bool = False) -> Process:
+        """Start ``generator`` as a process; ``daemon=True`` (or setting
+        ``daemon`` on the result before it first runs) marks it as
+        background work that never keeps an open-ended :meth:`run` alive."""
+        return Process(self, generator, name=name, daemon=daemon)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -454,6 +491,10 @@ class Environment:
             # Rare lane (only interrupts use it): keeps the full
             # (time, priority, seq) key.
             heapq.heappush(self._urgent, (self._now + delay, priority, self._seq, event))
+
+    def _daemon_entry_fired(self, event: Event) -> None:
+        """First callback of every daemon timeout."""
+        self._daemon_entries -= 1
 
     def _pop_next(self) -> Event:
         """Pop the globally next event, advancing the clock to it.
@@ -521,11 +562,12 @@ class Environment:
             raise event._value
 
     def run_until_idle(self) -> None:
-        """Drain the event queue with no stop-condition checks.
+        """Drain the event queue until only daemon entries remain.
 
         The tight-loop core of :meth:`run`: everything loop-invariant
         (queue bindings, ``heappop``) is hoisted, and the per-event body
-        inlines :meth:`step` without the empty-queue re-check.
+        inlines :meth:`step` without the empty-queue re-check.  Only the
+        heap-only branch can hold nothing but daemon entries.
         """
         queue = self._queue
         immediate = self._immediate
@@ -550,7 +592,7 @@ class Environment:
                 else:
                     immediate.popleft()
                     self._now = t_i
-            elif queue:
+            elif len(queue) > self._daemon_entries:
                 self._now, _, event = heappop(queue)
             else:
                 break
@@ -567,33 +609,28 @@ class Environment:
                 raise event._value
 
     def run(self, until: Optional[float] = None) -> Any:
-        """Run until the queue drains or ``until`` (a time or an event)."""
+        """Run until ``until`` (a time or an event), or until only daemon
+        entries remain.  Daemons tick up to a time horizon, but an event
+        only they could fire makes ``run(until=event)`` raise."""
         if until is None:
             self.run_until_idle()
             return None
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
         if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event.value
-        else:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} lies in the past (now={self._now})")
-
+            while not until._processed:
+                if not (self._immediate or self._urgent
+                        or len(self._queue) > self._daemon_entries):
+                    raise SimulationError(
+                        "event queue drained before the awaited event fired"
+                    )
+                self.step()
+            return until.value
+        stop_time = float(until)
+        if stop_time < self._now:
+            raise ValueError(f"until={stop_time} lies in the past (now={self._now})")
         while self._queue or self._immediate or self._urgent:
-            if stop_event is not None and stop_event.processed:
-                return stop_event.value
             if self.peek() > stop_time:
-                self._now = stop_time
-                return None
+                break
             self.step()
-
-        if stop_event is not None:
-            if stop_event.processed:
-                return stop_event.value
-            raise SimulationError("event queue drained before the awaited event fired")
         if stop_time != float("inf"):
             self._now = stop_time
         return None

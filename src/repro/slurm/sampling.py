@@ -38,6 +38,7 @@ class UtilizationSampler:
         self.allocated_node_fraction = TimeSeries("allocated_node_fraction")
         self.queue_length = TimeSeries("queue_length")
         self.process = env.process(self._run(), name="utilization-sampler")
+        self.process.daemon = True
 
     def _run(self):
         total_nodes = len(self.scheduler.cluster)

@@ -49,7 +49,6 @@ def test_predictive_prewarms_toward_forecast():
     drive_arrivals(forecaster, rate=4.0, duration=2.0)
     scaler.start()
     platform.run_until(3.0)
-    scaler.stop()
     platform.run()
     assert scaler.prewarms > 0
     counts = warm_counts(platform, "img0")
@@ -63,7 +62,6 @@ def test_reactive_mode_never_prewarms():
     drive_arrivals(forecaster, rate=8.0, duration=2.0)
     scaler.start()
     platform.run_until(3.0)
-    scaler.stop()
     platform.run()
     assert scaler.prewarms == 0
     assert sum(warm_counts(platform, "img0").values()) == 0
@@ -77,20 +75,19 @@ def test_per_node_cap_respected():
     drive_arrivals(forecaster, rate=50.0, duration=2.0)   # huge demand
     scaler.start()
     platform.run_until(5.0)
-    scaler.stop()
     platform.run()
     counts = warm_counts(platform, "img0")
     assert all(count <= 2 for count in counts.values())
 
 
-def test_stop_lets_the_event_queue_drain():
+def test_loop_never_keeps_the_run_alive():
     platform, forecaster, scaler = build()
     scaler.start()
     platform.run_until(1.0)
     assert scaler.running
-    scaler.stop()
-    platform.run()          # would never return with the loop alive
-    assert not scaler.running
+    platform.run()          # returns although the loop still ticks
+    assert scaler.running
+    assert platform.env.now == 1.0
 
 
 def test_reprovisions_after_crash_and_heal():
@@ -108,7 +105,6 @@ def test_reprovisions_after_crash_and_heal():
     for i in range(16):
         forecaster.observe_arrival(2.0 + i * 0.125, "fn0")
     platform.run_until(4.0)
-    scaler.stop()
     platform.run()
     assert warm_counts(platform, "img0")["n0001"] > 0
 
@@ -121,7 +117,6 @@ def test_multiple_images_each_get_pools():
         forecaster.observe_arrival(2.0 + i * 0.25, "fn1")
     scaler.start()
     platform.run_until(3.0)
-    scaler.stop()
     platform.run()
     assert sum(warm_counts(platform, "img0").values()) > 0
     assert sum(warm_counts(platform, "img1").values()) > 0

@@ -52,7 +52,6 @@ def govern(platform, count, tenants=2, until=30.0):
 
     platform.process(source())
     platform.run_until(until)
-    plane.stop()
     platform.run()
     for client in clients:
         client.close()
@@ -143,7 +142,6 @@ def test_release_idle_leases_returns_capacity():
 
     platform.process(flow())
     platform.run_until(5.0)
-    plane.stop()
     platform.run()
     assert done[0].route == "hpc"
     # The tenant's lease went back to the pool once it idled.
@@ -156,7 +154,6 @@ def test_facade_wiring_and_validation():
     platform = build(capacity=True)
     assert isinstance(platform.capacity, CapacityPlane)
     assert platform.capacity.autoscaler.running
-    platform.capacity.stop()
     # cloud is lazy and memoized.
     assert platform.cloud is platform.cloud
     # controller: none until attached, attach is once-only.

@@ -22,7 +22,6 @@ def _takeover_latency(suspect_after: int) -> float:
     platform.run_until(0.25)
     ha.crash_primary()
     platform.run_until(5.0)
-    ha.stop()
     platform.run()
     assert ha.epoch == 2
     return ha.elections[-1].at_s - 0.25
@@ -54,7 +53,6 @@ def test_false_positive_rate_mirrors_the_timeout(suspect_after, false_positive):
     platform.run_until(0.25)
     ha.partition_primary(heal_after_s=0.3)
     platform.run_until(3.0)
-    ha.stop()
     platform.run()
     metrics = platform.telemetry.metrics
     failovers = metrics.get("repro_controlplane_failovers_total").value

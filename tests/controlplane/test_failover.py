@@ -16,7 +16,6 @@ def test_crash_promotes_lowest_rank_standby_within_the_detection_window():
     assert crashed == "rm-0"
     assert not ha.available
     platform.run_until(3.0)
-    ha.stop()
     platform.run()
     assert ha.primary_rank == 1  # lowest standby rank wins, always
     assert ha.epoch == 2
@@ -39,7 +38,6 @@ def test_crashed_primary_rejoins_as_a_synced_standby():
     platform.run_until(0.25)
     ha.crash_primary(outage_s=1.0)
     platform.run_until(3.0)
-    ha.stop()
     platform.run()
     rejoined = ha.replica(0)
     assert rejoined.role is ReplicaRole.STANDBY
@@ -62,7 +60,6 @@ def test_k0_crash_is_total_loss_and_restarts_empty():
     metrics = platform.telemetry.metrics
     assert metrics.get("repro_controlplane_orphaned_leases_total").value == 1
     platform.run_until(2.0)
-    ha.stop()
     platform.run()
     # The restarted primary leads a fresh epoch with empty state: the
     # control plane is back, the capacity is gone until re-registration.
@@ -86,7 +83,6 @@ def test_takeover_revokes_leases_the_standby_never_saw():
     platform.run_until(0.25)
     ha.crash_primary()
     platform.run_until(2.0)
-    ha.stop()
     platform.run()
     assert replicated.active
     assert not unreplicated.active
@@ -103,7 +99,6 @@ def test_release_during_outage_is_buffered_then_reconciled():
     ha.release_lease(lease)  # voluntary return while nobody listens
     assert not lease.active  # the client is done either way
     platform.run_until(2.0)
-    ha.stop()
     platform.run()
     assert ha.commit_log[-1].op == "release"
     assert lease.lease_id not in ha.primary.lease_records

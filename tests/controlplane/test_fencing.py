@@ -24,7 +24,6 @@ def test_partition_triggers_takeover_and_fences_the_old_primary():
     assert ha.elections[-1].cause == "partition"
     assert ha.primary_rank == 1
     assert ha.replica(0).role is ReplicaRole.FENCED
-    ha.stop()
     platform.run()
 
 
@@ -33,7 +32,6 @@ def test_mutations_during_partition_raise_unavailable():
     with pytest.raises(ManagerUnavailableError) as exc:
         ha.lease("client-0")
     assert exc.value.cause == "partition"
-    ha.stop()
     platform.run()
 
 
@@ -52,7 +50,6 @@ def test_fenced_ex_primary_cannot_grant_and_changes_no_state():
     # The *current* primary grants normally through the same hook.
     lease, _ = ha.attempt_grant_via(1, "client-0", cores=1)
     assert lease.epoch == 2
-    ha.stop()
     platform.run()
 
 
@@ -62,7 +59,6 @@ def test_healed_ex_primary_steps_down_and_resyncs():
     assert ha.replica(0).role is ReplicaRole.FENCED
     lease, _ = ha.lease("client-0")  # granted by the epoch-2 primary
     platform.run_until(2.0)
-    ha.stop()
     platform.run()
     stepped_down = ha.replica(0)
     assert stepped_down.role is ReplicaRole.STANDBY
@@ -78,7 +74,6 @@ def test_short_partition_heals_inside_the_detection_timeout():
     avoided: no election, no epoch bump, the primary just resumes."""
     platform, ha = _partitioned_takeover(heal_after_s=0.15)
     platform.run_until(2.0)
-    ha.stop()
     platform.run()
     assert ha.epoch == 1
     assert len(ha.elections) == 1  # bootstrap only
@@ -92,5 +87,4 @@ def test_short_partition_heals_inside_the_detection_timeout():
 def test_partition_of_partitioned_primary_is_a_noop():
     platform, ha = _partitioned_takeover(heal_after_s=0.0)
     assert ha.partition_primary() is None
-    ha.stop()
     platform.run()

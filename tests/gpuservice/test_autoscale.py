@@ -33,7 +33,6 @@ def test_prewarm_generator_warms_one_context_once():
     fn = service.register(spec())
     env = platform.env
     env.process(service.prewarm(fn.name, "n0001/gpu0"))
-    service.stop()
     platform.run()
     assert service.prewarms == 1
     assert service.warm_devices_for(fn.name) == ["n0001/gpu0"]
@@ -50,7 +49,6 @@ def test_prewarm_ignores_unknown_and_offline_targets():
     platform.env.process(service.prewarm(fn.name, "n0001/gpu0"))
     platform.env.process(service.prewarm("nope", "n0000/gpu0"))
     platform.env.process(service.prewarm(fn.name, "no-such-device"))
-    service.stop()
     platform.run()
     assert service.prewarms == 0
 
@@ -70,7 +68,6 @@ def test_autoscaler_prewarms_ahead_of_forecast_demand():
 
     platform.process(load())
     platform.run_until(3.0)
-    service.stop()
     platform.run()
     assert service.autoscaler.ticks > 0
     assert service.prewarms >= 1
@@ -78,12 +75,11 @@ def test_autoscaler_prewarms_ahead_of_forecast_demand():
     assert service.warm_devices_for(fn.name) == ["n0000/gpu0", "n0001/gpu0"]
 
 
-def test_autoscaler_stop_is_clean_and_idempotent():
+def test_autoscaler_never_keeps_the_run_alive():
     platform, service = build()
     service.register(spec())
     platform.run_until(1.0)
     assert service.autoscaler.running
-    service.stop()
-    service.stop()
-    platform.run()
-    assert not service.autoscaler.running
+    platform.run()          # returns although the loop still ticks
+    assert service.autoscaler.running
+    assert platform.env.now == 1.0

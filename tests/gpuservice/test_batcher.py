@@ -112,12 +112,3 @@ def test_drain_removes_only_the_dead_devices_queues():
     # it; d1's timer still fired normally.
     assert flushed == [(0.010, "d1", "fn", ["alive"], "timer")]
 
-
-def test_flush_all_empties_every_queue_immediately():
-    env, batcher, flushed = make_batcher(max_batch_size=8)
-    batcher.enqueue("d0", "fn_a", "a")
-    batcher.enqueue("d1", "fn_b", "b")
-    batcher.flush_all()
-    assert len(flushed) == 2 and batcher.pending_total() == 0
-    env.run()
-    assert len(flushed) == 2  # the stale timers expired into no-ops

@@ -46,8 +46,6 @@ def test_device_loss_replays_in_flight_batches_on_the_survivor():
 
         platform.process(driver())
         platform.run()
-        service.stop()
-        platform.run()
 
     # >= 95% of invocations complete despite losing a device mid-batch
     # (here: all of them, on the surviving device).
@@ -110,7 +108,6 @@ def test_queued_requests_behind_a_dead_device_are_rerouted_unbilled():
     assert service.batcher.pending_total() == 3
     lost = service.lose_node("n0000")
     assert lost == 1
-    service.stop()
     platform.run()
     assert [o["device"] for o in outcomes] == ["n0001/gpu0"] * 3
     # Queued (never-launched) work is re-routed but not billed: no
@@ -136,7 +133,6 @@ def test_losing_the_last_device_fails_requests_with_the_lease_error():
     platform.process(driver())
     platform.run_until(0.01)          # the batch is in flight
     service.lose_node("n0000")
-    service.stop()
     platform.run()
     assert len(failures) == 4
     assert service.failed == 4 and service.completed == 0

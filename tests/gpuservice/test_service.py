@@ -147,14 +147,14 @@ def test_request_traces_form_the_documented_span_tree():
     assert all(s.track == "gpu" for s in spans if s.name.startswith("gpu."))
 
 
-def test_stop_flushes_a_stranded_partial_batch():
+def test_run_flushes_a_stranded_partial_batch_on_its_timer():
     platform, service = build(policy=BatchPolicy(max_batch_size=64,
-                                                 max_wait_s=1e9))
+                                                 max_wait_s=5.0))
     fn = service.register(spec())
     request = service.submit(fn.name)
     platform.run_until(0.001)
     assert service.batcher.pending_total() == 1
-    service.stop()
     platform.run()
     assert request.done.triggered and request.done.value["batch_size"] == 1
     assert service.completed == 1
+    assert service.batcher.flushes_on_timer == 1

@@ -105,6 +105,15 @@ def test_stop_is_idempotent_and_invalidates_access():
         service.validate_access(0, 1)
 
 
+def test_stop_before_the_first_step_lets_the_run_drain():
+    platform = build()
+    service = platform.durable_memory
+    service.stop()  # the repair loop is started but has not stepped yet
+    platform.run()
+    assert not service.repair.running
+    assert service.repair.ticks == 0
+
+
 def test_service_ids_are_per_environment():
     a, b = Environment(), Environment()
     assert [a.next_id("memservice") for _ in range(3)] == [1, 2, 3]

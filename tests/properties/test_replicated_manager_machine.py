@@ -63,10 +63,6 @@ class ReplicatedManagerMachine(RuleBasedStateMachine):
         for node, count in zip(NODES, cores):
             self.register(node, count)
 
-    def teardown(self):
-        if hasattr(self, "ha"):
-            self.ha.stop()
-
     # -- front-door mutations, with a primary in reach ---------------------------
     @precondition(lambda self: self.reachable and len(self.nodes) < len(NODES))
     @rule(node=st.sampled_from(NODES), cores=st.integers(min_value=1, max_value=8))

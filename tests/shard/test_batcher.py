@@ -28,7 +28,6 @@ def test_ops_apply_in_fifo_order_and_batch_up():
     assert applied == [f"op{i}" for i in range(6)]
     assert batcher.batches == 2
     assert batcher.ops_applied == 6
-    batcher.stop()
     env.run()
 
 
@@ -44,7 +43,6 @@ def test_flush_charges_overhead_plus_per_op_cost():
     # One flush of 3 ops: 0.01 + 3 * 0.002 sim seconds.
     assert env.now == pytest.approx(0.016)
     assert len(done) == 3
-    batcher.stop()
     env.run()
 
 
@@ -65,22 +63,7 @@ def test_apply_failure_fails_the_submit_event_and_counts():
     assert batcher.ops_applied == 2
     assert batcher.ops_failed == 1
     assert batcher.ops_submitted == 3
-    batcher.stop()
     env.run()
-
-
-def test_stop_drains_queued_ops_then_rejects_new_ones():
-    env = Environment()
-    applied = []
-    batcher = ShardBatcher(env, 0, apply=lambda op: applied.append(op.kind),
-                           max_batch=2)
-    for i in range(5):
-        batcher.submit(f"op{i}", {})
-    batcher.stop()
-    env.run()
-    assert len(applied) == 5  # nothing queued was dropped
-    with pytest.raises(RuntimeError):
-        batcher.submit("late", {})
 
 
 def test_conservation_holds_at_every_instant():
@@ -102,7 +85,6 @@ def test_conservation_holds_at_every_instant():
     env.run()
     assert batcher.ops_submitted == batcher.ops_applied == 10
     assert batcher.depth() == 0
-    batcher.stop()
     env.run()
 
 

@@ -23,7 +23,6 @@ def test_injector_crashes_the_targeted_shard_only():
     assert not plane.shards[2].available
     assert plane.shards[0].available and plane.shards[1].available
     assert len(injector.injected) == 1
-    plane.stop()
     env.run()
 
 
@@ -36,7 +35,6 @@ def test_injector_restarts_the_shard_after_the_outage():
     assert not plane.shards[1].available
     env.run(until=2.0)
     assert plane.shards[1].available
-    plane.stop()
     env.run()
 
 
@@ -48,7 +46,6 @@ def test_untargeted_manager_crash_lands_on_shard_zero():
     env.run(until=1.0)
     assert not plane.shards[0].available
     assert plane.shards[1].available
-    plane.stop()
     env.run()
 
 
@@ -60,7 +57,6 @@ def test_out_of_range_shard_target_is_skipped_not_fatal():
     env.run(until=1.0)
     assert all(s.available for s in plane.shards)
     assert injector.skipped  # recorded, not silently dropped
-    plane.stop()
     env.run()
 
 
@@ -73,5 +69,4 @@ def test_manager_partition_against_a_sharded_plane_is_skipped():
     assert injector.skipped == plan.events
     assert not injector.injected
     assert all(s.available for s in plane.shards)
-    plane.stop()
     env.run()

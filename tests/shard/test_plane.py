@@ -15,7 +15,6 @@ def test_tenants_stick_to_their_home_shard():
     homes = {t: plane.shard_of(t) for t in tenants}
     assert set(homes.values()) <= set(range(4))
     assert homes == {t: plane.shard_of(t) for t in tenants}
-    plane.stop()
     env.run()
 
 
@@ -35,7 +34,6 @@ def test_grant_and_release_flow_through_the_batcher():
     assert done[-1][0] == "ok"
     assert lease.state is LeaseState.RELEASED
     assert plane.active_leases() == []
-    plane.stop()
     env.run()
     assert plane.conservation_ok(drained=True)
 
@@ -52,7 +50,6 @@ def test_no_capacity_fails_the_grant_event_honestly():
     failure = next(value for kind, value in done if kind == "fail")
     assert isinstance(failure, NoCapacityError)
     assert plane.conservation_ok(drained=False)
-    plane.stop()
     env.run()
 
 
@@ -63,7 +60,6 @@ def test_nodes_spread_across_shards_least_cores_first():
         per_shard.setdefault(plane._node_shard[name], []).append(name)
     assert sorted(per_shard) == [0, 1]
     assert all(len(nodes) == 2 for nodes in per_shard.values())
-    plane.stop()
     env.run()
 
 
@@ -83,7 +79,6 @@ def test_bare_shard_crash_fences_leases_and_rejects_ops():
     env.run()
     assert done[-1][0] == "fail"
     assert isinstance(done[-1][1], ManagerUnavailableError)
-    plane.stop()
     env.run()
     assert plane.conservation_ok(drained=True)
 
@@ -94,7 +89,6 @@ def test_bare_shard_restarts_after_outage():
     assert not plane.shards[1].available
     env.run(until=1.0)
     assert plane.shards[1].available
-    plane.stop()
     env.run()
 
 
@@ -106,7 +100,6 @@ def test_ha_shard_crash_fails_over_instead_of_fencing():
     assert name is not None and name.startswith("shard-0/")
     env.run(until=2.0)  # detector timeout + takeover
     assert plane.shards[0].available  # a standby leads a new epoch
-    plane.stop()
     env.run()
 
 
@@ -116,7 +109,6 @@ def test_untargeted_register_with_every_shard_down_is_unavailable():
     with pytest.raises(ManagerUnavailableError):
         plane.register_node("n0000", cores=4, memory_bytes=4 * GiB)
     assert plane.registered_nodes() == []
-    plane.stop()
     env.run()
 
 
@@ -136,7 +128,6 @@ def test_migration_moves_only_idle_nodes():
     assert plane.migrate_node(idle, other)
     assert plane._node_shard[idle] == other
     assert plane.migrations == 1
-    plane.stop()
     env.run()
 
 
@@ -154,7 +145,6 @@ def test_drain_rebalances_toward_the_starved_shard():
     moved = plane.rebalance()
     assert moved >= 1  # an idle shard-1 node crossed over
     assert plane.shards[0].manager.total_free_cores() > 0
-    plane.stop()
     env.run()
 
 
@@ -178,7 +168,6 @@ def test_conservation_ledger_accounts_for_every_op_and_lease():
     assert ledger["revoked"] == 1
     assert plane.conservation_ok(drained=False)
     assert not plane.conservation_ok(drained=True)  # leases still active
-    plane.stop()
     env.run()
 
 

@@ -4,8 +4,9 @@ The engine splits the event queue into an immediate deque plus heaps and
 keeps a single-waiter slot per event; these tests pin the behaviors most
 at risk from that rewrite: interrupts landing between same-timestamp
 events, ``run(until=event)`` on a triggered-but-unprocessed event,
-``Timeout(0)`` vs ``succeed()`` FIFO ordering, and condition waiters
-under the single-waiter slot.
+``Timeout(0)`` vs ``succeed()`` FIFO ordering, condition waiters
+under the single-waiter slot, interrupts sent before a process's first
+step, and daemon processes.
 """
 
 import pytest
@@ -368,3 +369,91 @@ def test_run_until_time_between_queued_events():
     assert env.now == 2.0
     env.run()
     assert log == [1.0, 3.0]
+
+
+# -- interrupts before a process's first step --------------------------------
+
+def test_interrupt_before_the_first_step_lands_at_the_first_yield():
+    """The interrupt waits for the queued Initialize, so the generator's
+    ``try`` is active when it arrives (the SimPy semantics)."""
+    env = Environment()
+    log = []
+
+    def loop():
+        try:
+            while True:
+                yield env.timeout(1.0)
+                log.append("tick")
+        except Interrupt as intr:
+            log.append(("interrupted", intr.cause, env.now))
+        return "stopped"
+
+    p = env.process(loop())
+    p.interrupt("stop")
+    env.run()
+    assert log == [("interrupted", "stop", 0.0)]
+    assert p.processed and p.value == "stopped"
+
+
+def test_interrupt_of_a_process_that_ends_in_its_first_step_is_dropped():
+    env = Environment()
+
+    def quick():
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    p = env.process(quick())
+    p.interrupt("late")
+    env.run()
+    assert p.value == "done"
+
+
+# -- daemon processes --------------------------------------------------------
+
+def _ticker(env, period, ticks):
+    while True:
+        yield env.timeout(period)
+        ticks.append(env.now)
+
+
+def test_run_returns_once_only_daemon_entries_remain():
+    env = Environment()
+    ticks = []
+    daemon = env.process(_ticker(env, 1.0, ticks), daemon=True)
+
+    def work():
+        yield env.timeout(3.5)
+
+    env.process(work())
+    env.run()
+    assert env.now == 3.5
+    assert ticks == [1.0, 2.0, 3.0]
+    assert daemon.is_alive
+    assert env.peek() == 4.0  # the next tick stays queued, unprocessed
+    # Two Initialize events, the work's timeout and finish, four ticks.
+    assert env.event_count == 8
+
+
+def test_run_until_time_keeps_ticking_daemons_to_the_horizon():
+    env = Environment()
+    ticks = []
+    env.process(_ticker(env, 1.0, ticks), daemon=True)
+    env.run(until=4.5)
+    assert ticks == [1.0, 2.0, 3.0, 4.0]
+    assert env.now == 4.5
+
+
+def test_zero_delay_timeout_from_a_daemon_is_live():
+    env = Environment()
+    log = []
+
+    def daemon():
+        yield env.timeout(0.0)
+        log.append(("zero", env.now))
+        while True:
+            yield env.timeout(1.0)
+
+    env.process(daemon(), daemon=True)
+    env.run()
+    assert log == [("zero", 0.0)]
+    assert env.now == 0.0

@@ -123,7 +123,6 @@ def govern(platform, count, tenants=2, until=30.0):
 
     platform.process(source())
     platform.run_until(until)
-    plane.stop()
     platform.run()
     for client in clients:
         client.close()
