@@ -4,17 +4,27 @@ The seed system resizes warm pools *on miss*: the first invocation of an
 image on a node pays the cold start, and only then is a container parked.
 The autoscaler closes that gap the way Kernel-as-a-Service does for
 accelerator backends — a periodic control loop compares the forecast
-demand against the currently parked containers and pre-warms the deficit
-*before* the invocations arrive:
+demand against what is already warm and pre-warms the deficit *before*
+the invocations arrive.  One loop serves every harvested resource:
 
-1. each tick, observe supply (registered executor cores) into the
-   forecaster and read the per-function demand forecast over the
-   provisioning horizon;
-2. convert it into a warm-container target per image (with headroom);
-3. spread the deficit across topology node groups round-robin, so a
-   whole-group failure cannot take every warm container with it;
-4. start containers through the normal ``WarmPool.acquire`` path (paying
-   the real cold-start time in simulation) and park them.
+1. each tick, observe supply into the forecaster (containers: the
+   registered executor cores) and read a warm target per key from the
+   demand forecast over the provisioning horizon;
+2. the deficit per key is ``target − (warm + in flight)``, where the
+   in-flight ledger counts prewarms still starting, per (key, slot);
+3. spread the deficit across topology groups with
+   :func:`~repro.cluster.group_interleave`, each slot's budget being its
+   free room minus its own in-flight prewarms, so a whole-group failure
+   cannot take every warm instance with it and a slow cold start cannot
+   overfill a slot;
+4. start one prewarm process per chosen slot.
+
+This class is the *container* side: keys are images, slots are the
+registered executor nodes with room ``max_warm_per_node`` minus parked
+containers, and a prewarm starts containers through the normal
+``WarmPool.acquire`` path (paying the real cold-start time) and parks
+them.  :class:`~repro.gpuservice.GpuService` runs the same loop over
+(function, device) contexts with its own target and prewarm.
 
 A node that crashes and heals (``FaultPlan`` node-crash with a recovery
 duration) re-registers with an empty pool; the next tick sees the
@@ -28,9 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from ..cluster.machine import Cluster
+from ..cluster.machine import Cluster, group_interleave
 from ..cluster.node import AllocationError
 from ..rfaas.manager import ResourceManager
 from ..rfaas.registry import FunctionRegistry
@@ -57,8 +67,6 @@ class AutoscalerConfig:
     max_warm_per_node: int = 4
     #: Provision ahead of demand; False = reactive baseline (on-miss only).
     predictive: bool = True
-    #: Evict parked containers above target (off: keep-warm-forever).
-    shrink: bool = False
 
     def __post_init__(self):
         if self.interval_s <= 0 or self.horizon_s <= 0:
@@ -72,6 +80,9 @@ class AutoscalerConfig:
 class WarmPoolAutoscaler:
     """Periodic control loop resizing warm pools ahead of demand."""
 
+    _loop_name = "autoscaler"
+    _prewarm_name = "prewarm-{slot}-{key}"
+
     def __init__(
         self,
         env: Environment,
@@ -81,17 +92,10 @@ class WarmPoolAutoscaler:
         forecaster: DemandForecaster,
         config: Optional[AutoscalerConfig] = None,
     ):
-        self.env = env
+        self._init_loop(env, cluster, forecaster, config)
         self.manager = manager
-        self.cluster = cluster
         self.functions = functions
-        self.forecaster = forecaster
-        self.config = config or AutoscalerConfig()
-        self._proc = None
-        self._pending: dict[str, int] = {}
         self.prewarms = 0
-        self.shrinks = 0
-        self.ticks = 0
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
@@ -108,12 +112,23 @@ class WarmPoolAutoscaler:
             help="registered executor cores observed at the last tick",
         )
 
+    def _init_loop(self, env: Environment, cluster: Cluster,
+                   forecaster: DemandForecaster,
+                   config: Optional[AutoscalerConfig]) -> None:
+        self.env = env
+        self.cluster = cluster
+        self.forecaster = forecaster
+        self.config = config or AutoscalerConfig()
+        self._proc = None
+        self._inflight: dict[tuple[str, str], int] = {}   # (key, slot) -> n
+        self.ticks = 0
+
     # -- lifecycle ------------------------------------------------------------
     def start(self):
         """Kick off the control loop (idempotent; a daemon, so it never
         keeps an open-ended ``env.run()`` alive)."""
         if self._proc is None or self._proc.triggered:
-            self._proc = self.env.process(self._loop(), name="autoscaler")
+            self._proc = self.env.process(self._loop(), name=self._loop_name)
             self._proc.daemon = True
         return self._proc
 
@@ -121,8 +136,57 @@ class WarmPoolAutoscaler:
     def running(self) -> bool:
         return self._proc is not None and self._proc.is_alive
 
-    # -- sizing ---------------------------------------------------------------
-    def _image_targets(self, now: float) -> dict[str, int]:
+    # -- the loop --------------------------------------------------------------
+    def _loop(self):
+        while True:
+            yield self.env.timeout(self.config.interval_s)
+            self.ticks += 1
+            now = self.env.now
+            self._observe(now)
+            if not self.config.predictive:
+                continue
+            targets = self._targets(now)
+            self._m_target.set(sum(targets.values()))
+            for key in sorted(targets):
+                self._fill(key, targets[key])
+
+    def _fill(self, key: str, target: int) -> None:
+        """Fan ``key``'s deficit out as concurrent per-slot prewarms.
+
+        Cold starts on different slots overlap in time instead of
+        queueing behind each other; the in-flight ledger keeps the next
+        tick from double-provisioning what is still starting, both in
+        the key's deficit and in each slot's budget.
+        """
+        inflight = {slot: n for (k, slot), n in self._inflight.items() if k == key}
+        deficit = target - self._warm(key) - sum(inflight.values())
+        if deficit <= 0:
+            return
+        candidates = [(slot, node, room - inflight.get(slot, 0))
+                      for slot, node, room in self._slots(key)]
+        per_slot: dict[str, int] = {}
+        for slot in group_interleave(self.cluster, candidates)[:deficit]:
+            per_slot[slot] = per_slot.get(slot, 0) + 1
+        for slot, want in per_slot.items():
+            self._inflight[key, slot] = inflight.get(slot, 0) + want
+            self.env.process(self._track(key, slot, want),
+                             name=self._prewarm_name.format(slot=slot, key=key))
+
+    def _track(self, key: str, slot: str, want: int):
+        try:
+            yield from self._prewarm(key, slot, want)
+        finally:
+            left = self._inflight.pop((key, slot)) - want
+            if left:
+                self._inflight[key, slot] = left
+
+    # -- the container side ----------------------------------------------------
+    def _observe(self, now: float) -> None:
+        supply = self.manager.total_registered_cores()
+        self.forecaster.observe_supply(now, supply)
+        self._m_supply.set(supply)
+
+    def _targets(self, now: float) -> dict[str, int]:
         """Warm-container target per image name from the demand forecast."""
         targets: dict[str, int] = {}
         for fname in self.forecaster.functions_seen():
@@ -139,7 +203,7 @@ class WarmPoolAutoscaler:
                 targets[name] = targets.get(name, 0) + target
         return targets
 
-    def _warm_now(self, image_name: str) -> int:
+    def _warm(self, image_name: str) -> int:
         """Containers already serving or parked for ``image_name``."""
         count = 0
         for node_name in self.manager.registered_nodes():
@@ -149,144 +213,50 @@ class WarmPoolAutoscaler:
                 count += 1
         return count
 
-    def _spread(self, deficit: int, image_name: str) -> list[str]:
-        """Round-robin the deficit across node groups, then nodes.
-
-        Returns one node name per container to start; nodes already at
-        ``max_warm_per_node`` for the image drop out of the rotation.
-        """
-        groups: dict[int, list[str]] = {}
+    def _slots(self, image_name: str) -> Iterable[tuple[str, str, int]]:
+        """(node, node, room below the per-node cap) per executor node."""
+        cap = self.config.max_warm_per_node
         for node_name in self.manager.registered_nodes():
-            gid = self.cluster.topology.group_of(self.cluster.node_index(node_name))
-            groups.setdefault(gid, []).append(node_name)
-        rotations = [sorted(names) for _, names in sorted(groups.items())]
-        budget = {
-            name: max(
-                0,
-                self.config.max_warm_per_node
-                - self.manager.node_info(name).warm_pool.warm_count_for(image_name),
-            )
-            for rotation in rotations for name in rotation
-        }
-        placements: list[str] = []
-        while len(placements) < deficit and rotations:
-            progressed = False
-            for rotation in rotations:
-                for name in rotation:
-                    if budget[name] > 0:
-                        placements.append(name)
-                        budget[name] -= 1
-                        progressed = True
-                        break
-                if len(placements) >= deficit:
-                    break
-            if not progressed:
-                break  # every node is at its per-node cap
-        return placements
-
-    # -- the loop --------------------------------------------------------------
-    def _loop(self):
-        while True:
-            yield self.env.timeout(self.config.interval_s)
-            self.ticks += 1
-            now = self.env.now
-            supply = self.manager.total_registered_cores()
-            self.forecaster.observe_supply(now, supply)
-            self._m_supply.set(supply)
-            if not self.config.predictive:
-                continue
-            targets = self._image_targets(now)
-            self._m_target.set(sum(targets.values()))
-            for image_name in sorted(targets):
-                self._resize(image_name, targets[image_name])
-
-    def _resize(self, image_name: str, target: int) -> None:
-        current = self._warm_now(image_name) + self._pending.get(image_name, 0)
-        if current < target:
-            self._grow(image_name, target - current)
-        elif self.config.shrink and current > target:
-            self._shrink(image_name, current - target)
-
-    def _grow(self, image_name: str, deficit: int) -> None:
-        """Fan the deficit out as concurrent per-node prewarm processes.
-
-        Cold starts for different (node, image) placements overlap in
-        time instead of queueing behind each other — the in-flight count
-        in ``_pending`` keeps the next tick from double-provisioning
-        containers that are still starting.
-        """
-        image = self._image_of(image_name)
-        if image is None:
-            return
-        per_node: dict[str, int] = {}
-        for node_name in self._spread(deficit, image_name):
-            per_node[node_name] = per_node.get(node_name, 0) + 1
-        for node_name in sorted(per_node):
-            want = per_node[node_name]
-            self._pending[image_name] = self._pending.get(image_name, 0) + want
-            self.env.process(
-                self._grow_node(image, node_name, want),
-                name=f"prewarm-{node_name}-{image_name}",
-            )
-
-    def _grow_node(self, image, node_name: str, want: int):
-        image_name = image.name
-        try:
-            if not self.manager.is_registered(node_name):
-                return
             pool = self.manager.node_info(node_name).warm_pool
-            # ``acquire`` hands back an existing warm container before it
-            # cold-starts a new one, so to *grow* the pool we hold the
-            # warm ones aside until enough fresh containers exist.
-            held = []
-            created = 0
-            while created < want:
-                try:
-                    acquired = pool.acquire(image)
-                except AllocationError:
-                    break  # node out of memory; keep what we have
-                held.append(acquired.container)
-                if acquired.kind == "warm":
-                    continue
-                created += 1
-                if acquired.startup_cost_s > 0:
-                    yield self.env.timeout(acquired.startup_cost_s)
-                self.prewarms += 1
-                self._m_prewarms.inc()
-                self._tracer.instant(
-                    "capacity.prewarm", track="capacity",
-                    node=node_name, image=image_name, kind=acquired.kind,
-                )
-            # The node may have been reclaimed (or reclaimed and freshly
-            # re-registered with a new pool) while containers were
-            # starting; only park them if *this* pool is still the live one.
-            live = (self.manager.is_registered(node_name)
-                    and self.manager.node_info(node_name).warm_pool is pool)
-            for container in held:
-                if live:
-                    pool.release(container)
-                else:
-                    pool.discard(container)
-        finally:
-            self._pending[image_name] = max(
-                0, self._pending.get(image_name, 0) - want
-            )
+            yield node_name, node_name, cap - pool.warm_count_for(image_name)
 
-    def _shrink(self, image_name: str, excess: int) -> None:
+    def _prewarm(self, image_name: str, node_name: str, want: int):
         image = self._image_of(image_name)
-        if image is None:
+        if image is None or not self.manager.is_registered(node_name):
             return
-        for node_name in reversed(self.manager.registered_nodes()):
-            if excess <= 0:
-                return
-            pool = self.manager.node_info(node_name).warm_pool
-            spare = pool.warm_count_for(image_name)
-            if spare <= 0:
+        pool = self.manager.node_info(node_name).warm_pool
+        # ``acquire`` hands back an existing warm container before it
+        # cold-starts a new one, so to *grow* the pool we hold the
+        # warm ones aside until enough fresh containers exist.
+        held = []
+        created = 0
+        while created < want:
+            try:
+                acquired = pool.acquire(image)
+            except AllocationError:
+                break  # node out of memory; keep what we have
+            held.append(acquired.container)
+            if acquired.kind == "warm":
                 continue
-            victims = min(spare, excess)
-            pool.reclaim(victims * image.runtime_memory_bytes, swap=True)
-            self.shrinks += victims
-            excess -= victims
+            created += 1
+            if acquired.startup_cost_s > 0:
+                yield self.env.timeout(acquired.startup_cost_s)
+            self.prewarms += 1
+            self._m_prewarms.inc()
+            self._tracer.instant(
+                "capacity.prewarm", track="capacity",
+                node=node_name, image=image_name, kind=acquired.kind,
+            )
+        # The node may have been reclaimed (or reclaimed and freshly
+        # re-registered with a new pool) while containers were
+        # starting; only park them if *this* pool is still the live one.
+        live = (self.manager.is_registered(node_name)
+                and self.manager.node_info(node_name).warm_pool is pool)
+        for container in held:
+            if live:
+                pool.release(container)
+            else:
+                pool.discard(container)
 
     def _image_of(self, image_name: str):
         for fname in self.functions.names():

@@ -2,6 +2,8 @@
 
 The machine object is pure state — scheduling policy lives in
 ``repro.slurm`` and placement policy in ``repro.rfaas`` / ``repro.disagg``.
+The one placement rule kept here is :func:`group_interleave`, the
+topology spread that warm-pool prewarming and replica placement share.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from .node import Node
 from .specs import DAINT_GPU, DAINT_MC, NodeSpec
 from .topology import DragonflyTopology
 
-__all__ = ["Cluster", "build_daint"]
+__all__ = ["Cluster", "build_daint", "group_interleave"]
 
 
 class Cluster:
@@ -101,6 +103,43 @@ class Cluster:
             if node.can_allocate(cores=cores, memory_bytes=memory_bytes, gpus=gpus):
                 return node
         return None
+
+
+def group_interleave(
+    cluster: Cluster,
+    candidates: Iterable[tuple[str, str, int]],
+    start: int = 0,
+) -> list[str]:
+    """Spread placements across dragonfly groups, round-robin.
+
+    ``candidates`` are ``(slot, node, budget)`` triples: a slot (a node,
+    a device, ...) hosted on ``node`` that may take ``budget`` more
+    placements.  Slots are bucketed by their node's topology group; the
+    result cycles the groups in id order, and each group yields its
+    slots in sorted order, every slot repeated ``budget`` times.  A
+    group that runs dry drops out of the cycle, so a whole-group outage
+    costs as few placements as the budgets allow.  ``start`` rotates
+    both the group order and each group's slot order, so consecutive
+    callers spread their first picks instead of all taking the same one.
+    """
+    groups: dict[int, list[tuple[str, int]]] = {}
+    for slot, node, budget in candidates:
+        if budget > 0:
+            gid = cluster.topology.group_of(cluster.node_index(node))
+            groups.setdefault(gid, []).append((slot, budget))
+    queues = []
+    for _, members in sorted(groups.items()):
+        members.sort()
+        k = start % len(members)
+        members = members[k:] + members[:k]
+        queues.append([slot for slot, budget in members for _ in range(budget)])
+    if queues:
+        k = start % len(queues)
+        queues = queues[k:] + queues[:k]
+    order: list[str] = []
+    for rank in range(max(map(len, queues), default=0)):
+        order.extend(queue[rank] for queue in queues if rank < len(queue))
+    return order
 
 
 def build_daint(mc_nodes: int = 1813, gpu_nodes: int = 5704) -> Cluster:

@@ -4,12 +4,12 @@ Brings the accelerator path up to parity with the CPU serverless path
 (see ``docs/gpu.md``): fractional MPS-style leases
 (:class:`GpuLeaseManager`), invocation batching into coalesced kernel
 launches (:class:`GpuBatcher`), forecast-driven warm-context
-autoscaling (:class:`GpuWarmPoolAutoscaler`), and device-loss recovery
+autoscaling (the capacity plane's warm-pool loop, switched on by
+``GpuServiceConfig.autoscale``), and device-loss recovery
 (``FaultPlan.gpu_device_loss`` → lease revocation → batch replay on
 surviving devices).  Built by ``Platform.build(gpu=...)``.
 """
 
-from .autoscale import GpuWarmPoolAutoscaler
 from .batcher import BatchPolicy, GpuBatcher
 from .lease import GpuLease, GpuLeaseManager, GpuLeaseState
 from .service import GpuRequest, GpuService, GpuServiceConfig
@@ -23,5 +23,4 @@ __all__ = [
     "GpuRequest",
     "GpuService",
     "GpuServiceConfig",
-    "GpuWarmPoolAutoscaler",
 ]

@@ -14,9 +14,9 @@ this module gives accelerators the same treatment:
 * **warm device contexts** — a prewarmed (device, function) pair has
   its CUDA context initialized and its dataset resident
   (``GpuDevice.keep_warm``), so batches skip context setup and the
-  host-to-device weight transfer; the
-  :class:`~repro.gpuservice.GpuWarmPoolAutoscaler` prewarms ahead of
-  forecast demand;
+  host-to-device weight transfer; with ``autoscale`` set, the capacity
+  plane's :class:`~repro.capacity.WarmPoolAutoscaler` loop prewarms
+  contexts ahead of forecast demand;
 * **fault recovery** — ``FaultPlan.gpu_device_loss`` revokes the lost
   devices' leases (:class:`~repro.rfaas.GpuLeaseRevokedError`), and the
   service replays queued *and* in-flight batched invocations on
@@ -32,10 +32,11 @@ coalesced launch records one ``gpu.batch`` span with one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..capacity.autoscaler import AutoscalerConfig
+from ..capacity.autoscaler import AutoscalerConfig, WarmPoolAutoscaler
 from ..capacity.forecast import DemandForecaster
 from ..cluster.machine import Cluster
 from ..cluster.specs import GpuSpec, P100
@@ -139,6 +140,9 @@ class GpuService:
         self.cluster = cluster
         self.config = config or GpuServiceConfig()
         hosts = self.config.hosts
+        for host in hosts:
+            if host not in cluster:
+                raise ValueError(f"GPU host {host!r} is not a cluster node")
         if not hosts:
             names = [node.name for node in cluster.nodes()]
             if len(names) < self.config.gpu_nodes:
@@ -160,10 +164,7 @@ class GpuService:
         self.forecaster = DemandForecaster()
         self.autoscaler = None
         if self.config.autoscale is not None:
-            from .autoscale import GpuWarmPoolAutoscaler
-            self.autoscaler = GpuWarmPoolAutoscaler(
-                env, self, cluster, self.forecaster, self.config.autoscale
-            )
+            self.autoscaler = _WarmContexts(self, self.config.autoscale)
         self._functions: dict[str, GpuFunctionSpec] = {}
         self._lease_of: dict[str, GpuLease] = {}
         self.submitted = 0
@@ -471,7 +472,7 @@ class GpuService:
             self._m_online.set(len(self.devices_online()))
         return restored
 
-    # -- prewarming (used by the autoscaler) ----------------------------------
+    # -- prewarming (used by the autoscaler loop) -----------------------------
     def prewarm(self, function: str, device: str):
         """Generator: warm one (device, function) context ahead of demand."""
         slot = self._slots.get(device)
@@ -497,3 +498,53 @@ class GpuService:
         self._tracer.instant(
             "gpu.prewarm", track="gpu", device=device, function=function,
         )
+
+
+class _WarmContexts(WarmPoolAutoscaler):
+    """The warm-pool loop over (function, device) contexts.
+
+    A warm device absorbs up to ``max_batch_size`` requests per batch,
+    so a function's target is ``ceil(headroom · forecast /
+    max_batch_size)`` devices, clamped to the online fleet.  Slots are
+    the online devices, grouped by host; each holds at most one context
+    per function.
+    """
+
+    _loop_name = "gpu-autoscaler"
+    _prewarm_name = "gpu-prewarm:{slot}:{key}"
+
+    def __init__(self, service: GpuService, config: AutoscalerConfig):
+        self._init_loop(service.env, service.cluster, service.forecaster, config)
+        self.service = service
+        self._m_target = telemetry_of(service.env).metrics.gauge(
+            "repro_gpu_warm_target_count",
+            help="warm (device, function) contexts the autoscaler aims for",
+        )
+
+    def _observe(self, now: float) -> None:
+        pass
+
+    def _targets(self, now: float) -> dict[str, int]:
+        online = len(self.service.devices_online())
+        per_device = max(1, self.service.config.policy.max_batch_size)
+        targets: dict[str, int] = {}
+        for function in self.forecaster.functions_seen():
+            if function not in self.service._functions:
+                continue
+            expected = self.forecaster.forecast_arrivals(
+                now, self.config.horizon_s, q=self.config.percentile,
+                function=function,
+            )
+            targets[function] = min(
+                online, math.ceil(self.config.headroom * expected / per_device))
+        return targets
+
+    def _warm(self, function: str) -> int:
+        return len(self.service.warm_devices_for(function))
+
+    def _slots(self, function: str):
+        for device, node in self.service.online_slots():
+            yield device, node, 0 if self.service.is_warm(function, device) else 1
+
+    def _prewarm(self, function: str, device: str, want: int):
+        return self.service.prewarm(function, device)

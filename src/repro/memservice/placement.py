@@ -3,10 +3,10 @@
 Chunk replicas must land on *distinct nodes* (a node crash may only cost
 one copy) and, when the cluster is wide enough, on distinct dragonfly
 *groups* (a group-level outage — power, a router — may only cost one
-copy either).  The spreading idiom is the same group round-robin the
-warm-pool autoscaler uses for prewarmed containers: hosts are bucketed
-by ``topology.group_of``, the buckets sorted, and placements drawn by
-cycling groups before cycling nodes within a group.
+copy either).  The spread is :func:`~repro.cluster.group_interleave`,
+the same rule the warm-pool autoscaler uses for prewarms: every
+eligible host has a budget of one, groups are cycled before nodes
+within a group, and the chunk index rotates both orders.
 
 Placement is pure and deterministic — no rng, no simulated time — so a
 seeded run replays identical replica maps and the determinism contract
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ..cluster.machine import Cluster
+from ..cluster.machine import Cluster, group_interleave
 
 __all__ = ["ReplicaPlacement"]
 
@@ -37,43 +37,13 @@ class ReplicaPlacement:
         self.cluster = cluster
         self.hosts = tuple(hosts)
 
-    def _rotations(self, exclude: Iterable[str] = ()) -> list[list[str]]:
-        """Sorted per-group host rotations, minus ``exclude`` and drainers."""
+    def _order(self, start: int, exclude: Iterable[str]) -> list[str]:
+        """Every eligible host (not excluded, not draining), spread."""
         excluded = set(exclude)
-        groups: dict[int, list[str]] = {}
-        for name in self.hosts:
-            if name in excluded or self.cluster.node(name).draining:
-                continue
-            gid = self.cluster.topology.group_of(self.cluster.node_index(name))
-            groups.setdefault(gid, []).append(name)
-        return [sorted(names) for _, names in sorted(groups.items())]
-
-    def _interleaved(self, start: int, exclude: Iterable[str] = ()) -> list[str]:
-        """Every eligible host, groups cycled before nodes within a group.
-
-        ``start`` rotates both the group order and each group's member
-        order, so consecutive chunks spread their primaries across the
-        whole host set instead of hammering the lexically-first node.
-        """
-        rotations = self._rotations(exclude)
-        if not rotations:
-            return []
-        rotations = [r[start % len(r):] + r[: start % len(r)] for r in rotations]
-        first = start % len(rotations)
-        rotations = rotations[first:] + rotations[:first]
-        out: list[str] = []
-        i = 0
-        while rotations:
-            rotation = rotations[i]
-            out.append(rotation.pop(0))
-            if not rotation:
-                rotations.pop(i)
-                if not rotations:
-                    break
-                i %= len(rotations)
-            else:
-                i = (i + 1) % len(rotations)
-        return out
+        return group_interleave(self.cluster, (
+            (name, name, 1) for name in self.hosts
+            if name not in excluded and not self.cluster.node(name).draining
+        ), start)
 
     def replica_nodes(self, chunk_index: int, k: int,
                       exclude: Iterable[str] = ()) -> list[str]:
@@ -85,7 +55,7 @@ class ReplicaPlacement:
         """
         if k < 1:
             raise ValueError("replication factor must be >= 1")
-        return self._interleaved(chunk_index, exclude)[:k]
+        return self._order(chunk_index, exclude)[:k]
 
     def pick_target(self, exclude: Iterable[str], need_bytes: int) -> Optional[str]:
         """One host for a repaired/migrated replica, or None.
@@ -93,7 +63,7 @@ class ReplicaPlacement:
         The first host in group-interleaved order with ``need_bytes`` of
         node memory free — the same deterministic choice every run.
         """
-        for candidate in self._interleaved(0, exclude):
+        for candidate in self._order(0, exclude):
             if self.cluster.node(candidate).free_memory >= need_bytes:
                 return candidate
         return None

@@ -11,13 +11,14 @@ MiB = 1024**2
 GiB = 1024**3
 
 
-def build(nodes=3, executors=("n0001", "n0002"), images=1, **cfg):
+def build(nodes=3, executors=("n0001", "n0002"), images=1,
+          image_bytes=100 * MiB, **cfg):
     platform = Platform.build(ClusterSpec(nodes=nodes, jitter=0.0), seed=0)
     for node in executors:
         platform.register_node(node, cores=2, memory_bytes=8 * GiB)
     for i in range(images):
         platform.functions.register(
-            f"fn{i}", Image(f"img{i}", size_bytes=100 * MiB,
+            f"fn{i}", Image(f"img{i}", size_bytes=image_bytes,
                             runtime_memory_bytes=256 * MiB),
             runtime_s=0.01,
             demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0),
@@ -78,6 +79,35 @@ def test_per_node_cap_respected():
     platform.run()
     counts = warm_counts(platform, "img0")
     assert all(count <= 2 for count in counts.values())
+
+
+def test_per_node_cap_counts_in_flight_prewarms():
+    # A 2 GiB image cold-starts for longer than a tick: containers still
+    # starting are held by their prewarm, not parked, and must count
+    # against the cap, or every tick re-fills the same nodes.
+    platform, forecaster, scaler = build(
+        image_bytes=2 * GiB, max_warm_per_node=2, interval_s=0.1)
+    drive_arrivals(forecaster, rate=50.0, duration=2.0)
+    env = platform.env
+    worst = []
+
+    def sample():
+        # Half a tick after each tick, every container on an executor
+        # is either parked or held by an in-flight prewarm.
+        yield env.timeout(0.05)
+        while True:
+            worst.append(max(
+                len(platform.cluster.node(node).allocations_of_kind("container"))
+                for node in ("n0001", "n0002")
+            ))
+            yield env.timeout(0.1)
+
+    scaler.start()
+    platform.process(sample())
+    platform.run_until(6.0)
+    assert scaler.prewarms > 0
+    assert max(worst) <= 2
+    assert all(count <= 2 for count in warm_counts(platform, "img0").values())
 
 
 def test_loop_never_keeps_the_run_alive():

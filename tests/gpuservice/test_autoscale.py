@@ -1,11 +1,12 @@
 """GPU warm-pool autoscaling: forecast-driven prewarm + spread."""
 
-import pytest
+import numpy as np
 
 from repro.api import ClusterSpec, Platform
 from repro.capacity import AutoscalerConfig
 from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
+from repro.telemetry import TelemetryCollector
 
 MiB = 1024**2
 
@@ -73,6 +74,56 @@ def test_autoscaler_prewarms_ahead_of_forecast_demand():
     assert service.prewarms >= 1
     # Both devices end warm: the lease's own plus the prewarmed spare.
     assert service.warm_devices_for(fn.name) == ["n0000/gpu0", "n0001/gpu0"]
+
+
+def test_prewarm_schedule_is_pinned_across_topology_groups():
+    # 4 hosts in 2 groups ({n0000, n0001, n0002}, {n0003}), batches of 4:
+    # "a" ramps up and is sized at ceil(headroom * forecast / 4) devices;
+    # "b" bursts in late, and its two-device deficit is spread across
+    # both groups (n0000 then n0003, not n0000 then n0002).
+    config = GpuServiceConfig(
+        gpu_nodes=4,
+        policy=BatchPolicy(max_batch_size=4, max_wait_s=0.002),
+        autoscale=AutoscalerConfig(interval_s=0.25),
+    )
+    with TelemetryCollector() as collector:
+        platform = Platform.build(
+            ClusterSpec(nodes=4, jitter=0.0, nodes_per_group=3), seed=0,
+            gpu=config,
+        )
+        service = platform.gpu
+        env = platform.env
+        for name in ("a", "b"):
+            service.register(spec(name))
+        rng = np.random.default_rng(7)
+
+        def ramp(function, rate0, rate1, duration, delay=0.0):
+            yield env.timeout(delay)
+            t = 0.0
+            while t < duration:
+                gap = rng.exponential(1.0 / (rate0 + (rate1 - rate0) * t / duration))
+                yield env.timeout(gap)
+                t += gap
+                service.submit(function)
+
+        platform.process(ramp("a", 2.0, 14.0, 3.0))
+        platform.process(ramp("b", 40.0, 120.0, 0.5, delay=2.2))
+        platform.run_until(4.0)
+        platform.run()
+
+    prewarms = [(round(s.start, 9), s.attrs["device"], s.attrs["function"])
+                for s in collector.spans if s.name == "gpu.prewarm"]
+    assert prewarms == [
+        (1.777369621, "n0001/gpu0", "a"),
+        (2.027369621, "n0002/gpu0", "a"),
+        (2.527369621, "n0000/gpu0", "b"),
+        (2.527369621, "n0003/gpu0", "b"),
+        (2.777369621, "n0002/gpu0", "b"),
+    ]
+    assert {fn: service.warm_devices_for(fn) for fn in ("a", "b")} == {
+        "a": ["n0000/gpu0", "n0001/gpu0", "n0002/gpu0"],
+        "b": ["n0000/gpu0", "n0001/gpu0", "n0002/gpu0", "n0003/gpu0"],
+    }
 
 
 def test_autoscaler_never_keeps_the_run_alive():

@@ -50,6 +50,15 @@ def test_unknown_function_is_rejected():
         service.submit("never-registered")
 
 
+def test_hosts_outside_the_cluster_are_rejected():
+    with pytest.raises(ValueError, match="typo-host"):
+        Platform.build(ClusterSpec(nodes=2),
+                       gpu=GpuServiceConfig(hosts=("n0001", "typo-host")))
+    platform = Platform.build(ClusterSpec(nodes=2),
+                              gpu=GpuServiceConfig(hosts=("n0001",)))
+    assert platform.gpu.devices_online() == ["n0001/gpu0"]
+
+
 def test_single_cold_request_latency_matches_the_cost_model():
     platform, service = build()
     fn = service.register(spec())

@@ -158,12 +158,18 @@ def test_batching_amortizes_launches():
 
 @pytest.mark.parametrize("mode, warm_start_rate, p99_ms", [
     ("reactive", 0.926829, 881.584151),
-    ("predictive", 0.951049, 880.081557),
+    ("predictive", 0.958188, 880.081557),
 ])
 def test_autoscale_points_are_pinned(mode, warm_start_rate, p99_ms):
     point = _autoscale()[16.0, mode]
     assert point.warm_start_rate == warm_start_rate
     assert point.p99_ms == p99_ms
+
+
+def test_predictive_prewarms_are_pinned():
+    # In-flight prewarms count against the per-node cap, so a crashed
+    # node is refilled once, not once per tick of its cold starts.
+    assert _autoscale()[16.0, "predictive"].prewarms == 175
 
 
 @pytest.mark.parametrize("load", [4.0, 16.0])
