@@ -16,7 +16,8 @@ Usage::
     python -m repro certify --budget 5 --standbys 1
 
 ``run`` executes one figure/table module; ``--set key=value`` pairs are
-parsed as Python literals and forwarded to its ``run()``.  ``--trace``
+parsed as Python literals and forwarded to its ``run()`` (an unknown
+key is a usage error naming the accepted parameters).  ``--trace``
 writes a Chrome ``trace_event`` JSON (open in Perfetto /
 about://tracing), ``--spans`` a JSONL span dump, and ``--metrics-out`` a
 Prometheus-style text exposition; all three observe the run through a
@@ -490,6 +491,15 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         return _run_sweep_command(args, parser, out)
 
     overrides = _parse_overrides(args.set)
+    if args.experiment == "all":
+        if overrides:
+            parser.error("--set is only valid with a single experiment")
+    else:
+        accepted = inspect.signature(EXPERIMENTS[args.experiment][0].run).parameters
+        unknown = [key for key in overrides if key not in accepted]
+        if unknown:
+            parser.error(f"experiment {args.experiment!r}: unknown parameter(s) "
+                         f"{', '.join(unknown)} (parameters: {', '.join(accepted)})")
     collector = _make_collector(args)
     # Fail on an unwritable export path up front, not after the run.
     for export_path in (args.trace, args.spans, args.metrics_out):
@@ -502,8 +512,6 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
 
     def run_selected() -> None:
         if args.experiment == "all":
-            if overrides:
-                raise SystemExit("--set is only valid with a single experiment")
             for name in EXPERIMENTS:
                 _run_one(name, {}, out)
         else:

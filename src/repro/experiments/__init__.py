@@ -1,10 +1,10 @@
 """Experiment harness: one module per paper table/figure, plus sweeps.
 
 Each figure/table module (``fig*``, ``tab*``) exposes ``run(...) ->
-result`` and ``format_report(result)``; the benchmark suite
-(``benchmarks/``) executes them and prints the same rows/series the
-paper reports (``repro run <name>``).  See DESIGN.md for the experiment
-index.
+result`` and ``format_report(result)``; ``repro run <name>`` prints the
+same rows/series the paper reports, and
+``tests/experiments/test_experiments.py`` asserts their paper-level
+shape.  See DESIGN.md §4 for the experiment index.
 
 Each ``*_sweep`` module is data for the :mod:`repro.experiments.base`
 protocol: ``plan_scenarios(...)``, a module-level ``scenario(params,

@@ -146,7 +146,7 @@ def format_report(result: Tab03Result) -> str:
         paper = PAPER_TABLE3.get(key)
         if paper:
             rows.append(
-                [f"  (paper)"] + [paper.get(n, float("nan")) for n in result.counts] + [""]
+                [f"  (paper)"] + [paper.get(n, "—") for n in result.counts] + [""]
             )
     table = render_table(headers, rows, title="Table III — relative idle-node throughput")
     return table + (

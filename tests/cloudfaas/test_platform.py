@@ -5,6 +5,7 @@ import pytest
 
 from repro.cloudfaas import CloudConfig, CloudFaaSPlatform
 from repro.containers import Image, ImageFormat
+from repro.experiments import fig07_latency
 from repro.sim import Environment
 
 MiB = 1024**2
@@ -78,6 +79,19 @@ def test_large_payload_detours_through_storage():
     assert small.storage_s == 0.0
     assert big.storage_s > 0.02
     assert big.total_s > small.total_s
+
+
+def test_cloud_invocations_trail_hpc_functions_by_three_orders():
+    """Table I / Sec. IV-A: a warm cloud invocation pays gateway,
+    scheduler and TCP hops (dozens of ms); an HPC hot executor answers in
+    microseconds. The storage detour widens the gap for large payloads."""
+    env, platform = make_platform()
+    invoke(env, platform)  # warm it
+    small = invoke(env, platform, payload_bytes=1024)
+    big = invoke(env, platform, payload_bytes=1 * MiB)
+    (hot,) = fig07_latency.run(sizes=(1024,), samples=20, seed=1).hot
+    assert small.total_s / hot.median_s > 1000  # paper: ms vs single-digit us
+    assert big.total_s > 2 * small.total_s
 
 
 def test_large_output_also_detours():

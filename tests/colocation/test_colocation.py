@@ -13,8 +13,9 @@ from repro.colocation import (
     RequirementModel,
     fit_performance_model,
 )
-from repro.interference import ResourceDemand, sample_counters
+from repro.interference import InterferenceModel, ResourceDemand, sample_counters
 from repro.rfaas import NodeLoadRegistry
+from repro.workloads import milc_model, nas_model
 
 GBs = 1e9
 MiB = 1024**2
@@ -167,6 +168,34 @@ def test_policy_heuristic_rejects_bandwidth_storm():
     assert d == Decision.HEURISTIC_REJECT
     # A compute-bound function is fine.
     assert policy.decide(node, light_fn(), "milc").admitted
+
+
+def test_policy_bounds_batch_slowdown_that_naive_admission_breaks():
+    """Sec. III-E: co-locating every NAS function that fits next to a MILC
+    job slows it by over 20%; the policy holds it under the 5% threshold
+    and still admits the compatible functions."""
+
+    def batch_slowdown(use_policy):
+        node, loads, policy = make_policy(PolicyConfig(max_batch_slowdown=1.05))
+        batch = milc_model(16).demand(16)
+        loads.add(node.name, "batch", batch)
+        node.allocate("job", cores=16)
+        admitted = 0
+        for key in ("cg.A", "mg.W", "ep.W", "bt.W"):
+            demand = nas_model(key).demand(4)
+            if use_policy and not policy.decide(node, demand, "milc").admitted:
+                continue
+            loads.add(node.name, key, demand)
+            node.allocate(key, cores=demand.cores, kind="function")
+            admitted += 1
+        alone = InterferenceModel().slowdowns(DAINT_MC, [batch])[0]
+        return loads.slowdowns(node.name)["batch"] / alone, admitted
+
+    naive, _ = batch_slowdown(use_policy=False)
+    guarded, admitted = batch_slowdown(use_policy=True)
+    assert guarded < naive
+    assert guarded < 1.06  # the 5% threshold held
+    assert admitted >= 1
 
 
 def test_policy_gpu_availability_via_gres():

@@ -137,6 +137,29 @@ def test_release_requires_in_use():
         pool.release(res.container)
 
 
+def test_warm_pool_and_swap_beat_cold_starts():
+    """Sec. IV-B: 50 invocations with the batch system reclaiming idle
+    memory every 10 -- pooling sandboxes beats a cold start per call, and
+    swapping them out on reclaim beats discarding them."""
+
+    def total_startup_s(mode):
+        env, node, pool = make_pool()
+        total = 0.0
+        for i in range(50):
+            res = pool.acquire(image())
+            total += res.startup_cost_s
+            if mode == "cold-always":
+                pool.discard(res.container)
+                continue
+            pool.release(res.container)
+            if i % 10 == 9:
+                pool.reclaim(10**12, swap=(mode == "pooled+swap"))
+        return total
+
+    assert (total_startup_s("pooled+swap") < total_startup_s("pooled")
+            < total_startup_s("cold-always"))
+
+
 def test_swap_bandwidth_validation():
     env, node, _ = make_pool()
     with pytest.raises(ValueError):

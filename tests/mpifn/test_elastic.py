@@ -10,6 +10,7 @@ from repro.mpifn import ElasticMpiGroup
 from repro.network import DrcManager, IBVERBS, NetworkFabric
 from repro.rfaas import NodeLoadRegistry, ResourceManager
 from repro.sim import Environment
+from repro.slurm import BatchScheduler, JobSpec
 
 GiB = 1024**3
 
@@ -153,6 +154,42 @@ def test_bsp_with_dynamic_resize():
     report = outcome["report"]
     assert report.sizes == [2, 6, 3]
     assert len(report.grow_latencies) == 1
+
+
+def test_grow_beats_the_batch_queue_on_a_loaded_cluster():
+    """Sec. IV-F: MPI functions come with lower provisioning latency than a
+    batch allocation. With three of four nodes busy for 10 minutes, leasing
+    4 more ranks is instant; a 2-node batch job waits for the running set."""
+    env, cluster, manager, fabric = make_rig(nodes=4, cores_per_node=4)
+    scheduler = BatchScheduler(env, cluster)
+    for _ in range(3):
+        scheduler.submit(JobSpec(
+            user="u", app="busy", nodes=1, cores_per_node=32,
+            memory_per_node=16 * GiB, walltime=600.0, runtime=600.0, shared=True,
+        ))
+    group = ElasticMpiGroup(env, manager, fabric)
+    out = {}
+
+    def prog():
+        yield env.timeout(1.0)
+        yield group.spawn(2)
+        t0 = env.now
+        out["size"], _ = yield group.grow(4)
+        out["grow_s"] = env.now - t0
+        group.shutdown()
+        out["job"] = scheduler.submit(JobSpec(
+            user="u", app="grow-attempt", nodes=2, cores_per_node=4,
+            memory_per_node=1 * GiB, walltime=60.0, runtime=60.0,
+        ))
+
+    env.process(prog())
+    env.run()
+    job = out["job"]
+    batch_wait_s = job.start_time - job.submit_time
+    assert out["size"] == 6
+    assert out["grow_s"] < 1.0
+    assert batch_wait_s > 60.0
+    assert batch_wait_s > 100 * max(out["grow_s"], 1e-3)
 
 
 def test_bsp_requires_spawn():

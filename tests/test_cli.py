@@ -48,8 +48,17 @@ def test_unknown_experiment_rejected():
 
 
 def test_all_rejects_overrides():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as excinfo:
         main(["run", "all", "--set", "x=1"], out=lambda s: None)
+    assert excinfo.value.code == 2
+
+
+def test_unknown_override_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "fig07", "--set", "bogus=1"], out=lambda s: None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and "samples" in err
 
 
 def test_run_with_trace_and_metrics_export(tmp_path):
