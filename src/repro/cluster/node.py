@@ -33,10 +33,6 @@ class Allocation:
     memory_bytes: int
     gpu_ids: tuple[int, ...]
 
-    @property
-    def uses_gpu(self) -> bool:
-        return bool(self.gpu_ids)
-
 
 class Node:
     """One cluster node: capacity plus live allocation state."""

@@ -71,10 +71,6 @@ class NodeSpec:
     # Shared last-level cache per socket (bytes).
     llc_bytes: int = 45 * 1024 * 1024
 
-    @property
-    def memory_gib(self) -> float:
-        return self.memory_bytes / GiB
-
     def with_overrides(self, **kwargs) -> "NodeSpec":
         from dataclasses import replace
 

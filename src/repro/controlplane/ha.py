@@ -129,6 +129,11 @@ class ReplicatedResourceManager(ResourceManager):
         self._pending_releases: list["Lease"] = []
         self._lost_at: Optional[float] = None
         self._process = None
+        #: Takeovers, fenced mutations and k=0 orphaned leases, counted
+        #: with their ``repro_controlplane_*`` metrics.
+        self.failovers = 0
+        self.fenced_grants = 0
+        self.orphaned_leases = 0
 
         metrics = telemetry_of(env).metrics
         self._m_heartbeats = metrics.counter(
@@ -250,6 +255,7 @@ class ReplicatedResourceManager(ResourceManager):
         )
         detection_s = now - (self._lost_at if self._lost_at is not None else oldest)
         self._lost_at = None
+        self.failovers += 1
         self._m_failovers.inc()
         self._m_epoch.set(self.epoch)
         self._m_detection.observe(detection_s)
@@ -416,6 +422,7 @@ class ReplicatedResourceManager(ResourceManager):
         for node_name in self.registered_nodes():
             super().remove_node(node_name, immediate=True)
             self._commit("remove", {"node": node_name, "immediate": True})
+        self.orphaned_leases += orphaned
         self._m_orphaned.inc(orphaned)
         self._tracer.instant(
             "controlplane.orphan", track="controlplane",
@@ -441,6 +448,7 @@ class ReplicatedResourceManager(ResourceManager):
 
     def _fence(self, issuer: ManagerReplica) -> None:
         if issuer.role is not ReplicaRole.PRIMARY or issuer.epoch != self.epoch:
+            self.fenced_grants += 1
             self._m_fenced.inc()
             self._tracer.instant(
                 "controlplane.fenced", track="controlplane",

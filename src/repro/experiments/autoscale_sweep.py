@@ -46,7 +46,6 @@ from ..capacity import (
 from ..containers import Image
 from ..faults import FaultPlan
 from ..interference import ResourceDemand
-from ..telemetry import NULL_TELEMETRY, telemetry_of
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -88,10 +87,6 @@ class AutoscalePoint:
     mean_queue_wait_ms: float
     burst_cost: float
     faults_injected: int
-
-    @property
-    def reject_rate(self) -> float:
-        return self.rejected / self.invocations if self.invocations else 0.0
 
     @property
     def burst_fraction(self) -> float:
@@ -171,12 +166,8 @@ def scenario(params: dict, seed: int) -> dict:
     tenants: int = params["tenants"]
     base_rate_per_s: float = params["base_rate_per_s"]
     plan: Optional[FaultPlan] = params["plan"]
-    # Join an active TelemetryCollector (the CLI's --trace/--spans) when
-    # there is one; otherwise pin a private scope for the metrics below.
-    collector_active = telemetry_of(None) is not NULL_TELEMETRY
     platform = Platform.build(
         ClusterSpec(nodes=5, jitter=0.0), seed=seed,
-        telemetry=(None if collector_active else True),
         faults=plan,
         capacity=_capacity_config(predictive),
     )
@@ -224,8 +215,7 @@ def scenario(params: dict, seed: int) -> dict:
     latencies = [r.latency_s for r in served]
     waits = [r.queue_wait_s for r in served]
     invocation_colds = sum(1 for r in hpc if r.startup_kind == "cold")
-    registry = platform.telemetry.metrics
-    faults = sum(m.value for m in registry if m.name == "repro_faults_injected_total")
+    injector = platform.injector
     return asdict(AutoscalePoint(
         load=load,
         mode="predictive" if predictive else "reactive",
@@ -240,7 +230,7 @@ def scenario(params: dict, seed: int) -> dict:
         p99_ms=round(float(np.percentile(latencies, 99)) * 1e3, 6) if latencies else 0.0,
         mean_queue_wait_ms=round(float(np.mean(waits)) * 1e3, 6) if waits else 0.0,
         burst_cost=round(stats["burst_cost"], 9),
-        faults_injected=int(faults),
+        faults_injected=len(injector.injected) if injector is not None else 0,
     ))
 
 

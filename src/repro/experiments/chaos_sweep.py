@@ -6,8 +6,9 @@ degrades the interconnect, plants stragglers, and evicts warm
 containers.  The client runs under a :class:`~repro.faults.RetryPolicy`
 with backoff, so faults cost latency rather than failures; the report
 shows, per fault rate, the completion ratio, latency percentiles, and
-the recovery overhead (retries, mean recovery time) read back from the
-``repro_faults_*`` telemetry metrics.
+the recovery overhead: faults from the injector's log, retries from the
+client's per-reason count, and mean recovery time from the recovered
+outcomes.
 
 Expected shape: completion stays >= 95 % across the default sweep —
 the point of the paper's ephemeral-resource design is that reclamation
@@ -37,7 +38,6 @@ from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy
 from ..interference import ResourceDemand
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
-from ..telemetry import NULL_TELEMETRY, telemetry_of
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -111,10 +111,6 @@ def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
     return plan
 
 
-def _metric_sum(registry, name: str) -> float:
-    return sum(m.value for m in registry if m.name == name)
-
-
 def _invocation_stream(env, client, outcomes, window_s: float,
                        payload_bytes: int):
     """Closed-loop noop invocations until the window ends.
@@ -155,10 +151,6 @@ def scenario(params: dict, seed: int) -> dict:
     payload_bytes: int = params["payload_bytes"]
     streams: int = params["streams"]
     memservice: bool = params["memservice"]
-    # Join an active TelemetryCollector (the CLI's --trace/--spans) when
-    # there is one; otherwise pin a private scope so the recovery
-    # metrics in the report are collected either way.
-    collector_active = telemetry_of(None) is not NULL_TELEMETRY
     durable = None
     if memservice:
         # Small k=2 buffer across the executor nodes: the same crash
@@ -169,7 +161,6 @@ def scenario(params: dict, seed: int) -> dict:
             repair_interval_s=0.5, hosts=("n0001", "n0002", "n0003"),
         )
     platform = Platform.build(ClusterSpec(nodes=4), seed=seed,
-                              telemetry=(None if collector_active else True),
                               faults=plan, durable_memory=durable)
     env = platform.env
     for i in range(1, 4):
@@ -197,22 +188,30 @@ def scenario(params: dict, seed: int) -> dict:
     latencies = [d.elapsed_s for d in outcomes if d.ok]
     p50 = float(np.median(latencies)) if latencies else float("nan")
     p95 = float(np.percentile(latencies, 95)) if latencies else float("nan")
-    registry = platform.telemetry.metrics
-    recovery_hist = registry.get("repro_faults_recovery_seconds")
+    # Added left to right in finish order, as the recovery histogram
+    # observes them, so the mean is bit-identical to its mean() (the
+    # builtin sum() compensates rounding from Python 3.12 on).
+    recovery_total = 0.0
+    recoveries = 0
+    for d in outcomes:
+        if d.outcome is RecoveryOutcome.RECOVERED:
+            recovery_total += d.recovery_s
+            recoveries += 1
+    injector = platform.injector
     return asdict(ChaosPoint(
         label=plan.name,
-        faults_injected=int(_metric_sum(registry, "repro_faults_injected_total")),
+        faults_injected=len(injector.injected) if injector is not None else 0,
         invocations=len(outcomes),
         completed=sum(1 for d in outcomes if d.ok),
         p50_ms=p50 * 1e3,
         p95_ms=p95 * 1e3,
-        retries=int(_metric_sum(registry, "repro_faults_retries_total")),
-        recovered=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.RECOVERED),
+        retries=sum(client.retries.values()),
+        recovered=recoveries,
         gave_up=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.GAVE_UP),
         rejected=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.REJECTED),
         timed_out=sum(1 for d in outcomes if d.outcome is RecoveryOutcome.TIMED_OUT),
-        mean_recovery_ms=(recovery_hist.mean() * 1e3 if recovery_hist is not None
-                          and recovery_hist.count else 0.0),
+        mean_recovery_ms=(recovery_total / recoveries * 1e3 if recoveries
+                          else 0.0),
     ))
 
 

@@ -198,23 +198,6 @@ def saturation_sweep(
     return rows
 
 
-def format_saturation(model: OffloadModel, rows) -> str:
-    from ..analysis.tables import render_table
-
-    table = render_table(
-        ["remote workers", "predicted speedup", "remote fraction"],
-        [[w, f"{s:.2f}x", f"{f * 100:.0f}%"] for w, s, f in rows],
-        title=(
-            "Fig. 13a saturation sweep — measured compute model on a"
-            " bandwidth-constrained link"
-        ),
-    )
-    return table + (
-        "\nSpeedup plateaus once the link rate, not the executor pool,"
-        " bounds the remote stream (the paper's network-saturation point)."
-    )
-
-
 def format_report(results: list[Fig13Result]) -> str:
     blocks = []
     for result in results:

@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass
 from ..api import ClusterSpec, Platform
 from ..gpu.gpu_function import GpuFunctionSpec
 from ..gpuservice import BatchPolicy, GpuServiceConfig
-from ..telemetry import NULL_TELEMETRY, telemetry_of
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -146,12 +145,8 @@ def scenario(params: dict, seed: int) -> dict:
         gpu_nodes=2,
         policy=BatchPolicy(max_batch_size=batch_size, max_wait_s=1.0),
     )
-    # Join an active TelemetryCollector (the CLI's --metrics-out/--trace)
-    # when there is one; otherwise pin a private scope.
-    collector_active = telemetry_of(None) is not NULL_TELEMETRY
     platform = Platform.build(
         ClusterSpec(nodes=2, jitter=0.0), seed=seed,
-        telemetry=(None if collector_active else True),
         gpu=config,
     )
     env = platform.env

@@ -52,7 +52,6 @@ from ..rfaas.errors import (
 )
 from ..shard import ShardConfig, ShardedControlPlane
 from ..sim.engine import Environment
-from ..telemetry import NULL_TELEMETRY, Telemetry, telemetry_of
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -183,10 +182,6 @@ def scenario(params: dict, seed: int) -> dict:
     ))
 
     env = Environment()
-    if telemetry_of(None) is NULL_TELEMETRY:
-        # No active collector: pin a fresh registry so metrics/spans
-        # exist for the report (mirrors Platform.build's resolution).
-        Telemetry(env=env).install(env)
     cluster = Cluster(topology=DragonflyTopology(nodes_per_group=2))
     cluster.add_nodes("n", nodes, DAINT_MC)
     plane = ShardedControlPlane(

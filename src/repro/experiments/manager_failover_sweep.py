@@ -42,7 +42,6 @@ from ..faults import (
     check_single_primary,
 )
 from ..interference import ResourceDemand
-from ..telemetry import NULL_TELEMETRY, telemetry_of
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -108,12 +107,6 @@ def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
                         immediate=True))
 
 
-def _metric_sum(registry, name: str, **labels) -> float:
-    wanted = set(labels.items())
-    return sum(m.value for m in registry
-               if m.name == name and wanted <= set(m.labels))
-
-
 def _invocation_stream(env, client, outcomes, started, window_s: float,
                        payload_bytes: int):
     """Paced closed-loop invocations.
@@ -140,10 +133,8 @@ def scenario(params: dict, seed: int) -> dict:
     streams: int = params["streams"]
     heartbeat_interval_s: float = params["heartbeat_interval_s"]
     suspect_after: int = params["suspect_after"]
-    collector_active = telemetry_of(None) is not NULL_TELEMETRY
     platform = Platform.build(
         ClusterSpec(nodes=4), seed=seed,
-        telemetry=(None if collector_active else True),
         faults=default_plan(window_s),
         ha=HAConfig(standbys=standbys,
                     heartbeat_interval_s=heartbeat_interval_s,
@@ -181,7 +172,6 @@ def scenario(params: dict, seed: int) -> dict:
     latencies = [d.elapsed_s for d in outcomes if d.ok]
     p50 = float(np.median(latencies)) if latencies else float("nan")
     p99 = float(np.percentile(latencies, 99)) if latencies else float("nan")
-    registry = platform.telemetry.metrics
     return asdict(FailoverPoint(
         label=f"k={standbys}",
         standbys=standbys,
@@ -189,15 +179,11 @@ def scenario(params: dict, seed: int) -> dict:
         completed=sum(1 for d in outcomes if d.ok),
         p50_ms=p50 * 1e3,
         p99_ms=p99 * 1e3,
-        manager_down_retries=int(_metric_sum(
-            registry, "repro_faults_retries_total", reason="manager_down")),
-        failovers=int(_metric_sum(
-            registry, "repro_controlplane_failovers_total")),
+        manager_down_retries=client.retries.get("manager_down", 0),
+        failovers=ha.failovers,
         epochs=ha.epoch,
-        fenced_grants=int(_metric_sum(
-            registry, "repro_controlplane_fenced_grants_total")),
-        orphaned_leases=int(_metric_sum(
-            registry, "repro_controlplane_orphaned_leases_total")),
+        fenced_grants=ha.fenced_grants,
+        orphaned_leases=ha.orphaned_leases,
         recovered=sum(1 for d in outcomes
                       if d.outcome is RecoveryOutcome.RECOVERED),
         rejected=sum(1 for d in outcomes

@@ -45,7 +45,6 @@ from ..api import ClusterSpec, Platform
 from ..faults import FaultPlan
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
-from ..telemetry import NULL_TELEMETRY, telemetry_of
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -172,12 +171,8 @@ def scenario(params: dict, seed: int) -> dict:
         size_bytes=size_bytes, chunk_bytes=chunk_bytes,
         replication=replication, repair_interval_s=0.25, hosts=HOSTS,
     )
-    # Join an active TelemetryCollector (the CLI's --metrics-out/--trace)
-    # when there is one; otherwise pin a private scope.
-    collector_active = telemetry_of(None) is not NULL_TELEMETRY
     platform = Platform.build(
         ClusterSpec(nodes=6, jitter=0.0), seed=seed,
-        telemetry=(None if collector_active else True),
         faults=default_storm(window_s), durable_memory=config,
     )
     env = platform.env

@@ -338,12 +338,10 @@ def certify(budget: int = 5, seed: int = 0, standbys: int = 1,
     from ..controlplane import HAConfig
     from ..interference import ResourceDemand
     from ..memservice import DurableMemoryConfig, RemotePager
-    from ..telemetry import NULL_TELEMETRY, telemetry_of
     from .recovery import RetryPolicy
 
     policy = RetryPolicy(max_attempts=7, backoff_base_s=0.05,
                          backoff_multiplier=2.0, backoff_max_s=1.0)
-    collector_active = telemetry_of(None) is not NULL_TELEMETRY
     report = CertifyReport(budget=budget, seed=seed, standbys=standbys,
                            window_s=window_s)
     for i in range(budget):
@@ -357,7 +355,6 @@ def certify(budget: int = 5, seed: int = 0, standbys: int = 1,
         )
         platform = Platform.build(
             ClusterSpec(nodes=4, jitter=0.0), seed=seed + i,
-            telemetry=(None if collector_active else True),
             faults=plan, durable_memory=durable, gpu=True,
             ha=HAConfig(standbys=standbys,
                         heartbeat_interval_s=heartbeat_interval_s,

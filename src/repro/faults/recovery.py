@@ -139,12 +139,3 @@ class DegradedResult:
             kind = type(self.error).__name__
             parts.append(f"last error {kind}")
         return ", ".join(parts)
-
-
-def classify_error(error: Exception) -> str:
-    """Short label for telemetry attributes (stable across runs)."""
-    from ..rfaas.errors import RFaaSError  # local: avoids an import cycle
-
-    if isinstance(error, RFaaSError):
-        return type(error).__name__
-    return "TransportError"

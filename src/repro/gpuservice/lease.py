@@ -135,9 +135,6 @@ class GpuLeaseManager:
     def device_of(self, name: str) -> GpuDevice:
         return self._devices[name][0]
 
-    def node_of(self, name: str) -> str:
-        return self._devices[name][1]
-
     # -- accounting -----------------------------------------------------------
     def committed_occupancy(self, name: str) -> float:
         return sum(l.occupancy for l in self._active.get(name, ()))

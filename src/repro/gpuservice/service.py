@@ -227,9 +227,6 @@ class GpuService:
         self._functions[spec.name] = spec
         return spec
 
-    def function_spec(self, name: str) -> GpuFunctionSpec:
-        return self._functions[name]
-
     # -- fleet views ----------------------------------------------------------
     def hosting_nodes(self) -> list[str]:
         """Nodes with at least one online device, sorted (injector contract)."""

@@ -72,10 +72,6 @@ class LoadSpec:
         if self.service_s < 0:
             raise ValueError("service_s must be non-negative")
 
-    def expected_arrivals(self) -> int:
-        """Rough trace size: mean rate x window."""
-        return int(self.arrivals.mean_rate_per_s() * self.window_s)
-
     def to_dict(self) -> dict:
         return {
             "arrivals": _arrivals_to_dict(self.arrivals),

@@ -86,6 +86,8 @@ class RFaaSClient:
         self._inflight: dict[Connection, int] = {}
         self._stale: set[Connection] = set()
         self.redirects = 0
+        #: Retry attempts by cause, counted with ``repro_faults_retries_total``.
+        self.retries: dict[str, int] = {}
         # Recovery telemetry (no-ops under the default null telemetry).
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
@@ -514,6 +516,7 @@ class RFaaSClient:
             connection.close()
 
     def _note_retry(self, reason: str, node: Optional[str], attempt: int) -> None:
+        self.retries[reason] = self.retries.get(reason, 0) + 1
         counter = self._m_retries.get(reason)
         if counter is None:
             counter = self._metrics.counter(

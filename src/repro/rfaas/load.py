@@ -57,9 +57,6 @@ class NodeLoadRegistry:
     def demands(self, node_name: str) -> dict[str, ResourceDemand]:
         return dict(self._demands.get(node_name, {}))
 
-    def tenant_count(self, node_name: str) -> int:
-        return len(self._demands.get(node_name, {}))
-
     def slowdowns(self, node_name: str) -> dict[str, float]:
         """Current slowdown of every tenant on the node."""
         node_map = self._demands.get(node_name, {})

@@ -329,12 +329,6 @@ class ShardedControlPlane:
         self._g_depth[shard.index].set(shard.batcher.depth())
         return event
 
-    def request_revoke(self, lease: Lease, reason: str = "revoked") -> Event:
-        shard = self.shards[self._lease_shard[lease.lease_id]]
-        event = shard.batcher.submit("revoke", {"lease": lease, "reason": reason})
-        self._g_depth[shard.index].set(shard.batcher.depth())
-        return event
-
     def _apply(self, shard: Shard, op: BatchOp):
         """Apply one batched op against its shard's manager."""
         try:

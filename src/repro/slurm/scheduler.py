@@ -135,9 +135,6 @@ class BatchScheduler:
         else:
             raise ValueError(f"cannot cancel job in state {job.state}")
 
-    def job_owning(self, node_name: str) -> Optional[Job]:
-        return self._node_owner.get(node_name)
-
     def free_node_names(self, partition: Optional[str] = None) -> list[str]:
         """Nodes with no batch owner (the Fig.-1a 'idle' sense)."""
         if partition is None:

@@ -81,12 +81,6 @@ class Metric:
         self.labels = labels
         self.help = help
 
-    def label_str(self) -> str:
-        if not self.labels:
-            return ""
-        inner = ",".join(f'{k}="{v}"' for k, v in self.labels)
-        return "{%s}" % inner
-
 
 class Counter(Metric):
     kind = "counter"
@@ -229,12 +223,6 @@ class MetricsRegistry:
 
     def get(self, name: str, labels: Optional[dict] = None) -> Optional[Metric]:
         return self._metrics.get((name, _label_key(labels)))
-
-    def families(self) -> dict[str, list[Metric]]:
-        out: dict[str, list[Metric]] = {}
-        for metric in self._metrics.values():
-            out.setdefault(metric.name, []).append(metric)
-        return out
 
 
 class _NullInstrument:

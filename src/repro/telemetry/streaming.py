@@ -559,15 +559,6 @@ class SpanPipeline:
     def __len__(self) -> int:
         return len(self.recorder)
 
-    # -- reporting -----------------------------------------------------------
-    def kind_table(self) -> List[dict]:
-        rows = []
-        for name in sorted(self.kind_stats):
-            row = {"name": name}
-            row.update(self.kind_stats[name].snapshot())
-            rows.append(row)
-        return rows
-
     def close(self) -> None:
         if self.writer is not None:
             self.writer.close()

@@ -16,7 +16,7 @@ codes and is all the paper's experiments require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..interference.model import ResourceDemand
 
@@ -57,6 +57,3 @@ class AppModel:
             frac_netbw=self.frac_netbw,
             label=self.name,
         )
-
-    def with_runtime(self, runtime_s: float) -> "AppModel":
-        return replace(self, runtime_s=runtime_s)

@@ -3,8 +3,10 @@
 Covers the acceptance criteria of the telemetry PR: fig07 traces carry
 nested spans for the hot, warm, and cold invocation paths; traced and
 untraced runs of the same seed produce identical simulated event
-timelines; and the warm pool / manager / scheduler instrumentation
-reports what the subsystem statistics already report.
+timelines; the warm pool / manager / scheduler instrumentation
+reports what the subsystem statistics already report; and an untraced
+sweep or certification builds no telemetry at all, while the counts its
+points report agree with the metrics a collector sees.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ from repro.containers import Image
 from repro.containers.runtime import SARUS
 from repro.containers.warmpool import WarmPool
 from repro.experiments import fig07_latency
+from repro.experiments.base import get_sweep
+from repro.faults.certify import certify
 from repro.interference import ResourceDemand
 from repro.network import IBVERBS, DrcManager, NetworkFabric
 from repro.rfaas import (
@@ -26,6 +30,7 @@ from repro.rfaas import (
 from repro.sim import Environment
 from repro.slurm.job import JobSpec
 from repro.slurm.scheduler import BatchScheduler
+from repro.sweep import sweep_names
 from repro.telemetry import Telemetry, TelemetryCollector, install
 
 MiB = 1024**2
@@ -226,3 +231,75 @@ def test_fig07_trace_covers_hot_warm_and_cold_paths():
     inv_ids = {s.span_id for s in invocations}
     nested = [s for s in collector.spans if s.parent_id in inv_ids]
     assert nested  # children attach to invocation spans
+
+
+#: name -> plan_scenarios kwargs; the first scenario is the one run.
+SMALLEST = {
+    "chaos": dict(rates=(8.0,), window_s=4.0),
+    "autoscale": dict(loads=(1.0,), window_s=4.0),
+    "memdurability": dict(factors=(1,), window_s=4.0, accesses=40),
+    "gpu_scaling": dict(batch_sizes=(8,), requests=64),
+    "manager_failover": dict(standbys=(0,), window_s=4.0),
+    "loadstorm": dict(shards=(1,), window_s=2.0, rate_per_s=600.0,
+                      population=50000),
+}
+
+
+def _first_point(name, **kwargs):
+    return get_sweep(name).plan(**kwargs).scenarios[0].execute()
+
+
+@pytest.mark.parametrize("name", sweep_names() + ["certify"])
+def test_untraced_runs_build_no_telemetry(name, monkeypatch):
+    built = []
+    init = Telemetry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Telemetry, "__init__", counting_init)
+    if name == "certify":
+        assert certify(budget=1, window_s=4.0).ok
+    else:
+        _first_point(name, **SMALLEST[name])
+    assert built == []
+
+
+def _metric_total(collector, name, **labels):
+    wanted = set(labels.items())
+    return sum(m.value for registry in collector.registries() for m in registry
+               if m.name == name and wanted <= set(m.labels))
+
+
+def test_chaos_counts_agree_with_the_metrics_they_replace():
+    collector = TelemetryCollector()
+    with collector:
+        point = _first_point("chaos", rates=(16.0,), window_s=15.0)
+    assert point["faults_injected"] and point["retries"] and point["recovered"]
+    assert point["faults_injected"] == _metric_total(
+        collector, "repro_faults_injected_total")
+    assert point["retries"] == _metric_total(
+        collector, "repro_faults_retries_total")
+    (hist,) = [m for registry in collector.registries() for m in registry
+               if m.name == "repro_faults_recovery_seconds"]
+    assert hist.count == point["recovered"]
+    assert point["mean_recovery_ms"] == hist.mean() * 1e3
+
+
+@pytest.mark.parametrize("standbys", [0, 1])
+def test_failover_counts_agree_with_the_metrics_they_replace(standbys):
+    collector = TelemetryCollector()
+    with collector:
+        point = _first_point("manager_failover", standbys=(standbys,),
+                             window_s=4.0)
+    assert point["manager_down_retries"] == _metric_total(
+        collector, "repro_faults_retries_total", reason="manager_down")
+    assert point["failovers"] == _metric_total(
+        collector, "repro_controlplane_failovers_total")
+    assert point["fenced_grants"] == _metric_total(
+        collector, "repro_controlplane_fenced_grants_total")
+    assert point["orphaned_leases"] == _metric_total(
+        collector, "repro_controlplane_orphaned_leases_total")
+    assert point["manager_down_retries"] >= 1
+    assert point["failovers"] >= standbys
