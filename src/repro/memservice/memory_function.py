@@ -169,7 +169,9 @@ class MemoryClient:
                     ops += 1
             finally:
                 if self.service.loads is not None:
-                    self.service.loads.clear_background_traffic(node_name)
+                    self.service.loads.remove_background_traffic(
+                        node_name, netbw=bandwidth, membw=bandwidth
+                    )
             return ops
 
         return self.env.process(run(), name="rma-stream")

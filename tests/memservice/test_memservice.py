@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, DAINT_MC, DragonflyTopology
+from repro.interference import InterferenceModel, ResourceDemand
 from repro.memservice import (
     MemoryClient,
     MemoryServiceFunction,
@@ -110,6 +111,33 @@ def test_stream_registers_background_traffic():
     assert observed["netbw"] > 100 * MiB  # hundreds of MB/s offered
     # Cleared after the stream finished.
     assert s.loads._extra_netbw.get("n0001", 0.0) == 0.0
+
+
+def test_overlapping_streams_remove_only_their_own_traffic():
+    s = Setup()
+    client = s.connect_client()
+    pattern = TrafficPattern(op_bytes=10 * MiB, interval_s=0.01)
+    observed = {}
+
+    def watcher():
+        yield s.env.timeout(0.2)  # the short stream is over, the long one is not
+        observed["netbw"] = s.loads._extra_netbw.get("n0001", 0.0)
+        observed["membw"] = s.loads._extra_membw.get("n0001", 0.0)
+
+    s.env.process(watcher())
+    short = client.stream(pattern, duration_s=0.1)
+    long = client.stream(pattern, duration_s=0.4)
+    s.env.run()
+    assert short.value > 0 and long.value > 0
+    assert observed["netbw"] > 100 * MiB
+    assert observed["membw"] == observed["netbw"]
+    # The last stream leaves exactly nothing behind: no float residue
+    # that would switch on the model's sharing noise.
+    assert s.loads._extra_netbw.get("n0001", 0.0) == 0.0
+    assert s.loads._extra_membw.get("n0001", 0.0) == 0.0
+    solo = ResourceDemand(cores=4, membw=20e9, frac_membw=0.5)
+    s.loads.add("n0001", "job", solo)
+    assert s.loads.slowdown_of("n0001", "job") == InterferenceModel().slowdowns(DAINT_MC, [solo])[0]
 
 
 def test_traffic_pattern_validation():
