@@ -59,14 +59,13 @@ from .experiments.base import get_sweep, registered_sweeps
 from .faults import FaultPlan, certify
 from .sweep import SweepScenarioError, run_sweep, sweep_names
 from .telemetry import (
-    MetricsRegistry,
-    RedAggregator,
     SloConfig,
-    SloMonitor,
     SpanPipeline,
     TelemetryCollector,
     critical_path_table,
     load_spans,
+    red_rows,
+    slo_episodes,
     span_summary_table,
     trace_index,
     trace_summaries,
@@ -136,8 +135,7 @@ def _export_telemetry(collector: TelemetryCollector, args: argparse.Namespace,
         pipeline.close()
         stream = getattr(args, "stream_spans", None)
         out(f"[stream: {pipeline.seen} spans -> {stream} "
-            f"(peak retained {pipeline.peak_retained}, "
-            f"slo breaches {len(pipeline.slo.breaches)})]")
+            f"(peak retained {pipeline.peak_retained})]")
     if args.trace:
         n = write_chrome_trace(list(collector.spans), args.trace)
         out(f"[trace: {n} events -> {args.trace}]")
@@ -145,10 +143,7 @@ def _export_telemetry(collector: TelemetryCollector, args: argparse.Namespace,
         n = write_spans_jsonl(collector.spans, args.spans)
         out(f"[spans: {n} spans -> {args.spans}]")
     if args.metrics_out:
-        registries = collector.registries()
-        if pipeline is not None:
-            registries = registries + [pipeline.metrics]
-        write_prometheus_text(registries, args.metrics_out)
+        write_prometheus_text(collector.registries(), args.metrics_out)
         out(f"[metrics -> {args.metrics_out}]")
 
 
@@ -223,14 +218,22 @@ def _run_sweep_command(args: argparse.Namespace,
         _export_telemetry(collector, args, out)
     elif args.stream_spans:
         out(f"[stream: {stream_stats['seen']} spans -> {args.stream_spans} "
-            f"(peak retained {stream_stats['peak_retained']}, "
-            f"slo breaches {stream_stats['slo_breaches']})]")
+            f"(peak retained {stream_stats['peak_retained']})]")
     return 0
 
 
 def _run_obs(args: argparse.Namespace, parser: argparse.ArgumentParser,
              out: Callable[[str], None]) -> int:
     """The ``repro obs`` family: analyse an exported span file."""
+    # Reject bad arguments before reading a possibly large file.
+    if args.obs_command == "slo":
+        try:
+            config = SloConfig(latency_threshold_s=args.threshold,
+                               error_budget=args.budget, window_s=args.window)
+        except ValueError as exc:
+            parser.error(f"obs slo: {exc}")
+    if args.obs_command == "tail" and args.count < 0:
+        parser.error("obs tail: -n/--count must be >= 0")
     try:
         spans = load_spans(args.tracefile)
     except OSError as exc:
@@ -259,28 +262,20 @@ def _run_obs(args: argparse.Namespace, parser: argparse.ArgumentParser,
         return 0
 
     if args.obs_command == "slo":
-        config = SloConfig(latency_threshold_s=args.threshold,
-                           error_budget=args.budget, window_s=args.window)
-        monitor = SloMonitor(MetricsRegistry(lambda: 0.0, scope="replay"), config)
-        for span in spans:
-            monitor.observe(span)
-        rows = [[b.attrs["tenant"], f"{b.start:.3f}", b.attrs["burn_rate"],
-                 b.attrs["bad"], b.attrs["total"]]
-                for b in monitor.breaches]
+        rows = [[e["run"], e["tenant"], f"{e['t']:.3f}", e["burn_rate"],
+                 e["bad"], e["total"]]
+                for e in slo_episodes(spans, config)]
         if rows:
-            out(render_table(["tenant", "t", "burn_rate", "bad", "total"], rows,
-                             title=f"{len(rows)} slo.breach episode(s)"))
+            out(render_table(["run", "tenant", "t", "burn_rate", "bad", "total"],
+                             rows, title=f"{len(rows)} slo.breach episode(s)"))
         else:
             out("no SLO breaches")
         return 0
 
     if args.obs_command == "red":
-        red = RedAggregator(MetricsRegistry(lambda: 0.0, scope="replay"))
-        for span in spans:
-            red.observe(span)
         rows = [[r["tenant"], r["count"], r["errors"], f"{r['mean']:.6f}",
                  f"{r['p50']:.6f}", f"{r['p95']:.6f}", f"{r['p99']:.6f}"]
-                for r in red.table()]
+                for r in red_rows(spans)]
         if rows:
             out(render_table(
                 ["tenant", "requests", "errors", "mean_s", "p50_s", "p95_s", "p99_s"],
@@ -293,7 +288,7 @@ def _run_obs(args: argparse.Namespace, parser: argparse.ArgumentParser,
     closed = [s for s in spans if s.end is not None]
     rows = [[s.attrs.get("trace_id", ""), s.name, s.track,
              f"{s.start:.6f}", f"{s.duration:.6f}"]
-            for s in closed[-max(args.count, 0):]]
+            for s in closed[len(closed) - args.count:]]
     out(render_table(["trace", "span", "track", "start", "duration_s"], rows,
                      title=f"last {len(rows)} of {len(closed)} span(s)"))
     return 0
@@ -327,7 +322,8 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     run_parser.add_argument(
         "--stream-spans", metavar="FILE", default=None,
         help="stream spans to FILE as JSONL while the run executes "
-             "(bounded memory; batch exports then cover only the tail)",
+             "(bounded memory; batch exports then cover only the tail; "
+             "'repro obs' analyses the file)",
     )
     certify_parser = sub.add_parser(
         "certify",
@@ -389,7 +385,8 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     sweep_parser.add_argument(
         "--stream-spans", metavar="FILE", default=None,
         help="stream spans to FILE as JSONL while the run executes "
-             "(bounded memory; works at any --jobs count)",
+             "(bounded memory; works at any --jobs count; "
+             "'repro obs' analyses the file)",
     )
     sweep_parser.add_argument(
         "--json", metavar="FILE", default=None, dest="json_out",
@@ -423,7 +420,7 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         help="list every trace instead of analysing one",
     )
     slo_parser = obs_sub.add_parser(
-        "slo", help="replay request spans through the burn-rate monitor",
+        "slo", help="per-tenant SLO burn-rate episodes, replayed run by run",
     )
     slo_parser.add_argument("tracefile")
     slo_parser.add_argument("--threshold", type=float, default=1.0,

@@ -119,7 +119,6 @@ def _execute_task(task) -> tuple:
             stats = {
                 "seen": pipeline.seen,
                 "peak_retained": pipeline.peak_retained,
-                "slo_breaches": len(pipeline.slo.breaches),
             }
         else:
             point = spec.execute()
@@ -167,7 +166,10 @@ def run_sweep(
 
     With ``stream_spans``, pass a ``stream_stats`` dict to receive the
     aggregated pipeline accounting (``seen`` spans, max
-    ``peak_retained``, total ``slo_breaches``, merged ``parts``).
+    ``peak_retained``, merged ``parts``).  The stream holds exactly the
+    spans the scenarios closed; ``repro obs`` and
+    :mod:`repro.telemetry.summary` analyse it after the run (SLO
+    replay splits it back into scenarios where the clock restarts).
 
     Raises :class:`SweepScenarioError` (with the worker's original
     traceback) if any scenario fails; the pool is torn down, nothing
@@ -210,7 +212,6 @@ def run_sweep(
                 seen=sum(s["seen"] for s in scenario_stats),
                 peak_retained=max((s["peak_retained"] for s in scenario_stats),
                                   default=0),
-                slo_breaches=sum(s["slo_breaches"] for s in scenario_stats),
                 parts=parts,
             )
     return sweep.assemble(points, plan.meta)

@@ -44,18 +44,15 @@ from .causal import (
 )
 from .context import TraceContext, reset_trace_ids
 from .span import Span, SpanKind, reset_span_ids
-from .streaming import (
-    FlightRecorder,
-    JsonlStreamWriter,
-    P2Quantile,
-    RedAggregator,
+from .streaming import FlightRecorder, JsonlStreamWriter, SpanPipeline
+from .summary import (
     SloConfig,
-    SloMonitor,
-    SpanPipeline,
-    StreamConfig,
-    StreamStats,
+    red_rows,
+    slo_episodes,
+    span_kind_stats,
+    span_summary_table,
+    utilization_summary,
 )
-from .summary import span_kind_stats, span_summary_table, utilization_summary
 from .tracer import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
@@ -64,14 +61,8 @@ __all__ = [
     "reset_span_ids",
     "TraceContext",
     "reset_trace_ids",
-    "P2Quantile",
-    "StreamStats",
     "JsonlStreamWriter",
     "FlightRecorder",
-    "RedAggregator",
-    "SloConfig",
-    "SloMonitor",
-    "StreamConfig",
     "SpanPipeline",
     "trace_index",
     "trace_root",
@@ -103,5 +94,8 @@ __all__ = [
     "write_prometheus_text",
     "span_kind_stats",
     "span_summary_table",
+    "red_rows",
+    "SloConfig",
+    "slo_episodes",
     "utilization_summary",
 ]

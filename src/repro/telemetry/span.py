@@ -38,7 +38,6 @@ class SpanKind:
     REQUEST = "rfaas.request"            # client-side root of one request
     ATTEMPT = "rfaas.attempt"            # one try; retries are siblings
     CAPACITY = "capacity.invocation"     # governed front-door root
-    SLO_BREACH = "slo.breach"            # burn-rate breach instant
     INVOCATION = "rfaas.invocation"
     DISPATCH = "rfaas.dispatch"
     SANDBOX = "rfaas.sandbox"

@@ -1,12 +1,12 @@
-"""Streaming pipeline tests: P² accuracy, bounded memory, RED, SLO burn.
+"""The span stream: the bounded live pipeline, and the exact offline
+RED/SLO analyses over the file it writes.
 
-The bounded-memory assertions are the PR's acceptance criterion: the
-pipeline must retain at most ``ring_capacity`` spans no matter how long
-the stream runs — 100k spans in, ring-sized tail out.
+The bounded-memory assertions are the pipeline's acceptance criterion:
+it must retain at most the flight recorder's capacity no matter how
+long the stream runs — 100k spans in, ring-sized tail out.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -14,75 +14,25 @@ import pytest
 from repro.telemetry import (
     FlightRecorder,
     JsonlStreamWriter,
-    MetricsRegistry,
-    P2Quantile,
-    RedAggregator,
     SloConfig,
-    SloMonitor,
     Span,
     SpanKind,
     SpanPipeline,
-    StreamConfig,
-    StreamStats,
+    load_spans,
+    red_rows,
+    slo_episodes,
 )
-
-
-# -- P² quantile estimator ----------------------------------------------------
-
-def test_p2_exact_below_five_observations():
-    est = P2Quantile(0.5)
-    assert math.isnan(est.value)
-    for x in (5.0, 1.0, 3.0):
-        est.observe(x)
-    assert est.value == 3.0          # exact nearest-rank median of {1,3,5}
-
-
-def test_p2_rejects_degenerate_quantiles():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-@pytest.mark.parametrize("p", [0.5, 0.95, 0.99])
-def test_p2_tracks_numpy_on_lognormal_stream(p):
-    rng = np.random.default_rng(42)
-    samples = rng.lognormal(mean=0.0, sigma=0.5, size=50_000)
-    est = P2Quantile(p)
-    for x in samples:
-        est.observe(float(x))
-    exact = float(np.percentile(samples, p * 100))
-    assert est.value == pytest.approx(exact, rel=0.02)
-
-
-def test_p2_tracks_numpy_on_uniform_stream():
-    rng = np.random.default_rng(7)
-    samples = rng.uniform(0.0, 100.0, size=20_000)
-    est = P2Quantile(0.9)
-    for x in samples:
-        est.observe(float(x))
-    assert est.value == pytest.approx(90.0, rel=0.05)
-
-
-def test_p2_memory_is_five_markers():
-    est = P2Quantile(0.99)
-    for i in range(10_000):
-        est.observe(float(i))
-    # Constant state regardless of stream length: five heights/positions.
-    assert len(est._q) == 5 and len(est._pos) == 5
-    assert est.count == 10_000
+from repro.telemetry.summary import duration_stats
 
 
 def test_stream_stats_snapshot_keys():
-    stats = StreamStats()
-    for x in (1.0, 2.0, 3.0, 4.0):
-        stats.observe(x)
-    snap = stats.snapshot()
-    assert snap["count"] == 4
+    """The exact duration summary every RED row and span kind carries."""
+    snap = duration_stats([4.0, 1.0, 3.0, 2.0])
     assert snap["sum"] == 10.0
     assert snap["mean"] == 2.5
     assert snap["min"] == 1.0 and snap["max"] == 4.0
-    assert {"p50", "p95", "p99"} <= set(snap)
+    for p in (50, 95, 99):
+        assert snap[f"p{p}"] == np.percentile([1.0, 2.0, 3.0, 4.0], p)
 
 
 # -- sinks --------------------------------------------------------------------
@@ -130,76 +80,77 @@ def request_root(tenant, start, duration=0.01, route="hpc"):
 
 
 def test_red_counts_once_per_request():
-    red = RedAggregator(MetricsRegistry(lambda: 0.0, scope="t"))
-    red.observe(request_root("a", 0.0))
-    red.observe(request_root("a", 1.0, route="rejected"))
-    red.observe(request_root("b", 2.0))
-    # Child spans of a governed request must not double-count.
-    red.observe(make_span(SpanKind.REQUEST, 2.0, parent_id=123, tenant="b"))
-    red.observe(make_span(SpanKind.INVOCATION, 2.0, tenant="b"))
-    rows = {row["tenant"]: row for row in red.table()}
+    rows = {row["tenant"]: row for row in red_rows([
+        request_root("a", 0.0),
+        request_root("a", 1.0, route="rejected"),
+        request_root("b", 2.0),
+        # Child spans of a governed request must not double-count.
+        make_span(SpanKind.REQUEST, 2.0, parent_id=123, tenant="b"),
+        make_span(SpanKind.INVOCATION, 2.0, tenant="b"),
+    ])}
     assert rows["a"]["count"] == 2 and rows["a"]["errors"] == 1
     assert rows["b"]["count"] == 1 and rows["b"]["errors"] == 0
 
 
 def test_red_counts_bare_client_requests():
-    red = RedAggregator(MetricsRegistry(lambda: 0.0, scope="t"))
-    red.observe(make_span(SpanKind.REQUEST, 0.0, client="solo", outcome="ok"))
-    red.observe(make_span(SpanKind.REQUEST, 1.0, client="solo",
-                          outcome="gave_up"))
-    (row,) = red.table()
+    (row,) = red_rows([
+        make_span(SpanKind.REQUEST, 0.0, client="solo", outcome="ok"),
+        make_span(SpanKind.REQUEST, 1.0, client="solo", outcome="gave_up"),
+    ])
     assert row["tenant"] == "solo"
     assert row["count"] == 2 and row["errors"] == 1
 
 
-# -- SLO burn-rate monitor ----------------------------------------------------
+# -- SLO burn-rate episodes ---------------------------------------------------
 
 def test_slo_breach_fires_once_per_episode():
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.1,
                        window_s=10.0, buckets=10, burn_threshold=1.0)
-    monitor = SloMonitor(MetricsRegistry(lambda: 0.0, scope="t"), config)
-    # Fast requests: no breach.
-    for i in range(5):
-        assert monitor.observe(request_root("a", i * 0.1)) is None
-    # A burst of slow requests blows the 10% budget: one breach span...
-    breaches = [monitor.observe(request_root("a", 1.0 + i * 0.1, duration=0.5))
-                for i in range(5)]
-    fired = [b for b in breaches if b is not None]
-    assert len(fired) == 1
-    assert fired[0].name == SpanKind.SLO_BREACH
-    assert fired[0].attrs["tenant"] == "a"
-    assert fired[0].attrs["burn_rate"] >= 1.0
-    # ...and the episode does not re-fire while the burn persists.
-    assert monitor.observe(request_root("a", 3.0, duration=0.5)) is None
-    assert len(monitor.breaches) == 1
+    # Fast requests, then a burst of slow ones that blows the 10% budget,
+    # and one more slow request while the burn persists.
+    spans = [request_root("a", i * 0.1) for i in range(5)]
+    spans += [request_root("a", 1.0 + i * 0.1, duration=0.5) for i in range(5)]
+    spans.append(request_root("a", 3.0, duration=0.5))
+    (episode,) = slo_episodes(spans, config)
+    assert episode["tenant"] == "a"
+    assert episode["t"] == 1.5               # the first slow request's end
+    assert episode["burn_rate"] >= 1.0
+    assert (episode["bad"], episode["total"]) == (1, 6)
 
 
 def test_slo_rearms_after_rate_recovers():
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.5,
                        window_s=1.0, buckets=2, burn_threshold=1.0)
-    monitor = SloMonitor(MetricsRegistry(lambda: 0.0, scope="t"), config)
-    assert monitor.observe(request_root("a", 0.0, duration=0.5)) is not None
+    spans = [request_root("a", 0.0, duration=0.5)]
     # The window slides past the bad bucket; plenty of good requests.
-    for i in range(20):
-        monitor.observe(request_root("a", 2.0 + i * 0.1, duration=0.01))
-    assert monitor.burn_rate("a") < 1.0
-    # A fresh burn episode fires a second breach.
-    fired = [monitor.observe(request_root("a", 10.0 + i * 0.1, duration=0.5))
-             for i in range(6)]
-    assert any(b is not None for b in fired)
-    assert len(monitor.breaches) == 2
+    spans += [request_root("a", 2.0 + i * 0.1, duration=0.01) for i in range(20)]
+    # A fresh burn episode starts a second row.
+    spans += [request_root("a", 10.0 + i * 0.1, duration=0.5) for i in range(6)]
+    episodes = slo_episodes(spans, config)
+    assert [e["t"] for e in episodes] == [0.5, 10.5]
 
 
 def test_slo_tenants_are_independent():
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.1,
                        window_s=10.0, buckets=10)
-    monitor = SloMonitor(MetricsRegistry(lambda: 0.0, scope="t"), config)
+    spans = []
     for i in range(5):
-        monitor.observe(request_root("slow", i * 0.1, duration=0.5))
-        monitor.observe(request_root("fast", i * 0.1, duration=0.01))
-    assert monitor.burn_rate("slow") > 1.0
-    assert monitor.burn_rate("fast") == 0.0
-    assert {b.attrs["tenant"] for b in monitor.breaches} == {"slow"}
+        spans.append(request_root("slow", i * 0.1, duration=0.5))
+        spans.append(request_root("fast", i * 0.1, duration=0.01))
+    episodes = slo_episodes(spans, config)
+    assert {e["tenant"] for e in episodes} == {"slow"}
+
+
+def test_slo_replays_each_run_separately():
+    """A clock restart starts the next run with empty windows."""
+    config = SloConfig(latency_threshold_s=0.1, error_budget=0.1,
+                       window_s=10.0, buckets=10)
+    burning = [request_root("a", i * 0.1, duration=0.5) for i in range(3)]
+    healthy = [request_root("a", i * 0.1) for i in range(30)]
+    episodes = slo_episodes(healthy + burning, config)
+    # One stream mixing both runs would dilute the burn (3 bad of 33).
+    assert [(e["run"], e["bad"], e["total"]) for e in episodes] == [(1, 1, 1)]
+    assert slo_episodes(healthy, config) == []
 
 
 def test_slo_config_validation():
@@ -217,41 +168,37 @@ def test_slo_config_validation():
 
 def test_pipeline_memory_is_bounded_by_ring_capacity(tmp_path):
     """Acceptance: >= 100k spans in, peak retained <= ring size."""
-    ring = 512
     path = tmp_path / "stream.jsonl"
-    pipeline = SpanPipeline(StreamConfig(ring_capacity=ring, flush_every=64),
-                            stream_path=path)
+    pipeline = SpanPipeline(stream_path=path)
+    ring = pipeline.recorder.capacity
     total = 100_000
     for i in range(total):
         pipeline.append(request_root(f"t{i % 4}", i * 1e-3))
     pipeline.close()
     assert pipeline.seen == total
-    assert pipeline.peak_retained <= ring
+    assert pipeline.peak_retained == ring < total
     assert len(pipeline) == ring             # iteration yields only the tail
     # Nothing was lost: the full stream is on disk.
     assert pipeline.writer.written == total
     assert sum(1 for _ in path.open()) == total
-    # And the online rollups saw everything without retaining samples.
-    assert sum(s.count for s in pipeline.red.tenants.values()) == total
 
 
-def test_pipeline_breach_spans_join_the_stream(tmp_path):
-    config = StreamConfig(
-        ring_capacity=64,
-        slo=SloConfig(latency_threshold_s=0.01, error_budget=0.01,
-                      window_s=10.0, buckets=10),
-    )
+def test_pipeline_stream_holds_only_appended_spans(tmp_path):
+    """Burn episodes are read from the file, never synthesized into it."""
+    config = SloConfig(latency_threshold_s=0.01, error_budget=0.01,
+                       window_s=10.0, buckets=10)
     path = tmp_path / "stream.jsonl"
-    with SpanPipeline(config, stream_path=path) as pipeline:
-        for i in range(10):
-            pipeline.append(request_root("a", i * 0.1, duration=0.5))
-    assert pipeline.slo.breaches
-    names = [json.loads(line)["name"] for line in path.read_text().splitlines()]
-    assert SpanKind.SLO_BREACH in names
+    spans = [request_root("a", i * 0.1, duration=0.5) for i in range(10)]
+    with SpanPipeline(stream_path=path) as pipeline:
+        for span in spans:
+            pipeline.append(span)
+    loaded = load_spans(str(path))
+    assert [s.span_id for s in loaded] == [s.span_id for s in spans]
+    assert len(slo_episodes(loaded, config)) == 1
 
 
 def test_pipeline_snapshots_on_fault_spans():
-    pipeline = SpanPipeline(StreamConfig(ring_capacity=32))
+    pipeline = SpanPipeline()
     for i in range(100):
         pipeline.append(make_span("rfaas.invocation", float(i)))
     pipeline.append(make_span("fault.node_crash", 100.0))
@@ -263,19 +210,18 @@ def test_pipeline_duck_types_the_span_list(tmp_path):
     """Batch exporters must keep working on the in-memory tail."""
     from repro.telemetry import chrome_trace_events, write_spans_jsonl
 
-    pipeline = SpanPipeline(StreamConfig(ring_capacity=16))
-    for i in range(50):
+    pipeline = SpanPipeline()
+    ring = pipeline.recorder.capacity
+    for i in range(ring + 50):
         pipeline.append(make_span("rfaas.invocation", float(i)))
-    assert len(pipeline) == 16
+    assert len(pipeline) == ring
     events = chrome_trace_events(list(pipeline))
     assert [e for e in events if e["ph"] == "X"]
     out = tmp_path / "tail.jsonl"
-    assert write_spans_jsonl(pipeline, str(out)) == 16
+    assert write_spans_jsonl(pipeline, str(out)) == ring
 
 
 def test_stream_config_validation():
-    with pytest.raises(ValueError):
-        StreamConfig(ring_capacity=0)
     with pytest.raises(ValueError):
         FlightRecorder(capacity=0)
     with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.telemetry import SpanKind, load_spans, slo_episodes
 
 
 def collect():
@@ -19,6 +21,17 @@ def streamed_chaos(tmp_path_factory):
     lines, out = collect()
     code = main(["sweep", "chaos", "--set", "rates=(8,)", "--set", "window_s=6",
                  "--stream-spans", str(path)], out=out)
+    assert code == 0
+    return path, "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def streamed_autoscale(tmp_path_factory):
+    """The CI smoke plan: four capacity scenarios, rejected requests."""
+    path = tmp_path_factory.mktemp("obs") / "autoscale.jsonl"
+    lines, out = collect()
+    code = main(["sweep", "autoscale", "--set", "loads=(1, 16)",
+                 "--set", "window_s=6", "--stream-spans", str(path)], out=out)
     assert code == 0
     return path, "\n".join(lines)
 
@@ -97,6 +110,17 @@ def test_obs_slo_replay(streamed_chaos):
     assert "no SLO breaches" in "\n".join(lines)
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--budget", "1.5"), ("--window", "0"), ("--threshold", "0"),
+])
+def test_obs_slo_rejects_bad_config(streamed_chaos, capsys, flag, value):
+    path, _ = streamed_chaos
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "slo", str(path), flag, value], out=lambda s: None)
+    assert exc.value.code == 2
+    assert "repro: error: obs slo:" in capsys.readouterr().err
+
+
 def test_obs_red_rollup(streamed_chaos):
     path, _ = streamed_chaos
     lines, out = collect()
@@ -106,12 +130,86 @@ def test_obs_red_rollup(streamed_chaos):
     assert "p95_s" in text
 
 
+@pytest.mark.parametrize("stream", ["streamed_chaos", "streamed_autoscale"])
+def test_obs_red_is_exact(request, stream):
+    """Counts and p50/p95/p99 equal numpy over the request-root spans."""
+    path, _ = request.getfixturevalue(stream)
+    roots = {}
+    for span in load_spans(str(path)):
+        if span.name == SpanKind.CAPACITY or (
+                span.name == SpanKind.REQUEST and span.parent_id is None):
+            tenant = span.attrs.get("tenant") or span.attrs["client"]
+            roots.setdefault(tenant, []).append(span)
+    expected = {}
+    for tenant, spans in roots.items():
+        durations = [s.duration for s in spans]
+        errors = sum(s.attrs.get("route") == "rejected"
+                     or s.attrs.get("status", "ok") != "ok" for s in spans)
+        expected[tenant] = [str(len(spans)), str(errors)] + [
+            f"{np.percentile(durations, p):.6f}" for p in (50, 95, 99)]
+    lines, out = collect()
+    assert main(["obs", "red", str(path)], out=out) == 0
+    table = "\n".join(lines).splitlines()[3:]
+    printed = {cells[0]: [cells[1], cells[2], *cells[4:]]
+               for cells in ([c.strip() for c in row.split("|")] for row in table)}
+    assert printed == expected
+
+
 def test_obs_tail(streamed_chaos):
     path, _ = streamed_chaos
     lines, out = collect()
     assert main(["obs", "tail", str(path), "-n", "5"], out=out) == 0
     text = "\n".join(lines)
     assert "last 5 of" in text
+
+
+def test_obs_tail_zero_prints_no_rows(streamed_chaos):
+    path, _ = streamed_chaos
+    lines, out = collect()
+    assert main(["obs", "tail", str(path), "-n", "0"], out=out) == 0
+    text = "\n".join(lines)
+    assert "last 0 of" in text
+    assert len(text.splitlines()) == 3       # title, header, rule
+
+
+def test_obs_tail_rejects_negative_count(streamed_chaos, capsys):
+    path, _ = streamed_chaos
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "tail", str(path), "-n", "-3"], out=lambda s: None)
+    assert exc.value.code == 2
+    assert "--count must be >= 0" in capsys.readouterr().err
+
+
+#: Burn episodes of the CI smoke plan (``streamed_autoscale``) at seed 0
+#: as (tenant, t, burn_rate, bad, total), in stream order: exactly the
+#: ``slo.breach`` spans the live SLO monitor used to write into the stream.
+SMOKE_AUTOSCALE_EPISODES = [
+    ("tenant-06", 1.96875, 8.3333, 1, 12),
+    ("tenant-07", 1.984375, 8.3333, 1, 12),
+    ("tenant-08", 2.15625, 8.3333, 1, 12),
+    ("tenant-09", 2.171875, 8.3333, 1, 12),
+    ("tenant-00", 2.1875, 7.6923, 1, 13),
+    ("tenant-01", 2.203125, 7.6923, 1, 13),
+    ("tenant-02", 2.21875, 7.6923, 1, 13),
+    ("tenant-03", 2.234375, 7.6923, 1, 13),
+    ("tenant-04", 2.25, 7.6923, 1, 13),
+    ("tenant-05", 2.265625, 7.6923, 1, 13),
+] * 2
+
+
+def test_obs_slo_replays_each_scenario_of_a_sweep_stream(streamed_autoscale):
+    """Per-run replay reproduces the burn episodes of every scenario.
+
+    Replaying the merged stream as one run mixes the scenarios and finds
+    10 diluted episodes instead.
+    """
+    path, _ = streamed_autoscale
+    episodes = slo_episodes(load_spans(str(path)))
+    assert [(e["tenant"], e["t"], e["burn_rate"], e["bad"], e["total"])
+            for e in episodes] == SMOKE_AUTOSCALE_EPISODES
+    lines, out = collect()
+    assert main(["obs", "slo", str(path)], out=out) == 0
+    assert "20 slo.breach episode(s)" in "\n".join(lines)
 
 
 def test_obs_rejects_missing_file():

@@ -33,10 +33,8 @@ KNOWN_SUBSYSTEMS = frozenset({
     "gpu",         # GPU control plane: leases/batching/warm pools/replay
     "manager",
     "memservice",  # durable memory service: replication/migration/repair
-    "red",         # streaming per-tenant RED (rate/errors/duration) rollup
     "scheduler",
     "shard",       # sharded control plane: batching/migration/conservation
-    "slo",         # sliding-window burn-rate monitor
     "warmpool",
 })
 
