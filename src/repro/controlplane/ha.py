@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
-from ..rfaas.manager import ResourceManager
+from ..rfaas.manager import ResourceManager, no_capacity_error
 from ..telemetry import telemetry_of
 from .replica import LogRecord, ManagerReplica, ReplicaRole
 
@@ -99,13 +99,16 @@ class ReplicatedResourceManager(ResourceManager):
 
     Reads are inherited and served from the (always-consistent) data
     plane regardless of control-plane health.  The five mutations
-    (``register_node``, ``remove_node``, ``lease``, ``revoke_lease``,
-    ``release_lease``) require a live, reachable, current-epoch primary
-    and otherwise raise :class:`ManagerUnavailableError` (no primary in
-    reach — transient, retryable) or :class:`StaleEpochError` (fenced
-    issuer — the split-brain guard); each one fences, applies the base
-    mutation, then commits it to the replicated log.  Keyword arguments
-    other than ``config`` go to :class:`ResourceManager`.
+    (``register_node``, ``remove_node``, ``try_lease`` and through it
+    ``lease``, ``revoke_lease``, ``release_lease``) require a live,
+    reachable, current-epoch primary and otherwise raise
+    :class:`ManagerUnavailableError` (no primary in reach — transient,
+    retryable) or :class:`StaleEpochError` (fenced issuer — the
+    split-brain guard); each one fences, applies the base mutation,
+    then commits it to the replicated log.  A capacity denial is not a
+    mutation: ``try_lease`` returns ``None`` and commits nothing.
+    Keyword arguments other than ``config`` go to
+    :class:`ResourceManager`.
     """
 
     def __init__(self, env: "Environment", cluster: "Cluster", *,
@@ -487,8 +490,8 @@ class ReplicatedResourceManager(ResourceManager):
             self._commit("remove", {"node": node_name, "immediate": immediate})
         return removed
 
-    def lease(self, client: str, cores: int = 1, memory_bytes: int = 0,
-              gpus: int = 0, image=None, exclude: tuple = ()):
+    def try_lease(self, client: str, cores: int = 1, memory_bytes: int = 0,
+                  gpus: int = 0, image=None, exclude: tuple = ()):
         return self._grant(
             self._require_primary("lease"), client, cores=cores,
             memory_bytes=memory_bytes, gpus=gpus, image=image, exclude=exclude,
@@ -520,7 +523,8 @@ class ReplicatedResourceManager(ResourceManager):
         This is how certification proves fencing: a grant attempted via
         a DOWN replica raises :class:`ManagerUnavailableError`; via a
         fenced/stale replica raises :class:`StaleEpochError` before any
-        state changes; via the current primary it is a normal grant.
+        state changes; via the current primary it is a normal grant,
+        raising :class:`NoCapacityError` like :meth:`lease` on a denial.
         """
         replica = self.replicas[rank]
         if replica.role is ReplicaRole.DOWN:
@@ -528,12 +532,23 @@ class ReplicatedResourceManager(ResourceManager):
             raise ManagerUnavailableError(
                 f"replica {replica.name} is down", epoch=self.epoch, cause="crash",
             )
-        return self._grant(replica, client, **kwargs)
+        granted = self._grant(replica, client, **kwargs)
+        if granted is None:
+            raise no_capacity_error(kwargs.get("cores", 1),
+                                    kwargs.get("memory_bytes", 0),
+                                    kwargs.get("gpus", 0))
+        return granted
 
     def _grant(self, issuer: ManagerReplica, client: str, **kwargs):
-        """Fence ``issuer``, grant on the data plane, commit the grant."""
+        """Fence ``issuer``, grant on the data plane, commit the grant.
+
+        A capacity denial returns ``None`` and commits nothing.
+        """
         self._fence(issuer)
-        lease, executor = super().lease(client, **kwargs)
+        granted = super().try_lease(client, **kwargs)
+        if granted is None:
+            return None
+        lease, executor = granted
         lease.epoch = self.epoch
         self._commit("grant", {
             "lease_id": lease.lease_id, "client": client,

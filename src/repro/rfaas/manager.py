@@ -41,6 +41,13 @@ from .load import NodeLoadRegistry
 __all__ = ["ResourceManager", "RegisteredNode", "NoCapacityError"]
 
 
+def no_capacity_error(cores: int, memory_bytes: int, gpus: int) -> NoCapacityError:
+    """The one denial a lease request for this shape fails with."""
+    return NoCapacityError(
+        f"no registered node fits {cores} cores / {memory_bytes} B / {gpus} GPUs"
+    )
+
+
 class RegisteredNode:
     """Book-keeping for one node's registered spare capacity."""
 
@@ -271,7 +278,28 @@ class ResourceManager:
         image: Optional[Image] = None,
         exclude: tuple[str, ...] = (),
     ) -> tuple[Lease, Executor]:
-        """Grant a lease; prefers nodes with warm containers for ``image``."""
+        """Grant a lease, or raise :class:`NoCapacityError` on a denial."""
+        granted = self.try_lease(client, cores=cores, memory_bytes=memory_bytes,
+                                 gpus=gpus, image=image, exclude=exclude)
+        if granted is None:
+            raise no_capacity_error(cores, memory_bytes, gpus)
+        return granted
+
+    def try_lease(
+        self,
+        client: str,
+        cores: int = 1,
+        memory_bytes: int = 0,
+        gpus: int = 0,
+        image: Optional[Image] = None,
+        exclude: tuple[str, ...] = (),
+    ) -> Optional[tuple[Lease, Executor]]:
+        """Grant a lease, or return ``None`` when no node fits.
+
+        Prefers nodes with warm containers for ``image``.  A denial is
+        an ordinary answer on the storm path, so it is a value here;
+        only :meth:`lease` turns it into an exception.
+        """
         # More cores than the whole pool has free: no single node fits,
         # so skip the scan and deny exactly as an empty scan would.
         candidates = [] if cores > self._free_cores else [
@@ -280,9 +308,7 @@ class ResourceManager:
         ]
         if not candidates:
             self._m_denied.inc()
-            raise NoCapacityError(
-                f"no registered node fits {cores} cores / {memory_bytes} B / {gpus} GPUs"
-            )
+            return None
         if image is not None:
             warm = [
                 r for r in candidates

@@ -16,9 +16,15 @@ loadstorm sweep reports).
 
 Conservation accounting is built in: every submitted op is eventually
 *applied* (event succeeds with the result) or *failed* (event fails
-with the underlying platform error) — ``ops_submitted == ops_applied +
-ops_failed + depth()`` holds at every instant, and the sharded plane
-sums these per-shard ledgers into its global no-silent-drops invariant.
+with the platform error) — ``ops_submitted == ops_applied + ops_failed
++ depth()`` holds at every instant, and the sharded plane sums these
+per-shard ledgers into its global no-silent-drops invariant.  ``apply``
+fails an op in one of two ways.  It *returns* an exception instance
+for an expected answer (a capacity denial): the batcher fails the event
+with it, and nothing is raised.  It *raises* for an outage (an
+unavailable or fenced shard): the batcher catches the exception and
+fails the event with it.  A returned exception has no traceback, so a
+denial keeps no frame — and through the frame no batch — alive.
 """
 
 from __future__ import annotations
@@ -102,15 +108,25 @@ class ShardBatcher:
             yield self.env.timeout(
                 self.batch_overhead_s + self.per_op_s * len(batch)
             )
-            self.batches += 1
-            for op in batch:
-                try:
-                    value = self._apply(op)
-                except Exception as exc:
-                    self.ops_failed += 1
-                    op.event.fail(exc)
-                else:
-                    self.ops_applied += 1
-                    op.event.succeed(value)
-            if self._on_flush is not None:
-                self._on_flush(self.index, len(batch))
+            self._settle(batch)
+            # Parked, the batcher pins no settled op (nor its result).
+            del batch
+
+    def _settle(self, batch: list[BatchOp]) -> None:
+        """Apply one flushed batch: every op's event succeeds or fails."""
+        self.batches += 1
+        for op in batch:
+            try:
+                value = self._apply(op)
+            except Exception as exc:
+                self.ops_failed += 1
+                op.event.fail(exc)
+                continue
+            if isinstance(value, BaseException):
+                self.ops_failed += 1
+                op.event.fail(value)
+            else:
+                self.ops_applied += 1
+                op.event.succeed(value)
+        if self._on_flush is not None:
+            self._on_flush(self.index, len(batch))

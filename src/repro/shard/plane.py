@@ -41,13 +41,9 @@ import numpy as np
 
 from ..controlplane import HAConfig, ReplicatedResourceManager
 from ..cluster.machine import Cluster
-from ..rfaas.errors import (
-    ManagerUnavailableError,
-    NoCapacityError,
-    StaleEpochError,
-)
+from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
 from ..rfaas.lease import Lease, LeaseState
-from ..rfaas.manager import ResourceManager
+from ..rfaas.manager import ResourceManager, no_capacity_error
 from ..sim.engine import Environment, Event
 from ..telemetry import telemetry_of
 from .batch import BatchOp, ShardBatcher
@@ -330,7 +326,12 @@ class ShardedControlPlane:
         return event
 
     def _apply(self, shard: Shard, op: BatchOp):
-        """Apply one batched op against its shard's manager."""
+        """Apply one batched op against its shard's manager.
+
+        A capacity denial is returned as a :class:`NoCapacityError`
+        instance, never raised (the batcher fails the op with it); an
+        unavailable or fenced shard still raises.
+        """
         try:
             if shard.ha is None and shard.down:
                 raise ManagerUnavailableError(
@@ -338,11 +339,17 @@ class ShardedControlPlane:
                 )
             if op.kind == "grant":
                 payload = op.payload
-                lease, executor = shard.manager.lease(
+                granted = shard.manager.try_lease(
                     client=payload["tenant"], cores=payload["cores"],
                     memory_bytes=payload["memory_bytes"],
                     gpus=payload["gpus"], image=payload["image"],
                 )
+                if granted is None:
+                    self._m_rejected.inc()
+                    return no_capacity_error(
+                        payload["cores"], payload["memory_bytes"], payload["gpus"],
+                    )
+                lease, executor = granted
                 self._leases[lease.lease_id] = lease
                 self._lease_shard[lease.lease_id] = shard.index
                 self._m_grants[shard.index].inc()
@@ -356,9 +363,6 @@ class ShardedControlPlane:
                     op.payload["lease"], reason=op.payload["reason"],
                 )
             raise ValueError(f"unknown op kind {op.kind!r}")
-        except NoCapacityError:
-            self._m_rejected.inc()
-            raise
         except (ManagerUnavailableError, StaleEpochError):
             self._m_unavailable.inc()
             raise

@@ -239,7 +239,9 @@ class Process(Event):
         self.daemon = daemon
         # One bound method for the process's lifetime: waits register this
         # exact object, so detach can compare with ``is`` and every wait
-        # skips a bound-method allocation.
+        # skips a bound-method allocation.  It is a reference cycle
+        # (process -> method -> process) until the process finishes and
+        # drops it.
         self._resume = self._resume_event
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = Initialize(env, self)
@@ -301,6 +303,9 @@ class Process(Event):
                     next_event = self._throw(event._value)
             except StopIteration as stop:
                 env._active_process = None
+                # A finished process never resumes, so it drops its
+                # self-cycle and refcounting alone can free it.
+                self._resume = self._target = None
                 self._ok = True
                 self._value = stop.value
                 self._triggered = True
@@ -309,6 +314,7 @@ class Process(Event):
                 return
             except BaseException as exc:
                 env._active_process = None
+                self._resume = self._target = None
                 self._ok = False
                 self._value = exc
                 self._triggered = True
@@ -319,6 +325,7 @@ class Process(Event):
             if not isinstance(next_event, Event):
                 env._active_process = None
                 exc = SimulationError(f"process {self.name!r} yielded non-event {next_event!r}")
+                self._resume = self._target = None
                 self._ok = False
                 self._value = exc
                 self._triggered = True

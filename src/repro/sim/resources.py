@@ -34,6 +34,10 @@ class Request(Event):
         with resource.request() as req:
             yield req
             ...  # holding the slot
+
+    A granted request fires with ``None``, not with itself: a request
+    whose value is itself would be a reference cycle, left for the
+    cyclic collector on every acquisition.
     """
 
     __slots__ = ("resource", "count", "priority", "key")
@@ -94,7 +98,7 @@ class Resource:
             # grant directly without the append/sort round-trip.
             self._in_use += count
             self._granted.add(req.key)
-            req.succeed(req)
+            req.succeed()
             return req
         self._waiting.append((priority, self._seq, req))
         self._waiting.sort(key=lambda item: (item[0], item[1]))
@@ -125,7 +129,7 @@ class Resource:
             self._waiting.pop(0)
             self._in_use += req.count
             self._granted.add(req.key)
-            req.succeed(req)
+            req.succeed()
 
 
 class _ContainerGet(Event):

@@ -79,7 +79,7 @@ def test_takeover_revokes_leases_the_standby_never_saw():
     ha = platform.ha
     replicated, _ = ha.lease("client-0")
     # The unfenced base grant: reaches the data plane, never the log.
-    unreplicated, _ = ResourceManager.lease(ha, "client-1")
+    unreplicated, _ = ResourceManager.try_lease(ha, "client-1")
     platform.run_until(0.25)
     ha.crash_primary()
     platform.run_until(2.0)

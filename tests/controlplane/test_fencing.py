@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controlplane import ReplicaRole
-from repro.rfaas import ManagerUnavailableError, StaleEpochError
+from repro.rfaas import ManagerUnavailableError, NoCapacityError, StaleEpochError
 
 from .conftest import build_ha_platform
 
@@ -50,6 +50,35 @@ def test_fenced_ex_primary_cannot_grant_and_changes_no_state():
     # The *current* primary grants normally through the same hook.
     lease, _ = ha.attempt_grant_via(1, "client-0", cores=1)
     assert lease.epoch == 2
+    platform.run()
+
+
+def test_only_capacity_denials_are_values():
+    """``try_lease`` answers a denial with ``None`` but still raises
+    through an unreachable primary, and a grant via a down or fenced
+    replica raises even when no node could fit it: availability and
+    fencing are checked before capacity."""
+    platform, ha = _partitioned_takeover(heal_after_s=0.0)
+    huge = ha.total_registered_cores() + 1
+    with pytest.raises(ManagerUnavailableError) as exc:
+        ha.try_lease("client-0", cores=huge)
+    assert exc.value.cause == "partition"
+    platform.run_until(1.0)  # standby has taken over; rm-0 fenced
+    log_len = len(ha.commit_log)
+    with pytest.raises(StaleEpochError):
+        ha.attempt_grant_via(0, "client-0", cores=huge)
+    assert ha.fenced_grants == 1
+    assert ha.try_lease("client-0", cores=huge) is None
+    with pytest.raises(NoCapacityError):
+        ha.attempt_grant_via(1, "client-0", cores=huge)
+    assert len(ha.commit_log) == log_len
+    assert ha.fenced_grants == 1
+    ha.crash_primary()
+    with pytest.raises(ManagerUnavailableError) as exc:
+        ha.attempt_grant_via(1, "client-0", cores=huge)
+    assert exc.value.cause == "crash"
+    with pytest.raises(ManagerUnavailableError):
+        ha.try_lease("client-0", cores=huge)
     platform.run()
 
 

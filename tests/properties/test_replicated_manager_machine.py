@@ -12,7 +12,8 @@ tracks reachability itself: a crash or a partition takes the primary
 out of reach at once, and only the failure detector (that is, time) can
 bring a primary back.  While no primary is in reach, every fenced
 mutation must raise :class:`ManagerUnavailableError` and leave the
-manager untouched; a release is buffered instead.
+manager untouched; a release is buffered instead.  With a primary in
+reach, a denied ``try_lease`` returns ``None`` and commits nothing.
 """
 
 import numpy as np
@@ -85,6 +86,25 @@ class ReplicatedManagerMachine(RuleBasedStateMachine):
             self.leases[lease.lease_id] = lease
             self.granted.append(lease)
 
+    @precondition(lambda self: self.reachable and self.nodes)
+    @rule(cores=st.integers(min_value=1, max_value=9))
+    def try_lease(self, cores):
+        """A denial is a value: ``None``, nothing committed or fenced."""
+        fits = any(self.ha.node_info(n).cores_free >= cores for n in self.nodes)
+        before = self._state()
+        fenced = self.ha.fenced_grants
+        granted = self.ha.try_lease("c", cores=cores)
+        if granted is None:
+            assert not fits
+            assert self._state() == before
+            assert self.ha.fenced_grants == fenced
+        else:
+            assert fits
+            lease, _ = granted
+            assert lease.epoch == self.ha.epoch
+            self.leases[lease.lease_id] = lease
+            self.granted.append(lease)
+
     @precondition(lambda self: self.reachable and self.granted)
     @rule(index=st.integers(min_value=0, max_value=63))
     def revoke(self, index):
@@ -122,6 +142,7 @@ class ReplicatedManagerMachine(RuleBasedStateMachine):
             lambda: self.ha.register_node(node, cores=1, memory_bytes=GiB),
             lambda: self.ha.remove_node(node),
             lambda: self.ha.lease("c"),
+            lambda: self.ha.try_lease("c"),
         ]
         if self.granted:
             lease = self.granted[index % len(self.granted)]

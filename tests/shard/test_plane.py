@@ -1,10 +1,15 @@
 """Sharded control plane: placement, batching, conservation, migration."""
 
+import gc
+import types
+
 import pytest
 
 from repro.controlplane import HAConfig
 from repro.rfaas.errors import ManagerUnavailableError, NoCapacityError
 from repro.rfaas.lease import LeaseState
+from repro.sweep import run_sweep
+from repro.telemetry import TelemetryCollector, telemetry_of
 
 from .conftest import GiB, build_plane, drive
 
@@ -51,6 +56,89 @@ def test_no_capacity_fails_the_grant_event_honestly():
     assert isinstance(failure, NoCapacityError)
     assert plane.conservation_ok(drained=False)
     env.run()
+
+
+def _grant_tally(plane, tenant, tally):
+    # The event stays off the frame: a frame holding the failed event
+    # would itself be a cycle (event -> error -> traceback -> frame).
+    try:
+        yield plane.request_grant(tenant, cores=1)
+    except NoCapacityError:
+        tally["denied"] += 1
+    else:
+        tally["granted"] += 1
+
+
+def test_denials_leave_no_cyclic_garbage():
+    """A capacity denial is a value from the manager to the grant event,
+    so no traceback pins the batcher's frame and its batch: with the
+    cyclic collector off, 200 grants against one core leave no
+    ``NoCapacityError`` and no traceback behind."""
+    env, plane = build_plane(shards=1, nodes=1, cores=1)
+    tally = {"granted": 0, "denied": 0}
+
+    def tracebacks():
+        return sum(isinstance(obj, types.TracebackType)
+                   for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = tracebacks()
+        for i in range(200):
+            env.process(_grant_tally(plane, f"t{i:03d}", tally))
+        env.run()
+        errors = [obj for obj in gc.get_objects()
+                  if isinstance(obj, NoCapacityError)]
+        after = tracebacks()
+    finally:
+        gc.enable()
+    assert tally == {"granted": 1, "denied": 199}
+    assert errors == []
+    assert after == before
+    assert plane.conservation()["ops_failed"] == 199
+
+
+@pytest.mark.parametrize("ha", [None, HAConfig(standbys=1)])
+def test_denials_keep_their_message_and_counts(ha):
+    """Denials as values change no answer: each failed grant carries the
+    manager's message, and both denial counters count every one."""
+    env, plane = build_plane(shards=2, nodes=3, cores=2, ha=ha)
+    done = []
+    for i in range(40):
+        env.process(drive(env, plane.request_grant(f"t{i:03d}", cores=1 + i % 2),
+                          done))
+    env.run()
+    failures = [value for kind, value in done if kind == "fail"]
+    assert len(failures) == 36
+    assert all(type(failure) is NoCapacityError for failure in failures)
+    assert sorted({str(failure) for failure in failures}) == [
+        "no registered node fits 1 cores / 0 B / 0 GPUs",
+        "no registered node fits 2 cores / 0 B / 0 GPUs",
+    ]
+    metrics = telemetry_of(env).metrics
+    assert metrics.get("repro_shard_rejected_total").value == 36
+    assert metrics.get("repro_manager_lease_denied_total").value == 36
+
+
+def test_loadstorm_denial_counts_under_a_collector():
+    """The denial-heavy storm (one core per node) counts the same
+    rejections, denials and grants as when denials were raised."""
+    with TelemetryCollector() as collector:
+        result = run_sweep("loadstorm", shards=(1, 2), window_s=1,
+                           rate_per_s=600, population=50000, cores_per_node=1)
+
+    def total(name):
+        return sum(registry.get(name).value
+                   for registry in collector.registries()
+                   if registry.get(name) is not None)
+
+    assert [(p.admitted, p.completed, p.degraded) for p in result.points] == [
+        (558, 428, 130), (558, 453, 105),
+    ]
+    assert total("repro_shard_rejected_total") == 3586
+    assert total("repro_manager_lease_denied_total") == 3586
+    assert total("repro_manager_leases_total") == 881
 
 
 def test_nodes_spread_across_shards_least_cores_first():

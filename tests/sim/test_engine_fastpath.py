@@ -6,13 +6,16 @@ at risk from that rewrite: interrupts landing between same-timestamp
 events, ``run(until=event)`` on a triggered-but-unprocessed event,
 ``Timeout(0)`` vs ``succeed()`` FIFO ordering, condition waiters
 under the single-waiter slot, interrupts sent before a process's first
-step, and daemon processes.
+step, daemon processes, and that a finished process is freed by
+refcounting alone.
 """
+
+import gc
 
 import pytest
 
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Process, SimulationError
 
 
 # -- interrupt between two same-timestamp events ---------------------------
@@ -457,3 +460,33 @@ def test_zero_delay_timeout_from_a_daemon_is_live():
     env.run()
     assert log == [("zero", 0.0)]
     assert env.now == 0.0
+
+
+# -- no cyclic garbage -------------------------------------------------------
+
+def test_finished_processes_are_freed_without_the_cyclic_collector():
+    """A finished process drops its bound resume method, the one
+    reference cycle every process has while it runs: with the cyclic
+    collector off, no finished process outlives the run unless the
+    caller still holds it, and a held one keeps its outcome."""
+    env = Environment()
+
+    def work(value):
+        yield env.timeout(1.0)
+        return value
+
+    gc.collect()
+    gc.disable()
+    try:
+        held = env.process(work("kept"))
+        for i in range(1000):
+            env.process(work(i))
+        env.run()
+        finished = [obj for obj in gc.get_objects()
+                    if type(obj) is Process and obj.env is env
+                    and not obj.is_alive]
+    finally:
+        gc.enable()
+    assert finished == [held]
+    assert held.ok
+    assert held.value == "kept"

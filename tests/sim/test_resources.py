@@ -1,8 +1,11 @@
 """Unit tests for Resource / Container / Store primitives."""
 
+import gc
+
 import pytest
 
 from repro.sim import Container, Environment, Resource, Store
+from repro.sim.resources import Request
 
 
 def test_resource_grants_up_to_capacity():
@@ -255,3 +258,30 @@ def test_store_bounded_capacity_rejects():
     assert ev.triggered and not ev.ok
     ev.defuse()
     assert len(store) == 1
+
+
+def test_granted_requests_are_freed_without_the_cyclic_collector():
+    """A granted request fires with ``None``, not with itself, so the
+    request is no reference cycle: contended or not, none outlives the
+    run with the cyclic collector off."""
+    env = Environment()
+    res = Resource(env, capacity=2)
+
+    def user():
+        with res.request() as req:
+            got = yield req
+            assert got is None
+            yield env.timeout(1.0)
+
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            env.process(user())
+        env.run()
+        left = [obj for obj in gc.get_objects()
+                if type(obj) is Request and obj.env is env]
+    finally:
+        gc.enable()
+    assert env.now == 50.0
+    assert left == []
