@@ -213,10 +213,6 @@ class DemandForecaster:
         self._supply_cores = float(cores)
         self._supply_last_t = now
 
-    def supply_cores(self) -> float:
-        """The most recently observed harvested core count."""
-        return self._supply_cores
-
     def harvested_core_seconds(self, now: Optional[float] = None) -> float:
         """Core-seconds donated by batch so far (integral of the supply)."""
         total = self._harvested_core_seconds

@@ -167,7 +167,7 @@ class CapacityPlane:
         root_span = None
         ctx: Optional[TraceContext] = None
         if self._tracer.enabled:
-            ctx = TraceContext.mint()
+            ctx = self._tracer.mint()
             root_span = self._tracer.begin(
                 SpanKind.CAPACITY, track="capacity", ctx=ctx,
                 function=function, tenant=tenant, priority=priority,

@@ -164,13 +164,6 @@ class Node:
         assert 0 <= self._free_cores <= self.spec.cores
         assert 0 <= self._free_memory <= self.spec.memory_bytes
 
-    def release_owner(self, owner: str) -> list[Allocation]:
-        """Release everything held by ``owner``; returns what was freed."""
-        released = [a for a in self._allocations.values() if a.owner == owner]
-        for alloc in released:
-            self.release(alloc)
-        return released
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Node {self.name} cores={self.allocated_cores}/{self.spec.cores}"

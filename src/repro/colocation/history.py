@@ -56,12 +56,6 @@ class HistoryDB:
             return None
         return sum(r.batch_slowdown for r in records) / len(records)
 
-    def expected_function_slowdown(self, batch_app: str, function_app: str) -> Optional[float]:
-        records = self._records.get((batch_app, function_app))
-        if not records:
-            return None
-        return sum(r.function_slowdown for r in records) / len(records)
-
     def worst_partners(self, batch_app: str, top: int = 5) -> list[tuple[str, float]]:
         """Function apps ranked by batch-job impact (worst first)."""
         scored = []

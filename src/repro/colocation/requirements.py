@@ -111,8 +111,3 @@ class RequirementModel:
             "net": self.predict("net", param) / net_capacity,
             "flops": self.predict("flops", param) / flops_capacity,
         }
-
-    def dominant_resource(self, param: float, dram_capacity: float, net_capacity: float,
-                          flops_capacity: float) -> str:
-        stress = self.stress_factors(param, dram_capacity, net_capacity, flops_capacity)
-        return max(stress, key=stress.get)

@@ -15,7 +15,6 @@ stays a plain passive data structure.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,8 +27,6 @@ from .runtime import ContainerRuntime
 
 __all__ = ["ContainerState", "WarmContainer", "WarmPool", "AcquireResult"]
 
-_container_ids = itertools.count(1)
-
 
 class ContainerState(enum.Enum):
     WARM = "warm"          # resident in node memory, ready for dispatch
@@ -40,16 +37,13 @@ class ContainerState(enum.Enum):
 class WarmContainer:
     """A started container instance.
 
-    ``container_id`` defaults to a module-global counter for bare
-    construction (tests); the pool passes ``env.next_id`` so ids are
+    The pool passes ``container_id`` from ``env.next_id``, so ids are
     per-environment and deterministic across process histories.
     """
 
     def __init__(self, image: Image, node_name: str, alloc: Optional[Allocation],
-                 container_id: Optional[int] = None):
-        self.container_id = (
-            container_id if container_id is not None else next(_container_ids)
-        )
+                 container_id: int):
+        self.container_id = container_id
         self.image = image
         self.node_name = node_name
         self.alloc = alloc           # memory held while resident

@@ -85,10 +85,6 @@ class JobBill:
         """What the operator refunds versus naive shared billing."""
         return self.shared_cost() - self.fair_shared_cost()
 
-    def fair_saving_fraction(self) -> float:
-        """User saving under fair pricing: pure discount, slowdown-free."""
-        return 1.0 - self.fair_shared_cost() / self.exclusive_cost()
-
 
 @dataclass(frozen=True)
 class FunctionBill:

@@ -180,10 +180,3 @@ class DisaggregationController:
                 self.manager.remove_node(name, immediate=False)
                 self._reason.pop(name, None)
         self.harvest_idle()
-
-    # -- views ------------------------------------------------------------------------
-    def registered_idle_nodes(self) -> list[str]:
-        return sorted(n for n, why in self._reason.items() if why == "idle")
-
-    def registered_coloc_nodes(self) -> list[str]:
-        return sorted(n for n, why in self._reason.items() if why != "idle")

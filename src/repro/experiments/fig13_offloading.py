@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..analysis.tables import render_table
 from ..local import LocalRuntime, payload_nbytes
@@ -160,42 +160,6 @@ def run(
                         payloads, workers)
             )
     return results
-
-
-def saturation_sweep(
-    model: OffloadModel,
-    remote_workers=(1, 2, 4, 8, 16, 32, 64),
-    n_tasks: int = 512,
-    link_invocations_per_s: Optional[float] = None,
-) -> list[tuple[int, float, float]]:
-    """The Fig.-13a knee: speedup vs remote workers until the link saturates.
-
-    Applies the *measured* compute model (T_local, T_inv) to a
-    bandwidth-constrained link sustaining ``link_invocations_per_s``
-    payload transfers per second — the paper's testbed regime, where a
-    229 MB input shared one Aries injection port.  Returns (workers,
-    predicted speedup, remote fraction) rows; beyond the saturation point
-    extra executors stop helping because the link, not the pool, is the
-    bottleneck.
-    """
-    if link_invocations_per_s is None:
-        # Default: the link sustains what ~8 executors can consume, so
-        # the knee falls inside the sweep range (as on the testbed, where
-        # payload transfer competed with a handful of executors).
-        link_invocations_per_s = 8.0 / model.t_inv
-    if link_invocations_per_s <= 0:
-        raise ValueError("link rate must be positive")
-    from dataclasses import replace as _replace
-
-    constrained = _replace(
-        model, bandwidth=link_invocations_per_s * model.data_per_task
-    )
-    rows = []
-    for workers in remote_workers:
-        plan = constrained.split(n_tasks, local_workers=1, remote_workers=workers)
-        speedup = constrained.speedup(n_tasks, local_workers=1, remote_workers=workers)
-        rows.append((workers, speedup, plan.n_remote / n_tasks))
-    return rows
 
 
 def format_report(results: list[Fig13Result]) -> str:

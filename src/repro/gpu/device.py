@@ -77,11 +77,6 @@ class GpuDevice:
         self._free_memory -= nbytes
         self._allocations[owner] = self._allocations.get(owner, 0) + nbytes
 
-    def free_memory_of(self, owner: str) -> int:
-        freed = self._allocations.pop(owner, 0)
-        self._free_memory += freed
-        return freed
-
     # -- warm data (soft allocations) --------------------------------------------
     def keep_warm(self, owner: str, nbytes: int) -> None:
         """Park a dataset on the device; reclaimable any time.

@@ -23,11 +23,12 @@ this module gives accelerators the same treatment:
   surviving devices, billing the wasted attempts through
   :class:`~repro.disagg.billing.FunctionBill`.
 
-Tracing: every submission opens a ``gpu.request`` root span; each
-coalesced launch records one ``gpu.batch`` span with one
-``gpu.batch.item`` child per request, stamped with the *request's*
-``trace_id`` — so a request's causal trace spans submission →
-(revocation → replay …) → completion even when it hops devices.
+Tracing: under an enabled tracer every submission opens a
+``gpu.request`` root span; each coalesced launch records one
+``gpu.batch`` span with one ``gpu.batch.item`` child per request,
+stamped with the *request's* ``trace_id`` — so a request's causal trace
+spans submission → (revocation → replay …) → completion even when it
+hops devices.  Untraced, a request carries no context and no span.
 """
 
 from __future__ import annotations
@@ -98,13 +99,16 @@ class GpuServiceConfig:
 
 
 class GpuRequest:
-    """One submitted GPU invocation; resolve by yielding ``done``."""
+    """One submitted GPU invocation; resolve by yielding ``done``.
+
+    ``ctx`` and ``span`` are ``None`` when the service is untraced.
+    """
 
     __slots__ = ("req_id", "function", "submitted_at", "ctx", "done",
                  "attempts", "span")
 
     def __init__(self, req_id: int, function: str, submitted_at: float,
-                 ctx: TraceContext, done: Event, span):
+                 ctx: Optional[TraceContext], done: Event, span):
         self.req_id = req_id
         self.function = function
         self.submitted_at = submitted_at
@@ -255,16 +259,19 @@ class GpuService:
             raise ValueError(f"unknown GPU function {function!r}")
         now = self.env.now
         self.forecaster.observe_arrival(now, function)
-        if ctx is None:
-            ctx = TraceContext.mint()
-        span = self._tracer.begin(
-            SpanKind.GPU_REQUEST, track="gpu", ctx=ctx, function=function,
-        )
+        span = None
+        if self._tracer.enabled:
+            if ctx is None:
+                ctx = self._tracer.mint()
+            span = self._tracer.begin(
+                SpanKind.GPU_REQUEST, track="gpu", ctx=ctx, function=function,
+            )
+            ctx = ctx.child(span.span_id)
         request = GpuRequest(
             req_id=self.env.next_id("gpu-request"),
             function=function,
             submitted_at=now,
-            ctx=ctx.child(span.span_id),
+            ctx=ctx,
             done=self.env.event(),
             span=span,
         )
@@ -316,15 +323,16 @@ class GpuService:
             SpanKind.GPU_BATCH, track="gpu",
             device=device, function=function, size=size, trigger=trigger,
         )
-        items = []
         for request in batch:
             self._m_batch_wait.observe(env.now - request.submitted_at)
-            item = self._tracer.begin(
+        items = [
+            self._tracer.begin(
                 SpanKind.GPU_BATCH_ITEM, track="gpu",
-                ctx=TraceContext(request.ctx.trace_id, span.span_id),
+                ctx=request.ctx.child(span.span_id),
                 request=request.req_id, attempt=request.attempts,
             )
-            items.append(item)
+            for request in batch
+        ] if self._tracer.enabled else []
         try:
             if function not in slot.warm:
                 # Cold: initialize the context and move the dataset over
@@ -360,8 +368,9 @@ class GpuService:
         self._m_batch_size.observe(size)
         self._tracer.finish(span, device_time_s=self._batch_device_time(spec, size))
         now = env.now
-        for request, item in zip(batch, items):
-            self._tracer.finish(item)
+        for index, request in enumerate(batch):
+            if items:
+                self._tracer.finish(items[index])
             latency = now - request.submitted_at
             self._m_latency.observe(latency)
             self._tracer.finish(

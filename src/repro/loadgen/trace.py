@@ -126,20 +126,6 @@ class WorkloadTrace:
             return NotImplemented
         return self.to_dict() == other.to_dict()
 
-    def distinct_tenants(self) -> int:
-        """Tenants the draw actually touched (<< population under Zipf)."""
-        return len(set(self.tenants))
-
-    def peak_rate_per_s(self, bucket_s: float = 0.5) -> float:
-        """Max arrivals/s over fixed buckets — the burst the plane must ride."""
-        if not self.times:
-            return 0.0
-        counts: dict[int, int] = {}
-        for t in self.times:
-            bucket = int(t / bucket_s)
-            counts[bucket] = counts.get(bucket, 0) + 1
-        return max(counts.values()) / bucket_s
-
     # -- (de)serialization ---------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -178,9 +164,7 @@ class WorkloadTrace:
         return self.to_dict()
 
     def __setstate__(self, state: dict) -> None:
-        restored = WorkloadTrace.from_dict(state)
-        for slot in self.__slots__:
-            object.__setattr__(self, slot, getattr(restored, slot))
+        self.__init__(**state)
 
 
 def synthesize(spec: LoadSpec) -> WorkloadTrace:

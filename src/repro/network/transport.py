@@ -303,13 +303,3 @@ class NetworkFabric:
         # Static name: per-message f-string construction showed up in the
         # transfer profile and the names are only a debugging aid.
         return self.env.process(run(), name="xfer")
-
-    # -- analytic helpers (no simulation required) ---------------------------------
-    def expected_transfer_time(self, src: str, dst: str, size_bytes: int, one_sided: bool = False) -> float:
-        """Uncontended deterministic transfer time (used by planners)."""
-        params = self.provider.params
-        serialization = max(size_bytes * params.G, params.g)
-        hop = self.cluster.hop_latency(src, dst)
-        if one_sided:
-            return serialization + params.o + 2 * params.L + hop
-        return serialization + 2 * params.o + params.L + hop

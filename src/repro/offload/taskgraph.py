@@ -57,10 +57,6 @@ class TaskGraph:
     def widths(self) -> list[int]:
         return [len(level) for level in self.levels()]
 
-    @property
-    def max_width(self) -> int:
-        return max(self.widths(), default=0)
-
     def critical_path_length(self) -> float:
         """Lower bound on makespan with infinite workers (node-weighted)."""
         dist: dict[Hashable, float] = {}

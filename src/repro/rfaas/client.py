@@ -270,7 +270,7 @@ class RFaaSClient:
         req_ctx: Optional[TraceContext] = None
         if traced:
             if ctx is None:
-                ctx = TraceContext.mint()
+                ctx = self._tracer.mint()
             root_span = self._tracer.begin(
                 SpanKind.REQUEST, track=f"{self.name}/requests", ctx=ctx,
                 function=fdef.name, client=self.name,

@@ -10,13 +10,10 @@ that notification is the ``on_cancel`` callback here.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = ["LeaseState", "Lease"]
-
-_lease_ids = itertools.count(1)
 
 
 class LeaseState(enum.Enum):
@@ -34,9 +31,8 @@ class Lease:
     cores: int
     memory_bytes: int
     gpus: int = 0
-    # Module-global fallback for bare construction (tests); the manager
-    # passes env.next_id("rfaas-lease") so ids are per-environment.
-    lease_id: int = field(default_factory=lambda: next(_lease_ids))
+    # The manager passes env.next_id("rfaas-lease"): ids are per-environment.
+    lease_id: int = field(kw_only=True)
     # Control-plane term the grant was fenced under.  0 = granted by a
     # bare (unreplicated) ResourceManager; the replicated control plane
     # (repro.controlplane) stamps its current epoch so takeover

@@ -71,9 +71,6 @@ class NodeLoadRegistry:
             raise KeyError(f"no background stream ({netbw}, {membw}) on {node_name}") from None
         self._set_traffic(node_name, streams)
 
-    def clear_background_traffic(self, node_name: str) -> None:
-        self._set_traffic(node_name, [])
-
     def _set_traffic(self, node_name: str, streams: list[tuple[float, float]]) -> None:
         # Totals are re-summed left to right from the remaining streams,
         # so they carry no residue of a withdrawn one, and a node with no

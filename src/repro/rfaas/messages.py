@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.telemetry.context import TraceContext
 
 __all__ = ["InvocationStatus", "InvocationRequest", "InvocationResult", "Timings"]
-
-_invocation_ids = itertools.count(1)
 
 
 class InvocationStatus(enum.Enum):
@@ -27,9 +24,9 @@ class InvocationRequest:
 
     function: str
     payload_bytes: int
-    # Module-global fallback for bare construction (tests); the client
-    # passes env.next_id("rfaas-invocation") so ids are per-environment.
-    invocation_id: int = field(default_factory=lambda: next(_invocation_ids))
+    # The client passes env.next_id("rfaas-invocation"): ids are
+    # per-environment.
+    invocation_id: int
     # Completed work (seconds of nominal runtime) restored from a
     # checkpoint after a termination; 0 = fresh start.
     resume_offset_s: float = 0.0

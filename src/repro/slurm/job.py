@@ -11,13 +11,10 @@ functions may claim it.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["JobState", "JobSpec", "Job"]
-
-_job_ids = itertools.count(1)
 
 
 class JobState(enum.Enum):
@@ -63,14 +60,12 @@ class JobSpec:
 class Job:
     """A job instance moving through the batch system.
 
-    ``job_id`` defaults to a module-global counter for bare construction
-    (tests); the scheduler passes ``env.next_id`` so ids are scoped to
-    one simulation, independent of interpreter history.
+    The scheduler passes ``job_id`` from ``env.next_id``, so ids are
+    scoped to one simulation, independent of interpreter history.
     """
 
-    def __init__(self, spec: JobSpec, submit_time: float = 0.0,
-                 job_id: Optional[int] = None):
-        self.job_id = job_id if job_id is not None else next(_job_ids)
+    def __init__(self, spec: JobSpec, submit_time: float = 0.0, *, job_id: int):
+        self.job_id = job_id
         self.spec = spec
         self.submit_time = submit_time
         self.state = JobState.PENDING

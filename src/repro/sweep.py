@@ -99,19 +99,12 @@ def _execute_task(task) -> tuple:
         if stream_base:
             # Local import keeps the telemetry stack out of workers that
             # never stream.
-            from .telemetry import (
-                SpanPipeline,
-                TelemetryCollector,
-                reset_span_ids,
-                reset_trace_ids,
-            )
+            from .telemetry import SpanPipeline, TelemetryCollector
 
-            # Span/trace ids restart at 1 per scenario so each part file
-            # is a pure function of (params, seed), independent of
-            # process reuse — the merged stream is identical at any jobs
-            # count.
-            reset_span_ids()
-            reset_trace_ids()
+            # A fresh collector numbers span/trace ids from 1, so each
+            # part file is a pure function of (params, seed), independent
+            # of process reuse — the merged stream is identical at any
+            # jobs count.
             pipeline = SpanPipeline(stream_path=stream_part_path(stream_base, index))
             with TelemetryCollector(pipeline=pipeline):
                 point = spec.execute()

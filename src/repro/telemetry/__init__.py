@@ -42,8 +42,8 @@ from .causal import (
     trace_root,
     trace_summaries,
 )
-from .context import TraceContext, reset_trace_ids
-from .span import Span, SpanKind, reset_span_ids
+from .context import TraceContext
+from .span import Span, SpanKind
 from .streaming import FlightRecorder, JsonlStreamWriter, SpanPipeline
 from .summary import (
     SloConfig,
@@ -58,9 +58,7 @@ from .tracer import NULL_TRACER, NullTracer, Tracer
 __all__ = [
     "Span",
     "SpanKind",
-    "reset_span_ids",
     "TraceContext",
-    "reset_trace_ids",
     "JsonlStreamWriter",
     "FlightRecorder",
     "SpanPipeline",

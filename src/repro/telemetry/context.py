@@ -10,74 +10,40 @@ different hardware.
 
 Mechanics:
 
-* the *front door* (``CapacityPlane`` admission, or a bare
-  ``RFaaSClient`` when no plane governs it) **mints** a fresh context
-  with :meth:`TraceContext.mint` and opens the root span;
+* the *front door* (``CapacityPlane`` admission, a bare
+  ``RFaaSClient`` when no plane governs it, or ``GpuService.submit``)
+  asks its tracer for a fresh context with
+  :meth:`~repro.telemetry.tracer.Tracer.mint` and opens the root span —
+  only when that tracer is enabled, so an untraced request carries no
+  context at all;
 * every span opened *under* that context links ``parent_id`` to the
   context's ``span_id`` and stamps ``trace_id`` into its attrs;
 * crossing a process boundary (client → executor, plane → admission
   queue) the caller derives a :meth:`child` context from the span it
   just opened, so the callee's spans nest underneath it.
 
-Trace ids are drawn from a plain module-level counter: no randomness is
-consumed and no simulation events are scheduled, which preserves the
-telemetry subsystem's determinism contract (traced and untraced runs
-replay identical event timelines).  Like span ids, trace ids are
-deterministic within one interpreter, so exports are byte-identical
-across fresh interpreter runs of the same seed.
+Trace ids come from a counter owned by the telemetry scope that records
+the trace (one per :class:`~repro.telemetry.provider.TelemetryCollector`
+or standalone :class:`~repro.telemetry.provider.Telemetry`): no
+randomness is consumed and no simulation events are scheduled, which
+preserves the telemetry subsystem's determinism contract (traced and
+untraced runs replay identical event timelines), and a run's trace ids
+never depend on what else ran in the interpreter.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
+from typing import NamedTuple, Optional
 
-__all__ = ["TraceContext", "reset_trace_ids"]
-
-_trace_ids = itertools.count(1)
+__all__ = ["TraceContext"]
 
 
-def reset_trace_ids() -> None:
-    """Restart trace-id allocation at 1 (see ``span.reset_span_ids``).
-
-    The sweep runner calls this before each scenario's private span
-    stream so trace ids — like span ids — are a pure function of the
-    scenario, not of interpreter history.
-    """
-    global _trace_ids
-    _trace_ids = itertools.count(1)
-
-
-class TraceContext:
+class TraceContext(NamedTuple):
     """Immutable (trace_id, span_id) pair threaded through invocation hops."""
 
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: int, span_id: Optional[int] = None):
-        object.__setattr__(self, "trace_id", trace_id)
-        object.__setattr__(self, "span_id", span_id)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("TraceContext is immutable")
-
-    @classmethod
-    def mint(cls, span_id: Optional[int] = None) -> "TraceContext":
-        """A fresh trace identity (deterministic counter, no RNG)."""
-        return cls(next(_trace_ids), span_id)
+    trace_id: int
+    span_id: Optional[int] = None
 
     def child(self, span_id: int) -> "TraceContext":
         """The same trace, re-anchored under ``span_id``."""
         return TraceContext(self.trace_id, span_id)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TraceContext)
-            and self.trace_id == other.trace_id
-            and self.span_id == other.span_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TraceContext trace={self.trace_id} span={self.span_id}>"

@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterable, List, Sequence, TextIO, Union
@@ -43,6 +44,8 @@ def write_spans_jsonl(spans: Iterable[Span], path: str) -> int:
 def _spans_from_chrome(payload: Union[dict, list]) -> List[Span]:
     events = payload["traceEvents"] if isinstance(payload, dict) else payload
     spans: List[Span] = []
+    # An event without a recorded id is numbered locally, in load order.
+    local_ids = itertools.count(1)
     for event in events:
         if event.get("ph") not in ("X", "i"):
             continue
@@ -51,10 +54,9 @@ def _spans_from_chrome(payload: Union[dict, list]) -> List[Span]:
         span_id = args.pop("span_id", None)
         start = event["ts"] / 1e6
         span = Span(event.get("name", "?"), start, track=track,
-                    parent_id=args.pop("parent_id", None), attrs=args)
+                    parent_id=args.pop("parent_id", None), attrs=args,
+                    span_id=next(local_ids) if span_id is None else span_id)
         span.end = start + event.get("dur", 0) / 1e6
-        if span_id is not None:
-            span.span_id = span_id
         spans.append(span)
     return spans
 

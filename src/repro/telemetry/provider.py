@@ -21,8 +21,9 @@ asserts traced and untraced runs produce identical event timelines.
 
 from __future__ import annotations
 
+import itertools
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 from .metrics import MetricsRegistry, NULL_REGISTRY
 from .span import Span
@@ -38,7 +39,12 @@ __all__ = [
 
 
 class Telemetry:
-    """A tracer + metrics registry bound to one clock."""
+    """A tracer + metrics registry bound to one clock.
+
+    A standalone instance numbers its spans and traces from 1; a
+    collector scope passes the collector's shared ``span_ids`` and
+    ``trace_ids`` counters instead.
+    """
 
     enabled = True
 
@@ -48,6 +54,8 @@ class Telemetry:
         clock: Optional[Callable[[], float]] = None,
         sink: Optional[Any] = None,
         scope: str = "",
+        span_ids: Optional[Iterator[int]] = None,
+        trace_ids: Optional[Iterator[int]] = None,
     ):
         if clock is None:
             clock = (lambda: env.now) if env is not None else time.perf_counter
@@ -59,7 +67,8 @@ class Telemetry:
             key_fn = lambda: None
         self.clock = clock
         self.scope = scope
-        self.tracer = Tracer(clock, sink=sink, key_fn=key_fn)
+        self.tracer = Tracer(clock, sink=sink, key_fn=key_fn,
+                             span_ids=span_ids, trace_ids=trace_ids)
         self.metrics = MetricsRegistry(clock, scope=scope)
 
     @property
@@ -93,7 +102,9 @@ class TelemetryCollector:
     shared list; each environment gets its own metrics registry scope
     (``sim0``, ``sim1``, ... plus ``wall`` for live wall-clock code)
     because simulated clocks restart at zero and time-weighted gauges
-    must stay monotone per clock.
+    must stay monotone per clock.  All scopes share the collector's
+    span-id and trace-id counters, so ids are unique across the one
+    sink and start at 1 in every collector.
     """
 
     def __init__(self, pipeline: Optional[Any] = None):
@@ -105,17 +116,23 @@ class TelemetryCollector:
         self.pipeline = pipeline
         self.scopes: List[Telemetry] = []
         self._wall: Optional[Telemetry] = None
+        self._span_ids = itertools.count(1)
+        self._trace_ids = itertools.count(1)
 
     # -- scope management -------------------------------------------------------
-    def scope_for(self, env: Any) -> Telemetry:
-        telemetry = Telemetry(env=env, sink=self.spans, scope=f"sim{len(self.scopes)}")
+    def _scope(self, env: Any, scope: str) -> Telemetry:
+        telemetry = Telemetry(env=env, sink=self.spans, scope=scope,
+                              span_ids=self._span_ids,
+                              trace_ids=self._trace_ids)
         self.scopes.append(telemetry)
         return telemetry
 
+    def scope_for(self, env: Any) -> Telemetry:
+        return self._scope(env, f"sim{len(self.scopes)}")
+
     def wall_scope(self) -> Telemetry:
         if self._wall is None:
-            self._wall = Telemetry(env=None, sink=self.spans, scope="wall")
-            self.scopes.append(self._wall)
+            self._wall = self._scope(None, "wall")
         return self._wall
 
     def registries(self) -> List[MetricsRegistry]:

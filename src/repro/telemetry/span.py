@@ -5,31 +5,20 @@ A :class:`Span` is the unit of tracing.  Spans nest through
 executor — which the Chrome ``trace_event`` exporter maps to
 process/thread lanes so an invocation's critical path reads left to
 right in Perfetto exactly like Fig. 7's latency decomposition.
+
+A span's ``span_id`` is handed in by whoever creates it: the recording
+:class:`~repro.telemetry.tracer.Tracer` draws it from the counter of
+the telemetry scope that owns it (one counter per
+:class:`~repro.telemetry.provider.TelemetryCollector`, shared by all of
+its scopes), and a loader passes back the id it read.  No id depends on
+what else ran in the interpreter.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
-__all__ = ["Span", "SpanKind", "reset_span_ids"]
-
-_span_ids = itertools.count(1)
-
-
-def reset_span_ids() -> None:
-    """Restart span-id allocation at 1.
-
-    Span ids are process-global, so streamed span bytes depend on what
-    ran earlier in the interpreter.  The sweep runner resets the counter
-    before each scenario's private pipeline, making every scenario's
-    stream a pure function of ``(params, seed)`` — the merged stream is
-    then byte-identical at any ``--jobs`` count.  Only call this when
-    no collector with recorded spans is active: ids are unique per
-    counter epoch, and parent links must not straddle a reset.
-    """
-    global _span_ids
-    _span_ids = itertools.count(1)
+__all__ = ["Span", "SpanKind"]
 
 
 class SpanKind:
@@ -65,8 +54,10 @@ class Span:
         track: str = "main",
         parent_id: Optional[int] = None,
         attrs: Optional[dict] = None,
+        *,
+        span_id: int,
     ):
-        self.span_id = next(_span_ids)
+        self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.track = track
@@ -108,13 +99,9 @@ class Span:
             track=data.get("track", "main"),
             parent_id=data.get("parent_id"),
             attrs=data.get("attrs"),
+            span_id=data["span_id"],
         )
         span.end = data.get("end")
-        # Restore the recorded identity: parent links in a loaded dump
-        # refer to the *original* ids, not whatever the counter of this
-        # interpreter would hand out next.
-        if "span_id" in data:
-            span.span_id = data["span_id"]
         return span
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -18,12 +18,18 @@ defaults to the environment's ``active_process`` — each process sees its
 own nesting, and code running outside any process gets the ``None``
 stack.  No events are scheduled and no RNG is consumed, which is what
 preserves the seeded-determinism guarantee.
+
+A tracer numbers what it records: span ids and trace ids come from two
+counters that start at 1.  Tracers that write to one sink (the scopes
+of a :class:`~repro.telemetry.provider.TelemetryCollector`) share the
+collector's counters, so ids stay unique across the sink.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .context import TraceContext
 from .span import Span
@@ -52,11 +58,19 @@ class Tracer:
         clock: Callable[[], float],
         sink: Optional[Any] = None,
         key_fn: Optional[Callable[[], Any]] = None,
+        span_ids: Optional[Iterator[int]] = None,
+        trace_ids: Optional[Iterator[int]] = None,
     ):
         self.clock = clock
         self.spans = sink if sink is not None else []
         self._key_fn = key_fn if key_fn is not None else (lambda: None)
         self._stacks: dict[Any, list[Span]] = {}
+        self._next_span_id = (span_ids or itertools.count(1)).__next__
+        self._next_trace_id = (trace_ids or itertools.count(1)).__next__
+
+    def mint(self) -> TraceContext:
+        """A fresh trace identity (this tracer's counter, no RNG)."""
+        return TraceContext(self._next_trace_id())
 
     @staticmethod
     def _link(parent: Optional[Span], ctx: Optional[TraceContext],
@@ -97,6 +111,7 @@ class Tracer:
             track=track,
             parent_id=parent_id,
             attrs=attrs,
+            span_id=self._next_span_id(),
         )
         stack.append(record)
         try:
@@ -121,7 +136,8 @@ class Tracer:
         now = self.clock()
         parent = self.current()
         parent_id = self._link(parent, ctx, attrs)
-        record = Span(name, now, track=track, parent_id=parent_id, attrs=attrs)
+        record = Span(name, now, track=track, parent_id=parent_id, attrs=attrs,
+                      span_id=self._next_span_id())
         record.end = now
         self.spans.append(record)
         return record
@@ -138,7 +154,7 @@ class Tracer:
         """
         parent_id = self._link(None, ctx, attrs)
         return Span(name, self.clock(), track=track, parent_id=parent_id,
-                    attrs=attrs)
+                    attrs=attrs, span_id=self._next_span_id())
 
     def finish(self, span: Span, **attrs: Any) -> Span:
         if span.end is not None:
@@ -155,7 +171,7 @@ class _NullSpan(Span):
     __slots__ = ()
 
     def __init__(self):
-        super().__init__("null", 0.0)
+        super().__init__("null", 0.0, span_id=0)
         self.end = 0.0
 
     def set(self, **attrs: Any) -> "Span":

@@ -12,9 +12,8 @@ import sys
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 
-# Entity ids (containers, invocations, leases) are process-global
-# counters, so the byte-identical claim holds per interpreter run — each
-# run gets a fresh process, like the CLI.
+# Each run gets a fresh process, like the CLI, so the byte-identical
+# claim is checked across interpreters, not only within one.
 _SWEEP_EXPORT = """
 import sys
 from repro.sweep import run_sweep

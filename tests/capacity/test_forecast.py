@@ -66,7 +66,6 @@ def test_supply_integrates_into_core_seconds():
     f.observe_supply(10.0, 8)       # 4 cores for 10 s
     f.observe_supply(15.0, 0)       # 8 cores for 5 s
     assert f.harvested_core_seconds() == pytest.approx(40.0 + 40.0)
-    assert f.supply_cores() == 0.0
     # Open-ended query extrapolates the current level.
     f.observe_supply(20.0, 2)
     assert f.harvested_core_seconds(now=25.0) == pytest.approx(80.0 + 10.0)

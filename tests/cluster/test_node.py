@@ -84,17 +84,6 @@ def test_release_unknown_allocation_raises():
         node.release(alloc)
 
 
-def test_release_owner_frees_everything():
-    node = make_node()
-    node.allocate("fn", cores=1, kind="function")
-    node.allocate("fn", memory_bytes=GiB, kind="function")
-    node.allocate("job", cores=4, kind="batch")
-    released = node.release_owner("fn")
-    assert len(released) == 2
-    assert node.allocated_cores == 4
-    assert node.allocated_memory == 0
-
-
 def test_utilization_fractions():
     node = make_node()
     node.allocate("job", cores=18, memory_bytes=32 * GiB)

@@ -41,7 +41,6 @@ def test_idle_nodes_registered_at_startup():
     rig = Rig(nodes=4)
     assert set(rig.manager.registered_nodes()) == {"n0000", "n0001", "n0002", "n0003"}
     assert rig.controller.idle_registrations == 4
-    assert rig.controller.registered_idle_nodes() == ["n0000", "n0001", "n0002", "n0003"]
 
 
 def test_batch_job_reclaims_idle_registration():
@@ -65,7 +64,6 @@ def test_shared_job_leftovers_registered():
     info = rig.manager.node_info(name)
     assert info.cores_total == 4  # 36 - 32 leftover
     assert rig.controller.coloc_registrations == 1
-    assert rig.controller.registered_coloc_nodes() == [name]
 
 
 def test_job_demand_published_and_withdrawn():

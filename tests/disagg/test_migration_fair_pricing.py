@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import Cluster, DAINT_MC, DragonflyTopology
 from repro.containers import ContainerState, Image
-from repro.disagg import JobBill, core_hour_discount
+from repro.disagg import JobBill
 from repro.network import DrcManager, IBVERBS, NetworkFabric
 from repro.rfaas import NodeLoadRegistry, ResourceManager
 from repro.sim import Environment
@@ -105,8 +105,6 @@ def test_fair_pricing_removes_interference_cost():
     # ...fair billing charges the exclusive-equivalent time.
     assert bill.fair_shared_cost() == pytest.approx(2 * 32 * 1.0)
     assert bill.colocation_rebate() == pytest.approx(2 * 32 * 0.04)
-    # Under fair pricing the saving equals the pure core discount.
-    assert bill.fair_saving_fraction() == pytest.approx(core_hour_discount(32, 36))
 
 
 def test_fair_pricing_neutral_without_interference():

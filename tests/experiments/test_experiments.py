@@ -234,12 +234,6 @@ def test_fig13_eq1_calibration_sane(fig13_results):
             # Enough cores and work offloaded: the doubled variant wins on
             # the wall clock (paper: up to ~2x until the network saturates).
             assert result.timing("doubled").wall_s < serial
-    # The Fig.-13a knee on the measured model: speedup never drops as
-    # remote workers are added, and flattens once the link saturates.
-    sweep = fig13_offloading.saturation_sweep(fig13_results[0].model)
-    speedups = [speedup for _, speedup, _ in sweep]
-    assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
-    assert speedups[-1] - speedups[-2] < 0.5
 
 
 def test_fig13_report_renders(fig13_results):

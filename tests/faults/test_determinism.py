@@ -16,9 +16,8 @@ from .conftest import build_platform
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
 
-# Entity ids (spans, containers, invocations, leases) are process-global
-# counters, so the byte-identical claim holds per interpreter run — the
-# same claim the CLI makes.  Each run therefore gets a fresh process.
+# Each run gets a fresh process, like the CLI, so the byte-identical
+# claim is checked across interpreters, not only within one.
 _CHAOS_EXPORT = """
 import sys
 from repro.sweep import run_sweep

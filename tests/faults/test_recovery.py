@@ -54,7 +54,7 @@ def test_jittered_backoff_is_seeded_and_bounded():
 
 def _result(status=InvocationStatus.OK):
     return InvocationResult(
-        request=InvocationRequest(function="noop", payload_bytes=0), status=status,
+        request=InvocationRequest(function="noop", payload_bytes=0, invocation_id=1), status=status,
     )
 
 

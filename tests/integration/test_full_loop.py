@@ -161,8 +161,8 @@ def test_invocations_dilated_by_real_batch_neighbours():
         from repro.rfaas import InvocationRequest
 
         fdef = rig.functions.lookup("membound")
-        r_busy = yield exec_busy.execute(fdef, InvocationRequest("membound", 0))
-        r_idle = yield exec_idle.execute(fdef, InvocationRequest("membound", 0))
+        r_busy = yield exec_busy.execute(fdef, InvocationRequest("membound", 0, 1))
+        r_idle = yield exec_idle.execute(fdef, InvocationRequest("membound", 0, 2))
         results["busy"] = r_busy.timings.execution
         results["idle"] = r_idle.timings.execution
 

@@ -1,10 +1,11 @@
 """Fresh-interpreter determinism of the traced chaos sweep.
 
-Span/trace ids come from process-global counters, so the strongest form
-of the determinism contract is across *fresh interpreters*: a traced
-run must produce byte-identical simulated timelines to an untraced run
-of the same seed, and two traced runs must stream byte-identical span
-files.
+Span and trace ids come from the collector that records them (entity
+ids from ``env.next_id``), so nothing depends on interpreter history.
+These runs still use *fresh interpreters*, the strongest form of the
+determinism contract: a traced run must produce byte-identical
+simulated timelines to an untraced run of the same seed, and two traced
+runs must stream byte-identical span files.
 """
 
 import os

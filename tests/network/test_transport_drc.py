@@ -47,7 +47,10 @@ def test_send_time_matches_loggp():
     env, cluster, fabric = make_fabric()
     size = 1 << 20
     res = run_transfer(env, fabric, "n0000", "n0001", size)
-    expected = IBVERBS.connect_s + fabric.expected_transfer_time("n0000", "n0001", size)
+    # LogGP, two-sided: max(kG, g) serialization + 2o + L + topology hop.
+    p = IBVERBS.params
+    expected = (IBVERBS.connect_s + max(size * p.G, p.g) + 2 * p.o + p.L
+                + cluster.hop_latency("n0000", "n0001"))
     assert res["t"] == pytest.approx(expected, rel=1e-9)
     assert res["bytes"] == size
 

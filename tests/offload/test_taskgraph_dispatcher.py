@@ -42,7 +42,6 @@ def test_levels_and_widths():
     g = diamond()
     assert g.levels() == [["a"], ["b", "c"], ["d"]]
     assert g.widths() == [1, 2, 1]
-    assert g.max_width == 2
 
 
 def test_critical_path():

@@ -85,12 +85,6 @@ class LoadMemoMachine(RuleBasedStateMachine):
             with pytest.raises(KeyError):
                 self.loads.remove_background_traffic(node, netbw=stream[0], membw=stream[1])
 
-    @rule(data=st.data())
-    def clear_background_traffic(self, data):
-        node = self.node(data)
-        self.loads.clear_background_traffic(node)
-        self.streams[node] = []
-
     # -- the check ------------------------------------------------------------------
     def fresh(self, node, demands):
         """A fresh model evaluation, or the ``PlacementError`` it raises."""

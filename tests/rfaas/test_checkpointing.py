@@ -78,4 +78,5 @@ def test_resume_offset_request_validation():
     from repro.rfaas import InvocationRequest
 
     with pytest.raises(ValueError):
-        InvocationRequest(function="f", payload_bytes=0, resume_offset_s=-1.0)
+        InvocationRequest(function="f", payload_bytes=0, invocation_id=1,
+                          resume_offset_s=-1.0)

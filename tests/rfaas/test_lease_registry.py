@@ -11,7 +11,8 @@ MiB = 1024**2
 
 
 def lease(**kw):
-    defaults = dict(client="c", node_name="n0", cores=1, memory_bytes=0)
+    defaults = dict(client="c", node_name="n0", cores=1, memory_bytes=0,
+                    lease_id=1)
     defaults.update(kw)
     return Lease(**defaults)
 

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.cluster import DAINT_GPU, Node
-from repro.slurm import Job, JobSpec, JobState, Partition, gres_available_gpus
+from repro.cluster import DAINT_GPU, Cluster, Node
+from repro.sim import Environment
+from repro.slurm import (
+    BatchScheduler,
+    Job,
+    JobSpec,
+    JobState,
+    Partition,
+    gres_available_gpus,
+)
 
 GiB = 1024**3
 
@@ -36,7 +44,7 @@ def test_spec_totals():
 
 
 def test_job_lifecycle_fields():
-    job = Job(spec(), submit_time=10.0)
+    job = Job(spec(), submit_time=10.0, job_id=1)
     assert job.state == JobState.PENDING
     assert job.wait_time is None
     with pytest.raises(ValueError):
@@ -47,15 +55,24 @@ def test_job_lifecycle_fields():
 
 
 def test_job_slowdown_extends_runtime():
-    job = Job(spec())
+    job = Job(spec(), job_id=1)
     assert job.actual_runtime == 1800
     job.slowdown = 1.05
     assert job.actual_runtime == pytest.approx(1890)
 
 
 def test_job_ids_unique():
-    a, b = Job(spec()), Job(spec())
-    assert a.job_id != b.job_id
+    """Ids come from the scheduler's environment: unique within one
+    simulation, and every new environment numbers from 1 again."""
+    def submitted_ids():
+        env = Environment()
+        cluster = Cluster()
+        cluster.add_nodes("n", 2, DAINT_GPU)
+        sched = BatchScheduler(env, cluster)
+        return [sched.submit(spec(nodes=1)).job_id for _ in range(3)]
+
+    assert submitted_ids() == [1, 2, 3]
+    assert submitted_ids() == [1, 2, 3]
 
 
 def test_partition_admission():

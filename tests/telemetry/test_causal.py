@@ -1,5 +1,7 @@
 """Causal-tree analysis: trace grouping, roots, and the critical path."""
 
+import itertools
+
 import pytest
 
 from repro.telemetry import (
@@ -12,11 +14,15 @@ from repro.telemetry import (
 )
 
 
+_span_ids = itertools.count(1)
+
+
 def make_span(name, start, end, trace_id=None, parent_id=None, track="main",
               **attrs):
     if trace_id is not None:
         attrs["trace_id"] = trace_id
-    span = Span(name, start, track=track, parent_id=parent_id, attrs=attrs)
+    span = Span(name, start, track=track, parent_id=parent_id, attrs=attrs,
+                span_id=next(_span_ids))
     span.end = end
     return span
 
@@ -36,7 +42,8 @@ def sample_trace():
 def test_trace_index_groups_closed_spans_by_trace():
     spans = sample_trace()
     spans.append(make_span("other", 0.0, 1.0, trace_id=2))
-    open_span = Span("open", 0.0, attrs={"trace_id": 1})   # never closed
+    open_span = Span("open", 0.0, attrs={"trace_id": 1},    # never closed
+                     span_id=next(_span_ids))
     untraced = make_span("untraced", 0.0, 1.0)             # no trace_id
     spans.extend([open_span, untraced])
     traces = trace_index(spans)

@@ -74,7 +74,7 @@ def test_load_spans_reads_chrome_format_back(tmp_path):
 
 
 def test_open_spans_are_skipped_by_chrome_export():
-    span = Span("open", 1.0)
+    span = Span("open", 1.0, span_id=1)
     assert chrome_trace_events([span]) == []
 
 
@@ -112,7 +112,7 @@ def test_prometheus_merges_scopes_without_duplicate_headers():
 def test_load_spans_single_line_jsonl_is_not_misread_as_chrome(tmp_path):
     """One span -> one JSON object: the old try-Chrome-first sniffing
     parsed it as an (empty) event list and silently dropped the span."""
-    span = Span("solo", 1.0, attrs={"k": "v"})
+    span = Span("solo", 1.0, attrs={"k": "v"}, span_id=7)
     span.end = 2.0
     path = str(tmp_path / "one.jsonl")
     write_spans_jsonl([span], path)
@@ -125,7 +125,7 @@ def test_load_spans_single_line_jsonl_is_not_misread_as_chrome(tmp_path):
 def test_load_spans_jsonl_with_traceevents_attr_stays_jsonl(tmp_path):
     """A JSONL span whose *attrs* mention traceEvents must not be routed
     through the Chrome parser."""
-    span = Span("tricky", 0.0, attrs={"traceEvents": "red-herring"})
+    span = Span("tricky", 0.0, attrs={"traceEvents": "red-herring"}, span_id=1)
     span.end = 1.0
     path = str(tmp_path / "tricky.jsonl")
     write_spans_jsonl([span], path)

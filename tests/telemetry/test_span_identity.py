@@ -1,0 +1,72 @@
+"""Span and trace identity come from the collector that records them.
+
+No id is drawn from module state, so a traced run's bytes are a pure
+function of ``(params, seed)`` whatever ran earlier in the interpreter:
+a whole-run export equals the per-scenario stream, one collector's
+scopes never reuse a span id, and a stream recorded after another
+traced run still matches the pinned digest.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.experiments import fig07_latency
+from repro.sweep import run_sweep
+from repro.telemetry import TelemetryCollector, Tracer
+
+#: sha256 of the ``--stream-spans`` file of ``chaos rates=(0, 8)
+#: window_s=4`` (the chaos plan of ``test_sweep_goldens``).
+CHAOS_STREAM_SHA256 = (
+    "8b6c1fcf48de1cfccb7526b1433fccffae1ea204e5dca20dd5a0e3089211a7d0"
+)
+
+
+def _quiet(_text):
+    pass
+
+
+def test_whole_run_export_equals_the_stream(tmp_path):
+    plan = ["sweep", "chaos", "--set", "rates=(8,)", "--set", "window_s=5"]
+    export, stream = tmp_path / "export.jsonl", tmp_path / "stream.jsonl"
+    assert main([*plan, "--spans", str(export)], out=_quiet) == 0
+    assert main([*plan, "--stream-spans", str(stream)], out=_quiet) == 0
+    assert export.read_bytes() == stream.read_bytes()
+    first = json.loads(export.read_text().splitlines()[0])
+    assert first["span_id"] == 1
+
+
+def test_span_ids_are_unique_across_one_collectors_scopes():
+    with TelemetryCollector() as collector:
+        fig07_latency.run(sizes=(1, 1024), samples=4)
+    sims = [t for t in collector.scopes if t.scope.startswith("sim")]
+    assert len(sims) >= 3              # fig07 builds three environments
+    ids = [span.span_id for span in collector.spans]
+    assert len(ids) == len(set(ids))
+    assert min(ids) == 1
+
+
+def test_standalone_tracers_number_their_own_spans():
+    first, second = Tracer(clock=lambda: 0.0), Tracer(clock=lambda: 0.0)
+    with first.span("a"):
+        pass
+    with second.span("b"):
+        pass
+    assert [s.span_id for s in first.spans] == [1]
+    assert [s.span_id for s in second.spans] == [1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stream_digest_is_pinned_after_another_traced_run(tmp_path, jobs):
+    # Record something first, so any id state that outlived its
+    # collector would shift the stream below.
+    with TelemetryCollector() as earlier:
+        fig07_latency.run(sizes=(1,), samples=2)
+    assert earlier.spans
+    stream = tmp_path / "chaos.jsonl"
+    run_sweep("chaos", rates=(0.0, 8.0), window_s=4.0, jobs=jobs,
+              stream_spans=str(stream))
+    digest = hashlib.sha256(stream.read_bytes()).hexdigest()
+    assert digest == CHAOS_STREAM_SHA256

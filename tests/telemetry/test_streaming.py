@@ -6,6 +6,7 @@ it must retain at most the flight recorder's capacity no matter how
 long the stream runs — 100k spans in, ring-sized tail out.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -37,8 +38,12 @@ def test_stream_stats_snapshot_keys():
 
 # -- sinks --------------------------------------------------------------------
 
+_span_ids = itertools.count(1)
+
+
 def make_span(name, start, duration=0.01, parent_id=None, **attrs):
-    span = Span(name, start, parent_id=parent_id, attrs=attrs)
+    span = Span(name, start, parent_id=parent_id, attrs=attrs,
+                span_id=next(_span_ids))
     span.end = start + duration
     return span
 

@@ -30,10 +30,12 @@ GiB = 1024**3
 # -- TraceContext unit behaviour ---------------------------------------------
 
 def test_mint_draws_fresh_counter_ids():
-    a = TraceContext.mint()
-    b = TraceContext.mint()
-    assert b.trace_id == a.trace_id + 1
+    """Each tracer numbers its own traces from 1; nothing is global."""
+    tracer = Tracer(clock=lambda: 0.0)
+    a, b = tracer.mint(), tracer.mint()
+    assert (a.trace_id, b.trace_id) == (1, 2)
     assert a.span_id is None
+    assert Tracer(clock=lambda: 0.0).mint().trace_id == 1
 
 
 def test_child_keeps_trace_reanchors_span():
