@@ -41,6 +41,20 @@ def write_spans_jsonl(spans: Iterable[Span], path: str) -> int:
     return n
 
 
+def _spans_from_jsonl(text: str) -> List[Span]:
+    spans: List[Span] = []
+    # A line without a recorded id is numbered locally, in load order.
+    local_ids = itertools.count(1)
+    for line in text.splitlines():
+        line = line.strip()
+        if line:
+            data = json.loads(line)
+            if data.get("span_id") is None:
+                data["span_id"] = next(local_ids)
+            spans.append(Span.from_dict(data))
+    return spans
+
+
 def _spans_from_chrome(payload: Union[dict, list]) -> List[Span]:
     events = payload["traceEvents"] if isinstance(payload, dict) else payload
     spans: List[Span] = []
@@ -87,12 +101,7 @@ def load_spans(path: str) -> List[Span]:
         isinstance(payload, dict) and "traceEvents" in payload
     ):
         return _spans_from_chrome(payload)
-    spans = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            spans.append(Span.from_dict(json.loads(line)))
-    return spans
+    return _spans_from_jsonl(text)
 
 
 # -- Chrome trace_event -------------------------------------------------------

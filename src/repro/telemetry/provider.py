@@ -21,13 +21,12 @@ asserts traced and untraced runs produce identical event timelines.
 
 from __future__ import annotations
 
-import itertools
 import time
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, List, Optional
 
 from .metrics import MetricsRegistry, NULL_REGISTRY
 from .span import Span
-from .tracer import NULL_TRACER, Tracer
+from .tracer import NULL_TRACER, IdSource, Tracer
 
 __all__ = [
     "Telemetry",
@@ -42,8 +41,7 @@ class Telemetry:
     """A tracer + metrics registry bound to one clock.
 
     A standalone instance numbers its spans and traces from 1; a
-    collector scope passes the collector's shared ``span_ids`` and
-    ``trace_ids`` counters instead.
+    collector scope passes the collector's shared ``ids`` instead.
     """
 
     enabled = True
@@ -54,8 +52,7 @@ class Telemetry:
         clock: Optional[Callable[[], float]] = None,
         sink: Optional[Any] = None,
         scope: str = "",
-        span_ids: Optional[Iterator[int]] = None,
-        trace_ids: Optional[Iterator[int]] = None,
+        ids: Optional[IdSource] = None,
     ):
         if clock is None:
             clock = (lambda: env.now) if env is not None else time.perf_counter
@@ -67,8 +64,7 @@ class Telemetry:
             key_fn = lambda: None
         self.clock = clock
         self.scope = scope
-        self.tracer = Tracer(clock, sink=sink, key_fn=key_fn,
-                             span_ids=span_ids, trace_ids=trace_ids)
+        self.tracer = Tracer(clock, sink=sink, key_fn=key_fn, ids=ids)
         self.metrics = MetricsRegistry(clock, scope=scope)
 
     @property
@@ -103,8 +99,8 @@ class TelemetryCollector:
     (``sim0``, ``sim1``, ... plus ``wall`` for live wall-clock code)
     because simulated clocks restart at zero and time-weighted gauges
     must stay monotone per clock.  All scopes share the collector's
-    span-id and trace-id counters, so ids are unique across the one
-    sink and start at 1 in every collector.
+    :class:`~repro.telemetry.tracer.IdSource`, so span and trace ids
+    are unique across the one sink and start at 1 in every collector.
     """
 
     def __init__(self, pipeline: Optional[Any] = None):
@@ -116,14 +112,12 @@ class TelemetryCollector:
         self.pipeline = pipeline
         self.scopes: List[Telemetry] = []
         self._wall: Optional[Telemetry] = None
-        self._span_ids = itertools.count(1)
-        self._trace_ids = itertools.count(1)
+        self._ids = IdSource()
 
     # -- scope management -------------------------------------------------------
     def _scope(self, env: Any, scope: str) -> Telemetry:
         telemetry = Telemetry(env=env, sink=self.spans, scope=scope,
-                              span_ids=self._span_ids,
-                              trace_ids=self._trace_ids)
+                              ids=self._ids)
         self.scopes.append(telemetry)
         return telemetry
 

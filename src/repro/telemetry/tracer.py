@@ -19,10 +19,11 @@ own nesting, and code running outside any process gets the ``None``
 stack.  No events are scheduled and no RNG is consumed, which is what
 preserves the seeded-determinism guarantee.
 
-A tracer numbers what it records: span ids and trace ids come from two
-counters that start at 1.  Tracers that write to one sink (the scopes
-of a :class:`~repro.telemetry.provider.TelemetryCollector`) share the
-collector's counters, so ids stay unique across the sink.
+A tracer numbers what it records: span ids and trace ids come from an
+:class:`IdSource`, two counters that start at 1.  Tracers that write to
+one sink (the scopes of a
+:class:`~repro.telemetry.provider.TelemetryCollector`) share the
+collector's source, so ids stay unique across the sink.
 """
 
 from __future__ import annotations
@@ -34,7 +35,17 @@ from typing import Any, Callable, Iterator, Optional
 from .context import TraceContext
 from .span import Span
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["IdSource", "Tracer", "NullTracer", "NULL_TRACER"]
+
+
+class IdSource:
+    """The span-id and trace-id counters of one span sink, both from 1."""
+
+    __slots__ = ("next_span_id", "next_trace_id")
+
+    def __init__(self):
+        self.next_span_id = itertools.count(1).__next__
+        self.next_trace_id = itertools.count(1).__next__
 
 
 class Tracer:
@@ -58,15 +69,15 @@ class Tracer:
         clock: Callable[[], float],
         sink: Optional[Any] = None,
         key_fn: Optional[Callable[[], Any]] = None,
-        span_ids: Optional[Iterator[int]] = None,
-        trace_ids: Optional[Iterator[int]] = None,
+        ids: Optional[IdSource] = None,
     ):
         self.clock = clock
         self.spans = sink if sink is not None else []
         self._key_fn = key_fn if key_fn is not None else (lambda: None)
         self._stacks: dict[Any, list[Span]] = {}
-        self._next_span_id = (span_ids or itertools.count(1)).__next__
-        self._next_trace_id = (trace_ids or itertools.count(1)).__next__
+        ids = ids if ids is not None else IdSource()
+        self._next_span_id = ids.next_span_id
+        self._next_trace_id = ids.next_trace_id
 
     def mint(self) -> TraceContext:
         """A fresh trace identity (this tracer's counter, no RNG)."""

@@ -5,6 +5,7 @@ by roughly what factor, where the crossovers fall — so a regression in
 any substrate that would change a paper-level conclusion fails loudly.
 """
 
+import dataclasses
 import pathlib
 import re
 
@@ -234,6 +235,19 @@ def test_fig13_eq1_calibration_sane(fig13_results):
             # Enough cores and work offloaded: the doubled variant wins on
             # the wall clock (paper: up to ~2x until the network saturates).
             assert result.timing("doubled").wall_s < serial
+    # The Fig.-13a knee on the measured model: on a link that sustains
+    # what ~8 executors consume, speedup never drops as remote workers
+    # are added, and flattens once the link saturates.
+    model = fig13_results[0].model
+    constrained = dataclasses.replace(
+        model, bandwidth=8.0 / model.t_inv * model.data_per_task
+    )
+    speedups = [
+        constrained.speedup(512, local_workers=1, remote_workers=workers)
+        for workers in (1, 2, 4, 8, 16, 32, 64)
+    ]
+    assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
+    assert speedups[-1] - speedups[-2] < 0.5
 
 
 def test_fig13_report_renders(fig13_results):

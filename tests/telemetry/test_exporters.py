@@ -166,6 +166,28 @@ def test_load_spans_round_trips_identity(tmp_path):
         assert by_name["inner"].parent_id == original["outer"].span_id
 
 
+def test_load_spans_numbers_idless_records_locally(tmp_path):
+    """A record without a span_id loads with a local id, in load order,
+    in both formats; recorded ids are kept as they are."""
+    jsonl = tmp_path / "idless.jsonl"
+    jsonl.write_text(
+        json.dumps({"name": "a", "start": 0.0, "end": 1.0}) + "\n"
+        + json.dumps({"name": "b", "start": 0.0, "end": 1.0,
+                      "span_id": 9}) + "\n"
+        + json.dumps({"name": "c", "start": 1.0, "end": 2.0}) + "\n"
+    )
+    chrome = tmp_path / "idless.json"
+    chrome.write_text(json.dumps({"traceEvents": [
+        {"ph": "X", "name": "a", "ts": 0, "dur": 1},
+        {"ph": "X", "name": "b", "ts": 0, "dur": 1, "args": {"span_id": 9}},
+        {"ph": "X", "name": "c", "ts": 1, "dur": 1},
+    ]}))
+    for path in (jsonl, chrome):
+        loaded = load_spans(str(path))
+        assert [(s.name, s.span_id) for s in loaded] == [
+            ("a", 1), ("b", 9), ("c", 2)]
+
+
 # -- label-value escaping -----------------------------------------------------
 
 def test_prometheus_escapes_hostile_label_values():
