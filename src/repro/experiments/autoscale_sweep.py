@@ -20,8 +20,8 @@ Conservation invariant (asserted here, required by the ISSUE): every
 arrival completes on HPC, completes on the cloud with its cost
 accounted, or is explicitly rejected — nothing is silently dropped.
 
-Fully deterministic: same seed ⇒ identical JSON (asserted across fresh
-interpreters by ``tests/capacity/test_autoscale_determinism.py``).
+Fully deterministic: same seed ⇒ identical JSON, with and without the
+crash storm (pinned in ``tests/integration/test_sweep_goldens.py``).
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)``; :func:`plan_scenarios` and the report columns are

@@ -16,8 +16,8 @@ is routine, not fatal — while tail latency grows with the fault rate as
 more invocations pay redirect + backoff.
 
 Fully deterministic: the same ``seed`` (and plan) replays the identical
-fault schedule, victims, and recovery trace — asserted byte-for-byte by
-``tests/faults/test_determinism.py``.
+fault schedule, victims, and recovery trace — the JSON and span stream
+are pinned byte-for-byte in ``tests/integration/test_sweep_goldens.py``.
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)`` so scenarios cross the process-pool boundary of

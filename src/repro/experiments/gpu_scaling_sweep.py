@@ -23,7 +23,7 @@ coalesced kernel sequence).  Arrivals are evenly spaced open-loop, one
 stream per function, two functions leased onto two devices — so every
 scenario is a pure function of ``(params, seed)`` and the result JSON
 is byte-identical at any ``--jobs`` count and across fresh
-interpreters (asserted by ``tests/sweep/test_parallel_determinism.py``).
+interpreters (pinned in ``tests/integration/test_sweep_goldens.py``).
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ Determinism: the access trace is re-derived from ``seed + 17`` inside
 every scenario (each replication factor sees the *identical* trace), the
 storm is an explicit plan, the network runs with ``jitter=0.0``, and the
 service itself draws no randomness — ``result.to_json()`` is
-byte-identical across fresh interpreters for one seed (asserted by
-``tests/memservice/test_memdurability_determinism.py``).
+byte-identical across fresh interpreters for one seed (pinned in
+``tests/integration/test_sweep_goldens.py``).
 
 Sweep protocol: :func:`scenario` is a pure module-level function of
 ``(params, seed)``; :func:`plan_scenarios` and the report columns are

@@ -16,8 +16,8 @@ Determinism contract: the injector draws every random choice (victim
 node, storm victims, message-loss stream) from its own seeded rng, and
 applies faults at plan-specified simulated times.  Same seed + same
 plan ⇒ the same faults hit the same victims at the same instants, and
-the whole run replays bit-identically (asserted by
-``tests/faults/test_determinism.py``).  An *empty* plan schedules no
+the whole run replays bit-identically (the chaos sweep's JSON and span
+stream are pinned in ``tests/integration/test_sweep_goldens.py``).  An *empty* plan schedules no
 events and draws no randomness: the run is indistinguishable from one
 without an injector.
 """

@@ -617,9 +617,10 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> Any:
         """Run until ``until`` (a time or an event), or until only daemon
-        entries remain.  Daemons tick up to a time horizon, but an event
-        only they could fire makes ``run(until=event)`` raise."""
-        if until is None:
+        entries remain.  Daemons tick up to a finite time horizon
+        (``until=inf`` is no horizon), but an event only they could fire
+        makes ``run(until=event)`` raise."""
+        if until is None or until == float("inf"):
             self.run_until_idle()
             return None
         if isinstance(until, Event):
@@ -638,6 +639,5 @@ class Environment:
             if self.peek() > stop_time:
                 break
             self.step()
-        if stop_time != float("inf"):
-            self._now = stop_time
+        self._now = stop_time
         return None

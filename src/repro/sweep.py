@@ -18,12 +18,14 @@ every core but one idle.  :func:`run_sweep` runs any registered sweep
 3. **Merge in canonical order.**  Points are slotted by plan index, so
    ``sweep.assemble(points, meta)`` sees exactly the sequence serial
    execution would have produced — the final JSON is **byte-identical**
-   at every ``jobs`` count, asserted across fresh interpreters by
-   ``tests/sweep/test_parallel_determinism.py``.
+   at every ``jobs`` count: a fresh ``--jobs 2`` run of every sweep
+   must hash to the same pin as the in-process ``jobs=1`` run
+   (``tests/integration/test_sweep_goldens.py``).
 
 Failure contract: a scenario that raises in a worker surfaces the
 *original* traceback in the parent as :class:`SweepScenarioError` and
-fails the whole sweep — no hang, no silently dropped point.
+fails the whole sweep — no hang, no silently dropped point, no span
+part file left behind.
 
 Telemetry: with ``stream_spans`` set, every scenario streams its spans
 through its own bounded :class:`~repro.telemetry.SpanPipeline` into a
@@ -187,16 +189,25 @@ def run_sweep(
             scenario_stats.append(stats)
 
     workers = min(jobs, len(specs))
-    if workers <= 1:
-        for outcome in map(_execute_task, tasks):
-            harvest(outcome)
-    else:
-        ctx = multiprocessing.get_context(start_method or _default_start_method())
-        # The context manager guarantees terminate() on error: a failing
-        # scenario raises here instead of hanging the harvest loop.
-        with ctx.Pool(processes=workers) as pool:
-            for outcome in pool.imap_unordered(_execute_task, tasks):
+    try:
+        if workers <= 1:
+            for outcome in map(_execute_task, tasks):
                 harvest(outcome)
+        else:
+            ctx = multiprocessing.get_context(start_method or _default_start_method())
+            # The context manager guarantees terminate() on error: a failing
+            # scenario raises here instead of hanging the harvest loop.
+            with ctx.Pool(processes=workers) as pool:
+                for outcome in pool.imap_unordered(_execute_task, tasks):
+                    harvest(outcome)
+    except BaseException:
+        # The pool is gone, so no worker still writes a part file.
+        if stream_spans:
+            for index in range(len(specs)):
+                part = stream_part_path(stream_spans, index)
+                if os.path.exists(part):
+                    os.remove(part)
+        raise
 
     if stream_spans:
         _spans, parts = _merge_stream_parts(stream_spans, len(specs))

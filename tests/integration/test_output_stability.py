@@ -1,20 +1,16 @@
-"""Byte-identity of experiment outputs across fresh interpreters.
+"""Pinned experiment output and engine event order.
 
 The fast-path engine rewrite (split event queues, single-waiter slots,
 traced/fast executor split) must not perturb a single event: same seed
-⇒ the exact same bytes out of the experiment pipelines, run in separate
-interpreter processes so no in-process state can mask a drift.  A pinned
+⇒ the exact same bytes out of the experiment pipelines.  A pinned
 sha256 of a pure-engine event trace additionally locks the scheduler's
-event *order* against the pre-rewrite engine.
+event *order* against the pre-rewrite engine.  Every sweep's JSON and
+span stream are pinned in ``test_sweep_goldens.py``.
 """
 
 import hashlib
-import os
-import pathlib
-import subprocess
-import sys
 
-REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
+from repro.experiments import fig07_latency
 
 # Digest of the same trace produced by the pre-rewrite heap-only engine.
 GOLDEN_TRACE_SHA256 = (
@@ -22,45 +18,15 @@ GOLDEN_TRACE_SHA256 = (
 )
 GOLDEN_TRACE_EVENTS = 676
 
-_FIG07_EXPORT = """
-import sys
-from repro.experiments import fig07_latency
-result = fig07_latency.run(samples=25, seed=3)
-with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    fh.write(fig07_latency.format_report(result))
-"""
-
-_AUTOSCALE_EXPORT = """
-import sys
-from repro.sweep import run_sweep
-result = run_sweep("autoscale", loads=(1.0, 4.0), window_s=12.0, seed=2)
-with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    fh.write(result.to_json())
-"""
+# sha256 of fig07's report at samples=25, seed=3.
+FIG07_REPORT_SHA256 = (
+    "7ce5948dcabf7ac700f4e1914e21f3600674cda1d09a354c4fbce729035a021f"
+)
 
 
-def _fresh_run(code, path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    subprocess.run(
-        [sys.executable, "-c", code, str(path)],
-        check=True, env=env, timeout=240,
-    )
-    return path.read_bytes()
-
-
-def test_fig07_report_is_byte_identical_across_interpreters(tmp_path):
-    first = _fresh_run(_FIG07_EXPORT, tmp_path / "a.txt")
-    second = _fresh_run(_FIG07_EXPORT, tmp_path / "b.txt")
-    assert len(first) > 0
-    assert first == second
-
-
-def test_autoscale_json_is_byte_identical_across_interpreters(tmp_path):
-    first = _fresh_run(_AUTOSCALE_EXPORT, tmp_path / "a.json")
-    second = _fresh_run(_AUTOSCALE_EXPORT, tmp_path / "b.json")
-    assert len(first) > 0
-    assert first == second
+def test_fig07_report_matches_the_pinned_digest():
+    report = fig07_latency.format_report(fig07_latency.run(samples=25, seed=3))
+    assert hashlib.sha256(report.encode()).hexdigest() == FIG07_REPORT_SHA256
 
 
 def test_engine_trace_matches_pre_rewrite_golden_digest():

@@ -1,51 +1,85 @@
-"""Golden output of every registered sweep at a small plan.
+"""The determinism contract, stated once: every sweep hashes to a pin.
 
-The sha256 pins below were recorded from the per-sweep result classes
-that predate :class:`repro.experiments.base.SweepResult`, so they prove
-the generic result (typed points, column spec, title template, footer)
-reproduces each sweep's JSON *and* report text byte-for-byte.  A second
-pass feeds the same plans with int literals where the plan takes floats
-(``window_s=4`` vs ``4.0``): ``plan_scenarios`` normalizes them, so the
-JSON must not change.
+Every number the repo reports is worth only as much as the promise that
+``(params, seed)`` replays byte for byte.  Each run below must match a
+pinned sha256, never a second run, so two runs that drift the same way
+still fail.  For every plan in :data:`GOLDENS`:
+
+1. **In-process, untraced, ``jobs=1``**: ``to_json()`` and
+   ``format_report()`` match the JSON and report pins, and so does
+   ``to_json()`` of the same plan spelled with int literals.
+2. **Fresh interpreter, traced, ``--jobs 2``, int-literal ``--set``**:
+   one ``repro sweep`` subprocess writes ``--json`` and
+   ``--stream-spans``.  The JSON file (less the CLI's trailing newline)
+   must hash to the JSON pin and the stream to the stream pin.  That
+   one run covers an interpreter with no history, the 2-worker pool,
+   traced output equal to untraced output, the span stream and CLI
+   literal parsing.  :data:`EXTRA_PLANS` adds two plans no golden
+   reaches, checked the same way.
+3. **After another traced run in the same interpreter**:
+   ``tests/telemetry/test_span_identity.py`` re-checks the chaos stream
+   pin, so a module-global id counter fails even though forked workers
+   would each start it afresh.
+
+The JSON and report pins were recorded from the per-sweep result
+classes that predate :class:`repro.experiments.base.SweepResult`, so
+they also prove the generic result (typed points, column spec, title
+template, footer) reproduces each sweep byte for byte.  The stream pins
+were recorded on CPython 3.11.7.
 """
 
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.sweep import run_sweep, sweep_names
 
-#: name -> (plan_scenarios kwargs, sha256 of to_json(), sha256 of format_report())
+REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
+
+#: name -> (plan_scenarios kwargs, sha256 of to_json(), sha256 of
+#: format_report(), sha256 of the ``--stream-spans`` file)
 GOLDENS = {
     "chaos": (
         dict(rates=(0.0, 8.0), window_s=4.0),
         "299bcbac506c52e62f42379e471c6a0b3588aafbadd9ff1844be44eeeb0e799a",
         "eccd71ce909fcde47c4beeec8f90a051ab76709cfc23f69c29e06bf9a7c25435",
+        "8b6c1fcf48de1cfccb7526b1433fccffae1ea204e5dca20dd5a0e3089211a7d0",
     ),
+    # crash=True is the default: every point replays the node-crash storm.
     "autoscale": (
         dict(loads=(1.0, 4.0), window_s=4.0),
         "64752beaa1033098608bf1e4e8249b445b99453437b338731ceb07dd27d6f53c",
         "bb1ab63aa9e01b64dd567debd3212a7878f3023b113353ec78528f4a4991f178",
+        "f88bf28a2255834519cd6695e2e4c3236366c2ec5d3aace8df8f5324e56911df",
     ),
     "memdurability": (
         dict(factors=(1, 2), window_s=4.0, accesses=40),
         "ec11d564a643591490cb4c89fb89243de83b10dce865df18705f671b1c3cace4",
         "23d59f9d371f596b42423c4e2044539e6ffb07142a3ad93dad0fd69cd4ddc18a",
+        "e9c06b5bae53379347d8f40e2e55c2ff9a2dc24133e83d7aa61707c769c8d5f2",
     ),
     "gpu_scaling": (
         dict(batch_sizes=(1, 8), requests=64),
         "ecae7b92b7946fa92834b519b62ee40904371b6aa3e2540d43c0cba7faadd3cd",
         "cb0992cd0afc13d817dd5449018e3f10db8ab0d83dc3181bb0aa2e94a9a23143",
+        "7df4f30e4245d8f398010524af160be39f7ff8637981b3e2c111c8bf09c69069",
     ),
     "manager_failover": (
         dict(standbys=(0, 1), window_s=4.0),
         "8be948abd19e4fee07a5eebf54656a815b4e36acb3a6c70b61040941e9b0cec6",
         "f96a992f66a3c64ae3837f8770ba015a6f31b75595d7c17731fcf65151c583d0",
+        "7b2d415416a22052ed53ed32ab7d024e038a31c87d1c34583d056b3f66515685",
     ),
     "loadstorm": (
         dict(shards=(1, 2), window_s=2.0, rate_per_s=600.0, population=50000),
         "01ee6ade635b0ecbdfc47b4c14616f16dc38923a67d708dc4fb5f6045f25e415",
         "a1a3565654f3a2dfa6cbdeea45fa55bd0dfacc6a0b716963dfb936c4f10ad98b",
+        "a2f720d4b23c6ea6de2ee5664c9921ff9d5a93e622bc80f22bee3e4a3c055327",
     ),
 }
 
@@ -59,9 +93,61 @@ INT_LITERALS = {
     "loadstorm": dict(shards=(1, 2), window_s=2, rate_per_s=600, population=50000),
 }
 
+#: Plans no golden reaches, checked through the CLI only:
+#: label -> (sweep, ``--set`` kwargs, sha256 of the JSON, sha256 of the stream)
+EXTRA_PLANS = {
+    # The golden autoscale plan runs the crash storm; this is the calm run.
+    "autoscale-calm": (
+        "autoscale", dict(loads=(1, 4), window_s=4, crash=False),
+        "eeab75e6850ed0185c57b38e4aa1b1114d161d12e55b99380b355fba959d18cb",
+        "9a983dd69f54b0187cd7d34a35e05ca8be6f1d337fd29920554381c3f27a630f",
+    ),
+    # With zero standbys the crash withdraws every node at once and
+    # interrupts all in-flight invocations at one instant: the order
+    # they end in is pinned.
+    "manager_failover-orphans": (
+        "manager_failover", dict(standbys=(0,), window_s=8),
+        "2c6bf0d6fa0800effd6f3b3572f16695421479466ef2ad7ba22a25ffeeb01c1b",
+        "b7ac77c21c67d8fdea094cffad0280ee75b3bc37ff23c6253066330f00eb3b42",
+    ),
+}
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+CLI_PLANS = {
+    **{name: (name, INT_LITERALS[name], json_sha, stream_sha)
+       for name, (_, json_sha, _, stream_sha) in GOLDENS.items()},
+    **EXTRA_PLANS,
+}
+
+
+def _crash_storm_ran(points, stream):
+    assert [p["faults_injected"] for p in points] == [4] * len(points)
+
+
+def _durability_divides_the_factors(points, stream):
+    k1, k2 = points
+    assert (k1["replication"], k1["faults_injected"],
+            k1["data_loss_accesses"]) == (1, 4, 32)
+    # k=2 survives hits, not a calm run.
+    assert (k2["replication"], k2["data_loss_accesses"],
+            k2["replicas_lost"]) == (2, 0, 4)
+
+
+def _orphans_were_executing(points, stream):
+    assert b'"rfaas.execution"' in stream
+
+
+#: What each pinned run must exercise, so no pin can be a vacuous run.
+NON_VACUOUS = {
+    "autoscale": _crash_storm_ran,
+    "memdurability": _durability_divides_the_factors,
+    "manager_failover-orphans": _orphans_were_executing,
+}
+
+
+def _sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_every_registered_sweep_is_pinned():
@@ -70,7 +156,7 @@ def test_every_registered_sweep_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_json_and_report_match_the_pinned_digests(name):
-    kwargs, json_sha, report_sha = GOLDENS[name]
+    kwargs, json_sha, report_sha, _ = GOLDENS[name]
     result = run_sweep(name, **kwargs)
     assert _sha256(result.to_json()) == json_sha
     assert _sha256(result.format_report()) == report_sha
@@ -80,3 +166,25 @@ def test_json_and_report_match_the_pinned_digests(name):
 def test_int_literals_give_the_float_json(name):
     result = run_sweep(name, **INT_LITERALS[name])
     assert _sha256(result.to_json()) == GOLDENS[name][1]
+
+
+@pytest.mark.parametrize("plan", sorted(CLI_PLANS))
+def test_fresh_cli_run_matches_the_pins(plan, tmp_path):
+    name, kwargs, json_sha, stream_sha = CLI_PLANS[plan]
+    out, stream = tmp_path / "sweep.json", tmp_path / "spans.jsonl"
+    sets = [arg for key, value in kwargs.items()
+            for arg in ("--set", f"{key}={value!r}")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", name, *sets, "--jobs", "2",
+         "--json", str(out), "--stream-spans", str(stream)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr or proc.stdout
+    text, spans = out.read_text(encoding="utf-8"), stream.read_bytes()
+    if plan in NON_VACUOUS:
+        NON_VACUOUS[plan](json.loads(text)["points"], spans)
+    assert text.endswith("\n")
+    assert _sha256(text[:-1]) == json_sha
+    assert _sha256(spans) == stream_sha

@@ -446,6 +446,28 @@ def test_run_until_time_keeps_ticking_daemons_to_the_horizon():
     assert env.now == 4.5
 
 
+def test_run_until_infinity_drains_like_run():
+    env = Environment()
+    ticks = []
+
+    def bounded_ticker():
+        # Fails the test instead of hanging it if daemons keep an
+        # infinite horizon alive.
+        for _ in range(10_000):
+            yield env.timeout(1.0)
+            ticks.append(env.now)
+        raise AssertionError("run(until=inf) kept a daemon ticking")
+
+    def work():
+        yield env.timeout(3.5)
+
+    env.process(bounded_ticker(), daemon=True)
+    env.process(work())
+    env.run(until=float("inf"))
+    assert env.now == 3.5
+    assert ticks == [1.0, 2.0, 3.0]
+
+
 def test_zero_delay_timeout_from_a_daemon_is_live():
     env = Environment()
     log = []

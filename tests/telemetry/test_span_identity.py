@@ -4,7 +4,8 @@ No id is drawn from module state, so a traced run's bytes are a pure
 function of ``(params, seed)`` whatever ran earlier in the interpreter:
 a whole-run export equals the per-scenario stream, one collector's
 scopes never reuse a span id, and a stream recorded after another
-traced run still matches the pinned digest.
+traced run still matches the chaos stream pin of
+``tests/integration/test_sweep_goldens.py``.
 """
 
 import hashlib
@@ -17,11 +18,7 @@ from repro.experiments import fig07_latency
 from repro.sweep import run_sweep
 from repro.telemetry import TelemetryCollector, Tracer
 
-#: sha256 of the ``--stream-spans`` file of ``chaos rates=(0, 8)
-#: window_s=4`` (the chaos plan of ``test_sweep_goldens``).
-CHAOS_STREAM_SHA256 = (
-    "8b6c1fcf48de1cfccb7526b1433fccffae1ea204e5dca20dd5a0e3089211a7d0"
-)
+from ..integration.test_sweep_goldens import GOLDENS
 
 
 def _quiet(_text):
@@ -65,8 +62,8 @@ def test_stream_digest_is_pinned_after_another_traced_run(tmp_path, jobs):
     with TelemetryCollector() as earlier:
         fig07_latency.run(sizes=(1,), samples=2)
     assert earlier.spans
+    kwargs, json_sha, _, stream_sha = GOLDENS["chaos"]
     stream = tmp_path / "chaos.jsonl"
-    run_sweep("chaos", rates=(0.0, 8.0), window_s=4.0, jobs=jobs,
-              stream_spans=str(stream))
-    digest = hashlib.sha256(stream.read_bytes()).hexdigest()
-    assert digest == CHAOS_STREAM_SHA256
+    result = run_sweep("chaos", jobs=jobs, stream_spans=str(stream), **kwargs)
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == json_sha
+    assert hashlib.sha256(stream.read_bytes()).hexdigest() == stream_sha
