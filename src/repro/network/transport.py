@@ -4,22 +4,28 @@ Endpoints open :class:`Connection` objects through a
 :class:`NetworkFabric`, then issue two-sided sends or one-sided RDMA
 reads/writes.  Timing follows the provider's LogGP parameters plus
 dragonfly hop latency, and *bandwidth contention* is modeled physically:
-a transfer holds the source node's egress channel and the destination
-node's ingress channel for its serialization time, so concurrent flows
+a transfer holds the source node's egress link and the destination
+node's ingress link for its serialization time, so concurrent flows
 through one NIC queue behind each other.  That contention is exactly what
 the memory-service experiment (Fig. 11) and the offloading saturation
 point (Fig. 13) measure.
+
+A transfer is not a process but two timers chained by callbacks: it
+takes its egress link, then its ingress link (each a FIFO handed
+straight to the next waiter on release), waits out the serialization
+timer, releases both, and fires its completion event when the latency
+timer expires.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import deque
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..cluster.machine import Cluster
-from ..sim.engine import Environment, Event, Process
-from ..sim.resources import Resource
+from ..sim.engine import Environment, Event
 from .drc import DrcManager
 from .fabric import FabricProvider
 
@@ -36,7 +42,7 @@ __all__ = [
 class TransferDropped(ConnectionError):
     """A transfer failed due to an injected network fault.
 
-    Raised out of the transfer process when the link between the
+    The transfer's event fails with it when the link between the
     endpoints is partitioned or the conditioner's loss model drops the
     message.  The sender observes the failure after the link's base
     latency (it learns from a missing completion, not instantly).
@@ -57,9 +63,11 @@ class LinkConditioner:
     ``bandwidth_factor`` scales the available bandwidth (0.5 = half the
     nominal bandwidth, doubling serialization time), ``drop_rate``
     drops a seeded fraction of transfers, and :meth:`partition`
-    isolates a node set from the rest of the cluster.  Conditions are
+    isolates a node set from the rest of the cluster.  Each partition
+    is its own island, and a node covered by several partitions stays
+    isolated until each of them heals.  Conditions are
     read when a transfer is *issued*, so transfers already queued on a
-    NIC channel keep the conditions under which they were sent.
+    NIC link keep the conditions under which they were sent.
 
     The pristine state (all factors 1, no loss, no partition) is
     byte-for-byte identical to an unconditioned fabric: no random draws,
@@ -71,7 +79,8 @@ class LinkConditioner:
         self.bandwidth_factor = 1.0
         self.drop_rate = 0.0
         self._drop_rng: Optional[np.random.Generator] = None
-        self._isolated: set[str] = set()
+        # node -> {island: active partition() calls of that island}
+        self._islands: dict[str, dict[frozenset, int]] = {}
 
     @property
     def pristine(self) -> bool:
@@ -79,7 +88,7 @@ class LinkConditioner:
             self.latency_factor == 1.0
             and self.bandwidth_factor == 1.0
             and self.drop_rate == 0.0
-            and not self._isolated
+            and not self._islands
         )
 
     # -- degradation ---------------------------------------------------------
@@ -109,17 +118,32 @@ class LinkConditioner:
     # -- partitions ----------------------------------------------------------
     def partition(self, nodes) -> None:
         """Isolate ``nodes`` from every node outside the set."""
-        self._isolated |= set(nodes)
+        island = frozenset(nodes)
+        for node in island:
+            counts = self._islands.setdefault(node, {})
+            counts[island] = counts.get(island, 0) + 1
 
     def heal(self, nodes=None) -> None:
-        """Undo a partition (all of it when ``nodes`` is None)."""
+        """Undo one ``partition(nodes)`` call (every partition when
+        ``nodes`` is None); a set that matches no active partition is a
+        no-op."""
         if nodes is None:
-            self._isolated.clear()
-        else:
-            self._isolated -= set(nodes)
+            self._islands.clear()
+            return
+        island = frozenset(nodes)
+        for node in island:
+            counts = self._islands.get(node)
+            if counts is None or island not in counts:
+                continue
+            counts[island] -= 1
+            if not counts[island]:
+                del counts[island]
+                if not counts:
+                    del self._islands[node]
 
     def is_blocked(self, src: str, dst: str) -> bool:
-        return (src in self._isolated) != (dst in self._isolated)
+        # Two nodes can talk iff every active island holds both or neither.
+        return self._islands.get(src) != self._islands.get(dst)
 
     def should_drop(self) -> bool:
         if self.drop_rate <= 0.0:
@@ -137,6 +161,31 @@ class TransferStats:
     def record(self, size: int) -> None:
         self.messages += 1
         self.bytes += size
+
+
+class _Link:
+    """One direction of a NIC: a FIFO held by one transfer at a time."""
+
+    __slots__ = ("busy", "waiters")
+
+    def __init__(self):
+        self.busy = False
+        self.waiters: deque[Callable[[], None]] = deque()
+
+    def acquire(self, then: Callable[[], None]) -> None:
+        """Call ``then`` once this link is held (now, if it is free)."""
+        if self.busy:
+            self.waiters.append(then)
+        else:
+            self.busy = True
+            then()
+
+    def release(self) -> None:
+        """Hand the link straight to the next waiter, or free it."""
+        if self.waiters:
+            self.waiters.popleft()()
+        else:
+            self.busy = False
 
 
 class Connection:
@@ -158,19 +207,20 @@ class Connection:
         self.cred_id = cred_id
         self.closed = False
 
-    # Each op returns a Process event that fires when the transfer lands.
-    def send(self, size_bytes: int) -> Process:
+    # Each op returns an event that fires with the size when the transfer
+    # lands, or fails with TransferDropped.
+    def send(self, size_bytes: int) -> Event:
         return self.fabric._transfer(self, self.src, self.dst, size_bytes, one_sided=False)
 
-    def recv_response(self, size_bytes: int) -> Process:
+    def recv_response(self, size_bytes: int) -> Event:
         """A response flowing back dst -> src (e.g. invocation result)."""
         return self.fabric._transfer(self, self.dst, self.src, size_bytes, one_sided=False)
 
-    def rdma_read(self, size_bytes: int) -> Process:
+    def rdma_read(self, size_bytes: int) -> Event:
         """One-sided read of remote memory (payload flows dst -> src)."""
         return self.fabric._transfer(self, self.dst, self.src, size_bytes, one_sided=True)
 
-    def rdma_write(self, size_bytes: int) -> Process:
+    def rdma_write(self, size_bytes: int) -> Event:
         """One-sided write into remote memory (payload flows src -> dst)."""
         return self.fabric._transfer(self, self.src, self.dst, size_bytes, one_sided=True)
 
@@ -196,19 +246,19 @@ class NetworkFabric:
         self.drc = drc
         self.stats = TransferStats()
         self.conditioner = LinkConditioner()
-        self._egress: dict[str, Resource] = {}
-        self._ingress: dict[str, Resource] = {}
+        self._egress: dict[str, _Link] = {}
+        self._ingress: dict[str, _Link] = {}
         # Node indices never change once assigned, so the topology hop
         # latency for a (src, dst) pair is a constant — cache it.
         self._hop_cache: dict[tuple[str, str], float] = {}
 
-    def _channels(self, node: str) -> tuple[Resource, Resource]:
+    def _channels(self, node: str) -> tuple[_Link, _Link]:
         egress = self._egress.get(node)
         if egress is None:
             if node not in self.cluster:
                 raise KeyError(f"unknown node {node!r}")
-            egress = self._egress[node] = Resource(self.env, capacity=1)
-            self._ingress[node] = Resource(self.env, capacity=1)
+            egress = self._egress[node] = _Link()
+            self._ingress[node] = _Link()
         return egress, self._ingress[node]
 
     def _hop_latency(self, src: str, dst: str) -> float:
@@ -219,7 +269,7 @@ class NetworkFabric:
         return hop
 
     # -- connection management -------------------------------------------------
-    def connect(self, src: str, dst: str, user: str, cred_id: Optional[int] = None) -> Process:
+    def connect(self, src: str, dst: str, user: str, cred_id: Optional[int] = None) -> Event:
         """Establish a connection; yields the :class:`Connection`.
 
         On uGNI the credential is checked first (DRC, Sec. IV-A); the
@@ -242,18 +292,10 @@ class NetworkFabric:
         return self.env.process(setup(), name=f"connect:{src}->{dst}")
 
     # -- data movement ------------------------------------------------------------
-    def _transfer(
-        self,
-        conn: Connection,
-        src: str,
-        dst: str,
-        size_bytes: int,
-        one_sided: bool,
-    ) -> Process:
-        if conn.closed:
-            raise RuntimeError("connection is closed")
-        if size_bytes < 0:
-            raise ValueError("negative transfer size")
+    def _timing(self, src: str, dst: str, size_bytes: int,
+                one_sided: bool) -> tuple[float, float, bool]:
+        """``(serialization, latency, dropped)`` of a transfer issued now,
+        drawing its jitter and loss from the fabric's rngs."""
         provider = self.provider
         params = provider.params
         serialization = max(size_bytes * params.G, params.g)
@@ -267,7 +309,7 @@ class NetworkFabric:
         else:
             latency = base_latency * float(self.rng.lognormal(mean=0.0, sigma=params.jitter_sigma))
         conditioner = self.conditioner
-        if conditioner._isolated or conditioner.drop_rate > 0.0:
+        if conditioner._islands or conditioner.drop_rate > 0.0:
             # Preserves the short-circuit rng semantics of the slow path:
             # should_drop() draws only when the link is not partitioned.
             dropped = conditioner.is_blocked(src, dst) or conditioner.should_drop()
@@ -279,27 +321,55 @@ class NetworkFabric:
                 latency *= conditioner.latency_factor
             if conditioner.bandwidth_factor != 1.0:
                 serialization /= conditioner.bandwidth_factor
+        return serialization, latency, dropped
+
+    def _transfer(
+        self,
+        conn: Connection,
+        src: str,
+        dst: str,
+        size_bytes: int,
+        one_sided: bool,
+    ) -> Event:
+        if conn.closed:
+            raise RuntimeError("connection is closed")
+        if size_bytes < 0:
+            raise ValueError("negative transfer size")
+        serialization, latency, dropped = self._timing(src, dst, size_bytes, one_sided)
         egress, _ = self._channels(src)
         _, ingress = self._channels(dst)
+        env = self.env
+        done = Event(env)
+        # The timers are plain events scheduled as live entries: a
+        # Timeout created while a daemon runs would be a daemon entry,
+        # and run() must not return before a daemon's transfer lands.
+        timer = Event(env)
+        if dropped:
+            # The sender learns of the loss after the propagation delay:
+            # no completion arrives, the op errors out.
+            timer._waiter = lambda _: done.fail(TransferDropped(
+                f"transfer {src}->{dst} ({size_bytes} B) dropped by fault injection",
+                src=src, dst=dst,
+            ))
+            env._schedule(timer, latency)
+            return done
 
-        def run():
-            if dropped:
-                # The sender learns of the loss after the propagation
-                # delay: no completion arrives, the op errors out.
-                yield self.env.timeout(latency)
-                raise TransferDropped(
-                    f"transfer {src}->{dst} ({size_bytes} B) dropped by fault injection",
-                    src=src, dst=dst,
-                )
-            with egress.request() as ereq:
-                yield ereq
-                with ingress.request() as ireq:
-                    yield ireq
-                    yield self.env.timeout(serialization)
-            yield self.env.timeout(latency)
+        def landed(_: Event) -> None:
             self.stats.record(size_bytes)
-            return size_bytes
+            done.succeed(size_bytes)
 
-        # Static name: per-message f-string construction showed up in the
-        # transfer profile and the names are only a debugging aid.
-        return self.env.process(run(), name="xfer")
+        def serialized(_: Event) -> None:
+            # Ingress first, then egress: the release order of the nested
+            # acquisition below.
+            ingress.release()
+            egress.release()
+            flight = Event(env)
+            flight._waiter = landed
+            env._schedule(flight, latency)
+
+        def start() -> None:
+            timer._waiter = serialized
+            env._schedule(timer, serialization)
+
+        egress.acquire(lambda: ingress.acquire(start))
+        return done

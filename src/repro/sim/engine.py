@@ -206,6 +206,12 @@ class Initialize(Event):
         env._immediate.append((env._now, env._seq, self))
 
 
+class _Interruption(Event):
+    """Internal: throws an :class:`Interrupt` into a process."""
+
+    __slots__ = ()
+
+
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -271,7 +277,7 @@ class Process(Event):
             later._waiter = deliver
             later.succeed()
             return
-        event = Event(self.env)
+        event = _Interruption(self.env)
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
@@ -292,6 +298,12 @@ class Process(Event):
 
     # -- engine internals ---------------------------------------------------
     def _resume_event(self, event: Event) -> None:
+        if event is not self._target and (type(event) is not _Interruption
+                                          or self._triggered):
+            # A stale wake-up: interrupted while ``event`` ran a callback
+            # list the dispatch had already taken, or interrupted again
+            # after the first interrupt ended the process.
+            return
         env = self.env
         env._active_process = self
         while True:
@@ -568,24 +580,25 @@ class Environment:
         if not event._ok and not event._defused:
             raise event._value
 
-    def run_until_idle(self) -> None:
-        """Drain the event queue until only daemon entries remain.
+    def _drain(self, horizon: float = float("inf")) -> None:
+        """Process events up to ``horizon``, or, with no horizon (``inf``),
+        until only daemon entries remain.
 
-        The tight-loop core of :meth:`run`: everything loop-invariant
-        (queue bindings, ``heappop``) is hoisted, and the per-event body
-        inlines :meth:`step` without the empty-queue re-check.  Only the
-        heap-only branch can hold nothing but daemon entries.
+        The one event loop: everything loop-invariant (queue bindings,
+        ``heappop``) is hoisted and the per-event body inlines
+        :meth:`step`.  Immediate and urgent entries sit at ``now``, which
+        never passes the horizon, so only the heap-only branch checks it;
+        that branch is also the only one that can hold nothing but daemon
+        entries.
         """
         queue = self._queue
         immediate = self._immediate
         urgent = self._urgent
         heappop = heapq.heappop
+        bounded = horizon != float("inf")
         while True:
             if urgent:
-                if not (queue or immediate):
-                    self._now, _, _, event = heappop(urgent)
-                else:
-                    event = self._pop_next()
+                event = self._pop_next()
             elif immediate:
                 t_i, s_i, event = immediate[0]
                 if queue:
@@ -599,7 +612,8 @@ class Environment:
                 else:
                     immediate.popleft()
                     self._now = t_i
-            elif len(queue) > self._daemon_entries:
+            elif queue and (queue[0][0] <= horizon if bounded
+                            else len(queue) > self._daemon_entries):
                 self._now, _, event = heappop(queue)
             else:
                 break
@@ -621,7 +635,7 @@ class Environment:
         (``until=inf`` is no horizon), but an event only they could fire
         makes ``run(until=event)`` raise."""
         if until is None or until == float("inf"):
-            self.run_until_idle()
+            self._drain()
             return None
         if isinstance(until, Event):
             while not until._processed:
@@ -635,9 +649,6 @@ class Environment:
         stop_time = float(until)
         if stop_time < self._now:
             raise ValueError(f"until={stop_time} lies in the past (now={self._now})")
-        while self._queue or self._immediate or self._urgent:
-            if self.peek() > stop_time:
-                break
-            self.step()
+        self._drain(stop_time)
         self._now = stop_time
         return None

@@ -220,3 +220,57 @@ def test_interrupt_detaches_from_anyof_target():
     env.process(interrupter())
     env.run()
     assert resumptions == [("interrupted", 1), ("slept", 101)]
+
+
+def test_interrupt_during_the_awaited_events_dispatch_wins():
+    """The dispatch takes an event's callback list before running it, so
+    an interrupt from an earlier callback cannot unhook a later waiter
+    from the list: the stale wake-up must be ignored, not resume it."""
+    env = Environment()
+    signal = env.event()
+    seen = []
+
+    def victim():
+        try:
+            value = yield signal
+            seen.append(("woke", value))
+        except Interrupt as interrupt:
+            seen.append(("interrupted", interrupt.cause))
+        yield env.timeout(1)
+        seen.append(("slept", env.now))
+
+    def interrupter():
+        yield signal  # the single waiter: runs before the victim's callback
+        procs["victim"].interrupt("stop")
+
+    procs = {}
+    env.process(interrupter())
+    procs["victim"] = env.process(victim())
+    env.run(until=0)
+    assert signal.callbacks == [procs["victim"]._resume]
+    signal.succeed("go")
+    env.run()
+    assert seen == [("interrupted", "stop"), ("slept", 1)]
+
+
+def test_second_interrupt_of_a_process_the_first_ended_is_dropped():
+    env = Environment()
+    caught = []
+
+    def victim():
+        try:
+            yield env.timeout(5)
+        except Interrupt as interrupt:
+            caught.append(interrupt.cause)
+
+    proc = env.process(victim())
+
+    def interrupter():
+        yield env.timeout(1)
+        proc.interrupt("first")
+        proc.interrupt("second")  # still alive: the first is not delivered yet
+
+    env.process(interrupter())
+    env.run()
+    assert caught == ["first"]
+    assert proc.processed and proc.ok
