@@ -141,7 +141,6 @@ def run_platform(
             bench = rodinia_benchmark(key)
             extra_occ = bench.gpu_occupancy * RODINIA_DUTY_CYCLE
             resident = device.launch(f"fn-{key}", 4.0, extra_occ)
-            yield env.timeout(0.0)  # let the function kernel register
             wall = yield device.launch("batch", 1.0, BATCH_GPU_OCCUPANCY)
             measured_overload[key] = wall - 1.0
             yield resident          # drain the device before the next probe

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.specs import GpuSpec
-from ..sim.engine import Environment, Process
+from ..sim.engine import Environment, Event
 
 __all__ = ["GpuDevice", "GpuMemoryError", "KernelLaunch"]
 
@@ -118,27 +118,22 @@ class GpuDevice:
         self.warm_evictions += 1
 
     # -- kernels ----------------------------------------------------------------
-    def launch(self, owner: str, runtime_s: float, occupancy: float) -> Process:
-        """Run a kernel; dilates while co-resident occupancy exceeds 1.
+    def launch(self, owner: str, runtime_s: float, occupancy: float) -> Event:
+        """Run a kernel; the event fires with its dilated wall time.
 
-        Dilation is approximated with the occupancy mix at launch time —
-        sufficient for the few-hundred-millisecond Rodinia kernels.
+        A kernel is an engine timer, not a process: it is resident from
+        this call until the timer fires, and leaves before any yielder
+        resumes.  Dilation is approximated with the occupancy mix
+        sampled at the launch call itself (this kernel included), not
+        one process start later — sufficient for the
+        few-hundred-millisecond Rodinia kernels.
         """
         if runtime_s < 0:
             raise ValueError("negative kernel runtime")
         if not 0 < occupancy <= 1:
             raise ValueError("occupancy in (0, 1]")
-        launch = KernelLaunch(self.env.next_id("gpu-launch"), owner, runtime_s, occupancy)
-
-        def run():
-            self._resident[launch.launch_id] = launch
-            self.kernels_launched += 1
-            total = self.current_occupancy
-            dilation = max(1.0, total)
-            try:
-                yield self.env.timeout(runtime_s * dilation)
-            finally:
-                del self._resident[launch.launch_id]
-            return runtime_s * dilation
-
-        return self.env.process(run(), name=f"kernel-{owner}-{launch.launch_id}")
+        launch_id = self.env.next_id("gpu-launch")
+        self._resident[launch_id] = KernelLaunch(launch_id, owner, runtime_s, occupancy)
+        self.kernels_launched += 1
+        wall = runtime_s * max(1.0, self.current_occupancy)
+        return self.env.timer(wall, lambda _: self._resident.pop(launch_id), wall)

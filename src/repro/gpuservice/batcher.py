@@ -15,7 +15,9 @@ counter per queue: every flush bumps the generation, and a pending
 max-wait timer that wakes into a newer generation does nothing.  Timers
 are therefore never interrupted — they simply expire into no-ops —
 which keeps the event timeline identical whether a batch filled early
-or not, a property the byte-determinism tests lean on.
+or not, a property the byte-determinism tests lean on.  A timer is an
+engine timer (``env.timer``), not a process, and a live entry even
+when a daemon enqueues, so a partial batch always flushes.
 
 With ``max_batch_size=1`` the batcher degenerates to a synchronous
 fast path: every enqueue flushes immediately and no timer is ever
@@ -90,17 +92,15 @@ class GpuBatcher:
             self._fire(key, trigger="size")
         elif len(queue) == 1:
             generation = self._gen.get(key, 0)
-            self.env.process(
-                self._timer(key, generation),
-                name=f"gpu-batch-timer:{device}:{function}",
-            )
 
-    def _timer(self, key: Hashable, generation: int):
-        yield self.env.timeout(self.policy.max_wait_s)
-        # A newer generation means the queue flushed (size trigger or a
-        # drain) while we slept; this timer belongs to a dead batch.
-        if self._gen.get(key, 0) == generation and self._queues.get(key):
-            self._fire(key, trigger="timer")
+            def expire(_) -> None:
+                # A newer generation means the queue flushed (size
+                # trigger or a drain) meanwhile; this timer belongs to a
+                # dead batch.
+                if self._gen.get(key, 0) == generation and self._queues.get(key):
+                    self._fire(key, trigger="timer")
+
+            self.env.timer(self.policy.max_wait_s, expire)
 
     def _fire(self, key: Hashable, trigger: str) -> None:
         batch = self._queues.pop(key, [])

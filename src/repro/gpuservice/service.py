@@ -128,7 +128,8 @@ class _Slot:
         self.node = node
         self.online = True
         self.warm: set[str] = set()
-        self.inflight: set[Process] = set()
+        # Insertion-ordered, so a device loss replays in launch order.
+        self.inflight: dict[Process, None] = {}
 
 
 class GpuService:
@@ -165,7 +166,6 @@ class GpuService:
                 self._slots[name] = slot
                 self.leases.add_device(slot.device, host)
         self.batcher = GpuBatcher(env, self.config.policy, self._on_flush)
-        self.forecaster = DemandForecaster()
         self.autoscaler = None
         if self.config.autoscale is not None:
             self.autoscaler = _WarmContexts(self, self.config.autoscale)
@@ -258,7 +258,8 @@ class GpuService:
         if function not in self._functions:
             raise ValueError(f"unknown GPU function {function!r}")
         now = self.env.now
-        self.forecaster.observe_arrival(now, function)
+        if self.autoscaler is not None:
+            self.autoscaler.forecaster.observe_arrival(now, function)
         span = None
         if self._tracer.enabled:
             if ctx is None:
@@ -299,12 +300,12 @@ class GpuService:
     def _on_flush(self, device: str, function: str, batch: list,
                   trigger: str) -> None:
         slot = self._slots[device]
-        slot.inflight = {p for p in slot.inflight if p.is_alive}
+        slot.inflight = {p: None for p in slot.inflight if p.is_alive}
         process = self.env.process(
             self._run_batch(device, function, batch, trigger),
             name=f"gpu-batch:{device}:{function}",
         )
-        slot.inflight.add(process)
+        slot.inflight[process] = None
 
     def _batch_device_time(self, spec: GpuFunctionSpec, size: int) -> float:
         """Kernel-sequence time of one coalesced launch of ``size`` requests."""
@@ -319,20 +320,24 @@ class GpuService:
         spec = self._functions[function]
         size = len(batch)
         env = self.env
-        span = self._tracer.begin(
-            SpanKind.GPU_BATCH, track="gpu",
-            device=device, function=function, size=size, trigger=trigger,
-        )
+        tracer = self._tracer
+        # Hoisted: an untraced batch makes no tracer call at all.
+        traced = tracer.enabled
         for request in batch:
             self._m_batch_wait.observe(env.now - request.submitted_at)
-        items = [
-            self._tracer.begin(
-                SpanKind.GPU_BATCH_ITEM, track="gpu",
-                ctx=request.ctx.child(span.span_id),
-                request=request.req_id, attempt=request.attempts,
+        if traced:
+            span = tracer.begin(
+                SpanKind.GPU_BATCH, track="gpu",
+                device=device, function=function, size=size, trigger=trigger,
             )
-            for request in batch
-        ] if self._tracer.enabled else []
+            items = [
+                tracer.begin(
+                    SpanKind.GPU_BATCH_ITEM, track="gpu",
+                    ctx=request.ctx.child(span.span_id),
+                    request=request.req_id, attempt=request.attempts,
+                )
+                for request in batch
+            ]
         try:
             if function not in slot.warm:
                 # Cold: initialize the context and move the dataset over
@@ -358,25 +363,27 @@ class GpuService:
                 function, self._batch_device_time(spec, size), spec.occupancy
             )
         except Interrupt as interrupt:
-            for item in items:
-                self._tracer.finish(item, error=FaultKind.GPU_DEVICE_LOSS)
-            self._tracer.finish(span, error=FaultKind.GPU_DEVICE_LOSS)
+            if traced:
+                for item in items:
+                    tracer.finish(item, error=FaultKind.GPU_DEVICE_LOSS)
+                tracer.finish(span, error=FaultKind.GPU_DEVICE_LOSS)
             self._replay(batch, lost_device=device, cause=interrupt.cause)
             return
         self.batches += 1
         self._m_batches.inc()
         self._m_batch_size.observe(size)
-        self._tracer.finish(span, device_time_s=self._batch_device_time(spec, size))
+        if traced:
+            tracer.finish(span, device_time_s=self._batch_device_time(spec, size))
         now = env.now
         for index, request in enumerate(batch):
-            if items:
-                self._tracer.finish(items[index])
             latency = now - request.submitted_at
             self._m_latency.observe(latency)
-            self._tracer.finish(
-                request.span, latency_s=latency, batch_size=size,
-                device=device, replays=request.attempts,
-            )
+            if traced:
+                tracer.finish(items[index])
+                tracer.finish(
+                    request.span, latency_s=latency, batch_size=size,
+                    device=device, replays=request.attempts,
+                )
             self.completed += 1
             request.done.succeed({
                 "function": function,
@@ -520,7 +527,8 @@ class _WarmContexts(WarmPoolAutoscaler):
     _prewarm_name = "gpu-prewarm:{slot}:{key}"
 
     def __init__(self, service: GpuService, config: AutoscalerConfig):
-        self._init_loop(service.env, service.cluster, service.forecaster, config)
+        # Only this loop reads the forecaster, so it exists only here.
+        self._init_loop(service.env, service.cluster, DemandForecaster(), config)
         self.service = service
         self._m_target = telemetry_of(service.env).metrics.gauge(
             "repro_gpu_warm_target_count",

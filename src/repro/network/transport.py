@@ -340,18 +340,15 @@ class NetworkFabric:
         _, ingress = self._channels(dst)
         env = self.env
         done = Event(env)
-        # The timers are plain events scheduled as live entries: a
-        # Timeout created while a daemon runs would be a daemon entry,
-        # and run() must not return before a daemon's transfer lands.
-        timer = Event(env)
+        # env.timer, not a Timeout: a daemon's transfer (the memservice
+        # repair loop issues some) must keep run() alive until it lands.
         if dropped:
             # The sender learns of the loss after the propagation delay:
             # no completion arrives, the op errors out.
-            timer._waiter = lambda _: done.fail(TransferDropped(
+            env.timer(latency, lambda _: done.fail(TransferDropped(
                 f"transfer {src}->{dst} ({size_bytes} B) dropped by fault injection",
                 src=src, dst=dst,
-            ))
-            env._schedule(timer, latency)
+            )))
             return done
 
         def landed(_: Event) -> None:
@@ -363,13 +360,8 @@ class NetworkFabric:
             # acquisition below.
             ingress.release()
             egress.release()
-            flight = Event(env)
-            flight._waiter = landed
-            env._schedule(flight, latency)
+            env.timer(latency, landed)
 
-        def start() -> None:
-            timer._waiter = serialized
-            env._schedule(timer, serialization)
-
-        egress.acquire(lambda: ingress.acquire(start))
+        egress.acquire(lambda: ingress.acquire(
+            lambda: env.timer(serialization, serialized)))
         return done

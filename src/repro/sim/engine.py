@@ -25,9 +25,10 @@ touching the callback list.
 
 Background loops run as daemon processes (``Process.daemon``).  A delayed
 :class:`Timeout` created while a daemon is active is a *daemon entry*;
-every other entry, including any zero-delay one a daemon schedules, is
-live.  An open-ended :meth:`Environment.run` returns once only daemon
-entries remain, so no caller has to stop a loop before draining.
+every other entry, including any zero-delay one or
+:meth:`Environment.timer` a daemon schedules, is live.  An open-ended
+:meth:`Environment.run` returns once only daemon entries remain, so no
+caller has to stop a loop before draining.
 """
 
 from __future__ import annotations
@@ -482,6 +483,24 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def timer(self, delay: float, callback: Callable[[Event], None],
+              value: Any = None) -> Event:
+        """An event that fires with ``value`` after ``delay``, running
+        ``callback`` before any process that yields it.
+
+        Unlike a :class:`Timeout`, a timer is always a live entry, even
+        when a daemon creates it: it stands in for the non-daemon
+        process a one-shot wait would otherwise cost.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        event = Event(self)
+        event._waiter = callback
+        event._value = value
+        event._triggered = True
+        self._schedule(event, delay)
+        return event
 
     def process(self, generator: ProcessGenerator, name: str = "",
                 daemon: bool = False) -> Process:

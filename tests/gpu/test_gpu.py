@@ -81,6 +81,21 @@ def test_single_kernel_runtime():
     assert p.value == pytest.approx(0.5)
 
 
+def test_a_kernel_is_resident_from_launch_until_its_yielder_resumes():
+    env, dev = make_device()
+    seen = []
+
+    def proc():
+        kernel = dev.launch("a", runtime_s=0.5, occupancy=0.5)
+        seen.append(dev.current_occupancy)
+        yield kernel
+        seen.append(dev.current_occupancy)
+
+    env.process(proc())
+    env.run()
+    assert seen == [0.5, 0.0]
+
+
 def test_concurrent_kernels_dilate_when_oversubscribed():
     env, dev = make_device()
     done = []

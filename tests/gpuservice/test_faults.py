@@ -93,6 +93,21 @@ def test_device_loss_replays_in_flight_batches_on_the_survivor():
     assert not service.is_warm(fn.name, "n0000/gpu0")
 
 
+def test_device_loss_replays_in_flight_batches_in_launch_order():
+    with TelemetryCollector() as collector:
+        platform, service = build(max_batch_size=1)
+        fn = service.register(spec())
+        requests = [service.submit(fn.name) for _ in range(12)]
+        platform.run_until(0.001)     # twelve single-request batches in flight
+        assert service.batcher.pending_total() == 0
+        service.lose_node("n0000")
+        platform.run()
+    replayed = [s.attrs["request"] for s in collector.spans
+                if s.name == "gpu.replay"]
+    assert replayed == [r.req_id for r in requests] == list(range(1, 13))
+    assert all(r.done.value["device"] == "n0001/gpu0" for r in requests)
+
+
 def test_queued_requests_behind_a_dead_device_are_rerouted_unbilled():
     platform, service = build(max_batch_size=64)
     fn = service.register(spec())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import ClusterSpec, Platform
+from repro.experiments import gpu_scaling_sweep
 from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
 from repro.telemetry import TelemetryCollector
@@ -167,3 +168,46 @@ def test_run_flushes_a_stranded_partial_batch_on_its_timer():
     assert request.done.triggered and request.done.value["batch_size"] == 1
     assert service.completed == 1
     assert service.batcher.flushes_on_timer == 1
+
+
+def test_a_partial_batch_enqueued_from_a_daemon_flushes_on_its_timer():
+    """The max-wait timer is a live entry even when a daemon enqueues,
+    so run() waits for it and the request completes."""
+    platform, service = build(policy=BatchPolicy(max_batch_size=64,
+                                                 max_wait_s=5.0))
+    fn = service.register(spec())
+    results = []
+
+    def daemon():
+        results.append((yield service.submit(fn.name).done))
+
+    platform.env.process(daemon(), daemon=True)
+    platform.run()
+    assert service.batcher.flushes_on_timer == 1
+    assert service.completed == 1
+    assert results and results[0]["batch_size"] == 1
+
+
+def test_a_batched_gpu_run_schedules_only_live_work():
+    """Event budget of a gpu_scaling-shaped run (B=8, 512 requests per
+    stream): per request an arrival timeout and a done event (2,048);
+    per batch the batch process's start and exit, its PCIe-input and
+    setup timeouts, one max-wait timer and one kernel timer (768); two
+    cold context loads and the two stream processes (8).  A timer that
+    grows back into a process adds events here."""
+    config = GpuServiceConfig(
+        gpu_nodes=2, policy=BatchPolicy(max_batch_size=8, max_wait_s=1.0))
+    platform = Platform.build(ClusterSpec(nodes=2, jitter=0.0), seed=0,
+                              gpu=config)
+    service = platform.gpu
+    gap_s = len(gpu_scaling_sweep.FUNCTIONS) / gpu_scaling_sweep._offered_rate(
+        8, 800.0, config)
+    latencies, finish_times = [], []
+    for function in gpu_scaling_sweep.FUNCTIONS:
+        service.register(gpu_scaling_sweep._function_spec(function))
+        platform.process(gpu_scaling_sweep._request_stream(
+            platform.env, service, function, 512, gap_s, latencies,
+            finish_times))
+    platform.run()
+    assert service.completed == 1024 and service.batches == 128
+    assert platform.env.event_count == 2824

@@ -6,8 +6,8 @@ at risk from that rewrite: interrupts landing between same-timestamp
 events, ``run(until=event)`` on a triggered-but-unprocessed event,
 ``Timeout(0)`` vs ``succeed()`` FIFO ordering, condition waiters
 under the single-waiter slot, interrupts sent before a process's first
-step, daemon processes, and that a finished process is freed by
-refcounting alone.
+step, daemon processes, engine timers, and that a finished process is
+freed by refcounting alone.
 """
 
 import gc
@@ -482,6 +482,66 @@ def test_zero_delay_timeout_from_a_daemon_is_live():
     env.run()
     assert log == [("zero", 0.0)]
     assert env.now == 0.0
+
+
+# -- engine timers ------------------------------------------------------------
+
+def test_timer_callback_runs_before_a_yielding_process_resumes():
+    env = Environment()
+    log = []
+    timer = env.timer(2.0, lambda _: log.append(("callback", env.now)))
+
+    def waiter():
+        yield timer
+        log.append(("resumed", env.now))
+
+    env.process(waiter())
+    env.run()
+    assert log == [("callback", 2.0), ("resumed", 2.0)]
+
+
+def test_timer_value_reaches_the_yielder():
+    env = Environment()
+    got = []
+
+    def waiter():
+        got.append((yield env.timer(1.5, lambda _: None, 42)))
+        got.append((yield env.timer(0.5, lambda _: None)))
+
+    env.process(waiter())
+    env.run()
+    assert got == [42, None]
+    assert env.now == 2.0
+
+
+def test_a_timer_created_in_a_daemon_keeps_run_alive_until_it_fires():
+    """Unlike a daemon's Timeout, which is a daemon entry, a timer is
+    always live: run() waits for it."""
+    env = Environment()
+    fired = []
+
+    def daemon():
+        env.timer(5.0, lambda _: fired.append(env.now))
+        while True:
+            yield env.timeout(1.0)
+
+    env.process(daemon(), daemon=True)
+    env.run()
+    assert fired == [5.0]
+    assert env.now == 5.0
+
+
+def test_a_zero_delay_timer_takes_the_immediate_lane():
+    env = Environment()
+    log = []
+    env.event().succeed("before")
+    timer = env.timer(0.0, lambda _: log.append("timer"))
+    assert not env._queue
+    assert [event for _, _, event in env._immediate][-1] is timer
+    env.run()
+    assert log == ["timer"]
+    with pytest.raises(ValueError):
+        env.timer(-1.0, lambda _: None)
 
 
 # -- no cyclic garbage -------------------------------------------------------
