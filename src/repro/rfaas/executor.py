@@ -17,6 +17,7 @@ interference becomes visible to serverless users.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -24,10 +25,10 @@ import numpy as np
 from ..cluster.node import Node
 from ..containers.image import Image
 from ..containers.warmpool import WarmContainer, WarmPool
-from ..sim.engine import Environment, Interrupt, Process
-from ..sim.resources import Resource
+from ..sim.engine import Environment, Event, Interrupt, Process
 from ..storage.tiered import TieredFunctionStorage
 from ..telemetry import SpanKind, telemetry_of
+from ..telemetry.tracer import NULL_SPAN_CONTEXT as _UNTRACED
 from .errors import TerminationError
 from .load import NodeLoadRegistry
 from .messages import InvocationRequest, InvocationResult, InvocationStatus, Timings
@@ -83,7 +84,10 @@ class Executor:
         # Functions must be time-limited (Sec. III-A): that is what lets
         # a temporarily-available node drain quickly for batch jobs.
         self.max_invocation_s = max_invocation_s
-        self.slots = Resource(env, capacity=cores)
+        # Core slots: free cores, and the invocations waiting for one in
+        # arrival order.  A free core is taken with no event at all.
+        self._free = cores
+        self._waiters: deque[Event] = deque()
         self.draining = False
         # Fault-injection hook (repro.faults): a straggling executor
         # picks work up late by this factor; 1.0 = healthy.
@@ -161,15 +165,10 @@ class Executor:
         :class:`TerminationError` out of the process, mirroring rFaaS's
         *termination* replies.
         """
-        if self._tracer.enabled:
-            return self.env.process(
-                self._execute_traced(fdef, request),
-                name=f"exec-{self.executor_id}-inv-{request.invocation_id}",
-            )
-        # Disabled-telemetry fast path: same control flow and rng draws,
-        # but no span context managers, no metric calls, and a static
-        # process name (the descriptive one is only a trace/debug aid).
-        return self.env.process(self._execute_fast(fdef, request), name="exec")
+        traced = self._tracer.enabled
+        # The descriptive process name is only a trace/debug aid.
+        name = f"exec-{self.executor_id}-inv-{request.invocation_id}" if traced else "exec"
+        return self.env.process(self._execute(fdef, request, traced), name=name)
 
     def _dispatch_delay(self) -> float:
         if self.mode == ExecutorMode.HOT:
@@ -178,126 +177,70 @@ class Executor:
             base = _WARM_WAKEUP_BASE_S + float(self.rng.exponential(_WARM_WAKEUP_MEAN_S))
         return base * self.dispatch_multiplier
 
-    def _execute_fast(self, fdef: FunctionDef, request: InvocationRequest):
-        """Invocation path with telemetry compiled out.
+    def _wait_for_core(self):
+        """Queue, FIFO, until :meth:`_release_core` hands this invocation a core."""
+        grant = Event(self.env)
+        self._waiters.append(grant)
+        try:
+            yield grant
+        except Interrupt:
+            if grant.triggered:
+                # Handed a core, then interrupted before resuming: pass it on.
+                self._release_core()
+            else:
+                self._waiters.remove(grant)
+            raise
 
-        Must stay semantically identical to :meth:`_execute_traced` —
-        the same yields, the same rng draws in the same order, the same
-        results — so that traced and untraced runs produce identical
-        timelines (asserted by tests/telemetry determinism tests).
+    def _release_core(self) -> None:
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._free += 1
+
+    def _execute(self, fdef: FunctionDef, request: InvocationRequest, traced: bool):
+        """The one invocation path: core, dispatch, sandbox, inputs, execution.
+
+        Untraced, it makes no tracer or metric call: each span is the
+        shared no-op context and each metric update sits behind
+        ``traced``.  Both ways make the same yields and rng draws in the
+        same order, so traced and untraced runs share one timeline.
         """
         if self.draining:
             self.rejected += 1
+            if traced:
+                self._m_rejected.inc()
             return InvocationResult(
                 request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
             )
-        me = self.env.active_process
+        env = self.env
+        me = env.active_process
         self._active[me] = None
         timings = Timings()
         load_key = f"inv-{request.invocation_id}"
-        registered = False
-        try:
-            with self.slots.request() as slot:
-                yield slot
-                # 1. Dispatch pickup (polling mode dependent).
-                timings.dispatch = self._dispatch_delay()
-                yield self.env.timeout(timings.dispatch)
-                # 2. Sandbox: attached process or warm-pool acquisition.
-                container = self._attached.get(fdef.image.name)
-                if container is not None:
-                    kind = "attached"
-                else:
-                    acquired = self.warm_pool.acquire(fdef.image)
-                    container = acquired.container
-                    self._attached[fdef.image.name] = container
-                    kind = acquired.kind
-                    timings.startup = acquired.startup_cost_s
-                    if timings.startup > 0:
-                        yield self.env.timeout(timings.startup)
-                # 3. Stage inputs through the function storage tier.
-                if fdef.input_read_bytes:
-                    concurrent = max(1, self.active_invocations)
-                    timings.io = self.storage.read_time(
-                        fdef.input_read_bytes, concurrent_readers=concurrent
-                    )
-                    yield self.env.timeout(timings.io)
-                # 4. Execute under the node's current interference.
-                self.loads.add(self.node.name, load_key, fdef.demand)
-                registered = True
-                slowdown = self.loads.slowdown_of(self.node.name, load_key)
-                remaining = max(fdef.runtime_s - request.resume_offset_s, 0.0)
-                timings.execution = remaining * slowdown
-                execution_started = self.env.now
-                execution_slowdown = slowdown
-                if timings.execution > self.max_invocation_s:
-                    self.rejected += 1
-                    return InvocationResult(
-                        request=request,
-                        status=InvocationStatus.REJECTED,
-                        node_name=self.node.name,
-                    )
-                if timings.execution > 0:
-                    yield self.env.timeout(timings.execution)
-                self.completed += 1
-                return InvocationResult(
-                    request=request,
-                    status=InvocationStatus.OK,
-                    output_bytes=fdef.output_bytes,
-                    timings=timings,
-                    node_name=self.node.name,
-                    startup_kind=kind,
-                )
-        except Interrupt as intr:
-            self.terminated += 1
-            checkpoint = request.resume_offset_s
-            if fdef.checkpointable and registered:
-                elapsed = (self.env.now - execution_started) / execution_slowdown
-                interval = fdef.checkpoint_interval_s
-                checkpoint += (elapsed // interval) * interval
-                checkpoint = min(checkpoint, fdef.runtime_s)
-            raise TerminationError(
-                f"invocation {request.invocation_id}: {intr.cause}",
-                checkpoint_s=checkpoint,
-                cause=intr.cause,
-            ) from None
-        finally:
-            if registered:
-                self.loads.remove(self.node.name, load_key)
-            if self.draining:
-                for attached in self._attached.values():
-                    self.warm_pool.discard(attached)
-                self._attached.clear()
-            self._active.pop(me, None)
-
-    def _execute_traced(self, fdef: FunctionDef, request: InvocationRequest):
-        if self.draining:
-            self.rejected += 1
-            self._m_rejected.inc()
-            return InvocationResult(
-                request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
-            )
-        me = self.env.active_process
-        self._active[me] = None
-        timings = Timings()
-        load_key = f"inv-{request.invocation_id}"
-        registered = False
+        holding = registered = False
         tracer = self._tracer
         track = self._track
         try:
-            with tracer.span(
+            with (tracer.span(
                 SpanKind.INVOCATION, track=track, ctx=request.trace,
                 function=fdef.name,
                 invocation=request.invocation_id, mode=self.mode,
-            ) as inv_span, self.slots.request() as slot:
-                yield slot
+            ) if traced else _UNTRACED) as inv_span:
+                if self._free:
+                    self._free -= 1
+                else:
+                    yield from self._wait_for_core()
+                holding = True
                 # 1. Dispatch pickup (polling mode dependent).
-                with tracer.span(SpanKind.DISPATCH, track=track):
+                with tracer.span(SpanKind.DISPATCH, track=track) if traced else _UNTRACED:
                     timings.dispatch = self._dispatch_delay()
-                    yield self.env.timeout(timings.dispatch)
-                self._m_dispatch.observe(timings.dispatch)
+                    yield env.timeout(timings.dispatch)
+                if traced:
+                    self._m_dispatch.observe(timings.dispatch)
                 # 2. Sandbox: an attached function process serves directly;
                 #    otherwise the warm pool decides cold/warm/swap-in.
-                with tracer.span(SpanKind.SANDBOX, track=track) as sandbox_span:
+                with (tracer.span(SpanKind.SANDBOX, track=track)
+                      if traced else _UNTRACED) as sandbox_span:
                     container = self._attached.get(fdef.image.name)
                     if container is not None:
                         kind = "attached"
@@ -308,19 +251,20 @@ class Executor:
                         kind = acquired.kind
                         timings.startup = acquired.startup_cost_s
                         if timings.startup > 0:
-                            yield self.env.timeout(timings.startup)
+                            yield env.timeout(timings.startup)
                     sandbox_span.set(kind=kind)
                 inv_span.set(sandbox=kind)
                 # 3. Stage inputs through the function storage tier
                 #    (mounted PFS / object cache, Sec. IV-D).
                 if fdef.input_read_bytes:
-                    with tracer.span(SpanKind.IO, track=track,
-                                     bytes=fdef.input_read_bytes):
+                    with (tracer.span(SpanKind.IO, track=track,
+                                      bytes=fdef.input_read_bytes)
+                          if traced else _UNTRACED):
                         concurrent = max(1, self.active_invocations)
                         timings.io = self.storage.read_time(
                             fdef.input_read_bytes, concurrent_readers=concurrent
                         )
-                        yield self.env.timeout(timings.io)
+                        yield env.timeout(timings.io)
                 # 4. Execute under the node's current interference,
                 #    skipping work already checkpointed elsewhere.
                 self.loads.add(self.node.name, load_key, fdef.demand)
@@ -328,26 +272,27 @@ class Executor:
                 slowdown = self.loads.slowdown_of(self.node.name, load_key)
                 remaining = max(fdef.runtime_s - request.resume_offset_s, 0.0)
                 timings.execution = remaining * slowdown
-                execution_started = self.env.now
-                execution_slowdown = slowdown
+                execution_started = env.now
                 if timings.execution > self.max_invocation_s:
                     # Admission-time enforcement of the time limit: the
                     # platform never starts work it would have to kill.
                     self.rejected += 1
-                    self._m_rejected.inc()
+                    if traced:
+                        self._m_rejected.inc()
                     inv_span.set(status="rejected")
                     return InvocationResult(
                         request=request,
                         status=InvocationStatus.REJECTED,
                         node_name=self.node.name,
                     )
-                with tracer.span(SpanKind.EXECUTION, track=track,
-                                 slowdown=slowdown):
+                with (tracer.span(SpanKind.EXECUTION, track=track, slowdown=slowdown)
+                      if traced else _UNTRACED):
                     if timings.execution > 0:
-                        yield self.env.timeout(timings.execution)
-                self._m_execution.observe(timings.execution)
+                        yield env.timeout(timings.execution)
                 self.completed += 1
-                self._m_invocations.inc()
+                if traced:
+                    self._m_execution.observe(timings.execution)
+                    self._m_invocations.inc()
                 inv_span.set(status="ok")
                 return InvocationResult(
                     request=request,
@@ -359,12 +304,13 @@ class Executor:
                 )
         except Interrupt as intr:
             self.terminated += 1
-            self._m_terminated.inc()
+            if traced:
+                self._m_terminated.inc()
             checkpoint = request.resume_offset_s
             if fdef.checkpointable and registered:
                 # Progress in nominal-runtime seconds, rounded down to the
                 # last completed checkpoint.
-                elapsed = (self.env.now - execution_started) / execution_slowdown
+                elapsed = (env.now - execution_started) / slowdown
                 interval = fdef.checkpoint_interval_s
                 checkpoint += (elapsed // interval) * interval
                 checkpoint = min(checkpoint, fdef.runtime_s)
@@ -374,6 +320,8 @@ class Executor:
                 cause=intr.cause,
             ) from None
         finally:
+            if holding:
+                self._release_core()
             if registered:
                 self.loads.remove(self.node.name, load_key)
             if self.draining:

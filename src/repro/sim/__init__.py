@@ -10,8 +10,7 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, FilterStore, Request, Resource, Store
-from .rng import RngRegistry, stream
+from .resources import FilterStore
 from .trace import EventLog, EventRecord, TimeSeries
 
 __all__ = [
@@ -23,13 +22,7 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "Container",
     "FilterStore",
-    "Request",
-    "Resource",
-    "Store",
-    "RngRegistry",
-    "stream",
     "EventLog",
     "EventRecord",
     "TimeSeries",

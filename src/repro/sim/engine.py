@@ -452,12 +452,11 @@ class Environment:
     def next_id(self, stream: str) -> int:
         """Sequential ids (1, 2, ...) from a named per-environment stream.
 
-        The entity-id analogue of the named rng fan-out
-        (:class:`repro.sim.rng.RngRegistry`): each environment counts its
-        own streams, so ids are deterministic across test orderings and
-        fresh-interpreter comparisons — unlike a module-global
-        ``itertools.count``, which accumulates across every environment
-        built in the process.
+        Each environment counts its own streams, as each component draws
+        from its own injected ``np.random.Generator``: ids are
+        deterministic across test orderings and fresh-interpreter
+        comparisons — unlike a module-global ``itertools.count``, which
+        accumulates across every environment built in the process.
         """
         value = self._id_streams.get(stream, 0) + 1
         self._id_streams[stream] = value

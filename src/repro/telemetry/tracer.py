@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterator, Optional
 from .context import TraceContext
 from .span import Span
 
-__all__ = ["IdSource", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["IdSource", "Tracer", "NullTracer", "NULL_TRACER", "NULL_SPAN_CONTEXT"]
 
 
 class IdSource:
@@ -202,7 +202,9 @@ class _NullContext:
         return False
 
 
-_NULL_CONTEXT = _NullContext()
+#: What :meth:`NullTracer.span` returns; a hot path that hoists
+#: ``tracer.enabled`` uses it directly and skips the tracer call.
+NULL_SPAN_CONTEXT = _NullContext()
 
 
 class NullTracer:
@@ -216,7 +218,7 @@ class NullTracer:
 
     def span(self, name: str, track: str = "main",
              ctx: Optional[TraceContext] = None, **attrs: Any) -> _NullContext:
-        return _NULL_CONTEXT
+        return NULL_SPAN_CONTEXT
 
     def instant(self, name: str, track: str = "main",
                 ctx: Optional[TraceContext] = None, **attrs: Any) -> Span:

@@ -1,8 +1,8 @@
 """The fabric's timer-chain transfers against a process-per-message model.
 
 ``ReferenceFabric`` keeps the transfer as a process that holds the
-source's egress ``Resource``, then the destination's ingress
-``Resource``, for the serialization time, and lands one latency later.
+source's egress ``FifoLock``, then the destination's ingress
+``FifoLock``, for the serialization time, and lands one latency later.
 Both fabrics draw jitter and loss through the same ``_timing``.
 
 The two agree on every schedule in which no link is handed over at the
@@ -13,20 +13,56 @@ order (``test_a_same_instant_race_grants_in_request_order``).  Jittered
 latencies make the race a measure-zero event in every sweep.
 """
 
+from collections import deque
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.cluster import Cluster, DAINT_MC, DragonflyTopology
 from repro.network import IBVERBS, Connection, NetworkFabric, TransferDropped
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 
 NODES = [f"n{i:04d}" for i in range(4)]
 OPS = ("send", "recv_response", "rdma_read", "rdma_write")
 
 
+class FifoLock:
+    """One link held by one transfer at a time, granted in request order.
+
+    A free lock's grant is an already-triggered event, so the requester
+    resumes one zero-delay hop later; a release succeeds the head
+    waiter's grant; a waiter that leaves before its grant is dropped.
+    """
+
+    def __init__(self, env):
+        self.env = env
+        self.holder = None
+        self.waiters = deque()
+
+    @contextmanager
+    def request(self):
+        grant = self.env.event()
+        if self.holder is None and not self.waiters:
+            self.holder = grant
+            grant.succeed()
+        else:
+            self.waiters.append(grant)
+        try:
+            yield grant
+        finally:
+            if self.holder is not grant:
+                self.waiters.remove(grant)
+            elif self.waiters:
+                self.holder = self.waiters.popleft()
+                self.holder.succeed()
+            else:
+                self.holder = None
+
+
 class ReferenceFabric(NetworkFabric):
-    """A transfer is a process nesting an egress and an ingress Resource."""
+    """A transfer is a process nesting an egress and an ingress FifoLock."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -35,7 +71,7 @@ class ReferenceFabric(NetworkFabric):
 
     def link(self, key):
         if key not in self.links:
-            self.links[key] = Resource(self.env, capacity=1)
+            self.links[key] = FifoLock(self.env)
         return self.links[key]
 
     def _transfer(self, conn, src, dst, size_bytes, one_sided):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment
 from repro.sim.engine import SimulationError
 
 
@@ -66,64 +66,6 @@ def test_run_is_deterministic(seed_delays):
         return trace
 
     assert simulate() == simulate()
-
-
-@settings(max_examples=50)
-@given(
-    capacity=st.integers(min_value=1, max_value=8),
-    requests=st.lists(
-        st.tuples(st.integers(min_value=1, max_value=8), st.floats(min_value=0.1, max_value=5)),
-        min_size=1, max_size=25,
-    ),
-)
-def test_resource_never_oversubscribed(capacity, requests):
-    """At no simulated instant do granted slots exceed capacity."""
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-    requests = [(min(count, capacity), hold) for count, hold in requests]
-    violations = []
-
-    def user(count, hold):
-        with res.request(count=count) as req:
-            yield req
-            if res.count > res.capacity:
-                violations.append(res.count)
-            yield env.timeout(hold)
-
-    for count, hold in requests:
-        env.process(user(count, hold))
-    env.run()
-    assert not violations
-    assert res.count == 0            # everything released
-    assert res.queue_length == 0     # nobody stranded
-
-
-@settings(max_examples=50)
-@given(
-    ops=st.lists(
-        st.tuples(st.booleans(), st.floats(min_value=0.1, max_value=10)),
-        min_size=1, max_size=30,
-    )
-)
-def test_container_level_stays_in_bounds(ops):
-    from repro.sim import Container
-
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-    observed = []
-
-    def actor(is_put, amount):
-        amount = min(amount, 10.0)
-        if is_put:
-            yield tank.put(amount)
-        else:
-            yield tank.get(amount)
-        observed.append(tank.level)
-
-    for is_put, amount in ops:
-        env.process(actor(is_put, amount))
-    env.run(until=1000)
-    assert all(0 - 1e-9 <= lvl <= 100 + 1e-9 for lvl in observed)
 
 
 # -- daemon processes ---------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Tests for time-series tracing and RNG streams."""
+"""Tests for time-series tracing and the event log."""
 
-import numpy as np
 import pytest
 
-from repro.sim import EventLog, RngRegistry, TimeSeries
+from repro.sim import EventLog, TimeSeries
 
 
 def test_timeseries_step_lookup():
@@ -85,31 +84,6 @@ def test_eventlog_filters():
     assert [r.payload["job"] for r in log.of_kind("start")] == [1, 2]
     assert log.kinds() == {"start", "end"}
     assert len(log.between(1.5, 3.0)) == 2
-
-
-def test_rng_streams_independent_and_reproducible():
-    reg1 = RngRegistry(seed=42)
-    reg2 = RngRegistry(seed=42)
-    a1 = reg1.stream("jobs").random(100)
-    a2 = reg2.stream("jobs").random(100)
-    np.testing.assert_array_equal(a1, a2)
-
-    # Different stream names differ.
-    b = RngRegistry(seed=42).stream("network").random(100)
-    assert not np.array_equal(a1, b)
-
-    # Different seeds differ.
-    c = RngRegistry(seed=43).stream("jobs").random(100)
-    assert not np.array_equal(a1, c)
-
-
-def test_rng_stream_is_cached():
-    reg = RngRegistry(seed=1)
-    assert reg.stream("x") is reg.stream("x")
-    reg.reset()
-    first = RngRegistry(seed=1).stream("x").random(5)
-    again = reg.stream("x").random(5)
-    np.testing.assert_array_equal(first, again)
 
 
 def test_timeseries_sample_no_float_drift_on_long_windows():
