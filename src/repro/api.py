@@ -31,10 +31,7 @@ So do the capacity control plane and the cloud baseline: ``capacity=``
 builds a :class:`~repro.capacity.CapacityPlane` (forecast → autoscale →
 admit → burst) in front of the manager, and ``cloud=`` configures the
 :class:`~repro.cloudfaas.CloudFaaSPlatform` reachable at
-``platform.cloud`` (built lazily on first use otherwise).  A
-:class:`~repro.disagg.DisaggregationController` bridging a batch
-scheduler onto this platform's manager comes from
-:meth:`Platform.attach_controller`.
+``platform.cloud`` (built lazily on first use otherwise).
 
 Determinism: ``Platform.build(spec, seed=s)`` derives the fabric rng
 from ``s``, the manager rng from ``s + 1``, the injector rng from
@@ -54,7 +51,6 @@ from .capacity import CapacityConfig, CapacityPlane
 from .cloudfaas import CloudConfig, CloudFaaSPlatform
 from .cluster import Cluster, DAINT_MC, DragonflyTopology, NodeSpec
 from .controlplane import HAConfig, ReplicatedResourceManager
-from .disagg import ControllerConfig, DisaggregationController
 from .faults import FaultPlan, Injector
 from .gpuservice import GpuService, GpuServiceConfig
 from .memservice import (
@@ -132,7 +128,6 @@ class Platform:
         self.capacity: Optional[CapacityPlane] = None
         self._cloud: Optional[CloudFaaSPlatform] = None
         self._cloud_config = cloud_config
-        self._controller: Optional[DisaggregationController] = None
 
     @classmethod
     def build(
@@ -331,31 +326,6 @@ class Platform:
                 "pass ha=True (or an HAConfig) to build()"
             )
         return self.manager
-
-    @property
-    def controller(self) -> Optional[DisaggregationController]:
-        """The attached disaggregation controller (None until attached)."""
-        return self._controller
-
-    def attach_controller(
-        self,
-        scheduler,
-        config: Optional[ControllerConfig] = None,
-        demand_resolver=None,
-    ) -> DisaggregationController:
-        """Bridge a batch scheduler onto this platform's manager.
-
-        Builds (once) the :class:`DisaggregationController` that turns
-        the scheduler's job events into ``register_node``/``remove_node``
-        calls — the wiring every harvest experiment used to do by hand.
-        """
-        if self._controller is not None:
-            raise RuntimeError("a controller is already attached")
-        self._controller = DisaggregationController(
-            scheduler, self.manager, config=config,
-            demand_resolver=demand_resolver,
-        )
-        return self._controller
 
     def register_node(self, node_name: str, **kwargs):
         """Donate a node's spare capacity (see ``ResourceManager.register_node``)."""

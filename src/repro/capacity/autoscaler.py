@@ -7,9 +7,9 @@ accelerator backends — a periodic control loop compares the forecast
 demand against what is already warm and pre-warms the deficit *before*
 the invocations arrive.  One loop serves every harvested resource:
 
-1. each tick, observe supply into the forecaster (containers: the
-   registered executor cores) and read a warm target per key from the
-   demand forecast over the provisioning horizon;
+1. each tick, record supply on a gauge (containers: the registered
+   executor cores) and read a warm target per key from the demand
+   forecast over the provisioning horizon;
 2. the deficit per key is ``target − (warm + in flight)``, where the
    in-flight ledger counts prewarms still starting, per (key, slot);
 3. spread the deficit across topology groups with
@@ -30,7 +30,7 @@ A node that crashes and heals (``FaultPlan`` node-crash with a recovery
 duration) re-registers with an empty pool; the next tick sees the
 deficit and re-provisions it — chaos makes the loop visible, not stuck.
 
-With ``predictive=False`` the loop only records supply observations,
+With ``predictive=False`` the loop only records the supply gauge,
 giving experiments a true reactive baseline under identical wiring.
 """
 
@@ -182,9 +182,7 @@ class WarmPoolAutoscaler:
 
     # -- the container side ----------------------------------------------------
     def _observe(self, now: float) -> None:
-        supply = self.manager.total_registered_cores()
-        self.forecaster.observe_supply(now, supply)
-        self._m_supply.set(supply)
+        self._m_supply.set(self.manager.total_registered_cores())
 
     def _targets(self, now: float) -> dict[str, int]:
         """Warm-container target per image name from the demand forecast."""

@@ -1,17 +1,12 @@
-"""Demand/supply forecasting for the capacity control plane.
+"""Demand forecasting for the capacity control plane.
 
 The controller of the paper registers harvested capacity *reactively*;
-the capacity plane closes the loop by watching both sides of the market:
-
-* **demand** — function invocation arrivals, per function name, smoothed
-  two ways: a time-decayed EWMA (fast reaction to the current rate) and
-  a sliding window of fixed-width buckets whose per-bucket rates give a
-  percentile estimate (robust to bursts, the KaaS-autoscaling idea of
-  provisioning for a high quantile rather than the mean);
-* **supply** — harvested capacity observed at autoscaler ticks: the
-  registered core count is integrated over time into harvested
-  core-seconds, so "how much spare capacity did batch actually donate"
-  is a first-class signal rather than a by-product.
+the capacity plane closes the loop by watching invocation demand:
+function arrivals, per function name, smoothed two ways: a time-decayed
+EWMA (fast reaction to the current rate) and a sliding window of
+fixed-width buckets whose per-bucket rates give a percentile estimate
+(robust to bursts, the KaaS-autoscaling idea of provisioning for a high
+quantile rather than the mean).
 
 The forecaster is a passive, deterministic data structure: no randomness,
 no simulation processes, every estimate a pure function of what was
@@ -33,7 +28,7 @@ _ALL = "<all>"
 
 @dataclass(frozen=True)
 class ForecastConfig:
-    """Knobs of the demand/supply estimators."""
+    """Knobs of the demand estimators."""
 
     #: EWMA time constant: observations older than ~tau_s barely count.
     tau_s: float = 2.0
@@ -140,16 +135,12 @@ class _BucketWindow:
 
 
 class DemandForecaster:
-    """Joint view of invocation demand and harvested supply."""
+    """Per-function and whole-plane invocation demand."""
 
     def __init__(self, config: Optional[ForecastConfig] = None):
         self.config = config or ForecastConfig()
         self._ewma: dict[str, _EwmaRate] = {}
         self._window: dict[str, _BucketWindow] = {}
-        # Supply integration state.
-        self._supply_cores = 0.0
-        self._supply_last_t: Optional[float] = None
-        self._harvested_core_seconds = 0.0
         self.arrivals = 0
 
     # -- demand side ---------------------------------------------------------
@@ -199,25 +190,3 @@ class DemandForecaster:
             raise ValueError("horizon_s must be non-negative")
         best = max(self.rate(now, function), self.percentile_rate(now, q, function))
         return best * horizon_s
-
-    # -- supply side -----------------------------------------------------------
-    def observe_supply(self, now: float, cores: float) -> None:
-        """Record the currently harvested core count (step-wise signal)."""
-        if cores < 0:
-            raise ValueError("cores must be non-negative")
-        if self._supply_last_t is not None:
-            gap = now - self._supply_last_t
-            if gap < 0:
-                raise ValueError("time went backwards")
-            self._harvested_core_seconds += self._supply_cores * gap
-        self._supply_cores = float(cores)
-        self._supply_last_t = now
-
-    def harvested_core_seconds(self, now: Optional[float] = None) -> float:
-        """Core-seconds donated by batch so far (integral of the supply)."""
-        total = self._harvested_core_seconds
-        if now is not None and self._supply_last_t is not None:
-            gap = now - self._supply_last_t
-            if gap > 0:
-                total += self._supply_cores * gap
-        return total

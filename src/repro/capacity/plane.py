@@ -49,8 +49,6 @@ class CapacityConfig:
     burst: BurstConfig = field(default_factory=BurstConfig)
     #: Route admitted-but-unplaceable invocations to the cloud baseline.
     burst_enabled: bool = True
-    #: Release a tenant's lease when its last in-flight invocation ends.
-    release_idle_leases: bool = True
 
 
 @dataclass
@@ -140,8 +138,9 @@ class CapacityPlane:
         if remaining > 0:
             self._inflight[tenant] = remaining
             return
+        # The tenant's last in-flight invocation ended: free its lease.
         self._inflight.pop(tenant, None)
-        if self.config.release_idle_leases and not client.closed:
+        if not client.closed:
             client.release_lease()
 
     # -- the governed invocation ------------------------------------------------

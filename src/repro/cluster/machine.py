@@ -88,22 +88,6 @@ class Cluster:
         """Topology latency between two named nodes (seconds, one-way)."""
         return self.topology.latency(self._index[src], self._index[dst])
 
-    def find_fit(
-        self,
-        cores: int = 0,
-        memory_bytes: int = 0,
-        gpus: int = 0,
-        exclude: Iterable[str] = (),
-    ) -> Optional[Node]:
-        """First node that can host the request (deterministic order)."""
-        excluded = set(exclude)
-        for node in self:
-            if node.name in excluded:
-                continue
-            if node.can_allocate(cores=cores, memory_bytes=memory_bytes, gpus=gpus):
-                return node
-        return None
-
 
 def group_interleave(
     cluster: Cluster,

@@ -71,11 +71,6 @@ class NodeSpec:
     # Shared last-level cache per socket (bytes).
     llc_bytes: int = 45 * 1024 * 1024
 
-    def with_overrides(self, **kwargs) -> "NodeSpec":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)
-
 
 DAINT_MC = NodeSpec(
     name="daint-mc",

@@ -47,9 +47,6 @@ class HistoryDB:
     def has(self, batch_app: str, function_app: str) -> bool:
         return (batch_app, function_app) in self._records
 
-    def observations(self, batch_app: str, function_app: str) -> list[CoLocationRecord]:
-        return list(self._records.get((batch_app, function_app), []))
-
     def expected_batch_slowdown(self, batch_app: str, function_app: str) -> Optional[float]:
         records = self._records.get((batch_app, function_app))
         if not records:

@@ -26,6 +26,7 @@ from typing import Optional
 from ..cluster.node import Node
 from ..interference.model import ResourceDemand
 from ..rfaas.load import NodeLoadRegistry
+from ..slurm.partition import gres_available_gpus
 from .history import CoLocationRecord, HistoryDB
 
 __all__ = ["Decision", "PolicyConfig", "CoLocationPolicy"]
@@ -97,7 +98,7 @@ class CoLocationPolicy:
         if (
             candidate.cores > free_cores
             or memory_bytes > node.free_memory
-            or needs_gpus > len(node.free_gpu_ids)
+            or needs_gpus > gres_available_gpus(node)
         ):
             return self._done(Decision.NO_RESOURCES)
         # 2. Hero jobs are exempt from disaggregation.

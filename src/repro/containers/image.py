@@ -1,4 +1,4 @@
-"""Container images and registries.
+"""Container images.
 
 Images matter to the FaaS platform for two reasons: their format decides
 which runtimes can run them (Table II) and their size drives cold-start
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ImageFormat", "Image", "Registry"]
+__all__ = ["ImageFormat", "Image"]
 
 MiB = 1024**2
 
@@ -36,26 +36,3 @@ class Image:
             raise ValueError("runtime memory must be positive")
         if self.format not in (ImageFormat.DOCKER, ImageFormat.SINGULARITY):
             raise ValueError(f"unknown image format {self.format!r}")
-
-
-class Registry:
-    """A named image store (Docker registry semantics)."""
-
-    def __init__(self, name: str = "registry"):
-        self.name = name
-        self._images: dict[str, Image] = {}
-
-    def push(self, image: Image) -> None:
-        self._images[image.name] = image
-
-    def pull(self, name: str) -> Image:
-        try:
-            return self._images[name]
-        except KeyError:
-            raise KeyError(f"image {name!r} not in registry {self.name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._images
-
-    def __len__(self) -> int:
-        return len(self._images)

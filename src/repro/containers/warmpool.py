@@ -250,29 +250,3 @@ class WarmPool:
     def drain(self) -> None:
         """Evict everything (node leaves the resource pool, Sec. IV-E)."""
         self.reclaim(self.resident_bytes(), swap=True)
-
-    # -- migration (Sec. III-C) -------------------------------------------------
-    def export_warm(self) -> list[WarmContainer]:
-        """Detach all warm containers for migration to another node.
-
-        Their memory is freed here; the destination pool re-allocates it
-        via :meth:`import_container`.  In-use containers stay.
-        """
-        exported = list(self._warm.values())
-        for container in exported:
-            del self._warm[container.container_id]
-            self.node.release(container.alloc)
-            container.alloc = None
-        self._record_resident()
-        return exported
-
-    def import_container(self, container: WarmContainer) -> None:
-        """Adopt a migrated container as warm on this node."""
-        if container.alloc is not None:
-            raise ValueError("container still holds memory on the source node")
-        container.alloc = self._allocate_memory(container.image)
-        container.node_name = self.node.name
-        container.state = ContainerState.WARM
-        container.last_used = self.env.now
-        self._warm[container.container_id] = container
-        self._record_resident()

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
-from ..rfaas.manager import ResourceManager, no_capacity_error
+from ..rfaas.manager import ResourceManager
 from ..telemetry import telemetry_of
 from .replica import LogRecord, ManagerReplica, ReplicaRole
 
@@ -516,28 +516,6 @@ class ReplicatedResourceManager(ResourceManager):
         self._fence(self.primary)
         super().release_lease(lease)
         self._commit("release", {"lease_id": lease.lease_id})
-
-    def attempt_grant_via(self, rank: int, client: str, **kwargs):
-        """Issue a grant *through a specific replica* (test/chaos hook).
-
-        This is how certification proves fencing: a grant attempted via
-        a DOWN replica raises :class:`ManagerUnavailableError`; via a
-        fenced/stale replica raises :class:`StaleEpochError` before any
-        state changes; via the current primary it is a normal grant,
-        raising :class:`NoCapacityError` like :meth:`lease` on a denial.
-        """
-        replica = self.replicas[rank]
-        if replica.role is ReplicaRole.DOWN:
-            self._m_unavailable.inc()
-            raise ManagerUnavailableError(
-                f"replica {replica.name} is down", epoch=self.epoch, cause="crash",
-            )
-        granted = self._grant(replica, client, **kwargs)
-        if granted is None:
-            raise no_capacity_error(kwargs.get("cores", 1),
-                                    kwargs.get("memory_bytes", 0),
-                                    kwargs.get("gpus", 0))
-        return granted
 
     def _grant(self, issuer: ManagerReplica, client: str, **kwargs):
         """Fence ``issuer``, grant on the data plane, commit the grant.

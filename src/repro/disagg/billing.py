@@ -63,10 +63,6 @@ class JobBill:
         """Net saving of opting into sharing, slowdown included."""
         return 1.0 - self.shared_cost() / self.exclusive_cost()
 
-    def sharing_worth_it(self) -> bool:
-        """True when the discount beats the co-location overhead."""
-        return self.saving_fraction() > 0.0
-
     # -- fair pricing under interference [Breslow'13, ref 40] ---------------------
     def fair_shared_cost(self) -> float:
         """Interference-adjusted bill: pay for exclusive-equivalent time.
@@ -80,10 +76,6 @@ class JobBill:
         """
         hours = self.runtime_s / 3600.0  # billed_runtime / slowdown == runtime
         return self.nodes * self.requested_cores_per_node * hours * self.core_hour_price
-
-    def colocation_rebate(self) -> float:
-        """What the operator refunds versus naive shared billing."""
-        return self.shared_cost() - self.fair_shared_cost()
 
 
 @dataclass(frozen=True)

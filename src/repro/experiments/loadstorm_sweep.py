@@ -42,7 +42,7 @@ from ..capacity.admission import AdmissionConfig, AdmissionController, TenantQuo
 from ..cluster.machine import Cluster
 from ..cluster.specs import DAINT_MC
 from ..cluster.topology import DragonflyTopology
-from ..faults import FaultPlan, Injector
+from ..faults import FaultPlan, Injector, RetryPolicy
 from ..loadgen import LoadSpec, MmppArrivals, PoissonArrivals, TenantMix, synthesize
 from ..rfaas.errors import (
     AdmissionRejected,
@@ -69,9 +69,7 @@ DEFAULT_SHARDS = (1, 2, 4, 8)
 
 #: Deterministic retry ladder for grants against a saturated/down shard
 #: (no jitter — byte-identity across workers requires it).
-RETRY_ATTEMPTS = 6
-RETRY_BACKOFF_S = 0.02
-RETRY_BACKOFF_CAP_S = 0.64
+RETRY = RetryPolicy(max_attempts=6, backoff_base_s=0.02, backoff_max_s=0.64)
 
 #: Shard serialization cost model: one flush pays
 #: ``BATCH_OVERHEAD_S + PER_OP_S * ops``, so a full batch caps one
@@ -115,16 +113,14 @@ def _arrival_handler(env, plane, admission, tenant: str, at_s: float,
         census["rejected"] += 1
         return
     lease = None
-    for attempt in range(RETRY_ATTEMPTS):
+    for attempt in range(1, RETRY.max_attempts + 1):
         try:
             lease, _executor = yield plane.request_grant(tenant, cores=1)
             break
         except (NoCapacityError, ManagerUnavailableError, StaleEpochError):
-            if attempt == RETRY_ATTEMPTS - 1:
+            if attempt == RETRY.max_attempts:
                 break
-            yield env.timeout(
-                min(RETRY_BACKOFF_S * 2**attempt, RETRY_BACKOFF_CAP_S)
-            )
+            yield env.timeout(RETRY.backoff(attempt))
     if lease is None:
         census["degraded"] += 1
         return

@@ -251,7 +251,3 @@ class FaultPlan:
     def load(cls, path: str) -> "FaultPlan":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")

@@ -10,10 +10,9 @@ and callers who need more than a bare
 first-try success, recovered-after-retries, gave up, timed out, or
 rejected for lack of capacity.
 
-The default policy reproduces the historical client behaviour exactly —
-``max_redirects`` attempts with zero backoff, no deadline — so existing
-callers observe no change; fault-tolerant callers opt into backoff and
-deadlines explicitly.
+The default policy is four attempts with zero backoff and no deadline;
+fault-tolerant callers opt into backoff and deadlines explicitly.  A
+retry always leases away from the node that failed it.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ class RetryPolicy:
       each backoff (requires the client to hold an rng);
     * ``timeout_s`` — per-invocation deadline across all attempts; on
       expiry a running execution is aborted and the invocation reports
-      ``TIMED_OUT``.  ``None`` disables;
-    * ``exclude_failed_nodes`` — remember nodes that terminated or
-      dropped us and lease elsewhere on retry.
+      ``TIMED_OUT``.  ``None`` disables.
     """
 
     max_attempts: int = 4
@@ -66,7 +63,6 @@ class RetryPolicy:
     backoff_max_s: float = 10.0
     jitter_frac: float = 0.0
     timeout_s: Optional[float] = None
-    exclude_failed_nodes: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -79,17 +75,6 @@ class RetryPolicy:
             raise ValueError("jitter_frac must be in [0, 1]")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-
-    @classmethod
-    def from_redirects(cls, max_redirects: int) -> "RetryPolicy":
-        """The policy equivalent of the legacy ``max_redirects`` knob."""
-        if max_redirects < 0:
-            raise ValueError("max_redirects must be non-negative")
-        return cls(max_attempts=max_redirects + 1)
-
-    @property
-    def max_redirects(self) -> int:
-        return self.max_attempts - 1
 
     def backoff(self, retry_index: int,
                 rng: Optional[np.random.Generator] = None) -> float:
@@ -128,14 +113,3 @@ class DegradedResult:
     def degraded(self) -> bool:
         """Did recovery machinery have to engage at all?"""
         return self.outcome is not RecoveryOutcome.OK
-
-    def describe(self) -> str:
-        parts = [f"{self.outcome.value} after {self.attempts} attempt(s)"]
-        if self.retries:
-            parts.append(f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}")
-        if self.recovery_s:
-            parts.append(f"recovery {self.recovery_s * 1e3:.3f} ms")
-        if self.error is not None:
-            kind = type(self.error).__name__
-            parts.append(f"last error {kind}")
-        return ", ".join(parts)

@@ -17,7 +17,7 @@ grant order ⇒ the same placement, always.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..gpu.device import GpuDevice
 from ..rfaas.errors import GpuLeaseRevokedError, NoCapacityError
@@ -40,7 +40,7 @@ class GpuLease:
 
     __slots__ = (
         "lease_id", "function", "node", "device", "occupancy",
-        "memory_bytes", "granted_at", "state", "revoked_cause", "_on_revoke",
+        "memory_bytes", "granted_at", "state", "revoked_cause",
     )
 
     def __init__(
@@ -62,15 +62,10 @@ class GpuLease:
         self.granted_at = granted_at
         self.state = GpuLeaseState.ACTIVE
         self.revoked_cause: Any = None
-        self._on_revoke: list[Callable[["GpuLease"], None]] = []
 
     @property
     def is_active(self) -> bool:
         return self.state == GpuLeaseState.ACTIVE
-
-    def on_revoke(self, callback: Callable[["GpuLease"], None]) -> None:
-        """Register a callback fired (once) when the lease is revoked."""
-        self._on_revoke.append(callback)
 
     def error(self) -> GpuLeaseRevokedError:
         """The error carried by work that was riding this lease."""
@@ -92,11 +87,8 @@ class GpuLease:
 class GpuLeaseManager:
     """Grants and reclaims fractional shares of a registered device fleet."""
 
-    def __init__(self, env: Environment, max_occupancy: float = 1.0):
-        if max_occupancy <= 0:
-            raise ValueError("max_occupancy must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.max_occupancy = max_occupancy
         self._devices: dict[str, tuple[GpuDevice, str]] = {}  # name -> (dev, node)
         self._active: dict[str, list[GpuLease]] = {}          # device -> leases
         self.granted = 0
@@ -128,10 +120,6 @@ class GpuLeaseManager:
             self._revoke(lease, cause)
         return victims
 
-    def devices(self) -> list[str]:
-        """Registered device names, sorted (the deterministic grant order)."""
-        return sorted(self._devices)
-
     def device_of(self, name: str) -> GpuDevice:
         return self._devices[name][0]
 
@@ -158,12 +146,13 @@ class GpuLeaseManager:
     ) -> GpuLease:
         """Lease a fractional share on the least-committed eligible device.
 
-        Eligibility = the occupancy share fits under ``max_occupancy``
-        and the memory share fits in device memory alongside existing
-        leases.  Ties break on device name; no randomness is consumed.
+        Eligibility = the occupancy share fits in the device's whole SM
+        capacity (1.0) and the memory share fits in device memory
+        alongside existing leases.  Ties break on device name; no
+        randomness is consumed.
         """
-        if not 0 < occupancy <= self.max_occupancy:
-            raise ValueError("occupancy must be in (0, max_occupancy]")
+        if not 0 < occupancy <= 1.0:
+            raise ValueError("occupancy must be in (0, 1]")
         if memory_bytes < 1:
             raise ValueError("memory share must be positive")
         best: Optional[str] = None
@@ -173,7 +162,7 @@ class GpuLeaseManager:
             if node is not None and host != node:
                 continue
             load = self.committed_occupancy(name)
-            if load + occupancy > self.max_occupancy:
+            if load + occupancy > 1.0:
                 continue
             if self.committed_memory(name) + memory_bytes > device.spec.memory_bytes:
                 continue
@@ -204,22 +193,13 @@ class GpuLeaseManager:
         return lease
 
     def release(self, lease: GpuLease) -> None:
-        """Voluntary hand-back; no error, no callbacks."""
+        """Voluntary hand-back; no error."""
         if not lease.is_active:
             return
         lease.state = GpuLeaseState.RELEASED
         active = self._active.get(lease.device)
         if active and lease in active:
             active.remove(lease)
-
-    def revoke(self, lease: GpuLease, cause: Any = "reclaim") -> None:
-        """Platform-initiated reclamation of one lease."""
-        if not lease.is_active:
-            return
-        active = self._active.get(lease.device)
-        if active and lease in active:
-            active.remove(lease)
-        self._revoke(lease, cause)
 
     def _revoke(self, lease: GpuLease, cause: Any) -> None:
         lease.state = GpuLeaseState.REVOKED
@@ -231,6 +211,3 @@ class GpuLeaseManager:
             lease=lease.lease_id, function=lease.function,
             device=lease.device, cause=str(cause),
         )
-        callbacks, lease._on_revoke = lease._on_revoke, []
-        for callback in callbacks:
-            callback(lease)

@@ -209,7 +209,3 @@ class InterferenceModel:
         base = self.slowdowns(spec, [demand])[0]
         colocated = self.slowdowns(spec, demand.scaled(instances), extra_netbw=extra_netbw)
         return sum(base / s for s in colocated)
-
-    def efficiency(self, spec: NodeSpec, demand: ResourceDemand, instances: int) -> float:
-        """Per-instance efficiency: relative throughput / instance count."""
-        return self.relative_throughput(spec, demand, instances) / instances

@@ -33,12 +33,11 @@ any worker process (``tests/loadgen/test_determinism.py`` asserts this
 across fresh interpreters).
 """
 
-from .arrivals import ArrivalProcess, MmppArrivals, PoissonArrivals
+from .arrivals import MmppArrivals, PoissonArrivals
 from .tenants import TenantMix
 from .trace import LoadSpec, WorkloadTrace, synthesize
 
 __all__ = [
-    "ArrivalProcess",
     "PoissonArrivals",
     "MmppArrivals",
     "TenantMix",

@@ -21,20 +21,10 @@ Poisson), which keeps synthesis a single linear pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["ArrivalProcess", "PoissonArrivals", "MmppArrivals"]
-
-
-@runtime_checkable
-class ArrivalProcess(Protocol):
-    """Anything that can emit sorted arrival times over a window."""
-
-    def times(self, window_s: float, rng: np.random.Generator) -> np.ndarray: ...
-
-    def mean_rate_per_s(self) -> float: ...
+__all__ = ["PoissonArrivals", "MmppArrivals"]
 
 
 @dataclass(frozen=True)
@@ -46,9 +36,6 @@ class PoissonArrivals:
     def __post_init__(self):
         if self.rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
-
-    def mean_rate_per_s(self) -> float:
-        return self.rate_per_s
 
     def times(self, window_s: float, rng: np.random.Generator) -> np.ndarray:
         """Sorted arrival timestamps in ``[0, window_s)``.
@@ -90,11 +77,6 @@ class MmppArrivals:
             raise ValueError("every state rate must be positive")
         if self.mean_dwell_s <= 0:
             raise ValueError("mean_dwell_s must be positive")
-
-    def mean_rate_per_s(self) -> float:
-        """Long-run mean rate (states are visited with equal frequency
-        and hold for i.i.d. dwells, so the plain average applies)."""
-        return float(np.mean(self.rates_per_s))
 
     def times(self, window_s: float, rng: np.random.Generator) -> np.ndarray:
         if window_s <= 0:

@@ -155,10 +155,6 @@ class WorkloadTrace:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
     # -- pickle (explicit, so __slots__ stays cheap) -------------------------
     def __getstate__(self) -> dict:
         return self.to_dict()

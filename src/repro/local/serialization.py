@@ -11,17 +11,13 @@ from __future__ import annotations
 import pickle
 from typing import Any
 
-__all__ = ["serialize", "deserialize", "payload_nbytes"]
+__all__ = ["serialize", "payload_nbytes"]
 
 _PROTOCOL = 5
 
 
 def serialize(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=_PROTOCOL)
-
-
-def deserialize(blob: bytes) -> Any:
-    return pickle.loads(blob)
 
 
 def payload_nbytes(obj: Any) -> int:

@@ -19,11 +19,10 @@ leftover memory into a usable disaggregated-memory substrate:
   (majority of the replica set) are counted as *degraded* and, under
   ``strict_quorum``, surfaced as
   :class:`~repro.rfaas.errors.MemoryServiceUnavailable`.
-* **Drain-triggered live migration** — ``attach_manager`` /
-  ``attach_scheduler`` subscribe to ``ResourceManager.remove_node`` and
-  ``BatchScheduler.drain_node``; a graceful reclaim copies every chunk
-  off the leaving node *before* its memory disappears, with the copy
-  time charged through the network fabric.
+* **Drain-triggered live migration** — ``attach_manager`` subscribes
+  to ``ResourceManager.remove_node``; a graceful reclaim copies every
+  chunk off the leaving node *before* its memory disappears, with the
+  copy time charged through the network fabric.
 * **Background repair** — :class:`~repro.memservice.repair.RepairLoop`
   detects under-replicated or fenced chunks after a crash and restores
   the replication factor from surviving clean replicas.
@@ -377,10 +376,6 @@ class ReplicatedMemoryService:
     def attach_manager(self, manager) -> None:
         """Subscribe to ``ResourceManager.remove_node`` reclaim events."""
         manager.on_remove_node.append(self._on_remove_node)
-
-    def attach_scheduler(self, scheduler) -> None:
-        """Subscribe to ``BatchScheduler.drain_node`` drain events."""
-        scheduler.on_drain.append(self._on_drain)
 
     def _on_remove_node(self, node_name: str, immediate: bool) -> None:
         if not self.active:

@@ -185,12 +185,3 @@ class Communicator:
             return result
 
         return self.env.process(run(), name=f"mpi-allreduce-{rank}")
-
-    def barrier(self, rank: int) -> Process:
-        """Allreduce of a zero-byte token."""
-
-        def run():
-            yield self.allreduce(rank, 0, value=0, op=lambda a, b: 0)
-            return None
-
-        return self.env.process(run(), name=f"mpi-barrier-{rank}")

@@ -67,10 +67,6 @@ class LogGPParams:
             raise ValueError("negative message size")
         return self.o + 2 * self.L + size_bytes * self.G
 
-    def injection_interval(self, size_bytes: int) -> float:
-        """Minimum spacing between consecutive message injections."""
-        return max(self.g, size_bytes * self.G)
-
     def sample(self, base_time: float, rng: np.random.Generator) -> float:
         """Apply multiplicative lognormal jitter to a deterministic time."""
         if self.jitter_sigma == 0.0:

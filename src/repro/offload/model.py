@@ -73,12 +73,6 @@ class OffloadModel:
         executor_rate = 1.0 / self.t_inv
         return min(link_rate, executor_rate)
 
-    def max_remote_tasks(self, window_s: float) -> int:
-        """Tasks the link can absorb in ``window_s`` without waiting."""
-        if window_s < 0:
-            raise ValueError("negative window")
-        return int(self.remote_rate * window_s)
-
     # -- batch splitting ------------------------------------------------------------
     def split(self, n_tasks: int, local_workers: int = 1, remote_workers: int = 1) -> OffloadPlan:
         """Split ``n_tasks`` so local and remote streams finish together.

@@ -57,15 +57,6 @@ class TaskGraph:
     def widths(self) -> list[int]:
         return [len(level) for level in self.levels()]
 
-    def critical_path_length(self) -> float:
-        """Lower bound on makespan with infinite workers (node-weighted)."""
-        dist: dict[Hashable, float] = {}
-        for node in nx.topological_sort(self._g):
-            longest_pred = max(
-                (dist[p] for p in self._g.predecessors(node)), default=0.0
-            )
-            dist[node] = longest_pred + self._g.nodes[node]["duration"]
-        return max(dist.values(), default=0.0)
 
 
 @dataclass(frozen=True)

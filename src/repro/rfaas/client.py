@@ -9,8 +9,7 @@ lease underneath the client (Sec. III-A).
 Recovery is governed by a :class:`~repro.faults.RetryPolicy`: attempt
 budget, exponential backoff with seeded jitter, an optional
 per-invocation deadline, and node-exclusion memory.  The default policy
-is exactly the historical ``max_redirects=3`` behaviour — immediate
-retries, no deadline — so plain callers see no difference; callers who
+is four attempts with immediate retries and no deadline; callers who
 care *how* an invocation concluded use :meth:`RFaaSClient.invoke_detailed`
 and get a :class:`~repro.faults.DegradedResult` back.
 """
@@ -60,20 +59,16 @@ class RFaaSClient:
         functions: FunctionRegistry,
         client_node: str,
         name: Optional[str] = None,
-        max_redirects: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
     ):
-        if retry_policy is None:
-            retry_policy = RetryPolicy.from_redirects(max_redirects)
         self.env = env
         self.manager = manager
         self.fabric = fabric
         self.functions = functions
         self.client_node = client_node
         self.name = name or f"client-{env.next_id('rfaas-client')}"
-        self.retry_policy = retry_policy
-        self.max_redirects = retry_policy.max_redirects
+        self.retry_policy = retry_policy or RetryPolicy()
         self.rng = rng
         self._lease: Optional[Lease] = None
         self._executor: Optional[Executor] = None
@@ -360,7 +355,7 @@ class RFaaSClient:
                     last_error = err
                     if first_failure is None:
                         first_failure = self.env.now
-                    if policy.exclude_failed_nodes and err.node_name is not None:
+                    if err.node_name is not None:
                         exclude = exclude + (err.node_name,)
                     self.redirects += 1
                     attempt_span.set(outcome="revoked")
@@ -410,8 +405,7 @@ class RFaaSClient:
                         # Executor started draining between lease and dispatch.
                         if first_failure is None:
                             first_failure = self.env.now
-                        if policy.exclude_failed_nodes:
-                            exclude = exclude + (executor.node.name,)
+                        exclude = exclude + (executor.node.name,)
                         self.redirects += 1
                         attempt_span.set(outcome="rejected")
                         self._note_retry("rejected", executor.node.name, attempts)
@@ -439,8 +433,7 @@ class RFaaSClient:
                     if first_failure is None:
                         first_failure = self.env.now
                     resume_offset = max(resume_offset, term.checkpoint_s)
-                    if policy.exclude_failed_nodes:
-                        exclude = exclude + (executor.node.name,)
+                    exclude = exclude + (executor.node.name,)
                     self.redirects += 1
                     if self._lease is not None and not self._lease.active:
                         self._lease = None
@@ -455,8 +448,7 @@ class RFaaSClient:
                     if first_failure is None:
                         first_failure = self.env.now
                     self._abandon_connection(connection)
-                    if policy.exclude_failed_nodes:
-                        exclude = exclude + (executor.node.name,)
+                    exclude = exclude + (executor.node.name,)
                     self.redirects += 1
                     attempt_span.set(outcome="dropped")
                     self._note_retry("dropped", executor.node.name, attempts)

@@ -28,10 +28,9 @@ from ..cluster.machine import Cluster
 from ..cluster.node import Allocation, AllocationError
 from ..containers.image import Image
 from ..containers.runtime import SARUS, ContainerRuntime
-from ..containers.warmpool import ContainerState, WarmPool
+from ..containers.warmpool import WarmPool
 from ..network.drc import Credential, DrcManager
 from ..sim.engine import Environment
-from ..sim.trace import EventLog
 from ..telemetry import telemetry_of
 from .errors import NoCapacityError
 from .executor import Executor, ExecutorMode
@@ -85,7 +84,6 @@ class ResourceManager:
         drc: Optional[DrcManager] = None,
         runtime: ContainerRuntime = SARUS,
         rng: Optional[np.random.Generator] = None,
-        log: Optional[EventLog] = None,
     ):
         self.env = env
         self.cluster = cluster
@@ -93,7 +91,6 @@ class ResourceManager:
         self.drc = drc if drc is not None else DrcManager()
         self.runtime = runtime
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.log = log if log is not None else EventLog()
         self._nodes: dict[str, RegisteredNode] = {}
         self._lease_owner: dict[int, str] = {}   # lease_id -> node_name
         # Sum of cores_free over registered nodes, kept live: every
@@ -164,54 +161,12 @@ class ResourceManager:
         )
         self._nodes[node_name] = registered
         self._free_cores += cores
-        self.log.emit(self.env.now, "register_node", node=node_name, cores=cores,
-                      memory=memory_bytes, gpus=gpus)
         self._record_pool()
         self._tracer.instant(
             "manager.register_node", track="manager",
             node=node_name, cores=cores, memory=memory_bytes, gpus=gpus,
         )
         return registered
-
-    def migrate_warm_containers(self, src_node: str, dst_node: str,
-                                transfer_bandwidth: float = 5e9):
-        """Process: move the source pool's warm containers to another node.
-
-        The paper's answer to memory reclamation without losing warm
-        state (Sec. III-C): "function containers can be migrated to other
-        nodes and swapped to the parallel filesystem."  Transfer cost is
-        the containers' memory footprint over ``transfer_bandwidth``.
-        Containers that do not fit on the destination fall back to the
-        source pool's swap space.
-        """
-        src = self._nodes.get(src_node)
-        dst = self._nodes.get(dst_node)
-        if src is None or dst is None:
-            raise KeyError("both nodes must be registered")
-        if transfer_bandwidth <= 0:
-            raise ValueError("transfer_bandwidth must be positive")
-
-        def run():
-            containers = src.warm_pool.export_warm()
-            moved = 0
-            total_bytes = 0
-            for container in containers:
-                try:
-                    dst.warm_pool.import_container(container)
-                except AllocationError:
-                    # No room at the destination: swap to the PFS instead.
-                    container.state = ContainerState.SWAPPED
-                    src.warm_pool._swapped[container.container_id] = container
-                    continue
-                moved += 1
-                total_bytes += container.image.runtime_memory_bytes
-            if total_bytes:
-                yield self.env.timeout(total_bytes / transfer_bandwidth)
-            self.log.emit(self.env.now, "migrate", src=src_node, dst=dst_node,
-                          containers=moved, bytes=total_bytes)
-            return moved
-
-        return self.env.process(run(), name=f"migrate-{src_node}->{dst_node}")
 
     def remove_node(self, node_name: str, immediate: bool = False) -> bool:
         """Batch manager retrieves the node's resources (Sec. IV-E).
@@ -232,7 +187,6 @@ class ResourceManager:
         registered.warm_pool.drain()
         self._free_cores -= registered.cores_free
         del self._nodes[node_name]
-        self.log.emit(self.env.now, "remove_node", node=node_name, immediate=immediate)
         self._record_pool()
         self._tracer.instant(
             "manager.remove_node", track="manager",
@@ -338,8 +292,6 @@ class ResourceManager:
         chosen.leases[lease.lease_id] = (lease, alloc)
         self._lease_owner[lease.lease_id] = chosen.node_name
         self.drc.grant(chosen.credential.cred_id, chosen.credential.owner, client)
-        self.log.emit(self.env.now, "lease", lease_id=lease.lease_id, client=client,
-                      node=chosen.node_name, cores=cores)
         self._m_leases.inc()
         self._record_pool()
         self._tracer.instant(
@@ -375,7 +327,7 @@ class ResourceManager:
 
         Idempotent: revoking a lease that is already cancelled/released
         *and* fully unlinked from the pool is a no-op returning
-        ``False`` (no double-counted metrics, no duplicate log events).
+        ``False`` (no double-counted metrics, no duplicate trace instants).
         Returns ``True`` when this call revoked or unlinked something.
         """
         node_name = self._lease_owner.get(lease.lease_id)
@@ -383,8 +335,6 @@ class ResourceManager:
             return False
         lease.cancel()
         self._m_revoked.inc()
-        self.log.emit(self.env.now, "revoke_lease", lease_id=lease.lease_id,
-                      reason=reason)
         self._tracer.instant(
             "manager.revoke_lease", track="manager",
             lease_id=lease.lease_id, reason=reason,

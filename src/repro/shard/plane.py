@@ -17,10 +17,11 @@ Mechanics:
   charges the batched serialization cost in sim time.
 * **Nodes** — registrations spread across shards (least registered
   cores first); each shard only ever places leases on its own nodes.
-* **Cross-shard migration on drain** — when the batch system retrieves
-  a node (:meth:`drain_node`), :meth:`rebalance` moves *idle* nodes
-  from capacity-rich shards to starved ones, so one shard's reclaim
-  does not strand its tenants while neighbours sit on free cores.
+* **Cross-shard migration on drain** — after the batch system retrieves
+  a node, :meth:`rebalance` (periodic under ``rebalance_interval_s``, or
+  called explicitly) moves *idle* nodes from capacity-rich shards to
+  starved ones, so one shard's reclaim does not strand its tenants
+  while neighbours sit on free cores.
 * **Shard-targeted faults** — :meth:`crash_shard` kills one shard: a
   replicated shard fails over via its replica group; a bare shard
   models lease-expiry fencing (every active lease cancelled) and
@@ -70,7 +71,7 @@ class ShardConfig:
     #: Replicate every shard with this replica config (None = bare shards).
     ha: Optional[HAConfig] = None
     #: Period of the automatic rebalance loop; 0 disables it (rebalance
-    #: then runs only on drain_node / explicit calls).
+    #: then runs only on explicit calls).
     rebalance_interval_s: float = 0.0
 
     def __post_init__(self):
@@ -254,14 +255,6 @@ class ShardedControlPlane:
         )
         if removed:
             del self._node_shard[node_name]
-        return removed
-
-    def drain_node(self, node_name: str, immediate: bool = False) -> bool:
-        """Batch-system reclaim + rebalance: the cross-shard answer to
-        one shard losing capacity while neighbours have idle nodes."""
-        removed = self.remove_node(node_name, immediate=immediate)
-        if removed:
-            self.rebalance()
         return removed
 
     # -- ResourceManager duck-type surface (Injector/recovery compatible) --------

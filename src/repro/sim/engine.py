@@ -147,10 +147,6 @@ class Event:
         env._immediate.append((env._now, env._seq, self))
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at t={self.env.now}>"

@@ -129,11 +129,5 @@ class EventLog:
     def emit(self, time: float, kind: str, **payload: Any) -> None:
         self._records.append(EventRecord(time, kind, payload))
 
-    def of_kind(self, kind: str) -> list[EventRecord]:
-        return [r for r in self._records if r.kind == kind]
-
     def kinds(self) -> set[str]:
         return {r.kind for r in self._records}
-
-    def between(self, start: float, stop: float) -> list[EventRecord]:
-        return [r for r in self._records if start <= r.time <= stop]

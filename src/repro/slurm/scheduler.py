@@ -39,7 +39,6 @@ class BatchScheduler:
         env: Environment,
         cluster: Cluster,
         partitions: Optional[Iterable[Partition]] = None,
-        log: Optional[EventLog] = None,
     ):
         self.env = env
         self.cluster = cluster
@@ -53,7 +52,7 @@ class BatchScheduler:
                 if part.name in self.partitions:
                     raise ValueError(f"duplicate partition {part.name!r}")
                 self.partitions[part.name] = part
-        self.log = log if log is not None else EventLog()
+        self.log = EventLog()
 
         self.queue: list[Job] = []
         self.running: dict[int, Job] = {}
@@ -69,10 +68,6 @@ class BatchScheduler:
         # Called just before batch claims nodes, so co-located functions
         # can be evicted. Receives the node names being claimed.
         self.reclaim_hook: Optional[Callable[[list[str]], None]] = None
-        # Administrative drain observers: hook(node_name) fires when an
-        # operator drains a node, giving co-located services (durable
-        # memory) time to migrate state off before maintenance.
-        self.on_drain: list[Callable[[str], None]] = []
 
         # Telemetry: queue-wait distribution, occupancy gauges, job spans.
         telemetry = telemetry_of(env)
@@ -297,48 +292,12 @@ class BatchScheduler:
         try:
             yield self.env.timeout(job.actual_runtime)
             job.state = JobState.COMPLETED
-        except Interrupt as intr:
-            job.state = (
-                JobState.FAILED if intr.cause == "node-failure" else JobState.CANCELLED
-            )
+        except Interrupt:
+            job.state = JobState.CANCELLED
         self._finish(job)
 
-    def drain_node(self, node_name: str) -> None:
-        """Administratively drain a node ahead of maintenance.
-
-        The node accepts no new allocations (its running job, if any,
-        keeps it until completion) and the ``on_drain`` hooks fire so
-        co-located services can evacuate hosted state *before* the
-        memory goes away — unlike :meth:`fail_node`, nothing on the node
-        is lost.  Reversed by :meth:`restore_node`.
-        """
-        node = self.cluster.node(node_name)
-        if node.draining:
-            return
-        node.draining = True
-        self.log.emit(self.env.now, "drain", node=node_name)
-        self._tracer.instant("slurm.drain", track="scheduler", node=node_name)
-        for hook in self.on_drain:
-            hook(node_name)
-        self._record_occupancy()
-
-    def fail_node(self, node_name: str) -> Optional[Job]:
-        """A node dies: its batch job fails, the node leaves service.
-
-        Returns the killed job, if any.  The node stays out of scheduling
-        (draining) until :meth:`restore_node`.
-        """
-        node = self.cluster.node(node_name)
-        victim = self._node_owner.get(node_name)
-        node.draining = True
-        if victim is not None:
-            self._job_procs[victim.job_id].interrupt(cause="node-failure")
-        self.log.emit(self.env.now, "node_failure", node=node_name,
-                      job_id=victim.job_id if victim else None)
-        return victim
-
     def restore_node(self, node_name: str) -> None:
-        """Bring a failed node back into service."""
+        """Bring a node marked ``draining`` back into service."""
         self.cluster.node(node_name).draining = False
         self.log.emit(self.env.now, "node_restore", node=node_name)
         self._schedule_pass()

@@ -112,9 +112,6 @@ class Gauge(Metric):
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
     def time_weighted_mean(self) -> float:
         if not len(self.series):
             return 0.0
@@ -234,7 +231,6 @@ class _NullInstrument:
     sum = 0.0
 
     def inc(self, amount: float = 1.0) -> None: ...
-    def dec(self, amount: float = 1.0) -> None: ...
     def set(self, value: float) -> None: ...
     def observe(self, value: float) -> None: ...
     def time_weighted_mean(self) -> float:

@@ -66,9 +66,8 @@ def test_reactive_mode_never_prewarms():
     platform.run()
     assert scaler.prewarms == 0
     assert sum(warm_counts(platform, "img0").values()) == 0
-    # ... but it still observed supply for the forecaster's ledger.
+    # ... but it still ticked, recording the supply gauge.
     assert scaler.ticks > 0
-    assert forecaster.harvested_core_seconds() > 0
 
 
 def test_per_node_cap_respected():

@@ -60,17 +60,6 @@ def test_per_function_streams_are_independent():
     assert f.arrivals == 30 + 6
 
 
-def test_supply_integrates_into_core_seconds():
-    f = DemandForecaster()
-    f.observe_supply(0.0, 4)
-    f.observe_supply(10.0, 8)       # 4 cores for 10 s
-    f.observe_supply(15.0, 0)       # 8 cores for 5 s
-    assert f.harvested_core_seconds() == pytest.approx(40.0 + 40.0)
-    # Open-ended query extrapolates the current level.
-    f.observe_supply(20.0, 2)
-    assert f.harvested_core_seconds(now=25.0) == pytest.approx(80.0 + 10.0)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         ForecastConfig(tau_s=0.0)
@@ -80,8 +69,6 @@ def test_validation():
     f.observe_arrival(5.0)
     with pytest.raises(ValueError):
         f.observe_arrival(4.0)      # time went backwards
-    with pytest.raises(ValueError):
-        f.observe_supply(0.0, -1)
     with pytest.raises(ValueError):
         f.forecast_arrivals(0.0, horizon_s=-1.0)
     with pytest.raises(ValueError):

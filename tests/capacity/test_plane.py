@@ -13,7 +13,6 @@ from repro.capacity import (
 from repro.containers import Image
 from repro.faults import FaultPlan
 from repro.interference import ResourceDemand
-from repro.slurm import BatchScheduler
 
 MiB = 1024**2
 GiB = 1024**3
@@ -156,14 +155,6 @@ def test_facade_wiring_and_validation():
     assert platform.capacity.autoscaler.running
     # cloud is lazy and memoized.
     assert platform.cloud is platform.cloud
-    # controller: none until attached, attach is once-only.
-    assert platform.controller is None
-    controller = platform.attach_controller(
-        BatchScheduler(platform.env, platform.cluster))
-    assert platform.controller is controller
-    with pytest.raises(RuntimeError):
-        platform.attach_controller(
-            BatchScheduler(platform.env, platform.cluster))
     with pytest.raises(TypeError):
         Platform.build(ClusterSpec(nodes=2), capacity="yes")
     with pytest.raises(TypeError):

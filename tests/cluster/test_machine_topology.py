@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import (
     Cluster,
-    DAINT_GPU,
     DAINT_MC,
     DragonflyTopology,
     Node,
@@ -49,24 +48,6 @@ def test_utilization_aggregates():
     cluster.node("n0000").allocate("job", cores=36, memory_bytes=64 * GiB)
     assert cluster.core_utilization() == pytest.approx(0.5)
     assert cluster.memory_utilization() == pytest.approx(0.25)
-
-
-def test_find_fit_first_deterministic():
-    cluster = small_cluster(3)
-    cluster.node("n0000").allocate("job", cores=36)
-    found = cluster.find_fit(cores=4)
-    assert found.name == "n0001"
-    found = cluster.find_fit(cores=4, exclude=["n0001"])
-    assert found.name == "n0002"
-
-
-def test_find_fit_gpu_requires_gpu_node():
-    cluster = Cluster()
-    cluster.add_nodes("mc", 2, DAINT_MC)
-    cluster.add_nodes("gpu", 1, DAINT_GPU)
-    found = cluster.find_fit(cores=1, gpus=1)
-    assert found.name == "gpu0000"
-    assert cluster.find_fit(gpus=2) is None
 
 
 def test_hop_latency_levels():

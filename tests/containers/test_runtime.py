@@ -6,7 +6,6 @@ from repro.containers import (
     DOCKER,
     Image,
     ImageFormat,
-    Registry,
     RUNTIMES,
     SARUS,
     SINGULARITY,
@@ -26,16 +25,6 @@ def test_image_validation():
         Image("x", size_bytes=1, runtime_memory_bytes=0)
     with pytest.raises(ValueError):
         Image("x", size_bytes=1, format="oci?")
-
-
-def test_registry_push_pull():
-    reg = Registry()
-    image = img()
-    reg.push(image)
-    assert "ubuntu:20.04" in reg
-    assert reg.pull("ubuntu:20.04") is image
-    with pytest.raises(KeyError):
-        reg.pull("missing")
 
 
 def test_table2_feature_matrix():

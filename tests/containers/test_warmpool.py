@@ -1,5 +1,7 @@
 """Warm container pool: hits, swap, eviction, reclamation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import AllocationError, DAINT_MC, Node
@@ -12,7 +14,7 @@ GiB = 1024**3
 
 def make_pool(node_mem=None):
     env = Environment()
-    spec = DAINT_MC if node_mem is None else DAINT_MC.with_overrides(memory_bytes=node_mem)
+    spec = DAINT_MC if node_mem is None else replace(DAINT_MC, memory_bytes=node_mem)
     node = Node("n0", spec)
     pool = WarmPool(env, node, SARUS)
     return env, node, pool

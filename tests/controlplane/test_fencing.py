@@ -3,7 +3,7 @@
 import pytest
 
 from repro.controlplane import ReplicaRole
-from repro.rfaas import ManagerUnavailableError, NoCapacityError, StaleEpochError
+from repro.rfaas import ManagerUnavailableError, StaleEpochError
 
 from .conftest import build_ha_platform
 
@@ -41,23 +41,23 @@ def test_fenced_ex_primary_cannot_grant_and_changes_no_state():
     log_len = len(ha.commit_log)
     free = ha.total_free_cores()
     with pytest.raises(StaleEpochError) as exc:
-        ha.attempt_grant_via(0, "client-0", cores=1)
+        ha._grant(ha.replica(0), "client-0", cores=1)
     assert exc.value.current_epoch == 2
     assert len(ha.commit_log) == log_len  # fenced before any state change
     assert ha.total_free_cores() == free
     metrics = platform.telemetry.metrics
     assert metrics.get("repro_controlplane_fenced_grants_total").value == 1
-    # The *current* primary grants normally through the same hook.
-    lease, _ = ha.attempt_grant_via(1, "client-0", cores=1)
+    # The *current* primary grants normally through the same path.
+    lease, _ = ha._grant(ha.replica(1), "client-0", cores=1)
     assert lease.epoch == 2
     platform.run()
 
 
 def test_only_capacity_denials_are_values():
     """``try_lease`` answers a denial with ``None`` but still raises
-    through an unreachable primary, and a grant via a down or fenced
-    replica raises even when no node could fit it: availability and
-    fencing are checked before capacity."""
+    through an unreachable primary, and a grant via a fenced replica or
+    a crashed primary raises even when no node could fit it:
+    availability and fencing are checked before capacity."""
     platform, ha = _partitioned_takeover(heal_after_s=0.0)
     huge = ha.total_registered_cores() + 1
     with pytest.raises(ManagerUnavailableError) as exc:
@@ -66,19 +66,16 @@ def test_only_capacity_denials_are_values():
     platform.run_until(1.0)  # standby has taken over; rm-0 fenced
     log_len = len(ha.commit_log)
     with pytest.raises(StaleEpochError):
-        ha.attempt_grant_via(0, "client-0", cores=huge)
+        ha._grant(ha.replica(0), "client-0", cores=huge)
     assert ha.fenced_grants == 1
     assert ha.try_lease("client-0", cores=huge) is None
-    with pytest.raises(NoCapacityError):
-        ha.attempt_grant_via(1, "client-0", cores=huge)
+    assert ha._grant(ha.replica(1), "client-0", cores=huge) is None
     assert len(ha.commit_log) == log_len
     assert ha.fenced_grants == 1
     ha.crash_primary()
     with pytest.raises(ManagerUnavailableError) as exc:
-        ha.attempt_grant_via(1, "client-0", cores=huge)
-    assert exc.value.cause == "crash"
-    with pytest.raises(ManagerUnavailableError):
         ha.try_lease("client-0", cores=huge)
+    assert exc.value.cause == "crash"
     platform.run()
 
 

@@ -29,7 +29,7 @@ def test_job_bill_exclusive_vs_shared():
     assert bill.exclusive_cost() == pytest.approx(72.0)
     assert bill.shared_cost() == pytest.approx(64.0)
     assert bill.saving_fraction() == pytest.approx(core_hour_discount(32, 36))
-    assert bill.sharing_worth_it()
+    assert bill.saving_fraction() > 0.0
 
 
 def test_job_bill_slowdown_erodes_saving():
@@ -37,11 +37,11 @@ def test_job_bill_slowdown_erodes_saving():
     bill = JobBill(nodes=2, node_cores=36, requested_cores_per_node=32,
                    runtime_s=3600.0, slowdown=1.02)
     assert 0.0 < bill.saving_fraction() < core_hour_discount(32, 36)
-    assert bill.sharing_worth_it()
+    assert bill.saving_fraction() > 0.0
     # A pathological 15% slowdown would not be worth it.
     bad = JobBill(nodes=2, node_cores=36, requested_cores_per_node=32,
                   runtime_s=3600.0, slowdown=1.15)
-    assert not bad.sharing_worth_it()
+    assert bad.saving_fraction() <= 0.0
 
 
 def test_job_bill_validation():

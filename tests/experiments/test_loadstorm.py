@@ -67,6 +67,15 @@ def test_shard_crash_mid_storm_conserves_and_recovers():
     assert point["completed"] > 0  # the surviving shard kept granting
 
 
+def test_crash_retry_ladder_is_pinned():
+    """The grant retry ladder (6 attempts, 0.02 s doubling to 0.64 s)
+    decides who degrades during the crash and how late the rest are
+    granted; the default sweep plans never crash, so this pins it."""
+    point = _point(shards=2, crash_at_frac=0.5)
+    assert point["degraded"] == 65
+    assert point["p99_ms"] == 787.0662748157159
+
+
 def test_unknown_arrival_kind_is_rejected():
     with pytest.raises(ValueError):
         _point(arrival="bursty")

@@ -59,7 +59,7 @@ def test_json_round_trip_preserves_every_field():
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "plan.json"
     plan = sample_plan()
-    plan.save(str(path))
+    path.write_text(plan.to_json())
     assert FaultPlan.load(str(path)).events == plan.events
 
 

@@ -49,7 +49,7 @@ def test_dict_round_trip_is_lossless():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "plan.json"
     plan = full_plan()
-    plan.save(str(path))
+    path.write_text(plan.to_json())
     loaded = FaultPlan.load(str(path))
     assert loaded.to_json() == plan.to_json()
 

@@ -57,36 +57,31 @@ def test_node_pinned_grant_only_considers_that_node():
 def test_release_returns_capacity_without_callbacks():
     _, manager = make_fleet(devices=("a/gpu0",))
     lease = manager.grant("fn", 1.0, MiB)
-    fired = []
-    lease.on_revoke(fired.append)
     manager.release(lease)
     assert lease.state == GpuLeaseState.RELEASED
-    assert not fired
+    assert manager.revoked == 0
     assert manager.committed_occupancy("a/gpu0") == 0.0
     manager.grant("fn", 1.0, MiB)  # the share is grantable again
 
 
-def test_remove_device_revokes_every_lease_and_fires_callbacks():
+def test_remove_device_revokes_every_lease_on_it():
     _, manager = make_fleet()
     a = manager.grant("fn_a", 0.5, MiB)
     b = manager.grant("fn_b", 0.4, MiB)
     assert {a.device, b.device} == {"a/gpu0", "b/gpu0"}
-    revoked = []
-    a.on_revoke(revoked.append)
-    b.on_revoke(revoked.append)
     victims = manager.remove_device(a.device, cause="device-loss")
     assert victims == [a]
-    assert revoked == [a]
     assert a.state == GpuLeaseState.REVOKED and a.revoked_cause == "device-loss"
     assert b.is_active
-    assert manager.devices() == [b.device]
+    with pytest.raises(KeyError):
+        manager.device_of(a.device)
     assert manager.revoked == 1
 
 
 def test_revoked_lease_error_carries_device_and_cause():
     _, manager = make_fleet(devices=("a/gpu0",))
     lease = manager.grant("fn", 0.5, MiB)
-    manager.revoke(lease, cause="reclaimed-by-batch-job")
+    manager.remove_device("a/gpu0", cause="reclaimed-by-batch-job")
     error = lease.error()
     assert isinstance(error, GpuLeaseRevokedError)
     assert "a/gpu0" in str(error)
@@ -94,13 +89,14 @@ def test_revoked_lease_error_carries_device_and_cause():
 
 
 def test_double_revoke_and_revoke_after_release_are_noops():
-    _, manager = make_fleet(devices=("a/gpu0",))
-    lease = manager.grant("fn", 0.5, MiB)
-    manager.revoke(lease, cause="first")
-    manager.revoke(lease, cause="second")
+    _, manager = make_fleet(devices=("a/gpu0", "b/gpu0"))
+    lease = manager.grant("fn", 0.5, MiB, node="a")
+    manager.remove_device("a/gpu0", cause="first")
+    assert manager.remove_device("a/gpu0", cause="second") == []
     assert lease.revoked_cause == "first"
     assert manager.revoked == 1
     released = manager.grant("fn2", 0.5, MiB)
     manager.release(released)
-    manager.revoke(released)
+    assert manager.remove_device(released.device) == []
     assert released.state == GpuLeaseState.RELEASED
+    assert manager.revoked == 1

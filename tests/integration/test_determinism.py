@@ -12,6 +12,7 @@ from repro.slurm import (
     drive_workload,
 )
 
+from ..manager_ops import record_manager_ops
 from .test_full_loop import FullRig
 
 
@@ -42,13 +43,14 @@ def test_batch_trace_bit_identical_per_seed():
 
 def full_loop_signature(seed):
     rig = FullRig(nodes=4, seed=seed)
+    ops = record_manager_ops(rig.manager, [])
     rig.function_stream("n0000", horizon=120.0)
     rig.function_stream("n0001", horizon=120.0)
     rig.env.run(until=120.0)
     return (
         rig.stats["ok"],
         rig.stats["rejected"],
-        tuple((r.time, r.kind) for r in rig.manager.log),
+        tuple(ops),
         rig.fabric.stats.messages,
         rig.fabric.stats.bytes,
     )

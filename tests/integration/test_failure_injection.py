@@ -16,29 +16,12 @@ def spec(nodes=1, walltime=100.0, cores=36):
                    memory_per_node=4 * GiB, walltime=walltime, runtime=walltime)
 
 
-def test_node_failure_kills_owning_job():
-    env = Environment()
-    cluster = Cluster()
-    cluster.add_nodes("n", 2, DAINT_MC)
-    sched = BatchScheduler(env, cluster)
-    job = sched.submit(spec(nodes=2))
-    env.run(until=10)
-    victim = sched.fail_node(job.node_names[0])
-    assert victim is job
-    env.run(until=20)
-    assert job.state == JobState.FAILED
-    assert job.end_time == 10
-    # All the job's nodes were released, including healthy ones.
-    for name in job.node_names:
-        assert cluster.node(name).allocations_of_kind("batch") == ()
-
-
 def test_failed_node_not_rescheduled_until_restore():
     env = Environment()
     cluster = Cluster()
     cluster.add_nodes("n", 2, DAINT_MC)
     sched = BatchScheduler(env, cluster)
-    sched.fail_node("n0000")
+    cluster.node("n0000").draining = True  # the node failed
     job = sched.submit(spec(nodes=1, walltime=5.0))
     env.run(until=1)
     assert job.node_names == ("n0001",)
@@ -49,29 +32,6 @@ def test_failed_node_not_rescheduled_until_restore():
     sched.restore_node("n0000")
     env.run()
     assert wide.state == JobState.COMPLETED
-
-
-def test_failure_of_idle_node_kills_nothing():
-    env = Environment()
-    cluster = Cluster()
-    cluster.add_nodes("n", 2, DAINT_MC)
-    sched = BatchScheduler(env, cluster)
-    assert sched.fail_node("n0000") is None
-    assert cluster.node("n0000").draining
-    kinds = [r.kind for r in sched.log]
-    assert "node_failure" in kinds
-
-
-def test_failure_event_logged_with_job():
-    env = Environment()
-    cluster = Cluster()
-    cluster.add_nodes("n", 1, DAINT_MC)
-    sched = BatchScheduler(env, cluster)
-    job = sched.submit(spec(nodes=1))
-    env.run(until=1)
-    sched.fail_node("n0000")
-    record = sched.log.of_kind("node_failure")[0]
-    assert record.payload["job_id"] == job.job_id
 
 
 def test_function_clients_survive_node_failure():
@@ -86,12 +46,10 @@ def test_function_clients_survive_node_failure():
 
     def killer():
         yield rig.env.timeout(5.0)
-        # Find a node serving functions and fail it end-to-end: batch
-        # side + serverless side.
+        # Find a node serving functions and fail its serverless side.
         for name in list(rig.manager.registered_nodes()):
             executor = rig.manager.node_info(name).executor
             if executor.active_invocations:
-                rig.scheduler.fail_node(name)
                 rig.manager.remove_node(name, immediate=True)
                 results.append(name)
                 return

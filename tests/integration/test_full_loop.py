@@ -169,33 +169,3 @@ def test_invocations_dilated_by_real_batch_neighbours():
     rig.env.process(probe())
     rig.env.run(until=5000.0)
     assert results["busy"] > results["idle"] * 1.02
-
-
-def test_migration_preserves_warmth_across_reclaim():
-    """Before a node is reclaimed, its warm containers move elsewhere and
-    keep serving warm starts."""
-    rig = FullRig(nodes=3, seed=6)
-    done = {}
-
-    def scenario():
-        # Warm a container on node 0 via a real invocation.
-        client = RFaaSClient(rig.env, rig.manager, rig.fabric, rig.functions,
-                             client_node="n0002")
-        result = yield client.invoke("work")
-        src = result.node_name
-        dst = next(n for n in rig.manager.registered_nodes() if n != src)
-        client.close()
-        # Drop the executor's attachment so the container returns to the
-        # pool (an executor about to drain would do the same).
-        info = rig.manager.node_info(src)
-        for container in list(info.executor._attached.values()):
-            info.warm_pool.release(container)
-        info.executor._attached.clear()
-        moved = yield rig.manager.migrate_warm_containers(src, dst)
-        done["moved"] = moved
-        done["dst_warm"] = rig.manager.node_info(dst).warm_pool.warm_count
-
-    rig.env.process(scenario())
-    rig.env.run(until=100.0)
-    assert done["moved"] == 1
-    assert done["dst_warm"] == 1

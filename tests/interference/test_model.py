@@ -131,7 +131,7 @@ def test_table3_bt_lu_efficiency_band():
     """BT/LU land at roughly 70-85% efficiency at high counts."""
     for key in ("bt.W", "lu.W"):
         demand = nas_model(key).demand(1)
-        eff = MODEL.efficiency(DAINT_MC, demand, 24)
+        eff = MODEL.relative_throughput(DAINT_MC, demand, 24) / 24
         assert 0.55 < eff < 0.95, f"{key}: {eff}"
 
 

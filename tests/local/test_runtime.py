@@ -1,9 +1,11 @@
 """Live process-based runtime tests (real multiprocessing)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.local import LocalRuntime, deserialize, payload_nbytes, resolve_target, serialize
+from repro.local import LocalRuntime, payload_nbytes, resolve_target, serialize
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +106,7 @@ def test_worker_count_validation():
 def test_serialization_roundtrip_and_size():
     payload = {"a": np.arange(1000, dtype=np.float64), "b": "text"}
     blob = serialize(payload)
-    back = deserialize(blob)
+    back = pickle.loads(blob)
     np.testing.assert_array_equal(back["a"], payload["a"])
     assert back["b"] == "text"
     assert payload_nbytes(payload) == len(blob)

@@ -7,7 +7,6 @@ from repro.faults import FaultPlan
 from repro.memservice import DurableMemoryConfig
 from repro.rfaas.errors import DataLossError, MemoryServiceUnavailable
 from repro.sim import Environment
-from repro.slurm import BatchScheduler
 
 MiB = 1024**2
 GiB = 1024**3
@@ -329,22 +328,6 @@ def test_graceful_manager_reclaim_migrates_chunks_off():
     for chunk in service.chunks:
         assert len(chunk.replicas) == 2
         assert all(service.is_clean(chunk, r) for r in chunk.replicas)
-
-
-def test_scheduler_drain_triggers_live_migration():
-    platform = build(replication=2)
-    service = platform.durable_memory
-    scheduler = BatchScheduler(platform.env, platform.cluster)
-    service.attach_scheduler(scheduler)
-    victim = service.chunks[0].nodes()[0]
-    scheduler.drain_node(victim)
-    scheduler.drain_node(victim)  # idempotent
-    platform.run_until(2.0)
-    assert victim not in service.hosting_nodes()
-    assert service.migrations >= 1
-    # Placement never targets the draining node.
-    assert all(victim not in c.nodes() for c in service.chunks)
-    scheduler.restore_node(victim)
 
 
 def test_migration_charges_time_through_the_fabric():

@@ -159,22 +159,6 @@ def test_reduce_root_only_gets_result():
     assert all(results[r] is None for r in (0, 1, 3))
 
 
-def test_barrier_synchronizes():
-    env, comm = make_comm(4)
-    after = {}
-
-    def rank_prog(rank):
-        # Stagger arrival; nobody leaves before the last arrives.
-        yield env.timeout(rank * 1.0)
-        yield comm.barrier(rank)
-        after[rank] = env.now
-
-    for rank in range(4):
-        env.process(rank_prog(rank))
-    env.run()
-    assert min(after.values()) >= 3.0
-
-
 def test_message_accounting():
     env, comm = make_comm(2)
 

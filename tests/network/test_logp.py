@@ -45,12 +45,6 @@ def test_negative_inputs_rejected():
         p.rdma_read(-5)
 
 
-def test_injection_interval_uses_max_of_g_and_serialization():
-    p = params(G=1e-9, g=2e-6)
-    assert p.injection_interval(100) == pytest.approx(2e-6)      # g dominates
-    assert p.injection_interval(10**4) == pytest.approx(1e-5)    # G dominates
-
-
 def test_jitter_sampling_deterministic_with_seed():
     p = params().with_jitter(0.1)
     t = p.one_way(100)

@@ -86,13 +86,6 @@ def test_zero_tasks():
         model().should_offload(-1)
 
 
-def test_max_remote_tasks():
-    m = model(bandwidth=1e6, data_per_task=1_000_000)
-    assert m.max_remote_tasks(10.0) == 10
-    with pytest.raises(ValueError):
-        m.max_remote_tasks(-1)
-
-
 @given(
     n=st.integers(min_value=0, max_value=5000),
     workers=st.integers(min_value=1, max_value=32),

@@ -44,11 +44,6 @@ def test_levels_and_widths():
     assert g.widths() == [1, 2, 1]
 
 
-def test_critical_path():
-    assert diamond().critical_path_length() == pytest.approx(1 + 3 + 1)
-    assert TaskGraph().critical_path_length() == 0.0
-
-
 def test_prefix_scan_width_profile():
     g = prefix_scan_graph(16)
     widths = g.widths()

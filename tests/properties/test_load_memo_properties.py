@@ -10,6 +10,8 @@ An over-subscribed mix must raise ``PlacementError`` on every query,
 ahead of the ``KeyError`` of an unknown key.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -21,7 +23,7 @@ from repro.rfaas import NodeLoadRegistry
 GBs = 1e9
 MiB = 1024**2
 
-SPECS = [DAINT_MC, DAINT_MC.with_overrides(name="small", cores=12, sockets=2)]
+SPECS = [DAINT_MC, replace(DAINT_MC, name="small", cores=12, sockets=2)]
 NODES = ["n0000", "n0001"]
 KEYS = ["a", "b", "c", "d"]
 DEMANDS = [

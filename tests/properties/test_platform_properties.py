@@ -65,7 +65,7 @@ def test_billing_saving_matches_discount_minus_overhead(cores, nodes, runtime, s
     assert abs(ratio - (cores / 36) * slowdown) < 1e-9
     # Full-node request with any slowdown is never worth it.
     if cores == 36 and slowdown > 1.0:
-        assert not bill.sharing_worth_it()
+        assert bill.saving_fraction() <= 0.0
 
 
 @settings(max_examples=40)
@@ -77,7 +77,7 @@ def test_billing_saving_matches_discount_minus_overhead(cores, nodes, runtime, s
 def test_interference_efficiency_bounded(n_instances, membw, frac):
     model = InterferenceModel()
     demand = ResourceDemand(cores=1, membw=membw, llc_bytes=4 * MiB, frac_membw=frac)
-    eff = model.efficiency(DAINT_MC, demand, n_instances)
+    eff = model.relative_throughput(DAINT_MC, demand, n_instances) / n_instances
     assert 0.0 < eff <= 1.0 + 1e-9
 
 

@@ -31,12 +31,12 @@ def _reclaim_whenever_leased(h, client, period=0.1, kills=None):
 
 
 def test_redirect_exhaustion_surfaces_terminated_not_hang():
-    """Repeated immediate reclaims exhaust max_redirects: TERMINATED result."""
+    """Repeated immediate reclaims exhaust the attempt budget: TERMINATED."""
     h = Harness(nodes=5)
     for name in ("n0001", "n0002", "n0003", "n0004"):
         h.register_node(name)
     h.register_function("work", runtime_s=0.5)
-    client = h.client()  # default policy: max_redirects=3, 4 attempts
+    client = h.client()  # default policy: 4 attempts
     _reclaim_whenever_leased(h, client)
     out = {}
 
@@ -52,7 +52,7 @@ def test_redirect_exhaustion_surfaces_terminated_not_hang():
     assert isinstance(detailed.error, TerminationError)
     # Every attempt made ended in a redirect, and the counter says so.
     assert detailed.attempts == client.retry_policy.max_attempts == 4
-    assert detailed.retries == client.retry_policy.max_redirects == 3
+    assert detailed.retries == 3
     assert client.redirects == detailed.attempts
 
 

@@ -112,9 +112,18 @@ def test_unwaited_failed_event_crashes_run():
 def test_defused_failed_event_is_silent():
     env = Environment()
     ev = env.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield ev
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    env.process(waiter())
     ev.fail(RuntimeError("handled"))
-    ev.defuse()
-    env.run()  # no raise
+    env.run()  # the waiting process defused it: no raise
+    assert caught == ["handled"]
 
 
 def test_run_twice_continues_from_stop_point():

@@ -81,9 +81,8 @@ def test_eventlog_filters():
     log.emit(2.0, "end", job=1)
     log.emit(3.0, "start", job=2)
     assert len(log) == 3
-    assert [r.payload["job"] for r in log.of_kind("start")] == [1, 2]
+    assert [r.payload["job"] for r in log if r.kind == "start"] == [1, 2]
     assert log.kinds() == {"start", "end"}
-    assert len(log.between(1.5, 3.0)) == 2
 
 
 def test_timeseries_sample_no_float_drift_on_long_windows():
@@ -112,18 +111,3 @@ def test_timeseries_sample_nonzero_start_grid():
     sampled = ts.sample(10.0, 20.0, 2.5)
     assert list(sampled.times) == [10.0, 12.5, 15.0, 17.5, 20.0]
     assert all(v == 5.0 for v in sampled.values)
-
-
-def test_eventlog_between_boundaries_are_inclusive():
-    log = EventLog()
-    log.emit(1.0, "a")
-    log.emit(2.0, "b")
-    log.emit(3.0, "c")
-    # Both endpoints are included.
-    assert [r.kind for r in log.between(1.0, 3.0)] == ["a", "b", "c"]
-    assert [r.kind for r in log.between(2.0, 2.0)] == ["b"]
-    # Strictly outside stays out.
-    assert [r.kind for r in log.between(1.0 + 1e-12, 3.0 - 1e-12)] == ["b"]
-    assert log.between(3.5, 9.0) == []
-    # Inverted window is empty, not an error.
-    assert log.between(3.0, 1.0) == []

@@ -33,11 +33,13 @@ from repro.slurm.scheduler import BatchScheduler
 from repro.sweep import sweep_names
 from repro.telemetry import Telemetry, TelemetryCollector, install
 
+from ..manager_ops import record_manager_ops
+
 MiB = 1024**2
 GiB = 1024**3
 
 
-def build_platform(env, seed=0):
+def build_platform(env, seed=0, ops=None):
     cluster = Cluster(topology=DragonflyTopology(nodes_per_group=2))
     cluster.add_nodes("n", 2, DAINT_MC)
     drc = DrcManager()
@@ -45,6 +47,8 @@ def build_platform(env, seed=0):
     loads = NodeLoadRegistry(cluster)
     manager = ResourceManager(env, cluster, loads=loads, drc=drc,
                               rng=np.random.default_rng(seed))
+    if ops is not None:
+        record_manager_ops(manager, ops)
     manager.register_node("n0001", cores=2, memory_bytes=8 * GiB)
     functions = FunctionRegistry()
     image = Image("fn", size_bytes=50 * MiB)
@@ -178,36 +182,22 @@ def test_scheduler_queue_wait_and_free_node_gauge():
     assert {s.attrs["state"] for s in job_spans} == {"completed"}
 
 
-# Lease/client/invocation ids are identities, not timings: the timeline
-# comparison leaves them out.
-_VOLATILE_KEYS = ("lease_id", "client", "invocation_id")
-
-
-def event_timeline(env, client, manager, count):
+def event_timeline(env, seed, count):
+    """Every manager op (see ``record_manager_ops``), the invocation
+    statuses, and the final clock of one seeded run."""
+    ops = []
+    _, client = build_platform(env, seed=seed, ops=ops)
     statuses = run_invocations(env, client, count)
-    records = [
-        (
-            r.time,
-            r.kind,
-            tuple(sorted(
-                (k, v) for k, v in r.payload.items() if k not in _VOLATILE_KEYS
-            )),
-        )
-        for r in manager.log
-    ]
-    return records, statuses, env.now
+    return ops, statuses, env.now
 
 
 def test_traced_and_untraced_runs_are_identical():
     """Telemetry must not perturb simulated time or seeded determinism."""
-    env_plain = Environment()
-    manager_plain, client_plain = build_platform(env_plain, seed=7)
-    baseline = event_timeline(env_plain, client_plain, manager_plain, count=6)
+    baseline = event_timeline(Environment(), seed=7, count=6)
 
     env_traced = Environment()
     install(env_traced, Telemetry(env=env_traced))
-    manager_traced, client_traced = build_platform(env_traced, seed=7)
-    traced = event_timeline(env_traced, client_traced, manager_traced, count=6)
+    traced = event_timeline(env_traced, seed=7, count=6)
 
     assert traced == baseline
 

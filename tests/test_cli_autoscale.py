@@ -43,16 +43,16 @@ def test_autoscale_no_crash_flag():
 
 def test_autoscale_replays_a_plan_file(tmp_path):
     plan_path = tmp_path / "plan.json"
-    FaultPlan(name="file-plan").node_crash(
+    plan_path.write_text(FaultPlan(name="file-plan").node_crash(
         at_s=1.0, node="n0001", duration_s=1.0, immediate=True,
-    ).save(str(plan_path))
+    ).to_json())
     lines, out = collect()
     assert main([*AUTOSCALE, "--plan", str(plan_path)], out=out) == 0
 
 
 def test_autoscale_plan_and_no_crash_are_mutually_exclusive(tmp_path):
     plan_path = tmp_path / "plan.json"
-    FaultPlan().node_crash(at_s=1.0, node="n0001").save(str(plan_path))
+    plan_path.write_text(FaultPlan().node_crash(at_s=1.0, node="n0001").to_json())
     with pytest.raises(SystemExit):
         main(["sweep", "autoscale", "--plan", str(plan_path),
               "--set", "crash=False"], out=lambda s: None)

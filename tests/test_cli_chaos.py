@@ -25,7 +25,8 @@ def test_chaos_rate_sweep_runs():
 
 def test_chaos_replays_a_plan_file(tmp_path):
     plan_path = tmp_path / "plan.json"
-    FaultPlan(name="file-plan").lease_storm(at_s=1.0, count=2).save(str(plan_path))
+    plan_path.write_text(
+        FaultPlan(name="file-plan").lease_storm(at_s=1.0, count=2).to_json())
     lines, out = collect()
     assert main(["sweep", "chaos", "--plan", str(plan_path), "--set", "window_s=5"],
                 out=out) == 0
@@ -34,7 +35,7 @@ def test_chaos_replays_a_plan_file(tmp_path):
 
 def test_chaos_rates_and_plan_are_mutually_exclusive(tmp_path):
     plan_path = tmp_path / "plan.json"
-    FaultPlan().lease_storm(at_s=1.0).save(str(plan_path))
+    plan_path.write_text(FaultPlan().lease_storm(at_s=1.0).to_json())
     with pytest.raises(SystemExit):
         main(["sweep", "chaos", "--plan", str(plan_path), "--set", "rates=(8,)"],
              out=lambda s: None)

@@ -13,12 +13,13 @@ from tools import checks  # noqa: E402
 
 
 def test_registry_contains_every_repo_lint():
-    assert set(checks.CHECKS) == {"metric-names", "public-api", "sweeps"}
+    assert set(checks.CHECKS) == {"callers", "metric-names", "public-api", "sweeps"}
     for fn in checks.CHECKS.values():
         assert callable(fn)
 
 
 def test_run_executes_a_single_check():
+    assert checks.run("callers") == []
     assert checks.run("metric-names") == []
     assert checks.run("public-api") == []
     assert checks.run("sweeps") == []
@@ -47,11 +48,11 @@ def test_main_exit_codes(capsys, monkeypatch):
     assert checks.main([]) == 0
     out = capsys.readouterr().out
     assert "metric-names: ok" in out and "public-api: ok" in out
-    assert "sweeps: ok" in out
+    assert "sweeps: ok" in out and "callers: ok" in out
 
     assert checks.main(["--list"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "metric-names", "public-api", "sweeps",
+        "callers", "metric-names", "public-api", "sweeps",
     ]
 
     assert checks.main(["bogus"]) == 2

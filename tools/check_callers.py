@@ -1,0 +1,261 @@
+#!/usr/bin/env python3
+"""Lint: nothing in ``src/`` lives for its tests alone.
+
+An AST pass over every module under ``src/``.  For each module-level
+def or class, and each method of a module-level class, it looks for a
+reference to the name outside ``tests/``: in ``src/``, ``bench/``
+(skipping ``bench/out/``), ``tools/*.py`` and ``examples/``.  A
+reference is the name as an ``ast.Name``, as an ``ast.Attribute``, or
+as the string argument of ``getattr``/``hasattr``.  The match is by
+name only, so a duck-typed hook (``_observe``) counts as called as soon
+as any call site names it.
+
+These are *not* callers: the def itself (a self-recursive call), a
+``from .x import name`` re-export, an ``__all__`` string, and
+``tools/public_api.json``.  Dunder methods are exempt.
+
+A member with no caller fails the check unless :data:`ALLOWLIST` names
+it with a reason that starts with one of :data:`REASONS`.  An allowlist
+entry that has gained a caller, or whose member is gone, fails too, so
+the list cannot rot.
+
+Run standalone or through the unified entry point::
+
+    python tools/check_callers.py [REPO_ROOT]
+    python -m tools.checks callers
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import sys
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: The only accepted reasons for keeping a member that no code calls.
+REASONS = (
+    # A side-effect-free property or method a tier-1 test reads to
+    # observe state.
+    "view:",
+    # A second implementation a tier-1 test compares the main path to.
+    "reference:",
+    # A paper workload kernel or paper-table predicate a test pins.
+    "paper:",
+)
+
+#: {qualified name: reason} for members kept with no caller.
+ALLOWLIST: Dict[str, str] = {
+    # -- views: side-effect-free reads a tier-1 test observes state through
+    "repro.capacity.admission.AdmissionController.queue_depth":
+        "view: admitted backlog depth the admission tests assert on",
+    "repro.cluster.machine.Cluster.core_utilization":
+        "view: allocated / total cores across the cluster",
+    "repro.cluster.node.Node.core_utilization":
+        "view: allocated / total cores of one node",
+    "repro.cluster.node.Node.allocations":
+        "view: the node's live allocations",
+    "repro.cluster.node.Node.allocations_of_kind":
+        "view: live allocations of one kind (batch, function, container)",
+    "repro.containers.warmpool.WarmPool.warm_count":
+        "view: parked warm containers",
+    "repro.containers.warmpool.WarmPool.swapped_count":
+        "view: containers swapped to the parallel filesystem",
+    "repro.controlplane.ha.ReplicatedResourceManager.primary_rank":
+        "view: which replica leads the current epoch",
+    "repro.experiments.fig13_offloading.Fig13Result.timing":
+        "view: one variant's timing row of a Fig. 13 result",
+    "repro.gpuservice.batcher.GpuBatcher.pending_total":
+        "view: queued requests across every batch key",
+    "repro.memservice.paging.RemotePager.resident_count":
+        "view: pages resident in the local cache",
+    "repro.network.transport.LinkConditioner.pristine":
+        "view: no degradation, loss or partition is active",
+    "repro.shard.ring.HashRing.spread":
+        "view: key counts per shard, the ring's balance",
+    "repro.sim.engine.Event.processed":
+        "view: the event's callbacks have run",
+    "repro.sim.engine.Environment.peek":
+        "view: time of the next scheduled event",
+    "repro.telemetry.metrics.Histogram.quantile":
+        "view: exact nearest-rank quantile of the observed samples",
+    # -- references: second implementations a test compares the main path to
+    "repro.experiments.fig12_gpu_sharing.run_platform":
+        "reference: Fig. 12 through the Platform facade, compared with run()",
+    "repro.experiments.tab03_idle_node.run_platform":
+        "reference: Table III through the Platform facade, compared with run()",
+    # -- paper: workload kernels, models and predicates a test pins
+    "repro.cluster.machine.build_daint":
+        "paper: the Piz Daint testbed shape (1813 XC40 + 5704 XC50 nodes)",
+    "repro.colocation.requirements.RequirementModel":
+        "paper: Sec. III-E cold-start resource-requirement model",
+    "repro.colocation.requirements.RequirementModel.fit":
+        "paper: Sec. III-E per-resource fit over counter sweeps",
+    "repro.colocation.requirements.RequirementModel.fitted":
+        "paper: Sec. III-E model readiness (every resource class fitted)",
+    "repro.colocation.requirements.RequirementModel.stress_factors":
+        "paper: Sec. III-E stress factors, predicted demand / capacity",
+    "repro.containers.runtime.ContainerRuntime.suitable_for_hpc_functions":
+        "paper: the Table II / Sec. IV-C sandbox requirement predicate",
+    "repro.disagg.billing.JobBill.fair_shared_cost":
+        "paper: interference-fair pricing of co-located jobs (ref. [40])",
+    "repro.network.logp.fit_loggp":
+        "paper: LogGP fit of (L, G) from one-way timings, the model's calibration",
+    "repro.offload.taskgraph.prefix_scan_graph":
+        "paper: the prefix-scan DAG of the offloading study (Sec. VI-D)",
+    "repro.offload.taskgraph.schedule_with_offloading":
+        "paper: Eq.-1-guarded level schedule of the prefix-scan study",
+    "repro.slurm.swf.SwfRecord.to_spec":
+        "paper: SWF import of the Parallel Workloads Archive traces behind Fig. 1",
+    "repro.slurm.swf.read_swf":
+        "paper: SWF import of the Parallel Workloads Archive traces behind Fig. 1",
+    "repro.slurm.swf.write_swf":
+        "paper: SWF export of the synthetic Fig. 1 batch trace",
+    "repro.workloads.blackscholes.blackscholes_model":
+        "paper: PARSEC Black-Scholes demand model",
+    "repro.workloads.blackscholes_pde.pde_chunk":
+        "paper: Black-Scholes PDE kernel (remote entry point)",
+    "repro.workloads.lulesh.is_valid_rank_count":
+        "paper: LULESH runs only on cubic rank counts",
+    "repro.workloads.lulesh.valid_rank_counts":
+        "paper: LULESH's legal (cubic) rank counts",
+    "repro.workloads.lulesh.lulesh_kernel":
+        "paper: LULESH hydro surrogate kernel",
+    "repro.workloads.milc.milc_kernel":
+        "paper: MILC SU(3) surrogate kernel",
+    "repro.workloads.nas.nas_kernel":
+        "paper: NAS benchmark kernel lookup by mnemonic",
+    "repro.workloads.nas.nas_model_for_class":
+        "paper: NAS demand model scaled to a problem class",
+    "repro.workloads.openmc_like.openmc_model":
+        "paper: OpenMC demand model",
+}
+
+
+def _py_files(root: pathlib.Path) -> Iterator[pathlib.Path]:
+    """Every file whose references count: src, bench, tools, examples."""
+    yield from sorted((root / "src").rglob("*.py"))
+    out = root / "bench" / "out"
+    for path in sorted((root / "bench").rglob("*.py")):
+        if out not in path.parents:
+            yield path
+    yield from sorted((root / "tools").glob("*.py"))
+    yield from sorted((root / "examples").rglob("*.py"))
+
+
+def _module_name(src: pathlib.Path, path: pathlib.Path) -> str:
+    parts = list(path.relative_to(src).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(src: pathlib.Path) -> Dict[str, Tuple[str, str]]:
+    """{qualified name: (bare name, "path:line")} for every src member."""
+    found: Dict[str, Tuple[str, str]] = {}
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(src, path)
+        where = path.relative_to(src.parent)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, _DEFS):
+                continue
+            found[f"{module}.{node.name}"] = (node.name, f"{where}:{node.lineno}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, _DEFS) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    found[f"{module}.{node.name}.{member.name}"] = (
+                        member.name, f"{where}:{member.lineno}")
+    return found
+
+
+class _References(ast.NodeVisitor):
+    """Collects referenced names, minus a def's references to itself."""
+
+    def __init__(self) -> None:
+        self.names: Set[str] = set()
+        self._enclosing: List[str] = []
+
+    def _add(self, name: str) -> None:
+        if name not in self._enclosing:
+            self.names.add(name)
+
+    def _visit_def(self, node) -> None:
+        self._enclosing.append(node.name)
+        self.generic_visit(node)
+        self._enclosing.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_def
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if (isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)):
+            self._add(node.args[1].value)
+        self.generic_visit(node)
+
+
+def _referenced_names(root: pathlib.Path) -> Set[str]:
+    refs = _References()
+    for path in _py_files(root):
+        refs.visit(ast.parse(path.read_text(), str(path)))
+    return refs.names
+
+
+def violations(root: pathlib.Path = REPO_ROOT,
+               allowlist: Optional[Mapping[str, str]] = None) -> List[str]:
+    """Members with no caller outside tests/, and bad allowlist entries."""
+    allowlist = ALLOWLIST if allowlist is None else allowlist
+    root = pathlib.Path(root)
+    defined = _definitions(root / "src")
+    referenced = _referenced_names(root)
+
+    problems: List[str] = []
+    for qualname, (name, where) in defined.items():
+        if name not in referenced and qualname not in allowlist:
+            problems.append(
+                f"{where}: {qualname} has no caller outside tests/ "
+                f"(delete it, or allowlist it with a reason starting "
+                f"{', '.join(REASONS)})"
+            )
+    for qualname, reason in sorted(allowlist.items()):
+        if qualname not in defined:
+            problems.append(f"stale allowlist entry {qualname}: no such member")
+        elif defined[qualname][0] in referenced:
+            problems.append(
+                f"stale allowlist entry {qualname}: it has a caller now")
+        if not reason.startswith(REASONS):
+            problems.append(
+                f"allowlist entry {qualname}: reason {reason!r} does not "
+                f"start with {', '.join(REASONS)}"
+            )
+    return problems
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = pathlib.Path(argv[0]) if argv else REPO_ROOT
+    problems = violations(root)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"checked src/ members for callers, {len(problems)} violation(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

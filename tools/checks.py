@@ -10,7 +10,8 @@ CI, the test suite, and humans all invoke the identical code path::
 Each check is a zero-argument callable returning a list of
 human-readable violation strings (empty = pass), so adding a check is
 one registry entry.  The test wrappers (``tests/telemetry/test_naming.py``,
-``tests/api/test_public_api.py``, ``tests/tools/test_checks.py``) call
+``tests/api/test_public_api.py``, ``tests/tools/test_checks.py``,
+``tests/tools/test_check_callers.py``) call
 :func:`run` / :func:`run_all` directly — a lint can never pass in CI and
 fail under pytest or vice versa.
 """
@@ -21,10 +22,11 @@ import argparse
 import sys
 from typing import Callable, Dict, List
 
-from . import check_metric_names, check_public_api, check_sweeps
+from . import check_callers, check_metric_names, check_public_api, check_sweeps
 
 #: Registered checks: name -> zero-arg callable returning violation lines.
 CHECKS: Dict[str, Callable[[], List[str]]] = {
+    "callers": check_callers.violations,
     "metric-names": check_metric_names.violations,
     "public-api": check_public_api.violations,
     "sweeps": check_sweeps.violations,
