@@ -37,7 +37,9 @@ Determinism: ``Platform.build(spec, seed=s)`` derives the fabric rng
 from ``s``, the manager rng from ``s + 1``, the injector rng from
 ``s + 2``, and the cloud-gateway rng from ``s + 3`` — the first three
 are the same fan-out the experiments used before the facade, so ported
-experiments reproduce their historical numbers exactly.
+experiments reproduce their historical numbers exactly.  Every shard's
+manager draws from that one ``s + 1`` stream, so a one-shard plane
+grants and serves exactly as the bare manager does.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .rfaas import (
     ResourceManager,
     RFaaSClient,
 )
+from .shard import ShardConfig, ShardedControlPlane
 from .sim import Environment
 from .telemetry import Telemetry, TelemetryCollector, install, telemetry_of
 
@@ -141,6 +144,7 @@ class Platform:
         durable_memory: Any = None,
         gpu: Any = None,
         ha: Any = None,
+        shards: Any = None,
     ) -> "Platform":
         """Construct environment, cluster, fabric, manager, and registry.
 
@@ -188,11 +192,27 @@ class Platform:
         ``manager_crash`` / ``manager_partition`` fault events find it.
         Its heartbeat/failure-detector loop is started immediately.
 
+        ``shards`` takes a :class:`~repro.shard.ShardConfig`: that many
+        managers, each built as the unsharded one would be (replicated
+        when ``ha`` is set, all on the one ``seed + 1`` rng stream), are
+        composed into a :class:`~repro.shard.ShardedControlPlane` at
+        ``platform.manager``, which every consumer above uses like any
+        manager.  Durable memory follows one manager's reclaims, so it
+        cannot be combined with ``shards`` (:class:`ValueError`).
+
         Every background loop these options start (autoscalers, repair,
-        heartbeat) is a daemon process, so an open-ended ``run()``
-        returns once the foreground work is done.
+        heartbeat, shard rebalancer) is a daemon process, so an
+        open-ended ``run()`` returns once the foreground work is done.
         """
         spec = cluster_spec if cluster_spec is not None else ClusterSpec()
+        if ha is True:
+            ha = HAConfig()
+        elif ha is not None and not isinstance(ha, HAConfig):
+            raise TypeError("ha must be None, True, or an HAConfig")
+        if shards is not None and not isinstance(shards, ShardConfig):
+            raise TypeError("shards must be None or a ShardConfig")
+        if shards is not None and durable_memory is not None:
+            raise ValueError("durable_memory cannot be combined with shards")
         env = Environment()
         if telemetry is True:
             Telemetry(env=env).install(env)
@@ -220,16 +240,20 @@ class Platform:
         loads = NodeLoadRegistry(cluster)
         manager_args = dict(loads=loads, drc=drc,
                             rng=np.random.default_rng(seed + 1))
-        if ha is None:
-            manager = ResourceManager(env, cluster, **manager_args)
+
+        def build_manager() -> ResourceManager:
+            if ha is None:
+                return ResourceManager(env, cluster, **manager_args)
+            replicated = ReplicatedResourceManager(env, cluster, config=ha,
+                                                   **manager_args)
+            replicated.start()
+            return replicated
+
+        if shards is None:
+            manager = build_manager()
         else:
-            if ha is True:
-                ha = HAConfig()
-            elif not isinstance(ha, HAConfig):
-                raise TypeError("ha must be None, True, or an HAConfig")
-            manager = ReplicatedResourceManager(env, cluster, config=ha,
-                                                **manager_args)
-            manager.start()
+            managers = [build_manager() for _ in range(shards.shards)]
+            manager = ShardedControlPlane(env, managers, shards)
         functions = FunctionRegistry()
         durable = None
         if durable_memory is not None:
@@ -320,6 +344,11 @@ class Platform:
     @property
     def ha(self) -> ReplicatedResourceManager:
         """The replicated manager (requires ``ha=`` at build time)."""
+        if isinstance(self.manager, ShardedControlPlane):
+            raise RuntimeError(
+                "a sharded platform has no single replicated manager; with "
+                "ha= set, shard i's replicas are platform.manager.shards[i].manager"
+            )
         if not isinstance(self.manager, ReplicatedResourceManager):
             raise RuntimeError(
                 "platform was built without a replicated control plane; "

@@ -3,8 +3,8 @@
 One seeded :class:`~repro.loadgen.WorkloadTrace` — open-loop arrivals
 from a 1.2M-tenant Zipf population — is replayed against
 :class:`~repro.shard.ShardedControlPlane` instances of increasing shard
-count.  Every arrival runs the full multi-tenant path: per-tenant
-admission control (:mod:`repro.capacity`), a batched grant on the
+count, each built by ``Platform.build(shards=...)``.  Every arrival
+runs the full multi-tenant path: per-tenant admission control (:mod:`repro.capacity`), a batched grant on the
 tenant's home shard, a service-time hold, and a batched release, with
 bounded deterministic retries when the shard is saturated or down.
 
@@ -38,11 +38,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..api import ClusterSpec, Platform
 from ..capacity.admission import AdmissionConfig, AdmissionController, TenantQuota
-from ..cluster.machine import Cluster
-from ..cluster.specs import DAINT_MC
-from ..cluster.topology import DragonflyTopology
-from ..faults import FaultPlan, Injector, RetryPolicy
+from ..faults import FaultPlan, RetryPolicy
 from ..loadgen import LoadSpec, MmppArrivals, PoissonArrivals, TenantMix, synthesize
 from ..rfaas.errors import (
     AdmissionRejected,
@@ -50,8 +48,7 @@ from ..rfaas.errors import (
     NoCapacityError,
     StaleEpochError,
 )
-from ..shard import ShardConfig, ShardedControlPlane
-from ..sim.engine import Environment
+from ..shard import ShardConfig
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
 
 __all__ = [
@@ -177,19 +174,22 @@ def scenario(params: dict, seed: int) -> dict:
         service_s=service_s, seed=seed,
     ))
 
-    env = Environment()
-    cluster = Cluster(topology=DragonflyTopology(nodes_per_group=2))
-    cluster.add_nodes("n", nodes, DAINT_MC)
-    plane = ShardedControlPlane(
-        env, cluster,
-        ShardConfig(shards=shards, max_batch=max_batch,
-                    batch_overhead_s=BATCH_OVERHEAD_S, per_op_s=PER_OP_S,
-                    rebalance_interval_s=0.25),
-        rng=np.random.default_rng(seed + 1),
+    platform = Platform.build(
+        ClusterSpec(nodes=nodes), seed=seed,
+        shards=ShardConfig(shards=shards, max_batch=max_batch,
+                           batch_overhead_s=BATCH_OVERHEAD_S, per_op_s=PER_OP_S,
+                           rebalance_interval_s=0.25),
+        # Shard-targeted crash through the fault layer: kill the highest
+        # shard mid-storm, restarting after 10% of the window.
+        faults=FaultPlan(name="loadstorm").manager_crash(
+            at_s=crash_at_frac * window_s, duration_s=0.1 * window_s,
+            shard=shards - 1,
+        ) if crash_at_frac > 0 else None,
     )
+    env, plane, injector = platform.env, platform.manager, platform.injector
     for i in range(nodes):
-        plane.register_node(f"n{i:04d}", cores=cores_per_node,
-                            memory_bytes=4 * GiB)
+        platform.register_node(f"n{i:04d}", cores=cores_per_node,
+                               memory_bytes=4 * GiB)
     admission = AdmissionController(env, AdmissionConfig(
         max_queue_depth=512,
         max_queue_wait_s=0.5,
@@ -200,17 +200,6 @@ def scenario(params: dict, seed: int) -> dict:
         default_quota=TenantQuota(rate_per_s=0.08 * rate_per_s,
                                   burst=max(1.0, 0.02 * rate_per_s)),
     ))
-
-    injector = None
-    if crash_at_frac > 0:
-        # Shard-targeted crash through the fault layer: kill the highest
-        # shard mid-storm, restarting after 10% of the window.
-        plan = FaultPlan(name="loadstorm").manager_crash(
-            at_s=crash_at_frac * window_s, duration_s=0.1 * window_s,
-            shard=shards - 1,
-        )
-        injector = Injector(env, plan, manager=plane, seed=seed + 2)
-        injector.start()
 
     census = {"completed": 0, "rejected": 0, "degraded": 0}
     latencies: list[float] = []

@@ -14,14 +14,12 @@ See ``docs/sharding.md`` for the design and the loadstorm experiment
 that drives it at 1M+ synthetic clients.
 """
 
-from .batch import BatchOp, ShardBatcher
-from .plane import Shard, ShardConfig, ShardedControlPlane
+from .batch import ShardBatcher
+from .plane import ShardConfig, ShardedControlPlane
 from .ring import HashRing
 
 __all__ = [
-    "BatchOp",
     "HashRing",
-    "Shard",
     "ShardBatcher",
     "ShardConfig",
     "ShardedControlPlane",

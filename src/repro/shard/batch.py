@@ -42,8 +42,8 @@ class BatchOp:
 
     __slots__ = ("kind", "payload", "event", "submitted_s")
 
-    def __init__(self, kind: str, payload: dict, event: Event, submitted_s: float):
-        self.kind = kind          # "grant" | "release" | "revoke"
+    def __init__(self, kind: str, payload: Any, event: Event, submitted_s: float):
+        self.kind = kind          # "grant" | "release"
         self.payload = payload
         self.event = event
         self.submitted_s = submitted_s
@@ -84,7 +84,7 @@ class ShardBatcher:
     def depth(self) -> int:
         return len(self._queue)
 
-    def submit(self, kind: str, payload: dict) -> Event:
+    def submit(self, kind: str, payload: Any) -> Event:
         """Enqueue one op; the returned event resolves when it applies."""
         op = BatchOp(kind, payload, self.env.event(), self.env.now)
         self._queue.append(op)

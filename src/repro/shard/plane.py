@@ -1,20 +1,20 @@
 """The sharded control plane: N manager shards behind one front door.
 
-PR 9 made the resource manager *replicated*; it is still one
-serialization point for every tenant.  :class:`ShardedControlPlane`
-removes that by consistent-hashing tenants onto ``shards`` independent
-:class:`~repro.rfaas.manager.ResourceManager` instances — each
-optionally a replicated
-:class:`~repro.controlplane.ha.ReplicatedResourceManager` — so lease
-churn scales horizontally with client count (the Function Delivery
-Network premise, applied to the rFaaS lease model).
+A replicated resource manager is still one serialization point for
+every tenant.  :class:`ShardedControlPlane` removes that by
+consistent-hashing tenants onto the
+:class:`~repro.rfaas.manager.ResourceManager` instances it is given
+(``Platform.build(shards=...)`` builds them, replicated when ``ha=`` is
+set), so lease churn scales horizontally with client count (the
+Function Delivery Network premise, applied to the rFaaS lease model).
 
 Mechanics:
 
 * **Placement** — :class:`~repro.shard.ring.HashRing` maps a tenant to
-  its home shard; every grant/release/revoke for that tenant funnels
-  through that shard's :class:`~repro.shard.batch.ShardBatcher`, which
-  charges the batched serialization cost in sim time.
+  its home shard.  ``try_lease``/``lease`` grant there at once;
+  ``request_grant``/``request_release`` queue the same grant and
+  release on that shard's :class:`~repro.shard.batch.ShardBatcher`,
+  which charges the batched serialization cost in sim time.
 * **Nodes** — registrations spread across shards (least registered
   cores first); each shard only ever places leases on its own nodes.
 * **Cross-shard migration on drain** — after the batch system retrieves
@@ -36,12 +36,9 @@ Mechanics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-import numpy as np
-
-from ..controlplane import HAConfig, ReplicatedResourceManager
-from ..cluster.machine import Cluster
+from ..controlplane import ReplicatedResourceManager
 from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
 from ..rfaas.lease import Lease, LeaseState
 from ..rfaas.manager import ResourceManager, no_capacity_error
@@ -50,7 +47,7 @@ from ..telemetry import telemetry_of
 from .batch import BatchOp, ShardBatcher
 from .ring import HashRing
 
-__all__ = ["ShardConfig", "Shard", "ShardedControlPlane"]
+__all__ = ["ShardConfig", "ShardedControlPlane"]
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,6 @@ class ShardConfig:
 
     #: Manager shards (N >= 1). 1 reproduces the unsharded plane.
     shards: int = 4
-    #: Virtual nodes per shard on the hash ring.
-    vnodes: int = 64
     #: Max ops one batch flush applies.
     max_batch: int = 32
     #: Fixed sim-time cost per batch flush (amortized by batching).
@@ -68,8 +63,6 @@ class ShardConfig:
     #: Per-op sim-time cost — the serialization floor that saturates a
     #: single shard and motivates horizontal scale.
     per_op_s: float = 2e-4
-    #: Replicate every shard with this replica config (None = bare shards).
-    ha: Optional[HAConfig] = None
     #: Period of the automatic rebalance loop; 0 disables it (rebalance
     #: then runs only on explicit calls).
     rebalance_interval_s: float = 0.0
@@ -77,8 +70,6 @@ class ShardConfig:
     def __post_init__(self):
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.batch_overhead_s < 0 or self.per_op_s < 0:
@@ -90,53 +81,53 @@ class ShardConfig:
 class Shard:
     """One manager shard: its manager, batcher, and liveness state."""
 
-    def __init__(self, index: int, manager, batcher: ShardBatcher):
+    def __init__(self, index: int, manager: ResourceManager):
         self.index = index
         #: ResourceManager, or ReplicatedResourceManager when replicated.
         self.manager = manager
-        self.batcher = batcher
+        self.batcher: Optional[ShardBatcher] = None
         #: Bare-shard outage flag (HA shards track liveness themselves).
         self.down = False
 
     @property
-    def ha(self) -> Optional[ReplicatedResourceManager]:
-        if isinstance(self.manager, ReplicatedResourceManager):
-            return self.manager
-        return None
+    def replicated(self) -> bool:
+        return isinstance(self.manager, ReplicatedResourceManager)
 
     @property
     def available(self) -> bool:
         """Would a mutation be accepted right now?"""
-        ha = self.ha
-        if ha is not None:
-            return ha.available
-        return not self.down
+        return self.manager.available if self.replicated else not self.down
+
+    def up(self) -> ResourceManager:
+        """The shard's manager; raises while a bare shard is down."""
+        if self.down:
+            raise ManagerUnavailableError(
+                f"shard-{self.index} is down", cause="crash",
+            )
+        return self.manager
+
+    def is_idle(self, node_name: str) -> bool:
+        """Does ``node_name`` hold no active lease (safe to migrate)?"""
+        info = self.manager.node_info(node_name)
+        return not any(entry[0].active for entry in info.leases.values())
 
     def idle_nodes(self) -> list[str]:
-        """Registered nodes with no active lease (safe to migrate)."""
-        out = []
-        for name in self.manager.registered_nodes():
-            info = self.manager.node_info(name)
-            if not any(entry[0].active for entry in info.leases.values()):
-                out.append(name)
-        return out
+        return [n for n in self.manager.registered_nodes() if self.is_idle(n)]
 
 
 class ShardedControlPlane:
-    """N manager shards, one tenant-facing front door."""
+    """N manager shards (``managers``, in index order), one front door."""
 
     def __init__(
         self,
         env: Environment,
-        cluster: Cluster,
-        config: Optional[ShardConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        managers: Sequence[ResourceManager],
+        config: ShardConfig,
     ):
         self.env = env
-        self.cluster = cluster
-        self.config = config if config is not None else ShardConfig()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.ring = HashRing(range(self.config.shards), vnodes=self.config.vnodes)
+        self.config = config
+        count = len(managers)
+        self.ring = HashRing(range(count))
         self._node_shard: dict[str, int] = {}
         self._lease_shard: dict[int, int] = {}
         #: Every lease this plane ever granted (the conservation ledger).
@@ -150,19 +141,19 @@ class ShardedControlPlane:
             metrics.counter("repro_shard_grants_total",
                             labels={"shard": str(i)},
                             help="leases granted, per shard")
-            for i in range(self.config.shards)
+            for i in range(count)
         ]
         self._m_batches = [
             metrics.counter("repro_shard_batches_total",
                             labels={"shard": str(i)},
                             help="batch flushes, per shard")
-            for i in range(self.config.shards)
+            for i in range(count)
         ]
         self._g_depth = [
             metrics.gauge("repro_shard_queue_depth_count",
                           labels={"shard": str(i)},
                           help="ops queued at the shard batcher")
-            for i in range(self.config.shards)
+            for i in range(count)
         ]
         self._h_batch_ops = metrics.histogram(
             "repro_shard_batch_ops_count",
@@ -190,28 +181,18 @@ class ShardedControlPlane:
             "repro_shard_crashes_total", help="shard crashes injected",
         )
 
-        seeds = rng.integers(0, 2**31 - 1, size=self.config.shards)
-        self.shards: list[Shard] = []
-        for index in range(self.config.shards):
-            shard_rng = np.random.default_rng(int(seeds[index]))
-            if self.config.ha is None:
-                manager = ResourceManager(env, cluster, rng=shard_rng)
-            else:
-                manager = ReplicatedResourceManager(
-                    env, cluster, config=self.config.ha, rng=shard_rng,
-                )
-                manager.start()
-            shard = Shard(index, manager, None)
+        self.shards = [Shard(index, manager)
+                       for index, manager in enumerate(managers)]
+        for shard in self.shards:
             shard.batcher = ShardBatcher(
-                env, index,
+                env, shard.index,
                 apply=lambda op, s=shard: self._apply(s, op),
-                max_batch=self.config.max_batch,
-                batch_overhead_s=self.config.batch_overhead_s,
-                per_op_s=self.config.per_op_s,
+                max_batch=config.max_batch,
+                batch_overhead_s=config.batch_overhead_s,
+                per_op_s=config.per_op_s,
                 on_flush=self._flushed,
             )
-            self.shards.append(shard)
-        if self.config.rebalance_interval_s > 0:
+        if config.rebalance_interval_s > 0:
             rebalancer = env.process(self._rebalance_loop(),
                                      name="shard-rebalancer")
             rebalancer.daemon = True
@@ -222,28 +203,21 @@ class ShardedControlPlane:
         return self.ring.shard_for(tenant)
 
     # -- node pool ---------------------------------------------------------------
-    def register_node(self, node_name: str, cores: int, memory_bytes: int,
-                      gpus: int = 0, shard: Optional[int] = None, **kwargs):
-        """Add spare capacity; spreads across shards least-cores-first.
-
-        Untargeted, the node goes to the available shard with the
-        fewest registered cores; with every shard down it raises
-        :class:`ManagerUnavailableError`.
-        """
-        if shard is None:
-            live = [s for s in self.shards if s.available]
-            if not live:
-                raise ManagerUnavailableError(
-                    f"register_node: every shard is down ({node_name})",
-                    cause="crash",
-                )
-            shard = min(
-                live, key=lambda s: (s.manager.total_registered_cores(), s.index),
-            ).index
-        registered = self.shards[shard].manager.register_node(
-            node_name, cores, memory_bytes, gpus=gpus, **kwargs,
+    def register_node(self, node_name: str, **kwargs):
+        """Add spare capacity to the available shard with the fewest
+        registered cores; with every shard down it raises
+        :class:`ManagerUnavailableError`."""
+        live = [s for s in self.shards if s.available]
+        if not live:
+            raise ManagerUnavailableError(
+                f"register_node: every shard is down ({node_name})",
+                cause="crash",
+            )
+        shard = min(
+            live, key=lambda s: (s.manager.total_registered_cores(), s.index),
         )
-        self._node_shard[node_name] = shard
+        registered = shard.manager.register_node(node_name, **kwargs)
+        self._node_shard[node_name] = shard.index
         return registered
 
     def remove_node(self, node_name: str, immediate: bool = False) -> bool:
@@ -257,7 +231,7 @@ class ShardedControlPlane:
             del self._node_shard[node_name]
         return removed
 
-    # -- ResourceManager duck-type surface (Injector/recovery compatible) --------
+    # -- the manager surface, routed by node or by lease ------------------------
     def registered_nodes(self) -> list[str]:
         return sorted(self._node_shard)
 
@@ -269,6 +243,9 @@ class ShardedControlPlane:
 
     def node_info(self, node_name: str):
         return self.shards[self._node_shard[node_name]].manager.node_info(node_name)
+
+    def credential_for(self, node_name: str):
+        return self.shards[self._node_shard[node_name]].manager.credential_for(node_name)
 
     def active_leases(self) -> list[tuple[Lease, str]]:
         """All active ``(lease, node)`` pairs, globally ordered by lease
@@ -288,10 +265,11 @@ class ShardedControlPlane:
         return self.shards[index].manager.revoke_lease(lease, reason=reason)
 
     def release_lease(self, lease: Lease) -> None:
+        """Return a lease to its shard; raises while that bare shard is
+        down (its crash already revoked every lease it held)."""
         index = self._lease_shard.get(lease.lease_id)
-        if index is None:
-            return
-        self.shards[index].manager.release_lease(lease)
+        if index is not None:
+            self.shards[index].up().release_lease(lease)
 
     def total_registered_cores(self) -> int:
         return sum(s.manager.total_registered_cores() for s in self.shards)
@@ -299,66 +277,72 @@ class ShardedControlPlane:
     def total_free_cores(self) -> int:
         return sum(s.manager.total_free_cores() for s in self.shards)
 
+    # -- the lease API, routed by client to its home shard -----------------------
+    def try_lease(self, client: str, cores: int = 1, memory_bytes: int = 0,
+                  gpus: int = 0, image=None, exclude: tuple[str, ...] = ()):
+        """Grant on ``client``'s home shard now, or return ``None`` when
+        none of its nodes fits (as :meth:`ResourceManager.try_lease`)."""
+        return self._grant(self.shards[self.shard_of(client)], client, cores,
+                           memory_bytes, gpus, image, exclude)
+
+    #: :meth:`try_lease`, raising :class:`NoCapacityError` on a denial.
+    lease = ResourceManager.lease
+
+    def _grant(self, shard: Shard, client: str, cores: int, memory_bytes: int,
+               gpus: int, image, exclude: tuple[str, ...] = ()):
+        """The one grant body: ``shard``'s ``try_lease``, entered in the
+        conservation ledger.  A down bare shard raises."""
+        granted = shard.up().try_lease(
+            client, cores=cores, memory_bytes=memory_bytes, gpus=gpus,
+            image=image, exclude=exclude,
+        )
+        if granted is not None:
+            lease = granted[0]
+            self._leases[lease.lease_id] = lease
+            self._lease_shard[lease.lease_id] = shard.index
+            self._m_grants[shard.index].inc()
+        return granted
+
     # -- batched front door ------------------------------------------------------
     def request_grant(self, tenant: str, cores: int = 1, memory_bytes: int = 0,
                       gpus: int = 0, image=None) -> Event:
         """Queue a grant on the tenant's home shard; yields ``(lease,
         executor)`` or fails with the underlying platform error."""
         shard = self.shards[self.shard_of(tenant)]
-        event = shard.batcher.submit("grant", {
-            "tenant": tenant, "cores": cores,
-            "memory_bytes": memory_bytes, "gpus": gpus, "image": image,
-        })
+        event = shard.batcher.submit(
+            "grant", (tenant, cores, memory_bytes, gpus, image),
+        )
         self._g_depth[shard.index].set(shard.batcher.depth())
         return event
 
     def request_release(self, lease: Lease) -> Event:
+        """Queue :meth:`release_lease` on the lease's shard."""
         shard = self.shards[self._lease_shard[lease.lease_id]]
-        event = shard.batcher.submit("release", {"lease": lease})
+        event = shard.batcher.submit("release", lease)
         self._g_depth[shard.index].set(shard.batcher.depth())
         return event
 
     def _apply(self, shard: Shard, op: BatchOp):
-        """Apply one batched op against its shard's manager.
+        """Apply one batched op against its shard.
 
         A capacity denial is returned as a :class:`NoCapacityError`
         instance, never raised (the batcher fails the op with it); an
         unavailable or fenced shard still raises.
         """
         try:
-            if shard.ha is None and shard.down:
-                raise ManagerUnavailableError(
-                    f"shard-{shard.index} is down", cause="crash",
-                )
-            if op.kind == "grant":
-                payload = op.payload
-                granted = shard.manager.try_lease(
-                    client=payload["tenant"], cores=payload["cores"],
-                    memory_bytes=payload["memory_bytes"],
-                    gpus=payload["gpus"], image=payload["image"],
-                )
-                if granted is None:
-                    self._m_rejected.inc()
-                    return no_capacity_error(
-                        payload["cores"], payload["memory_bytes"], payload["gpus"],
-                    )
-                lease, executor = granted
-                self._leases[lease.lease_id] = lease
-                self._lease_shard[lease.lease_id] = shard.index
-                self._m_grants[shard.index].inc()
-                self._h_grant_latency.observe(self.env.now - op.submitted_s)
-                return lease, executor
             if op.kind == "release":
-                shard.manager.release_lease(op.payload["lease"])
+                self.release_lease(op.payload)
                 return True
-            if op.kind == "revoke":
-                return shard.manager.revoke_lease(
-                    op.payload["lease"], reason=op.payload["reason"],
-                )
-            raise ValueError(f"unknown op kind {op.kind!r}")
+            granted = self._grant(shard, *op.payload)
         except (ManagerUnavailableError, StaleEpochError):
             self._m_unavailable.inc()
             raise
+        if granted is None:
+            self._m_rejected.inc()
+            _tenant, cores, memory_bytes, gpus, _image = op.payload
+            return no_capacity_error(cores, memory_bytes, gpus)
+        self._h_grant_latency.observe(self.env.now - op.submitted_s)
+        return granted
 
     def _flushed(self, index: int, batch_size: int) -> None:
         self._m_batches[index].inc()
@@ -378,9 +362,8 @@ class ShardedControlPlane:
         :class:`ManagerUnavailableError` until the shard restarts.
         """
         shard = self.shards[index]
-        ha = shard.ha
-        if ha is not None:
-            name = ha.crash_primary(outage_s=outage_s)
+        if shard.replicated:
+            name = shard.manager.crash_primary(outage_s=outage_s)
             if name is None:
                 return None
             self._m_crashes.inc()
@@ -393,13 +376,12 @@ class ShardedControlPlane:
             return None
         shard.down = True
         self._m_crashes.inc()
-        victims = 0
-        for lease, _node in shard.manager.active_leases():
+        victims = shard.manager.active_leases()
+        for lease, _node in victims:
             shard.manager.revoke_lease(lease, reason="shard-crash")
-            victims += 1
         self._tracer.instant(
             "shard.crash", track="shard", shard=index, ha=False,
-            outage_s=outage_s, leases_fenced=victims,
+            outage_s=outage_s, leases_fenced=len(victims),
         )
         if outage_s > 0:
             self.env.process(self._restart_shard(shard, outage_s),
@@ -429,8 +411,7 @@ class ShardedControlPlane:
         destination = self.shards[to_shard]
         if not source.available or not destination.available:
             return False
-        info = source.manager.node_info(node_name)
-        if any(entry[0].active for entry in info.leases.values()):
+        if not source.is_idle(node_name):
             return False
         spec = source.manager.registration_of(node_name)
         source.manager.remove_node(node_name, immediate=False)

@@ -15,8 +15,9 @@ from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
 from repro.interference import ResourceDemand
 from repro.memservice import DurableMemoryConfig
+from repro.shard import ShardConfig
 
-from ..shard.conftest import build_plane, drive
+from ..shard.conftest import drive
 
 MiB = 1024**2
 GiB = 1024**3
@@ -89,12 +90,17 @@ def _gpu_autoscale():
 
 
 def _sharded_ha_rebalance():
-    env, plane = build_plane(shards=2, nodes=4, ha=HAConfig(standbys=1),
-                             rebalance_interval_s=0.25)
+    platform = Platform.build(
+        ClusterSpec(nodes=4), seed=0, ha=HAConfig(standbys=1),
+        shards=ShardConfig(shards=2, rebalance_interval_s=0.25),
+    )
+    plane = platform.manager
+    for i in range(4):
+        platform.register_node(f"n{i:04d}", cores=4, memory_bytes=4 * GiB)
     done = []
     for i in range(4):
-        env.process(drive(env, plane.request_grant(f"t{i}"), done))
-    return (env.run, lambda: len(done) == 4,
+        platform.process(drive(platform.env, plane.request_grant(f"t{i}"), done))
+    return (platform.run, lambda: [kind for kind, _ in done] == ["ok"] * 4,
             [shard.manager._process for shard in plane.shards])
 
 

@@ -8,6 +8,7 @@ drain can land on the very instant a core is handed over.
 """
 
 import gc
+from collections import deque
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -84,13 +85,30 @@ def drainer(env, executor, at, hops):
     executor.drain(immediate=True)
 
 
-def granted_order(env, executor):
+def granted_order(env, executor, handed=None):
     """Record ``(invocation id, instant)`` as each invocation gets a core.
 
     Dispatch pickup is the first thing an invocation does with a core.
+    With ``handed``, also append to it the id of each queued invocation
+    a release hands a core to, in hand-over order: that includes a
+    waiter a drain interrupts before it resumes, which never picks up.
     """
     granted = []
     invocation_of = {}
+    if handed is not None:
+        waiting = {}
+
+        class Waiters(deque):
+            def append(self, grant):
+                waiting[grant] = invocation_of[env.active_process]
+                super().append(grant)
+
+            def popleft(self):
+                grant = super().popleft()
+                handed.append(waiting[grant])
+                return grant
+
+        executor._waiters = Waiters()
     execute, dispatch_delay = executor.execute, executor._dispatch_delay
 
     def tagged_execute(fdef, request):
@@ -123,7 +141,8 @@ def granted_order(env, executor):
 )
 def test_cores_are_never_oversubscribed_and_granted_fifo(cores, arrivals, drains):
     env, executor, image = bare_executor(cores)
-    granted = granted_order(env, executor)
+    handed = []
+    granted = granted_order(env, executor, handed)
     outcomes = {}
     issue_order = sorted(range(len(arrivals)), key=lambda i: arrivals[i][0])
     for index in issue_order:
@@ -141,11 +160,12 @@ def test_cores_are_never_oversubscribed_and_granted_fifo(cores, arrivals, drains
     for instant in {at for at, _ in held.values()}:
         running = sum(1 for start, end in held.values() if start <= instant < end)
         assert running <= cores
-    # FIFO: the invocations that got a core are a prefix of the order
-    # they asked in, and their grant instants never decrease along it.
-    served = [index for index in issue_order if index in held]
+    # FIFO: the invocations that got a core (picked it up, or were
+    # handed it and drained before resuming) are a prefix of the order
+    # they asked in, and their pickup instants never decrease along it.
+    served = [index for index in issue_order if index in held or index in handed]
     assert served == issue_order[:len(served)]
-    grant_instants = [held[index][0] for index in served]
+    grant_instants = [held[index][0] for index in served if index in held]
     assert grant_instants == sorted(grant_instants)
     if not drains:
         assert all(status is InvocationStatus.OK for status, _ in outcomes.values())

@@ -1,31 +1,24 @@
 """Shared builder for sharded-control-plane tests."""
 
-from repro.cluster.machine import Cluster
-from repro.cluster.specs import DAINT_MC
-from repro.cluster.topology import DragonflyTopology
-from repro.shard import ShardConfig, ShardedControlPlane
-from repro.sim.engine import Environment
-from repro.telemetry import Telemetry
+from repro.api import ClusterSpec, Platform
+from repro.shard import ShardConfig
 
 GiB = 1024**3
 
 
 def build_plane(shards=2, nodes=4, cores=4, ha=None, max_batch=8,
-                rebalance_interval_s=0.0, vnodes=64):
-    """(env, plane) with ``nodes`` registered nodes spread over ``shards``."""
-    env = Environment()
-    Telemetry(env=env).install(env)
-    cluster = Cluster(topology=DragonflyTopology(nodes_per_group=2))
-    cluster.add_nodes("n", max(nodes, 1), DAINT_MC)
-    plane = ShardedControlPlane(
-        env, cluster,
-        ShardConfig(shards=shards, vnodes=vnodes, max_batch=max_batch,
-                    batch_overhead_s=1e-4, per_op_s=1e-4, ha=ha,
-                    rebalance_interval_s=rebalance_interval_s),
+                rebalance_interval_s=0.0):
+    """(env, plane) with ``nodes`` registered nodes spread over ``shards``,
+    built by ``Platform.build(shards=, ha=)`` with a fresh telemetry."""
+    platform = Platform.build(
+        ClusterSpec(nodes=max(nodes, 1)), seed=0, telemetry=True, ha=ha,
+        shards=ShardConfig(shards=shards, max_batch=max_batch,
+                           batch_overhead_s=1e-4, per_op_s=1e-4,
+                           rebalance_interval_s=rebalance_interval_s),
     )
     for i in range(nodes):
-        plane.register_node(f"n{i:04d}", cores=cores, memory_bytes=4 * GiB)
-    return env, plane
+        platform.register_node(f"n{i:04d}", cores=cores, memory_bytes=4 * GiB)
+    return platform.env, platform.manager
 
 
 def drive(env, event, sink):
