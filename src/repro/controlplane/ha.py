@@ -316,8 +316,7 @@ class ReplicatedResourceManager(ResourceManager):
         if not any(r.role is ReplicaRole.STANDBY for r in self.replicas):
             self._orphan_data_plane()
         if outage_s > 0:
-            self.env.process(self._restart(replica, outage_s),
-                             name=f"controlplane-restart-{replica.name}")
+            self.env.timer(outage_s, lambda _: self._restart(replica))
         return replica.name
 
     def partition_primary(self, heal_after_s: float = 0.0) -> Optional[str]:
@@ -342,12 +341,10 @@ class ReplicatedResourceManager(ResourceManager):
             rank=rank, epoch=self.epoch, heal_after_s=heal_after_s,
         )
         if heal_after_s > 0:
-            self.env.process(self._heal(rank, heal_after_s),
-                             name=f"controlplane-heal-rm-{rank}")
+            self.env.timer(heal_after_s, lambda _: self._heal(rank))
         return self.replicas[rank].name
 
-    def _restart(self, replica: ManagerReplica, outage_s: float):
-        yield self.env.timeout(outage_s)
+    def _restart(self, replica: ManagerReplica) -> None:
         if replica.role is not ReplicaRole.DOWN:
             return
         live = [r for r in self.replicas if r.live]
@@ -384,8 +381,7 @@ class ReplicatedResourceManager(ResourceManager):
             rank=replica.rank, epoch=self.epoch,
         )
 
-    def _heal(self, rank: int, after_s: float):
-        yield self.env.timeout(after_s)
+    def _heal(self, rank: int) -> None:
         self._partitioned.discard(rank)
         replica = self.replicas[rank]
         if replica.role not in (ReplicaRole.PRIMARY, ReplicaRole.FENCED):

@@ -1,8 +1,8 @@
 """The fault injector: replays a :class:`FaultPlan` against a live platform.
 
-The injector is one simulation process that walks the plan in time
-order and applies each fault through the *public hooks* of the layer it
-targets — ``ResourceManager.remove_node`` / ``revoke_lease`` for
+The injector arms one timer per plan event when it starts and applies
+each fault through the *public hooks* of the layer it targets —
+``ResourceManager.remove_node`` / ``revoke_lease`` for
 crashes and revocation storms, the fabric's
 :class:`~repro.network.transport.LinkConditioner` for degradation and
 partitions, ``Executor.dispatch_multiplier`` for stragglers,
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ..rfaas.errors import ManagerUnavailableError
-from ..sim.engine import Environment, Process
+from ..sim.engine import Environment, Event
 from ..telemetry import telemetry_of
 from .plan import FaultEvent, FaultKind, FaultPlan
 
@@ -56,7 +56,8 @@ class Injector:
         self.memservice = memservice
         self.gpuservice = gpuservice
         self.rng = np.random.default_rng(seed)
-        self._process: Optional[Process] = None
+        #: True once :meth:`start` has scheduled a non-empty plan.
+        self.started = False
         #: (time, kind, target) triples of faults actually applied.
         self.injected: list[tuple[float, str, Optional[str]]] = []
         #: events that found no viable target (e.g. nothing registered).
@@ -80,33 +81,21 @@ class Injector:
         )
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def started(self) -> bool:
-        return self._process is not None
+    def start(self) -> None:
+        """Schedule the plan: one timer per event, all armed now.
 
-    def start(self) -> Optional[Process]:
-        """Schedule the plan; returns the driver process (None if empty).
-
-        An empty plan is a guaranteed no-op: no process, no events, no
-        random draws — the simulation replays exactly as without an
-        injector.
+        Armed up front, the plan's timers precede everything scheduled
+        after ``start()``: at one instant every plan fault applies
+        before a recovery or any other work due then.  An empty plan is
+        a guaranteed no-op: no timers, no events, no random draws — the
+        simulation replays exactly as without an injector.
         """
-        if self._process is not None:
+        if self.started:
             raise RuntimeError("injector already started")
-        if self.plan.empty:
-            return None
-        self._process = self.env.process(
-            self._drive(), name=f"fault-injector:{self.plan.name}"
-        )
-        return self._process
-
-    def _drive(self):
-        for event in self.plan.sorted_events():
-            delay = event.at_s - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            self._apply(event)
-        return len(self.injected)
+        events = self.plan.sorted_events()
+        for event in events:
+            self.env.timer(max(0.0, event.at_s - self.env.now), self._apply, event)
+        self.started = bool(events)
 
     # -- application ---------------------------------------------------------
     def _note(self, event: FaultEvent, target: Optional[str], **attrs) -> None:
@@ -125,7 +114,8 @@ class Injector:
             return None
         return candidates[int(self.rng.integers(len(candidates)))]
 
-    def _apply(self, event: FaultEvent) -> None:
+    def _apply(self, timer: Event) -> None:
+        event: FaultEvent = timer.value
         handler = {
             FaultKind.NODE_CRASH: self._apply_node_crash,
             FaultKind.LEASE_STORM: self._apply_lease_storm,
@@ -156,13 +146,10 @@ class Injector:
         self._note(event, node, immediate=event.immediate,
                    duration=event.duration_s)
         if event.duration_s > 0:
-            self.env.process(
-                self._recover_node(registration, event.duration_s),
-                name=f"fault-recover:{node}",
-            )
+            self.env.timer(event.duration_s,
+                           lambda _: self._recover_node(registration))
 
-    def _recover_node(self, registration: dict, outage_s: float):
-        yield self.env.timeout(outage_s)
+    def _recover_node(self, registration: dict) -> None:
         node = registration["node_name"]
         if self.manager.is_registered(node):
             return  # someone else brought it back
@@ -201,11 +188,9 @@ class Injector:
                    bandwidth_factor=event.bandwidth_factor,
                    drop_rate=event.drop_rate, duration=event.duration_s)
         if event.duration_s > 0:
-            self.env.process(self._restore_network(event.duration_s),
-                             name="fault-restore:network")
+            self.env.timer(event.duration_s, lambda _: self._restore_network())
 
-    def _restore_network(self, duration_s: float):
-        yield self.env.timeout(duration_s)
+    def _restore_network(self) -> None:
         self.fabric.conditioner.restore()
         self._tracer.instant("fault.network_restored", track="faults")
 
@@ -217,11 +202,9 @@ class Injector:
         self.fabric.conditioner.partition([node])
         self._note(event, node, duration=event.duration_s)
         if event.duration_s > 0:
-            self.env.process(self._heal_partition(node, event.duration_s),
-                             name=f"fault-heal:{node}")
+            self.env.timer(event.duration_s, lambda _: self._heal_partition(node))
 
-    def _heal_partition(self, node: str, duration_s: float):
-        yield self.env.timeout(duration_s)
+    def _heal_partition(self, node: str) -> None:
         self.fabric.conditioner.heal([node])
         self._tracer.instant("fault.partition_healed", track="faults", node=node)
 
@@ -235,11 +218,10 @@ class Injector:
         self._note(event, node, multiplier=event.magnitude,
                    duration=event.duration_s)
         if event.duration_s > 0:
-            self.env.process(self._unstraggle(executor, node, event.duration_s),
-                             name=f"fault-unstraggle:{node}")
+            self.env.timer(event.duration_s,
+                           lambda _: self._unstraggle(executor, node))
 
-    def _unstraggle(self, executor, node: str, duration_s: float):
-        yield self.env.timeout(duration_s)
+    def _unstraggle(self, executor, node: str) -> None:
         executor.dispatch_multiplier = 1.0
         self._tracer.instant("fault.straggler_healed", track="faults", node=node)
 
@@ -302,11 +284,10 @@ class Injector:
         lost = service.lose_node(node, cause=FaultKind.GPU_DEVICE_LOSS)
         self._note(event, node, devices_lost=lost, duration=event.duration_s)
         if event.duration_s > 0:
-            self.env.process(self._restore_gpu_node(node, event.duration_s),
-                             name=f"fault-gpu-restore:{node}")
+            self.env.timer(event.duration_s,
+                           lambda _: self._restore_gpu_node(node))
 
-    def _restore_gpu_node(self, node: str, outage_s: float):
-        yield self.env.timeout(outage_s)
+    def _restore_gpu_node(self, node: str) -> None:
         restored = self.gpuservice.restore_node(node)
         if restored:
             self._tracer.instant("fault.gpu_node_restored", track="faults",

@@ -14,13 +14,11 @@ See ``docs/sharding.md`` for the design and the loadstorm experiment
 that drives it at 1M+ synthetic clients.
 """
 
-from .batch import ShardBatcher
 from .plane import ShardConfig, ShardedControlPlane
 from .ring import HashRing
 
 __all__ = [
     "HashRing",
-    "ShardBatcher",
     "ShardConfig",
     "ShardedControlPlane",
 ]

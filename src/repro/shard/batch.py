@@ -1,7 +1,7 @@
 """Per-shard batched application of control-plane operations.
 
 Each shard serializes its mutations through one :class:`ShardBatcher`
-process — the sim-time model of a manager's single-threaded RPC loop.
+— the sim-time model of a manager's single-threaded RPC loop.
 Callers :meth:`submit` an operation and get an :class:`~repro.sim.engine.Event`
 back immediately (open-loop callers never block each other); the
 batcher drains its FIFO in batches of up to ``max_batch``, charging
@@ -16,9 +16,10 @@ loadstorm sweep reports).
 
 Conservation accounting is built in: every submitted op is eventually
 *applied* (event succeeds with the result) or *failed* (event fails
-with the platform error) — ``ops_submitted == ops_applied + ops_failed
-+ depth()`` holds at every instant, and the sharded plane sums these
-per-shard ledgers into its global no-silent-drops invariant.  ``apply``
+with the platform error) — at every instant ``ops_submitted`` equals
+``ops_applied + ops_failed + depth()`` plus the batch in flight, and
+the sharded plane sums these per-shard ledgers into its global
+no-silent-drops invariant.  ``apply``
 fails an op in one of two ways.  It *returns* an exception instance
 for an expected answer (a capacity denial): the batcher fails the event
 with it, and nothing is raised.  It *raises* for an outage (an
@@ -30,9 +31,12 @@ denial keeps no frame — and through the frame no batch — alive.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..sim.engine import Environment, Event
+
+if TYPE_CHECKING:
+    from .plane import ShardConfig
 
 __all__ = ["BatchOp", "ShardBatcher"]
 
@@ -50,36 +54,35 @@ class BatchOp:
 
 
 class ShardBatcher:
-    """FIFO batcher in front of one shard's manager."""
+    """FIFO batcher in front of one shard's manager.
+
+    It runs on engine timers, not a process.  The first :meth:`submit` to
+    an idle batcher arms a zero-delay flush, so every op submitted
+    earlier at that instant joins the batch; each flush arms the timer
+    that settles its batch ``batch_overhead_s + per_op_s * n`` later
+    and then flushes again while ops are queued.
+    """
 
     def __init__(
         self,
         env: Environment,
         index: int,
         apply: Callable[[BatchOp], Any],
-        max_batch: int = 32,
-        batch_overhead_s: float = 5e-4,
-        per_op_s: float = 2e-4,
-        on_flush: Optional[Callable[[int, int], None]] = None,
+        config: ShardConfig,
+        on_flush: Callable[[int, int], None],
     ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if batch_overhead_s < 0 or per_op_s < 0:
-            raise ValueError("batch costs must be non-negative")
         self.env = env
         self.index = index
-        self.max_batch = max_batch
-        self.batch_overhead_s = batch_overhead_s
-        self.per_op_s = per_op_s
+        self.config = config
         self._apply = apply
         self._on_flush = on_flush   # (shard_index, batch_size) per flush
         self._queue: deque[BatchOp] = deque()
-        self._wake: Optional[Event] = None
+        #: A flush is armed or a batch is in flight.
+        self._busy = False
         self.ops_submitted = 0
         self.ops_applied = 0
         self.ops_failed = 0
         self.batches = 0
-        self._process = env.process(self._run(), name=f"shard-{index}-batcher")
 
     def depth(self) -> int:
         return len(self._queue)
@@ -89,31 +92,28 @@ class ShardBatcher:
         op = BatchOp(kind, payload, self.env.event(), self.env.now)
         self._queue.append(op)
         self.ops_submitted += 1
-        if self._wake is not None:
-            wake, self._wake = self._wake, None
-            wake.succeed()
+        if not self._busy:
+            self._busy = True
+            self.env.timer(0.0, self._flush)
         return op.event
 
-    def _run(self):
-        while True:
-            if not self._queue:
-                # Parked on an untriggered event, the batcher holds no
-                # queue entry, so an idle batcher never keeps a run alive.
-                self._wake = self.env.event()
-                yield self._wake
-            batch = [self._queue.popleft()
-                     for _ in range(min(self.max_batch, len(self._queue)))]
-            # The serialization cost: fixed flush overhead amortized
-            # over the ops that were waiting when the flush started.
-            yield self.env.timeout(
-                self.batch_overhead_s + self.per_op_s * len(batch)
-            )
-            self._settle(batch)
-            # Parked, the batcher pins no settled op (nor its result).
-            del batch
+    def _flush(self, _timer: Optional[Event] = None) -> None:
+        """Pop the next batch and arm its settle timer, or go idle."""
+        queue = self._queue
+        if not queue:
+            self._busy = False
+            return
+        config = self.config
+        batch = [queue.popleft() for _ in range(min(config.max_batch, len(queue)))]
+        # The serialization cost: fixed flush overhead amortized over
+        # the ops that were waiting when the flush started.
+        self.env.timer(config.batch_overhead_s + config.per_op_s * len(batch),
+                       self._settle, batch)
 
-    def _settle(self, batch: list[BatchOp]) -> None:
-        """Apply one flushed batch: every op's event succeeds or fails."""
+    def _settle(self, timer: Event) -> None:
+        """Apply one flushed batch (every op's event succeeds or fails),
+        then flush the next."""
+        batch: list[BatchOp] = timer.value
         self.batches += 1
         for op in batch:
             try:
@@ -128,5 +128,5 @@ class ShardBatcher:
             else:
                 self.ops_applied += 1
                 op.event.succeed(value)
-        if self._on_flush is not None:
-            self._on_flush(self.index, len(batch))
+        self._on_flush(self.index, len(batch))
+        self._flush()

@@ -185,12 +185,8 @@ class ShardedControlPlane:
                        for index, manager in enumerate(managers)]
         for shard in self.shards:
             shard.batcher = ShardBatcher(
-                env, shard.index,
-                apply=lambda op, s=shard: self._apply(s, op),
-                max_batch=config.max_batch,
-                batch_overhead_s=config.batch_overhead_s,
-                per_op_s=config.per_op_s,
-                on_flush=self._flushed,
+                env, shard.index, lambda op, s=shard: self._apply(s, op),
+                config, self._flushed,
             )
         if config.rebalance_interval_s > 0:
             rebalancer = env.process(self._rebalance_loop(),
@@ -384,12 +380,10 @@ class ShardedControlPlane:
             outage_s=outage_s, leases_fenced=len(victims),
         )
         if outage_s > 0:
-            self.env.process(self._restart_shard(shard, outage_s),
-                             name=f"shard-{index}-restart")
+            self.env.timer(outage_s, lambda _: self._restart_shard(shard))
         return f"shard-{index}"
 
-    def _restart_shard(self, shard: Shard, outage_s: float):
-        yield self.env.timeout(outage_s)
+    def _restart_shard(self, shard: Shard) -> None:
         if not shard.down:
             return
         shard.down = False

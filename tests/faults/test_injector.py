@@ -53,6 +53,22 @@ def test_node_crash_then_timed_recovery():
     assert platform.manager.node_info("n0001").cores_total == 4
 
 
+def test_plan_faults_precede_recoveries_due_at_the_same_instant():
+    # Every plan timer is armed at start(), before any recovery exists,
+    # so the partition at 1.5 s applies before the crash's recovery,
+    # which falls due at that instant too.
+    plan = (FaultPlan().node_crash(at_s=1.0, node="n0001", duration_s=0.5)
+            .network_partition(at_s=1.5, duration_s=0.5, node="n0002"))
+    platform = build_platform(plan=plan)
+    platform.run()
+    faults = [(span.start, span.name) for span in platform.telemetry.spans
+              if span.name.startswith("fault.")]
+    assert faults == [(1.0, "fault.node_crash"),
+                      (1.5, "fault.network_partition"),
+                      (1.5, "fault.node_recovered"),
+                      (2.0, "fault.partition_healed")]
+
+
 def test_crash_of_unknown_node_is_skipped_not_fatal():
     plan = FaultPlan().node_crash(at_s=0.5, node="n9999")
     platform = build_platform(plan=plan)

@@ -278,7 +278,7 @@ def test_an_uncontended_invocation_schedules_only_live_work():
 
 def test_the_chaos_workload_runs_twelve_events_per_invocation(monkeypatch):
     """The benchmark's ``chaos`` instance at seed 0 (16 faults/min over
-    60 s, four closed-loop streams): 12.03 events per invocation.  Its
+    60 s, four closed-loop streams): 12.02 events per invocation.  Its
     executors never queue, so a grant event per execution put back
     adds 11,739 here."""
     built = []
@@ -293,4 +293,4 @@ def test_the_chaos_workload_runs_twelve_events_per_invocation(monkeypatch):
     scenario = plan.scenarios[0]
     point = scenario.fn(scenario.params, scenario.seed)
     assert point["invocations"] == 11_728
-    assert built[0].env.event_count == 141_034
+    assert built[0].env.event_count == 141_014

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.shard import ShardBatcher
+from repro.shard import ShardConfig
+from repro.shard.batch import ShardBatcher
 from repro.sim.engine import Environment
+
+
+def _batcher(env, apply, **shape):
+    return ShardBatcher(env, 0, apply, ShardConfig(**shape), lambda *_: None)
 
 
 def _drive(env, event, sink):
@@ -19,8 +24,8 @@ def _drive(env, event, sink):
 def test_ops_apply_in_fifo_order_and_batch_up():
     env = Environment()
     applied = []
-    batcher = ShardBatcher(env, 0, apply=lambda op: applied.append(op.kind) or op.kind,
-                           max_batch=4, batch_overhead_s=0.01, per_op_s=0.001)
+    batcher = _batcher(env, lambda op: applied.append(op.kind) or op.kind,
+                       max_batch=4, batch_overhead_s=0.01, per_op_s=0.001)
     for i in range(6):
         batcher.submit(f"op{i}", {})
     env.run()
@@ -33,8 +38,8 @@ def test_ops_apply_in_fifo_order_and_batch_up():
 
 def test_flush_charges_overhead_plus_per_op_cost():
     env = Environment()
-    batcher = ShardBatcher(env, 0, apply=lambda op: None,
-                           max_batch=8, batch_overhead_s=0.01, per_op_s=0.002)
+    batcher = _batcher(env, lambda op: None,
+                       max_batch=8, batch_overhead_s=0.01, per_op_s=0.002)
     done = []
     for _ in range(3):
         event = batcher.submit("grant", {})
@@ -54,7 +59,7 @@ def test_apply_failure_fails_the_submit_event_and_counts():
             raise ValueError("no")
         return "fine"
 
-    batcher = ShardBatcher(env, 0, apply=apply, max_batch=4)
+    batcher = _batcher(env, apply, max_batch=4)
     outcomes = []
     for kind in ("good", "bad", "good"):
         env.process(_drive(env, batcher.submit(kind, {}), outcomes))
@@ -68,7 +73,7 @@ def test_apply_failure_fails_the_submit_event_and_counts():
 
 def test_conservation_holds_at_every_instant():
     env = Environment()
-    batcher = ShardBatcher(env, 0, apply=lambda op: None, max_batch=3)
+    batcher = _batcher(env, lambda op: None, max_batch=3)
 
     def submitter(env):
         for i in range(10):
@@ -78,7 +83,7 @@ def test_conservation_holds_at_every_instant():
             in_flight = batcher.ops_submitted - (
                 batcher.ops_applied + batcher.ops_failed + batcher.depth()
             )
-            assert 0 <= in_flight <= batcher.max_batch
+            assert 0 <= in_flight <= batcher.config.max_batch
             yield env.timeout(0.0003)
 
     env.process(submitter(env))
@@ -89,8 +94,8 @@ def test_conservation_holds_at_every_instant():
 
 
 def test_rejects_invalid_shape():
-    env = Environment()
+    # The batcher's shape has one source, ShardConfig, which validates it.
     with pytest.raises(ValueError):
-        ShardBatcher(env, 0, apply=lambda op: None, max_batch=0)
+        _batcher(Environment(), lambda op: None, max_batch=0)
     with pytest.raises(ValueError):
-        ShardBatcher(env, 0, apply=lambda op: None, per_op_s=-1.0)
+        _batcher(Environment(), lambda op: None, per_op_s=-1.0)
