@@ -33,6 +33,9 @@ worker processes and merge in canonical plan order, so the report, the
 every jobs count.  The batch exporters (``--trace`` / ``--spans`` /
 ``--metrics-out``) observe the whole run in one process and therefore
 require ``--jobs 1``.
+
+``certify`` runs the ``certify`` sweep, prints any invariant violation,
+and exits 1 if there was one.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .experiments import (
     tab03_idle_node,
 )
 from .experiments.base import get_sweep, registered_sweeps
-from .faults import FaultPlan, certify
+from .faults import FaultPlan
 from .sweep import SweepScenarioError, run_sweep, sweep_names
 from .telemetry import (
     SloConfig,
@@ -154,6 +157,18 @@ def _list_sweeps(out: Callable[[str], None], width: int = 0) -> None:
         out(f"{name.ljust(width)}  {sweep.description}")
 
 
+def _write_json(result, path: str | None, parser: argparse.ArgumentParser,
+                out: Callable[[str], None]) -> None:
+    """Write ``result.to_json()`` to ``path`` when one was given."""
+    if path:
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(result.to_json() + "\n")
+        except OSError as exc:
+            parser.error(f"cannot write JSON output: {exc}")
+        out(f"[json -> {path}]")
+
+
 def _run_sweep_command(args: argparse.Namespace,
                        parser: argparse.ArgumentParser,
                        out: Callable[[str], None]) -> int:
@@ -207,13 +222,7 @@ def _run_sweep_command(args: argparse.Namespace,
     jobs_note = f" with {args.jobs} jobs" if args.jobs > 1 else ""
     out(result.format_report())
     out(f"[{name} completed in {time.perf_counter() - t0:.2f}s{jobs_note}]\n")
-    if args.json_out:
-        try:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(result.to_json() + "\n")
-        except OSError as exc:
-            parser.error(f"cannot write JSON output: {exc}")
-        out(f"[json -> {args.json_out}]")
+    _write_json(result, args.json_out, parser, out)
     if collector is not None:
         _export_telemetry(collector, args, out)
     elif args.stream_spans:
@@ -349,7 +358,7 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     )
     certify_parser.add_argument(
         "--json", metavar="FILE", default=None, dest="json_out",
-        help="write the machine-readable certification report as JSON",
+        help="write the certify sweep result as JSON",
     )
     sweep_parser = sub.add_parser(
         "sweep",
@@ -461,25 +470,19 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         return _run_obs(args, parser, out)
 
     if args.command == "certify":
-        if args.budget < 1:
-            parser.error("--budget must be >= 1")
         t0 = time.perf_counter()
         try:
-            report = certify(budget=args.budget, seed=args.seed,
-                             standbys=args.standbys, window_s=args.window,
-                             events_per_schedule=args.events)
+            result = run_sweep("certify", budget=args.budget, seed=args.seed,
+                               standbys=args.standbys, window_s=args.window,
+                               events=args.events)
         except ValueError as exc:
             parser.error(f"certify: {exc}")
-        out(report.format_report())
+        violations = [v for point in result.points for v in point.violations]
+        out(result.format_report())
+        out("\n".join(violations) or "all invariants held")
         out(f"[certify completed in {time.perf_counter() - t0:.2f}s]\n")
-        if args.json_out:
-            try:
-                with open(args.json_out, "w", encoding="utf-8") as fh:
-                    fh.write(report.to_json() + "\n")
-            except OSError as exc:
-                parser.error(f"cannot write JSON output: {exc}")
-            out(f"[json -> {args.json_out}]")
-        return 0 if report.ok else 1
+        _write_json(result, args.json_out, parser, out)
+        return 1 if violations else 0
 
     if args.command == "sweep":
         if args.name == "list":

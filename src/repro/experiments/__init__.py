@@ -33,10 +33,12 @@ from . import (
     memdurability_sweep,
     tab03_idle_node,
 )
+from . import certify_sweep  # after the sweeps it composes
 
 __all__ = [
     "base",
     "autoscale_sweep",
+    "certify_sweep",
     "chaos_sweep",
     "gpu_scaling_sweep",
     "loadstorm_sweep",

@@ -60,6 +60,15 @@ SWEEP_POLICY = RetryPolicy(
     max_attempts=6, backoff_base_s=0.05, backoff_multiplier=2.0, backoff_max_s=1.0,
 )
 
+#: A small k=2 buffer across the executor nodes, for a paging stream
+#: (:func:`start_pager`): the same crash storm then also destroys chunk
+#: replicas, exercising migration, repair, and read failover alongside
+#: invocation recovery.
+PAGED_MEMORY = DurableMemoryConfig(
+    size_bytes=24 * MiB, chunk_bytes=8 * MiB, replication=2,
+    repair_interval_s=0.5, hosts=("n0001", "n0002", "n0003"),
+)
+
 
 @dataclass(frozen=True)
 class ChaosPoint:
@@ -137,6 +146,29 @@ def _paging_stream(env, pager, window_s: float):
         page += 1
 
 
+def start_pager(platform, user: str, window_s: float) -> None:
+    """Page through :data:`PAGED_MEMORY` from n0000 until the window ends."""
+    pager = RemotePager(platform.env, platform.memory_client("n0000", user=user),
+                        page_bytes=2 * MiB, resident_pages=4)
+    platform.process(_paging_stream(platform.env, pager, window_s))
+
+
+def noop_client(platform, image: str, runtime_s: float, policy: RetryPolicy):
+    """Register executors n0001–n0003 and the noop function; n0000's client.
+
+    Each sweep passes its own ``image`` name: image names appear in the
+    pinned span streams.
+    """
+    for i in range(1, 4):
+        platform.register_node(f"n{i:04d}", cores=4, memory_bytes=8 * GiB)
+    platform.functions.register(
+        "noop", Image(image, size_bytes=50 * MiB), runtime_s=runtime_s,
+        demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0),
+        output_bytes=1,
+    )
+    return platform.client("n0000", retry_policy=policy)
+
+
 def scenario(params: dict, seed: int) -> dict:
     """One chaos scenario as a pure function of ``(params, seed)``.
 
@@ -151,37 +183,17 @@ def scenario(params: dict, seed: int) -> dict:
     payload_bytes: int = params["payload_bytes"]
     streams: int = params["streams"]
     memservice: bool = params["memservice"]
-    durable = None
-    if memservice:
-        # Small k=2 buffer across the executor nodes: the same crash
-        # storm then also destroys chunk replicas, exercising migration,
-        # repair, and read failover alongside invocation recovery.
-        durable = DurableMemoryConfig(
-            size_bytes=24 * MiB, chunk_bytes=8 * MiB, replication=2,
-            repair_interval_s=0.5, hosts=("n0001", "n0002", "n0003"),
-        )
-    platform = Platform.build(ClusterSpec(nodes=4), seed=seed,
-                              faults=plan, durable_memory=durable)
+    platform = Platform.build(ClusterSpec(nodes=4), seed=seed, faults=plan,
+                              durable_memory=PAGED_MEMORY if memservice else None)
     env = platform.env
-    for i in range(1, 4):
-        platform.register_node(f"n{i:04d}", cores=4, memory_bytes=8 * GiB)
-    image = Image("chaos-noop", size_bytes=50 * MiB)
-    platform.functions.register(
-        "noop", image, runtime_s=runtime_s,
-        demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0),
-        output_bytes=1,
-    )
-    client = platform.client("n0000", retry_policy=SWEEP_POLICY)
+    client = noop_client(platform, "chaos-noop", runtime_s, SWEEP_POLICY)
     outcomes = []
 
     for _ in range(streams):
         platform.process(_invocation_stream(env, client, outcomes, window_s,
                                             payload_bytes))
-    if durable is not None:
-        memory_client = platform.memory_client("n0000", user="chaos-pager")
-        pager = RemotePager(env, memory_client, page_bytes=2 * MiB,
-                            resident_pages=4)
-        platform.process(_paging_stream(env, pager, window_s))
+    if memservice:
+        start_pager(platform, "chaos-pager", window_s)
     platform.run_until(window_s + 30.0)
     platform.run()
 

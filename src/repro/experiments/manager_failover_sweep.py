@@ -25,24 +25,16 @@ count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..api import ClusterSpec, Platform
-from ..containers import Image
 from ..controlplane import HAConfig
-from ..faults import (
-    FaultPlan,
-    RecoveryOutcome,
-    RetryPolicy,
-    check_conservation,
-    check_epoch_monotonic,
-    check_no_double_grant,
-    check_single_primary,
-)
-from ..interference import ResourceDemand
+from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy, run_invariants
 from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .chaos_sweep import noop_client
 
 __all__ = [
     "FailoverPoint",
@@ -51,9 +43,6 @@ __all__ = [
     "plan_scenarios",
     "SWEEP",
 ]
-
-MiB = 1024**2
-GiB = 1024**3
 
 #: Standby counts swept by default: the k=0 strawman, the paper-shaped
 #: single standby, and a belt-and-braces pair.
@@ -107,8 +96,8 @@ def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
                         immediate=True))
 
 
-def _invocation_stream(env, client, outcomes, started, window_s: float,
-                       payload_bytes: int):
+def paced_stream(env, client, outcomes, started, window_s: float,
+                 payload_bytes: int):
     """Paced closed-loop invocations.
 
     The pacing timeout matters: after a k=0 wipe every lease attempt is
@@ -140,35 +129,19 @@ def scenario(params: dict, seed: int) -> dict:
                     heartbeat_interval_s=heartbeat_interval_s,
                     suspect_after=suspect_after),
     )
-    env = platform.env
-    for i in range(1, 4):
-        platform.register_node(f"n{i:04d}", cores=4, memory_bytes=8 * GiB)
-    image = Image("managerha-noop", size_bytes=50 * MiB)
-    platform.functions.register(
-        "noop", image, runtime_s=runtime_s,
-        demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0),
-        output_bytes=1,
-    )
-    client = platform.client("n0000", retry_policy=SWEEP_POLICY)
+    client = noop_client(platform, "managerha-noop", runtime_s, SWEEP_POLICY)
     outcomes = []
     started = {"n": 0}
     for _ in range(streams):
-        platform.process(_invocation_stream(env, client, outcomes, started,
-                                            window_s, payload_bytes))
+        platform.process(paced_stream(platform.env, client, outcomes, started,
+                                      window_s, payload_bytes))
     platform.run_until(window_s + 30.0)
     client.close()
     platform.run()
 
     ha = platform.ha
-    census: dict[str, int] = {}
-    for d in outcomes:
-        census[d.outcome.value] = census.get(d.outcome.value, 0) + 1
-    invariants_ok = not (
-        check_conservation(started["n"], census)
-        or check_no_double_grant(ha.commit_log)
-        or check_single_primary(ha.elections, ha.replicas)
-        or check_epoch_monotonic(ha.commit_log)
-    )
+    census = Counter(d.outcome.value for d in outcomes)
+    invariants_ok = not any(run_invariants(ha, started["n"], census).values())
     latencies = [d.elapsed_s for d in outcomes if d.ok]
     p50 = float(np.median(latencies)) if latencies else float("nan")
     p99 = float(np.percentile(latencies, 99)) if latencies else float("nan")

@@ -11,26 +11,17 @@ Two halves, one subsystem:
   :class:`DegradedResult` / :class:`RecoveryOutcome` (how an
   invocation actually concluded).
 
-Plus **certification** — :func:`certify` runs seeded *randomized*
-schedules over the whole taxonomy and checks control-plane invariants
-(no silent drops, no double grants, single primary per epoch,
-monotone epochs) on every run; see ``repro certify``.
+Plus **certification** — :func:`random_plan` draws seeded schedules
+over the whole taxonomy and :func:`run_invariants` checks control-plane
+invariants (no silent drops, no double grants, single primary per
+epoch, monotone epochs) on a finished run; the ``certify`` sweep
+(``repro certify``) combines the two.
 
 This package never imports ``repro.rfaas.client`` at import time (the
-client imports *us*); the certification harness builds a full
-platform lazily inside :func:`certify`.
+client imports *us*).
 """
 
-from .certify import (
-    CertifyReport,
-    certify,
-    check_conservation,
-    check_epoch_monotonic,
-    check_no_double_grant,
-    check_single_primary,
-    random_plan,
-    run_invariants,
-)
+from .certify import random_plan, run_invariants
 from .injector import Injector
 from .plan import FaultEvent, FaultKind, FaultPlan
 from .recovery import DegradedResult, RecoveryOutcome, RetryPolicy
@@ -43,12 +34,6 @@ __all__ = [
     "RetryPolicy",
     "RecoveryOutcome",
     "DegradedResult",
-    "CertifyReport",
-    "certify",
-    "check_conservation",
-    "check_epoch_monotonic",
-    "check_no_double_grant",
-    "check_single_primary",
     "random_plan",
     "run_invariants",
 ]

@@ -1,7 +1,7 @@
 """Epoch-fenced replication: every mutation lands on every live replica."""
 
 from repro.controlplane import ManagerReplica, ReplicaRole
-from repro.faults import check_epoch_monotonic, check_no_double_grant
+from repro.faults.certify import check_epoch_monotonic, check_no_double_grant
 
 from .conftest import build_ha_platform
 

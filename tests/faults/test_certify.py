@@ -1,18 +1,19 @@
-"""The chaos-certification harness: checkers, schedules, and full runs."""
+"""Chaos certification: checkers, schedules, and the ``certify`` sweep."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.controlplane import LogRecord
-from repro.faults import (
-    FaultKind,
-    certify,
+from repro.faults import FaultKind, random_plan
+from repro.faults.certify import (
     check_conservation,
     check_epoch_monotonic,
     check_no_double_grant,
     check_single_primary,
-    random_plan,
 )
+from repro.sweep import run_sweep
 
 
 def _rec(index, op, payload, epoch=1):
@@ -117,45 +118,56 @@ def test_random_plan_respects_a_kind_subset():
     assert {ev.kind for ev in plan} == {FaultKind.MANAGER_CRASH}
 
 
-# -- the full harness --------------------------------------------------------
+# -- the certify sweep --------------------------------------------------------
 
 def test_certify_clean_run_passes_every_invariant():
-    report = certify(budget=1, seed=0, standbys=1, window_s=5.0)
-    assert report.ok
-    assert report.violations == []
-    row = report.rows[0]
-    assert row["invocations"] > 0
-    assert set(row["invariants"]) == {
+    result = run_sweep("certify", budget=1, seed=0, standbys=1, window_s=5.0)
+    (point,) = result.points
+    assert point.violations == []
+    assert point.invocations > 0
+    assert set(point.invariants) == {
         "conservation", "no_double_grant", "single_primary", "epoch_monotonic",
     }
-    assert "PASS" in report.format_report()
+    assert "PASS" in result.format_report()
 
 
 def test_certify_is_deterministic_across_calls():
-    a = certify(budget=2, seed=7, standbys=1, window_s=5.0)
-    b = certify(budget=2, seed=7, standbys=1, window_s=5.0)
+    a = run_sweep("certify", budget=2, seed=7, standbys=1, window_s=5.0)
+    b = run_sweep("certify", budget=2, seed=7, standbys=1, window_s=5.0)
     assert a.to_json() == b.to_json()
 
 
 def test_certify_k0_loses_work_but_never_lies_about_it():
     """Zero standbys lose invocations to a manager crash — but the loss
     is *accounted* (conservation holds): nothing silently vanishes."""
-    report = certify(budget=2, seed=3, standbys=0, window_s=5.0,
-                     kinds=(FaultKind.MANAGER_CRASH, FaultKind.LEASE_STORM))
-    assert report.ok  # invariants hold even while work is lost
-    assert any(row["completion_ratio"] < 0.9 for row in report.rows)
+    result = run_sweep("certify", budget=2, seed=3, standbys=0, window_s=5.0,
+                       kinds=(FaultKind.MANAGER_CRASH, FaultKind.LEASE_STORM))
+    # invariants hold even while work is lost
+    assert not any(point.violations for point in result.points)
+    assert any(point.completion_ratio < 0.9 for point in result.points)
 
 
-def test_certify_report_serializes(tmp_path):
-    report = certify(budget=1, seed=0, standbys=1, window_s=5.0)
-    payload = report.to_dict()
-    assert payload["ok"] is True
+def test_certify_report_serializes():
+    result = run_sweep("certify", budget=1, seed=0, standbys=1, window_s=5.0)
+    payload = json.loads(result.to_json())
     assert payload["budget"] == 1
-    import json
-
-    assert json.loads(report.to_json())["rows"] == payload["rows"]
+    assert payload["points"] == result.to_dict()["points"]
+    assert not any(problems for point in payload["points"]
+                   for problems in point["invariants"].values())
 
 
 def test_certify_rejects_nothing_silently():
     with pytest.raises(TypeError):
-        certify(budget=1, bogus_kwarg=True)
+        run_sweep("certify", budget=1, bogus_kwarg=True)
+
+
+def test_certify_rejects_an_empty_budget():
+    """Zero schedules would certify nothing: a vacuous pass."""
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        run_sweep("certify", budget=0)
+
+
+def test_certify_rejects_an_empty_taxonomy():
+    """An empty ``kinds`` must not silently mean the whole taxonomy."""
+    with pytest.raises(ValueError, match="kinds must name at least one"):
+        run_sweep("certify", budget=1, kinds=())

@@ -24,8 +24,10 @@ still fail.  For every plan in :data:`GOLDENS`:
 The JSON and report pins were recorded from the per-sweep result
 classes that predate :class:`repro.experiments.base.SweepResult`, so
 they also prove the generic result (typed points, column spec, title
-template, footer) reproduces each sweep byte for byte.  The stream pins
-were recorded on CPython 3.11.7.
+template, footer) reproduces each sweep byte for byte.  The certify
+pins were recorded from ``SweepResult`` itself; its points equal the
+rows of the harness that predates the sweep.  The stream pins were
+recorded on CPython 3.11.7.
 """
 
 import hashlib
@@ -81,6 +83,12 @@ GOLDENS = {
         "a1a3565654f3a2dfa6cbdeea45fa55bd0dfacc6a0b716963dfb936c4f10ad98b",
         "a2f720d4b23c6ea6de2ee5664c9921ff9d5a93e622bc80f22bee3e4a3c055327",
     ),
+    "certify": (
+        dict(budget=2, window_s=4.0),
+        "90e1a802d1954d982fe66d886727d7ef5ffe4a5c27b17c60b01e3111030ff2b8",
+        "5a6a2e178e28c43abb91ee8f08f2c00534e7389e5fa281a5b420bed885fd23c3",
+        "c69cac80a1c82a9b9373c790f0c422713ddcfc10ec1589ab6c0e9ef7afbdf255",
+    ),
 }
 
 #: The same plans, spelled with int literals for every float argument.
@@ -91,6 +99,7 @@ INT_LITERALS = {
     "gpu_scaling": dict(batch_sizes=(1, 8), requests=64, max_rate_rps=800),
     "manager_failover": dict(standbys=(0, 1), window_s=4),
     "loadstorm": dict(shards=(1, 2), window_s=2, rate_per_s=600, population=50000),
+    "certify": dict(budget=2, window_s=4),
 }
 
 #: Plans no golden reaches, checked through the CLI only:
@@ -136,11 +145,20 @@ def _orphans_were_executing(points, stream):
     assert b'"rfaas.execution"' in stream
 
 
+def _every_schedule_struck_and_held(points, stream):
+    assert all(p["injected"] >= 1 for p in points)
+    assert all(problems == [] for p in points
+               for problems in p["invariants"].values())
+    # Some schedule forced a failover, so the election invariants bit.
+    assert any(p["epochs"] > 1 for p in points)
+
+
 #: What each pinned run must exercise, so no pin can be a vacuous run.
 NON_VACUOUS = {
     "autoscale": _crash_storm_ran,
     "memdurability": _durability_divides_the_factors,
     "manager_failover-orphans": _orphans_were_executing,
+    "certify": _every_schedule_struck_and_held,
 }
 
 

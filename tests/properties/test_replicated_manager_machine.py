@@ -29,7 +29,7 @@ from hypothesis.stateful import (
 
 from repro.cluster import DAINT_MC, Cluster
 from repro.controlplane import HAConfig, ReplicaRole, ReplicatedResourceManager
-from repro.faults import (
+from repro.faults.certify import (
     check_epoch_monotonic,
     check_no_double_grant,
     check_single_primary,

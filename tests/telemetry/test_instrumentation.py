@@ -5,7 +5,7 @@ nested spans for the hot, warm, and cold invocation paths; traced and
 untraced runs of the same seed produce identical simulated event
 timelines; the warm pool / manager / scheduler instrumentation
 reports what the subsystem statistics already report; and an untraced
-sweep or certification builds no telemetry at all, while the counts its
+sweep builds no telemetry at all, while the counts its
 points report agree with the metrics a collector sees.
 """
 
@@ -18,7 +18,6 @@ from repro.containers.runtime import SARUS
 from repro.containers.warmpool import WarmPool
 from repro.experiments import fig07_latency
 from repro.experiments.base import get_sweep
-from repro.faults.certify import certify
 from repro.interference import ResourceDemand
 from repro.network import IBVERBS, DrcManager, NetworkFabric
 from repro.rfaas import (
@@ -232,6 +231,7 @@ SMALLEST = {
     "manager_failover": dict(standbys=(0,), window_s=4.0),
     "loadstorm": dict(shards=(1,), window_s=2.0, rate_per_s=600.0,
                       population=50000),
+    "certify": dict(budget=1, window_s=4.0),
 }
 
 
@@ -239,7 +239,7 @@ def _first_point(name, **kwargs):
     return get_sweep(name).plan(**kwargs).scenarios[0].execute()
 
 
-@pytest.mark.parametrize("name", sweep_names() + ["certify"])
+@pytest.mark.parametrize("name", sweep_names())
 def test_untraced_runs_build_no_telemetry(name, monkeypatch):
     built = []
     init = Telemetry.__init__
@@ -249,10 +249,7 @@ def test_untraced_runs_build_no_telemetry(name, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Telemetry, "__init__", counting_init)
-    if name == "certify":
-        assert certify(budget=1, window_s=4.0).ok
-    else:
-        _first_point(name, **SMALLEST[name])
+    _first_point(name, **SMALLEST[name])
     assert built == []
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import certify_sweep
 
 
 def collect():
@@ -29,10 +30,23 @@ def test_certify_writes_json(tmp_path):
                  "--json", str(path)], out=out)
     assert code == 0
     payload = json.loads(path.read_text())
-    assert payload["ok"] is True
     assert payload["budget"] == 1
-    assert len(payload["rows"]) == 1
-    assert payload["violations"] == []
+    assert len(payload["points"]) == 1
+    assert not any(problems for point in payload["points"]
+                   for problems in point["invariants"].values())
+
+
+def test_certify_exits_1_and_names_each_violation(monkeypatch):
+    def lying_plane(controlplane, started, outcomes):
+        return {"conservation": ["conservation: 1 invocation vanished"]}
+
+    monkeypatch.setattr(certify_sweep, "run_invariants", lying_plane)
+    lines, out = collect()
+    assert main(["certify", "--budget", "1", "--window", "3"], out=out) == 1
+    text = "\n".join(lines)
+    assert "1 VIOLATION(S)" in text
+    assert "certify-0: [conservation] conservation: 1 invocation vanished" in text
+    assert "all invariants held" not in text
 
 
 def test_certify_rejects_a_nonpositive_budget():
@@ -48,6 +62,14 @@ def test_certify_rejects_a_nonpositive_window(capsys, window):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "repro: error: certify: window_s must be positive" in err
+
+
+def test_certify_rejects_zero_events(capsys):
+    """A schedule with no faults is a usage error, not a verdict (exit 1)."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["certify", "--events", "0"], out=lambda s: None)
+    assert excinfo.value.code == 2
+    assert "repro: error: certify: events must be >= 1" in capsys.readouterr().err
 
 
 def test_certify_zero_standbys_still_certifies():
