@@ -48,6 +48,11 @@ from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Optional
 
 import numpy as np
+# numpy imports these on first use: random for a run's first rng, ma on
+# the first np.median of its latencies.  Import them with the platform,
+# so a run's first scenario is not charged for an import.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .capacity import CapacityConfig, CapacityPlane
 from .cloudfaas import CloudConfig, CloudFaaSPlatform

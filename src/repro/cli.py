@@ -42,22 +42,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import inspect
 import sys
 import time
+from types import ModuleType
 from typing import Any, Callable
 
-from .experiments import (
-    fig01_utilization,
-    fig07_latency,
-    fig08_storage,
-    fig09_cpu_sharing,
-    fig10_utilization,
-    fig11_memory_sharing,
-    fig12_gpu_sharing,
-    fig13_offloading,
-    tab03_idle_node,
-)
 from .experiments.base import get_sweep, registered_sweeps
 from .faults import FaultPlan
 from .sweep import SweepScenarioError, run_sweep, sweep_names
@@ -80,18 +71,24 @@ from .analysis.tables import render_table
 
 __all__ = ["EXPERIMENTS", "main"]
 
-#: name -> (module, one-line description)
-EXPERIMENTS: dict[str, tuple[Any, str]] = {
-    "fig01": (fig01_utilization, "Piz Daint utilization: idle nodes, memory, idle periods"),
-    "fig07": (fig07_latency, "rFaaS vs libfabric invocation latency"),
-    "fig08": (fig08_storage, "Lustre vs MinIO function I/O"),
-    "tab03": (tab03_idle_node, "idle-node throughput with NAS functions"),
-    "fig09": (fig09_cpu_sharing, "CPU sharing: batch + FaaS-like workloads"),
-    "fig10": (fig10_utilization, "system utilization across placement scenarios"),
-    "fig11": (fig11_memory_sharing, "remote-memory traffic perturbation"),
-    "fig12": (fig12_gpu_sharing, "GPU co-location overheads"),
-    "fig13": (fig13_offloading, "real offloading: Black-Scholes + MC transport"),
+#: name -> (module under ``repro.experiments``, one-line description);
+#: a module is imported only when its experiment runs.
+EXPERIMENTS: dict[str, tuple[str, str]] = {
+    "fig01": ("fig01_utilization", "Piz Daint utilization: idle nodes, memory, idle periods"),
+    "fig07": ("fig07_latency", "rFaaS vs libfabric invocation latency"),
+    "fig08": ("fig08_storage", "Lustre vs MinIO function I/O"),
+    "tab03": ("tab03_idle_node", "idle-node throughput with NAS functions"),
+    "fig09": ("fig09_cpu_sharing", "CPU sharing: batch + FaaS-like workloads"),
+    "fig10": ("fig10_utilization", "system utilization across placement scenarios"),
+    "fig11": ("fig11_memory_sharing", "remote-memory traffic perturbation"),
+    "fig12": ("fig12_gpu_sharing", "GPU co-location overheads"),
+    "fig13": ("fig13_offloading", "real offloading: Black-Scholes + MC transport"),
 }
+
+
+def _experiment_module(name: str) -> ModuleType:
+    """The figure/table module behind experiment ``name``, imported on use."""
+    return importlib.import_module(f"repro.experiments.{EXPERIMENTS[name][0]}")
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
@@ -108,7 +105,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
 
 
 def _run_one(name: str, overrides: dict[str, Any], out: Callable[[str], None]) -> None:
-    module, _ = EXPERIMENTS[name]
+    module = _experiment_module(name)
     t0 = time.perf_counter()
     result = module.run(**overrides)
     elapsed = time.perf_counter() - t0
@@ -495,7 +492,7 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         if overrides:
             parser.error("--set is only valid with a single experiment")
     else:
-        accepted = inspect.signature(EXPERIMENTS[args.experiment][0].run).parameters
+        accepted = inspect.signature(_experiment_module(args.experiment).run).parameters
         unknown = [key for key in overrides if key not in accepted]
         if unknown:
             parser.error(f"experiment {args.experiment!r}: unknown parameter(s) "

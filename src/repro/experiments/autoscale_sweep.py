@@ -46,7 +46,7 @@ from ..capacity import (
 from ..containers import Image
 from ..faults import FaultPlan
 from ..interference import ResourceDemand
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
     "AutoscalePoint",
@@ -288,7 +288,7 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="autoscale",
     description="predictive vs reactive warm pools under load",
     plan=plan_scenarios,
@@ -311,4 +311,4 @@ SWEEP = register_sweep(Sweep(
            "({window_s:g}s window)"),
     footer=("Every arrival is accounted for: served on harvested HPC cores,"
             " overflowed to the cloud (billed), or explicitly rejected."),
-))
+)

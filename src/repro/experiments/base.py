@@ -20,17 +20,23 @@ across a process pool, with byte-identical output either way:
   metadata (``window_s``, ``seed``, ...) the result carries.  The plan
   *is* the merge contract: points are always assembled in plan order,
   no matter which worker finished first.
-* :class:`Sweep` + :func:`register_sweep` — what a sweep module
-  declares: its ``plan_scenarios``, its point dataclass, and how its
+* :class:`Sweep` — what a sweep module declares as its module-level
+  ``SWEEP``: its ``plan_scenarios``, its point dataclass, and how its
   report table looks (a column spec, a title template over the plan
-  metadata, a footer line).  The registry is consumed by the CLI
-  (``repro sweep <name>``) and :func:`repro.sweep.run_sweep`.
+  metadata, a footer line).
+* :data:`SWEEPS` — the registry: sweep name -> module under
+  :mod:`repro.experiments`.  :func:`get_sweep` imports a sweep's module
+  on first use, so a process loads only the stack of the sweeps it
+  runs.  To add a sweep, write ``<name>_sweep.py`` ending in
+  ``SWEEP = Sweep(...)`` and add its entry here.  The CLI
+  (``repro sweep <name>``) and :func:`repro.sweep.run_sweep` read it.
 * :class:`SweepResult` — the one result type every sweep produces:
   typed points plus ``to_dict()`` / ``to_json()`` / ``format_report()``.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Tuple
@@ -42,7 +48,7 @@ __all__ = [
     "SweepPlan",
     "SweepResult",
     "Sweep",
-    "register_sweep",
+    "SWEEPS",
     "get_sweep",
     "registered_sweeps",
 ]
@@ -140,29 +146,33 @@ class SweepResult:
         return f"{table}\n{self.sweep.footer}"
 
 
-#: name -> Sweep, populated by each sweep module at import time.
-_REGISTRY: Dict[str, Sweep] = {}
-
-
-def register_sweep(sweep: Sweep) -> Sweep:
-    """Register ``sweep`` (idempotent per name; returns it for assignment)."""
-    existing = _REGISTRY.get(sweep.name)
-    if existing is not None and existing is not sweep:
-        raise ValueError(f"sweep {sweep.name!r} is already registered")
-    _REGISTRY[sweep.name] = sweep
-    return sweep
+#: name -> module under ``repro.experiments`` whose ``SWEEP`` it is,
+#: in listing order.
+SWEEPS: Dict[str, str] = {
+    "autoscale": "autoscale_sweep",
+    "chaos": "chaos_sweep",
+    "gpu_scaling": "gpu_scaling_sweep",
+    "loadstorm": "loadstorm_sweep",
+    "manager_failover": "manager_failover_sweep",
+    "memdurability": "memdurability_sweep",
+    "certify": "certify_sweep",
+}
 
 
 def get_sweep(name: str) -> Sweep:
-    """The registered sweep, or a KeyError naming what *is* registered."""
+    """The registered sweep, or a KeyError naming what *is* registered.
+
+    Imports the sweep's module on first use.
+    """
     try:
-        return _REGISTRY[name]
+        module = SWEEPS[name]
     except KeyError:
         raise KeyError(
-            f"unknown sweep {name!r} (registered: {', '.join(sorted(_REGISTRY))})"
+            f"unknown sweep {name!r} (registered: {', '.join(sorted(SWEEPS))})"
         ) from None
+    return importlib.import_module(f"repro.experiments.{module}").SWEEP
 
 
 def registered_sweeps() -> Dict[str, Sweep]:
-    """A snapshot of the registry (name -> Sweep), insertion-ordered."""
-    return dict(_REGISTRY)
+    """Every registered sweep (name -> Sweep), in :data:`SWEEPS` order."""
+    return {name: get_sweep(name) for name in SWEEPS}

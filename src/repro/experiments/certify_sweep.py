@@ -31,7 +31,7 @@ import numpy as np
 from ..api import ClusterSpec, Platform
 from ..controlplane import HAConfig
 from ..faults import FaultKind, FaultPlan, random_plan, run_invariants
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 from .chaos_sweep import PAGED_MEMORY, noop_client, start_pager
 from .manager_failover_sweep import SWEEP_POLICY, paced_stream
 
@@ -135,7 +135,7 @@ def plan_scenarios(
     )
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="certify",
     description="control-plane invariants under randomized fault schedules",
     plan=plan_scenarios,
@@ -155,4 +155,4 @@ SWEEP = register_sweep(Sweep(
            "k={standbys} standbys"),
     footer=("Work may be lost, but never silently: every schedule must hold"
             " every invariant."),
-))
+)

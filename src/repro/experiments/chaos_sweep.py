@@ -38,7 +38,7 @@ from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy
 from ..interference import ResourceDemand
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
     "ChaosPoint",
@@ -275,7 +275,7 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="chaos",
     description="invocation latency under injected faults",
     plan=plan_scenarios,
@@ -295,4 +295,4 @@ SWEEP = register_sweep(Sweep(
     title="Chaos sweep — noop latency under faults ({window_s:g}s window)",
     footer=("Reclamation is routine, not fatal: retries keep completion high"
             " while faults tax the tail."),
-))
+)

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 from ..api import ClusterSpec, Platform
 from ..gpu.gpu_function import GpuFunctionSpec
 from ..gpuservice import BatchPolicy, GpuServiceConfig
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
     "GpuScalingPoint",
@@ -214,7 +214,7 @@ def plan_scenarios(
                      meta={"requests": requests, "seed": seed})
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="gpu_scaling",
     description="GPU invocation batching: batch size vs throughput/latency",
     plan=plan_scenarios,
@@ -234,4 +234,4 @@ SWEEP = register_sweep(Sweep(
     footer=("Batching amortizes launch overheads: throughput rises with the"
             " batch size until the offered-rate cap, while p99 pays the"
             " batch-fill wait plus the longer coalesced launch."),
-))
+)

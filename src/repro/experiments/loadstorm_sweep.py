@@ -49,7 +49,7 @@ from ..rfaas.errors import (
     StaleEpochError,
 )
 from ..shard import ShardConfig
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
     "LoadstormPoint",
@@ -293,7 +293,7 @@ def plan_scenarios(
     })
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="loadstorm",
     description="open-loop million-client lease churn vs control-plane shards",
     plan=plan_scenarios,
@@ -319,4 +319,4 @@ SWEEP = register_sweep(Sweep(
             " spreads tenants by consistent hash; p99 collapses while the"
             " conservation ledger (admitted = completed + rejected +"
             " degraded, every op applied or failed) holds at every point."),
-))
+)

@@ -33,7 +33,7 @@ import numpy as np
 from ..api import ClusterSpec, Platform
 from ..controlplane import HAConfig
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy, run_invariants
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 from .chaos_sweep import noop_client
 
 __all__ = [
@@ -205,7 +205,7 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="manager_failover",
     description="completion through manager crash/partition, by standby count",
     plan=plan_scenarios,
@@ -227,4 +227,4 @@ SWEEP = register_sweep(Sweep(
            "crash + partition ({window_s:g}s window)"),
     footer=("With zero standbys the crash orphans every lease; one standby"
             " turns the outage into tail latency."),
-))
+)

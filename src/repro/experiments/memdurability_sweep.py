@@ -45,7 +45,7 @@ from ..api import ClusterSpec, Platform
 from ..faults import FaultPlan
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
-from .base import ScenarioSpec, Sweep, SweepPlan, register_sweep
+from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
     "MemDurabilityPoint",
@@ -250,7 +250,7 @@ def plan_scenarios(
                      meta={"window_s": window_s, "seed": seed})
 
 
-SWEEP = register_sweep(Sweep(
+SWEEP = Sweep(
     name="memdurability",
     description="replicated memory service under a crash+drain storm",
     plan=plan_scenarios,
@@ -272,4 +272,4 @@ SWEEP = register_sweep(Sweep(
            "({window_s:g}s window)"),
     footer=("k=1 is the seed service: destroyed replicas are gone for good."
             " Replication turns the same storm into failovers and repairs."),
-))
+)

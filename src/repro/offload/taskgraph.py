@@ -14,9 +14,8 @@ worker pool are offloaded when Eq. 1 says the overflow is worth it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from typing import Hashable, Iterable, Optional
-
-import networkx as nx
 
 from .model import OffloadModel
 
@@ -24,39 +23,50 @@ __all__ = ["TaskGraph", "ScheduleResult", "prefix_scan_graph", "schedule_with_of
 
 
 class TaskGraph:
-    """A DAG of tasks with durations."""
+    """A DAG of tasks with durations.
+
+    A task's dependencies must already be defined, so the only cycle
+    :meth:`add_task` could create is a self-dependency, which it rejects.
+    """
 
     def __init__(self):
-        self._g = nx.DiGraph()
+        self._duration: dict[Hashable, float] = {}
+        self._deps: dict[Hashable, tuple[Hashable, ...]] = {}
 
     def add_task(self, task_id: Hashable, duration_s: float = 1.0,
                  deps: Iterable[Hashable] = ()) -> None:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        if task_id in self._g:
+        if task_id in self._duration:
             raise ValueError(f"duplicate task {task_id!r}")
-        self._g.add_node(task_id, duration=duration_s)
+        deps = tuple(deps)
         for dep in deps:
-            if dep not in self._g:
+            if dep == task_id:
+                raise ValueError(f"adding {task_id!r} would create a cycle")
+            if dep not in self._duration:
                 raise KeyError(f"dependency {dep!r} not defined yet")
-            self._g.add_edge(dep, task_id)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_node(task_id)
-            raise ValueError(f"adding {task_id!r} would create a cycle")
+        self._duration[task_id] = duration_s
+        self._deps[task_id] = deps
 
     def __len__(self) -> int:
-        return len(self._g)
+        return len(self._duration)
 
     def duration(self, task_id: Hashable) -> float:
-        return self._g.nodes[task_id]["duration"]
+        return self._duration[task_id]
 
     def levels(self) -> list[list[Hashable]]:
         """Topological layering: level = longest path depth from sources."""
-        return [sorted(generation, key=str) for generation in nx.topological_generations(self._g)]
+        sorter = TopologicalSorter(self._deps)
+        sorter.prepare()
+        levels = []
+        while sorter.is_active():
+            generation = sorter.get_ready()
+            sorter.done(*generation)
+            levels.append(sorted(generation, key=str))
+        return levels
 
     def widths(self) -> list[int]:
         return [len(level) for level in self.levels()]
-
 
 
 @dataclass(frozen=True)

@@ -48,16 +48,7 @@ import os
 import traceback
 from typing import Any, Dict, List, Optional, Union
 
-from .experiments.base import (
-    ScenarioSpec,
-    Sweep,
-    SweepResult,
-    get_sweep,
-    registered_sweeps,
-)
-
-# Importing the experiment package registers every built-in sweep.
-from . import experiments as _experiments  # noqa: F401  (registration side effect)
+from .experiments.base import SWEEPS, ScenarioSpec, Sweep, SweepResult, get_sweep
 
 __all__ = ["SweepScenarioError", "run_sweep", "sweep_names", "stream_part_path"]
 
@@ -74,8 +65,8 @@ class SweepScenarioError(RuntimeError):
 
 
 def sweep_names() -> List[str]:
-    """Registered sweep names, in registration order."""
-    return list(registered_sweeps())
+    """Registered sweep names, in :data:`~repro.experiments.base.SWEEPS` order."""
+    return list(SWEEPS)
 
 
 def stream_part_path(base_path: str, index: int) -> str:

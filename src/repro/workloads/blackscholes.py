@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr  # standard normal CDF, vectorized
 
 from .base import AppModel
 
@@ -88,6 +87,8 @@ def price_options(batch: OptionBatch, iterations: int = 1) -> np.ndarray:
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    from scipy.special import ndtr  # standard normal CDF, vectorized
+
     sqrt_t = np.sqrt(batch.expiry)
     for _ in range(iterations):
         d1 = (

@@ -44,6 +44,30 @@ def test_levels_and_widths():
     assert g.widths() == [1, 2, 1]
 
 
+def test_self_dependency_is_rejected():
+    g = diamond()
+    with pytest.raises(ValueError, match="cycle"):
+        g.add_task("e", 1.0, deps=["a", "e"])
+    assert len(g) == 4
+
+
+def test_prefix_scan_levels_are_pinned():
+    # Each generation is ordered by str(task): 10-15 sort before 2.
+    str_order = [0, 1, 10, 11, 12, 13, 14, 15, 2, 3, 4, 5, 6, 7, 8, 9]
+
+    def tasks(kind, level, indices):
+        return [(kind, level, i) for i in indices]
+
+    assert prefix_scan_graph(16).levels() == [
+        tasks("leaf", 0, str_order),
+        tasks("up", 1, range(8)), tasks("up", 2, range(4)),
+        tasks("up", 3, range(2)), tasks("up", 4, range(1)),
+        tasks("down", 0, range(1)), tasks("down", 1, range(2)),
+        tasks("down", 2, range(4)), tasks("down", 3, range(8)),
+        tasks("down", 4, str_order),
+    ]
+
+
 def test_prefix_scan_width_profile():
     g = prefix_scan_graph(16)
     widths = g.widths()

@@ -1,6 +1,7 @@
 """The experiment protocol: specs, plans, the registry, the result type."""
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -8,12 +9,11 @@ import pytest
 from repro.experiments import (autoscale_sweep, chaos_sweep,
                                gpu_scaling_sweep, memdurability_sweep)
 from repro.experiments.base import (
+    SWEEPS,
     ScenarioSpec,
-    Sweep,
     SweepPlan,
     SweepResult,
     get_sweep,
-    register_sweep,
     registered_sweeps,
 )
 from repro.sweep import run_sweep, sweep_names
@@ -40,16 +40,18 @@ def test_get_sweep_unknown_name_lists_the_registry():
     assert "no-such-sweep" in message and "chaos" in message
 
 
-def test_register_sweep_rejects_a_second_sweep_under_the_same_name():
-    sweep = get_sweep("chaos")
-    # Re-registering the identical object is idempotent...
-    assert register_sweep(sweep) is sweep
-    # ...but a different object under a taken name is a wiring bug.
-    clone = Sweep(name="chaos", description="imposter", plan=sweep.plan,
-                  point_type=sweep.point_type, columns=sweep.columns,
-                  title=sweep.title, footer=sweep.footer)
-    with pytest.raises(ValueError):
-        register_sweep(clone)
+def test_sweep_names_keep_the_listing_order():
+    assert sweep_names() == ["autoscale", "chaos", "gpu_scaling", "loadstorm",
+                             "manager_failover", "memdurability", "certify"]
+
+
+def test_every_sweeps_key_names_its_modules_sweep():
+    # The map is the registry: a key that disagreed with its module's
+    # SWEEP.name would list one sweep under another's name.
+    for name, module_name in SWEEPS.items():
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        assert module.SWEEP.name == name
+        assert get_sweep(name) is module.SWEEP
 
 
 @pytest.mark.parametrize("module", [chaos_sweep, autoscale_sweep,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint: every registered sweep must honor the parallel-runner contract.
+"""Lint: every sweep is registered and honors the parallel-runner contract.
 
 :func:`repro.sweep.run_sweep` can only promise byte-identical output at
 any ``jobs`` count if every :class:`~repro.experiments.base.ScenarioSpec`
@@ -7,7 +7,9 @@ in each registered sweep's default plan crosses the process-pool
 boundary intact: a module-level ``fn`` (closures and lambdas don't
 pickle), picklable ``params``, an ``int`` seed, and a unique label
 (labels name scenarios in failure reports).  Nothing in the type system
-enforces that.
+enforces that.  A ``*_sweep.py`` module under ``repro/experiments``
+that :data:`~repro.experiments.base.SWEEPS` does not name is a finding
+too: the registry is that map, so such a sweep could never run.
 
 Run standalone or through the unified entry point::
 
@@ -59,16 +61,18 @@ def _spec_problems(name: str, spec) -> list[str]:
 def violations() -> list[str]:
     """Human-readable contract breaches; empty when every sweep conforms."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    # Importing repro.sweep registers every built-in sweep.
-    import repro.sweep  # noqa: F401
-    from repro.experiments.base import registered_sweeps
-
-    registry = registered_sweeps()
-    if not registry:
-        return ["no sweeps registered (did repro.experiments stop importing them?)"]
+    from repro.experiments.base import SWEEPS, registered_sweeps
 
     problems: list[str] = []
-    for name, sweep in registry.items():
+    experiments = REPO_ROOT / "src" / "repro" / "experiments"
+    for path in sorted(experiments.glob("*_sweep.py")):
+        if path.stem not in SWEEPS.values():
+            problems.append(
+                f"{path.name} is missing from repro.experiments.base.SWEEPS "
+                f"(an unlisted sweep can never run)"
+            )
+
+    for name, sweep in registered_sweeps().items():
         try:
             plan = sweep.plan()
         except Exception as exc:  # noqa: BLE001
