@@ -206,7 +206,7 @@ class Platform:
         cannot be combined with ``shards`` (:class:`ValueError`).
 
         Every background loop these options start (autoscalers, repair,
-        heartbeat, shard rebalancer) is a daemon process, so an
+        heartbeat, shard rebalancer) waits on ``env.tick``, so an
         open-ended ``run()`` returns once the foreground work is done.
         """
         spec = cluster_spec if cluster_spec is not None else ClusterSpec()
@@ -389,8 +389,8 @@ class Platform:
         return self.env.process(generator, name=name)
 
     def run_until(self, until: Optional[float] = None):
-        """Advance the simulation (to ``until``, or until only daemon
-        loops remain)."""
+        """Advance the simulation (to ``until``, or until only
+        background ticks remain)."""
         return self.env.run(until=until)
 
     def run(self):

@@ -125,11 +125,10 @@ class WarmPoolAutoscaler:
 
     # -- lifecycle ------------------------------------------------------------
     def start(self):
-        """Kick off the control loop (idempotent; a daemon, so it never
-        keeps an open-ended ``env.run()`` alive)."""
+        """Kick off the control loop (idempotent; it waits on ticks, so
+        it never keeps an open-ended ``env.run()`` alive)."""
         if self._proc is None or self._proc.triggered:
             self._proc = self.env.process(self._loop(), name=self._loop_name)
-            self._proc.daemon = True
         return self._proc
 
     @property
@@ -139,7 +138,7 @@ class WarmPoolAutoscaler:
     # -- the loop --------------------------------------------------------------
     def _loop(self):
         while True:
-            yield self.env.timeout(self.config.interval_s)
+            yield self.env.tick(self.config.interval_s)
             self.ticks += 1
             now = self.env.now
             self._observe(now)

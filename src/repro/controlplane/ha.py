@@ -186,12 +186,11 @@ class ReplicatedResourceManager(ResourceManager):
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
-        """Start the combined heartbeat + failure-detector loop (a daemon:
-        it never keeps an open-ended ``env.run()`` alive)."""
+        """Start the combined heartbeat + failure-detector loop (it waits
+        on ticks, so it never keeps an open-ended ``env.run()`` alive)."""
         if self._process is None:
             self._process = self.env.process(self._run(),
                                              name="controlplane-detector")
-            self._process.daemon = True
 
     # -- group introspection -----------------------------------------------------
     @property
@@ -217,7 +216,7 @@ class ReplicatedResourceManager(ResourceManager):
     def _run(self):
         interval = self.config.heartbeat_interval_s
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.tick(interval)
             self._tick()
 
     def _tick(self) -> None:

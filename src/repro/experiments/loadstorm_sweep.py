@@ -207,7 +207,7 @@ def scenario(params: dict, seed: int) -> dict:
                 name="loadstorm-replay")
     # Under deep 1-shard saturation the batch backlog can take tens of
     # sim-seconds to clear; the run ends when the last handler does
-    # (the rebalance loop is a daemon and keeps nothing alive).
+    # (the rebalance loop waits on ticks and keeps nothing alive).
     env.run()
 
     ledger = plane.conservation()

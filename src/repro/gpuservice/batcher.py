@@ -16,8 +16,8 @@ max-wait timer that wakes into a newer generation does nothing.  Timers
 are therefore never interrupted — they simply expire into no-ops —
 which keeps the event timeline identical whether a batch filled early
 or not, a property the byte-determinism tests lean on.  A timer is an
-engine timer (``env.timer``), not a process, and a live entry even
-when a daemon enqueues, so a partial batch always flushes.
+engine timer (``env.timer``), not a process, and a live entry (only
+``env.tick`` is background), so a partial batch always flushes.
 
 With ``max_batch_size=1`` the batcher degenerates to a synchronous
 fast path: every enqueue flushes immediately and no timer is ever

@@ -474,9 +474,13 @@ class ReplicatedMemoryService:
             moved = yield from self._transfer(
                 source.node_name, target, chunk.size_bytes,
             )
-        except TransferDropped:
+        except Exception as exc:
+            # Dropped, or interrupted by a stop: the new buffer is in no
+            # replica set yet, so nothing else would ever release it.
             replica.service.stop()
-            return False
+            if isinstance(exc, TransferDropped):
+                return False
+            raise
         replica.version = source.version
         replica.epoch = source.epoch
         replica.checksum = source.checksum

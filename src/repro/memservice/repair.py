@@ -50,13 +50,12 @@ class RepairLoop:
         )
 
     def start(self):
-        """Begin ticking (idempotent while the loop is alive; a daemon,
-        so it never keeps an open-ended ``env.run()`` alive)."""
+        """Begin ticking (idempotent while the loop is alive; it waits on
+        ticks, so it never keeps an open-ended ``env.run()`` alive)."""
         if self.interval_s <= 0:
             raise ValueError("repair interval must be positive")
         if self._proc is None or self._proc.triggered:
             self._proc = self.env.process(self._loop(), name="memservice-repair")
-            self._proc.daemon = True
         return self._proc
 
     def stop(self) -> None:
@@ -71,7 +70,7 @@ class RepairLoop:
     def _loop(self):
         try:
             while True:
-                yield self.env.timeout(self.interval_s)
+                yield self.env.tick(self.interval_s)
                 self.ticks += 1
                 yield from self._tick()
         except Interrupt:

@@ -340,8 +340,8 @@ class NetworkFabric:
         _, ingress = self._channels(dst)
         env = self.env
         done = Event(env)
-        # env.timer, not a Timeout: a daemon's transfer (the memservice
-        # repair loop issues some) must keep run() alive until it lands.
+        # Timers are live entries, so a transfer a background loop issues
+        # (the memservice repair loop does) keeps run() alive until it lands.
         if dropped:
             # The sender learns of the loss after the propagation delay:
             # no completion arrives, the op errors out.

@@ -189,9 +189,7 @@ class ShardedControlPlane:
                 config, self._flushed,
             )
         if config.rebalance_interval_s > 0:
-            rebalancer = env.process(self._rebalance_loop(),
-                                     name="shard-rebalancer")
-            rebalancer.daemon = True
+            env.process(self._rebalance_loop(), name="shard-rebalancer")
 
     # -- placement ---------------------------------------------------------------
     def shard_of(self, tenant: str) -> int:
@@ -466,7 +464,7 @@ class ShardedControlPlane:
     def _rebalance_loop(self):
         interval = self.config.rebalance_interval_s
         while True:
-            yield self.env.timeout(interval)
+            yield self.env.tick(interval)
             self.rebalance()
 
     # -- conservation ------------------------------------------------------------

@@ -23,12 +23,11 @@ events.  Events additionally keep a ``_waiter`` slot so the dominant
 single-waiter case (one process blocked on one event) resumes without
 touching the callback list.
 
-Background loops run as daemon processes (``Process.daemon``).  A delayed
-:class:`Timeout` created while a daemon is active is a *daemon entry*;
-every other entry, including any zero-delay one or
-:meth:`Environment.timer` a daemon schedules, is live.  An open-ended
-:meth:`Environment.run` returns once only daemon entries remain, so no
-caller has to stop a loop before draining.
+Background loops wait on :meth:`Environment.tick`, a delayed
+:class:`Timeout` that is a *background entry*; every other entry is
+live, whichever process creates it.  An open-ended
+:meth:`Environment.run` returns once only background entries remain, so
+no caller has to stop a loop before draining.
 """
 
 from __future__ import annotations
@@ -177,12 +176,6 @@ class Timeout(Event):
             env._immediate.append((env._now, env._seq, self))
         else:
             heapq.heappush(env._queue, (env._now + delay, env._seq, self))
-            active = env._active_process
-            if active is not None and active.daemon:
-                # A daemon entry: counted until it fires, so the drain
-                # loop can tell a heap holding only daemon ticks.
-                env._daemon_entries += 1
-                self.callbacks = [env._daemon_entry_fired]
 
 
 class Initialize(Event):
@@ -220,11 +213,9 @@ class Process(Event):
     other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "_resume", "name",
-                 "daemon")
+    __slots__ = ("_generator", "_send", "_throw", "_target", "_resume", "name")
 
-    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = "",
-                 daemon: bool = False):
+    def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = ""):
         try:
             self._send = generator.send
             self._throw = generator.throw
@@ -239,7 +230,6 @@ class Process(Event):
         self._processed = False
         self._defused = False
         self._generator = generator
-        self.daemon = daemon
         # One bound method for the process's lifetime: waits register this
         # exact object, so detach can compare with ``is`` and every wait
         # skips a bound-method allocation.  It is a reference cycle
@@ -431,8 +421,8 @@ class Environment:
     docstring): ``_queue`` is a heap of ``(time, priority, seq, event)``
     and ``_immediate`` a deque of ``(time, seq, event)`` zero-delay
     priority-1 entries, already sorted by the same key.
-    ``_daemon_entries`` counts the daemon timeouts among ``_queue``'s
-    entries (only delayed entries can be daemon entries).
+    ``_ticks`` counts the background entries (:meth:`tick`) among
+    ``_queue``'s entries.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -441,7 +431,7 @@ class Environment:
         self._immediate: deque[tuple[float, int, Event]] = deque()
         self._urgent: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._daemon_entries = 0
+        self._ticks = 0
         self._active_process: Optional[Process] = None
         self._id_streams: dict[str, int] = {}
 
@@ -469,7 +459,7 @@ class Environment:
     @property
     def event_count(self) -> int:
         """Events scheduled so far (after an open-ended :meth:`run`: the
-        events processed plus the daemon entries still queued)."""
+        events processed plus the ticks still queued)."""
         return self._seq
 
     # -- factories -----------------------------------------------------------
@@ -479,14 +469,27 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def tick(self, delay: float) -> Timeout:
+        """A :class:`Timeout` that is a background entry: a loop that
+        waits on ticks never keeps an open-ended :meth:`run` alive.
+
+        ``delay`` must be positive: a zero-delay entry would go to the
+        immediate deque, which the drain loop always serves.
+        """
+        if not delay > 0:
+            raise ValueError(f"tick delay must be positive, got {delay}")
+        event = Timeout(self, delay)
+        # Counted until it fires, so the drain loop can tell a heap
+        # holding only ticks.
+        self._ticks += 1
+        event.callbacks = [self._tick_fired]
+        return event
+
     def timer(self, delay: float, callback: Callable[[Event], None],
               value: Any = None) -> Event:
         """An event that fires with ``value`` after ``delay``, running
-        ``callback`` before any process that yields it.
-
-        Unlike a :class:`Timeout`, a timer is always a live entry, even
-        when a daemon creates it: it stands in for the non-daemon
-        process a one-shot wait would otherwise cost.
+        ``callback`` before any process that yields it; it stands in for
+        the process a one-shot wait would otherwise cost.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
@@ -497,12 +500,8 @@ class Environment:
         self._schedule(event, delay)
         return event
 
-    def process(self, generator: ProcessGenerator, name: str = "",
-                daemon: bool = False) -> Process:
-        """Start ``generator`` as a process; ``daemon=True`` (or setting
-        ``daemon`` on the result before it first runs) marks it as
-        background work that never keeps an open-ended :meth:`run` alive."""
-        return Process(self, generator, name=name, daemon=daemon)
+    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
+        return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -525,9 +524,9 @@ class Environment:
             # (time, priority, seq) key.
             heapq.heappush(self._urgent, (self._now + delay, priority, self._seq, event))
 
-    def _daemon_entry_fired(self, event: Event) -> None:
-        """First callback of every daemon timeout."""
-        self._daemon_entries -= 1
+    def _tick_fired(self, event: Event) -> None:
+        """First callback of every tick."""
+        self._ticks -= 1
 
     def _pop_next(self) -> Event:
         """Pop the globally next event, advancing the clock to it.
@@ -596,14 +595,13 @@ class Environment:
 
     def _drain(self, horizon: float = float("inf")) -> None:
         """Process events up to ``horizon``, or, with no horizon (``inf``),
-        until only daemon entries remain.
+        until only ticks remain.
 
         The one event loop: everything loop-invariant (queue bindings,
         ``heappop``) is hoisted and the per-event body inlines
         :meth:`step`.  Immediate and urgent entries sit at ``now``, which
         never passes the horizon, so only the heap-only branch checks it;
-        that branch is also the only one that can hold nothing but daemon
-        entries.
+        that branch is also the only one that can hold nothing but ticks.
         """
         queue = self._queue
         immediate = self._immediate
@@ -627,7 +625,7 @@ class Environment:
                     immediate.popleft()
                     self._now = t_i
             elif queue and (queue[0][0] <= horizon if bounded
-                            else len(queue) > self._daemon_entries):
+                            else len(queue) > self._ticks):
                 self._now, _, event = heappop(queue)
             else:
                 break
@@ -644,17 +642,17 @@ class Environment:
                 raise event._value
 
     def run(self, until: Optional[float] = None) -> Any:
-        """Run until ``until`` (a time or an event), or until only daemon
-        entries remain.  Daemons tick up to a finite time horizon
-        (``until=inf`` is no horizon), but an event only they could fire
-        makes ``run(until=event)`` raise."""
+        """Run until ``until`` (a time or an event), or until only ticks
+        remain.  Loops tick up to a finite time horizon (``until=inf`` is
+        no horizon), but an event only they could fire makes
+        ``run(until=event)`` raise."""
         if until is None or until == float("inf"):
             self._drain()
             return None
         if isinstance(until, Event):
             while not until._processed:
                 if not (self._immediate or self._urgent
-                        or len(self._queue) > self._daemon_entries):
+                        or len(self._queue) > self._ticks):
                     raise SimulationError(
                         "event queue drained before the awaited event fired"
                     )

@@ -38,7 +38,6 @@ class UtilizationSampler:
         self.allocated_node_fraction = TimeSeries("allocated_node_fraction")
         self.queue_length = TimeSeries("queue_length")
         self.process = env.process(self._run(), name="utilization-sampler")
-        self.process.daemon = True
 
     def _run(self):
         total_nodes = len(self.scheduler.cluster)
@@ -52,7 +51,7 @@ class UtilizationSampler:
                 self.env.now, sched.allocated_node_count() / total_nodes if total_nodes else 0.0
             )
             self.queue_length.record(self.env.now, len(sched.queue))
-            yield self.env.timeout(self.interval)
+            yield self.env.tick(self.interval)
 
 
 class NodeStateTracker:

@@ -1,13 +1,16 @@
 """An open-ended run returns while every background loop is still alive.
 
 Each build below starts at least one periodic loop (heartbeat, repair,
-autoscaler, rebalancer).  The loops are daemon processes, so after some
-foreground work a bare ``run()`` returns on its own, with no stop call.
+autoscaler, rebalancer, utilization sampler).  The loops wait on
+``env.tick``, so after some foreground work a bare ``run()`` returns on
+its own, with no stop call; a bounded run after it still advances every
+loop.
 """
 
 import pytest
 
 from repro.api import ClusterSpec, Platform
+from repro.cluster import DAINT_MC, Cluster
 from repro.capacity import AutoscalerConfig
 from repro.containers import Image
 from repro.controlplane import HAConfig
@@ -16,6 +19,8 @@ from repro.gpuservice import BatchPolicy, GpuServiceConfig
 from repro.interference import ResourceDemand
 from repro.memservice import DurableMemoryConfig
 from repro.shard import ShardConfig
+from repro.sim import Environment
+from repro.slurm import BatchScheduler, JobSpec, UtilizationSampler
 
 from ..shard.conftest import drive
 
@@ -46,17 +51,28 @@ def _invocations(platform, count=3):
     return results
 
 
+def _last_heartbeat(ha):
+    return max(replica.last_heartbeat_s for replica in ha.replicas)
+
+
+# Each build returns ``(env, finished, interval, progress)``: ``progress``
+# reads one counter per loop, and every counter must grow over a run of
+# two of the longest ``interval``.
+
 def _ha():
     platform = Platform.build(ClusterSpec(nodes=3), seed=0, ha=True)
     results = _invocations(platform)
-    return platform.run, lambda: len(results) == 3, [platform.ha._process]
+    ha = platform.ha
+    return (platform.env, lambda: len(results) == 3,
+            ha.config.heartbeat_interval_s, lambda: [_last_heartbeat(ha)])
 
 
 def _capacity():
     platform = Platform.build(ClusterSpec(nodes=3), seed=0, capacity=True)
     results = _invocations(platform)
-    return (platform.run, lambda: len(results) == 3,
-            [platform.capacity.autoscaler._proc])
+    autoscaler = platform.capacity.autoscaler
+    return (platform.env, lambda: len(results) == 3,
+            autoscaler.config.interval_s, lambda: [autoscaler.ticks])
 
 
 def _durable_memory():
@@ -69,8 +85,9 @@ def _durable_memory():
     )
     client = platform.memory_client("n0000")
     reads = [client.read(0, 2 * MiB), client.read(16 * MiB, 2 * MiB)]
-    return (platform.run, lambda: all(r.processed for r in reads),
-            [platform.durable_memory.repair._proc])
+    repair = platform.durable_memory.repair
+    return (platform.env, lambda: all(r.processed for r in reads),
+            repair.interval_s, lambda: [repair.ticks])
 
 
 def _gpu_autoscale():
@@ -85,8 +102,9 @@ def _gpu_autoscale():
         input_bytes=1_000, device_memory_bytes=64 * MiB,
     ))
     requests = [service.submit("fn") for _ in range(6)]  # one partial batch
-    return (platform.run, lambda: all(r.done.processed for r in requests),
-            [service.autoscaler._proc])
+    autoscaler = service.autoscaler
+    return (platform.env, lambda: all(r.done.processed for r in requests),
+            autoscaler.config.interval_s, lambda: [autoscaler.ticks])
 
 
 def _sharded_ha_rebalance():
@@ -100,8 +118,27 @@ def _sharded_ha_rebalance():
     done = []
     for i in range(4):
         platform.process(drive(platform.env, plane.request_grant(f"t{i}"), done))
-    return (platform.run, lambda: [kind for kind, _ in done] == ["ok"] * 4,
-            [shard.manager._process for shard in plane.shards])
+    rebalances = []
+    rebalance = plane.rebalance
+    plane.rebalance = lambda: rebalances.append(platform.env.now) or rebalance()
+    return (platform.env, lambda: [kind for kind, _ in done] == ["ok"] * 4,
+            plane.config.rebalance_interval_s,
+            lambda: [len(rebalances)] + [_last_heartbeat(shard.manager)
+                                         for shard in plane.shards])
+
+
+def _utilization_sampler():
+    """fig01's sampler, on a bare environment outside ``Platform``."""
+    env = Environment()
+    cluster = Cluster()
+    cluster.add_nodes("n", 2, DAINT_MC)
+    scheduler = BatchScheduler(env, cluster)
+    sampler = UtilizationSampler(env, scheduler, interval=120.0)
+    job = scheduler.submit(JobSpec(user="u", app="a", nodes=1,
+                                   cores_per_node=1, memory_per_node=0,
+                                   walltime=600.0, runtime=500.0))
+    return (env, lambda: job in scheduler.completed, sampler.interval,
+            lambda: [len(sampler.idle_nodes.times)])
 
 
 BUILDS = {
@@ -110,12 +147,18 @@ BUILDS = {
     "durable_memory": _durable_memory,
     "gpu_autoscale": _gpu_autoscale,
     "sharded_ha_rebalance": _sharded_ha_rebalance,
+    "utilization_sampler": _utilization_sampler,
 }
 
 
 @pytest.mark.parametrize("build", sorted(BUILDS))
 def test_open_ended_run_returns_with_loops_alive(build):
-    run, finished, loops = BUILDS[build]()
-    run()
+    env, finished, interval, progress = BUILDS[build]()
+    env.run()
     assert finished()
-    assert loops and all(loop.is_alive and loop.daemon for loop in loops)
+    before = progress()
+    horizon = env.now + 2 * interval
+    env.run(until=horizon)
+    assert env.now == horizon
+    after = progress()
+    assert all(b > a for a, b in zip(before, after)), (before, after)

@@ -171,17 +171,21 @@ def test_run_flushes_a_stranded_partial_batch_on_its_timer():
 
 
 def test_a_partial_batch_enqueued_from_a_daemon_flushes_on_its_timer():
-    """The max-wait timer is a live entry even when a daemon enqueues,
-    so run() waits for it and the request completes."""
+    """A daemon here is a loop that waits on ticks.  The max-wait timer
+    it starts by enqueueing is a live entry, so run() waits for it and
+    the request completes."""
     platform, service = build(policy=BatchPolicy(max_batch_size=64,
                                                  max_wait_s=5.0))
     fn = service.register(spec())
+    env = platform.env
     results = []
 
-    def daemon():
+    def loop():
         results.append((yield service.submit(fn.name).done))
+        while True:
+            yield env.tick(1.0)
 
-    platform.env.process(daemon(), daemon=True)
+    env.process(loop())
     platform.run()
     assert service.batcher.flushes_on_timer == 1
     assert service.completed == 1

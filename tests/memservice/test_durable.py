@@ -113,6 +113,30 @@ def test_stop_before_the_first_step_lets_the_run_drain():
     assert service.repair.ticks == 0
 
 
+def test_stop_mid_repair_copy_releases_the_target_buffer():
+    """A stop interrupts the repair loop inside its copy; the target
+    buffer it already hosted is in no replica set, so the copy itself
+    must release it."""
+    platform = build(replication=2, repair_interval_s=0.2)
+    service = platform.durable_memory
+    env, cluster = platform.env, platform.cluster
+
+    def hosted():
+        return sum(cluster.node(name).allocated_memory for name in HOSTS)
+
+    service.kill_node(service.chunks[0].nodes()[0], cause="test")
+    after_kill = hosted()
+    while hosted() == after_kill:  # until the repair hosts its target
+        env.step()
+    assert env.now == pytest.approx(0.2)
+    assert hosted() == after_kill + service.chunks[0].size_bytes
+    service.stop()
+    platform.run()
+    assert not service.repair.running
+    for name in HOSTS:
+        assert cluster.node(name).allocated_memory == 0
+
+
 def test_service_ids_are_per_environment():
     a, b = Environment(), Environment()
     assert [a.next_id("memservice") for _ in range(3)] == [1, 2, 3]

@@ -188,7 +188,8 @@ def test_a_same_instant_race_grants_in_request_order():
 
 
 def test_a_daemon_issued_transfer_keeps_run_alive():
-    """The timers are live entries: run() returns only once it lands."""
+    """A daemon here is a loop that waits on ticks.  The transfer's
+    timers are live entries: run() returns only once it lands."""
     env = Environment()
     cluster = Cluster(topology=DragonflyTopology(nodes_per_group=2))
     cluster.add_nodes("n", 2, DAINT_MC)
@@ -199,10 +200,10 @@ def test_a_daemon_issued_transfer_keeps_run_alive():
         conn = Connection(fabric, "n0000", "n0001", "alice", None)
         size = yield conn.rdma_write(1 << 20)
         landed.append((env.now, size))
-        while True:  # a daemon's own ticks never keep run() alive
-            yield env.timeout(1.0)
+        while True:  # the loop's own ticks never keep run() alive
+            yield env.tick(1.0)
 
-    env.process(background(), daemon=True)
+    env.process(background())
     env.run()
     assert [size for _, size in landed] == [1 << 20]
     assert landed[0][0] > (1 << 20) * IBVERBS.params.G

@@ -68,15 +68,16 @@ def test_run_is_deterministic(seed_delays):
     assert simulate() == simulate()
 
 
-# -- daemon processes ---------------------------------------------------------
+# -- daemons: loops that wait on ticks -----------------------------------------
 
 #: Ticks after which a test daemon gives up: far beyond any foreground
-#: horizon drawn below, so an engine that lets daemons keep a run alive
+#: horizon drawn below, so an engine that lets ticks keep a run alive
 #: fails loudly instead of spinning forever.
 TICK_LIMIT = 10_000
 
-#: A daemon's tick pattern, cycled; zero-delay steps are live entries,
-#: so at least one step must be delayed.
+#: A daemon's wait pattern, cycled; a delayed step is a tick, a
+#: zero-delay step a live ``Timeout(0)``, so at least one step must be
+#: delayed.
 daemon_steps = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
                         min_size=1, max_size=3).filter(any)
 worker_steps = st.lists(st.floats(min_value=0, max_value=10), max_size=6)
@@ -97,7 +98,8 @@ def _worker(env, tag, delays, trace):
 
 def _daemon(env, steps, spawn=None):
     for tick in range(TICK_LIMIT):
-        yield env.timeout(steps[tick % len(steps)])
+        step = steps[tick % len(steps)]
+        yield env.tick(step) if step else env.timeout(0.0)
         if spawn is not None:
             spawn(tick)
     raise AssertionError("a daemon kept the run alive")
@@ -118,7 +120,7 @@ def _start(env, mix, trace, with_daemons=True, spawn_children=False):
 
                 def spawn(tick, index=index, child=child):
                     env.process(_worker(env, (index, tick), [child], trace))
-            daemons.append(env.process(_daemon(env, steps, spawn), daemon=True))
+            daemons.append(env.process(_daemon(env, steps, spawn)))
     return workers, daemons
 
 
@@ -178,7 +180,7 @@ def test_a_daemon_that_fires_an_event_resumes_its_waiters(period, wake_tick,
         value = yield gate
         resumed.append((i, value, env.now))
 
-    env.process(_daemon(env, [period], opener), daemon=True)
+    env.process(_daemon(env, [period], opener))
     env.process(keeper())
     for i in range(waiters):
         env.process(waiter(i))

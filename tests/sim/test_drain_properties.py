@@ -3,7 +3,8 @@
 ``run(until=t)`` and ``run()`` share ``Environment._drain``; the
 reference pops through the public ``step()`` (the three-way merge of
 ``_pop_next``).  Random programs mix zero-delay chains, shared events,
-interrupts (the urgent lane) and daemon loops, and both runs must
+interrupts (the urgent lane) and background loops (every delayed wait
+of one is a tick), and both runs must
 resume every process in the same order at the same instants.
 """
 
@@ -31,11 +32,11 @@ def build(programs):
     signals = [env.event() for _ in range(3)]
     procs = []
 
-    def body(index, daemon, actions):
+    def body(index, background, actions):
         for step, (kind, arg) in enumerate(actions):
             try:
                 if kind == "wait":
-                    yield env.timeout(arg)
+                    yield env.tick(arg) if background and arg else env.timeout(arg)
                 elif kind == "signal":
                     if not signals[arg].triggered:
                         signals[arg].succeed(index)
@@ -50,15 +51,15 @@ def build(programs):
                 log.append((env.now, index, step))
             except Interrupt as interrupt:
                 log.append((env.now, index, step, "interrupted", interrupt.cause))
-        while daemon:
+        while background:
             try:
-                yield env.timeout(1.5)
+                yield env.tick(1.5)
                 log.append((env.now, index, "tick"))
             except Interrupt as interrupt:
                 log.append((env.now, index, "tick", "interrupted", interrupt.cause))
 
-    for index, (daemon, actions) in enumerate(programs):
-        procs.append(env.process(body(index, daemon, actions), daemon=daemon))
+    for index, (background, actions) in enumerate(programs):
+        procs.append(env.process(body(index, background, actions)))
     return env, log
 
 
@@ -69,7 +70,7 @@ def step_until(env, horizon):
 
 
 def step_until_idle(env):
-    while env._immediate or env._urgent or len(env._queue) > env._daemon_entries:
+    while env._immediate or env._urgent or len(env._queue) > env._ticks:
         env.step()
 
 
@@ -92,6 +93,6 @@ def test_drain_matches_step_reference(programs, horizons):
     assert log == ref_log
     assert env.now == ref.now
     assert env.event_count == ref.event_count
-    # Open-ended: only daemon entries may be left.
+    # Open-ended: only ticks may be left.
     assert not env._immediate and not env._urgent
-    assert len(env._queue) == env._daemon_entries
+    assert len(env._queue) == env._ticks

@@ -6,7 +6,7 @@ at risk from that rewrite: interrupts landing between same-timestamp
 events, ``run(until=event)`` on a triggered-but-unprocessed event,
 ``Timeout(0)`` vs ``succeed()`` FIFO ordering, condition waiters
 under the single-waiter slot, interrupts sent before a process's first
-step, daemon processes, engine timers, and that a finished process is
+step, background ticks, engine timers, and that a finished process is
 freed by refcounting alone.
 """
 
@@ -411,18 +411,18 @@ def test_interrupt_of_a_process_that_ends_in_its_first_step_is_dropped():
     assert p.value == "done"
 
 
-# -- daemon processes --------------------------------------------------------
+# -- background ticks --------------------------------------------------------
 
 def _ticker(env, period, ticks):
     while True:
-        yield env.timeout(period)
+        yield env.tick(period)
         ticks.append(env.now)
 
 
-def test_run_returns_once_only_daemon_entries_remain():
+def test_run_returns_once_only_ticks_remain():
     env = Environment()
     ticks = []
-    daemon = env.process(_ticker(env, 1.0, ticks), daemon=True)
+    loop = env.process(_ticker(env, 1.0, ticks))
 
     def work():
         yield env.timeout(3.5)
@@ -431,7 +431,7 @@ def test_run_returns_once_only_daemon_entries_remain():
     env.run()
     assert env.now == 3.5
     assert ticks == [1.0, 2.0, 3.0]
-    assert daemon.is_alive
+    assert loop.is_alive
     assert env.peek() == 4.0  # the next tick stays queued, unprocessed
     # Two Initialize events, the work's timeout and finish, four ticks.
     assert env.event_count == 8
@@ -440,7 +440,7 @@ def test_run_returns_once_only_daemon_entries_remain():
 def test_run_until_time_keeps_ticking_daemons_to_the_horizon():
     env = Environment()
     ticks = []
-    env.process(_ticker(env, 1.0, ticks), daemon=True)
+    env.process(_ticker(env, 1.0, ticks))
     env.run(until=4.5)
     assert ticks == [1.0, 2.0, 3.0, 4.0]
     assert env.now == 4.5
@@ -451,37 +451,70 @@ def test_run_until_infinity_drains_like_run():
     ticks = []
 
     def bounded_ticker():
-        # Fails the test instead of hanging it if daemons keep an
+        # Fails the test instead of hanging it if ticks keep an
         # infinite horizon alive.
         for _ in range(10_000):
-            yield env.timeout(1.0)
+            yield env.tick(1.0)
             ticks.append(env.now)
-        raise AssertionError("run(until=inf) kept a daemon ticking")
+        raise AssertionError("run(until=inf) kept a loop ticking")
 
     def work():
         yield env.timeout(3.5)
 
-    env.process(bounded_ticker(), daemon=True)
+    env.process(bounded_ticker())
     env.process(work())
     env.run(until=float("inf"))
     assert env.now == 3.5
     assert ticks == [1.0, 2.0, 3.0]
 
 
-def test_zero_delay_timeout_from_a_daemon_is_live():
+def test_zero_delay_timeout_from_a_ticking_loop_is_live():
     env = Environment()
     log = []
 
-    def daemon():
+    def loop():
         yield env.timeout(0.0)
         log.append(("zero", env.now))
         while True:
-            yield env.timeout(1.0)
+            yield env.tick(1.0)
 
-    env.process(daemon(), daemon=True)
+    env.process(loop())
     env.run()
     assert log == [("zero", 0.0)]
     assert env.now == 0.0
+
+
+def test_a_delayed_timeout_from_a_ticking_loop_is_live():
+    """Background is a property of the wait: the same loop's Timeout
+    keeps run() alive, its ticks do not."""
+    env = Environment()
+    log = []
+
+    def loop():
+        yield env.tick(1.0)
+        yield env.timeout(2.5)
+        log.append(env.now)
+        while True:
+            yield env.tick(1.0)
+
+    def work():  # keeps the run alive up to the loop's first tick
+        yield env.timeout(1.0)
+
+    env.process(loop())
+    env.process(work())
+    env.run()
+    assert log == [3.5]
+    assert env.now == 3.5
+
+
+def test_tick_needs_a_positive_delay():
+    """A zero-delay tick would sit in the immediate deque, which the
+    drain loop always serves, so it could never be background."""
+    env = Environment()
+    for delay in (0, -1):
+        with pytest.raises(ValueError):
+            env.tick(delay)
+    assert env._ticks == 0 and env.event_count == 0
 
 
 # -- engine timers ------------------------------------------------------------
@@ -514,18 +547,18 @@ def test_timer_value_reaches_the_yielder():
     assert env.now == 2.0
 
 
-def test_a_timer_created_in_a_daemon_keeps_run_alive_until_it_fires():
-    """Unlike a daemon's Timeout, which is a daemon entry, a timer is
-    always live: run() waits for it."""
+def test_a_timer_created_in_a_ticking_loop_keeps_run_alive_until_it_fires():
+    """Only a tick is a background entry; a timer the loop schedules is
+    live, so run() waits for it."""
     env = Environment()
     fired = []
 
-    def daemon():
+    def loop():
         env.timer(5.0, lambda _: fired.append(env.now))
         while True:
-            yield env.timeout(1.0)
+            yield env.tick(1.0)
 
-    env.process(daemon(), daemon=True)
+    env.process(loop())
     env.run()
     assert fired == [5.0]
     assert env.now == 5.0

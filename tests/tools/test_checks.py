@@ -3,23 +3,26 @@ and the CLI exit-code contract CI depends on."""
 
 import pathlib
 import sys
+import textwrap
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 
-from tools import checks  # noqa: E402
+from tools import check_loops, checks  # noqa: E402
 
 
 def test_registry_contains_every_repo_lint():
-    assert set(checks.CHECKS) == {"callers", "metric-names", "public-api", "sweeps"}
+    assert set(checks.CHECKS) == {"callers", "loops", "metric-names",
+                                  "public-api", "sweeps"}
     for fn in checks.CHECKS.values():
         assert callable(fn)
 
 
 def test_run_executes_a_single_check():
     assert checks.run("callers") == []
+    assert checks.run("loops") == []
     assert checks.run("metric-names") == []
     assert checks.run("public-api") == []
     assert checks.run("sweeps") == []
@@ -49,10 +52,11 @@ def test_main_exit_codes(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "metric-names: ok" in out and "public-api: ok" in out
     assert "sweeps: ok" in out and "callers: ok" in out
+    assert "loops: ok" in out
 
     assert checks.main(["--list"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "callers", "metric-names", "public-api", "sweeps",
+        "callers", "loops", "metric-names", "public-api", "sweeps",
     ]
 
     assert checks.main(["bogus"]) == 2
@@ -64,3 +68,56 @@ def test_main_exit_codes(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "1 violation(s)" in captured.out
     assert "bad name" in captured.err
+
+
+def _loops_in(tmp_path, source):
+    path = tmp_path / "src" / "pkg" / "loops.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(textwrap.dedent(source))
+    return check_loops.violations(tmp_path)
+
+
+def test_loops_flags_endless_loops_that_wait_on_live_entries(tmp_path):
+    problems = _loops_in(tmp_path, """
+        def heartbeat(env):
+            while True:
+                yield env.timeout(1.0)
+
+        def poll(env, items):
+            while True:
+                for item in items:
+                    if item:
+                        break  # ends the for, not the while
+                yield env.timer(1.0, print)
+    """)
+    assert [p.split(": ", 1)[0] for p in problems] == [
+        "src/pkg/loops.py:3", "src/pkg/loops.py:7",
+    ]
+    assert ".timeout(...)" in problems[0] and ".timer(...)" in problems[1]
+
+
+def test_loops_passes_ticking_and_ending_loops(tmp_path):
+    assert _loops_in(tmp_path, """
+        def heartbeat(env):
+            while True:
+                yield env.tick(1.0)
+
+        def retry(env, attempt):
+            while True:
+                if (yield env.timeout(1.0)):
+                    break
+
+        def wait_for(env, ready):
+            while True:
+                for _ in range(3):
+                    if ready():
+                        return
+                yield env.timeout(1.0)
+
+        def spawner(env):
+            while True:
+                def child():
+                    yield env.timeout(1.0)
+                    return
+                yield env.tick(1.0)
+    """) == []

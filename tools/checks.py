@@ -22,11 +22,13 @@ import argparse
 import sys
 from typing import Callable, Dict, List
 
-from . import check_callers, check_metric_names, check_public_api, check_sweeps
+from . import (check_callers, check_loops, check_metric_names,
+               check_public_api, check_sweeps)
 
 #: Registered checks: name -> zero-arg callable returning violation lines.
 CHECKS: Dict[str, Callable[[], List[str]]] = {
     "callers": check_callers.violations,
+    "loops": check_loops.violations,
     "metric-names": check_metric_names.violations,
     "public-api": check_public_api.violations,
     "sweeps": check_sweeps.violations,
