@@ -28,15 +28,6 @@ class IdleStats:
     fraction_under_10min: float
     p90_s: float
 
-    def as_row(self) -> list:
-        return [
-            self.count,
-            self.median_s / 60.0,
-            self.mean_s / 60.0,
-            self.fraction_under_10min,
-            self.p90_s / 60.0,
-        ]
-
 
 def idle_duration_stats(durations: Sequence[float]) -> IdleStats:
     if not len(durations):

@@ -1,55 +1,52 @@
-"""Command-line experiment runner.
+"""Command-line runner: the paper's figures and every sweep.
 
 Usage::
 
     python -m repro list
-    python -m repro run fig07 --set samples=100
-    python -m repro run fig07 --trace trace.json --metrics-out metrics.txt
     python -m repro run all
-    python -m repro telemetry summary trace.json
-    python -m repro sweep list
+    python -m repro sweep fig07 --set samples=100
+    python -m repro sweep fig07 --trace trace.json --metrics-out metrics.txt
+    python -m repro sweep fig09 --jobs 2 --json fig09.json
     python -m repro sweep chaos --set "rates=(0, 8, 16)" --seed 1 --jobs 4
     python -m repro sweep chaos --plan plan.json --spans spans.jsonl
     python -m repro sweep autoscale --set "loads=(1, 4, 16)" --json autoscale.json
-    python -m repro sweep memdurability --set "factors=(1, 2, 3)" --jobs 3
     python -m repro sweep loadstorm --set "shards=(1, 2, 4, 8)" --jobs 4
     python -m repro certify --budget 5 --standbys 1
+    python -m repro obs kinds spans.jsonl
 
-``run`` executes one figure/table module; ``--set key=value`` pairs are
-parsed as Python literals and forwarded to its ``run()`` (an unknown
-key is a usage error naming the accepted parameters).  ``--trace``
-writes a Chrome ``trace_event`` JSON (open in Perfetto /
+Every figure, table and sweep is a registered sweep
+(:data:`repro.experiments.base.SWEEPS`), and ``list`` prints the
+registry.  ``sweep <name>`` runs one through
+:func:`repro.sweep.run_sweep`: ``--set key=value`` pairs are parsed as
+Python literals and passed to the sweep's ``plan_scenarios()`` (an
+unknown key is a usage error naming the accepted parameters),
+``--plan FILE`` replays a saved :class:`~repro.faults.FaultPlan`, and
+scenarios fan out across ``--jobs`` worker processes and merge in
+canonical plan order, so the report, the ``--json`` file, and the
+``--stream-spans`` stream are byte-identical at every jobs count.
+``--trace`` writes a Chrome ``trace_event`` JSON (open in Perfetto /
 about://tracing), ``--spans`` a JSONL span dump, and ``--metrics-out`` a
-Prometheus-style text exposition; all three observe the run through a
-:class:`~repro.telemetry.TelemetryCollector` without perturbing
-simulated time.
+Prometheus-style text exposition; these batch exporters observe the
+whole run in one process and therefore require ``--jobs 1``.
 
-``sweep <name>`` runs any registered sweep through
-:func:`repro.sweep.run_sweep`: ``--set`` pairs are the sweep's
-``plan_scenarios()`` arguments, ``--plan FILE`` replays a saved
-:class:`~repro.faults.FaultPlan`, and scenarios fan out across ``--jobs``
-worker processes and merge in canonical plan order, so the report, the
-``--json`` file, and the ``--stream-spans`` stream are byte-identical at
-every jobs count.  The batch exporters (``--trace`` / ``--spans`` /
-``--metrics-out``) observe the whole run in one process and therefore
-require ``--jobs 1``.
+``run all`` reproduces the paper: it runs every figure and table entry
+of the registry (those not in a ``*_sweep`` module) at its defaults,
+through the same code as ``sweep <name>``.
 
 ``certify`` runs the ``certify`` sweep, prints any invariant violation,
-and exits 1 if there was one.
+and exits 1 if there was one.  ``obs`` analyses an exported span file.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import importlib
 import inspect
 import sys
 import time
-from types import ModuleType
 from typing import Any, Callable
 
-from .experiments.base import get_sweep, registered_sweeps
+from .experiments.base import SWEEPS, get_sweep, registered_sweeps
 from .faults import FaultPlan
 from .sweep import SweepScenarioError, run_sweep, sweep_names
 from .telemetry import (
@@ -69,26 +66,12 @@ from .telemetry import (
 )
 from .analysis.tables import render_table
 
-__all__ = ["EXPERIMENTS", "main"]
-
-#: name -> (module under ``repro.experiments``, one-line description);
-#: a module is imported only when its experiment runs.
-EXPERIMENTS: dict[str, tuple[str, str]] = {
-    "fig01": ("fig01_utilization", "Piz Daint utilization: idle nodes, memory, idle periods"),
-    "fig07": ("fig07_latency", "rFaaS vs libfabric invocation latency"),
-    "fig08": ("fig08_storage", "Lustre vs MinIO function I/O"),
-    "tab03": ("tab03_idle_node", "idle-node throughput with NAS functions"),
-    "fig09": ("fig09_cpu_sharing", "CPU sharing: batch + FaaS-like workloads"),
-    "fig10": ("fig10_utilization", "system utilization across placement scenarios"),
-    "fig11": ("fig11_memory_sharing", "remote-memory traffic perturbation"),
-    "fig12": ("fig12_gpu_sharing", "GPU co-location overheads"),
-    "fig13": ("fig13_offloading", "real offloading: Black-Scholes + MC transport"),
-}
+__all__ = ["main"]
 
 
-def _experiment_module(name: str) -> ModuleType:
-    """The figure/table module behind experiment ``name``, imported on use."""
-    return importlib.import_module(f"repro.experiments.{EXPERIMENTS[name][0]}")
+def _figure_names() -> list[str]:
+    """The paper's figures and tables: registry entries not in a sweep module."""
+    return [name for name, module in SWEEPS.items() if not module.endswith("_sweep")]
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
@@ -104,37 +87,12 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
     return overrides
 
 
-def _run_one(name: str, overrides: dict[str, Any], out: Callable[[str], None]) -> None:
-    module = _experiment_module(name)
-    t0 = time.perf_counter()
-    result = module.run(**overrides)
-    elapsed = time.perf_counter() - t0
-    out(module.format_report(result))
-    out(f"[{name} completed in {elapsed:.2f}s]\n")
-
-
-def _make_collector(args: argparse.Namespace) -> TelemetryCollector | None:
-    """A collector when any telemetry export was requested.
-
-    With ``--stream-spans`` the collector's sink is a bounded
-    :class:`SpanPipeline` streaming every span to disk as it closes;
-    the batch exporters then only see the flight-recorder tail.
-    """
-    stream = getattr(args, "stream_spans", None)
-    if stream:
-        return TelemetryCollector(pipeline=SpanPipeline(stream_path=stream))
-    if args.trace or args.spans or args.metrics_out:
-        return TelemetryCollector()
-    return None
-
-
 def _export_telemetry(collector: TelemetryCollector, args: argparse.Namespace,
                       out: Callable[[str], None]) -> None:
     pipeline = collector.pipeline
     if pipeline is not None:
         pipeline.close()
-        stream = getattr(args, "stream_spans", None)
-        out(f"[stream: {pipeline.seen} spans -> {stream} "
+        out(f"[stream: {pipeline.seen} spans -> {args.stream_spans} "
             f"(peak retained {pipeline.peak_retained})]")
     if args.trace:
         n = write_chrome_trace(list(collector.spans), args.trace)
@@ -147,9 +105,9 @@ def _export_telemetry(collector: TelemetryCollector, args: argparse.Namespace,
         out(f"[metrics -> {args.metrics_out}]")
 
 
-def _list_sweeps(out: Callable[[str], None], width: int = 0) -> None:
+def _list_sweeps(out: Callable[[str], None]) -> None:
     sweeps = registered_sweeps()
-    width = max(width, *(len(name) for name in sweeps))
+    width = max(len(name) for name in sweeps)
     for name, sweep in sweeps.items():
         out(f"{name.ljust(width)}  {sweep.description}")
 
@@ -198,14 +156,26 @@ def _run_sweep_command(args: argparse.Namespace,
         parser.error("--trace/--spans/--metrics-out observe the whole run in "
                      "one process; use --jobs 1 (or --stream-spans, which "
                      "works at any jobs count)")
+    # Fail on an unwritable export path up front, not after the run.
+    for export_path in (args.trace, args.spans, args.metrics_out):
+        if export_path:
+            try:
+                with open(export_path, "a", encoding="utf-8"):
+                    pass
+            except OSError as exc:
+                parser.error(f"cannot write telemetry output: {exc}")
     t0 = time.perf_counter()
     stream_stats: dict[str, int] = {}
     collector = None
     try:
         if batch_exports:
-            # Whole-run collector: the batch exporters (and a combined
-            # --stream-spans) see every scenario in this process.
-            collector = _make_collector(args)
+            # Whole-run collector: the batch exporters see every scenario
+            # in this process.  With --stream-spans too, its sink is a
+            # bounded pipeline streaming each span to disk as it closes,
+            # and the batch exporters see only the flight-recorder tail.
+            pipeline = (SpanPipeline(stream_path=args.stream_spans)
+                        if args.stream_spans else None)
+            collector = TelemetryCollector(pipeline=pipeline)
             with collector:
                 result = run_sweep(name, jobs=1, **kwargs)
         else:
@@ -244,6 +214,10 @@ def _run_obs(args: argparse.Namespace, parser: argparse.ArgumentParser,
         spans = load_spans(args.tracefile)
     except OSError as exc:
         parser.error(f"cannot read trace file: {exc}")
+
+    if args.obs_command == "kinds":
+        out(span_summary_table(spans))
+        return 0
 
     if args.obs_command == "critical-path":
         summaries = trace_summaries(spans)
@@ -306,31 +280,11 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         description="Regenerate the paper's tables and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available experiments")
-    run_parser = sub.add_parser("run", help="run one experiment (or 'all')")
-    run_parser.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
-    run_parser.add_argument(
-        "--set", action="append", default=[], metavar="key=value",
-        help="override a run() keyword argument (repeatable)",
+    sub.add_parser("list", help="list the registered figures and sweeps")
+    run_parser = sub.add_parser(
+        "run", help="'run all': every paper figure and table at its defaults",
     )
-    run_parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write a Chrome trace_event JSON of the run (Perfetto-loadable)",
-    )
-    run_parser.add_argument(
-        "--spans", metavar="FILE", default=None,
-        help="write a JSONL dump of all recorded spans",
-    )
-    run_parser.add_argument(
-        "--metrics-out", metavar="FILE", default=None,
-        help="write a Prometheus-style text dump of all metrics",
-    )
-    run_parser.add_argument(
-        "--stream-spans", metavar="FILE", default=None,
-        help="stream spans to FILE as JSONL while the run executes "
-             "(bounded memory; batch exports then cover only the tail; "
-             "'repro obs' analyses the file)",
-    )
+    run_parser.add_argument("experiment", choices=["all"])
     certify_parser = sub.add_parser(
         "certify",
         help="chaos certification: control-plane invariants under randomized "
@@ -359,7 +313,8 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     )
     sweep_parser = sub.add_parser(
         "sweep",
-        help="run any registered sweep ('sweep list' shows them) across a pool",
+        help="run any registered figure or sweep ('sweep list' shows them) "
+             "across a pool",
     )
     sweep_parser.add_argument(
         "name", choices=[*sweep_names(), "list"],
@@ -398,20 +353,16 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         "--json", metavar="FILE", default=None, dest="json_out",
         help="write the machine-readable sweep result as JSON",
     )
-    telemetry_parser = sub.add_parser(
-        "telemetry", help="inspect exported telemetry",
-    )
-    telemetry_sub = telemetry_parser.add_subparsers(dest="telemetry_command", required=True)
-    summary_parser = telemetry_sub.add_parser(
-        "summary", help="per-span-kind latency table from a trace file",
-    )
-    summary_parser.add_argument(
-        "tracefile", help="a --trace (Chrome JSON) or --spans (JSONL) file",
-    )
     obs_parser = sub.add_parser(
         "obs", help="causal observability: critical paths, SLO burn, RED rollups",
     )
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
+    kinds_parser = obs_sub.add_parser(
+        "kinds", help="per-span-kind latency table of a span file",
+    )
+    kinds_parser.add_argument(
+        "tracefile", help="a --trace (Chrome JSON) or --spans (JSONL) file",
+    )
     cp_parser = obs_sub.add_parser(
         "critical-path", help="the latency-determining span chain of one trace",
     )
@@ -448,19 +399,7 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        width = max(len(name) for name in [*EXPERIMENTS, *sweep_names()])
-        for name, (_, description) in EXPERIMENTS.items():
-            out(f"{name.ljust(width)}  {description}")
-        out("\nsweeps (repro sweep <name> --set key=value):")
-        _list_sweeps(out, width)
-        return 0
-
-    if args.command == "telemetry":
-        try:
-            spans = load_spans(args.tracefile)
-        except OSError as exc:
-            parser.error(f"cannot read trace file: {exc}")
-        out(span_summary_table(spans))
+        _list_sweeps(out)
         return 0
 
     if args.command == "obs":
@@ -487,39 +426,11 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
             return 0
         return _run_sweep_command(args, parser, out)
 
-    overrides = _parse_overrides(args.set)
-    if args.experiment == "all":
-        if overrides:
-            parser.error("--set is only valid with a single experiment")
-    else:
-        accepted = inspect.signature(_experiment_module(args.experiment).run).parameters
-        unknown = [key for key in overrides if key not in accepted]
-        if unknown:
-            parser.error(f"experiment {args.experiment!r}: unknown parameter(s) "
-                         f"{', '.join(unknown)} (parameters: {', '.join(accepted)})")
-    collector = _make_collector(args)
-    # Fail on an unwritable export path up front, not after the run.
-    for export_path in (args.trace, args.spans, args.metrics_out):
-        if export_path:
-            try:
-                with open(export_path, "a", encoding="utf-8"):
-                    pass
-            except OSError as exc:
-                parser.error(f"cannot write telemetry output: {exc}")
-
-    def run_selected() -> None:
-        if args.experiment == "all":
-            for name in EXPERIMENTS:
-                _run_one(name, {}, out)
-        else:
-            _run_one(args.experiment, overrides, out)
-
-    if collector is not None:
-        with collector:
-            run_selected()
-        _export_telemetry(collector, args, out)
-    else:
-        run_selected()
+    # run all
+    for name in _figure_names():
+        code = _run_sweep_command(parser.parse_args(["sweep", name]), parser, out)
+        if code:
+            return code
     return 0
 
 

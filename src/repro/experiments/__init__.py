@@ -1,15 +1,14 @@
-"""Experiment harness: one module per paper table/figure, plus sweeps.
+"""Experiment harness: the paper's tables and figures, and the repo's sweeps.
 
-Each figure/table module (``fig*``, ``tab*``) exposes ``run(...) ->
-result`` and ``format_report(result)``; ``repro run <name>`` prints the
-same rows/series the paper reports, and
-``tests/experiments/test_experiments.py`` asserts their paper-level
-shape.  See DESIGN.md §4 for the experiment index.
-
-Each ``*_sweep`` module is data for the :mod:`repro.experiments.base`
+Every module here is data for the :mod:`repro.experiments.base`
 protocol: ``plan_scenarios(...)``, a module-level ``scenario(params,
 seed)``, a point dataclass, and a report column spec, declared as its
 module-level ``SWEEP`` and named in :data:`~repro.experiments.base.SWEEPS`.
+The figure and table modules (``fig*``, ``tab*``) print the rows the
+paper reports (``repro sweep fig07``; ``repro run all`` runs every
+one), and ``tests/experiments/test_experiments.py`` asserts their
+paper-level shape (DESIGN.md §4 is the index).  The ``*_sweep``
+modules are the repo's own experiments beyond the paper.
 :func:`repro.sweep.run_sweep` runs any of them — serially or across a
 process pool — into one :class:`~repro.experiments.base.SweepResult`
 (``repro sweep <name> --jobs N``).

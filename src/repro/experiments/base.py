@@ -22,14 +22,16 @@ across a process pool, with byte-identical output either way:
   no matter which worker finished first.
 * :class:`Sweep` — what a sweep module declares as its module-level
   ``SWEEP``: its ``plan_scenarios``, its point dataclass, and how its
-  report table looks (a column spec, a title template over the plan
-  metadata, a footer line).
+  report table looks (a column spec, then a title and a footer, both
+  templates over the plan metadata).
 * :data:`SWEEPS` — the registry: sweep name -> module under
-  :mod:`repro.experiments`.  :func:`get_sweep` imports a sweep's module
-  on first use, so a process loads only the stack of the sweeps it
-  runs.  To add a sweep, write ``<name>_sweep.py`` ending in
-  ``SWEEP = Sweep(...)`` and add its entry here.  The CLI
-  (``repro sweep <name>``) and :func:`repro.sweep.run_sweep` read it.
+  :mod:`repro.experiments`.  The paper's figures and tables come first,
+  in paper order, then the ``*_sweep`` modules.  :func:`get_sweep`
+  imports a sweep's module on first use, so a process loads only the
+  stack of the sweeps it runs.  To add a sweep, write
+  ``<name>_sweep.py`` ending in ``SWEEP = Sweep(...)`` and add its entry
+  here.  The CLI (``repro sweep <name>``, ``repro run all``) and
+  :func:`repro.sweep.run_sweep` read it.
 * :class:`SweepResult` — the one result type every sweep produces:
   typed points plus ``to_dict()`` / ``to_json()`` / ``format_report()``.
 """
@@ -101,9 +103,8 @@ class Sweep:
     ``plan(**kwargs) -> SweepPlan`` validates the run arguments and
     fixes the canonical scenario order (and every per-scenario seed);
     scenario point dicts are rebuilt as ``point_type(**point)``.  The
-    report is one table of ``columns`` under ``title`` (a
-    :meth:`str.format` template over the plan metadata), then
-    ``footer``.
+    report is one table of ``columns`` under ``title``, then ``footer``;
+    both are :meth:`str.format` templates over the plan metadata.
     """
 
     name: str
@@ -143,12 +144,21 @@ class SweepResult:
             [[cell(p) for _, cell in columns] for p in self.points],
             title=self.sweep.title.format(**self.meta),
         )
-        return f"{table}\n{self.sweep.footer}"
+        return f"{table}\n{self.sweep.footer.format(**self.meta)}"
 
 
 #: name -> module under ``repro.experiments`` whose ``SWEEP`` it is,
-#: in listing order.
+#: in listing order: the paper's figures and tables, then the sweeps.
 SWEEPS: Dict[str, str] = {
+    "fig01": "fig01_utilization",
+    "fig07": "fig07_latency",
+    "fig08": "fig08_storage",
+    "tab03": "tab03_idle_node",
+    "fig09": "fig09_cpu_sharing",
+    "fig10": "fig10_utilization",
+    "fig11": "fig11_memory_sharing",
+    "fig12": "fig12_gpu_sharing",
+    "fig13": "fig13_offloading",
     "autoscale": "autoscale_sweep",
     "chaos": "chaos_sweep",
     "gpu_scaling": "gpu_scaling_sweep",

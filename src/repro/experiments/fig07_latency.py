@@ -9,21 +9,25 @@ Expected shape: hot executors track the fabric baseline within a small
 constant, warm executors pay tens of microseconds of wakeup latency,
 and every curve converges to bandwidth-bound behaviour for large
 payloads.
+
+Sweep protocol: one scenario per payload size.  Each builds its own
+hot, warm and fabric platforms and measures that size only, so a row
+does not depend on which other sizes were planned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..analysis.tables import render_table
 from ..api import ClusterSpec, Platform
 from ..containers import Image
 from ..interference import ResourceDemand
 from ..rfaas import ExecutorMode
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["LatencyPoint", "Fig07Result", "run", "format_report"]
+__all__ = ["Fig07Point", "scenario", "plan_scenarios", "SWEEP"]
 
 MiB = 1024**2
 
@@ -31,18 +35,16 @@ DEFAULT_SIZES = (1, 64, 1024, 16 * 1024, 256 * 1024, 1 * MiB)
 
 
 @dataclass(frozen=True)
-class LatencyPoint:
+class Fig07Point:
+    """Median and p95 RTT of one payload size, per series."""
+
     size_bytes: int
-    median_s: float
-    p95_s: float
-
-
-@dataclass
-class Fig07Result:
-    hot: list[LatencyPoint]
-    warm: list[LatencyPoint]
-    fabric: list[LatencyPoint]
-    samples: int
+    fabric_p50_s: float
+    fabric_p95_s: float
+    hot_p50_s: float
+    hot_p95_s: float
+    warm_p50_s: float
+    warm_p95_s: float
 
 
 def _percentiles(values: list[float]) -> tuple[float, float]:
@@ -50,7 +52,7 @@ def _percentiles(values: list[float]) -> tuple[float, float]:
     return float(np.median(arr)), float(np.percentile(arr, 95))
 
 
-def _rfaas_sweep(mode: str, sizes, samples: int, seed: int) -> list[LatencyPoint]:
+def _rfaas_latencies(mode: str, size: int, samples: int, seed: int) -> list[float]:
     platform = Platform.build(ClusterSpec(nodes=2), seed=seed)
     env = platform.env
     platform.register_node("n0001", cores=2, memory_bytes=8 * 1024**3, mode=mode)
@@ -61,7 +63,7 @@ def _rfaas_sweep(mode: str, sizes, samples: int, seed: int) -> list[LatencyPoint
         output_bytes=1,
     )
     client = platform.client("n0000")
-    measurements: dict[int, list[float]] = {size: [] for size in sizes}
+    measurements: list[float] = []
 
     def bench():
         # One untimed warmup invocation walks the full cold path (so a
@@ -70,67 +72,81 @@ def _rfaas_sweep(mode: str, sizes, samples: int, seed: int) -> list[LatencyPoint
         # attached container, as in the paper's steady-state runs.
         warmup = yield client.invoke("noop", payload_bytes=1)
         assert warmup.ok
-        for size in sizes:
-            for _ in range(samples):
-                t0 = env.now
-                result = yield client.invoke("noop", payload_bytes=size)
-                assert result.ok
-                measurements[size].append(env.now - t0)
+        for _ in range(samples):
+            t0 = env.now
+            result = yield client.invoke("noop", payload_bytes=size)
+            assert result.ok
+            measurements.append(env.now - t0)
 
     platform.process(bench())
     platform.run()
-    return [LatencyPoint(size, *_percentiles(measurements[size])) for size in sizes]
+    return measurements
 
 
-def _fabric_sweep(sizes, samples: int, seed: int) -> list[LatencyPoint]:
+def _fabric_latencies(size: int, samples: int, seed: int) -> list[float]:
     platform = Platform.build(ClusterSpec(nodes=2), seed=seed)
     env = platform.env
     cred = platform.drc.acquire("bench")
     platform.drc.grant(cred.cred_id, "bench", "bench")
     fabric = platform.fabric
-    measurements: dict[int, list[float]] = {size: [] for size in sizes}
+    measurements: list[float] = []
 
     def bench():
         conn = yield fabric.connect("n0000", "n0001", user="bench", cred_id=cred.cred_id)
-        for size in sizes:
-            for _ in range(samples):
-                t0 = env.now
-                yield conn.send(size)
-                yield conn.recv_response(1)
-                measurements[size].append(env.now - t0)
+        for _ in range(samples):
+            t0 = env.now
+            yield conn.send(size)
+            yield conn.recv_response(1)
+            measurements.append(env.now - t0)
 
     platform.process(bench())
     platform.run()
-    return [LatencyPoint(size, *_percentiles(measurements[size])) for size in sizes]
+    return measurements
 
 
-def run(sizes=DEFAULT_SIZES, samples: int = 200, seed: int = 0) -> Fig07Result:
+def scenario(params: dict, seed: int) -> dict:
+    """One payload size on fresh hot, warm and fabric platforms.
+
+    ``params``: ``size_bytes``, ``samples``.  Returns the
+    :class:`Fig07Point` as a plain dict.
+    """
+    size: int = params["size_bytes"]
+    samples: int = params["samples"]
+    hot = _percentiles(_rfaas_latencies(ExecutorMode.HOT, size, samples, seed))
+    warm = _percentiles(_rfaas_latencies(ExecutorMode.WARM, size, samples, seed))
+    fabric = _percentiles(_fabric_latencies(size, samples, seed))
+    return asdict(Fig07Point(size, *fabric, *hot, *warm))
+
+
+def plan_scenarios(sizes=DEFAULT_SIZES, samples: int = 200,
+                   seed: int = 0) -> SweepPlan:
+    """One scenario per payload size, in the given order."""
+    sizes = tuple(int(size) for size in sizes)
     if samples < 2:
         raise ValueError("need >= 2 samples per size")
-    return Fig07Result(
-        hot=_rfaas_sweep(ExecutorMode.HOT, sizes, samples, seed),
-        warm=_rfaas_sweep(ExecutorMode.WARM, sizes, samples, seed),
-        fabric=_fabric_sweep(sizes, samples, seed),
-        samples=samples,
+    scenarios = tuple(
+        ScenarioSpec(fn=scenario, params={"size_bytes": size, "samples": samples},
+                     seed=seed, label=f"{size}B")
+        for size in sizes
     )
+    return SweepPlan(scenarios=scenarios, meta={"samples": samples, "seed": seed})
 
 
-def format_report(result: Fig07Result) -> str:
-    rows = []
-    for hot, warm, fab in zip(result.hot, result.warm, result.fabric):
-        rows.append([
-            hot.size_bytes,
-            fab.median_s * 1e6, fab.p95_s * 1e6,
-            hot.median_s * 1e6, hot.p95_s * 1e6,
-            warm.median_s * 1e6, warm.p95_s * 1e6,
-        ])
-    table = render_table(
-        ["size (B)", "fabric p50 (us)", "fabric p95", "hot p50", "hot p95",
-         "warm p50", "warm p95"],
-        rows,
-        title=f"Fig. 7 — invocation RTT vs payload ({result.samples} samples/point)",
-    )
-    return table + (
-        "\nPaper: hot executors within a few us of libfabric; warm pay"
-        " tens of us of wakeup latency; single-digit us small-message RTT."
-    )
+SWEEP = Sweep(
+    name="fig07",
+    description="rFaaS vs libfabric invocation latency",
+    plan=plan_scenarios,
+    point_type=Fig07Point,
+    columns=(
+        ("size (B)", lambda p: p.size_bytes),
+        ("fabric p50 (us)", lambda p: p.fabric_p50_s * 1e6),
+        ("fabric p95", lambda p: p.fabric_p95_s * 1e6),
+        ("hot p50", lambda p: p.hot_p50_s * 1e6),
+        ("hot p95", lambda p: p.hot_p95_s * 1e6),
+        ("warm p50", lambda p: p.warm_p50_s * 1e6),
+        ("warm p95", lambda p: p.warm_p95_s * 1e6),
+    ),
+    title="Fig. 7 — invocation RTT vs payload ({samples} samples/point)",
+    footer=("Paper: hot executors within a few us of libfabric; warm pay"
+            " tens of us of wakeup latency; single-digit us small-message RTT."),
+)

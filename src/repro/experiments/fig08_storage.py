@@ -4,16 +4,19 @@ Sweeps file size and reader count over the Lustre and MinIO models,
 reporting per-read latency and aggregate throughput.  Expected shape
 (paper): the object store wins on latency for small files; Lustre
 delivers higher throughput at scale (large files, many readers).
+
+Sweep protocol: one scenario per (size, readers); the single-reader
+latency crossover is plan metadata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from ..analysis.tables import render_table
 from ..storage import LustreModel, ObjectStoreModel, TieredFunctionStorage
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["Fig08Point", "Fig08Result", "run", "format_report"]
+__all__ = ["Fig08Point", "scenario", "plan_scenarios", "SWEEP"]
 
 KiB, MiB, GiB = 1024, 1024**2, 1024**3
 
@@ -35,52 +38,51 @@ class Fig08Point:
         return self.minio_latency_s < self.lustre_latency_s
 
 
-@dataclass
-class Fig08Result:
-    points: list[Fig08Point] = field(default_factory=list)
-    crossover_bytes_single_reader: int = 0
+def scenario(params: dict, seed: int) -> dict:
+    """One (size, readers) cell of both storage models."""
+    size: int = params["size_bytes"]
+    readers: int = params["readers"]
+    pfs, store = LustreModel(), ObjectStoreModel()
+    return asdict(Fig08Point(
+        size_bytes=size,
+        readers=readers,
+        lustre_latency_s=pfs.read_time(size, readers),
+        minio_latency_s=store.read_time(size, readers),
+        lustre_throughput=pfs.aggregate_throughput(size, readers),
+        minio_throughput=store.aggregate_throughput(size, readers),
+    ))
 
 
-def run(sizes=DEFAULT_SIZES, readers=DEFAULT_READERS,
-        pfs: LustreModel = None, store: ObjectStoreModel = None) -> Fig08Result:
-    pfs = pfs or LustreModel()
-    store = store or ObjectStoreModel()
-    result = Fig08Result()
-    for size in sizes:
-        for n in readers:
-            result.points.append(
-                Fig08Point(
-                    size_bytes=size,
-                    readers=n,
-                    lustre_latency_s=pfs.read_time(size, n),
-                    minio_latency_s=store.read_time(size, n),
-                    lustre_throughput=pfs.aggregate_throughput(size, n),
-                    minio_throughput=store.aggregate_throughput(size, n),
-                )
-            )
-    tiered = TieredFunctionStorage(pfs=pfs, cache=store)
-    result.crossover_bytes_single_reader = tiered.crossover_size()
-    return result
-
-
-def format_report(result: Fig08Result) -> str:
-    rows = [
-        [
-            p.size_bytes, p.readers,
-            p.lustre_latency_s * 1e3, p.minio_latency_s * 1e3,
-            p.lustre_throughput / 1e9, p.minio_throughput / 1e9,
-            "minio" if p.minio_wins_latency else "lustre",
-        ]
-        for p in result.points
-    ]
-    table = render_table(
-        ["size (B)", "readers", "lustre lat (ms)", "minio lat (ms)",
-         "lustre agg (GB/s)", "minio agg (GB/s)", "latency winner"],
-        rows,
-        title="Fig. 8 — Lustre vs MinIO",
+def plan_scenarios(sizes=DEFAULT_SIZES, readers=DEFAULT_READERS,
+                   seed: int = 0) -> SweepPlan:
+    """One scenario per (size, readers), sizes outermost."""
+    scenarios = tuple(
+        ScenarioSpec(fn=scenario, params={"size_bytes": int(size), "readers": int(n)},
+                     seed=seed, label=f"{size}B x{n}")
+        for size in sizes for n in readers
     )
-    return table + (
-        f"\nLatency crossover (1 reader): {result.crossover_bytes_single_reader / MiB:.1f} MiB."
-        "\nPaper: object storage lower latency for small files; Lustre"
-        " higher throughput at scale."
-    )
+    tiered = TieredFunctionStorage(pfs=LustreModel(), cache=ObjectStoreModel())
+    return SweepPlan(scenarios=scenarios, meta={
+        "crossover_bytes_single_reader": tiered.crossover_size(),
+    })
+
+
+SWEEP = Sweep(
+    name="fig08",
+    description="Lustre vs MinIO function I/O",
+    plan=plan_scenarios,
+    point_type=Fig08Point,
+    columns=(
+        ("size (B)", lambda p: p.size_bytes),
+        ("readers", lambda p: p.readers),
+        ("lustre lat (ms)", lambda p: p.lustre_latency_s * 1e3),
+        ("minio lat (ms)", lambda p: p.minio_latency_s * 1e3),
+        ("lustre agg (GB/s)", lambda p: p.lustre_throughput / 1e9),
+        ("minio agg (GB/s)", lambda p: p.minio_throughput / 1e9),
+        ("latency winner", lambda p: "minio" if p.minio_wins_latency else "lustre"),
+    ),
+    title="Fig. 8 — Lustre vs MinIO",
+    footer=("Latency crossover (1 reader): {crossover_bytes_single_reader:,} B."
+            "\nPaper: object storage lower latency for small files; Lustre"
+            " higher throughput at scale."),
+)

@@ -9,27 +9,32 @@ benchmark and problem size.
 Paper reference: the impact on the batch job is *negligible* (within
 measurement noise); the container-side slowdown is visible but
 acceptable; requesting 32/36 cores already saves ~11 % of cost.
+
+Sweep protocol: one scenario per (batch app, size, NAS function); the
+core-hour discount is plan metadata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from ..analysis.tables import render_table
-from ..cluster import DAINT_MC, NodeSpec
+from ..cluster import DAINT_MC
 from ..disagg import JobBill, core_hour_discount
 from ..interference import InterferenceModel
 from ..workloads import lulesh_model, milc_model, nas_model
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["Fig09Cell", "Fig09Result", "run", "format_report"]
+__all__ = ["Fig09Point", "scenario", "plan_scenarios", "SWEEP"]
 
 DEFAULT_NAS = ("bt.W", "cg.A", "ep.W", "lu.W")
 DEFAULT_LULESH_SIZES = (20, 30, 45)
 DEFAULT_MILC_SIZES = (8, 16, 24)
 
+BATCH_MODELS = {"lulesh": lulesh_model, "milc": milc_model}
+
 
 @dataclass(frozen=True)
-class Fig09Cell:
+class Fig09Point:
     batch_app: str
     problem_size: int
     nas: str
@@ -38,72 +43,73 @@ class Fig09Cell:
     net_saving: float          # billing discount minus slowdown cost
 
 
-@dataclass
-class Fig09Result:
-    cells: list[Fig09Cell] = field(default_factory=list)
-    batch_cores: int = 32
-    faas_cores: int = 4
+def scenario(params: dict, seed: int) -> dict:
+    """One batch job sharing its nodes with one NAS function."""
+    batch_cores: int = params["batch_cores"]
+    app = BATCH_MODELS[params["batch_app"]](params["problem_size"])
+    spec, model = DAINT_MC, InterferenceModel()
+    batch_demand = app.demand(batch_cores)
+    faas_demand = nas_model(params["nas"]).demand(spec.cores - batch_cores)
+    # Exclusive baselines: each workload alone on its node(s); the
+    # co-location slowdown is the ratio to these, not to an idle node
+    # (a 32-rank job pays its own frequency/cache costs regardless).
+    batch_alone = model.slowdowns(spec, [batch_demand])[0]
+    faas_alone = model.slowdowns(spec, [faas_demand])[0]
+    both = model.slowdowns(spec, [batch_demand, faas_demand])
+    batch_slow = both[0] / batch_alone
+    bill = JobBill(
+        nodes=2, node_cores=spec.cores, requested_cores_per_node=batch_cores,
+        runtime_s=app.runtime_s, slowdown=batch_slow,
+    )
+    return asdict(Fig09Point(
+        batch_app=params["batch_app"], problem_size=params["problem_size"],
+        nas=params["nas"], batch_slowdown=batch_slow,
+        faas_slowdown=both[1] / faas_alone, net_saving=bill.saving_fraction(),
+    ))
 
 
-def run(
+def plan_scenarios(
     nas_keys=DEFAULT_NAS,
     lulesh_sizes=DEFAULT_LULESH_SIZES,
     milc_sizes=DEFAULT_MILC_SIZES,
-    spec: NodeSpec = DAINT_MC,
     batch_cores: int = 32,
-    model: InterferenceModel = None,
-) -> Fig09Result:
-    model = model or InterferenceModel()
-    faas_cores = spec.cores - batch_cores
-    result = Fig09Result(batch_cores=batch_cores, faas_cores=faas_cores)
-    apps = [("lulesh", s, lulesh_model(s)) for s in lulesh_sizes]
-    apps += [("milc", s, milc_model(s)) for s in milc_sizes]
-    for batch_name, size, app in apps:
-        batch_demand = app.demand(batch_cores)
-        # Exclusive baselines: each workload alone on its node(s); the
-        # co-location slowdown is the ratio to these, not to an idle node
-        # (a 32-rank job pays its own frequency/cache costs regardless).
-        batch_alone = model.slowdowns(spec, [batch_demand])[0]
-        for key in nas_keys:
-            faas_demand = nas_model(key).demand(faas_cores)
-            faas_alone = model.slowdowns(spec, [faas_demand])[0]
-            both = model.slowdowns(spec, [batch_demand, faas_demand])
-            batch_slow = both[0] / batch_alone
-            faas_slow = both[1] / faas_alone
-            bill = JobBill(
-                nodes=2, node_cores=spec.cores, requested_cores_per_node=batch_cores,
-                runtime_s=app.runtime_s, slowdown=batch_slow,
-            )
-            result.cells.append(
-                Fig09Cell(
-                    batch_app=batch_name, problem_size=size, nas=key,
-                    batch_slowdown=batch_slow, faas_slowdown=faas_slow,
-                    net_saving=bill.saving_fraction(),
-                )
-            )
-    return result
+    seed: int = 0,
+) -> SweepPlan:
+    """LULESH sizes, then MILC sizes; the NAS functions innermost."""
+    apps = [("lulesh", s) for s in lulesh_sizes] + [("milc", s) for s in milc_sizes]
+    scenarios = tuple(
+        ScenarioSpec(
+            fn=scenario,
+            params={"batch_app": name, "problem_size": size, "nas": key,
+                    "batch_cores": batch_cores},
+            seed=seed, label=f"{name}-{size} + {key}",
+        )
+        for name, size in apps for key in nas_keys
+    )
+    return SweepPlan(scenarios=scenarios, meta={
+        "batch_cores": batch_cores,
+        "faas_cores": DAINT_MC.cores - batch_cores,
+        "core_hour_discount": core_hour_discount(batch_cores, DAINT_MC.cores),
+    })
 
 
-def format_report(result: Fig09Result) -> str:
-    rows = [
-        [c.batch_app, c.problem_size, c.nas,
-         f"{(c.batch_slowdown - 1) * 100:.2f}%",
-         f"{(c.faas_slowdown - 1) * 100:.2f}%",
-         f"{c.net_saving * 100:.1f}%"]
-        for c in result.cells
-    ]
-    table = render_table(
-        ["batch app", "size", "NAS fn", "batch slowdown", "FaaS slowdown", "net saving"],
-        rows,
-        title=(
-            f"Fig. 9 — CPU sharing: batch on {result.batch_cores}/36 cores,"
-            f" NAS functions on {result.faas_cores}"
-        ),
-    )
-    discount = core_hour_discount(result.batch_cores, result.batch_cores + result.faas_cores)
-    return table + (
-        f"\nCore-hour discount from requesting {result.batch_cores}/36 cores:"
-        f" {discount * 100:.1f}% (paper: ~11%)."
-        "\nPaper: batch impact negligible; FaaS-side slowdown higher but"
-        " the resources were otherwise wasted."
-    )
+SWEEP = Sweep(
+    name="fig09",
+    description="CPU sharing: batch + FaaS-like workloads",
+    plan=plan_scenarios,
+    point_type=Fig09Point,
+    columns=(
+        ("batch app", lambda p: p.batch_app),
+        ("size", lambda p: p.problem_size),
+        ("NAS fn", lambda p: p.nas),
+        ("batch slowdown", lambda p: f"{(p.batch_slowdown - 1) * 100:.2f}%"),
+        ("FaaS slowdown", lambda p: f"{(p.faas_slowdown - 1) * 100:.2f}%"),
+        ("net saving", lambda p: f"{p.net_saving * 100:.1f}%"),
+    ),
+    title=("Fig. 9 — CPU sharing: batch on {batch_cores}/36 cores,"
+           " NAS functions on {faas_cores}"),
+    footer=("Core-hour discount from requesting {batch_cores}/36 cores:"
+            " {core_hour_discount:.1%} (paper: ~11%)."
+            "\nPaper: batch impact negligible; FaaS-side slowdown higher but"
+            " the resources were otherwise wasted."),
+)

@@ -9,25 +9,37 @@ Paper reference: LULESH (27 and 125 ranks) is insensitive regardless of
 problem size; MILC (32 ranks) is perturbed, more at larger problem sizes
 — it is memory-bandwidth-bound, and the service traffic consumes both
 NIC and DRAM bandwidth.
+
+Sweep protocol: one scenario per (configuration, op pause).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from ..analysis.tables import render_table
-from ..cluster import AULT, NodeSpec
+from ..cluster import AULT
 from ..interference import InterferenceModel
-from ..network import IBVERBS, FabricProvider
+from ..network import IBVERBS
 from ..workloads import lulesh_model, milc_model
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["Fig11Point", "Fig11Result", "run", "format_report"]
+__all__ = ["Fig11Point", "scenario", "plan_scenarios", "SWEEP"]
 
 MiB = 1024**2
 
 #: Pause between consecutive 10 MB operations (seconds); 0 = back-to-back.
 DEFAULT_INTERVALS = (0.0, 0.001, 0.01, 0.1)
 DEFAULT_OP_BYTES = 10 * MiB
+
+#: The Ault runs: (app, ranks on the node, problem size).
+CONFIGS = (
+    ("lulesh", 27, 30),
+    ("lulesh", 32, 45),   # the 125-rank run: 32 ranks/node
+    ("milc", 32, 16),
+    ("milc", 32, 24),
+)
+
+BATCH_MODELS = {"lulesh": lulesh_model, "milc": milc_model}
 
 
 @dataclass(frozen=True)
@@ -40,66 +52,63 @@ class Fig11Point:
     slowdown: float
 
 
-@dataclass
-class Fig11Result:
-    points: list[Fig11Point] = field(default_factory=list)
-    op_bytes: int = DEFAULT_OP_BYTES
-
-
-def _traffic_bandwidth(op_bytes: int, interval_s: float, provider: FabricProvider) -> float:
+def _traffic_bandwidth(op_bytes: int, interval_s: float) -> float:
     """Offered RMA load: one op of ``op_bytes`` per (interval + op time)."""
-    op_time = provider.params.rdma_read(op_bytes)
+    op_time = IBVERBS.params.rdma_read(op_bytes)
     return op_bytes / (interval_s + op_time)
 
 
-def run(
-    intervals=DEFAULT_INTERVALS,
-    op_bytes: int = DEFAULT_OP_BYTES,
-    spec: NodeSpec = AULT,
-    provider: FabricProvider = IBVERBS,
-    model: InterferenceModel = None,
-) -> Fig11Result:
-    """The Ault experiment: LULESH 27/125 ranks and MILC 32 ranks."""
-    model = model or InterferenceModel()
-    result = Fig11Result(op_bytes=op_bytes)
-    configs = [
-        ("lulesh", 27, 30, lulesh_model(30)),
-        ("lulesh", 32, 45, lulesh_model(45)),   # the 125-rank run: 32 ranks/node
-        ("milc", 32, 16, milc_model(16)),
-        ("milc", 32, 24, milc_model(24)),
-    ]
-    for app_name, ranks_on_node, size, app in configs:
-        demand = app.demand(ranks_on_node)
-        # Exclusive baseline: the job alone on the node, no service traffic.
-        alone = model.slowdowns(spec, [demand])[0]
-        for interval in intervals:
-            bw = _traffic_bandwidth(op_bytes, interval, provider)
-            slowdown = model.slowdowns(
-                spec, [demand], extra_netbw=bw, extra_membw=bw
-            )[0] / alone
-            result.points.append(
-                Fig11Point(
-                    app=app_name, ranks=ranks_on_node, problem_size=size,
-                    interval_s=interval, traffic_bw=bw, slowdown=slowdown,
-                )
-            )
-    return result
+def scenario(params: dict, seed: int) -> dict:
+    """One batch job under one rate of remote-memory traffic."""
+    app_name: str = params["app"]
+    ranks: int = params["ranks"]
+    size: int = params["problem_size"]
+    interval: float = params["interval_s"]
+    model = InterferenceModel()
+    demand = BATCH_MODELS[app_name](size).demand(ranks)
+    # Exclusive baseline: the job alone on the node, no service traffic.
+    alone = model.slowdowns(AULT, [demand])[0]
+    bw = _traffic_bandwidth(params["op_bytes"], interval)
+    slowdown = model.slowdowns(
+        AULT, [demand], extra_netbw=bw, extra_membw=bw
+    )[0] / alone
+    return asdict(Fig11Point(
+        app=app_name, ranks=ranks, problem_size=size,
+        interval_s=interval, traffic_bw=bw, slowdown=slowdown,
+    ))
 
 
-def format_report(result: Fig11Result) -> str:
-    rows = [
-        [p.app, p.ranks, p.problem_size,
-         f"{p.interval_s * 1e3:.0f} ms",
-         f"{p.traffic_bw / 1e9:.2f} GB/s",
-         f"{(p.slowdown - 1) * 100:.2f}%"]
-        for p in result.points
-    ]
-    table = render_table(
-        ["app", "ranks/node", "size", "op pause", "injected traffic", "slowdown"],
-        rows,
-        title=f"Fig. 11 — remote-memory traffic ({result.op_bytes // MiB} MB ops, 1 GB pinned buffer)",
+def plan_scenarios(intervals=DEFAULT_INTERVALS,
+                   op_bytes: int = DEFAULT_OP_BYTES,
+                   seed: int = 0) -> SweepPlan:
+    """The Ault configurations, each under every op pause."""
+    scenarios = tuple(
+        ScenarioSpec(
+            fn=scenario,
+            params={"app": app, "ranks": ranks, "problem_size": size,
+                    "interval_s": float(interval), "op_bytes": op_bytes},
+            seed=seed, label=f"{app}-{size}x{ranks} pause={interval:g}s",
+        )
+        for app, ranks, size in CONFIGS for interval in intervals
     )
-    return table + (
-        "\nPaper: LULESH unaffected at any rate (up to ~10 GB/s); MILC more"
-        " sensitive at larger problem sizes."
-    )
+    return SweepPlan(scenarios=scenarios, meta={"op_bytes": op_bytes})
+
+
+SWEEP = Sweep(
+    name="fig11",
+    description="remote-memory traffic perturbation",
+    plan=plan_scenarios,
+    point_type=Fig11Point,
+    columns=(
+        ("app", lambda p: p.app),
+        ("ranks/node", lambda p: p.ranks),
+        ("size", lambda p: p.problem_size),
+        ("op pause", lambda p: f"{p.interval_s * 1e3:.0f} ms"),
+        ("injected traffic", lambda p: f"{p.traffic_bw / 1e9:.2f} GB/s"),
+        ("slowdown", lambda p: f"{(p.slowdown - 1) * 100:.2f}%"),
+    ),
+    title=("Fig. 11 — remote-memory traffic ({op_bytes:,} B ops,"
+           " 1 GB pinned buffer)"),
+    footer=("Paper: LULESH unaffected at any rate (up to ~10 GB/s); MILC more"
+            " sensitive at larger problem sizes."),
+)

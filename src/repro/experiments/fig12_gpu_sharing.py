@@ -10,19 +10,23 @@ core + staging traffic) and device-side time-sharing while a Rodinia
 kernel is resident.  Paper: overhead < 5 % except two outliers (6.1 %,
 10.5 %) at the *smallest* LULESH problem size; requesting 9/12 cores
 already saves 25 % of cost.
+
+Sweep protocol: one scenario per (batch app, size, Rodinia function);
+the 9/12-core discount is plan metadata.  :func:`run_platform` is the
+reference that measures the device share on a live GPU instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from ..analysis.tables import render_table
-from ..cluster import DAINT_GPU, NodeSpec
+from ..cluster import DAINT_GPU
 from ..disagg import core_hour_discount
 from ..interference import InterferenceModel
-from ..workloads import RODINIA_BENCHMARKS, lulesh_model, milc_model, rodinia_benchmark
+from ..workloads import lulesh_model, milc_model, rodinia_benchmark
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["Fig12Cell", "Fig12Result", "run", "run_platform", "format_report"]
+__all__ = ["Fig12Point", "scenario", "plan_scenarios", "run_platform", "SWEEP"]
 
 DEFAULT_RODINIA = ("backprop", "bfs", "hotspot", "kmeans", "lavamd", "needle",
                    "pathfinder", "srad")
@@ -36,6 +40,9 @@ RODINIA_DUTY_CYCLE = 0.45
 #: Device occupancy of the batch GPU apps (both keep the GPU busy).
 BATCH_GPU_OCCUPANCY = 0.75
 
+#: batch app -> (GPU demand model, ranks per node).
+BATCH_APPS = {"lulesh": (lulesh_model, 9), "milc": (milc_model, 11)}
+
 
 def _gpu_sensitivity(problem_size: int, smallest: int) -> float:
     """Small problems launch short kernels: launch latency and L2 churn
@@ -46,88 +53,100 @@ def _gpu_sensitivity(problem_size: int, smallest: int) -> float:
 
 
 @dataclass(frozen=True)
-class Fig12Cell:
+class Fig12Point:
     batch_app: str
     problem_size: int
     rodinia: str
     batch_slowdown: float
 
 
-@dataclass
-class Fig12Result:
-    cells: list[Fig12Cell] = field(default_factory=list)
-    cost_discount: float = 0.0
+def _extra_occupancy(rodinia: str) -> float:
+    """Device occupancy a Rodinia function adds at its duty cycle."""
+    return rodinia_benchmark(rodinia).gpu_occupancy * RODINIA_DUTY_CYCLE
 
 
-def run(
+def _point(params: dict, overload: float) -> Fig12Point:
+    """The batch slowdown of one cell, given the device overload."""
+    size: int = params["problem_size"]
+    make_model, ranks = BATCH_APPS[params["batch_app"]]
+    app = make_model(size, gpu=True)
+    spec, model = DAINT_GPU, InterferenceModel()
+    batch_demand = app.demand(ranks)
+    batch_alone = model.slowdowns(spec, [batch_demand])[0]
+    host_demand = rodinia_benchmark(params["rodinia"]).host.demand(1)
+    # Host-side interference: driver core + staging traffic, relative to
+    # the job's exclusive run.
+    batch_host_slow = (
+        model.slowdowns(spec, [batch_demand, host_demand])[0] / batch_alone
+    )
+    # Device-side: time-shared SMs while a Rodinia kernel resides.
+    gpu_slow = 1.0 + overload * _gpu_sensitivity(size, params["smallest"])
+    total = (
+        (1 - app.gpu_fraction) * batch_host_slow
+        + app.gpu_fraction * gpu_slow
+    )
+    return Fig12Point(
+        batch_app=params["batch_app"], problem_size=size,
+        rodinia=params["rodinia"], batch_slowdown=max(1.0, total),
+    )
+
+
+def scenario(params: dict, seed: int) -> dict:
+    """One cell with the closed-form device overload."""
+    overload = max(
+        0.0, BATCH_GPU_OCCUPANCY + _extra_occupancy(params["rodinia"]) - 1.0)
+    return asdict(_point(params, overload))
+
+
+def plan_scenarios(
     rodinia_keys=DEFAULT_RODINIA,
     lulesh_sizes=DEFAULT_LULESH_SIZES,
     milc_sizes=DEFAULT_MILC_SIZES,
-    spec: NodeSpec = DAINT_GPU,
-    model: InterferenceModel = None,
-) -> Fig12Result:
-    model = model or InterferenceModel()
-    result = Fig12Result(cost_discount=core_hour_discount(9, spec.cores))
-    configs = [("lulesh", s, lulesh_model(s, gpu=True), 9, min(lulesh_sizes)) for s in lulesh_sizes]
-    configs += [("milc", s, milc_model(s, gpu=True), 11, min(milc_sizes)) for s in milc_sizes]
-    for app_name, size, app, ranks, smallest in configs:
-        batch_demand = app.demand(ranks)
-        batch_alone = model.slowdowns(spec, [batch_demand])[0]
-        for key in rodinia_keys:
-            bench = rodinia_benchmark(key)
-            host_demand = bench.host.demand(1)
-            # Host-side interference: driver core + staging traffic,
-            # relative to the job's exclusive run.
-            batch_host_slow = (
-                model.slowdowns(spec, [batch_demand, host_demand])[0] / batch_alone
-            )
-            # Device-side: time-shared SMs while a Rodinia kernel resides.
-            extra_occ = bench.gpu_occupancy * RODINIA_DUTY_CYCLE
-            overload = max(0.0, BATCH_GPU_OCCUPANCY + extra_occ - 1.0)
-            sensitivity = _gpu_sensitivity(size, smallest)
-            gpu_slow = 1.0 + overload * sensitivity
-            total = (
-                (1 - app.gpu_fraction) * batch_host_slow
-                + app.gpu_fraction * gpu_slow
-            )
-            result.cells.append(
-                Fig12Cell(
-                    batch_app=app_name, problem_size=size, rodinia=key,
-                    batch_slowdown=max(1.0, total),
-                )
-            )
-    return result
-
-
-def run_platform(
-    rodinia_keys=DEFAULT_RODINIA,
-    lulesh_sizes=DEFAULT_LULESH_SIZES,
-    milc_sizes=DEFAULT_MILC_SIZES,
-    spec: NodeSpec = DAINT_GPU,
-    model: InterferenceModel = None,
     seed: int = 0,
-) -> Fig12Result:
-    """Fig. 12 with the device share *measured* on the platform stack.
+) -> SweepPlan:
+    """LULESH sizes, then MILC sizes; the Rodinia functions innermost.
 
-    Instead of the closed-form occupancy overload, each Rodinia function
-    keeps a kernel resident on a live :class:`~repro.gpu.device.GpuDevice`
-    (built by ``Platform.build(gpu=...)``) while the batch job launches
-    its own kernel; the batch dilation is read off the simulated wall
-    time.  The SM time-sharing rule makes the measured dilation
+    Each cell's sensitivity is relative to the smallest planned size of
+    its batch app.
+    """
+    apps = [("lulesh", s, min(lulesh_sizes)) for s in lulesh_sizes]
+    apps += [("milc", s, min(milc_sizes)) for s in milc_sizes]
+    scenarios = tuple(
+        ScenarioSpec(
+            fn=scenario,
+            params={"batch_app": name, "problem_size": size,
+                    "smallest": smallest, "rodinia": key},
+            seed=seed, label=f"{name}-{size} + {key}",
+        )
+        for name, size, smallest in apps for key in rodinia_keys
+    )
+    return SweepPlan(scenarios=scenarios, meta={
+        "cost_discount": core_hour_discount(9, DAINT_GPU.cores),
+    })
+
+
+def run_platform(seed: int = 0, **kwargs) -> list[Fig12Point]:
+    """Fig. 12's points with the device overload *measured* on a GPU.
+
+    ``kwargs`` are :func:`plan_scenarios` arguments.  Instead of the
+    closed-form occupancy overload, each Rodinia function keeps a kernel
+    resident on a live :class:`~repro.gpu.device.GpuDevice` (built by
+    ``Platform.build(gpu=...)``) while the batch job launches its own
+    kernel; the overload is read off the batch kernel's simulated wall
+    time.  The SM time-sharing rule makes that wall time
     ``max(1, occ_total)``, so the measured overload ``wall − 1`` equals
     the analytic ``max(0, occ_total − 1)`` *exactly* (IEEE identity) and
-    the result is numerically identical to :func:`run` — asserted by
+    the points equal the sweep's — asserted by
     ``tests/experiments/test_experiments.py``.
     """
     from ..api import ClusterSpec, Platform
     from ..gpuservice import GpuServiceConfig
 
-    model = model or InterferenceModel()
+    plan = plan_scenarios(seed=seed, **kwargs)
     platform = Platform.build(
         ClusterSpec(nodes=1, jitter=0.0), seed=seed,
         gpu=GpuServiceConfig(gpu_nodes=1),
     )
-    env = platform.env
     service = platform.gpu
     device_name, _ = service.online_slots()[0]
     device = service.leases.device_of(device_name)
@@ -137,60 +156,31 @@ def run_platform(
         # One probe per Rodinia function: keep its kernel resident at the
         # duty-cycle-weighted occupancy, launch the batch job's kernel on
         # top, and measure the batch dilation from the kernel wall time.
-        for key in rodinia_keys:
-            bench = rodinia_benchmark(key)
-            extra_occ = bench.gpu_occupancy * RODINIA_DUTY_CYCLE
-            resident = device.launch(f"fn-{key}", 4.0, extra_occ)
+        for key in dict.fromkeys(spec.params["rodinia"] for spec in plan.scenarios):
+            resident = device.launch(f"fn-{key}", 4.0, _extra_occupancy(key))
             wall = yield device.launch("batch", 1.0, BATCH_GPU_OCCUPANCY)
             measured_overload[key] = wall - 1.0
             yield resident          # drain the device before the next probe
 
     platform.process(probe())
     platform.run()
-
-    result = Fig12Result(cost_discount=core_hour_discount(9, spec.cores))
-    configs = [("lulesh", s, lulesh_model(s, gpu=True), 9, min(lulesh_sizes)) for s in lulesh_sizes]
-    configs += [("milc", s, milc_model(s, gpu=True), 11, min(milc_sizes)) for s in milc_sizes]
-    for app_name, size, app, ranks, smallest in configs:
-        batch_demand = app.demand(ranks)
-        batch_alone = model.slowdowns(spec, [batch_demand])[0]
-        for key in rodinia_keys:
-            bench = rodinia_benchmark(key)
-            host_demand = bench.host.demand(1)
-            batch_host_slow = (
-                model.slowdowns(spec, [batch_demand, host_demand])[0] / batch_alone
-            )
-            gpu_slow = 1.0 + measured_overload[key] * _gpu_sensitivity(size, smallest)
-            total = (
-                (1 - app.gpu_fraction) * batch_host_slow
-                + app.gpu_fraction * gpu_slow
-            )
-            result.cells.append(
-                Fig12Cell(
-                    batch_app=app_name, problem_size=size, rodinia=key,
-                    batch_slowdown=max(1.0, total),
-                )
-            )
-    return result
+    return [_point(spec.params, measured_overload[spec.params["rodinia"]])
+            for spec in plan.scenarios]
 
 
-def format_report(result: Fig12Result) -> str:
-    rows = [
-        [c.batch_app, c.problem_size, c.rodinia,
-         f"{(c.batch_slowdown - 1) * 100:.2f}%"]
-        for c in result.cells
-    ]
-    table = render_table(
-        ["batch app", "size", "rodinia fn", "batch slowdown"],
-        rows,
-        title="Fig. 12 — GPU co-location: batch GPU job + Rodinia functions",
-    )
-    worst = max(result.cells, key=lambda c: c.batch_slowdown)
-    return table + (
-        f"\nWorst case: {worst.batch_app} size {worst.problem_size} with"
-        f" {worst.rodinia}: {(worst.batch_slowdown - 1) * 100:.1f}%."
-        f"\n9/12-core request discount: {result.cost_discount * 100:.0f}%"
-        " (paper: 25%)."
-        "\nPaper: overhead < 5% except outliers 6.1% and 10.5% at the"
-        " smallest LULESH size."
-    )
+SWEEP = Sweep(
+    name="fig12",
+    description="GPU co-location overheads",
+    plan=plan_scenarios,
+    point_type=Fig12Point,
+    columns=(
+        ("batch app", lambda p: p.batch_app),
+        ("size", lambda p: p.problem_size),
+        ("rodinia fn", lambda p: p.rodinia),
+        ("batch slowdown", lambda p: f"{(p.batch_slowdown - 1) * 100:.2f}%"),
+    ),
+    title="Fig. 12 — GPU co-location: batch GPU job + Rodinia functions",
+    footer=("9/12-core request discount: {cost_discount:.0%} (paper: 25%)."
+            "\nPaper: overhead < 5% except outliers 6.1% and 10.5% at the"
+            " smallest LULESH size."),
+)

@@ -2,7 +2,7 @@
 
 The live counterpart of the paper's integration study: Black-Scholes
 (PARSEC-style, Fig. 13a) and a Monte Carlo particle-transport mini-app
-(OpenMC opr stand-in, Fig. 13b/c) are executed four ways:
+(OpenMC opr stand-in, Fig. 13b/c) are executed three ways:
 
 * **serial** — one in-process loop: the single-threaded baseline
   (Python's GIL makes in-process threads a dishonest stand-in for OpenMP
@@ -23,47 +23,50 @@ cores (a 1-core CI container cannot show *any* speedup), every result
 also carries the Eq.-1 model's *predicted* speedup computed from the
 measured T_local / T_inv / payload size; on an unconstrained host the
 measured value approaches the prediction.
+
+Sweep protocol: one scenario per application, each on its own
+:class:`~repro.local.LocalRuntime`.  Its wall-clock timings cannot share
+the host with other scenarios, and a pool worker cannot start the
+runtime's processes, so the sweep runs with ``--jobs 1`` only.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
-from ..analysis.tables import render_table
 from ..local import LocalRuntime, payload_nbytes
-from ..offload import OffloadModel, calibrate_model
+from ..offload import calibrate_model
 from ..workloads import generate_options, price_chunk, split_batch, transport_chunk
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["VariantTiming", "Fig13Result", "run_app", "run", "format_report"]
+__all__ = ["Fig13Point", "scenario", "plan_scenarios", "SWEEP"]
 
 
 @dataclass(frozen=True)
-class VariantTiming:
-    variant: str
-    wall_s: float
-    speedup_vs_serial: float
-
-
-@dataclass
-class Fig13Result:
+class Fig13Point:
     app: str
     workers: int
     chunks: int
     payload_bytes: int
-    timings: list[VariantTiming] = field(default_factory=list)
-    model: OffloadModel = None
-    checks_passed: bool = True
-    predicted_doubled_speedup: float = 1.0
-    host_cores: int = 1
-
-    def timing(self, variant: str) -> VariantTiming:
-        for t in self.timings:
-            if t.variant == variant:
-                return t
-        raise KeyError(variant)
+    serial_s: float
+    remote_s: float
+    doubled_s: float
+    remote_speedup: float       # vs serial
+    doubled_speedup: float
+    # Eq. 1 terms, as the calibrated OffloadModel's fields
+    t_local: float
+    t_inv: float
+    latency: float
+    bandwidth: float
+    data_per_task: int
+    n_local_min: int
+    predicted_doubled_speedup: float
+    host_cores: int
+    checks_passed: bool
 
 
 def _close_enough(a, b) -> bool:
@@ -74,7 +77,7 @@ def _close_enough(a, b) -> bool:
     return bool(np.allclose(a, b))
 
 
-def run_app(
+def _time_app(
     app: str,
     runtime: LocalRuntime,
     function: str,
@@ -82,8 +85,8 @@ def run_app(
     payloads: Sequence,
     workers: int,
     **kwargs,
-) -> Fig13Result:
-    """Time the four execution variants of one application."""
+) -> Fig13Point:
+    """Time the three execution variants of one application."""
     runtime.prewarm()
     model = calibrate_model(runtime, function, local_fn, payloads[0], **kwargs)
 
@@ -112,90 +115,100 @@ def run_app(
         for variant in (remote_results, doubled_results)
         for i in range(len(serial_results))
     )
-    result = Fig13Result(
+    return Fig13Point(
         app=app, workers=workers, chunks=len(payloads),
         payload_bytes=payload_nbytes(payloads[0]),
-        model=model, checks_passed=checks,
+        serial_s=serial_s, remote_s=remote_s, doubled_s=doubled_s,
+        remote_speedup=serial_s / remote_s if remote_s > 0 else 1.0,
+        doubled_speedup=serial_s / doubled_s if doubled_s > 0 else 1.0,
+        **asdict(model), n_local_min=model.n_local_min,
         predicted_doubled_speedup=model.speedup(
             len(payloads), local_workers=1, remote_workers=workers
         ),
         host_cores=os.cpu_count() or 1,
+        checks_passed=checks,
     )
-    for name, wall in (
-        ("serial", serial_s), ("remote", remote_s), ("doubled", doubled_s),
-    ):
-        result.timings.append(
-            VariantTiming(name, wall, serial_s / wall if wall > 0 else 1.0)
-        )
-    return result
 
 
-def run(
-    workers: int = 2,
-    options: int = 2_000_000,
-    iterations: int = 4,
-    particles: tuple[int, int] = (10_000, 40_000),
-    seed: int = 0,
-) -> list[Fig13Result]:
-    """Run Fig. 13a (Black-Scholes) and Fig. 13b/c (transport)."""
-    results = []
+def scenario(params: dict, seed: int) -> dict:
+    """Time one application serial, remote and doubled.
+
+    ``params``: ``app`` (``"blackscholes"`` with ``options`` and
+    ``iterations``, or ``"openmc"`` with ``particles``) and ``workers``.
+    """
+    if multiprocessing.current_process().daemon:
+        raise ValueError("fig13 times live worker processes; run it with --jobs 1")
+    workers: int = params["workers"]
     with LocalRuntime(workers=workers) as runtime:
-        runtime.register("price", "repro.workloads.blackscholes:price_chunk")
-        runtime.register("transport", "repro.workloads.openmc_like:transport_chunk")
-
-        batch = generate_options(options, seed=seed)
-        payloads = split_batch(batch, (workers + 1) * 6)
-        results.append(
-            run_app("blackscholes", runtime, "price", price_chunk,
-                    payloads, workers, iterations=iterations)
-        )
-        for count in particles:
+        if params["app"] == "blackscholes":
+            runtime.register("price", "repro.workloads.blackscholes:price_chunk")
+            batch = generate_options(params["options"], seed=seed)
+            payloads = split_batch(batch, (workers + 1) * 6)
+            point = _time_app("blackscholes", runtime, "price", price_chunk,
+                              payloads, workers, iterations=params["iterations"])
+        else:
+            count: int = params["particles"]
+            runtime.register("transport", "repro.workloads.openmc_like:transport_chunk")
             chunk = max(500, count // ((workers + 1) * 6))
             payloads = [
                 {"particles": chunk, "seed": seed + i}
                 for i in range(max(1, count // chunk))
             ]
-            results.append(
-                run_app(f"openmc-{count}p", runtime, "transport", transport_chunk,
-                        payloads, workers)
-            )
-    return results
+            point = _time_app(f"openmc-{count}p", runtime, "transport",
+                              transport_chunk, payloads, workers)
+    return asdict(point)
 
 
-def format_report(results: list[Fig13Result]) -> str:
-    blocks = []
-    for result in results:
-        rows = [
-            [t.variant, t.wall_s * 1e3, f"{t.speedup_vs_serial:.2f}x"]
-            for t in result.timings
-        ]
-        table = render_table(
-            ["variant", "wall (ms)", "speedup"],
-            rows,
-            title=(
-                f"Fig. 13 — {result.app}: {result.chunks} chunks,"
-                f" 1 local + {result.workers} remote workers,"
-                f" payload {result.payload_bytes / 1024:.0f} KiB"
-                f" (results verified: {result.checks_passed})"
-            ),
-        )
-        eq1 = (
-            f"Eq. 1: T_local={result.model.t_local * 1e3:.2f} ms,"
-            f" T_inv={result.model.t_inv * 1e3:.2f} ms,"
-            f" N_local_min={result.model.n_local_min};"
-            f" predicted doubled speedup {result.predicted_doubled_speedup:.2f}x"
-            f" on >= {result.workers + 1} free cores"
-            f" (host has {result.host_cores})"
-        )
-        blocks.append(table + "\n" + eq1)
-    note = ""
-    if results and results[0].host_cores <= results[0].workers:
-        note = (
-            "\nNOTE: this host has fewer cores than workers — measured"
-            " wall-clock speedup is physically capped near 1x; compare"
-            " the predicted values instead."
-        )
-    return "\n\n".join(blocks) + note + (
-        "\nPaper: offloading to doubled (cheap serverless) resources beats"
-        " the OpenMP baseline until network saturation."
+def plan_scenarios(
+    workers: int = 2,
+    options: int = 2_000_000,
+    iterations: int = 4,
+    particles=(10_000, 40_000),
+    seed: int = 0,
+) -> SweepPlan:
+    """Fig. 13a (Black-Scholes), then Fig. 13b/c (one per particle count)."""
+    blackscholes = ScenarioSpec(
+        fn=scenario,
+        params={"app": "blackscholes", "workers": workers,
+                "options": options, "iterations": iterations},
+        seed=seed, label="blackscholes",
     )
+    transport = tuple(
+        ScenarioSpec(fn=scenario,
+                     params={"app": "openmc", "workers": workers,
+                             "particles": int(count)},
+                     seed=seed, label=f"openmc-{count}p")
+        for count in particles
+    )
+    return SweepPlan(scenarios=(blackscholes, *transport),
+                     meta={"workers": workers, "seed": seed})
+
+
+SWEEP = Sweep(
+    name="fig13",
+    description="real offloading: Black-Scholes + MC transport",
+    plan=plan_scenarios,
+    point_type=Fig13Point,
+    columns=(
+        ("app", lambda p: p.app),
+        ("chunks", lambda p: p.chunks),
+        ("payload (KiB)", lambda p: f"{p.payload_bytes / 1024:.0f}"),
+        ("verified", lambda p: p.checks_passed),
+        ("serial (ms)", lambda p: p.serial_s * 1e3),
+        ("remote (ms)", lambda p: p.remote_s * 1e3),
+        ("doubled (ms)", lambda p: p.doubled_s * 1e3),
+        ("remote x", lambda p: f"{p.remote_speedup:.2f}x"),
+        ("doubled x", lambda p: f"{p.doubled_speedup:.2f}x"),
+        ("T_local (ms)", lambda p: f"{p.t_local * 1e3:.2f}"),
+        ("T_inv (ms)", lambda p: f"{p.t_inv * 1e3:.2f}"),
+        ("N_local_min", lambda p: p.n_local_min),
+        ("predicted x", lambda p: f"{p.predicted_doubled_speedup:.2f}x"),
+        ("host cores", lambda p: p.host_cores),
+    ),
+    title=("Fig. 13 — serial vs remote vs doubled: 1 local + {workers}"
+           " remote workers"),
+    footer=("Measured speedup needs more free cores than workers; on a smaller"
+            " host compare the Eq.-1 predicted speedup instead."
+            "\nPaper: offloading to doubled (cheap serverless) resources beats"
+            " the OpenMP baseline until network saturation."),
+)

@@ -18,19 +18,24 @@ recovering when instances spill onto the second socket.  The paper also
 reports the rFaaS execution overhead: ~13 % for the shortest benchmark
 (CG, 0.6 s) and <1 % elsewhere — reproduced here from the invocation
 overhead model.
+
+Sweep protocol: one scenario per (app, count), carrying the paper's
+value and the app's rFaaS overhead as columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import Optional
 
-from ..analysis.tables import render_table
-from ..cluster import DAINT_MC, NodeSpec
+from ..cluster import DAINT_MC
 from ..interference import InterferenceModel
 from ..network import UGNI
 from ..workloads import nas_model
+from .base import ScenarioSpec, Sweep, SweepPlan
 
-__all__ = ["Tab03Result", "run", "format_report", "rfaas_overhead_fraction"]
+__all__ = ["Tab03Point", "scenario", "plan_scenarios", "SWEEP",
+           "rfaas_overhead_fraction"]
 
 DEFAULT_COUNTS = (1, 2, 4, 8, 12, 16, 24, 32)
 DEFAULT_BENCHMARKS = ("bt.W", "cg.A", "ep.W", "lu.W")
@@ -42,6 +47,17 @@ PAPER_TABLE3 = {
     "ep.W": {1: 1, 2: 2.0, 4: 3.78, 8: 6.8, 12: 10.2, 16: 13.6, 24: 20.4, 32: 27.2},
     "lu.W": {1: 1, 2: 1.9, 4: 3.76, 8: 6.7, 12: 9.96, 24: 19.7},
 }
+
+
+@dataclass(frozen=True)
+class Tab03Point:
+    """Relative throughput of ``count`` co-located instances of ``app``."""
+
+    app: str
+    count: int
+    throughput: float
+    paper: Optional[float]      # None where the paper leaves the cell blank
+    overhead: float             # the app's rFaaS overhead fraction
 
 
 def rfaas_overhead_fraction(app) -> float:
@@ -62,29 +78,30 @@ def rfaas_overhead_fraction(app) -> float:
     return fixed_s / app.runtime_s + membw_coupling
 
 
-@dataclass
-class Tab03Result:
-    counts: tuple[int, ...]
-    throughput: dict[str, dict[int, float]] = field(default_factory=dict)
-    overhead: dict[str, float] = field(default_factory=dict)
+def scenario(params: dict, seed: int) -> dict:
+    """One (app, count) cell of the interference model on a Daint node."""
+    key: str = params["app"]
+    count: int = params["count"]
+    app = nas_model(key)
+    return asdict(Tab03Point(
+        app=key,
+        count=count,
+        throughput=InterferenceModel().relative_throughput(
+            DAINT_MC, app.demand(1), count),
+        paper=PAPER_TABLE3.get(key, {}).get(count),
+        overhead=rfaas_overhead_fraction(app),
+    ))
 
 
-def run(
-    benchmarks=DEFAULT_BENCHMARKS,
-    counts=DEFAULT_COUNTS,
-    spec: NodeSpec = DAINT_MC,
-    model: InterferenceModel = None,
-) -> Tab03Result:
-    model = model or InterferenceModel()
-    result = Tab03Result(counts=tuple(counts))
-    for key in benchmarks:
-        app = nas_model(key)
-        demand = app.demand(1)
-        result.throughput[key] = {
-            n: model.relative_throughput(spec, demand, n) for n in counts
-        }
-        result.overhead[key] = rfaas_overhead_fraction(app)
-    return result
+def plan_scenarios(benchmarks=DEFAULT_BENCHMARKS, counts=DEFAULT_COUNTS,
+                   seed: int = 0) -> SweepPlan:
+    """One scenario per (app, count), apps outermost."""
+    scenarios = tuple(
+        ScenarioSpec(fn=scenario, params={"app": key, "count": int(n)},
+                     seed=seed, label=f"{key} x{n}")
+        for key in benchmarks for n in counts
+    )
+    return SweepPlan(scenarios=scenarios)
 
 
 def run_platform(
@@ -135,21 +152,19 @@ def run_platform(
     return {n: rate / per_stream_base for n, rate in out.items()}
 
 
-def format_report(result: Tab03Result) -> str:
-    headers = ["app"] + [str(n) for n in result.counts] + ["rFaaS ovh"]
-    rows = []
-    for key, by_count in result.throughput.items():
-        rows.append(
-            [key] + [by_count[n] for n in result.counts]
-            + [f"{result.overhead[key] * 100:.1f}%"]
-        )
-        paper = PAPER_TABLE3.get(key)
-        if paper:
-            rows.append(
-                [f"  (paper)"] + [paper.get(n, "—") for n in result.counts] + [""]
-            )
-    table = render_table(headers, rows, title="Table III — relative idle-node throughput")
-    return table + (
-        "\nPaper: 70-80% efficiency except CG; rFaaS overhead ~13% for the"
-        " shortest CG, <1% otherwise."
-    )
+SWEEP = Sweep(
+    name="tab03",
+    description="idle-node throughput with NAS functions",
+    plan=plan_scenarios,
+    point_type=Tab03Point,
+    columns=(
+        ("app", lambda p: p.app),
+        ("fns", lambda p: p.count),
+        ("throughput", lambda p: p.throughput),
+        ("paper", lambda p: "—" if p.paper is None else p.paper),
+        ("rFaaS ovh", lambda p: f"{p.overhead * 100:.1f}%"),
+    ),
+    title="Table III — relative idle-node throughput",
+    footer=("Paper: 70-80% efficiency except CG; rFaaS overhead ~13% for the"
+            " shortest CG, <1% otherwise."),
+)

@@ -1,7 +1,7 @@
 """Exporters: JSONL spans, Chrome ``trace_event`` JSON, Prometheus text.
 
 * **JSONL** — one span object per line; lossless, trivially greppable,
-  and the input format of ``repro telemetry summary``;
+  and the input format of ``repro obs``;
 * **Chrome trace_event** — loadable in Perfetto / ``about://tracing``;
   each span track (node/executor) becomes one named thread so the
   invocation critical path reads as nested slices;

@@ -94,10 +94,10 @@ class TelemetryCollector:
     """Aggregates telemetry from every environment built while active.
 
     One experiment run may construct several :class:`Environment`
-    instances (fig07 builds three).  Spans from all of them land in one
-    shared list; each environment gets its own metrics registry scope
-    (``sim0``, ``sim1``, ... plus ``wall`` for live wall-clock code)
-    because simulated clocks restart at zero and time-weighted gauges
+    instances (fig07 builds three per payload size).  Spans from all of
+    them land in one shared list; each environment gets its own metrics
+    registry scope (``sim0``, ``sim1``, ... plus ``wall`` for live
+    wall-clock code) because simulated clocks restart at zero and time-weighted gauges
     must stay monotone per clock.  All scopes share the collector's
     :class:`~repro.telemetry.tracer.IdSource`, so span and trace ids
     are unique across the one sink and start at 1 in every collector.

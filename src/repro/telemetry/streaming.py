@@ -22,7 +22,7 @@ exporters keep working on "what's still in memory".
 
 The stream file is the data: per-kind statistics, per-tenant RED and SLO
 burn episodes are computed exactly, after the run, by
-:mod:`repro.telemetry.summary` (``repro telemetry summary`` and
+:mod:`repro.telemetry.summary` (``repro obs kinds`` and
 ``repro obs red|slo``).
 
 Nothing here schedules simulation events or consumes randomness: the

@@ -8,7 +8,7 @@ run rather than estimated live:
 * :func:`span_kind_stats` / :func:`span_summary_table` — for every span
   name, the count and the mean/p50/p95/max duration: the decomposition
   the paper's Fig. 7 discussion walks through (dispatch pickup vs.
-  sandbox acquisition vs. execution).  ``repro telemetry summary``.
+  sandbox acquisition vs. execution).  ``repro obs kinds``.
 * :func:`red_rows` — per-tenant RED (rate, errors, duration) over the
   request-root spans.  ``repro obs red``.
 * :func:`slo_episodes` — sliding-window error-budget burn episodes per
@@ -73,7 +73,7 @@ def span_kind_stats(spans: Iterable[Span]) -> Dict[str, dict]:
 
 
 def span_summary_table(spans: Sequence[Span]) -> str:
-    """The ``repro telemetry summary`` latency table."""
+    """The ``repro obs kinds`` latency table."""
     stats = span_kind_stats(spans)
     if not stats:
         return "no spans recorded"

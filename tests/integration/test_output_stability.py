@@ -1,32 +1,20 @@
-"""Pinned experiment output and engine event order.
+"""Pinned engine event order.
 
 The fast-path engine rewrite (split event queues, single-waiter slots,
-traced/fast executor split) must not perturb a single event: same seed
-⇒ the exact same bytes out of the experiment pipelines.  A pinned
-sha256 of a pure-engine event trace additionally locks the scheduler's
-event *order* against the pre-rewrite engine.  Every sweep's JSON and
-span stream are pinned in ``test_sweep_goldens.py``.
+traced/fast executor split) must not perturb a single event: a pinned
+sha256 of a pure-engine event trace locks the scheduler's event
+*order* against the pre-rewrite engine.  Every sweep's JSON, report
+and span stream, the paper's figures included, are pinned in
+``test_sweep_goldens.py``.
 """
 
 import hashlib
-
-from repro.experiments import fig07_latency
 
 # Digest of the same trace produced by the pre-rewrite heap-only engine.
 GOLDEN_TRACE_SHA256 = (
     "b68819477aeb555a9da0138922b93e009cc32d76e1c93f5134a72cacac4b6ed3"
 )
 GOLDEN_TRACE_EVENTS = 676
-
-# sha256 of fig07's report at samples=25, seed=3.
-FIG07_REPORT_SHA256 = (
-    "7ce5948dcabf7ac700f4e1914e21f3600674cda1d09a354c4fbce729035a021f"
-)
-
-
-def test_fig07_report_matches_the_pinned_digest():
-    report = fig07_latency.format_report(fig07_latency.run(samples=25, seed=3))
-    assert hashlib.sha256(report.encode()).hexdigest() == FIG07_REPORT_SHA256
 
 
 def test_engine_trace_matches_pre_rewrite_golden_digest():

@@ -41,7 +41,10 @@ def test_get_sweep_unknown_name_lists_the_registry():
 
 
 def test_sweep_names_keep_the_listing_order():
-    assert sweep_names() == ["autoscale", "chaos", "gpu_scaling", "loadstorm",
+    # The paper's figures and tables first, in paper order.
+    assert sweep_names() == ["fig01", "fig07", "fig08", "tab03", "fig09",
+                             "fig10", "fig11", "fig12", "fig13",
+                             "autoscale", "chaos", "gpu_scaling", "loadstorm",
                              "manager_failover", "memdurability", "certify"]
 
 

@@ -16,7 +16,6 @@ from repro.cluster import Cluster, DAINT_MC, DragonflyTopology
 from repro.containers import Image
 from repro.containers.runtime import SARUS
 from repro.containers.warmpool import WarmPool
-from repro.experiments import fig07_latency
 from repro.experiments.base import get_sweep
 from repro.interference import ResourceDemand
 from repro.network import IBVERBS, DrcManager, NetworkFabric
@@ -29,7 +28,7 @@ from repro.rfaas import (
 from repro.sim import Environment
 from repro.slurm.job import JobSpec
 from repro.slurm.scheduler import BatchScheduler
-from repro.sweep import sweep_names
+from repro.sweep import run_sweep, sweep_names
 from repro.telemetry import Telemetry, TelemetryCollector, install
 
 from ..manager_ops import record_manager_ops
@@ -202,16 +201,16 @@ def test_traced_and_untraced_runs_are_identical():
 
 
 def test_fig07_traced_equals_untraced():
-    untraced = fig07_latency.run(sizes=(1, 1024), samples=10, seed=5)
+    untraced = run_sweep("fig07", sizes=(1, 1024), samples=10, seed=5)
     with TelemetryCollector():
-        traced = fig07_latency.run(sizes=(1, 1024), samples=10, seed=5)
-    assert traced == untraced
+        traced = run_sweep("fig07", sizes=(1, 1024), samples=10, seed=5)
+    assert traced.points == untraced.points
 
 
 def test_fig07_trace_covers_hot_warm_and_cold_paths():
     collector = TelemetryCollector()
     with collector:
-        fig07_latency.run(sizes=(1,), samples=3, seed=0)
+        run_sweep("fig07", sizes=(1,), samples=3, seed=0)
     invocations = [s for s in collector.spans if s.name == "rfaas.invocation"]
     modes = {s.attrs["mode"] for s in invocations}
     assert modes == {"hot", "warm"}
@@ -224,6 +223,15 @@ def test_fig07_trace_covers_hot_warm_and_cold_paths():
 
 #: name -> plan_scenarios kwargs; the first scenario is the one run.
 SMALLEST = {
+    "fig01": dict(nodes=16, hours=2.0),
+    "fig07": dict(sizes=(1,), samples=2),
+    "fig08": dict(sizes=(4096,), readers=(1,)),
+    "tab03": dict(benchmarks=("cg.A",), counts=(4,)),
+    "fig09": dict(nas_keys=("cg.A",), milc_sizes=()),
+    "fig10": dict(nas_keys=("cg.A",)),
+    "fig11": dict(intervals=(0.0,)),
+    "fig12": dict(rodinia_keys=("bfs",)),
+    "fig13": dict(workers=1, options=2000, iterations=1, particles=()),
     "chaos": dict(rates=(8.0,), window_s=4.0),
     "autoscale": dict(loads=(1.0,), window_s=4.0),
     "memdurability": dict(factors=(1,), window_s=4.0, accesses=40),

@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import fig07_latency
 from repro.sweep import run_sweep
 from repro.telemetry import TelemetryCollector, Tracer
 
@@ -37,9 +36,9 @@ def test_whole_run_export_equals_the_stream(tmp_path):
 
 def test_span_ids_are_unique_across_one_collectors_scopes():
     with TelemetryCollector() as collector:
-        fig07_latency.run(sizes=(1, 1024), samples=4)
+        run_sweep("fig07", sizes=(1, 1024), samples=4)
     sims = [t for t in collector.scopes if t.scope.startswith("sim")]
-    assert len(sims) >= 3              # fig07 builds three environments
+    assert len(sims) >= 3              # each fig07 size builds three
     ids = [span.span_id for span in collector.spans]
     assert len(ids) == len(set(ids))
     assert min(ids) == 1
@@ -60,7 +59,7 @@ def test_stream_digest_is_pinned_after_another_traced_run(tmp_path, jobs):
     # Record something first, so any id state that outlived its
     # collector would shift the stream below.
     with TelemetryCollector() as earlier:
-        fig07_latency.run(sizes=(1,), samples=2)
+        run_sweep("fig07", sizes=(1,), samples=2)
     assert earlier.spans
     kwargs, json_sha, _, stream_sha = GOLDENS["chaos"]
     stream = tmp_path / "chaos.jsonl"

@@ -1,8 +1,9 @@
-"""CLI experiment runner tests."""
+"""CLI runner tests: figures run as sweeps, and ``run all`` runs them all."""
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _parse_overrides, main
+from repro.cli import _figure_names, _parse_overrides, main
+from repro.experiments.base import SWEEPS
 
 
 def collect():
@@ -14,13 +15,18 @@ def test_list_shows_every_experiment():
     lines, out = collect()
     assert main(["list"], out=out) == 0
     text = "\n".join(lines)
-    for name in EXPERIMENTS:
+    for name in SWEEPS:
         assert name in text
+
+
+def test_run_all_runs_the_paper_figures_in_paper_order():
+    assert _figure_names() == ["fig01", "fig07", "fig08", "tab03", "fig09",
+                               "fig10", "fig11", "fig12", "fig13"]
 
 
 def test_run_single_experiment_with_override():
     lines, out = collect()
-    code = main(["run", "fig08"], out=out)
+    code = main(["sweep", "fig08"], out=out)
     assert code == 0
     assert any("Fig. 8" in line for line in lines)
     assert any("completed in" in line for line in lines)
@@ -28,7 +34,7 @@ def test_run_single_experiment_with_override():
 
 def test_run_with_set_override():
     lines, out = collect()
-    main(["run", "tab03", "--set", "counts=(1, 4)"], out=out)
+    main(["sweep", "tab03", "--set", "counts=(1, 4)"], out=out)
     text = "\n".join(lines)
     assert "Table III" in text
     assert "| 1 " in text and "| 4 " in text
@@ -44,7 +50,9 @@ def test_parse_overrides():
 
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
-        main(["run", "fig99"], out=lambda s: None)
+        main(["sweep", "fig99"], out=lambda s: None)
+    with pytest.raises(SystemExit):
+        main(["run", "fig07"], out=lambda s: None)  # 'run' only takes 'all'
 
 
 def test_all_rejects_overrides():
@@ -55,7 +63,7 @@ def test_all_rejects_overrides():
 
 def test_unknown_override_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["run", "fig07", "--set", "bogus=1"], out=lambda s: None)
+        main(["sweep", "fig07", "--set", "bogus=1"], out=lambda s: None)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "bogus" in err and "samples" in err
@@ -69,7 +77,7 @@ def test_run_with_trace_and_metrics_export(tmp_path):
     metrics = tmp_path / "metrics.txt"
     lines, out = collect()
     code = main(
-        ["run", "fig07", "--set", "samples=5", "--set", "sizes=(1, 1024)",
+        ["sweep", "fig07", "--set", "samples=5", "--set", "sizes=(1, 1024)",
          "--trace", str(trace), "--spans", str(spans), "--metrics-out", str(metrics)],
         out=out,
     )
@@ -92,13 +100,13 @@ def test_run_with_trace_and_metrics_export(tmp_path):
     assert any("[trace:" in line for line in lines)
 
 
-def test_telemetry_summary_subcommand(tmp_path):
+def test_obs_kinds_subcommand(tmp_path):
     trace = tmp_path / "trace.json"
     quiet = lambda s: None
-    main(["run", "fig07", "--set", "samples=5", "--set", "sizes=(1,)",
+    main(["sweep", "fig07", "--set", "samples=5", "--set", "sizes=(1,)",
           "--trace", str(trace)], out=quiet)
     lines, out = collect()
-    code = main(["telemetry", "summary", str(trace)], out=out)
+    code = main(["obs", "kinds", str(trace)], out=out)
     assert code == 0
     text = "\n".join(lines)
     assert "Telemetry summary" in text
@@ -110,5 +118,14 @@ def test_run_without_telemetry_flags_records_nothing(tmp_path):
     from repro.telemetry.provider import _ACTIVE
 
     lines, out = collect()
-    main(["run", "fig10"], out=out)
+    main(["sweep", "fig10"], out=out)
     assert _ACTIVE == []  # no collector leaks into later runs
+
+
+def test_fig13_refuses_a_pool_worker(capsys):
+    lines, out = collect()
+    code = main(["sweep", "fig13", "--jobs", "2", "--set", "options=2000",
+                 "--set", "particles=(500, 1000)", "--set", "iterations=1"],
+                out=out)
+    assert code == 1
+    assert "fig13 times live worker processes; run it with --jobs 1" in "\n".join(lines)

@@ -64,8 +64,6 @@ ALLOWLIST: Dict[str, str] = {
         "view: containers swapped to the parallel filesystem",
     "repro.controlplane.ha.ReplicatedResourceManager.primary_rank":
         "view: which replica leads the current epoch",
-    "repro.experiments.fig13_offloading.Fig13Result.timing":
-        "view: one variant's timing row of a Fig. 13 result",
     "repro.gpuservice.batcher.GpuBatcher.pending_total":
         "view: queued requests across every batch key",
     "repro.memservice.paging.RemotePager.resident_count":
@@ -82,9 +80,11 @@ ALLOWLIST: Dict[str, str] = {
         "view: exact nearest-rank quantile of the observed samples",
     # -- references: second implementations a test compares the main path to
     "repro.experiments.fig12_gpu_sharing.run_platform":
-        "reference: Fig. 12 through the Platform facade, compared with run()",
+        "reference: Fig. 12 with the device overload measured on a live GPU, "
+        "compared with the fig12 sweep's points",
     "repro.experiments.tab03_idle_node.run_platform":
-        "reference: Table III through the Platform facade, compared with run()",
+        "reference: Table III through the Platform facade, compared with the "
+        "tab03 sweep's points",
     # -- paper: workload kernels, models and predicates a test pins
     "repro.cluster.machine.build_daint":
         "paper: the Piz Daint testbed shape (1813 XC40 + 5704 XC50 nodes)",
