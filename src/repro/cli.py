@@ -8,7 +8,7 @@ Usage::
     python -m repro sweep fig07 --trace trace.json --metrics-out metrics.txt
     python -m repro sweep fig09 --jobs 2 --json fig09.json
     python -m repro sweep chaos --set "rates=(0, 8, 16)" --seed 1 --jobs 4
-    python -m repro sweep chaos --plan plan.json --spans spans.jsonl
+    python -m repro sweep chaos --plan plan.json --stream-spans spans.jsonl
     python -m repro sweep autoscale --set "loads=(1, 4, 16)" --json autoscale.json
     python -m repro sweep loadstorm --set "shards=(1, 2, 4, 8)" --jobs 4
     python -m repro certify --budget 5 --standbys 1
@@ -22,12 +22,13 @@ Python literals and passed to the sweep's ``plan_scenarios()`` (an
 unknown key is a usage error naming the accepted parameters),
 ``--plan FILE`` replays a saved :class:`~repro.faults.FaultPlan`, and
 scenarios fan out across ``--jobs`` worker processes and merge in
-canonical plan order, so the report, the ``--json`` file, and the
-``--stream-spans`` stream are byte-identical at every jobs count.
-``--trace`` writes a Chrome ``trace_event`` JSON (open in Perfetto /
-about://tracing), ``--spans`` a JSONL span dump, and ``--metrics-out`` a
-Prometheus-style text exposition; these batch exporters observe the
-whole run in one process and therefore require ``--jobs 1``.
+canonical plan order, so the report and every output file are
+byte-identical at every jobs count.  Telemetry leaves a sweep one way:
+each scenario streams its spans as it runs, and the parent merges the
+streams in plan order.  ``--stream-spans`` keeps that JSONL stream,
+``--trace`` converts it to a Chrome ``trace_event`` JSON (open in
+Perfetto / about://tracing), and ``--metrics-out`` writes the
+scenarios' metric registries as Prometheus-style text.
 
 ``run all`` reproduces the paper: it runs every figure and table entry
 of the registry (those not in a ``*_sweep`` module) at its defaults,
@@ -42,7 +43,9 @@ from __future__ import annotations
 import argparse
 import ast
 import inspect
+import os
 import sys
+import tempfile
 import time
 from typing import Any, Callable
 
@@ -51,8 +54,6 @@ from .faults import FaultPlan
 from .sweep import SweepScenarioError, run_sweep, sweep_names
 from .telemetry import (
     SloConfig,
-    SpanPipeline,
-    TelemetryCollector,
     critical_path_table,
     load_spans,
     red_rows,
@@ -62,7 +63,6 @@ from .telemetry import (
     trace_summaries,
     write_chrome_trace,
     write_prometheus_text,
-    write_spans_jsonl,
 )
 from .analysis.tables import render_table
 
@@ -87,22 +87,18 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
     return overrides
 
 
-def _export_telemetry(collector: TelemetryCollector, args: argparse.Namespace,
-                      out: Callable[[str], None]) -> None:
-    pipeline = collector.pipeline
-    if pipeline is not None:
-        pipeline.close()
-        out(f"[stream: {pipeline.seen} spans -> {args.stream_spans} "
-            f"(peak retained {pipeline.peak_retained})]")
-    if args.trace:
-        n = write_chrome_trace(list(collector.spans), args.trace)
-        out(f"[trace: {n} events -> {args.trace}]")
-    if args.spans:
-        n = write_spans_jsonl(collector.spans, args.spans)
-        out(f"[spans: {n} spans -> {args.spans}]")
-    if args.metrics_out:
-        write_prometheus_text(collector.registries(), args.metrics_out)
-        out(f"[metrics -> {args.metrics_out}]")
+def _trace_ref(text: str) -> tuple[int, int]:
+    """``--trace-id``: ``RUN:ID``, or a bare ``ID`` in run 0."""
+    run, _, trace_id = text.rpartition(":")
+    try:
+        return int(run or 0), int(trace_id)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected ID or RUN:ID, got {text!r}") from None
+
+
+def _trace_label(run: int, trace_id: int) -> str:
+    return f"{run}:{trace_id}" if run else str(trace_id)
 
 
 def _list_sweeps(out: Callable[[str], None]) -> None:
@@ -130,10 +126,10 @@ def _run_sweep_command(args: argparse.Namespace,
     """``repro sweep <name>``: plan, fan out, merge, report.
 
     Fan-out and in-order merge go through :func:`repro.sweep.run_sweep`,
-    so the report, ``--json`` file, and ``--stream-spans`` stream are
-    byte-identical at every ``--jobs`` count.  The whole-run batch
-    exporters (``--trace``/``--spans``/``--metrics-out``) observe one
-    process and therefore require ``--jobs 1``.
+    so the report and every output file are byte-identical at every
+    ``--jobs`` count.  ``--trace`` and ``--metrics-out`` come from the
+    merged span stream and the scenarios' metric samples, so they stream
+    to a scratch file when ``--stream-spans`` is not given.
     """
     name = args.name
     kwargs = _parse_overrides(args.set)
@@ -151,13 +147,8 @@ def _run_sweep_command(args: argparse.Namespace,
         parser.error(f"sweep {name!r}: {exc} (parameters: {accepted})")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    batch_exports = args.trace or args.spans or args.metrics_out
-    if batch_exports and args.jobs != 1:
-        parser.error("--trace/--spans/--metrics-out observe the whole run in "
-                     "one process; use --jobs 1 (or --stream-spans, which "
-                     "works at any jobs count)")
     # Fail on an unwritable export path up front, not after the run.
-    for export_path in (args.trace, args.spans, args.metrics_out):
+    for export_path in (args.trace, args.metrics_out):
         if export_path:
             try:
                 with open(export_path, "a", encoding="utf-8"):
@@ -165,36 +156,29 @@ def _run_sweep_command(args: argparse.Namespace,
             except OSError as exc:
                 parser.error(f"cannot write telemetry output: {exc}")
     t0 = time.perf_counter()
-    stream_stats: dict[str, int] = {}
-    collector = None
-    try:
-        if batch_exports:
-            # Whole-run collector: the batch exporters see every scenario
-            # in this process.  With --stream-spans too, its sink is a
-            # bounded pipeline streaming each span to disk as it closes,
-            # and the batch exporters see only the flight-recorder tail.
-            pipeline = (SpanPipeline(stream_path=args.stream_spans)
-                        if args.stream_spans else None)
-            collector = TelemetryCollector(pipeline=pipeline)
-            with collector:
-                result = run_sweep(name, jobs=1, **kwargs)
-        else:
-            result = run_sweep(
-                name, jobs=args.jobs, stream_spans=args.stream_spans,
-                stream_stats=stream_stats, **kwargs,
-            )
-    except SweepScenarioError as exc:
-        out(str(exc))
-        return 1
-    jobs_note = f" with {args.jobs} jobs" if args.jobs > 1 else ""
-    out(result.format_report())
-    out(f"[{name} completed in {time.perf_counter() - t0:.2f}s{jobs_note}]\n")
-    _write_json(result, args.json_out, parser, out)
-    if collector is not None:
-        _export_telemetry(collector, args, out)
-    elif args.stream_spans:
-        out(f"[stream: {stream_stats['seen']} spans -> {args.stream_spans} "
-            f"(peak retained {stream_stats['peak_retained']})]")
+    with tempfile.TemporaryDirectory() as scratch:
+        stream = args.stream_spans
+        if stream is None and (args.trace or args.metrics_out):
+            stream = os.path.join(scratch, "spans.jsonl")
+        try:
+            result = run_sweep(name, jobs=args.jobs, stream_spans=stream, **kwargs)
+        except SweepScenarioError as exc:
+            out(str(exc))
+            return 1
+        jobs_note = f" with {args.jobs} jobs" if args.jobs > 1 else ""
+        out(result.format_report())
+        out(f"[{name} completed in {time.perf_counter() - t0:.2f}s{jobs_note}]\n")
+        _write_json(result, args.json_out, parser, out)
+        if args.stream_spans:
+            with open(stream, "r", encoding="utf-8") as fh:
+                count = sum(1 for _ in fh)
+            out(f"[stream: {count} spans -> {stream}]")
+        if args.trace:
+            n = write_chrome_trace(load_spans(stream), args.trace)
+            out(f"[trace: {n} events -> {args.trace}]")
+    if args.metrics_out:
+        write_prometheus_text(result.metrics, args.metrics_out)
+        out(f"[metrics -> {args.metrics_out}]")
     return 0
 
 
@@ -225,20 +209,23 @@ def _run_obs(args: argparse.Namespace, parser: argparse.ArgumentParser,
             out("no spans with a trace_id (was the run traced?)")
             return 1
         if args.all:
-            rows = [[s["trace_id"], s["root"], s["spans"],
+            rows = [[s["run"], s["trace_id"], s["root"], s["spans"],
                      f"{s['start']:.6f}", f"{s['duration_s']:.6f}"]
                     for s in summaries]
-            out(render_table(["trace", "root", "spans", "start", "duration_s"],
+            out(render_table(["run", "trace", "root", "spans", "start",
+                              "duration_s"],
                              rows, title=f"{len(summaries)} trace(s)"))
             return 0
         traces = trace_index(spans)
         if args.trace_id is not None:
             if args.trace_id not in traces:
-                parser.error(f"trace {args.trace_id} not in {args.tracefile}")
+                parser.error(f"trace {_trace_label(*args.trace_id)} "
+                             f"not in {args.tracefile}")
             chosen = args.trace_id
         else:
-            chosen = max(summaries, key=lambda s: s["duration_s"])["trace_id"]
-        out(critical_path_table(traces[chosen], trace_id=chosen))
+            longest = max(summaries, key=lambda s: s["duration_s"])
+            chosen = (longest["run"], longest["trace_id"])
+        out(critical_path_table(traces[chosen], trace_id=_trace_label(*chosen)))
         return 0
 
     if args.obs_command == "slo":
@@ -336,17 +323,14 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
     )
     sweep_parser.add_argument("--trace", metavar="FILE", default=None,
                               help="write a Chrome trace_event JSON of the "
-                                   "run (requires --jobs 1)")
-    sweep_parser.add_argument("--spans", metavar="FILE", default=None,
-                              help="write a JSONL dump of all recorded "
-                                   "spans (requires --jobs 1)")
+                                   "run's span stream")
     sweep_parser.add_argument("--metrics-out", metavar="FILE", default=None,
                               help="write a Prometheus-style text metrics "
-                                   "dump (requires --jobs 1)")
+                                   "dump of every scenario")
     sweep_parser.add_argument(
         "--stream-spans", metavar="FILE", default=None,
         help="stream spans to FILE as JSONL while the run executes "
-             "(bounded memory; works at any --jobs count; "
+             "(one run of ids per scenario, merged in plan order; "
              "'repro obs' analyses the file)",
     )
     sweep_parser.add_argument(
@@ -361,16 +345,17 @@ def main(argv: list[str] | None = None, out: Callable[[str], None] = print) -> i
         "kinds", help="per-span-kind latency table of a span file",
     )
     kinds_parser.add_argument(
-        "tracefile", help="a --trace (Chrome JSON) or --spans (JSONL) file",
+        "tracefile", help="a --trace (Chrome JSON) or --stream-spans (JSONL) file",
     )
     cp_parser = obs_sub.add_parser(
         "critical-path", help="the latency-determining span chain of one trace",
     )
-    cp_parser.add_argument("tracefile", help="a --spans / --stream-spans JSONL "
+    cp_parser.add_argument("tracefile", help="a --stream-spans JSONL "
                                              "(or --trace Chrome JSON) file")
     cp_parser.add_argument(
-        "--trace-id", type=int, default=None,
-        help="trace to analyse (default: the longest-running one)",
+        "--trace-id", type=_trace_ref, default=None, metavar="[RUN:]ID",
+        help="trace to analyse, in run RUN of the file (default 0); "
+             "default: the longest-running trace",
     )
     cp_parser.add_argument(
         "--all", action="store_true",

@@ -124,11 +124,18 @@ class Sweep:
 
 @dataclass
 class SweepResult:
-    """One sweep run: the plan metadata plus typed points in plan order."""
+    """One sweep run: the plan metadata plus typed points in plan order.
+
+    ``metrics`` holds the scenarios' metric registries as
+    :func:`~repro.telemetry.registry_samples`, scopes numbered across the
+    run, when :func:`repro.sweep.run_sweep` streamed spans (else empty).
+    """
 
     sweep: Sweep
     meta: Dict[str, Any]
     points: List[Any]
+    metrics: List[Any] = field(default_factory=list, init=False, repr=False,
+                               compare=False)
 
     def to_dict(self) -> dict:
         return {**self.meta, "points": [asdict(p) for p in self.points]}

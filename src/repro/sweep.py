@@ -27,12 +27,17 @@ Failure contract: a scenario that raises in a worker surfaces the
 fails the whole sweep — no hang, no silently dropped point, no span
 part file left behind.
 
-Telemetry: with ``stream_spans`` set, every scenario streams its spans
-through its own bounded :class:`~repro.telemetry.SpanPipeline` into a
-private part file (``<path>.part-0003`` — named by plan index, not by
-worker, so the naming is stable); the parent concatenates the parts in
-canonical order into ``<path>`` and deletes them.  The merged stream is
-identical for every ``jobs`` count.
+Telemetry: with ``stream_spans`` set, every scenario runs under its own
+:class:`~repro.telemetry.TelemetryCollector`, whose sink writes each span
+to a private part file the moment it closes (``<path>.part-0003`` —
+named by plan index, not by worker, so the naming is stable).  The
+parent concatenates the parts in canonical order into ``<path>`` and
+deletes them, and puts the scenarios' metric registries, as picklable
+samples with their ``simN`` scopes numbered across the run, on
+:attr:`SweepResult.metrics <repro.experiments.base.SweepResult.metrics>`.
+Both are identical for every ``jobs`` count; this is the only way
+telemetry leaves a sweep (``repro sweep --trace`` converts the merged
+stream, ``--metrics-out`` renders the samples).
 
 The pool start method defaults to ``fork`` where the platform offers it
 (cheap, and scenario determinism never depends on inherited state —
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import traceback
 from typing import Any, Dict, List, Optional, Union
 
@@ -82,53 +88,56 @@ def _default_start_method() -> str:
 def _execute_task(task) -> tuple:
     """Run one scenario (in a worker or inline); never raises.
 
-    Returns ``(index, ok, payload)`` where payload is the point dict on
-    success or the formatted original traceback on failure — exceptions
-    must not escape, or the pool would swallow the real stack.
+    Returns ``(index, ok, payload, samples)`` where payload is the point
+    dict on success or the formatted original traceback on failure —
+    exceptions must not escape, or the pool would swallow the real
+    stack — and samples are the scenario's metric registries when it
+    streamed its spans.
     """
     index, spec, stream_base = task
     try:
-        stats = None
-        if stream_base:
-            # Local import keeps the telemetry stack out of workers that
-            # never stream.
-            from .telemetry import SpanPipeline, TelemetryCollector
+        if not stream_base:
+            return index, True, spec.execute(), None
+        # Local import keeps the telemetry stack out of workers that
+        # never stream.
+        from .telemetry import JsonlStreamWriter, TelemetryCollector, registry_samples
 
-            # A fresh collector numbers span/trace ids from 1, so each
-            # part file is a pure function of (params, seed), independent
-            # of process reuse — the merged stream is identical at any
-            # jobs count.
-            pipeline = SpanPipeline(stream_path=stream_part_path(stream_base, index))
-            with TelemetryCollector(pipeline=pipeline):
-                point = spec.execute()
-            pipeline.close()
-            stats = {
-                "seen": pipeline.seen,
-                "peak_retained": pipeline.peak_retained,
-            }
-        else:
+        # A fresh collector numbers span/trace ids and scopes from the
+        # start, so each part file is a pure function of (params, seed),
+        # independent of process reuse — the merged stream is identical
+        # at any jobs count.
+        with JsonlStreamWriter(stream_part_path(stream_base, index)) as writer, \
+                TelemetryCollector(sink=writer) as collector:
             point = spec.execute()
-        return index, True, point, stats
+        return index, True, point, [registry_samples(r) for r in collector.registries()]
     except BaseException:  # noqa: BLE001 - the parent re-raises with this text
         return index, False, traceback.format_exc(), None
 
 
-def _merge_stream_parts(base_path: str, count: int) -> tuple[int, int]:
-    """Concatenate part files in canonical order; returns (spans, parts)."""
-    spans = 0
-    parts = 0
+def _merge_stream_parts(base_path: str, count: int) -> None:
+    """Concatenate the part files in canonical order, deleting each."""
     with open(base_path, "w", encoding="utf-8") as merged:
         for index in range(count):
             part = stream_part_path(base_path, index)
-            if not os.path.exists(part):
-                continue
-            parts += 1
             with open(part, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    merged.write(line)
-                    spans += 1
+                shutil.copyfileobj(fh, merged)
             os.remove(part)
-    return spans, parts
+
+
+def _number_scopes(scenario_samples: List[Optional[list]]) -> list:
+    """The scenarios' registry samples, ``simN`` scopes numbered across the run.
+
+    Each scenario's collector names its scopes by position (``sim0``,
+    ``sim1``, ...); renaming them by position in the whole run, in plan
+    order, gives the names one collector around the run would give.
+    """
+    numbered: list = []
+    for samples in scenario_samples:
+        for scope, rows in samples or ():
+            if scope.startswith("sim"):
+                scope = f"sim{len(numbered)}"
+            numbered.append((scope, rows))
+    return numbered
 
 
 def run_sweep(
@@ -137,7 +146,6 @@ def run_sweep(
     jobs: int = 1,
     stream_spans: Optional[str] = None,
     start_method: Optional[str] = None,
-    stream_stats: Optional[Dict[str, int]] = None,
     **kwargs: Any,
 ) -> SweepResult:
     """Run a registered sweep, fanning scenarios across ``jobs`` workers.
@@ -147,15 +155,13 @@ def run_sweep(
     ``kwargs`` are the sweep's ``plan_scenarios`` arguments.  ``jobs=1``
     executes in-process over the identical plan/merge path, so the
     :class:`~repro.experiments.base.SweepResult` — and, with
-    ``stream_spans``, the merged span stream — is byte-identical at
-    every jobs count.
+    ``stream_spans``, the merged span stream and ``result.metrics`` — is
+    byte-identical at every jobs count.
 
-    With ``stream_spans``, pass a ``stream_stats`` dict to receive the
-    aggregated pipeline accounting (``seen`` spans, max
-    ``peak_retained``, merged ``parts``).  The stream holds exactly the
-    spans the scenarios closed; ``repro obs`` and
-    :mod:`repro.telemetry.summary` analyse it after the run (SLO
-    replay splits it back into scenarios where the clock restarts).
+    The stream holds exactly the spans the scenarios closed, one run of
+    ids per scenario; ``repro obs`` and :mod:`repro.telemetry.summary`
+    analyse it after the run, splitting it back into scenarios where
+    the clock restarts.
 
     Raises :class:`SweepScenarioError` (with the worker's original
     traceback) if any scenario fails; the pool is torn down, nothing
@@ -169,15 +175,14 @@ def run_sweep(
     specs: tuple[ScenarioSpec, ...] = plan.scenarios
     tasks = [(index, spec, stream_spans) for index, spec in enumerate(specs)]
     points: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-    scenario_stats: List[Dict[str, int]] = []
+    samples: List[Optional[list]] = [None] * len(specs)
 
     def harvest(outcome) -> None:
-        index, ok, payload, stats = outcome
+        index, ok, payload, scenario_samples = outcome
         if not ok:
             raise SweepScenarioError(specs[index].label, payload)
         points[index] = payload
-        if stats is not None:
-            scenario_stats.append(stats)
+        samples[index] = scenario_samples
 
     workers = min(jobs, len(specs))
     try:
@@ -201,12 +206,7 @@ def run_sweep(
         raise
 
     if stream_spans:
-        _spans, parts = _merge_stream_parts(stream_spans, len(specs))
-        if stream_stats is not None:
-            stream_stats.update(
-                seen=sum(s["seen"] for s in scenario_stats),
-                peak_retained=max((s["peak_retained"] for s in scenario_stats),
-                                  default=0),
-                parts=parts,
-            )
-    return sweep.assemble(points, plan.meta)
+        _merge_stream_parts(stream_spans, len(specs))
+    result = sweep.assemble(points, plan.meta)
+    result.metrics = _number_scopes(samples)
+    return result

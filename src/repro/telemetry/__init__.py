@@ -2,10 +2,11 @@
 
 The observability layer for the whole reproduction.  Subsystems obtain
 their handle with ``telemetry_of(env)`` (a no-op implementation when
-telemetry is disabled — the default), the CLI activates a
-:class:`TelemetryCollector` around experiment runs, and exporters turn
-the result into JSONL spans, Chrome ``trace_event`` JSON (Perfetto),
-or Prometheus text.  See ``docs/observability.md`` for the span
+telemetry is disabled — the default), a streaming sweep activates a
+:class:`TelemetryCollector` around each scenario that writes its spans
+as JSONL the moment they close, and exporters turn that stream into
+Chrome ``trace_event`` JSON (Perfetto) and the scenarios' registries
+into Prometheus text.  See ``docs/observability.md`` for the span
 taxonomy and metric naming convention.
 """
 
@@ -13,9 +14,9 @@ from .exporters import (
     chrome_trace_events,
     load_spans,
     prometheus_text,
+    registry_samples,
     write_chrome_trace,
     write_prometheus_text,
-    write_spans_jsonl,
 )
 from .metrics import (
     METRIC_NAME_RE,
@@ -44,7 +45,7 @@ from .causal import (
 )
 from .context import TraceContext
 from .span import Span, SpanKind
-from .streaming import FlightRecorder, JsonlStreamWriter, SpanPipeline
+from .streaming import JsonlStreamWriter
 from .summary import (
     SloConfig,
     red_rows,
@@ -60,8 +61,6 @@ __all__ = [
     "SpanKind",
     "TraceContext",
     "JsonlStreamWriter",
-    "FlightRecorder",
-    "SpanPipeline",
     "trace_index",
     "trace_root",
     "trace_summaries",
@@ -84,10 +83,10 @@ __all__ = [
     "NULL_TELEMETRY",
     "telemetry_of",
     "install",
-    "write_spans_jsonl",
     "load_spans",
     "chrome_trace_events",
     "write_chrome_trace",
+    "registry_samples",
     "prometheus_text",
     "write_prometheus_text",
     "span_kind_stats",

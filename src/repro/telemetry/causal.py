@@ -9,16 +9,17 @@ decomposition into an operation on real trace data: the walk from a
 ``capacity.invocation`` root through the retry attempt that finally
 succeeded, down to the executor's dispatch/sandbox/execution slices.
 
-All functions are pure over a span sequence — they work equally on a
-live collector's tail and on spans loaded back from a JSONL/Chrome file.
+All functions are pure over a span sequence in the order it was
+recorded — they work equally on a live collector's spans and on spans
+loaded back from a JSONL/Chrome file.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.tables import render_table
-from .span import Span
+from .span import Span, closed_spans_by_run
 
 __all__ = [
     "trace_index",
@@ -29,14 +30,18 @@ __all__ = [
 ]
 
 
-def trace_index(spans: Iterable[Span]) -> Dict[int, List[Span]]:
-    """Closed spans grouped by ``trace_id``, in stream order."""
-    traces: Dict[int, List[Span]] = {}
-    for span in spans:
+def trace_index(spans: Iterable[Span]) -> Dict[Tuple[int, int], List[Span]]:
+    """Closed spans grouped by ``(run, trace_id)``, in stream order.
+
+    Trace ids restart in every run of a sweep stream
+    (:func:`~repro.telemetry.span.closed_spans_by_run`), so the run is
+    part of a trace's identity.
+    """
+    traces: Dict[Tuple[int, int], List[Span]] = {}
+    for run, span in closed_spans_by_run(spans):
         trace_id = span.attrs.get("trace_id")
-        if trace_id is None or span.end is None:
-            continue
-        traces.setdefault(trace_id, []).append(span)
+        if trace_id is not None:
+            traces.setdefault((run, trace_id), []).append(span)
     return traces
 
 
@@ -54,13 +59,14 @@ def trace_root(trace_spans: List[Span]) -> Optional[Span]:
 
 
 def trace_summaries(spans: Iterable[Span]) -> List[dict]:
-    """One row per trace: id, root name, span count, wall-to-wall time."""
+    """One row per trace: run, id, root name, span count, wall-to-wall time."""
     rows = []
-    for trace_id, members in sorted(trace_index(spans).items()):
+    for (run, trace_id), members in sorted(trace_index(spans).items()):
         root = trace_root(members)
         start = min(s.start for s in members)
         end = max(s.end for s in members)
         rows.append({
+            "run": run,
             "trace_id": trace_id,
             "root": root.name if root is not None else "?",
             "spans": len(members),
@@ -110,7 +116,8 @@ def critical_path(trace_spans: List[Span]) -> List[dict]:
     return path
 
 
-def critical_path_table(trace_spans: List[Span], trace_id: Optional[int] = None) -> str:
+def critical_path_table(trace_spans: List[Span],
+                        trace_id: Optional[Union[int, str]] = None) -> str:
     """Render a trace's critical path as an aligned ASCII table."""
     steps = critical_path(trace_spans)
     if not steps:

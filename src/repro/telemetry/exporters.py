@@ -1,12 +1,14 @@
-"""Exporters: JSONL spans, Chrome ``trace_event`` JSON, Prometheus text.
+"""Exporters: span files in, Chrome ``trace_event`` JSON and Prometheus text out.
 
-* **JSONL** — one span object per line; lossless, trivially greppable,
-  and the input format of ``repro obs``;
+* **JSONL** — one span object per line, written as spans close by
+  :class:`~repro.telemetry.streaming.JsonlStreamWriter`; lossless,
+  trivially greppable, and the input format of ``repro obs``;
 * **Chrome trace_event** — loadable in Perfetto / ``about://tracing``;
   each span track (node/executor) becomes one named thread so the
   invocation critical path reads as nested slices;
 * **Prometheus text exposition** — counters, gauges (with a
-  time-weighted-mean sample), and cumulative histogram buckets.
+  time-weighted-mean sample), and cumulative histogram buckets, one
+  block per metric family.
 """
 
 from __future__ import annotations
@@ -14,32 +16,22 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Iterable, List, Sequence, TextIO, Union
+from typing import Dict, Iterable, List, Sequence, TextIO, Tuple, Union
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Gauge, Histogram, MetricsRegistry
 from .span import Span
 
 __all__ = [
-    "write_spans_jsonl",
     "load_spans",
     "chrome_trace_events",
     "write_chrome_trace",
+    "registry_samples",
     "prometheus_text",
     "write_prometheus_text",
 ]
 
 
-# -- JSONL span dump ----------------------------------------------------------
-
-def write_spans_jsonl(spans: Iterable[Span], path: str) -> int:
-    """One JSON object per line; returns the number of spans written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for span in spans:
-            fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-            n += 1
-    return n
-
+# -- span files in -------------------------------------------------------------
 
 def _spans_from_jsonl(text: str) -> List[Span]:
     spans: List[Span] = []
@@ -180,59 +172,75 @@ def _escape_label_value(value: str) -> str:
     )
 
 
-def _labels(metric, extra: dict | None = None) -> str:
-    pairs = list(metric.labels)
-    if extra:
-        pairs.extend((k, str(v)) for k, v in extra.items())
+#: One sample line: ``(name, label pairs without the scope, value)``.
+Sample = Tuple[str, Tuple[Tuple[str, str], ...], str]
+#: One registry's exposition, free of clocks so it can leave the
+#: process that recorded it: ``(scope, [(family, kind, help, samples)])``.
+RegistrySamples = Tuple[str, List[Tuple[str, str, str, List[Sample]]]]
+
+
+def registry_samples(registry: MetricsRegistry) -> RegistrySamples:
+    """``registry`` as exposition samples, one row per instrument."""
+    rows = []
+    for metric in registry:
+        labels = metric.labels
+        if isinstance(metric, Gauge):
+            samples = [
+                (metric.name, labels, _fmt(metric.value)),
+                (metric.name, labels + (("stat", "time_weighted_mean"),),
+                 _fmt(metric.time_weighted_mean())),
+            ]
+        elif isinstance(metric, Histogram):
+            samples = [(f"{metric.name}_bucket", labels + (("le", _fmt(bound)),),
+                        str(cumulative))
+                       for bound, cumulative in metric.cumulative_buckets()]
+            samples.append((f"{metric.name}_sum", labels, _fmt(metric.sum)))
+            samples.append((f"{metric.name}_count", labels, str(metric.count)))
+        else:
+            samples = [(metric.name, labels, _fmt(metric.value))]
+        rows.append((metric.name, metric.kind, metric.help, samples))
+    return registry.scope, rows
+
+
+def _label_text(pairs: Iterable[Tuple[str, str]]) -> str:
+    pairs = sorted(pairs)
     if not pairs:
         return ""
-    return "{%s}" % ",".join(
-        f'{k}="{_escape_label_value(str(v))}"' for k, v in sorted(pairs)
-    )
+    return "{%s}" % ",".join(f'{k}="{_escape_label_value(v)}"' for k, v in pairs)
 
 
-def prometheus_text(registries: Union[MetricsRegistry, Iterable[MetricsRegistry]]) -> str:
-    """Render one or more registries in Prometheus exposition format.
+def prometheus_text(
+    registries: Union[MetricsRegistry, Iterable[Union[MetricsRegistry, RegistrySamples]]],
+) -> str:
+    """Render registries (or their :func:`registry_samples`) as exposition text.
 
     Registries keep their ``scope`` as a label so metrics from several
-    simulated environments in one run stay distinguishable.
+    simulated environments in one run stay distinguishable.  Each metric
+    family is one block: a ``# HELP``/``# TYPE`` pair, then every sample
+    of that family in registry order.
     """
     if isinstance(registries, MetricsRegistry):
         registries = [registries]
-    lines: List[str] = []
-    seen_headers: set[str] = set()
+    families: Dict[str, Tuple[str, str, List[str]]] = {}
     for registry in registries:
-        scope = {"scope": registry.scope} if getattr(registry, "scope", "") else None
-        for metric in registry:
-            if metric.name not in seen_headers:
-                seen_headers.add(metric.name)
-                if metric.help:
-                    lines.append(f"# HELP {metric.name} {metric.help}")
-                lines.append(f"# TYPE {metric.name} {metric.kind}")
-            if isinstance(metric, Counter):
-                lines.append(f"{metric.name}{_labels(metric, scope)} {_fmt(metric.value)}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"{metric.name}{_labels(metric, scope)} {_fmt(metric.value)}")
-                mean_labels = dict(scope or {})
-                mean_labels["stat"] = "time_weighted_mean"
-                lines.append(
-                    f"{metric.name}{_labels(metric, mean_labels)} "
-                    f"{_fmt(metric.time_weighted_mean())}"
-                )
-            elif isinstance(metric, Histogram):
-                for bound, cumulative in metric.cumulative_buckets():
-                    bucket_labels = dict(scope or {})
-                    bucket_labels["le"] = _fmt(bound)
-                    lines.append(
-                        f"{metric.name}_bucket{_labels(metric, bucket_labels)} {cumulative}"
-                    )
-                lines.append(f"{metric.name}_sum{_labels(metric, scope)} {_fmt(metric.sum)}")
-                lines.append(f"{metric.name}_count{_labels(metric, scope)} {metric.count}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        scope, rows = (registry if isinstance(registry, tuple)
+                       else registry_samples(registry))
+        scope_label = (("scope", scope),) if scope else ()
+        for family, kind, help_text, samples in rows:
+            lines = families.setdefault(family, (kind, help_text, []))[2]
+            lines.extend(f"{name}{_label_text(labels + scope_label)} {value}"
+                         for name, labels, value in samples)
+    text: List[str] = []
+    for family, (kind, help_text, lines) in families.items():
+        if help_text:
+            text.append(f"# HELP {family} {help_text}")
+        text.append(f"# TYPE {family} {kind}")
+        text.extend(lines)
+    return "\n".join(text) + ("\n" if text else "")
 
 
 def write_prometheus_text(
-    registries: Union[MetricsRegistry, Iterable[MetricsRegistry]],
+    registries: Union[MetricsRegistry, Iterable[Union[MetricsRegistry, RegistrySamples]]],
     path_or_file: Union[str, TextIO],
 ) -> None:
     text = prometheus_text(registries)

@@ -5,9 +5,10 @@ at init.  Resolution order:
 
 1. a :class:`Telemetry` explicitly installed on that environment
    (``Telemetry.install(env)`` / ``install(env, tel)``);
-2. the innermost *active* :class:`TelemetryCollector` — the CLI
-   activates one around an experiment run, so every environment the
-   experiment constructs internally gets traced without the experiment
+2. the innermost *active* :class:`TelemetryCollector` — a streaming
+   sweep (:func:`repro.sweep.run_sweep` with ``stream_spans``)
+   activates one around each scenario, so every environment the
+   scenario constructs internally gets traced without the experiment
    knowing (each environment receives its own clock-bound scope,
    because simulated clocks restart at zero per environment while the
    span sink is shared);
@@ -93,9 +94,11 @@ _ACTIVE: list["TelemetryCollector"] = []
 class TelemetryCollector:
     """Aggregates telemetry from every environment built while active.
 
-    One experiment run may construct several :class:`Environment`
-    instances (fig07 builds three per payload size).  Spans from all of
-    them land in one shared list; each environment gets its own metrics
+    One scenario may construct several :class:`Environment` instances
+    (fig07 builds three per payload size).  Spans from all of them land
+    in one shared ``sink`` (a list by default, or a
+    :class:`~repro.telemetry.streaming.JsonlStreamWriter` that keeps no
+    span in memory); each environment gets its own metrics
     registry scope (``sim0``, ``sim1``, ... plus ``wall`` for live
     wall-clock code) because simulated clocks restart at zero and time-weighted gauges
     must stay monotone per clock.  All scopes share the collector's
@@ -103,13 +106,8 @@ class TelemetryCollector:
     are unique across the one sink and start at 1 in every collector.
     """
 
-    def __init__(self, pipeline: Optional[Any] = None):
-        # ``pipeline`` (any ``append``-able, usually a
-        # :class:`~repro.telemetry.streaming.SpanPipeline`) replaces the
-        # accumulate-everything list: spans are processed as they close
-        # and only the pipeline's bounded tail stays iterable here.
-        self.spans: Any = pipeline if pipeline is not None else []
-        self.pipeline = pipeline
+    def __init__(self, sink: Optional[Any] = None):
+        self.spans: Any = sink if sink is not None else []
         self.scopes: List[Telemetry] = []
         self._wall: Optional[Telemetry] = None
         self._ids = IdSource()
@@ -140,8 +138,6 @@ class TelemetryCollector:
     def __exit__(self, *exc: Any) -> bool:
         _ACTIVE.remove(self)
         return False
-
-    activate = __enter__  # readable alias for non-with usage
 
 
 def telemetry_of(env: Any) -> Any:

@@ -16,9 +16,10 @@ what else ran in the interpreter.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+import math
+from typing import Any, Iterable, Iterator, Optional, Tuple
 
-__all__ = ["Span", "SpanKind"]
+__all__ = ["Span", "SpanKind", "closed_spans_by_run"]
 
 
 class SpanKind:
@@ -107,3 +108,22 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         end = f"{self.end:.6f}" if self.end is not None else "open"
         return f"<Span {self.name} [{self.start:.6f}..{end}] track={self.track}>"
+
+
+def closed_spans_by_run(spans: Iterable[Span]) -> Iterator[Tuple[int, Span]]:
+    """``(run, span)`` for each closed span, runs numbered from 0.
+
+    Spans are appended as they close, so ``end`` never decreases within
+    one clock; a sweep stream concatenates its scenarios in plan order,
+    and every scenario's clocks restart at zero, so a span that ends
+    earlier than the one before it starts the next run.
+    """
+    run = 0
+    last_end = -math.inf
+    for span in spans:
+        if span.end is None:
+            continue
+        if span.end < last_end:
+            run += 1
+        last_end = span.end
+        yield run, span

@@ -1,6 +1,6 @@
 """Post-hoc analyses over exported telemetry.
 
-The span file a run writes (``--spans`` / ``--stream-spans``, or a
+The span file a sweep writes (``--stream-spans``, or a
 ``--trace`` Chrome JSON) is the data; everything here is a plain
 function over an iterable of :class:`Span`, computed exactly after the
 run rather than estimated live:
@@ -20,14 +20,13 @@ All three share :func:`duration_stats`, numpy's exact percentiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from ..analysis.tables import render_table
-from .span import Span, SpanKind
+from .span import Span, SpanKind, closed_spans_by_run
 
 __all__ = [
     "SloConfig",
@@ -214,25 +213,18 @@ def slo_episodes(spans: Iterable[Span],
     ``burn_threshold`` and the tenant re-arms only after it drops back
     below, so a sustained burn is one row, not thousands.
 
-    Each run in the file is replayed separately, from empty windows.
-    Spans are appended as they close, so ``end`` never decreases within
-    one simulated clock; a sweep stream concatenates its scenarios in
-    plan order, so a decrease marks the next run.  A row holds ``run``
+    Each run in the file (:func:`~repro.telemetry.span.closed_spans_by_run`)
+    is replayed separately, from empty windows.  A row holds ``run``
     (0-based), ``tenant``, ``t`` (the end of the request that started
     the episode), ``burn_rate``, and the window's ``bad``/``total``.
     """
     episodes: List[dict] = []
-    run = 0
-    last_end = -math.inf
+    current = 0
     windows: Dict[str, _TenantWindow] = {}
     burning: set = set()
-    for span in spans:
-        if span.end is None:
-            continue
-        if span.end < last_end:
-            run += 1
-            windows, burning = {}, set()
-        last_end = span.end
+    for run, span in closed_spans_by_run(spans):
+        if run != current:
+            current, windows, burning = run, {}, set()
         if not _is_request_root(span):
             continue
         tenant = _tenant_of(span)

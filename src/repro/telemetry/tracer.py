@@ -52,8 +52,8 @@ class Tracer:
     """Records spans stamped from ``clock`` into ``sink``.
 
     ``sink`` is anything with ``append`` — a plain list (the default) or
-    a streaming :class:`~repro.telemetry.streaming.SpanPipeline` that
-    processes each span incrementally instead of retaining it.
+    a :class:`~repro.telemetry.streaming.JsonlStreamWriter` that writes
+    each span to disk as it closes instead of retaining it.
 
     Spans accept an optional ``ctx`` (:class:`TraceContext`): when the
     calling process has no open local span, the new span parents to

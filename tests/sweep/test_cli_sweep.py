@@ -105,11 +105,24 @@ def test_jobs_must_be_positive():
         main([*CHAOS, "--jobs", "0"], out=lambda s: None)
 
 
-@pytest.mark.parametrize("export_flag", ["--trace", "--spans", "--metrics-out"])
+@pytest.mark.parametrize("export_flag", ["--trace", "--metrics-out"])
 def test_batch_exporters_require_serial_execution(tmp_path, export_flag):
-    with pytest.raises(SystemExit):
-        main([*CHAOS, "--jobs", "2", export_flag, str(tmp_path / "export.out")],
-             out=lambda s: None)
+    """A batch export at --jobs 2 is byte-identical to the serial run's.
+
+    --trace and --metrics-out are built from the per-scenario span streams,
+    so fanning the scenarios out must not change a byte of either file.
+    """
+    blobs = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / f"export-{jobs}.out"
+        code = main([*CHAOS, "--jobs", jobs, export_flag, str(path)],
+                    out=lambda s: None)
+        assert code == 0
+        blobs[jobs] = path.read_bytes()
+    assert blobs["1"] == blobs["2"]
+    assert blobs["1"]
+    if export_flag == "--metrics-out":
+        assert b'scope="sim1"' in blobs["1"]
 
 
 def test_stream_spans_works_with_parallel_jobs(tmp_path):
@@ -119,9 +132,9 @@ def test_stream_spans_works_with_parallel_jobs(tmp_path):
                 out=out)
     assert code == 0
     text = "\n".join(lines)
-    assert "[stream:" in text and "peak retained" in text
-    assert str(stream) in text
-    assert stream.read_text().strip()
+    count = len(stream.read_text().splitlines())
+    assert f"[stream: {count} spans -> {stream}]" in text
+    assert count > 0
 
 
 def test_parallel_json_matches_serial_json(tmp_path):

@@ -28,7 +28,8 @@ def make_span(name, start, end, trace_id=None, parent_id=None, track="main",
 
 
 def sample_trace():
-    """root [0..10] -> fast child [1..3], slow child [2..9] -> leaf [3..8]."""
+    """root [0..10] -> fast child [1..3], slow child [2..9] -> leaf [3..8],
+    in the order a tracer closes them."""
     root = make_span("capacity.invocation", 0.0, 10.0, trace_id=1)
     fast = make_span("capacity.admit", 1.0, 3.0, trace_id=1,
                      parent_id=root.span_id)
@@ -36,19 +37,27 @@ def sample_trace():
                      parent_id=root.span_id)
     leaf = make_span("rfaas.attempt", 3.0, 8.0, trace_id=1,
                      parent_id=slow.span_id)
-    return [root, fast, slow, leaf]
+    return [fast, leaf, slow, root]
 
 
 def test_trace_index_groups_closed_spans_by_trace():
     spans = sample_trace()
-    spans.append(make_span("other", 0.0, 1.0, trace_id=2))
+    spans.append(make_span("other", 10.0, 11.0, trace_id=2))
     open_span = Span("open", 0.0, attrs={"trace_id": 1},    # never closed
                      span_id=next(_span_ids))
     untraced = make_span("untraced", 0.0, 1.0)             # no trace_id
     spans.extend([open_span, untraced])
     traces = trace_index(spans)
-    assert set(traces) == {1, 2}
-    assert len(traces[1]) == 4 and len(traces[2]) == 1
+    assert set(traces) == {(0, 1), (0, 2)}
+    assert len(traces[0, 1]) == 4 and len(traces[0, 2]) == 1
+
+
+def test_trace_index_keeps_each_runs_ids_apart():
+    """Trace ids restart in every run; a clock restart starts the next."""
+    first, second = sample_trace(), sample_trace()
+    traces = trace_index(first + second)
+    assert set(traces) == {(0, 1), (1, 1)}
+    assert [row["run"] for row in trace_summaries(first + second)] == [0, 1]
 
 
 def test_trace_root_prefers_earliest_unparented_span():

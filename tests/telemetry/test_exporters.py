@@ -3,15 +3,24 @@
 import json
 
 from repro.telemetry import (
+    JsonlStreamWriter,
     MetricsRegistry,
     Span,
     Tracer,
     chrome_trace_events,
     load_spans,
     prometheus_text,
+    registry_samples,
     write_chrome_trace,
-    write_spans_jsonl,
 )
+
+
+def write_jsonl(spans, path):
+    """Stream ``spans`` to ``path``; returns the number written."""
+    with JsonlStreamWriter(path) as writer:
+        for span in spans:
+            writer.append(span)
+    return writer.written
 
 
 def sample_spans():
@@ -27,7 +36,7 @@ def sample_spans():
 def test_jsonl_round_trip(tmp_path):
     spans = sample_spans()
     path = str(tmp_path / "spans.jsonl")
-    assert write_spans_jsonl(spans, path) == 3
+    assert write_jsonl(spans, path) == 3
     loaded = load_spans(path)
     assert len(loaded) == 3
     for original, restored in zip(spans, loaded):
@@ -107,6 +116,62 @@ def test_prometheus_merges_scopes_without_duplicate_headers():
     assert 'repro_test_things_total{scope="sim1"} 2' in text
 
 
+
+def exposition_blocks(text):
+    """Parse exposition text into ``{family: sample lines}``, asserting
+    that each family is one block: its ``# HELP``/``# TYPE`` pair, then
+    every one of its samples."""
+    blocks = {}
+    family = kind = helped = None
+    for line in text.splitlines():
+        if line.startswith("# HELP "):
+            helped = line.split(" ")[2]
+            continue
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ")
+            assert helped in (None, family), f"# HELP {helped} before {line}"
+            assert family not in blocks, f"{family} is split into several blocks"
+            blocks[family], helped = [], None
+            continue
+        name = line.split("{")[0].split(" ")[0]
+        suffixes = ("_bucket", "_sum", "_count") if kind == "histogram" else ()
+        assert name in (family, *(family + s for s in suffixes)), line
+        blocks[family].append(line)
+    return blocks
+
+
+def test_prometheus_groups_each_family_into_one_block():
+    registries = [MetricsRegistry(clock=lambda: 0.0, scope=f"sim{i}")
+                  for i in range(2)]
+    for registry in registries:
+        registry.counter("repro_test_things_total", labels={"k": "a"},
+                         help="things").inc()
+        registry.histogram("repro_test_wait_seconds", buckets=[1.0]).observe(0.5)
+        registry.gauge("repro_test_depth_ratio").set(1.0)
+        registry.counter("repro_test_things_total", labels={"k": "b"}).inc()
+    blocks = exposition_blocks(prometheus_text(registries))
+    assert list(blocks) == ["repro_test_things_total", "repro_test_wait_seconds",
+                            "repro_test_depth_ratio"]
+    assert [line.split(" ")[0] for line in blocks["repro_test_things_total"]] == [
+        'repro_test_things_total{k="a",scope="sim0"}',
+        'repro_test_things_total{k="b",scope="sim0"}',
+        'repro_test_things_total{k="a",scope="sim1"}',
+        'repro_test_things_total{k="b",scope="sim1"}',
+    ]
+    assert len(blocks["repro_test_wait_seconds"]) == 2 * 4   # 2 buckets, sum, count
+
+
+def test_registry_samples_render_like_the_registry():
+    """Samples cross a process boundary and render the same text."""
+    import pickle
+
+    registry = MetricsRegistry(clock=lambda: 2.0, scope="sim0")
+    registry.gauge("repro_test_depth_ratio").set(3.0)
+    registry.histogram("repro_test_wait_seconds").observe(0.25)
+    samples = pickle.loads(pickle.dumps(registry_samples(registry)))
+    assert prometheus_text([samples]) == prometheus_text(registry)
+
+
 # -- format sniffing ----------------------------------------------------------
 
 def test_load_spans_single_line_jsonl_is_not_misread_as_chrome(tmp_path):
@@ -115,7 +180,7 @@ def test_load_spans_single_line_jsonl_is_not_misread_as_chrome(tmp_path):
     span = Span("solo", 1.0, attrs={"k": "v"}, span_id=7)
     span.end = 2.0
     path = str(tmp_path / "one.jsonl")
-    write_spans_jsonl([span], path)
+    write_jsonl([span], path)
     (loaded,) = load_spans(path)
     assert loaded.name == "solo"
     assert loaded.span_id == span.span_id
@@ -128,7 +193,7 @@ def test_load_spans_jsonl_with_traceevents_attr_stays_jsonl(tmp_path):
     span = Span("tricky", 0.0, attrs={"traceEvents": "red-herring"}, span_id=1)
     span.end = 1.0
     path = str(tmp_path / "tricky.jsonl")
-    write_spans_jsonl([span], path)
+    write_jsonl([span], path)
     (loaded,) = load_spans(path)
     assert loaded.name == "tricky"
 
@@ -157,7 +222,7 @@ def test_load_spans_round_trips_identity(tmp_path):
     spans = sample_spans()
     jsonl = str(tmp_path / "s.jsonl")
     chrome = str(tmp_path / "s.json")
-    write_spans_jsonl(spans, jsonl)
+    write_jsonl(spans, jsonl)
     write_chrome_trace(spans, chrome)
     for path in (jsonl, chrome):
         by_name = {s.name: s for s in load_spans(path)}

@@ -2,7 +2,7 @@
 
 No id is drawn from module state, so a traced run's bytes are a pure
 function of ``(params, seed)`` whatever ran earlier in the interpreter:
-a whole-run export equals the per-scenario stream, one collector's
+a ``--trace`` export holds the per-scenario stream's spans, one collector's
 scopes never reuse a span id, and a stream recorded after another
 traced run still matches the chaos stream pin of
 ``tests/integration/test_sweep_goldens.py``.
@@ -25,13 +25,17 @@ def _quiet(_text):
 
 
 def test_whole_run_export_equals_the_stream(tmp_path):
-    plan = ["sweep", "chaos", "--set", "rates=(8,)", "--set", "window_s=5"]
-    export, stream = tmp_path / "export.jsonl", tmp_path / "stream.jsonl"
-    assert main([*plan, "--spans", str(export)], out=_quiet) == 0
-    assert main([*plan, "--stream-spans", str(stream)], out=_quiet) == 0
-    assert export.read_bytes() == stream.read_bytes()
-    first = json.loads(export.read_text().splitlines()[0])
-    assert first["span_id"] == 1
+    """The --trace events are the stream's spans, ids included."""
+    plan = ["sweep", "chaos", "--set", "rates=(4, 8)", "--set", "window_s=5"]
+    trace, stream = tmp_path / "trace.json", tmp_path / "stream.jsonl"
+    assert main([*plan, "--trace", str(trace), "--stream-spans", str(stream)],
+                out=_quiet) == 0
+    events = [e for e in json.loads(trace.read_text())["traceEvents"]
+              if e["ph"] != "M"]
+    spans = [json.loads(line) for line in stream.read_text().splitlines()]
+    assert [(e["name"], e["args"]["span_id"]) for e in events] == \
+        [(s["name"], s["span_id"]) for s in spans]
+    assert spans[0]["span_id"] == 1
 
 
 def test_span_ids_are_unique_across_one_collectors_scopes():

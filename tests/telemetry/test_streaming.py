@@ -1,24 +1,25 @@
-"""The span stream: the bounded live pipeline, and the exact offline
-RED/SLO analyses over the file it writes.
+"""The span stream: the streaming sink, and the exact offline RED/SLO
+analyses over the file it writes.
 
-The bounded-memory assertions are the pipeline's acceptance criterion:
-it must retain at most the flight recorder's capacity no matter how
-long the stream runs — 100k spans in, ring-sized tail out.
+The no-retention assertion is the stream's acceptance criterion: a
+collector whose sink is a :class:`JsonlStreamWriter` keeps no span in
+memory however long the run, and the file holds every span.
 """
 
+import gc
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from repro.sweep import run_sweep
 from repro.telemetry import (
-    FlightRecorder,
     JsonlStreamWriter,
     SloConfig,
     Span,
     SpanKind,
-    SpanPipeline,
+    TelemetryCollector,
     load_spans,
     red_rows,
     slo_episodes,
@@ -59,22 +60,6 @@ def test_jsonl_writer_streams_and_flushes(tmp_path):
     assert writer.written == 2
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["name"] for r in records] == ["a", "b"]
-
-
-def test_flight_recorder_ring_and_snapshots():
-    recorder = FlightRecorder(capacity=4, trigger_prefixes=("fault.",),
-                              snapshot_limit=2)
-    for i in range(10):
-        recorder.append(make_span(f"s{i}", float(i)))
-    assert len(recorder) == 4                # ring holds only the tail
-    assert [s.name for s in recorder] == ["s6", "s7", "s8", "s9"]
-    recorder.append(make_span("fault.node_crash", 10.0, node="n0001"))
-    assert recorder.triggers == 1
-    (snap,) = recorder.snapshots
-    assert snap["trigger"] == "fault.node_crash"
-    # The snapshot preserved the spans leading up to the incident.
-    assert [s.name for s in snap["spans"]][-1] == "fault.node_crash"
-    assert len(snap["spans"]) == 4
 
 
 # -- RED rollup ---------------------------------------------------------------
@@ -169,23 +154,23 @@ def test_slo_config_validation():
         SloConfig(burn_threshold=0.0)
 
 
-# -- the pipeline: bounded memory end to end ---------------------------------
+# -- the streaming collector: nothing retained --------------------------------
 
-def test_pipeline_memory_is_bounded_by_ring_capacity(tmp_path):
-    """Acceptance: >= 100k spans in, peak retained <= ring size."""
+def test_streaming_collector_keeps_no_span_in_memory(tmp_path):
+    """Every span goes to the file; none stays reachable in the process."""
+    def live_spans():
+        gc.collect()
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, Span)}
+
+    before = live_spans()
     path = tmp_path / "stream.jsonl"
-    pipeline = SpanPipeline(stream_path=path)
-    ring = pipeline.recorder.capacity
-    total = 100_000
-    for i in range(total):
-        pipeline.append(request_root(f"t{i % 4}", i * 1e-3))
-    pipeline.close()
-    assert pipeline.seen == total
-    assert pipeline.peak_retained == ring < total
-    assert len(pipeline) == ring             # iteration yields only the tail
-    # Nothing was lost: the full stream is on disk.
-    assert pipeline.writer.written == total
-    assert sum(1 for _ in path.open()) == total
+    with JsonlStreamWriter(path) as writer, \
+            TelemetryCollector(sink=writer) as collector:
+        run_sweep("chaos", rates=(8.0,), window_s=2.0)
+    assert collector.spans is writer          # no list behind the sink
+    assert writer.written > 1000
+    assert len(path.read_text().splitlines()) == writer.written
+    assert live_spans() <= before
 
 
 def test_pipeline_stream_holds_only_appended_spans(tmp_path):
@@ -194,40 +179,14 @@ def test_pipeline_stream_holds_only_appended_spans(tmp_path):
                        window_s=10.0, buckets=10)
     path = tmp_path / "stream.jsonl"
     spans = [request_root("a", i * 0.1, duration=0.5) for i in range(10)]
-    with SpanPipeline(stream_path=path) as pipeline:
+    with JsonlStreamWriter(path) as writer:
         for span in spans:
-            pipeline.append(span)
+            writer.append(span)
     loaded = load_spans(str(path))
     assert [s.span_id for s in loaded] == [s.span_id for s in spans]
     assert len(slo_episodes(loaded, config)) == 1
 
 
-def test_pipeline_snapshots_on_fault_spans():
-    pipeline = SpanPipeline()
-    for i in range(100):
-        pipeline.append(make_span("rfaas.invocation", float(i)))
-    pipeline.append(make_span("fault.node_crash", 100.0))
-    assert pipeline.recorder.triggers == 1
-    assert len(pipeline.recorder.snapshots) == 1
-
-
-def test_pipeline_duck_types_the_span_list(tmp_path):
-    """Batch exporters must keep working on the in-memory tail."""
-    from repro.telemetry import chrome_trace_events, write_spans_jsonl
-
-    pipeline = SpanPipeline()
-    ring = pipeline.recorder.capacity
-    for i in range(ring + 50):
-        pipeline.append(make_span("rfaas.invocation", float(i)))
-    assert len(pipeline) == ring
-    events = chrome_trace_events(list(pipeline))
-    assert [e for e in events if e["ph"] == "X"]
-    out = tmp_path / "tail.jsonl"
-    assert write_spans_jsonl(pipeline, str(out)) == ring
-
-
 def test_stream_config_validation():
-    with pytest.raises(ValueError):
-        FlightRecorder(capacity=0)
     with pytest.raises(ValueError):
         JsonlStreamWriter("unused", flush_every=0)

@@ -137,12 +137,13 @@ def test_governed_request_forms_one_tree_per_invocation():
     assert all(r.ok for r in results)
     traces = trace_index(platform.telemetry.spans)
     roots = {
-        tid: trace_root(members) for tid, members in traces.items()
+        key: trace_root(members) for key, members in traces.items()
         if trace_root(members).name == SpanKind.CAPACITY
     }
     assert len(roots) == 6           # one trace per governed invocation
-    for tid, members in traces.items():
-        if tid not in roots:
+    for (run, tid), members in traces.items():
+        assert run == 0
+        if (run, tid) not in roots:
             continue
         names = {s.name for s in members}
         # The whole journey is in one tree: admission, client request,
@@ -168,7 +169,7 @@ def test_trace_survives_node_crash_and_spans_the_retry():
     traces = trace_index(platform.telemetry.spans)
 
     retried = []
-    for tid, members in traces.items():
+    for (_run, tid), members in traces.items():
         root = trace_root(members)
         if root is None or root.name != SpanKind.CAPACITY:
             continue

@@ -73,12 +73,13 @@ def test_run_with_trace_and_metrics_export(tmp_path):
     import json
 
     trace = tmp_path / "trace.json"
-    spans = tmp_path / "spans.jsonl"
+    stream = tmp_path / "spans.jsonl"
     metrics = tmp_path / "metrics.txt"
     lines, out = collect()
     code = main(
         ["sweep", "fig07", "--set", "samples=5", "--set", "sizes=(1, 1024)",
-         "--trace", str(trace), "--spans", str(spans), "--metrics-out", str(metrics)],
+         "--trace", str(trace), "--stream-spans", str(stream),
+         "--metrics-out", str(metrics)],
         out=out,
     )
     assert code == 0
@@ -95,7 +96,7 @@ def test_run_with_trace_and_metrics_export(tmp_path):
     assert {"hot", "warm"} <= modes
     kinds = {e["args"].get("kind") for e in events if e.get("name") == "rfaas.sandbox"}
     assert "cold" in kinds
-    assert spans.read_text().strip()
+    assert stream.read_text().strip()
     assert "repro_executor_invocations_total" in metrics.read_text()
     assert any("[trace:" in line for line in lines)
 

@@ -60,7 +60,7 @@ def test_chaos_span_export(tmp_path):
     spans = tmp_path / "spans.jsonl"
     lines, out = collect()
     code = main(["sweep", "chaos", "--set", "rates=(8,)", "--set", "window_s=5",
-                 "--spans", str(spans)], out=out)
+                 "--stream-spans", str(spans)], out=out)
     assert code == 0
     dumped = spans.read_text().strip().splitlines()
     assert len(dumped) > 0

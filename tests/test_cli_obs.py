@@ -8,6 +8,8 @@ import pytest
 from repro.cli import main
 from repro.telemetry import SpanKind, load_spans, slo_episodes
 
+from .telemetry.test_exporters import exposition_blocks
+
 
 def collect():
     lines = []
@@ -36,10 +38,64 @@ def streamed_autoscale(tmp_path_factory):
     return path, "\n".join(lines)
 
 
+@pytest.fixture(scope="module")
+def exported_chaos(tmp_path_factory):
+    """Two chaos scenarios: the stream alone, then with every export."""
+    root = tmp_path_factory.mktemp("exports")
+    plan = ["sweep", "chaos", "--set", "rates=(4, 8)", "--set", "window_s=6"]
+    assert main([*plan, "--stream-spans", str(root / "alone.jsonl")],
+                out=lambda s: None) == 0
+    assert main([*plan, "--stream-spans", str(root / "stream.jsonl"),
+                 "--trace", str(root / "trace.json"),
+                 "--metrics-out", str(root / "metrics.txt")],
+                out=lambda s: None) == 0
+    return root
+
+
+def test_stream_bytes_do_not_depend_on_other_exports(exported_chaos):
+    assert (exported_chaos / "stream.jsonl").read_bytes() == \
+        (exported_chaos / "alone.jsonl").read_bytes()
+
+
+def test_trace_holds_every_streamed_span(exported_chaos):
+    events = json.loads((exported_chaos / "trace.json").read_text())["traceEvents"]
+    assert len(events) == 7068
+    spans = (exported_chaos / "stream.jsonl").read_text().splitlines()
+    assert len([e for e in events if e["ph"] != "M"]) == len(spans)
+
+
+def test_metrics_export_groups_each_family(exported_chaos):
+    text = (exported_chaos / "metrics.txt").read_text()
+    blocks = exposition_blocks(text)
+    assert len(blocks) == 21
+    assert any('scope="sim1"' in line
+               for line in blocks["repro_executor_invocations_total"])
+
+
+def test_obs_critical_path_keeps_each_scenarios_traces_apart(exported_chaos):
+    path = exported_chaos / "stream.jsonl"
+    lines, out = collect()
+    assert main(["obs", "critical-path", str(path), "--all"], out=out) == 0
+    text = "\n".join(lines)
+    assert text.startswith("1174 trace(s)")
+    assert text.splitlines()[1].split()[:3] == ["run", "|", "trace"]
+    lines, out = collect()
+    assert main(["obs", "critical-path", str(path), "--trace-id", "1:5"],
+                out=out) == 0
+    assert "critical path of trace 1:5" in "\n".join(lines)
+
+
+def test_obs_critical_path_rejects_a_malformed_trace_ref(exported_chaos, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obs", "critical-path", str(exported_chaos / "stream.jsonl"),
+              "--trace-id", "one:5"], out=lambda s: None)
+    assert exc.value.code == 2
+    assert "expected ID or RUN:ID" in capsys.readouterr().err
+
+
 def test_stream_spans_reports_pipeline_summary(streamed_chaos):
     path, text = streamed_chaos
     assert "[stream:" in text
-    assert "peak retained" in text
     assert str(path) in text
     # The file is valid JSONL, one span per line.
     first = json.loads(path.read_text().splitlines()[0])
