@@ -21,7 +21,7 @@ from typing import Optional
 
 from ..cluster.node import Allocation, AllocationError, Node
 from ..sim.engine import Environment
-from ..telemetry import SpanKind, telemetry_of
+from ..telemetry import Span, SpanKind, telemetry_of
 from .image import Image
 from .runtime import ContainerRuntime
 
@@ -129,8 +129,12 @@ class WarmPool:
         return sum(c.image.runtime_memory_bytes for c in self._warm.values())
 
     # -- acquisition -----------------------------------------------------------
-    def acquire(self, image: Image) -> AcquireResult:
-        """Get a container for ``image``: warm hit, swap-in, or cold start."""
+    def acquire(self, image: Image, parent: Optional[Span] = None) -> AcquireResult:
+        """Get a container for ``image``: warm hit, swap-in, or cold start.
+
+        The acquire instant is a child of ``parent`` (the executor's
+        sandbox span), or else of the calling process's current span.
+        """
         # 1. Warm hit: LRU-newest first (it is most likely still cached).
         candidates = [c for c in self._warm.values() if c.image.name == image.name]
         if candidates:
@@ -139,7 +143,7 @@ class WarmPool:
             container.state = ContainerState.IN_USE
             self.hits += 1
             self._m_hits.inc()
-            self._note_acquire(image, "warm")
+            self._note_acquire(image, "warm", parent)
             return AcquireResult(container, self.runtime.warm_attach_s, "warm")
 
         # 2. Swapped instance: pay swap-in (read image state back) + attach.
@@ -152,7 +156,7 @@ class WarmPool:
             container.state = ContainerState.IN_USE
             self.swap_ins += 1
             self._m_swapins.inc()
-            self._note_acquire(image, "swapped")
+            self._note_acquire(image, "swapped", parent)
             cost = image.runtime_memory_bytes / self.swap_bandwidth + self.runtime.warm_attach_s
             return AcquireResult(container, cost, "swapped")
 
@@ -162,14 +166,14 @@ class WarmPool:
                                   container_id=self.env.next_id("container"))
         self.cold_starts += 1
         self._m_cold.inc()
-        self._note_acquire(image, "cold")
+        self._note_acquire(image, "cold", parent)
         return AcquireResult(container, self.runtime.cold_start_time(image), "cold")
 
-    def _note_acquire(self, image: Image, kind: str) -> None:
+    def _note_acquire(self, image: Image, kind: str, parent: Optional[Span]) -> None:
         self._record_resident()
         self._tracer.instant(
             SpanKind.WARMPOOL_ACQUIRE, track=f"{self.node.name}/warmpool",
-            image=image.name, kind=kind,
+            parent=parent, image=image.name, kind=kind,
         )
 
     def _allocate_memory(self, image: Image) -> Allocation:

@@ -10,11 +10,10 @@ through one NIC queue behind each other.  That contention is exactly what
 the memory-service experiment (Fig. 11) and the offloading saturation
 point (Fig. 13) measure.
 
-A transfer is not a process but two timers chained by callbacks: it
-takes its egress link, then its ingress link (each a FIFO handed
-straight to the next waiter on release), waits out the serialization
-timer, releases both, and fires its completion event when the latency
-timer expires.
+A transfer is not a process but two events: it takes its egress link,
+then its ingress link (each a FIFO handed straight to the next waiter
+on release), waits out the serialization timer, releases both, and
+schedules its completion event itself to land one latency later.
 """
 
 from __future__ import annotations
@@ -152,7 +151,12 @@ class LinkConditioner:
 
 
 class TransferStats:
-    """Aggregate transfer accounting for one fabric."""
+    """Aggregate transfer accounting for one fabric.
+
+    A transfer is counted once it has serialized, when its landing is
+    scheduled and certain; a run stopped at a horizon counts the
+    transfers still in flight to it.
+    """
 
     def __init__(self):
         self.messages = 0
@@ -351,16 +355,13 @@ class NetworkFabric:
             )))
             return done
 
-        def landed(_: Event) -> None:
-            self.stats.record(size_bytes)
-            done.succeed(size_bytes)
-
         def serialized(_: Event) -> None:
             # Ingress first, then egress: the release order of the nested
             # acquisition below.
             ingress.release()
             egress.release()
-            env.timer(latency, landed)
+            self.stats.record(size_bytes)
+            done.succeed_in(latency, size_bytes)
 
         egress.acquire(lambda: ingress.acquire(
             lambda: env.timer(serialization, serialized)))

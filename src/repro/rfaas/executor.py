@@ -13,22 +13,29 @@ Two polling modes from Sec. V-A / Fig. 7:
 Execution time is dilated by the node's current tenant mix through the
 :class:`~repro.rfaas.load.NodeLoadRegistry` — this is where co-location
 interference becomes visible to serverless users.
+
+As in rFaaS's hot executor, which serves an RDMA-written request on one
+path with no scheduler queue, an invocation is served without a
+process: :meth:`Executor.execute` returns an :class:`Invocation` event
+whose steps (core, dispatch, sandbox, inputs, execution) run as a chain
+of timer callbacks, the last of which succeeds the invocation.  An
+immediate drain interrupts each invocation in flight: the pending step
+becomes a no-op and the invocation fails with :class:`TerminationError`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from ..cluster.node import Node
 from ..containers.image import Image
 from ..containers.warmpool import WarmContainer, WarmPool
-from ..sim.engine import Environment, Event, Interrupt, Process
+from ..sim.engine import Environment, Event, SimulationError
 from ..storage.tiered import TieredFunctionStorage
 from ..telemetry import SpanKind, telemetry_of
-from ..telemetry.tracer import NULL_SPAN_CONTEXT as _UNTRACED
 from .errors import TerminationError
 from .load import NodeLoadRegistry
 from .messages import InvocationRequest, InvocationResult, InvocationStatus, Timings
@@ -94,7 +101,7 @@ class Executor:
         self.dispatch_multiplier = 1.0
         # In-flight invocations as an insertion-ordered set, so an
         # immediate drain interrupts them in launch order on every run.
-        self._active: dict[Process, None] = {}
+        self._active: dict[Invocation, None] = {}
         # Containers attached to this executor: after the first invocation
         # of an image, the function process stays resident, so subsequent
         # invocations skip sandbox acquisition entirely (true warm path).
@@ -147,9 +154,8 @@ class Executor:
             self.warm_pool.discard(container)
         self._attached.clear()
         if immediate:
-            for proc in list(self._active):
-                if proc.is_alive:
-                    proc.interrupt(cause="reclaim")
+            for invocation in list(self._active):
+                invocation.interrupt(cause="reclaim")
 
     def prewarm(self, image: Image) -> None:
         """Start and park a container so the next invocation is warm."""
@@ -157,18 +163,45 @@ class Executor:
         self.warm_pool.release(result.container)
 
     # -- invocation path ------------------------------------------------------
-    def execute(self, fdef: FunctionDef, request: InvocationRequest) -> Process:
-        """Serve one invocation; the returned process yields the result.
+    def execute(self, fdef: FunctionDef, request: InvocationRequest) -> Invocation:
+        """Serve one invocation; the returned event fires with the result.
 
-        Rejection (draining / no registered function) is reported in-band
-        via :class:`InvocationResult`; reclamation mid-flight raises
-        :class:`TerminationError` out of the process, mirroring rFaaS's
+        Rejection (draining / over the time limit) is reported in-band
+        via :class:`InvocationResult`; reclamation mid-flight fails the
+        event with :class:`TerminationError`, mirroring rFaaS's
         *termination* replies.
         """
-        traced = self._tracer.enabled
-        # The descriptive process name is only a trace/debug aid.
-        name = f"exec-{self.executor_id}-inv-{request.invocation_id}" if traced else "exec"
-        return self.env.process(self._execute(fdef, request, traced), name=name)
+        invocation = Invocation(self, fdef, request)
+        if self.draining:
+            self.rejected += 1
+            if invocation._traced:
+                self._m_rejected.inc()
+            return invocation.succeed(InvocationResult(
+                request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
+            ))
+        self._active[invocation] = None
+        if invocation._traced:
+            invocation._span = self._tracer.begin(
+                SpanKind.INVOCATION, track=self._track, ctx=request.trace,
+                function=fdef.name, invocation=request.invocation_id, mode=self.mode,
+            )
+        if self._free:
+            self._free -= 1
+            self._dispatch(invocation)
+        else:
+            # Queue, FIFO, until _release_core hands this invocation a core.
+            invocation._grant = grant = self.env.event(invocation._granted)
+            self._waiters.append(grant)
+        return invocation
+
+    def _dispatch(self, invocation: Invocation) -> None:
+        """``invocation`` holds a core: pick it up (polling-mode dependent)."""
+        invocation._holding = True
+        if invocation._traced:
+            invocation._step = self._tracer.begin(
+                SpanKind.DISPATCH, track=self._track, parent=invocation._span)
+        invocation.timings.dispatch = delay = self._dispatch_delay()
+        self.env.timer(delay, invocation._dispatched)
 
     def _dispatch_delay(self) -> float:
         if self.mode == ExecutorMode.HOT:
@@ -177,155 +210,226 @@ class Executor:
             base = _WARM_WAKEUP_BASE_S + float(self.rng.exponential(_WARM_WAKEUP_MEAN_S))
         return base * self.dispatch_multiplier
 
-    def _wait_for_core(self):
-        """Queue, FIFO, until :meth:`_release_core` hands this invocation a core."""
-        grant = Event(self.env)
-        self._waiters.append(grant)
-        try:
-            yield grant
-        except Interrupt:
-            if grant.triggered:
-                # Handed a core, then interrupted before resuming: pass it on.
-                self._release_core()
-            else:
-                self._waiters.remove(grant)
-            raise
-
     def _release_core(self) -> None:
         if self._waiters:
             self._waiters.popleft().succeed()
         else:
             self._free += 1
 
-    def _execute(self, fdef: FunctionDef, request: InvocationRequest, traced: bool):
-        """The one invocation path: core, dispatch, sandbox, inputs, execution.
 
-        Untraced, it makes no tracer or metric call: each span is the
-        shared no-op context and each metric update sits behind
-        ``traced``.  Both ways make the same yields and rng draws in the
-        same order, so traced and untraced runs share one timeline.
+class Invocation(Event):
+    """One invocation on an executor: an event that fires with its
+    :class:`InvocationResult`, or fails with :class:`TerminationError`.
+
+    No process serves it.  Its steps (core, dispatch, sandbox, inputs,
+    execution) are a chain of callbacks, each run by the timer (or core
+    grant) the step before it set, and the last one succeeds the
+    invocation itself.  Once the invocation has ended, a step still
+    queued is a no-op.
+
+    Untraced, the chain makes no tracer or metric call.  Traced, it
+    opens the same spans with :meth:`Tracer.begin` under explicit
+    parents: ``_span`` is the invocation's, ``_step`` the open child.
+    """
+
+    __slots__ = ("executor", "fdef", "request", "timings", "_traced", "_grant",
+                 "_holding", "_load_key", "_kind", "_started_at", "_slowdown",
+                 "_span", "_step")
+
+    def __init__(self, executor: Executor, fdef: FunctionDef, request: InvocationRequest):
+        Event.__init__(self, executor.env)
+        self.executor = executor
+        self.fdef = fdef
+        self.request = request
+        self.timings = Timings()
+        self._traced = executor._tracer.enabled
+        self._grant: Optional[Event] = None
+        self._holding = False
+        self._load_key: Optional[str] = None
+        self._kind = ""
+        self._started_at = self._slowdown = 0.0
+        self._span = self._step = None
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Abort the invocation, with :meth:`Process.interrupt`'s contract.
+
+        The abort runs as an urgent entry at the current instant, where
+        an :class:`Interrupt` would be delivered, so an immediate drain
+        aborts its invocations in launch order before anything else at
+        that instant resumes.  The pending step becomes a no-op, and the
+        invocation fails with :class:`TerminationError`.
         """
-        if self.draining:
-            self.rejected += 1
+        if self._triggered:
+            raise SimulationError("cannot interrupt a finished invocation")
+        self.env.urgent(self._terminate, cause)
+
+    # -- the chain: each step runs when the one before it has waited -----
+    def _granted(self, _event: Event) -> None:
+        if not self._triggered:
+            self.executor._dispatch(self)
+
+    def _dispatched(self, _event: Event) -> None:
+        """Sandbox: an attached function process serves directly;
+        otherwise the warm pool decides cold/warm/swap-in."""
+        if self._triggered:
+            return
+        executor = self.executor
+        timings = self.timings
+        if self._traced:
+            tracer = executor._tracer
+            tracer.finish(self._step)
+            executor._m_dispatch.observe(timings.dispatch)
+            self._step = tracer.begin(SpanKind.SANDBOX, track=executor._track,
+                                      parent=self._span)
+        image = self.fdef.image
+        container = executor._attached.get(image.name)
+        if container is not None:
+            self._kind = "attached"
+        else:
+            acquired = executor.warm_pool.acquire(image, parent=self._step)
+            executor._attached[image.name] = acquired.container
+            self._kind = acquired.kind
+            timings.startup = acquired.startup_cost_s
+            if timings.startup > 0:
+                self.env.timer(timings.startup, self._sandboxed)
+                return
+        self._sandboxed(None)
+
+    def _sandboxed(self, _event: Optional[Event]) -> None:
+        """Stage inputs through the function storage tier (mounted PFS /
+        object cache, Sec. IV-D)."""
+        if self._triggered:
+            return
+        executor = self.executor
+        fdef = self.fdef
+        if self._traced:
+            self._step.set(kind=self._kind)
+            executor._tracer.finish(self._step)
+            self._span.set(sandbox=self._kind)
+        if not fdef.input_read_bytes:
+            self._staged(None)
+            return
+        if self._traced:
+            self._step = executor._tracer.begin(
+                SpanKind.IO, track=executor._track, parent=self._span,
+                bytes=fdef.input_read_bytes)
+        concurrent = max(1, executor.active_invocations)
+        self.timings.io = executor.storage.read_time(
+            fdef.input_read_bytes, concurrent_readers=concurrent
+        )
+        self.env.timer(self.timings.io, self._staged)
+
+    def _staged(self, _event: Optional[Event]) -> None:
+        """Execute under the node's current interference, skipping work
+        already checkpointed elsewhere."""
+        if self._triggered:
+            return
+        executor = self.executor
+        fdef = self.fdef
+        traced = self._traced
+        if traced and fdef.input_read_bytes:
+            executor._tracer.finish(self._step)
+        node_name = executor.node.name
+        self._load_key = load_key = f"inv-{self.request.invocation_id}"
+        executor.loads.add(node_name, load_key, fdef.demand)
+        self._slowdown = slowdown = executor.loads.slowdown_of(node_name, load_key)
+        remaining = max(fdef.runtime_s - self.request.resume_offset_s, 0.0)
+        self.timings.execution = execution = remaining * slowdown
+        self._started_at = self.env.now
+        if execution > executor.max_invocation_s:
+            # Admission-time enforcement of the time limit: the
+            # platform never starts work it would have to kill.
+            executor.rejected += 1
             if traced:
-                self._m_rejected.inc()
-            return InvocationResult(
-                request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
-            )
-        env = self.env
-        me = env.active_process
-        self._active[me] = None
-        timings = Timings()
-        load_key = f"inv-{request.invocation_id}"
-        holding = registered = False
-        tracer = self._tracer
-        track = self._track
-        try:
-            with (tracer.span(
-                SpanKind.INVOCATION, track=track, ctx=request.trace,
-                function=fdef.name,
-                invocation=request.invocation_id, mode=self.mode,
-            ) if traced else _UNTRACED) as inv_span:
-                if self._free:
-                    self._free -= 1
-                else:
-                    yield from self._wait_for_core()
-                holding = True
-                # 1. Dispatch pickup (polling mode dependent).
-                with tracer.span(SpanKind.DISPATCH, track=track) if traced else _UNTRACED:
-                    timings.dispatch = self._dispatch_delay()
-                    yield env.timeout(timings.dispatch)
-                if traced:
-                    self._m_dispatch.observe(timings.dispatch)
-                # 2. Sandbox: an attached function process serves directly;
-                #    otherwise the warm pool decides cold/warm/swap-in.
-                with (tracer.span(SpanKind.SANDBOX, track=track)
-                      if traced else _UNTRACED) as sandbox_span:
-                    container = self._attached.get(fdef.image.name)
-                    if container is not None:
-                        kind = "attached"
-                    else:
-                        acquired = self.warm_pool.acquire(fdef.image)
-                        container = acquired.container
-                        self._attached[fdef.image.name] = container
-                        kind = acquired.kind
-                        timings.startup = acquired.startup_cost_s
-                        if timings.startup > 0:
-                            yield env.timeout(timings.startup)
-                    sandbox_span.set(kind=kind)
-                inv_span.set(sandbox=kind)
-                # 3. Stage inputs through the function storage tier
-                #    (mounted PFS / object cache, Sec. IV-D).
-                if fdef.input_read_bytes:
-                    with (tracer.span(SpanKind.IO, track=track,
-                                      bytes=fdef.input_read_bytes)
-                          if traced else _UNTRACED):
-                        concurrent = max(1, self.active_invocations)
-                        timings.io = self.storage.read_time(
-                            fdef.input_read_bytes, concurrent_readers=concurrent
-                        )
-                        yield env.timeout(timings.io)
-                # 4. Execute under the node's current interference,
-                #    skipping work already checkpointed elsewhere.
-                self.loads.add(self.node.name, load_key, fdef.demand)
-                registered = True
-                slowdown = self.loads.slowdown_of(self.node.name, load_key)
-                remaining = max(fdef.runtime_s - request.resume_offset_s, 0.0)
-                timings.execution = remaining * slowdown
-                execution_started = env.now
-                if timings.execution > self.max_invocation_s:
-                    # Admission-time enforcement of the time limit: the
-                    # platform never starts work it would have to kill.
-                    self.rejected += 1
-                    if traced:
-                        self._m_rejected.inc()
-                    inv_span.set(status="rejected")
-                    return InvocationResult(
-                        request=request,
-                        status=InvocationStatus.REJECTED,
-                        node_name=self.node.name,
-                    )
-                with (tracer.span(SpanKind.EXECUTION, track=track, slowdown=slowdown)
-                      if traced else _UNTRACED):
-                    if timings.execution > 0:
-                        yield env.timeout(timings.execution)
-                self.completed += 1
-                if traced:
-                    self._m_execution.observe(timings.execution)
-                    self._m_invocations.inc()
-                inv_span.set(status="ok")
-                return InvocationResult(
-                    request=request,
-                    status=InvocationStatus.OK,
-                    output_bytes=fdef.output_bytes,
-                    timings=timings,
-                    node_name=self.node.name,
-                    startup_kind=kind,
-                )
-        except Interrupt as intr:
-            self.terminated += 1
-            if traced:
-                self._m_terminated.inc()
-            checkpoint = request.resume_offset_s
-            if fdef.checkpointable and registered:
-                # Progress in nominal-runtime seconds, rounded down to the
-                # last completed checkpoint.
-                elapsed = (env.now - execution_started) / slowdown
-                interval = fdef.checkpoint_interval_s
-                checkpoint += (elapsed // interval) * interval
-                checkpoint = min(checkpoint, fdef.runtime_s)
-            raise TerminationError(
-                f"invocation {request.invocation_id}: {intr.cause}",
-                checkpoint_s=checkpoint,
-                cause=intr.cause,
-            ) from None
-        finally:
-            if holding:
-                self._release_core()
-            if registered:
-                self.loads.remove(self.node.name, load_key)
-            if self.draining:
-                for attached in self._attached.values():
-                    self.warm_pool.discard(attached)
-                self._attached.clear()
-            self._active.pop(me, None)
+                executor._m_rejected.inc()
+                self._span.set(status="rejected")
+            self._end(InvocationResult(
+                request=self.request, status=InvocationStatus.REJECTED,
+                node_name=node_name,
+            ))
+            return
+        if traced:
+            self._step = executor._tracer.begin(
+                SpanKind.EXECUTION, track=executor._track, parent=self._span,
+                slowdown=slowdown)
+        if execution > 0:
+            self.env.timer(execution, self._executed)
+        else:
+            self._executed(None)
+
+    def _executed(self, _event: Optional[Event]) -> None:
+        if self._triggered:
+            return
+        executor = self.executor
+        executor.completed += 1
+        if self._traced:
+            executor._tracer.finish(self._step)
+            executor._m_execution.observe(self.timings.execution)
+            executor._m_invocations.inc()
+            self._span.set(status="ok")
+        self._end(InvocationResult(
+            request=self.request,
+            status=InvocationStatus.OK,
+            output_bytes=self.fdef.output_bytes,
+            timings=self.timings,
+            node_name=executor.node.name,
+            startup_kind=self._kind,
+        ))
+
+    # -- endings -------------------------------------------------------------
+    def _end(self, result: InvocationResult) -> None:
+        if self._traced:
+            self.executor._tracer.finish(self._span)
+        self._release()
+        self.succeed(result)
+
+    def _terminate(self, event: Event) -> None:
+        """Deliver an :meth:`interrupt`: close the open spans as aborted,
+        give everything back and fail with :class:`TerminationError`."""
+        if self._triggered:
+            return  # an earlier interrupt at this instant ended it
+        cause = event.value
+        executor = self.executor
+        fdef = self.fdef
+        request = self.request
+        executor.terminated += 1
+        if self._traced:
+            tracer = executor._tracer
+            # Spans name every abort Interrupt, whatever its cause.
+            if self._step is not None:
+                tracer.finish(self._step, error="Interrupt")
+            tracer.finish(self._span, error="Interrupt")
+            executor._m_terminated.inc()
+        checkpoint = request.resume_offset_s
+        if fdef.checkpointable and self._load_key is not None:
+            # Progress in nominal-runtime seconds, rounded down to the
+            # last completed checkpoint.
+            elapsed = (self.env.now - self._started_at) / self._slowdown
+            interval = fdef.checkpoint_interval_s
+            checkpoint += (elapsed // interval) * interval
+            checkpoint = min(checkpoint, fdef.runtime_s)
+        self._release()
+        self.fail(TerminationError(
+            f"invocation {request.invocation_id}: {cause}",
+            checkpoint_s=checkpoint,
+            cause=cause,
+        ))
+
+    def _release(self) -> None:
+        """Give back the core (or the place in its queue), the node load
+        and the active slot; a draining executor drops its attachments."""
+        executor = self.executor
+        grant = self._grant
+        if self._holding or (grant is not None and grant.triggered):
+            # A core handed over before the grant's step ran is passed on.
+            executor._release_core()
+        elif grant is not None:
+            executor._waiters.remove(grant)
+        self._grant = None
+        if self._load_key is not None:
+            executor.loads.remove(executor.node.name, self._load_key)
+        if executor.draining:
+            for attached in executor._attached.values():
+                executor.warm_pool.discard(attached)
+            executor._attached.clear()
+        del executor._active[self]

@@ -132,6 +132,19 @@ class Event:
         env._immediate.append((env._now, env._seq, self))
         return self
 
+    def succeed_in(self, delay: float, value: Any = None) -> "Event":
+        """Schedule the event to fire successfully with ``value`` after
+        ``delay``: the event is its own timer, so whoever yields it
+        resumes from the timer itself, with no event relaying it."""
+        if self._triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._value = value
+        self._triggered = True
+        self.env._schedule(self, delay)
+        return self
+
     def fail(self, exc: BaseException) -> "Event":
         """Schedule the event to fire with an exception."""
         if self._triggered:
@@ -463,8 +476,12 @@ class Environment:
         return self._seq
 
     # -- factories -----------------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
+    def event(self, callback: Optional[Callable[[Event], None]] = None) -> Event:
+        """An untriggered event; ``callback``, if given, runs before any
+        process that yields it, as a timer's does."""
+        event = Event(self)
+        event._waiter = callback
+        return event
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
@@ -500,6 +517,20 @@ class Environment:
         self._schedule(event, delay)
         return event
 
+    def urgent(self, callback: Callable[[Event], None], value: Any = None) -> Event:
+        """An event that fires with ``value`` now, ahead of every ordinary
+        entry at this instant, running ``callback``: the slot in which
+        :meth:`Process.interrupt` delivers its :class:`Interrupt`, for a
+        timer chain that interrupts without a process.  Urgent entries
+        at one instant fire in the order they were made.
+        """
+        event = Event(self)
+        event._waiter = callback
+        event._value = value
+        event._triggered = True
+        self._schedule(event, priority=0)
+        return event
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
@@ -520,7 +551,7 @@ class Environment:
             else:
                 heapq.heappush(self._queue, (self._now + delay, self._seq, event))
         else:
-            # Rare lane (only interrupts use it): keeps the full
+            # Rare lane (only interrupts and urgent() use it): keeps the full
             # (time, priority, seq) key.
             heapq.heappush(self._urgent, (self._now + delay, priority, self._seq, event))
 

@@ -142,10 +142,14 @@ class Tracer:
                 self._stacks.pop(key, None)
 
     def instant(self, name: str, track: str = "main",
-                ctx: Optional[TraceContext] = None, **attrs: Any) -> Span:
-        """A zero-duration marker (e.g. a lease grant or an eviction)."""
+                ctx: Optional[TraceContext] = None,
+                parent: Optional[Span] = None, **attrs: Any) -> Span:
+        """A zero-duration marker (e.g. a lease grant or an eviction),
+        a child of ``parent`` or else of the calling process's current
+        span."""
         now = self.clock()
-        parent = self.current()
+        if parent is None:
+            parent = self.current()
         parent_id = self._link(parent, ctx, attrs)
         record = Span(name, now, track=track, parent_id=parent_id, attrs=attrs,
                       span_id=self._next_span_id())
@@ -155,15 +159,17 @@ class Tracer:
 
     # -- explicit-lifetime API ------------------------------------------------
     def begin(self, name: str, track: str = "main",
-              ctx: Optional[TraceContext] = None, **attrs: Any) -> Span:
+              ctx: Optional[TraceContext] = None,
+              parent: Optional[Span] = None, **attrs: Any) -> Span:
         """Open a span whose end is not lexically scoped (e.g. a batch job).
 
         The span is recorded only when :meth:`finish` closes it, so an
         abandoned span never corrupts an export.  Explicit-lifetime
-        spans never join the per-process stack; a ``ctx`` is the only
-        way to parent them.
+        spans never join the per-process stack: an open ``parent`` span
+        parents one as a ``with`` block would (inheriting its trace
+        id), and a ``ctx`` parents one across a hop.
         """
-        parent_id = self._link(None, ctx, attrs)
+        parent_id = self._link(parent, ctx, attrs)
         return Span(name, self.clock(), track=track, parent_id=parent_id,
                     attrs=attrs, span_id=self._next_span_id())
 
@@ -221,11 +227,13 @@ class NullTracer:
         return NULL_SPAN_CONTEXT
 
     def instant(self, name: str, track: str = "main",
-                ctx: Optional[TraceContext] = None, **attrs: Any) -> Span:
+                ctx: Optional[TraceContext] = None,
+                parent: Optional[Span] = None, **attrs: Any) -> Span:
         return _NULL_SPAN
 
     def begin(self, name: str, track: str = "main",
-              ctx: Optional[TraceContext] = None, **attrs: Any) -> Span:
+              ctx: Optional[TraceContext] = None,
+              parent: Optional[Span] = None, **attrs: Any) -> Span:
         return _NULL_SPAN
 
     def finish(self, span: Span, **attrs: Any) -> Span:

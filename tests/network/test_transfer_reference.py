@@ -1,8 +1,10 @@
-"""The fabric's timer-chain transfers against a process-per-message model.
+"""The fabric's two-event transfers against a process-per-message model.
 
 ``ReferenceFabric`` keeps the transfer as a process that holds the
 source's egress ``FifoLock``, then the destination's ingress
 ``FifoLock``, for the serialization time, and lands one latency later.
+The fabric spends two events on a transfer: its serialization timer,
+and its done event, which it schedules to land one latency after that.
 Both fabrics draw jitter and loss through the same ``_timing``.
 
 The two agree on every schedule in which no link is handed over at the

@@ -26,6 +26,7 @@ from repro.rfaas import (
     InvocationStatus,
     TerminationError,
 )
+from repro.rfaas.executor import Invocation
 from repro.sim import Environment, Event
 
 TICK = 0.25
@@ -85,43 +86,42 @@ def drainer(env, executor, at, hops):
     executor.drain(immediate=True)
 
 
-def granted_order(env, executor, handed=None):
+def granted_order(executor, handed=None):
     """Record ``(invocation id, instant)`` as each invocation gets a core.
 
     Dispatch pickup is the first thing an invocation does with a core.
     With ``handed``, also append to it the id of each queued invocation
     a release hands a core to, in hand-over order: that includes a
-    waiter a drain interrupts before it resumes, which never picks up.
+    waiter a drain interrupts before its grant fires, which never picks
+    up.  Both are keyed on the :class:`Invocation` ``execute`` returns.
     """
     granted = []
-    invocation_of = {}
     if handed is not None:
-        waiting = {}
+        invocation_of = {}
 
         class Waiters(deque):
-            def append(self, grant):
-                waiting[grant] = invocation_of[env.active_process]
-                super().append(grant)
-
             def popleft(self):
                 grant = super().popleft()
-                handed.append(waiting[grant])
+                handed.append(invocation_of[grant].request.invocation_id)
                 return grant
 
         executor._waiters = Waiters()
-    execute, dispatch_delay = executor.execute, executor._dispatch_delay
+        execute = executor.execute
 
-    def tagged_execute(fdef, request):
-        process = execute(fdef, request)
-        invocation_of[process] = request.invocation_id
-        return process
+        def tagged_execute(fdef, request):
+            invocation = execute(fdef, request)
+            if invocation._grant is not None:
+                invocation_of[invocation._grant] = invocation
+            return invocation
 
-    def observed_dispatch_delay():
-        granted.append((invocation_of[env.active_process], env.now))
-        return dispatch_delay()
+        executor.execute = tagged_execute
+    dispatch = executor._dispatch
 
-    executor.execute = tagged_execute
-    executor._dispatch_delay = observed_dispatch_delay
+    def observed_dispatch(invocation):
+        granted.append((invocation.request.invocation_id, executor.env.now))
+        dispatch(invocation)
+
+    executor._dispatch = observed_dispatch
     return granted
 
 
@@ -142,7 +142,7 @@ def granted_order(env, executor, handed=None):
 def test_cores_are_never_oversubscribed_and_granted_fifo(cores, arrivals, drains):
     env, executor, image = bare_executor(cores)
     handed = []
-    granted = granted_order(env, executor, handed)
+    granted = granted_order(executor, handed)
     outcomes = {}
     issue_order = sorted(range(len(arrivals)), key=lambda i: arrivals[i][0])
     for index in issue_order:
@@ -180,7 +180,7 @@ def test_a_core_handed_to_a_drained_waiter_is_passed_on():
     resumes, so B must give the core back for C (also drained), and the
     executor ends with its one core free."""
     env, executor, image = bare_executor(cores=1)
-    granted = granted_order(env, executor)
+    granted = granted_order(executor)
     outcomes = {}
     fdef = function(image, 1.0)
     for index in range(3):
@@ -193,24 +193,44 @@ def test_a_core_handed_to_a_drained_waiter_is_passed_on():
     assert executor._free == 1 and not executor._waiters
 
 
-def test_waiter_events_are_freed_without_the_cyclic_collector():
-    """100 invocations contend for 2 cores; with the cyclic collector
-    off, no waiter event outlives the run."""
-    env, executor, image = bare_executor(cores=2)
-    fdef = function(image, 1.0)
+def unfreed(env, executor, fdef, drain_at=None):
+    """Run 100 invocations contending for the executor's cores with the
+    cyclic collector off; return the outcomes and every waiter event or
+    invocation still alive."""
     outcomes = {}
     gc.collect()
     gc.disable()
     try:
         for index in range(100):
             env.process(invoke(env, executor, fdef, index, 0.0, outcomes))
+        if drain_at is not None:
+            env.process(drainer(env, executor, drain_at, hops=1))
         env.run()
         left = [obj for obj in gc.get_objects()
-                if type(obj) is Event and obj.env is env]
+                if type(obj) in (Event, Invocation) and obj.env is env]
     finally:
         gc.enable()
+    return [status for status, _ in outcomes.values()], left
+
+
+def test_waiter_events_are_freed_without_the_cyclic_collector():
+    """100 invocations contend for 2 cores; with the cyclic collector
+    off, no waiter event or invocation outlives the run."""
+    env, executor, image = bare_executor(cores=2)
+    ended, left = unfreed(env, executor, function(image, 1.0))
     assert env.now == 50.0
-    assert len(outcomes) == 100
+    assert ended == [InvocationStatus.OK] * 100
+    assert left == []
+
+
+def test_drained_invocations_are_freed_without_the_cyclic_collector():
+    """A drain one hop after the hand-over at 10.0 interrupts the two
+    waiters just handed a core and the 78 still queued; none of them
+    outlives the run."""
+    env, executor, image = bare_executor(cores=2)
+    ended, left = unfreed(env, executor, function(image, 1.0), drain_at=10.0)
+    assert env.now == 10.0
+    assert ended == [InvocationStatus.OK] * 20 + ["terminated"] * 80
     assert left == []
 
 
@@ -248,14 +268,15 @@ def test_an_untraced_invocation_makes_no_tracer_or_metric_call():
 
 def test_an_uncontended_invocation_schedules_only_live_work():
     """Event budget of two clients each invoking a 10 ms function 10
-    times in a row on one 2-core node.  Per invocation 12 (240): the
-    client's invoke process start and exit, the executor process start
-    and exit, its dispatch and execution timeouts, and two transfers
-    (request and response) of a serialization timer, a latency timer
-    and a done event each.  Per client 6 (12): the app process start and
-    exit, the connection setup's start, exit and timeout, and the lease
+    times in a row on one 2-core node.  Per invocation 9 (180): the
+    client's invoke process start and exit; the invocation's dispatch
+    and execution timers and its own firing; and two transfers (request
+    and response) of a serialization timer and a done event that lands
+    itself each.  Per client 6 (12): the app process start and exit,
+    the connection setup's start, exit and timeout, and the lease
     guard.  One cold start (1).  Every invocation takes a free core with
-    no event: a grant event put back adds 20 here."""
+    no event: a grant event put back adds 20 here, an executor process
+    put back 20 (its start hop) and a relay hop per transfer 40."""
     platform = Platform.build(ClusterSpec(nodes=2, jitter=0.0), seed=0)
     platform.register_node("n0001", cores=2, memory_bytes=8 << 30)
     demand = ResourceDemand(cores=1, membw=0.2e9, llc_bytes=1 << 20,
@@ -273,14 +294,17 @@ def test_an_uncontended_invocation_schedules_only_live_work():
         platform.process(app(platform.client("n0000")))
     platform.run()
     assert completed == [True] * 20
-    assert platform.env.event_count == 253
+    assert platform.env.event_count == 193
 
 
-def test_the_chaos_workload_runs_twelve_events_per_invocation(monkeypatch):
+def test_the_chaos_workload_runs_nine_events_per_invocation(monkeypatch):
     """The benchmark's ``chaos`` instance at seed 0 (16 faults/min over
-    60 s, four closed-loop streams): 12.02 events per invocation.  Its
-    executors never queue, so a grant event per execution put back
-    adds 11,739 here."""
+    60 s, four closed-loop streams): 9.02 events per invocation.  Each
+    invocation is served by a timer chain (no executor process start)
+    and each transfer's done event lands itself (no relay hop): a
+    process per execution and a relay per transfer put back add 35,206
+    here (141,014).  Its executors never queue, so a grant event per
+    execution put back adds 11,739."""
     built = []
     build = Platform.build
 
@@ -293,4 +317,4 @@ def test_the_chaos_workload_runs_twelve_events_per_invocation(monkeypatch):
     scenario = plan.scenarios[0]
     point = scenario.fn(scenario.params, scenario.seed)
     assert point["invocations"] == 11_728
-    assert built[0].env.event_count == 141_014
+    assert built[0].env.event_count == 105_808

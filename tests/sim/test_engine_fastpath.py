@@ -577,6 +577,45 @@ def test_a_zero_delay_timer_takes_the_immediate_lane():
         env.timer(-1.0, lambda _: None)
 
 
+def test_an_event_scheduled_with_succeed_in_is_its_own_timer():
+    env = Environment()
+    done = env.event()
+    got = []
+
+    def waiter():
+        got.append(((yield done), env.now))
+
+    env.process(waiter())
+    env.timer(1.0, lambda _: done.succeed_in(0.5, "landed"))
+    env.run()
+    assert got == [("landed", 1.5)]
+    assert env.event_count == 4  # process start and exit, the timer, done
+    with pytest.raises(SimulationError):
+        done.succeed_in(1.0)
+    with pytest.raises(ValueError):
+        env.event().succeed_in(-1.0)
+
+
+def test_urgent_entries_run_first_at_their_instant_in_creation_order():
+    """An urgent entry overtakes every ordinary entry at the current
+    instant, as an interrupt does; a callback event runs its callback
+    when a release succeeds it."""
+    env = Environment()
+    log = []
+    grant = env.event(lambda _: log.append("grant"))
+
+    def at_one(_):
+        grant.succeed()
+        env.urgent(lambda event: log.append(event.value), "first")
+        env.urgent(lambda event: log.append(event.value), "second")
+
+    env.timer(1.0, at_one)
+    env.timer(1.0, lambda _: log.append("timer"))
+    env.run()
+    assert log == ["first", "second", "timer", "grant"]
+    assert env.now == 1.0
+
+
 # -- no cyclic garbage -------------------------------------------------------
 
 def test_finished_processes_are_freed_without_the_cyclic_collector():
