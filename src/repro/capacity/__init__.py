@@ -14,7 +14,7 @@ and the rFaaS-side demand signal (invocation arrivals):
   on the :class:`~repro.cloudfaas.CloudFaaSPlatform` baseline, billed
   through :mod:`repro.disagg.billing`;
 * :class:`CapacityPlane` — the four pieces behind one governed
-  ``invoke``; build it via ``Platform.build(..., capacity=...)``.
+  ``invoke``; build it via ``PlatformConfig(capacity=...)``.
 """
 
 from .admission import (

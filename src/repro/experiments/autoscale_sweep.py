@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..capacity import (
     AdmissionConfig,
     AutoscalerConfig,
@@ -153,24 +153,20 @@ def _arrival_source(env, plane, clients, names, results, load: float,
 def scenario(params: dict, seed: int) -> dict:
     """One autoscale scenario as a pure function of ``(params, seed)``.
 
-    ``params``: ``load``, ``predictive``, ``window_s``, ``runtime_s``,
-    ``payload_bytes``, ``tenants``, ``base_rate_per_s``, ``plan``
-    (a :class:`FaultPlan` or None).  Returns the
+    ``params``: ``platform`` (a :class:`PlatformConfig` whose capacity
+    plane is reactive or predictive), ``load``, ``window_s``,
+    ``runtime_s``, ``payload_bytes``, ``tenants``, ``base_rate_per_s``,
+    ``plan`` (a :class:`FaultPlan` or None).  Returns the
     :class:`AutoscalePoint` as a plain dict.
     """
     load: float = params["load"]
-    predictive: bool = params["predictive"]
     window_s: float = params["window_s"]
     runtime_s: float = params["runtime_s"]
     payload_bytes: int = params["payload_bytes"]
     tenants: int = params["tenants"]
     base_rate_per_s: float = params["base_rate_per_s"]
     plan: Optional[FaultPlan] = params["plan"]
-    platform = Platform.build(
-        ClusterSpec(nodes=5, jitter=0.0), seed=seed,
-        faults=plan,
-        capacity=_capacity_config(predictive),
-    )
+    platform = Platform.build(params["platform"], seed=seed, faults=plan)
     env = platform.env
     # One executor core per node: the harvested pool (4 slots) is scarce
     # relative to the tenant count, so lease contention — and with it the
@@ -200,7 +196,7 @@ def scenario(params: dict, seed: int) -> dict:
                                      load, base_rate_per_s, window_s,
                                      payload_bytes))
     # Let the window play out (plus slack for stragglers), then drain.
-    platform.run_until(window_s + 5.0)
+    platform.run(window_s + 5.0)
     platform.run()
     for client in clients:
         client.close()
@@ -218,7 +214,7 @@ def scenario(params: dict, seed: int) -> dict:
     injector = platform.injector
     return asdict(AutoscalePoint(
         load=load,
-        mode="predictive" if predictive else "reactive",
+        mode="predictive" if plane.autoscaler.config.predictive else "reactive",
         invocations=len(results),
         completed=len(hpc),
         bursts=sum(1 for r in results if r.route == "cloud"),
@@ -272,8 +268,10 @@ def plan_scenarios(
             scenarios.append(ScenarioSpec(
                 fn=scenario,
                 params={
+                    "platform": PlatformConfig(
+                        nodes=5, jitter=0.0,
+                        capacity=_capacity_config(predictive)),
                     "load": load,
-                    "predictive": predictive,
                     "window_s": window_s,
                     "runtime_s": runtime_s,
                     "payload_bytes": payload_bytes,

@@ -28,9 +28,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..controlplane import HAConfig
 from ..faults import FaultKind, FaultPlan, random_plan, run_invariants
+from ..gpuservice import GpuServiceConfig
 from .base import ScenarioSpec, Sweep, SweepPlan
 from .chaos_sweep import PAGED_MEMORY, noop_client, start_pager
 from .manager_failover_sweep import SWEEP_POLICY, paced_stream
@@ -64,10 +65,7 @@ def scenario(params: dict, seed: int) -> dict:
     """One schedule as a pure function of ``(params, seed)``."""
     plan: FaultPlan = params["plan"]
     window_s: float = params["window_s"]
-    platform = Platform.build(
-        ClusterSpec(nodes=4, jitter=0.0), seed=seed, faults=plan,
-        durable_memory=PAGED_MEMORY, gpu=True, ha=params["ha"],
-    )
+    platform = Platform.build(params["platform"], seed=seed, faults=plan)
     client = noop_client(platform, "certify-noop", 0.02, SWEEP_POLICY)
     outcomes = []
     started = {"n": 0}
@@ -75,7 +73,7 @@ def scenario(params: dict, seed: int) -> dict:
         platform.process(paced_stream(platform.env, client, outcomes, started,
                                       window_s, payload_bytes=256))
     start_pager(platform, "certify-pager", window_s)
-    platform.run_until(window_s + 30.0)
+    platform.run(window_s + 30.0)
     client.close()
     platform.run()
 
@@ -117,16 +115,21 @@ def plan_scenarios(
     kinds = FaultKind.ALL if kinds is None else tuple(kinds)
     if not kinds:
         raise ValueError("kinds must name at least one fault kind")
-    ha = HAConfig(standbys=standbys,
-                  heartbeat_interval_s=float(heartbeat_interval_s),
-                  suspect_after=suspect_after)
+    config = PlatformConfig(
+        nodes=4, jitter=0.0, durable_memory=PAGED_MEMORY,
+        gpu=GpuServiceConfig(),
+        ha=HAConfig(standbys=standbys,
+                    heartbeat_interval_s=float(heartbeat_interval_s),
+                    suspect_after=suspect_after),
+    )
     plans = [random_plan(np.random.default_rng((seed, i)), window_s=window_s,
                          events=events, kinds=kinds, name=f"certify-{i}")
              for i in range(budget)]
     return SweepPlan(
         scenarios=tuple(
             ScenarioSpec(fn=scenario,
-                         params={"plan": plan, "window_s": window_s, "ha": ha},
+                         params={"platform": config, "plan": plan,
+                                 "window_s": window_s},
                          seed=seed + i, label=plan.name)
             for i, plan in enumerate(plans)
         ),

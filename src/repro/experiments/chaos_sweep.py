@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..containers import Image
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy
 from ..interference import ResourceDemand
@@ -172,8 +172,9 @@ def noop_client(platform, image: str, runtime_s: float, policy: RetryPolicy):
 def scenario(params: dict, seed: int) -> dict:
     """One chaos scenario as a pure function of ``(params, seed)``.
 
-    ``params``: ``plan`` (a :class:`FaultPlan`), ``window_s``,
-    ``runtime_s``, ``payload_bytes``, ``streams``, ``memservice``.
+    ``params``: ``platform`` (a :class:`PlatformConfig`), ``plan`` (a
+    :class:`FaultPlan`), ``window_s``, ``runtime_s``, ``payload_bytes``,
+    ``streams``.  A platform with durable memory also pages through it.
     Returns the :class:`ChaosPoint` as a plain dict, ready to cross a
     process boundary.
     """
@@ -182,9 +183,7 @@ def scenario(params: dict, seed: int) -> dict:
     runtime_s: float = params["runtime_s"]
     payload_bytes: int = params["payload_bytes"]
     streams: int = params["streams"]
-    memservice: bool = params["memservice"]
-    platform = Platform.build(ClusterSpec(nodes=4), seed=seed, faults=plan,
-                              durable_memory=PAGED_MEMORY if memservice else None)
+    platform = Platform.build(params["platform"], seed=seed, faults=plan)
     env = platform.env
     client = noop_client(platform, "chaos-noop", runtime_s, SWEEP_POLICY)
     outcomes = []
@@ -192,9 +191,9 @@ def scenario(params: dict, seed: int) -> dict:
     for _ in range(streams):
         platform.process(_invocation_stream(env, client, outcomes, window_s,
                                             payload_bytes))
-    if memservice:
+    if platform.durable_memory is not None:
         start_pager(platform, "chaos-pager", window_s)
-    platform.run_until(window_s + 30.0)
+    platform.run(window_s + 30.0)
     platform.run()
 
     latencies = [d.elapsed_s for d in outcomes if d.ok]
@@ -255,16 +254,18 @@ def plan_scenarios(
     else:
         rates = DEFAULT_RATES if rates is None else rates
         plans = [default_plan(float(rate), window_s) for rate in rates]
+    config = PlatformConfig(nodes=4,
+                            durable_memory=PAGED_MEMORY if memservice else None)
     scenarios = tuple(
         ScenarioSpec(
             fn=scenario,
             params={
+                "platform": config,
                 "plan": scenario_plan,
                 "window_s": window_s,
                 "runtime_s": runtime_s,
                 "payload_bytes": payload_bytes,
                 "streams": streams,
-                "memservice": memservice,
             },
             seed=seed,
             label=scenario_plan.name,

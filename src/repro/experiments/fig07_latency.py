@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..containers import Image
 from ..interference import ResourceDemand
 from ..rfaas import ExecutorMode
@@ -53,7 +53,7 @@ def _percentiles(values: list[float]) -> tuple[float, float]:
 
 
 def _rfaas_latencies(mode: str, size: int, samples: int, seed: int) -> list[float]:
-    platform = Platform.build(ClusterSpec(nodes=2), seed=seed)
+    platform = Platform.build(PlatformConfig(nodes=2), seed=seed)
     env = platform.env
     platform.register_node("n0001", cores=2, memory_bytes=8 * 1024**3, mode=mode)
     image = Image("noop", size_bytes=50 * MiB)
@@ -84,7 +84,7 @@ def _rfaas_latencies(mode: str, size: int, samples: int, seed: int) -> list[floa
 
 
 def _fabric_latencies(size: int, samples: int, seed: int) -> list[float]:
-    platform = Platform.build(ClusterSpec(nodes=2), seed=seed)
+    platform = Platform.build(PlatformConfig(nodes=2), seed=seed)
     env = platform.env
     cred = platform.drc.acquire("bench")
     platform.drc.grant(cred.cred_id, "bench", "bench")

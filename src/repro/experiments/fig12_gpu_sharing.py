@@ -130,22 +130,22 @@ def run_platform(seed: int = 0, **kwargs) -> list[Fig12Point]:
 
     ``kwargs`` are :func:`plan_scenarios` arguments.  Instead of the
     closed-form occupancy overload, each Rodinia function keeps a kernel
-    resident on a live :class:`~repro.gpu.device.GpuDevice` (built by
-    ``Platform.build(gpu=...)``) while the batch job launches its own
-    kernel; the overload is read off the batch kernel's simulated wall
-    time.  The SM time-sharing rule makes that wall time
+    resident on a live :class:`~repro.gpu.device.GpuDevice` (a platform
+    built from ``PlatformConfig(gpu=...)``) while the batch job launches
+    its own kernel; the overload is read off the batch kernel's simulated
+    wall time.  The SM time-sharing rule makes that wall time
     ``max(1, occ_total)``, so the measured overload ``wall − 1`` equals
     the analytic ``max(0, occ_total − 1)`` *exactly* (IEEE identity) and
     the points equal the sweep's — asserted by
     ``tests/experiments/test_experiments.py``.
     """
-    from ..api import ClusterSpec, Platform
+    from ..api import Platform, PlatformConfig
     from ..gpuservice import GpuServiceConfig
 
     plan = plan_scenarios(seed=seed, **kwargs)
     platform = Platform.build(
-        ClusterSpec(nodes=1, jitter=0.0), seed=seed,
-        gpu=GpuServiceConfig(gpu_nodes=1),
+        PlatformConfig(nodes=1, jitter=0.0, gpu=GpuServiceConfig(gpu_nodes=1)),
+        seed=seed,
     )
     service = platform.gpu
     device_name, _ = service.online_slots()[0]

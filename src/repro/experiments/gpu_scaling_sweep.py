@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..gpu.gpu_function import GpuFunctionSpec
 from ..gpuservice import BatchPolicy, GpuServiceConfig
 from .base import ScenarioSpec, Sweep, SweepPlan
@@ -135,20 +135,15 @@ def _request_stream(env, service, function: str, count: int, gap_s: float,
 def scenario(params: dict, seed: int) -> dict:
     """One batch-size setting as a pure function of ``(params, seed)``.
 
-    ``params``: ``batch_size``, ``requests`` (per stream),
+    ``params``: ``platform`` (a :class:`PlatformConfig` whose GPU
+    service batches up to the setting), ``requests`` (per stream),
     ``max_rate_rps``.  Returns the :class:`GpuScalingPoint` as a dict.
     """
-    batch_size: int = params["batch_size"]
     per_stream: int = params["requests"]
     max_rate_rps: float = params["max_rate_rps"]
-    config = GpuServiceConfig(
-        gpu_nodes=2,
-        policy=BatchPolicy(max_batch_size=batch_size, max_wait_s=1.0),
-    )
-    platform = Platform.build(
-        ClusterSpec(nodes=2, jitter=0.0), seed=seed,
-        gpu=config,
-    )
+    platform = Platform.build(params["platform"], seed=seed)
+    config = platform.config.gpu
+    batch_size = config.policy.max_batch_size
     env = platform.env
     service = platform.gpu
     offered = _offered_rate(batch_size, max_rate_rps, config)
@@ -201,7 +196,11 @@ def plan_scenarios(
         ScenarioSpec(
             fn=scenario,
             params={
-                "batch_size": b,
+                "platform": PlatformConfig(
+                    nodes=2, jitter=0.0, gpu=GpuServiceConfig(
+                        gpu_nodes=2,
+                        policy=BatchPolicy(max_batch_size=b, max_wait_s=1.0),
+                    )),
                 "requests": requests,
                 "max_rate_rps": max_rate_rps,
             },

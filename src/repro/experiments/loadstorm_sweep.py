@@ -3,7 +3,7 @@
 One seeded :class:`~repro.loadgen.WorkloadTrace` — open-loop arrivals
 from a 1.2M-tenant Zipf population — is replayed against
 :class:`~repro.shard.ShardedControlPlane` instances of increasing shard
-count, each built by ``Platform.build(shards=...)``.  Every arrival
+count, each built from a ``PlatformConfig(shards=...)``.  Every arrival
 runs the full multi-tenant path: per-tenant admission control (:mod:`repro.capacity`), a batched grant on the
 tenant's home shard, a service-time hold, and a batched release, with
 bounded deterministic retries when the shard is saturated or down.
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..capacity.admission import AdmissionConfig, AdmissionController, TenantQuota
 from ..faults import FaultPlan, RetryPolicy
 from ..loadgen import LoadSpec, MmppArrivals, PoissonArrivals, TenantMix, synthesize
@@ -147,17 +147,20 @@ def _replay(env, plane, admission, trace, mix: TenantMix, census, latencies):
 
 
 def scenario(params: dict, seed: int) -> dict:
-    """One shard count as a pure function of ``(params, seed)``."""
-    shards: int = params["shards"]
+    """One shard count as a pure function of ``(params, seed)``.
+
+    ``params["platform"]`` is the sharded :class:`PlatformConfig`; every
+    one of its nodes donates ``cores_per_node`` cores.
+    """
+    config: PlatformConfig = params["platform"]
+    shards = config.shards.shards
     window_s: float = params["window_s"]
     rate_per_s: float = params["rate_per_s"]
     population: int = params["population"]
     zipf_s: float = params["zipf_s"]
     service_s: float = params["service_s"]
     arrival: str = params["arrival"]
-    nodes: int = params["nodes"]
     cores_per_node: int = params["cores_per_node"]
-    max_batch: int = params["max_batch"]
     crash_at_frac: float = params["crash_at_frac"]
 
     if arrival == "mmpp":
@@ -175,10 +178,7 @@ def scenario(params: dict, seed: int) -> dict:
     ))
 
     platform = Platform.build(
-        ClusterSpec(nodes=nodes), seed=seed,
-        shards=ShardConfig(shards=shards, max_batch=max_batch,
-                           batch_overhead_s=BATCH_OVERHEAD_S, per_op_s=PER_OP_S,
-                           rebalance_interval_s=0.25),
+        config, seed=seed,
         # Shard-targeted crash through the fault layer: kill the highest
         # shard mid-storm, restarting after 10% of the window.
         faults=FaultPlan(name="loadstorm").manager_crash(
@@ -187,7 +187,7 @@ def scenario(params: dict, seed: int) -> dict:
         ) if crash_at_frac > 0 else None,
     )
     env, plane, injector = platform.env, platform.manager, platform.injector
-    for i in range(nodes):
+    for i in range(config.nodes):
         platform.register_node(f"n{i:04d}", cores=cores_per_node,
                                memory_bytes=4 * GiB)
     admission = AdmissionController(env, AdmissionConfig(
@@ -270,16 +270,18 @@ def plan_scenarios(
         ScenarioSpec(
             fn=scenario,
             params={
-                "shards": n,
+                "platform": PlatformConfig(nodes=nodes, shards=ShardConfig(
+                    shards=n, max_batch=max_batch,
+                    batch_overhead_s=BATCH_OVERHEAD_S, per_op_s=PER_OP_S,
+                    rebalance_interval_s=0.25,
+                )),
                 "window_s": window_s,
                 "rate_per_s": rate_per_s,
                 "population": population,
                 "zipf_s": zipf_s,
                 "service_s": service_s,
                 "arrival": arrival,
-                "nodes": nodes,
                 "cores_per_node": cores_per_node,
-                "max_batch": max_batch,
                 "crash_at_frac": crash_at_frac,
             },
             seed=seed,

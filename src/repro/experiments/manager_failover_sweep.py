@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..controlplane import HAConfig
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy, run_invariants
 from .base import ScenarioSpec, Sweep, SweepPlan
@@ -114,28 +114,24 @@ def paced_stream(env, client, outcomes, started, window_s: float,
 
 
 def scenario(params: dict, seed: int) -> dict:
-    """One standby count as a pure function of ``(params, seed)``."""
-    standbys: int = params["standbys"]
+    """One standby count as a pure function of ``(params, seed)``.
+
+    ``params["platform"]`` is the replicated :class:`PlatformConfig`.
+    """
     window_s: float = params["window_s"]
     runtime_s: float = params["runtime_s"]
     payload_bytes: int = params["payload_bytes"]
     streams: int = params["streams"]
-    heartbeat_interval_s: float = params["heartbeat_interval_s"]
-    suspect_after: int = params["suspect_after"]
-    platform = Platform.build(
-        ClusterSpec(nodes=4), seed=seed,
-        faults=default_plan(window_s),
-        ha=HAConfig(standbys=standbys,
-                    heartbeat_interval_s=heartbeat_interval_s,
-                    suspect_after=suspect_after),
-    )
+    platform = Platform.build(params["platform"], seed=seed,
+                              faults=default_plan(window_s))
+    standbys = platform.config.ha.standbys
     client = noop_client(platform, "managerha-noop", runtime_s, SWEEP_POLICY)
     outcomes = []
     started = {"n": 0}
     for _ in range(streams):
         platform.process(paced_stream(platform.env, client, outcomes, started,
                                       window_s, payload_bytes))
-    platform.run_until(window_s + 30.0)
+    platform.run(window_s + 30.0)
     client.close()
     platform.run()
 
@@ -188,13 +184,14 @@ def plan_scenarios(
         ScenarioSpec(
             fn=scenario,
             params={
-                "standbys": k,
+                "platform": PlatformConfig(nodes=4, ha=HAConfig(
+                    standbys=k, heartbeat_interval_s=heartbeat_interval_s,
+                    suspect_after=suspect_after,
+                )),
                 "window_s": window_s,
                 "runtime_s": runtime_s,
                 "payload_bytes": payload_bytes,
                 "streams": streams,
-                "heartbeat_interval_s": heartbeat_interval_s,
-                "suspect_after": suspect_after,
             },
             seed=seed,
             label=f"k={k}",

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..api import ClusterSpec, Platform
+from ..api import Platform, PlatformConfig
 from ..faults import FaultPlan
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
@@ -157,24 +157,16 @@ def _paging_workload(env, pager, pages, dirty, gap: float, counters: dict):
 def scenario(params: dict, seed: int) -> dict:
     """One durability scenario as a pure function of ``(params, seed)``.
 
-    ``params``: ``replication``, ``window_s``, ``accesses``,
-    ``size_bytes``, ``chunk_bytes``.  Returns the
+    ``params``: ``platform`` (a :class:`PlatformConfig` with durable
+    memory), ``window_s``, ``accesses``.  Returns the
     :class:`MemDurabilityPoint` as a plain dict.
     """
-    replication: int = params["replication"]
+    config: PlatformConfig = params["platform"]
+    replication = config.durable_memory.replication
     window_s: float = params["window_s"]
     accesses: int = params["accesses"]
-    size_bytes: int = params["size_bytes"]
-    chunk_bytes: int = params["chunk_bytes"]
-    pages, dirty = _access_trace(seed, accesses, size_bytes)
-    config = DurableMemoryConfig(
-        size_bytes=size_bytes, chunk_bytes=chunk_bytes,
-        replication=replication, repair_interval_s=0.25, hosts=HOSTS,
-    )
-    platform = Platform.build(
-        ClusterSpec(nodes=6, jitter=0.0), seed=seed,
-        faults=default_storm(window_s), durable_memory=config,
-    )
+    pages, dirty = _access_trace(seed, accesses, config.durable_memory.size_bytes)
+    platform = Platform.build(config, seed=seed, faults=default_storm(window_s))
     env = platform.env
     # Register the hosts as executors too, so node_crash events find
     # victims and the graceful reclaim exercises the drain-migration path.
@@ -187,7 +179,7 @@ def scenario(params: dict, seed: int) -> dict:
     gap = window_s / (accesses + 1)
 
     platform.process(_paging_workload(env, pager, pages, dirty, gap, counters))
-    platform.run_until(window_s + 10.0)
+    platform.run(window_s + 10.0)
     platform.run()
 
     stats = platform.durable_memory.stats()
@@ -235,11 +227,13 @@ def plan_scenarios(
         ScenarioSpec(
             fn=scenario,
             params={
-                "replication": k,
+                "platform": PlatformConfig(
+                    nodes=6, jitter=0.0, durable_memory=DurableMemoryConfig(
+                        size_bytes=size_bytes, chunk_bytes=chunk_bytes,
+                        replication=k, repair_interval_s=0.25, hosts=HOSTS,
+                    )),
                 "window_s": window_s,
                 "accesses": accesses,
-                "size_bytes": size_bytes,
-                "chunk_bytes": chunk_bytes,
             },
             seed=seed,
             label=f"k={k}",

@@ -118,7 +118,7 @@ def run_platform(
     executor/lease/load-registry wiring reproduces what the interference
     model predicts analytically.
     """
-    from ..api import ClusterSpec, Platform
+    from ..api import Platform, PlatformConfig
     from ..containers import Image
     from ..network import IBVERBS
 
@@ -126,7 +126,7 @@ def run_platform(
     out: dict[int, float] = {}
     for count in counts:
         platform = Platform.build(
-            ClusterSpec(nodes=2, provider=IBVERBS, jitter=0.0), seed=seed
+            PlatformConfig(nodes=2, provider=IBVERBS, jitter=0.0), seed=seed
         )
         env = platform.env
         registered = platform.register_node("n0001", cores=max(counts),
@@ -146,7 +146,7 @@ def run_platform(
 
         for _ in range(count):
             platform.process(stream())
-        platform.run_until(window_s)
+        platform.run(window_s)
         out[count] = completions[0] / window_s
     per_stream_base = out[counts[0]] / counts[0]
     return {n: rate / per_stream_base for n, rate in out.items()}

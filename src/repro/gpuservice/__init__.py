@@ -7,7 +7,7 @@ launches (:class:`GpuBatcher`), forecast-driven warm-context
 autoscaling (the capacity plane's warm-pool loop, switched on by
 ``GpuServiceConfig.autoscale``), and device-loss recovery
 (``FaultPlan.gpu_device_loss`` → lease revocation → batch replay on
-surviving devices).  Built by ``Platform.build(gpu=...)``.
+surviving devices).  Built by ``PlatformConfig(gpu=...)``.
 """
 
 from .batcher import BatchPolicy, GpuBatcher

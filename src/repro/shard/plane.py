@@ -4,8 +4,8 @@ A replicated resource manager is still one serialization point for
 every tenant.  :class:`ShardedControlPlane` removes that by
 consistent-hashing tenants onto the
 :class:`~repro.rfaas.manager.ResourceManager` instances it is given
-(``Platform.build(shards=...)`` builds them, replicated when ``ha=`` is
-set), so lease churn scales horizontally with client count (the
+(a platform built from ``PlatformConfig(shards=...)`` builds them,
+replicated when ``ha`` is set), so lease churn scales horizontally with client count (the
 Function Delivery Network premise, applied to the rFaaS lease model).
 
 Mechanics:

@@ -1,12 +1,23 @@
 """The Platform facade: one build() call wires the whole stack."""
 
+import hashlib
+import json
+import pickle
+from dataclasses import fields
+
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
+from repro.capacity import CapacityConfig
 from repro.containers import Image
+from repro.controlplane import HAConfig
+from repro.experiments import chaos_sweep
 from repro.faults import FaultPlan
+from repro.gpuservice import GpuServiceConfig
 from repro.interference import ResourceDemand
+from repro.memservice import DurableMemoryConfig
 from repro.network import IBVERBS
+from repro.shard import ShardConfig
 from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryCollector
 
 MiB = 1024**2
@@ -15,7 +26,7 @@ GiB = 1024**3
 
 def _ready_platform(**build_kwargs):
     platform = Platform.build(
-        ClusterSpec(nodes=3, provider=IBVERBS, jitter=0.0), **build_kwargs
+        PlatformConfig(nodes=3, provider=IBVERBS, jitter=0.0), **build_kwargs
     )
     platform.register_node("n0001", cores=4, memory_bytes=8 * GiB)
     image = Image("fn-image", size_bytes=50 * MiB)
@@ -43,18 +54,82 @@ def _run_some(platform, n=3):
 
 def test_build_defaults():
     platform = Platform.build()
-    assert platform.spec == ClusterSpec()
+    assert platform.config == PlatformConfig()
     assert platform.env.now == 0.0
     assert platform.injector is None
     assert platform.telemetry is NULL_TELEMETRY
     assert platform.cluster.node("n0001") is not None
 
 
-def test_cluster_spec_validation():
+def test_platform_config_validation():
     with pytest.raises(ValueError):
-        ClusterSpec(nodes=0)
+        PlatformConfig(nodes=0)
     with pytest.raises(ValueError):
-        ClusterSpec(nodes_per_group=0)
+        PlatformConfig(nodes_per_group=0)
+    for name in ("capacity", "durable_memory", "gpu", "ha"):
+        with pytest.raises(TypeError, match=f"PlatformConfig.{name}"):
+            PlatformConfig(**{name: True})
+
+
+#: One non-default value per PlatformConfig field (a new field without
+#: one fails the test below with a KeyError).
+FIELD_VALUES = {
+    "nodes": 3,
+    "provider": IBVERBS,
+    "jitter": 0.0,
+    "nodes_per_group": 1,
+    "capacity": CapacityConfig(),
+    "durable_memory": DurableMemoryConfig(),
+    "gpu": GpuServiceConfig(),
+    "ha": HAConfig(),
+    "shards": ShardConfig(shards=2),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PlatformConfig)])
+def test_each_field_set_alone_builds_a_serving_platform(name):
+    platform = Platform.build(PlatformConfig(**{name: FIELD_VALUES[name]}))
+    assert getattr(platform.config, name) == FIELD_VALUES[name]
+    assert (platform.capacity is not None) == (name == "capacity")
+    assert (platform.durable_memory is not None) == (name == "durable_memory")
+    if name == "ha":
+        assert platform.ha is platform.manager
+    if name == "gpu":
+        assert platform.gpu.devices_online()
+    platform.register_node("n0001", cores=4, memory_bytes=8 * GiB)
+    platform.functions.register(
+        "noop", Image("fn-image", size_bytes=50 * MiB), runtime_s=0.01,
+        demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0),
+        output_bytes=1,
+    )
+    results = _run_some(platform)
+    assert len(results) == 3 and all(r.ok for r in results)
+
+
+def test_missing_subsystems_name_their_config_field():
+    platform = Platform.build()
+    with pytest.raises(RuntimeError, match=r"PlatformConfig\(gpu="):
+        platform.gpu
+    with pytest.raises(RuntimeError, match=r"PlatformConfig\(ha="):
+        platform.ha
+    with pytest.raises(RuntimeError, match=r"PlatformConfig\(durable_memory="):
+        platform.memory_client("n0000")
+
+
+def _digest(point: dict) -> str:
+    return hashlib.sha256(json.dumps(point, sort_keys=True).encode()).hexdigest()
+
+
+def test_a_point_replays_from_its_pickled_config():
+    """A chaos point whose config carries durable memory, run from the
+    planned params and from their pickle round trip: the same digest."""
+    spec = chaos_sweep.plan_scenarios(rates=(8.0,), window_s=4.0,
+                                      memservice=True).scenarios[0]
+    config = spec.params["platform"]
+    clone = pickle.loads(pickle.dumps(config))
+    assert clone == config and clone.durable_memory is not None
+    replayed = spec.fn({**spec.params, "platform": clone}, spec.seed)
+    assert _digest(replayed) == _digest(spec.fn(spec.params, spec.seed))
 
 
 def test_invoke_roundtrip_through_facade():
@@ -65,8 +140,8 @@ def test_invoke_roundtrip_through_facade():
     assert platform.env.now > 0
 
 
-def test_telemetry_true_pins_a_fresh_scope():
-    platform = _ready_platform(telemetry=True)
+def test_a_fresh_collector_pins_a_fresh_scope():
+    platform = _ready_platform(telemetry=TelemetryCollector())
     assert platform.telemetry is not NULL_TELEMETRY
     _run_some(platform)
     counter = platform.telemetry.metrics.get("repro_manager_leases_total")
@@ -107,7 +182,7 @@ def test_nonempty_fault_plan_starts_an_injector():
 def test_same_seed_same_run():
     def totals(seed):
         # The default UGNI provider, jitter and all.
-        platform = Platform.build(ClusterSpec(nodes=3), seed=seed)
+        platform = Platform.build(PlatformConfig(nodes=3), seed=seed)
         platform.register_node("n0001", cores=4, memory_bytes=8 * GiB)
         image = Image("fn-image", size_bytes=50 * MiB)
         platform.functions.register(

@@ -1,13 +1,15 @@
-"""``Platform.build(shards=)``: the sharded plane composed from the
+"""``PlatformConfig(shards=)``: the sharded plane composed from the
 platform's own managers."""
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
+from repro.capacity import CapacityConfig
 from repro.containers import Image
 from repro.controlplane import HAConfig
 from repro.faults import FaultPlan
 from repro.interference import ResourceDemand
+from repro.memservice import DurableMemoryConfig
 from repro.rfaas import ExecutorMode
 from repro.shard import ShardConfig, ShardedControlPlane
 
@@ -35,15 +37,15 @@ def _stream(platform, client, outcomes, count):
                          detailed.result.ok, env.now - start))
 
 
-def _storm_history(**build):
+def _storm_history(**subsystems):
     """Three warm executors, two clients, a node crash and a lease storm:
     the invocation outcomes, the manager's op sequence and the engine's
     final event count."""
     plan = (FaultPlan(name="eq")
             .node_crash(at_s=0.6, node="n0001", duration_s=0.5)
             .lease_storm(at_s=1.4, count=2))
-    platform = Platform.build(ClusterSpec(nodes=4), seed=3, faults=plan,
-                              **build)
+    platform = Platform.build(PlatformConfig(nodes=4, **subsystems), seed=3,
+                              faults=plan)
     manager = platform.manager
     if isinstance(manager, ShardedControlPlane):
         manager = manager.shards[0].manager
@@ -86,8 +88,10 @@ def _two_tenants(plane):
 @pytest.mark.parametrize("capacity", [None, True])
 @pytest.mark.parametrize("ha", [None, HAConfig(standbys=1)])
 def test_every_sharded_combination_builds_and_serves(ha, capacity):
-    platform = Platform.build(ClusterSpec(nodes=5), seed=0, ha=ha,
-                              capacity=capacity, shards=ShardConfig(shards=2))
+    platform = Platform.build(PlatformConfig(
+        nodes=5, ha=ha, capacity=CapacityConfig() if capacity else None,
+        shards=ShardConfig(shards=2),
+    ), seed=0)
     plane = platform.manager
     assert isinstance(plane, ShardedControlPlane)
     assert len(plane.shards) == 2
@@ -125,10 +129,10 @@ def test_every_sharded_combination_builds_and_serves(ha, capacity):
 
 def test_durable_memory_with_shards_is_rejected_at_build():
     with pytest.raises(ValueError, match="durable_memory"):
-        Platform.build(ClusterSpec(nodes=3), durable_memory=True,
+        PlatformConfig(durable_memory=DurableMemoryConfig(),
                        shards=ShardConfig(shards=2))
 
 
 def test_shards_option_is_type_checked():
-    with pytest.raises(TypeError):
-        Platform.build(ClusterSpec(nodes=2), shards=2)
+    with pytest.raises(TypeError, match="ShardConfig"):
+        PlatformConfig(shards=2)

@@ -21,7 +21,7 @@ def test_snapshot_covers_the_contract_modules():
     surface = check_public_api.snapshot()
     assert set(surface) == set(check_public_api.MODULES)
     assert "Platform" in surface["repro.api"]
-    assert "ClusterSpec" in surface["repro.api"]
+    assert "PlatformConfig" in surface["repro.api"]
     for name in ("FaultPlan", "Injector", "RetryPolicy", "DegradedResult"):
         assert name in surface["repro.faults"]
     for name in ("RFaaSClient", "ResourceManager", "LeaseRevokedError"):
@@ -32,7 +32,7 @@ def test_snapshot_records_signatures_and_members():
     surface = check_public_api.snapshot()
     platform = surface["repro.api"]["Platform"]
     assert platform["kind"] == "class"
-    assert "cluster_spec" in platform["methods"]["build"]
+    assert "config" in platform["methods"]["build"]
     assert "faults" in platform["methods"]["build"]
     client = surface["repro.rfaas"]["RFaaSClient"]
     assert "retry_policy" in client["signature"]

@@ -9,9 +9,9 @@ loop.
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.cluster import DAINT_MC, Cluster
-from repro.capacity import AutoscalerConfig
+from repro.capacity import AutoscalerConfig, CapacityConfig
 from repro.containers import Image
 from repro.controlplane import HAConfig
 from repro.gpu import GpuFunctionSpec
@@ -60,7 +60,7 @@ def _last_heartbeat(ha):
 # two of the longest ``interval``.
 
 def _ha():
-    platform = Platform.build(ClusterSpec(nodes=3), seed=0, ha=True)
+    platform = Platform.build(PlatformConfig(nodes=3, ha=HAConfig()), seed=0)
     results = _invocations(platform)
     ha = platform.ha
     return (platform.env, lambda: len(results) == 3,
@@ -68,7 +68,8 @@ def _ha():
 
 
 def _capacity():
-    platform = Platform.build(ClusterSpec(nodes=3), seed=0, capacity=True)
+    platform = Platform.build(PlatformConfig(nodes=3, capacity=CapacityConfig()),
+                              seed=0)
     results = _invocations(platform)
     autoscaler = platform.capacity.autoscaler
     return (platform.env, lambda: len(results) == 3,
@@ -77,11 +78,11 @@ def _capacity():
 
 def _durable_memory():
     platform = Platform.build(
-        ClusterSpec(nodes=4), seed=0,
-        durable_memory=DurableMemoryConfig(
+        PlatformConfig(nodes=4, durable_memory=DurableMemoryConfig(
             size_bytes=32 * MiB, chunk_bytes=16 * MiB,
             hosts=("n0001", "n0002", "n0003"),
-        ),
+        )),
+        seed=0,
     )
     client = platform.memory_client("n0000")
     reads = [client.read(0, 2 * MiB), client.read(16 * MiB, 2 * MiB)]
@@ -92,9 +93,10 @@ def _durable_memory():
 
 def _gpu_autoscale():
     platform = Platform.build(
-        ClusterSpec(nodes=2), seed=0,
-        gpu=GpuServiceConfig(policy=BatchPolicy(max_batch_size=4),
-                             autoscale=AutoscalerConfig()),
+        PlatformConfig(nodes=2, gpu=GpuServiceConfig(
+            policy=BatchPolicy(max_batch_size=4), autoscale=AutoscalerConfig(),
+        )),
+        seed=0,
     )
     service = platform.gpu
     service.register(GpuFunctionSpec(
@@ -109,8 +111,9 @@ def _gpu_autoscale():
 
 def _sharded_ha_rebalance():
     platform = Platform.build(
-        ClusterSpec(nodes=4), seed=0, ha=HAConfig(standbys=1),
-        shards=ShardConfig(shards=2, rebalance_interval_s=0.25),
+        PlatformConfig(nodes=4, ha=HAConfig(standbys=1),
+                       shards=ShardConfig(shards=2, rebalance_interval_s=0.25)),
+        seed=0,
     )
     plane = platform.manager
     for i in range(4):

@@ -7,7 +7,8 @@ the interval grid.  Both sequences are pinned to the exact floats, so a
 change to how a loop waits cannot move a tick unnoticed.
 """
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
+from repro.controlplane import HAConfig
 from repro.memservice import DurableMemoryConfig
 
 MiB = 1024**2
@@ -23,11 +24,15 @@ SCANS = [0.2, 0.41929435019607847, 0.6192943501960785, 0.8192943501960785,
 
 def test_heartbeat_and_repair_tick_times_after_a_kill():
     platform = Platform.build(
-        ClusterSpec(nodes=6, jitter=0.0), seed=0, ha=True,
-        durable_memory=DurableMemoryConfig(
-            size_bytes=48 * MiB, chunk_bytes=16 * MiB, replication=2,
-            repair_interval_s=0.2, hosts=("n0001", "n0002", "n0003", "n0004"),
+        PlatformConfig(
+            nodes=6, jitter=0.0, ha=HAConfig(),
+            durable_memory=DurableMemoryConfig(
+                size_bytes=48 * MiB, chunk_bytes=16 * MiB, replication=2,
+                repair_interval_s=0.2,
+                hosts=("n0001", "n0002", "n0003", "n0004"),
+            ),
         ),
+        seed=0,
     )
     env, ha, service = platform.env, platform.ha, platform.durable_memory
     repair = service.repair
@@ -48,7 +53,7 @@ def test_heartbeat_and_repair_tick_times_after_a_kill():
     ha._tick = recorded_detect
     repair._tick = recorded_scan
     assert service.kill_node(service.chunks[0].nodes()[0], cause="test") == 2
-    platform.run_until(3.0)
+    platform.run(3.0)
     assert heartbeats[:10] == HEARTBEATS
     assert scans[:10] == SCANS
     assert repair.repairs == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.capacity import AutoscalerConfig, DemandForecaster, WarmPoolAutoscaler
 from repro.containers import Image
 from repro.interference import ResourceDemand
@@ -13,7 +13,7 @@ GiB = 1024**3
 
 def build(nodes=3, executors=("n0001", "n0002"), images=1,
           image_bytes=100 * MiB, **cfg):
-    platform = Platform.build(ClusterSpec(nodes=nodes, jitter=0.0), seed=0)
+    platform = Platform.build(PlatformConfig(nodes=nodes, jitter=0.0), seed=0)
     for node in executors:
         platform.register_node(node, cores=2, memory_bytes=8 * GiB)
     for i in range(images):
@@ -49,7 +49,7 @@ def test_predictive_prewarms_toward_forecast():
     platform, forecaster, scaler = build(interval_s=0.5, horizon_s=1.0)
     drive_arrivals(forecaster, rate=4.0, duration=2.0)
     scaler.start()
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     assert scaler.prewarms > 0
     counts = warm_counts(platform, "img0")
@@ -62,7 +62,7 @@ def test_reactive_mode_never_prewarms():
     platform, forecaster, scaler = build(predictive=False)
     drive_arrivals(forecaster, rate=8.0, duration=2.0)
     scaler.start()
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     assert scaler.prewarms == 0
     assert sum(warm_counts(platform, "img0").values()) == 0
@@ -74,7 +74,7 @@ def test_per_node_cap_respected():
     platform, forecaster, scaler = build(max_warm_per_node=2)
     drive_arrivals(forecaster, rate=50.0, duration=2.0)   # huge demand
     scaler.start()
-    platform.run_until(5.0)
+    platform.run(5.0)
     platform.run()
     counts = warm_counts(platform, "img0")
     assert all(count <= 2 for count in counts.values())
@@ -103,7 +103,7 @@ def test_per_node_cap_counts_in_flight_prewarms():
 
     scaler.start()
     platform.process(sample())
-    platform.run_until(6.0)
+    platform.run(6.0)
     assert scaler.prewarms > 0
     assert max(worst) <= 2
     assert all(count <= 2 for count in warm_counts(platform, "img0").values())
@@ -112,7 +112,7 @@ def test_per_node_cap_counts_in_flight_prewarms():
 def test_loop_never_keeps_the_run_alive():
     platform, forecaster, scaler = build()
     scaler.start()
-    platform.run_until(1.0)
+    platform.run(1.0)
     assert scaler.running
     platform.run()          # returns although the loop still ticks
     assert scaler.running
@@ -123,7 +123,7 @@ def test_reprovisions_after_crash_and_heal():
     platform, forecaster, scaler = build(interval_s=0.25)
     drive_arrivals(forecaster, rate=8.0, duration=2.0)
     scaler.start()
-    platform.run_until(2.0)
+    platform.run(2.0)
     before = warm_counts(platform, "img0")
     assert sum(before.values()) > 0
     # Crash wipes the node's pool; re-registration starts empty.
@@ -133,7 +133,7 @@ def test_reprovisions_after_crash_and_heal():
     # Keep demand flowing so the forecast stays warm, let the loop tick.
     for i in range(16):
         forecaster.observe_arrival(2.0 + i * 0.125, "fn0")
-    platform.run_until(4.0)
+    platform.run(4.0)
     platform.run()
     assert warm_counts(platform, "img0")["n0001"] > 0
 
@@ -145,7 +145,7 @@ def test_multiple_images_each_get_pools():
         # After fn0's stream: the aggregate clock must not run backwards.
         forecaster.observe_arrival(2.0 + i * 0.25, "fn1")
     scaler.start()
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     assert sum(warm_counts(platform, "img0").values()) > 0
     assert sum(warm_counts(platform, "img1").values()) > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.capacity import (
     AdmissionConfig,
     AutoscalerConfig,
@@ -13,16 +13,17 @@ from repro.capacity import (
 from repro.containers import Image
 from repro.faults import FaultPlan
 from repro.interference import ResourceDemand
+from repro.telemetry import TelemetryCollector
 
 MiB = 1024**2
 GiB = 1024**3
 
 
-def build(nodes=3, executors=("n0001", "n0002"), cores=2, capacity=True,
-          faults=None, seed=0, telemetry=None):
+def build(nodes=3, executors=("n0001", "n0002"), cores=2,
+          capacity=CapacityConfig(), faults=None, seed=0, telemetry=None):
     platform = Platform.build(
-        ClusterSpec(nodes=nodes, jitter=0.0), seed=seed,
-        capacity=capacity, faults=faults, telemetry=telemetry,
+        PlatformConfig(nodes=nodes, jitter=0.0, capacity=capacity), seed=seed,
+        faults=faults, telemetry=telemetry,
     )
     for node in executors:
         platform.register_node(node, cores=cores, memory_bytes=8 * GiB)
@@ -50,7 +51,7 @@ def govern(platform, count, tenants=2, until=30.0):
             yield platform.env.timeout(0.05)
 
     platform.process(source())
-    platform.run_until(until)
+    platform.run(until)
     platform.run()
     for client in clients:
         client.close()
@@ -140,7 +141,7 @@ def test_release_idle_leases_returns_capacity():
         done.append(result)
 
     platform.process(flow())
-    platform.run_until(5.0)
+    platform.run(5.0)
     platform.run()
     assert done[0].route == "hpc"
     # The tenant's lease went back to the pool once it idled.
@@ -150,24 +151,22 @@ def test_release_idle_leases_returns_capacity():
 
 
 def test_facade_wiring_and_validation():
-    platform = build(capacity=True)
+    platform = build()
     assert isinstance(platform.capacity, CapacityPlane)
     assert platform.capacity.autoscaler.running
     # cloud is lazy and memoized.
     assert platform.cloud is platform.cloud
     with pytest.raises(TypeError):
-        Platform.build(ClusterSpec(nodes=2), capacity="yes")
-    with pytest.raises(TypeError):
-        Platform.build(ClusterSpec(nodes=2), cloud="yes")
+        PlatformConfig(nodes=2, capacity="yes")
 
 
 def test_no_capacity_by_default():
-    platform = Platform.build(ClusterSpec(nodes=2))
+    platform = Platform.build(PlatformConfig(nodes=2))
     assert platform.capacity is None
 
 
 def test_capacity_metrics_emitted():
-    platform = build(telemetry=True)
+    platform = build(telemetry=TelemetryCollector())
     govern(platform, count=10)
     names = {m.name for m in platform.telemetry.metrics}
     assert "repro_capacity_admitted_total" in names

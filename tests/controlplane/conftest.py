@@ -1,10 +1,11 @@
 """Shared fixture for control-plane HA tests: a replicated platform."""
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.containers import Image
 from repro.controlplane import HAConfig
 from repro.interference import ResourceDemand
 from repro.network import IBVERBS
+from repro.telemetry import TelemetryCollector
 
 MiB = 1024**2
 GiB = 1024**3
@@ -25,11 +26,11 @@ def build_ha_platform(standbys=1, heartbeat_interval_s=HEARTBEAT_S,
     downstream consumer sees) and ``platform.ha`` (typed accessor).
     """
     platform = Platform.build(
-        ClusterSpec(nodes=nodes, provider=IBVERBS, jitter=0.0),
-        seed=seed, telemetry=True, faults=plan,
-        ha=HAConfig(standbys=standbys,
-                    heartbeat_interval_s=heartbeat_interval_s,
-                    suspect_after=suspect_after),
+        PlatformConfig(nodes=nodes, provider=IBVERBS, jitter=0.0,
+                       ha=HAConfig(standbys=standbys,
+                                   heartbeat_interval_s=heartbeat_interval_s,
+                                   suspect_after=suspect_after)),
+        seed=seed, telemetry=TelemetryCollector(), faults=plan,
     )
     for name in executors:
         platform.register_node(name, cores=4, memory_bytes=8 * GiB)

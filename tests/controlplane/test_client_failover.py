@@ -27,7 +27,7 @@ def _drive(platform, window_s: float, policy: RetryPolicy, streams: int = 2):
 
     for _ in range(streams):
         platform.process(stream())
-    platform.run_until(window_s + 10.0)
+    platform.run(window_s + 10.0)
     client.close()
     platform.run()
     return outcomes

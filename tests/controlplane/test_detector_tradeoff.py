@@ -19,9 +19,9 @@ def _takeover_latency(suspect_after: int) -> float:
                                  heartbeat_interval_s=HEARTBEAT_S,
                                  suspect_after=suspect_after)
     ha = platform.ha
-    platform.run_until(0.25)
+    platform.run(0.25)
     ha.crash_primary()
-    platform.run_until(5.0)
+    platform.run(5.0)
     platform.run()
     assert ha.epoch == 2
     return ha.elections[-1].at_s - 0.25
@@ -50,9 +50,9 @@ def test_false_positive_rate_mirrors_the_timeout(suspect_after, false_positive):
                                  heartbeat_interval_s=HEARTBEAT_S,
                                  suspect_after=suspect_after)
     ha = platform.ha
-    platform.run_until(0.25)
+    platform.run(0.25)
     ha.partition_primary(heal_after_s=0.3)
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     metrics = platform.telemetry.metrics
     failovers = metrics.get("repro_controlplane_failovers_total").value

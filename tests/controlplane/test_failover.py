@@ -11,11 +11,11 @@ from .conftest import HEARTBEAT_S, SUSPECT_AFTER, build_ha_platform
 def test_crash_promotes_lowest_rank_standby_within_the_detection_window():
     platform = build_ha_platform(standbys=2)
     ha = platform.ha
-    platform.run_until(0.25)
+    platform.run(0.25)
     crashed = ha.crash_primary()
     assert crashed == "rm-0"
     assert not ha.available
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     assert ha.primary_rank == 1  # lowest standby rank wins, always
     assert ha.epoch == 2
@@ -35,9 +35,9 @@ def test_crashed_primary_rejoins_as_a_synced_standby():
     platform = build_ha_platform(standbys=1)
     ha = platform.ha
     lease, _ = ha.lease("client-0", cores=2)
-    platform.run_until(0.25)
+    platform.run(0.25)
     ha.crash_primary(outage_s=1.0)
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     rejoined = ha.replica(0)
     assert rejoined.role is ReplicaRole.STANDBY
@@ -51,7 +51,7 @@ def test_k0_crash_is_total_loss_and_restarts_empty():
     platform = build_ha_platform(standbys=0)
     ha = platform.ha
     lease, _ = ha.lease("client-0", cores=2)
-    platform.run_until(0.25)
+    platform.run(0.25)
     ha.crash_primary(outage_s=0.5)
     # Lease-expiry fencing: with nobody left to account for leases the
     # data plane is orphaned immediately.
@@ -59,7 +59,7 @@ def test_k0_crash_is_total_loss_and_restarts_empty():
     assert ha.registered_nodes() == []
     metrics = platform.telemetry.metrics
     assert metrics.get("repro_controlplane_orphaned_leases_total").value == 1
-    platform.run_until(2.0)
+    platform.run(2.0)
     platform.run()
     # The restarted primary leads a fresh epoch with empty state: the
     # control plane is back, the capacity is gone until re-registration.
@@ -80,9 +80,9 @@ def test_takeover_revokes_leases_the_standby_never_saw():
     replicated, _ = ha.lease("client-0")
     # The unfenced base grant: reaches the data plane, never the log.
     unreplicated, _ = ResourceManager.try_lease(ha, "client-1")
-    platform.run_until(0.25)
+    platform.run(0.25)
     ha.crash_primary()
-    platform.run_until(2.0)
+    platform.run(2.0)
     platform.run()
     assert replicated.active
     assert not unreplicated.active
@@ -94,11 +94,11 @@ def test_release_during_outage_is_buffered_then_reconciled():
     platform = build_ha_platform(standbys=1)
     ha = platform.ha
     lease, _ = ha.lease("client-0", cores=3)
-    platform.run_until(0.25)
+    platform.run(0.25)
     ha.crash_primary()
     ha.release_lease(lease)  # voluntary return while nobody listens
     assert not lease.active  # the client is done either way
-    platform.run_until(2.0)
+    platform.run(2.0)
     platform.run()
     assert ha.commit_log[-1].op == "release"
     assert lease.lease_id not in ha.primary.lease_records
@@ -108,6 +108,6 @@ def test_release_during_outage_is_buffered_then_reconciled():
 def test_crash_with_no_primary_is_a_noop():
     platform = build_ha_platform(standbys=1)
     ha = platform.ha
-    platform.run_until(0.25)
+    platform.run(0.25)
     assert ha.crash_primary() == "rm-0"
     assert ha.crash_primary() is None  # nobody left to kill

@@ -12,14 +12,14 @@ def _partitioned_takeover(heal_after_s):
     """Partition the primary at t=0.25 and run past the takeover."""
     platform = build_ha_platform(standbys=1)
     ha = platform.ha
-    platform.run_until(0.25)
+    platform.run(0.25)
     assert ha.partition_primary(heal_after_s=heal_after_s) == "rm-0"
     return platform, ha
 
 
 def test_partition_triggers_takeover_and_fences_the_old_primary():
     platform, ha = _partitioned_takeover(heal_after_s=0.0)
-    platform.run_until(1.0)
+    platform.run(1.0)
     assert ha.epoch == 2
     assert ha.elections[-1].cause == "partition"
     assert ha.primary_rank == 1
@@ -37,7 +37,7 @@ def test_mutations_during_partition_raise_unavailable():
 
 def test_fenced_ex_primary_cannot_grant_and_changes_no_state():
     platform, ha = _partitioned_takeover(heal_after_s=0.0)
-    platform.run_until(1.0)  # standby has taken over; rm-0 fenced
+    platform.run(1.0)  # standby has taken over; rm-0 fenced
     log_len = len(ha.commit_log)
     free = ha.total_free_cores()
     with pytest.raises(StaleEpochError) as exc:
@@ -63,7 +63,7 @@ def test_only_capacity_denials_are_values():
     with pytest.raises(ManagerUnavailableError) as exc:
         ha.try_lease("client-0", cores=huge)
     assert exc.value.cause == "partition"
-    platform.run_until(1.0)  # standby has taken over; rm-0 fenced
+    platform.run(1.0)  # standby has taken over; rm-0 fenced
     log_len = len(ha.commit_log)
     with pytest.raises(StaleEpochError):
         ha._grant(ha.replica(0), "client-0", cores=huge)
@@ -81,10 +81,10 @@ def test_only_capacity_denials_are_values():
 
 def test_healed_ex_primary_steps_down_and_resyncs():
     platform, ha = _partitioned_takeover(heal_after_s=1.0)
-    platform.run_until(0.9)
+    platform.run(0.9)
     assert ha.replica(0).role is ReplicaRole.FENCED
     lease, _ = ha.lease("client-0")  # granted by the epoch-2 primary
-    platform.run_until(2.0)
+    platform.run(2.0)
     platform.run()
     stepped_down = ha.replica(0)
     assert stepped_down.role is ReplicaRole.STANDBY
@@ -99,7 +99,7 @@ def test_short_partition_heals_inside_the_detection_timeout():
     """A blip shorter than the detector's timeout is a false positive
     avoided: no election, no epoch bump, the primary just resumes."""
     platform, ha = _partitioned_takeover(heal_after_s=0.15)
-    platform.run_until(2.0)
+    platform.run(2.0)
     platform.run()
     assert ha.epoch == 1
     assert len(ha.elections) == 1  # bootstrap only

@@ -45,9 +45,10 @@ def test_batches_are_full_and_size_triggered_on_defaults(result):
 
 
 def test_scenario_is_a_pure_function_of_params_and_seed():
-    params = {"batch_size": 4, "requests": 64, "max_rate_rps": 800.0}
-    assert (gpu_scaling_sweep.scenario(dict(params), seed=7)
-            == gpu_scaling_sweep.scenario(dict(params), seed=7))
+    (spec,) = gpu_scaling_sweep.plan_scenarios(
+        batch_sizes=(4,), requests=64, max_rate_rps=800.0).scenarios
+    assert (gpu_scaling_sweep.scenario(dict(spec.params), seed=7)
+            == gpu_scaling_sweep.scenario(dict(spec.params), seed=7))
 
 
 def test_report_renders_the_tradeoff_table(result):

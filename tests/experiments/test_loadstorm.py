@@ -12,16 +12,9 @@ SMALL = dict(window_s=2.0, rate_per_s=600.0, population=50_000,
              nodes=4, cores_per_node=8)
 
 
-def _point(**overrides):
-    params = {
-        "shards": 2, "window_s": SMALL["window_s"],
-        "rate_per_s": SMALL["rate_per_s"], "population": SMALL["population"],
-        "zipf_s": 1.1, "service_s": 0.05, "arrival": "poisson",
-        "nodes": SMALL["nodes"], "cores_per_node": SMALL["cores_per_node"],
-        "max_batch": 32, "crash_at_frac": 0.0,
-    }
-    params.update(overrides)
-    return scenario(params, seed=0)
+def _point(shards=2, **overrides):
+    (spec,) = plan_scenarios(shards=(shards,), seed=0, **SMALL).scenarios
+    return scenario({**spec.params, **overrides}, seed=0)
 
 
 def test_every_admitted_request_is_accounted_for():

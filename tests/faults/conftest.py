@@ -1,9 +1,10 @@
 """Shared fixture for fault-injection tests: a small deterministic platform."""
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.containers import Image
 from repro.interference import ResourceDemand
 from repro.network import IBVERBS
+from repro.telemetry import TelemetryCollector
 
 MiB = 1024**2
 GiB = 1024**3
@@ -17,8 +18,8 @@ def build_platform(nodes=5, executors=("n0001", "n0002", "n0003"), plan=None,
     register further functions against it.
     """
     platform = Platform.build(
-        ClusterSpec(nodes=nodes, provider=IBVERBS, jitter=0.0),
-        seed=seed, telemetry=True, faults=plan,
+        PlatformConfig(nodes=nodes, provider=IBVERBS, jitter=0.0),
+        seed=seed, telemetry=TelemetryCollector(), faults=plan,
     )
     for name in executors:
         platform.register_node(name, cores=4, memory_bytes=8 * GiB)

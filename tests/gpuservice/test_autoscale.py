@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.capacity import AutoscalerConfig
 from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
@@ -24,8 +24,8 @@ def build(max_batch_size=1, gpu_nodes=2):
         policy=BatchPolicy(max_batch_size=max_batch_size, max_wait_s=0.002),
         autoscale=AutoscalerConfig(),
     )
-    platform = Platform.build(ClusterSpec(nodes=gpu_nodes, jitter=0.0),
-                              seed=0, gpu=config)
+    platform = Platform.build(
+        PlatformConfig(nodes=gpu_nodes, jitter=0.0, gpu=config), seed=0)
     return platform, platform.gpu
 
 
@@ -68,7 +68,7 @@ def test_autoscaler_prewarms_ahead_of_forecast_demand():
             yield env.timeout(0.05)
 
     platform.process(load())
-    platform.run_until(3.0)
+    platform.run(3.0)
     platform.run()
     assert service.autoscaler.ticks > 0
     assert service.prewarms >= 1
@@ -88,8 +88,8 @@ def test_prewarm_schedule_is_pinned_across_topology_groups():
     )
     with TelemetryCollector() as collector:
         platform = Platform.build(
-            ClusterSpec(nodes=4, jitter=0.0, nodes_per_group=3), seed=0,
-            gpu=config,
+            PlatformConfig(nodes=4, jitter=0.0, nodes_per_group=3, gpu=config),
+            seed=0,
         )
         service = platform.gpu
         env = platform.env
@@ -108,7 +108,7 @@ def test_prewarm_schedule_is_pinned_across_topology_groups():
 
         platform.process(ramp("a", 2.0, 14.0, 3.0))
         platform.process(ramp("b", 40.0, 120.0, 0.5, delay=2.2))
-        platform.run_until(4.0)
+        platform.run(4.0)
         platform.run()
 
     prewarms = [(round(s.start, 9), s.attrs["device"], s.attrs["function"])
@@ -129,7 +129,7 @@ def test_prewarm_schedule_is_pinned_across_topology_groups():
 def test_autoscaler_never_keeps_the_run_alive():
     platform, service = build()
     service.register(spec())
-    platform.run_until(1.0)
+    platform.run(1.0)
     assert service.autoscaler.running
     platform.run()          # returns although the loop still ticks
     assert service.autoscaler.running

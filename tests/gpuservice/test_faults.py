@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.faults import FaultPlan
 from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
@@ -25,8 +25,8 @@ def build(plan=None, gpu_nodes=2, max_batch_size=4):
         policy=BatchPolicy(max_batch_size=max_batch_size, max_wait_s=0.002),
     )
     platform = Platform.build(
-        ClusterSpec(nodes=max(gpu_nodes, 2), jitter=0.0), seed=0,
-        faults=plan, gpu=config,
+        PlatformConfig(nodes=max(gpu_nodes, 2), jitter=0.0, gpu=config),
+        seed=0, faults=plan,
     )
     return platform, platform.gpu
 
@@ -98,7 +98,7 @@ def test_device_loss_replays_in_flight_batches_in_launch_order():
         platform, service = build(max_batch_size=1)
         fn = service.register(spec())
         requests = [service.submit(fn.name) for _ in range(12)]
-        platform.run_until(0.001)     # twelve single-request batches in flight
+        platform.run(0.001)     # twelve single-request batches in flight
         assert service.batcher.pending_total() == 0
         service.lose_node("n0000")
         platform.run()
@@ -119,7 +119,7 @@ def test_queued_requests_behind_a_dead_device_are_rerouted_unbilled():
             outcomes.append((yield request.done))
 
     platform.process(driver())
-    platform.run_until(0.0005)        # queued, nothing launched yet
+    platform.run(0.0005)        # queued, nothing launched yet
     assert service.batcher.pending_total() == 3
     lost = service.lose_node("n0000")
     assert lost == 1
@@ -146,7 +146,7 @@ def test_losing_the_last_device_fails_requests_with_the_lease_error():
                 failures.append(exc)
 
     platform.process(driver())
-    platform.run_until(0.01)          # the batch is in flight
+    platform.run(0.01)          # the batch is in flight
     service.lose_node("n0000")
     platform.run()
     assert len(failures) == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.experiments import gpu_scaling_sweep
 from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
@@ -25,8 +25,8 @@ def build(policy=None, **config_kwargs):
         gpu_nodes=2, policy=policy or BatchPolicy(max_batch_size=1),
         **config_kwargs,
     )
-    platform = Platform.build(ClusterSpec(nodes=2, jitter=0.0), seed=0,
-                              gpu=config)
+    platform = Platform.build(PlatformConfig(nodes=2, jitter=0.0, gpu=config),
+                              seed=0)
     return platform, platform.gpu
 
 
@@ -53,10 +53,10 @@ def test_unknown_function_is_rejected():
 
 def test_hosts_outside_the_cluster_are_rejected():
     with pytest.raises(ValueError, match="typo-host"):
-        Platform.build(ClusterSpec(nodes=2),
-                       gpu=GpuServiceConfig(hosts=("n0001", "typo-host")))
-    platform = Platform.build(ClusterSpec(nodes=2),
-                              gpu=GpuServiceConfig(hosts=("n0001",)))
+        Platform.build(PlatformConfig(
+            nodes=2, gpu=GpuServiceConfig(hosts=("n0001", "typo-host"))))
+    platform = Platform.build(PlatformConfig(
+        nodes=2, gpu=GpuServiceConfig(hosts=("n0001",))))
     assert platform.gpu.devices_online() == ["n0001/gpu0"]
 
 
@@ -162,7 +162,7 @@ def test_run_flushes_a_stranded_partial_batch_on_its_timer():
                                                  max_wait_s=5.0))
     fn = service.register(spec())
     request = service.submit(fn.name)
-    platform.run_until(0.001)
+    platform.run(0.001)
     assert service.batcher.pending_total() == 1
     platform.run()
     assert request.done.triggered and request.done.value["batch_size"] == 1
@@ -201,8 +201,8 @@ def test_a_batched_gpu_run_schedules_only_live_work():
     grows back into a process adds events here."""
     config = GpuServiceConfig(
         gpu_nodes=2, policy=BatchPolicy(max_batch_size=8, max_wait_s=1.0))
-    platform = Platform.build(ClusterSpec(nodes=2, jitter=0.0), seed=0,
-                              gpu=config)
+    platform = Platform.build(PlatformConfig(nodes=2, jitter=0.0, gpu=config),
+                              seed=0)
     service = platform.gpu
     gap_s = len(gpu_scaling_sweep.FUNCTIONS) / gpu_scaling_sweep._offered_rate(
         8, 800.0, config)

@@ -50,22 +50,26 @@ FAILOVER = {
 GPU = {"requests": 1024, "max_rate_rps": 800.0}
 
 
+def _only_point(sweep, **kwargs) -> dict:
+    """The point of a one-scenario plan of ``sweep``, at seed 0."""
+    (spec,) = sweep.plan_scenarios(seed=0, **kwargs).scenarios
+    return spec.execute()
+
+
 @functools.lru_cache(maxsize=None)
 def _storm(shards: int) -> dict:
-    return loadstorm_sweep.scenario({**STORM, "shards": shards}, seed=0)
+    return _only_point(loadstorm_sweep, shards=(shards,), **STORM)
 
 
 @functools.lru_cache(maxsize=None)
 def _failover(standbys: int, suspect_after: int = 3) -> dict:
-    return manager_failover_sweep.scenario(
-        {**FAILOVER, "standbys": standbys, "suspect_after": suspect_after},
-        seed=0,
-    )
+    return _only_point(manager_failover_sweep, standbys=(standbys,),
+                       suspect_after=suspect_after, **FAILOVER)
 
 
 @functools.lru_cache(maxsize=None)
 def _gpu(batch_size: int) -> dict:
-    return gpu_scaling_sweep.scenario({**GPU, "batch_size": batch_size}, seed=0)
+    return _only_point(gpu_scaling_sweep, batch_sizes=(batch_size,), **GPU)
 
 
 @functools.lru_cache(maxsize=None)

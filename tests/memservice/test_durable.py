@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.faults import FaultPlan
 from repro.memservice import DurableMemoryConfig
 from repro.rfaas.errors import DataLossError, MemoryServiceUnavailable
 from repro.sim import Environment
+from repro.telemetry import TelemetryCollector
 
 MiB = 1024**2
 GiB = 1024**3
@@ -21,8 +22,8 @@ def build(replication=2, repair_interval_s=0.2, size=48 * MiB, chunk=16 * MiB,
         repair_interval_s=repair_interval_s, hosts=hosts, **config_kwargs,
     )
     platform = Platform.build(
-        ClusterSpec(nodes=nodes, jitter=0.0), seed=0, telemetry=True,
-        faults=faults, durable_memory=config,
+        PlatformConfig(nodes=nodes, jitter=0.0, durable_memory=config), seed=0,
+        telemetry=TelemetryCollector(), faults=faults,
     )
     return platform
 
@@ -35,7 +36,7 @@ def drive(platform, generator, until=5.0):
         done["value"] = result
 
     platform.process(wrapper())
-    platform.run_until(until)
+    platform.run(until)
     assert "value" in done, "driver process did not finish"
     return done["value"]
 
@@ -73,7 +74,7 @@ def test_build_rejects_unsatisfiable_replication():
 
 
 def test_memory_client_requires_durable_memory():
-    platform = Platform.build(ClusterSpec(nodes=2), seed=0)
+    platform = Platform.build(PlatformConfig(nodes=2), seed=0)
     with pytest.raises(RuntimeError):
         platform.memory_client("n0000")
 
@@ -182,7 +183,7 @@ def test_crash_read_fails_over_and_repair_restores_the_factor():
     assert got == 48 * MiB
     assert client.data_losses == 0
     assert service.replicas_lost >= 1
-    platform.run_until(8.0)
+    platform.run(8.0)
     assert len(service.under_replicated_chunks()) == 0
     assert service.repair.repairs >= 1
     for chunk in service.chunks:
@@ -211,7 +212,7 @@ def test_unreplicated_crash_raises_data_loss():
     assert drive(platform, work())
     assert client.data_losses >= 1
     # Nothing to repair from: the chunk stays lost.
-    platform.run_until(8.0)
+    platform.run(8.0)
     assert len(service.under_replicated_chunks()) >= 1
     assert service.repair.repairs == 0
 
@@ -258,7 +259,7 @@ def test_repair_resyncs_fenced_replica_in_place():
         return True
 
     drive(platform, work())
-    platform.run_until(8.0)
+    platform.run(8.0)
     assert service.repair.resyncs >= 1
     chunk = service.chunks[0]
     assert all(service.is_clean(chunk, r) for r in chunk.replicas)
@@ -344,7 +345,7 @@ def test_graceful_manager_reclaim_migrates_chunks_off():
                  if r.node_name == victim)
     platform.register_node(victim, cores=2, memory_bytes=1 * GiB)
     platform.manager.remove_node(victim, immediate=False)
-    platform.run_until(2.0)
+    platform.run(2.0)
     assert victim not in service.hosting_nodes()
     assert service.migrations == hosted
     assert service.replicas_lost == 0
@@ -360,7 +361,7 @@ def test_migration_charges_time_through_the_fabric():
     victim = service.chunks[0].nodes()[0]
     before = platform.env.now
     service._on_drain(victim)
-    platform.run_until(5.0)
+    platform.run(5.0)
     # Copying chunks over the interconnect takes simulated time.
     assert service.moved_bytes >= 16 * MiB
     assert platform.fabric.stats.bytes >= service.moved_bytes
@@ -373,7 +374,7 @@ def test_injector_memservice_kill_hits_a_hosting_node():
     plan = FaultPlan(name="kill").memservice_kill(at_s=0.5)
     platform = build(replication=2, faults=plan)
     service = platform.durable_memory
-    platform.run_until(1.0)
+    platform.run(1.0)
     assert [(kind, at) for at, kind, _ in platform.injector.injected] == [
         ("memservice_kill", 0.5)
     ]
@@ -386,15 +387,15 @@ def test_injector_memservice_kill_explicit_node_must_host_replicas():
     plan = (FaultPlan(name="kill")
             .memservice_kill(at_s=0.5, node="n0005"))  # not a host
     platform = build(replication=2, faults=plan)
-    platform.run_until(1.0)
+    platform.run(1.0)
     assert platform.injector.injected == []
     assert len(platform.injector.skipped) == 1
 
 
 def test_injector_memservice_kill_without_service_is_skipped():
     plan = FaultPlan(name="kill").memservice_kill(at_s=0.5)
-    platform = Platform.build(ClusterSpec(nodes=2), seed=0, faults=plan)
-    platform.run_until(1.0)
+    platform = Platform.build(PlatformConfig(nodes=2), seed=0, faults=plan)
+    platform.run(1.0)
     assert len(platform.injector.skipped) == 1
 
 
@@ -413,7 +414,7 @@ def test_memservice_metrics_and_spans_are_recorded():
         return True
 
     drive(platform, work())
-    platform.run_until(8.0)
+    platform.run(8.0)
     registry = platform.telemetry.metrics
     names = {m.name for m in registry}
     assert "repro_memservice_replicas_lost_total" in names

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.cluster import Cluster, DAINT_MC
 from repro.containers import Image, WarmPool
 from repro.containers.runtime import SARUS
@@ -277,7 +277,7 @@ def test_an_uncontended_invocation_schedules_only_live_work():
     guard.  One cold start (1).  Every invocation takes a free core with
     no event: a grant event put back adds 20 here, an executor process
     put back 20 (its start hop) and a relay hop per transfer 40."""
-    platform = Platform.build(ClusterSpec(nodes=2, jitter=0.0), seed=0)
+    platform = Platform.build(PlatformConfig(nodes=2, jitter=0.0), seed=0)
     platform.register_node("n0001", cores=2, memory_bytes=8 << 30)
     demand = ResourceDemand(cores=1, membw=0.2e9, llc_bytes=1 << 20,
                             frac_membw=0.02)

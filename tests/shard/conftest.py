@@ -1,7 +1,8 @@
 """Shared builder for sharded-control-plane tests."""
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
 from repro.shard import ShardConfig
+from repro.telemetry import TelemetryCollector
 
 GiB = 1024**3
 
@@ -9,12 +10,15 @@ GiB = 1024**3
 def build_plane(shards=2, nodes=4, cores=4, ha=None, max_batch=8,
                 rebalance_interval_s=0.0):
     """(env, plane) with ``nodes`` registered nodes spread over ``shards``,
-    built by ``Platform.build(shards=, ha=)`` with a fresh telemetry."""
+    built from ``PlatformConfig(shards=, ha=)`` with a fresh telemetry."""
     platform = Platform.build(
-        ClusterSpec(nodes=max(nodes, 1)), seed=0, telemetry=True, ha=ha,
-        shards=ShardConfig(shards=shards, max_batch=max_batch,
-                           batch_overhead_s=1e-4, per_op_s=1e-4,
-                           rebalance_interval_s=rebalance_interval_s),
+        PlatformConfig(
+            nodes=max(nodes, 1), ha=ha,
+            shards=ShardConfig(shards=shards, max_batch=max_batch,
+                               batch_overhead_s=1e-4, per_op_s=1e-4,
+                               rebalance_interval_s=rebalance_interval_s),
+        ),
+        seed=0, telemetry=TelemetryCollector(),
     )
     for i in range(nodes):
         platform.register_node(f"n{i:04d}", cores=cores, memory_bytes=4 * GiB)

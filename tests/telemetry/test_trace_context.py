@@ -10,7 +10,8 @@ after a node crash.
 
 import pytest
 
-from repro.api import ClusterSpec, Platform
+from repro.api import Platform, PlatformConfig
+from repro.capacity import CapacityConfig
 from repro.containers import Image
 from repro.faults import FaultPlan
 from repro.interference import ResourceDemand
@@ -18,6 +19,7 @@ from repro.telemetry import (
     SpanKind,
     TraceContext,
     Tracer,
+    TelemetryCollector,
     critical_path,
     trace_index,
     trace_root,
@@ -92,11 +94,11 @@ def test_begin_finish_and_instant_accept_ctx():
 
 # -- end-to-end through the platform -----------------------------------------
 
-def build(executors=("n0001", "n0002"), cores=2, capacity=True, faults=None,
-          seed=0):
+def build(executors=("n0001", "n0002"), cores=2, capacity=CapacityConfig(),
+          faults=None, seed=0):
     platform = Platform.build(
-        ClusterSpec(nodes=3, jitter=0.0), seed=seed,
-        capacity=capacity, faults=faults, telemetry=True,
+        PlatformConfig(nodes=3, jitter=0.0, capacity=capacity), seed=seed,
+        faults=faults, telemetry=TelemetryCollector(),
     )
     for node in executors:
         platform.register_node(node, cores=cores, memory_bytes=8 * GiB)
@@ -124,7 +126,7 @@ def govern(platform, count, tenants=2, until=30.0):
             yield platform.env.timeout(0.05)
 
     platform.process(source())
-    platform.run_until(until)
+    platform.run(until)
     platform.run()
     for client in clients:
         client.close()
@@ -215,7 +217,7 @@ def test_bare_client_mints_its_own_trace():
         done.append(result)
 
     platform.process(flow())
-    platform.run_until(5.0)
+    platform.run(5.0)
     client.close()
     assert done and done[0].status.value == "ok"
     spans = list(platform.telemetry.spans)

@@ -121,3 +121,33 @@ def test_loops_passes_ticking_and_ending_loops(tmp_path):
                     return
                 yield env.tick(1.0)
     """) == []
+
+
+class _Opaque:
+    """Pickles, but compares by identity: no round trip is equal."""
+
+
+def _no_point(params, seed):
+    return {}
+
+
+def _sweep_of(params):
+    from repro.experiments.base import ScenarioSpec, Sweep, SweepPlan
+
+    spec = ScenarioSpec(fn=_no_point, params=params, seed=0, label="only")
+    return Sweep(name="demo", description="", point_type=dict, columns=(),
+                 plan=lambda: SweepPlan(scenarios=(spec,)), title="", footer="")
+
+
+def test_sweeps_flags_params_that_round_trip_unequal(monkeypatch):
+    from repro.experiments import base
+
+    monkeypatch.setattr(base, "registered_sweeps",
+                        lambda: {"demo": _sweep_of({"config": _Opaque()})})
+    assert checks.run("sweeps") == [
+        "sweep 'demo': scenario 'only' params are not equal after a pickle "
+        "round trip (a worker would not replay the planned scenario)"
+    ]
+    monkeypatch.setattr(base, "registered_sweeps",
+                        lambda: {"demo": _sweep_of({"config": (1, "a")})})
+    assert checks.run("sweeps") == []

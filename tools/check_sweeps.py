@@ -5,8 +5,10 @@
 any ``jobs`` count if every :class:`~repro.experiments.base.ScenarioSpec`
 in each registered sweep's default plan crosses the process-pool
 boundary intact: a module-level ``fn`` (closures and lambdas don't
-pickle), picklable ``params``, an ``int`` seed, and a unique label
-(labels name scenarios in failure reports).  Nothing in the type system
+pickle), ``params`` whose pickle round trip is equal to them (so a
+point replays from its params, platform config included, and seed
+alone), an ``int`` seed, and a unique label (labels name scenarios in
+failure reports).  Nothing in the type system
 enforces that.  A ``*_sweep.py`` module under ``repro/experiments``
 that :data:`~repro.experiments.base.SWEEPS` does not name is a finding
 too: the registry is that map, so such a sweep could never run.
@@ -44,12 +46,19 @@ def _spec_problems(name: str, spec) -> list[str]:
                 f"({exc})"
             )
     try:
-        pickle.loads(pickle.dumps(spec.params))
+        clone = pickle.loads(pickle.dumps(spec.params))
     except Exception as exc:  # noqa: BLE001
         problems.append(
             f"sweep {name!r}: scenario {spec.label!r} params do not pickle "
             f"({exc})"
         )
+    else:
+        if clone != spec.params:
+            problems.append(
+                f"sweep {name!r}: scenario {spec.label!r} params are not "
+                f"equal after a pickle round trip (a worker would not replay "
+                f"the planned scenario)"
+            )
     if not isinstance(spec.seed, int):
         problems.append(
             f"sweep {name!r}: scenario {spec.label!r} seed is "
