@@ -32,6 +32,7 @@ fans scenarios out).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import count, islice
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,7 @@ from ..capacity import (
 from ..containers import Image
 from ..faults import FaultPlan
 from ..interference import ResourceDemand
+from ..loadgen import open_loop
 from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
@@ -130,26 +132,6 @@ def _govern_one(plane, client, tenant: str, function: str,
     results.append(result)
 
 
-def _arrival_source(env, plane, clients, names, results, load: float,
-                    base_rate_per_s: float, window_s: float,
-                    payload_bytes: int):
-    """Deterministic open-loop arrivals: evenly spaced, tenants
-    round-robin (each pinned to one function), independent of how long
-    each invocation takes."""
-    rate = base_rate_per_s * load
-    count = int(round(rate * window_s))
-    gap = 1.0 / rate
-    for i in range(count):
-        client = clients[i % len(clients)]
-        function = names[(i % len(clients)) % len(names)]
-        env.process(
-            _govern_one(plane, client, client.name, function, payload_bytes,
-                        results),
-            name=f"arrival-{i}",
-        )
-        yield env.timeout(gap)
-
-
 def scenario(params: dict, seed: int) -> dict:
     """One autoscale scenario as a pure function of ``(params, seed)``.
 
@@ -192,9 +174,17 @@ def scenario(params: dict, seed: int) -> dict:
                for i in range(tenants)]
     results = []
 
-    platform.process(_arrival_source(env, plane, clients, names, results,
-                                     load, base_rate_per_s, window_s,
-                                     payload_bytes))
+    def submit(i: int) -> None:
+        client = clients[i % len(clients)]
+        function = names[(i % len(clients)) % len(names)]
+        env.process(_govern_one(plane, client, client.name, function,
+                                payload_bytes, results), name=f"arrival-{i}")
+
+    # Evenly spaced open-loop arrivals, tenants round-robin (each pinned
+    # to one function), whatever each invocation takes.
+    rate = base_rate_per_s * load
+    open_loop(env, islice(count(env.now, 1.0 / rate), round(rate * window_s)),
+              submit)
     # Let the window play out (plus slack for stragglers), then drain.
     platform.run(window_s + 5.0)
     platform.run()

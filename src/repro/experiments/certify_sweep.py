@@ -33,8 +33,8 @@ from ..controlplane import HAConfig
 from ..faults import FaultKind, FaultPlan, random_plan, run_invariants
 from ..gpuservice import GpuServiceConfig
 from .base import ScenarioSpec, Sweep, SweepPlan
-from .chaos_sweep import PAGED_MEMORY, noop_client, start_pager
-from .manager_failover_sweep import SWEEP_POLICY, paced_stream
+from .chaos_sweep import PAGED_MEMORY, noop_client, noop_streams, start_pager
+from .manager_failover_sweep import PACE_S, SWEEP_POLICY
 
 __all__ = ["CertifyPoint", "scenario", "plan_scenarios", "SWEEP"]
 
@@ -67,11 +67,8 @@ def scenario(params: dict, seed: int) -> dict:
     window_s: float = params["window_s"]
     platform = Platform.build(params["platform"], seed=seed, faults=plan)
     client = noop_client(platform, "certify-noop", 0.02, SWEEP_POLICY)
-    outcomes = []
-    started = {"n": 0}
-    for _ in range(3):
-        platform.process(paced_stream(platform.env, client, outcomes, started,
-                                      window_s, payload_bytes=256))
+    outcomes, started = noop_streams(platform, client, 3, window_s,
+                                     payload_bytes=256, pause_s=PACE_S)
     start_pager(platform, "certify-pager", window_s)
     platform.run(window_s + 30.0)
     client.close()
@@ -89,7 +86,7 @@ def scenario(params: dict, seed: int) -> dict:
         completion_ratio=completed / len(outcomes) if outcomes else 0.0,
         epochs=platform.ha.epoch,
         outcomes=dict(sorted(census.items())),
-        invariants=run_invariants(platform.ha, started["n"], census),
+        invariants=run_invariants(platform.ha, started[0], census),
     ))
 
 

@@ -36,6 +36,7 @@ from ..api import Platform, PlatformConfig
 from ..containers import Image
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy
 from ..interference import ResourceDemand
+from ..loadgen import closed_loop
 from ..memservice import DurableMemoryConfig, RemotePager
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from .base import ScenarioSpec, Sweep, SweepPlan
@@ -120,19 +121,6 @@ def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
     return plan
 
 
-def _invocation_stream(env, client, outcomes, window_s: float,
-                       payload_bytes: int):
-    """Closed-loop noop invocations until the window ends.
-
-    Module-level (not a ``scenario``-local closure) so scenario
-    functions stay picklable end to end; all state arrives as
-    parameters.
-    """
-    while env.now < window_s:
-        detailed = yield client.invoke_detailed("noop", payload_bytes=payload_bytes)
-        outcomes.append(detailed)
-
-
 def _paging_stream(env, pager, window_s: float):
     """A background remote-paging loop riding the same fault storm."""
     page = 0
@@ -169,6 +157,22 @@ def noop_client(platform, image: str, runtime_s: float, policy: RetryPolicy):
     return platform.client("n0000", retry_policy=policy)
 
 
+def noop_streams(platform, client, streams: int, window_s: float,
+                 payload_bytes: int, pause_s: float = 0.0):
+    """Closed-loop noop invocation streams until the window ends, with
+    ``pause_s`` between a stream's calls; returns the outcomes and
+    ``[calls started]``, which feeds the conservation invariant."""
+    outcomes, started = [], [0]
+
+    def call():
+        started[0] += 1
+        return client.invoke_detailed("noop", payload_bytes=payload_bytes)
+
+    for _ in range(streams):
+        closed_loop(platform.env, call, outcomes.append, window_s, pause_s)
+    return outcomes, started
+
+
 def scenario(params: dict, seed: int) -> dict:
     """One chaos scenario as a pure function of ``(params, seed)``.
 
@@ -184,13 +188,9 @@ def scenario(params: dict, seed: int) -> dict:
     payload_bytes: int = params["payload_bytes"]
     streams: int = params["streams"]
     platform = Platform.build(params["platform"], seed=seed, faults=plan)
-    env = platform.env
     client = noop_client(platform, "chaos-noop", runtime_s, SWEEP_POLICY)
-    outcomes = []
-
-    for _ in range(streams):
-        platform.process(_invocation_stream(env, client, outcomes, window_s,
-                                            payload_bytes))
+    outcomes, _ = noop_streams(platform, client, streams, window_s,
+                               payload_bytes)
     if platform.durable_memory is not None:
         start_pager(platform, "chaos-pager", window_s)
     platform.run(window_s + 30.0)

@@ -29,10 +29,12 @@ interpreters (pinned in ``tests/integration/test_sweep_goldens.py``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import count, islice
 
 from ..api import Platform, PlatformConfig
 from ..gpu.gpu_function import GpuFunctionSpec
 from ..gpuservice import BatchPolicy, GpuServiceConfig
+from ..loadgen import open_loop
 from .base import ScenarioSpec, Sweep, SweepPlan
 
 __all__ = [
@@ -112,26 +114,6 @@ def _percentile(sorted_values: list, q: float) -> float:
     return sorted_values[index]
 
 
-def _request_stream(env, service, function: str, count: int, gap_s: float,
-                    latencies: list, finish_times: list):
-    """Open-loop submission (``count`` evenly spaced arrivals), then
-    collect every completion — awaiting only after the last submit keeps
-    the arrival process independent of service latency."""
-    requests = []
-    for _ in range(count):
-        requests.append(service.submit(function))
-        yield env.timeout(gap_s)
-    for request in requests:
-        value = yield request.done
-        latencies.append(value["latency_s"])
-    # ``env.now`` is this stream's last completion: batches of one
-    # (device, function) pair complete FIFO, so the final ``done``
-    # resolves last.  Pending no-op batch timers run the clock past
-    # this, which is why the makespan is taken here and not after the
-    # run.
-    finish_times.append(env.now)
-
-
 def scenario(params: dict, seed: int) -> dict:
     """One batch-size setting as a pure function of ``(params, seed)``.
 
@@ -144,22 +126,32 @@ def scenario(params: dict, seed: int) -> dict:
     platform = Platform.build(params["platform"], seed=seed)
     config = platform.config.gpu
     batch_size = config.policy.max_batch_size
-    env = platform.env
-    service = platform.gpu
+    env, service = platform.env, platform.gpu
     offered = _offered_rate(batch_size, max_rate_rps, config)
     gap_s = len(FUNCTIONS) / offered   # per-stream arrival gap
     latencies: list = []
-    finish_times: list = []
-    for function in FUNCTIONS:
+    last_done = 0.0
+
+    def record(done) -> None:
+        nonlocal last_done
+        latencies.append(done.value["latency_s"])
+        last_done = env.now
+
+    for function in FUNCTIONS:   # one open-loop stream per function
         service.register(_function_spec(function))
-        platform.process(
-            _request_stream(env, service, function, per_stream, gap_s,
-                            latencies, finish_times)
-        )
+        open_loop(env, islice(count(env.now, gap_s), per_stream),
+                  lambda _, function=function:
+                  service.submit(function).done.add_callback(record))
     platform.run()
 
+    # The makespan ends at the last completion, but no earlier than one
+    # gap after the last arrival; pending no-op batch timers run the
+    # clock past both, so it is not read after the run.
+    makespan = 0.0
+    for _ in range(per_stream):
+        makespan += gap_s
+    makespan = max(makespan, last_done)
     total = service.completed
-    makespan = max(finish_times) if finish_times else 0.0
     latencies.sort()
     batcher = service.batcher
     return asdict(GpuScalingPoint(

@@ -41,7 +41,8 @@ import numpy as np
 from ..api import Platform, PlatformConfig
 from ..capacity.admission import AdmissionConfig, AdmissionController, TenantQuota
 from ..faults import FaultPlan, RetryPolicy
-from ..loadgen import LoadSpec, MmppArrivals, PoissonArrivals, TenantMix, synthesize
+from ..loadgen import (LoadSpec, MmppArrivals, PoissonArrivals, TenantMix,
+                       open_loop, synthesize)
 from ..rfaas.errors import (
     AdmissionRejected,
     ManagerUnavailableError,
@@ -134,18 +135,6 @@ def _arrival_handler(env, plane, admission, tenant: str, at_s: float,
     census["completed"] += 1
 
 
-def _replay(env, plane, admission, trace, mix: TenantMix, census, latencies):
-    """Walk the trace in arrival order, spawning one handler per arrival."""
-    for at_s, tenant_index in zip(trace.times, trace.tenants):
-        delay = at_s - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        env.process(_arrival_handler(
-            env, plane, admission, mix.name(tenant_index), at_s,
-            trace.service_s, census, latencies,
-        ))
-
-
 def scenario(params: dict, seed: int) -> dict:
     """One shard count as a pure function of ``(params, seed)``.
 
@@ -203,8 +192,14 @@ def scenario(params: dict, seed: int) -> dict:
 
     census = {"completed": 0, "rejected": 0, "degraded": 0}
     latencies: list[float] = []
-    env.process(_replay(env, plane, admission, trace, mix, census, latencies),
-                name="loadstorm-replay")
+
+    def submit(i: int) -> None:
+        env.process(_arrival_handler(
+            env, plane, admission, mix.name(trace.tenants[i]), trace.times[i],
+            trace.service_s, census, latencies,
+        ))
+
+    open_loop(env, trace.times, submit)
     # Under deep 1-shard saturation the batch backlog can take tens of
     # sim-seconds to clear; the run ends when the last handler does
     # (the rebalance loop waits on ticks and keeps nothing alive).

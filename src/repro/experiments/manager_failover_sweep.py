@@ -34,7 +34,7 @@ from ..api import Platform, PlatformConfig
 from ..controlplane import HAConfig
 from ..faults import FaultPlan, RecoveryOutcome, RetryPolicy, run_invariants
 from .base import ScenarioSpec, Sweep, SweepPlan
-from .chaos_sweep import noop_client
+from .chaos_sweep import noop_client, noop_streams
 
 __all__ = [
     "FailoverPoint",
@@ -52,6 +52,12 @@ DEFAULT_STANDBYS = (0, 1, 2)
 SWEEP_POLICY = RetryPolicy(
     max_attempts=7, backoff_base_s=0.05, backoff_multiplier=2.0, backoff_max_s=1.0,
 )
+
+#: Pause between a stream's invocations.  After a k=0 wipe every lease
+#: attempt is rejected *instantly*, and an unpaced stream would spin
+#: forever in real time.  Rejected attempts stay in the outcomes, so the
+#: k=0 row shows the lost work.
+PACE_S = 0.005
 
 
 @dataclass(frozen=True)
@@ -96,23 +102,6 @@ def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
                         immediate=True))
 
 
-def paced_stream(env, client, outcomes, started, window_s: float,
-                 payload_bytes: int):
-    """Paced closed-loop invocations.
-
-    The pacing timeout matters: after a k=0 wipe every lease attempt is
-    rejected *instantly* (no sim-time cost), and an unpaced loop would
-    spin forever in real time.  Rejected attempts stay in ``outcomes``
-    so the k=0 row honestly shows the lost work, and ``started`` feeds
-    the conservation invariant (started == concluded).
-    """
-    while env.now < window_s:
-        started["n"] += 1
-        detailed = yield client.invoke_detailed("noop", payload_bytes=payload_bytes)
-        outcomes.append(detailed)
-        yield env.timeout(0.005)
-
-
 def scenario(params: dict, seed: int) -> dict:
     """One standby count as a pure function of ``(params, seed)``.
 
@@ -126,18 +115,15 @@ def scenario(params: dict, seed: int) -> dict:
                               faults=default_plan(window_s))
     standbys = platform.config.ha.standbys
     client = noop_client(platform, "managerha-noop", runtime_s, SWEEP_POLICY)
-    outcomes = []
-    started = {"n": 0}
-    for _ in range(streams):
-        platform.process(paced_stream(platform.env, client, outcomes, started,
-                                      window_s, payload_bytes))
+    outcomes, started = noop_streams(platform, client, streams, window_s,
+                                     payload_bytes, pause_s=PACE_S)
     platform.run(window_s + 30.0)
     client.close()
     platform.run()
 
     ha = platform.ha
     census = Counter(d.outcome.value for d in outcomes)
-    invariants_ok = not any(run_invariants(ha, started["n"], census).values())
+    invariants_ok = not any(run_invariants(ha, started[0], census).values())
     latencies = [d.elapsed_s for d in outcomes if d.ok]
     p50 = float(np.median(latencies)) if latencies else float("nan")
     p99 = float(np.percentile(latencies, 99)) if latencies else float("nan")

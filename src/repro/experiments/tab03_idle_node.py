@@ -120,6 +120,7 @@ def run_platform(
     """
     from ..api import Platform, PlatformConfig
     from ..containers import Image
+    from ..loadgen import closed_loop
     from ..network import IBVERBS
 
     app = nas_model(benchmark)
@@ -137,15 +138,14 @@ def run_platform(
         registered.executor.prewarm(image)
         completions = [0]
 
-        def stream():
-            client = platform.client("n0000")
-            while env.now < window_s:
-                result = yield client.invoke(benchmark, payload_bytes=1024)
-                if result.ok:
-                    completions[0] += 1
+        def record(result) -> None:
+            if result.ok:
+                completions[0] += 1
 
         for _ in range(count):
-            platform.process(stream())
+            client = platform.client("n0000")
+            closed_loop(env, lambda client=client: client.invoke(
+                benchmark, payload_bytes=1024), record, window_s)
         platform.run(window_s)
         out[count] = completions[0] / window_s
     per_stream_base = out[counts[0]] / counts[0]

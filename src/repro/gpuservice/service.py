@@ -102,10 +102,11 @@ class GpuRequest:
     """One submitted GPU invocation; resolve by yielding ``done``.
 
     ``ctx`` and ``span`` are ``None`` when the service is untraced.
+    Weak-referenceable, so a test can watch when a request is freed.
     """
 
     __slots__ = ("req_id", "function", "submitted_at", "ctx", "done",
-                 "attempts", "span")
+                 "attempts", "span", "__weakref__")
 
     def __init__(self, req_id: int, function: str, submitted_at: float,
                  ctx: Optional[TraceContext], done: Event, span):

@@ -1,39 +1,35 @@
-"""Open-loop, trace-driven workload synthesis at million-client scale.
+"""Trace-driven load at million-client scale, and the drivers that apply it.
 
-The load engine answers the question PR 10's sharded control plane
-exists for: *what does fine-grained lease churn from a million tenants
-look like, and does the control plane keep up?*  It is deliberately
-**open loop** — arrivals come from a seeded stochastic process that
-does not slow down when the platform backs up, so queueing at a
+Load is **open loop** where the question is whether the control plane
+keeps up: arrivals do not slow down when the platform backs up, so a
 saturated shard shows up as tail latency instead of being hidden by a
-polite closed-loop driver (the distinction Jindal et al.'s FDN
-evaluation and the kaas-autoscaling ``load.py`` generator both insist
-on).
+polite closed-loop driver (as Jindal et al.'s FDN evaluation insists).
 
-Three pieces, all plain picklable data:
+Four pieces:
 
 * :mod:`~repro.loadgen.arrivals` — when requests arrive:
-  :class:`PoissonArrivals` (memoryless steady state) and
-  :class:`MmppArrivals` (Markov-modulated bursts: a seeded state chain
-  switches the instantaneous rate, producing the flash-crowd /
-  quiet-period alternation real FaaS traces show).
+  :class:`PoissonArrivals` (steady state) and :class:`MmppArrivals` (a
+  seeded state chain switches between flash crowds and quiet periods);
 * :mod:`~repro.loadgen.tenants` — who sends them: :class:`TenantMix`
-  draws tenant *indices* from a folded Zipf over a population of a
-  million-plus synthetic clients.  The population is a number, not a
-  list: memory scales with arrivals observed, never with clients
-  modeled.
-* :mod:`~repro.loadgen.trace` — the product: :class:`LoadSpec` (the
-  seeded recipe) and :class:`WorkloadTrace` (the materialized arrival
-  trace), with byte-identical JSON round-trips and pickle support so
-  traces survive the parallel sweep fabric and CLI hand-offs.
-
-Determinism contract: ``synthesize(spec)`` is a pure function of the
-spec (seed included) — same spec, same trace, in any interpreter, in
-any worker process (``tests/loadgen/test_determinism.py`` asserts this
-across fresh interpreters).
+  draws tenant *indices* from a folded Zipf over a population that is a
+  number, not a list, so memory scales with arrivals, not clients;
+* :mod:`~repro.loadgen.trace` — :class:`LoadSpec` (the seeded recipe)
+  and :class:`WorkloadTrace` (the arrivals): picklable, with
+  byte-identical JSON round trips.  ``synthesize(spec)`` is a pure
+  function of the spec, in any interpreter or worker process;
+* :mod:`~repro.loadgen.drivers` — :func:`open_loop` submits at each
+  arrival time and :func:`closed_loop` issues the next call when the
+  last completes.  They are engine timer chains that keep no reference
+  to what they submitted.  Their first step is a zero-delay timer armed
+  at creation, the slot a new process's first resume takes; a due
+  arrival is submitted inline, a later one fires where a generator's
+  ``timeout`` would resume; a completion callback takes the slot of a
+  process yielding the same event.  So a driver replays a generator
+  driver's timeline, minus the process's exit event.
 """
 
 from .arrivals import MmppArrivals, PoissonArrivals
+from .drivers import closed_loop, open_loop
 from .tenants import TenantMix
 from .trace import LoadSpec, WorkloadTrace, synthesize
 
@@ -44,4 +40,6 @@ __all__ = [
     "LoadSpec",
     "WorkloadTrace",
     "synthesize",
+    "open_loop",
+    "closed_loop",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..faults.recovery import DegradedResult, RecoveryOutcome, RetryPolicy
 from ..network.transport import Connection, NetworkFabric, TransferDropped
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Event
 from ..telemetry import telemetry_of
 from ..telemetry.context import TraceContext
 from ..telemetry.span import SpanKind
@@ -46,6 +46,36 @@ __all__ = ["RFaaSClient"]
 # Interrupt cause used when the client aborts its own execution because
 # the RetryPolicy deadline elapsed (vs. a platform-side reclaim).
 _TIMEOUT_CAUSE = "client-timeout"
+
+
+def _defuse(event) -> None:
+    event.defused = True
+
+
+def race_deadline(env: Environment, execution: Event, deadline: float):
+    """Race an execution against the policy ``deadline`` (an instant);
+    ``yield from`` it for the execution's result.
+
+    On expiry the running execution is interrupted (the executor cleans
+    up exactly as for a platform reclaim) and the resulting
+    ``TerminationError`` carries :data:`_TIMEOUT_CAUSE`, so the caller
+    can tell the two apart.  An execution that fails at the deadline's
+    own instant, after the deadline won, timed out too: the race is
+    decided, so that failure is defused rather than raised out of the
+    run.
+    """
+    race = env.any_of([execution, env.timeout(deadline - env.now)])
+    execution.add_callback(_defuse)
+    yield race
+    if not execution.triggered:
+        execution.interrupt(cause=_TIMEOUT_CAUSE)
+        result = yield execution
+        return result
+    if execution.ok:
+        return execution.value
+    raise TerminationError(str(execution.value),
+                           checkpoint_s=execution.value.checkpoint_s,
+                           cause=_TIMEOUT_CAUSE)
 
 
 class RFaaSClient:
@@ -398,8 +428,8 @@ class RFaaSClient:
                         if deadline - self.env.now <= 0:
                             attempt_span.set(outcome="timeout")
                             return timed_out()
-                        result = yield from self._execute_with_deadline(
-                            executor, fdef, request, deadline
+                        result = yield from race_deadline(
+                            self.env, executor.execute(fdef, request), deadline
                         )
                     if result.status == InvocationStatus.REJECTED:
                         # Executor started draining between lease and dispatch.
@@ -459,26 +489,6 @@ class RFaaSClient:
             InvocationResult(request=request, status=InvocationStatus.TERMINATED),
             RecoveryOutcome.GAVE_UP,
         )
-
-    def _execute_with_deadline(self, executor, fdef, request, deadline: float):
-        """Race the execution against the policy deadline.
-
-        On expiry the running execution is interrupted (the executor
-        cleans up exactly as for a platform reclaim) and the resulting
-        ``TerminationError`` carries :data:`_TIMEOUT_CAUSE` so the
-        caller can tell the two apart.
-        """
-        exec_proc = executor.execute(fdef, request)
-        timer = self.env.timeout(deadline - self.env.now)
-        yield self.env.any_of([exec_proc, timer])
-        if exec_proc.triggered and exec_proc.ok:
-            return exec_proc.value
-        if not exec_proc.triggered:
-            exec_proc.interrupt(cause=_TIMEOUT_CAUSE)
-        # Raises TerminationError: ours (timeout cause) or, on a tie,
-        # the platform's own reclaim — both handled by the caller.
-        result = yield exec_proc
-        return result
 
     def _abandon_connection(self, connection: Connection) -> None:
         if self._connection is connection:

@@ -119,6 +119,16 @@ class Event:
             raise SimulationError("value not yet available")
         return self._value
 
+    @property
+    def defused(self) -> bool:
+        """Whether a failure of this event has been handled; an event
+        that fails undefused is raised out of :meth:`Environment.run`."""
+        return self._defused
+
+    @defused.setter
+    def defused(self, value: bool) -> None:
+        self._defused = value
+
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Schedule the event to fire successfully with ``value``."""
@@ -158,6 +168,21 @@ class Event:
         env._seq += 1
         env._immediate.append((env._now, env._seq, self))
         return self
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Run ``callback(event)`` when the event fires, in the slot a
+        process yielding it now would take: the ``_waiter`` slot if it
+        is free, else the end of the callback list.  On an event already
+        processed it runs at once, as a yielding process resumes."""
+        callbacks = self.callbacks
+        if callbacks is None:
+            callback(self)
+        elif self._waiter is None and not callbacks:
+            self._waiter = callback
+        elif callbacks:
+            callbacks.append(callback)
+        else:
+            self.callbacks = [callback]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -377,14 +402,7 @@ class _Condition(Event):
                 raise SimulationError("events belong to different environments")
         self._pending = len(self._events)
         for ev in self._events:
-            if ev.callbacks is None:  # already processed
-                self._check(ev)
-            elif ev._waiter is None and not ev.callbacks:
-                ev._waiter = self._check
-            elif ev.callbacks:
-                ev.callbacks.append(self._check)
-            else:
-                ev.callbacks = [self._check]
+            ev.add_callback(self._check)
         if not self._triggered and self._pending == 0:
             self._finish()
 
@@ -506,15 +524,12 @@ class Environment:
               value: Any = None) -> Event:
         """An event that fires with ``value`` after ``delay``, running
         ``callback`` before any process that yields it; it stands in for
-        the process a one-shot wait would otherwise cost.
+        the process a one-shot wait would otherwise cost.  It is a
+        :class:`Timeout` with its callback in the waiter slot, so it is
+        built and scheduled as cheaply as one.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        event = Event(self)
+        event = Timeout(self, delay, value)
         event._waiter = callback
-        event._value = value
-        event._triggered = True
-        self._schedule(event, delay)
         return event
 
     def urgent(self, callback: Callable[[Event], None], value: Any = None) -> Event:

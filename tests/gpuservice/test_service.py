@@ -1,5 +1,7 @@
 """GPU service end-to-end: cost model, warm contexts, tracing."""
 
+import weakref
+
 import pytest
 
 from repro.api import Platform, PlatformConfig
@@ -192,26 +194,70 @@ def test_a_partial_batch_enqueued_from_a_daemon_flushes_on_its_timer():
     assert results and results[0]["batch_size"] == 1
 
 
-def test_a_batched_gpu_run_schedules_only_live_work():
-    """Event budget of a gpu_scaling-shaped run (B=8, 512 requests per
-    stream): per request an arrival timeout and a done event (2,048);
-    per batch the batch process's start and exit, its PCIe-input and
-    setup timeouts, one max-wait timer and one kernel timer (768); two
-    cold context loads and the two stream processes (8).  A timer that
-    grows back into a process adds events here."""
-    config = GpuServiceConfig(
-        gpu_nodes=2, policy=BatchPolicy(max_batch_size=8, max_wait_s=1.0))
-    platform = Platform.build(PlatformConfig(nodes=2, jitter=0.0, gpu=config),
-                              seed=0)
+def _gpu_scaling_run(monkeypatch, on_build=lambda platform: None):
+    """The gpu_scaling scenario at B=8, 512 requests per stream; returns
+    its platform.  ``on_build`` sees the platform before the streams start."""
+    built = []
+    build = gpu_scaling_sweep.Platform.build
+
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        on_build(built[-1])
+        return built[-1]
+
+    monkeypatch.setattr(gpu_scaling_sweep.Platform, "build", recording_build)
+    (spec,) = gpu_scaling_sweep.plan_scenarios(batch_sizes=(8,), requests=512).scenarios
+    spec.fn(spec.params, spec.seed)
+    return built[0]
+
+
+def test_a_batched_gpu_run_schedules_only_live_work(monkeypatch):
+    """Event budget of a gpu_scaling run (B=8, 512 requests per stream),
+    2,820 events:
+
+    - per request a done event (1,024);
+    - per arrival after each stream's first, an arrival timer (1,022);
+    - per stream the driver's zero-delay start timer (2);
+    - per batch the batch process's start and exit, its PCIe-input and
+      setup timeouts, one max-wait timer and one kernel timer (768);
+    - two cold context loads, each a setup and a transfer timeout (4).
+
+    The generator driver cost 2,824: its process exit, and the sleep it
+    took after its last arrival, per stream.  A timer that grows back
+    into a process adds events here."""
+    platform = _gpu_scaling_run(monkeypatch)
     service = platform.gpu
-    gap_s = len(gpu_scaling_sweep.FUNCTIONS) / gpu_scaling_sweep._offered_rate(
-        8, 800.0, config)
-    latencies, finish_times = [], []
-    for function in gpu_scaling_sweep.FUNCTIONS:
-        service.register(gpu_scaling_sweep._function_spec(function))
-        platform.process(gpu_scaling_sweep._request_stream(
-            platform.env, service, function, 512, gap_s, latencies,
-            finish_times))
-    platform.run()
     assert service.completed == 1024 and service.batches == 128
-    assert platform.env.event_count == 2824
+    assert platform.env.event_count == 2820
+
+
+def test_a_finished_request_is_freed_when_it_completes(monkeypatch):
+    """Every :class:`GpuRequest` is watched by ``weakref.finalize``.  At
+    each completion the live requests are no more than those queued or
+    in flight, and none is alive once the run returns: the driver keeps
+    no list of what it submitted."""
+    live = [0]
+    bounded = []
+
+    def freed():
+        live[0] -= 1
+
+    def watch(platform):
+        service = platform.gpu
+        submit = service.submit
+
+        def completed(done):
+            bounded.append(live[0] <= service.submitted - service.completed)
+
+        def watched_submit(function, ctx=None):
+            request = submit(function, ctx)
+            live[0] += 1
+            weakref.finalize(request, freed)
+            request.done.add_callback(completed)
+            return request
+
+        monkeypatch.setattr(service, "submit", watched_submit)
+
+    platform = _gpu_scaling_run(monkeypatch, watch)
+    assert platform.gpu.completed == 1024 and len(bounded) == 1024
+    assert all(bounded) and live[0] == 0

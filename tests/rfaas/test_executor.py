@@ -299,12 +299,15 @@ def test_an_uncontended_invocation_schedules_only_live_work():
 
 def test_the_chaos_workload_runs_nine_events_per_invocation(monkeypatch):
     """The benchmark's ``chaos`` instance at seed 0 (16 faults/min over
-    60 s, four closed-loop streams): 9.02 events per invocation.  Each
-    invocation is served by a timer chain (no executor process start)
-    and each transfer's done event lands itself (no relay hop): a
-    process per execution and a relay per transfer put back add 35,206
-    here (141,014).  Its executors never queue, so a grant event per
-    execution put back adds 11,739."""
+    60 s, four closed-loop streams): 105,804 events, 9.02 per
+    invocation.  Each invocation is served by a timer chain (no executor
+    process start) and each transfer's done event lands itself (no relay
+    hop): a process per execution and a relay per transfer put back add
+    35,206 here.  Its executors never queue, so a grant event per
+    execution put back adds 11,739.  Each stream is a ``closed_loop``
+    timer chain whose start timer takes the slot of a driver process's
+    start: a generator driver per stream puts back its process exit, 4
+    events (105,808)."""
     built = []
     build = Platform.build
 
@@ -317,4 +320,4 @@ def test_the_chaos_workload_runs_nine_events_per_invocation(monkeypatch):
     scenario = plan.scenarios[0]
     point = scenario.fn(scenario.params, scenario.seed)
     assert point["invocations"] == 11_728
-    assert built[0].env.event_count == 105_808
+    assert built[0].env.event_count == 105_804

@@ -137,6 +137,35 @@ def test_client_timeout_aborts_long_invocation():
     assert detailed.attempts == 1
 
 
+def test_a_reclaim_at_the_deadline_instant_times_out():
+    """The deadline timer fires first at 0.25 s, and a reclaim fails the
+    execution at the same instant, before the client resumes from the
+    race.  The deadline has won: the invocation times out and the
+    reclaim's failure is defused, not raised out of the run."""
+    h = Harness()
+    h.register_node("n0001")
+    h.register_node("n0002")
+    h.register_function("slow", runtime_s=5.0)
+    client = h.client(retry_policy=RetryPolicy(max_attempts=4, timeout_s=0.25))
+    out = {}
+
+    def driver():
+        out["d"] = yield client.invoke_detailed("slow", payload_bytes=64)
+
+    def reclaim():
+        yield h.env.timeout(0.25)
+        h.manager.remove_node(client.lease.node_name, immediate=True)
+
+    h.env.process(reclaim())
+    h.env.process(driver())
+    h.env.run(until=10.0)
+    detailed = out["d"]
+    assert detailed.outcome is RecoveryOutcome.TIMED_OUT
+    assert isinstance(detailed.error, InvocationTimeout)
+    assert detailed.elapsed_s == 0.25 and detailed.attempts == 1
+    assert client.redirects == 0
+
+
 def test_no_capacity_is_rejected_not_retried():
     h = Harness()
     h.register_function("noop")

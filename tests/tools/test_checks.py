@@ -10,7 +10,7 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 
-from tools import check_loops, checks  # noqa: E402
+from tools import check_loops, check_sweeps, checks  # noqa: E402
 
 
 def test_registry_contains_every_repo_lint():
@@ -151,3 +151,26 @@ def test_sweeps_flags_params_that_round_trip_unequal(monkeypatch):
     monkeypatch.setattr(base, "registered_sweeps",
                         lambda: {"demo": _sweep_of({"config": (1, "a")})})
     assert checks.run("sweeps") == []
+
+
+def test_sweeps_flags_a_hand_rolled_driver(tmp_path):
+    """A driver generator started as a process fails the check; the
+    same call in an allowed function (the chaos pager) passes."""
+    (tmp_path / "chaos_sweep.py").write_text(textwrap.dedent("""
+        def _invocation_stream(env, client, outcomes, window_s):
+            while env.now < window_s:
+                outcomes.append((yield client.invoke_detailed("noop")))
+
+        def scenario(platform, client, outcomes):
+            platform.process(_invocation_stream(platform.env, client,
+                                                outcomes, 30.0))
+
+        def start_pager(platform, pager):
+            platform.process(_paging_stream(platform.env, pager))
+    """))
+    assert check_sweeps.process_violations(tmp_path) == [
+        "chaos_sweep.py:7: chaos_sweep.scenario starts a process; drive load "
+        "with repro.loadgen.open_loop/closed_loop (or allow it in "
+        "PROCESS_ALLOWED with a reason)"
+    ]
+    assert check_sweeps.process_violations() == []
