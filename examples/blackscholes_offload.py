@@ -1,79 +1,28 @@
 """Black-Scholes offloading with the live runtime (the Fig. 13a story).
 
-Prices a real option portfolio three ways — serial, fully remote on warm
-process executors, and "doubled resources" (local worker + remote
-executors, split by the Eq.-1 LogP model) — then prints the measured
-times, the calibrated model, and the predicted speedup on a machine with
-enough free cores.
+Runs the fig13 sweep's Black-Scholes point: a real option portfolio is
+priced serially, fully remote on warm process executors, and on "doubled
+resources" (local worker + remote executors, split by the Eq.-1 LogP
+model through the offload dispatcher).  Prints the sweep's table, the
+calibrated model and whether the three variants agree.
 
 Run:  python examples/blackscholes_offload.py
 """
 
-import os
-import time
-
-import numpy as np
-
-from repro.local import LocalRuntime, payload_nbytes
-from repro.offload import OffloadDispatcher, calibrate_model
-from repro.workloads import generate_options, price_chunk, price_options, split_batch
-
-OPTIONS = 500_000
-ITERATIONS = 4
-WORKERS = 2
-CHUNKS = 12
+from repro.sweep import run_sweep
 
 
 def main() -> None:
-    print(f"pricing {OPTIONS:,} options x {ITERATIONS} iterations"
-          f" on {os.cpu_count()} host core(s)\n")
-    batch = generate_options(OPTIONS, seed=7)
-    payloads = split_batch(batch, CHUNKS)
-
-    with LocalRuntime(workers=WORKERS) as runtime:
-        runtime.register("price", "repro.workloads.blackscholes:price_chunk")
-        cold = runtime.prewarm()
-        print(f"executor cold start: {cold * 1e3:.0f} ms"
-              f" (then the workers stay warm)")
-
-        # Calibrate Eq. 1 with probe invocations.
-        model = calibrate_model(runtime, "price", price_chunk, payloads[0],
-                                iterations=ITERATIONS)
-        print(f"Eq. 1 calibration: T_local={model.t_local * 1e3:.1f} ms,"
-              f" T_inv={model.t_inv * 1e3:.1f} ms, L={model.latency * 1e3:.2f} ms,"
-              f" Data_inv={model.data_per_task / 1024:.0f} KiB")
-        print(f"  -> offloading profitable beyond N_local_min={model.n_local_min} tasks\n")
-
-        # Serial baseline.
-        t0 = time.perf_counter()
-        serial = np.concatenate([price_chunk(p, iterations=ITERATIONS) for p in payloads])
-        serial_s = time.perf_counter() - t0
-        print(f"serial:  {serial_s * 1e3:8.1f} ms   1.00x")
-
-        # Fully remote.
-        t0 = time.perf_counter()
-        remote = np.concatenate(runtime.map("price", payloads, iterations=ITERATIONS))
-        remote_s = time.perf_counter() - t0
-        print(f"remote:  {remote_s * 1e3:8.1f} ms   {serial_s / remote_s:.2f}x")
-
-        # Doubled resources via the dispatcher.
-        dispatcher = OffloadDispatcher(runtime, model)
-        report = dispatcher.run("price", price_chunk, payloads, iterations=ITERATIONS)
-        doubled = np.concatenate(report.results)
-        print(f"doubled: {report.wall_time_s * 1e3:8.1f} ms"
-              f"   {serial_s / report.wall_time_s:.2f}x"
-              f"   (split: {report.plan.n_local} local / {report.plan.n_remote} remote,"
-              f" remote hidden: {report.remote_hidden})")
-
-        predicted = model.speedup(len(payloads), local_workers=1, remote_workers=WORKERS)
-        print(f"\nEq. 1 predicted doubled speedup on >= {WORKERS + 1} free cores:"
-              f" {predicted:.2f}x")
-        if (os.cpu_count() or 1) <= WORKERS:
-            print("(this host has too few cores for measured parallel speedup)")
-
-        # Verify numerics.
-        assert np.allclose(serial, remote) and np.allclose(serial, doubled)
-        print("\nall three variants produced identical prices ✓")
+    result = run_sweep("fig13", workers=2, options=500_000, iterations=4,
+                       particles=(), seed=7)
+    print(result.format_report())
+    (point,) = result.points
+    print(f"\nEq. 1 calibration: T_local={point.t_local * 1e3:.1f} ms,"
+          f" T_inv={point.t_inv * 1e3:.1f} ms, L={point.latency * 1e3:.2f} ms,"
+          f" Data_inv={point.data_per_task / 1024:.0f} KiB"
+          f" -> offloading profitable beyond N_local_min={point.n_local_min} tasks")
+    assert point.checks_passed
+    print("all three variants produced identical prices ✓")
 
 
 if __name__ == "__main__":

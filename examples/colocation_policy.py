@@ -58,8 +58,10 @@ def main() -> None:
     policy.observe("milc", "cg.A", batch_slowdown=1.22, function_slowdown=1.6)
 
     print("\nhistory after round 1:")
-    for fn, slow in policy.history.worst_partners("milc"):
-        print(f"  milc + {fn:6s}: mean batch slowdown {slow:.3f}")
+    for key in CANDIDATES:
+        slow = policy.history.expected_batch_slowdown("milc", key)
+        if slow is not None:
+            print(f"  milc + {key:6s}: mean batch slowdown {slow:.3f}")
 
     print("\nround 2 — history is the primary metric:")
     for key in CANDIDATES:

@@ -1,68 +1,19 @@
-"""GPU disaggregation: co-located GPU functions vs. remote GPU access.
+"""GPU disaggregation: a batch GPU job shares its nodes with GPU functions.
 
-Shows the two Sec. III-D arguments in action on a simulated P100:
-
-1. warm device data — a GPU function keeps its model weights resident, so
-   repeated inference invocations skip the PCIe transfer, until a batch
-   job's hard allocation evicts them;
-2. co-located vs. remote GPU — an inference function with hundreds of
-   kernels pays the network round trip on *every* kernel when the GPU is
-   remote (rCUDA-style), but only a one-core co-location cost locally.
+Runs the smallest fig12 point: the GPU versions of LULESH and MILC keep
+their devices busy while a Rodinia kernel (``bfs``), standing in for a
+GPU function on one spare core, co-locates with them (Sec. III-D,
+Fig. 12).  Prints each batch job's slowdown and the cost saved by
+requesting 9 of 12 cores.
 
 Run:  python examples/gpu_sharing.py
 """
 
-from repro.cluster.specs import P100
-from repro.gpu import GpuDevice, GpuFunctionSpec, inference_latency, run_gpu_function
-from repro.network import UGNI
-from repro.sim import Environment
-
-GiB = 1024**3
-MiB = 1024**2
+from repro.sweep import run_sweep
 
 
 def main() -> None:
-    env = Environment()
-    device = GpuDevice(env, P100)
-
-    inference = GpuFunctionSpec(
-        name="resnet-inference",
-        kernel_count=300,            # hundreds of kernels with sync between
-        kernel_time_s=25e-6,         # small per-layer kernels
-        occupancy=0.6,
-        input_bytes=128 * MiB,       # weights + activations on first call
-        device_memory_bytes=1 * GiB,
-    )
-
-    times = []
-
-    def scenario():
-        # Three consecutive invocations: the first stages data, the rest
-        # hit warm device memory.
-        for _ in range(3):
-            t = yield run_gpu_function(env, device, inference)
-            times.append(t)
-        # A batch job claims most of the device -> warm data is evicted.
-        device.allocate_memory("batch-gpu-job", int(15.5 * GiB))
-        t = yield run_gpu_function(env, device, inference)
-        times.append(t)
-
-    env.process(scenario())
-    env.run()
-
-    print("co-located GPU function (simulated P100):")
-    labels = ["cold (stage 128 MiB)", "warm", "warm", "after batch evicted warm data"]
-    for label, t in zip(labels, times):
-        print(f"  {label:32s} {t * 1e3:7.2f} ms")
-    print(f"  warm evictions under memory pressure: {device.warm_evictions}")
-
-    local = inference_latency(inference, UGNI.params, remote=False, data_warm=True)
-    remote = inference_latency(inference, UGNI.params, remote=True, data_warm=True)
-    print("\nco-located vs remote GPU access (analytic, data warm):")
-    print(f"  co-located: {local * 1e3:7.2f} ms")
-    print(f"  remote:     {remote * 1e3:7.2f} ms"
-          f"  (+{(remote / local - 1) * 100:.0f}% from {inference.kernel_count}"
-          f" per-kernel round trips)")
+    print(run_sweep("fig12", rodinia_keys=("bfs",)).format_report())
 
 
 if __name__ == "__main__":

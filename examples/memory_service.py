@@ -38,7 +38,7 @@ def main() -> None:
         yield service.start()
         host = cluster.node("n0001")
         print(f"service: pinned {service.size_bytes / GiB:.0f} GiB on {host.name}"
-              f" ({host.memory_utilization() * 100:.1f}% of node memory)")
+              f" ({host.allocated_memory / host.spec.memory_bytes:.1%} of node memory)")
 
         conn = yield fabric.connect("n0000", "n0001", user="app", cred_id=cred.cred_id)
         client = MemoryClient(env, fabric, service, conn)
@@ -71,7 +71,7 @@ def main() -> None:
               f" = {ops * 10 * MiB / 0.5 / 1e9:.2f} GB/s sustained")
         service.stop()
         print(f"service stopped; node memory back to"
-              f" {host.memory_utilization() * 100:.1f}% used")
+              f" {host.allocated_memory / host.spec.memory_bytes:.1%} used")
 
     env.process(scenario())
     env.run()

@@ -73,16 +73,9 @@ class Cluster:
     def total_memory(self) -> int:
         return sum(n.total_memory for n in self)
 
-    def allocated_memory(self) -> int:
-        return sum(n.allocated_memory for n in self)
-
     def core_utilization(self) -> float:
         total = self.total_cores()
         return self.allocated_cores() / total if total else 0.0
-
-    def memory_utilization(self) -> float:
-        total = self.total_memory()
-        return self.allocated_memory() / total if total else 0.0
 
     def hop_latency(self, src: str, dst: str) -> float:
         """Topology latency between two named nodes (seconds, one-way)."""

@@ -98,9 +98,6 @@ class Node:
     def core_utilization(self) -> float:
         return self.allocated_cores / self.spec.cores
 
-    def memory_utilization(self) -> float:
-        return self.allocated_memory / self.spec.memory_bytes
-
     # -- allocation ---------------------------------------------------------
     def can_allocate(self, cores: int = 0, memory_bytes: int = 0, gpus: int = 0) -> bool:
         if self.draining:

@@ -52,14 +52,3 @@ class HistoryDB:
         if not records:
             return None
         return sum(r.batch_slowdown for r in records) / len(records)
-
-    def worst_partners(self, batch_app: str, top: int = 5) -> list[tuple[str, float]]:
-        """Function apps ranked by batch-job impact (worst first)."""
-        scored = []
-        for (b, f), records in self._records.items():
-            if b != batch_app:
-                continue
-            mean = sum(r.batch_slowdown for r in records) / len(records)
-            scored.append((f, mean))
-        scored.sort(key=lambda item: -item[1])
-        return scored[:top]

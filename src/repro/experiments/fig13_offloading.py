@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from ..local import LocalRuntime, payload_nbytes
-from ..offload import calibrate_model
+from ..offload import OffloadDispatcher, calibrate_model
 from ..workloads import generate_options, price_chunk, split_batch, transport_chunk
 from .base import ScenarioSpec, Sweep, SweepPlan
 
@@ -101,18 +101,12 @@ def _time_app(
     remote_s = time.perf_counter() - t0
 
     # Doubled: 1 local worker + N remote executors, Eq.-1 split.
-    # Remote chunks are submitted first so their latency hides behind
-    # the local compute (never-wait principle).
-    plan = model.split(len(payloads), local_workers=1, remote_workers=workers)
-    t0 = time.perf_counter()
-    futures = [runtime.invoke(function, p, **kwargs) for p in payloads[plan.n_local:]]
-    doubled_local = [local_fn(p, **kwargs) for p in payloads[: plan.n_local]]
-    doubled_results = doubled_local + [f.result() for f in futures]
-    doubled_s = time.perf_counter() - t0
+    doubled = OffloadDispatcher(runtime, model).run(function, local_fn, payloads, **kwargs)
+    doubled_s = doubled.wall_time_s
 
     checks = all(
         _close_enough(serial_results[i], variant[i])
-        for variant in (remote_results, doubled_results)
+        for variant in (remote_results, doubled.results)
         for i in range(len(serial_results))
     )
     return Fig13Point(

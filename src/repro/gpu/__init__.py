@@ -1,19 +1,11 @@
-"""GPU substrate: device model, GPU functions, remote-GPU comparison."""
+"""GPU substrate: the device model and the GPU-function spec."""
 
 from .device import GpuDevice, GpuMemoryError, KernelLaunch
-from .gpu_function import (
-    GpuFunctionSpec,
-    inference_latency,
-    remote_gpu_overhead,
-    run_gpu_function,
-)
+from .gpu_function import GpuFunctionSpec
 
 __all__ = [
     "GpuDevice",
     "GpuMemoryError",
     "KernelLaunch",
     "GpuFunctionSpec",
-    "inference_latency",
-    "remote_gpu_overhead",
-    "run_gpu_function",
 ]

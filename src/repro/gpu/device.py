@@ -2,22 +2,20 @@
 
 A device executes kernels with a given SM *occupancy*; concurrent kernels
 time-share the SMs, so when total requested occupancy exceeds 1.0 every
-resident kernel dilates proportionally.  Device memory is explicitly
-allocated, and a *warm data* registry lets GPU functions "keep warm data
-in the device's memory until another application needs the device" —
-warm datasets are evicted LRU under memory pressure.
+resident kernel dilates proportionally.  Device memory holds *warm data*:
+GPU functions "keep warm data in the device's memory until another
+application needs the device" — a dataset that does not fit evicts the
+least recently used ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..cluster.specs import GpuSpec
 from ..sim.engine import Environment, Event
 
 __all__ = ["GpuDevice", "GpuMemoryError", "KernelLaunch"]
-
 
 
 class GpuMemoryError(MemoryError):
@@ -33,14 +31,13 @@ class KernelLaunch:
 
 
 class GpuDevice:
-    """One accelerator: SM occupancy sharing + explicit memory."""
+    """One accelerator: SM occupancy sharing + warm device memory."""
 
     def __init__(self, env: Environment, spec: GpuSpec, name: str = "gpu0"):
         self.env = env
         self.spec = spec
         self.name = name
         self._free_memory = spec.memory_bytes
-        self._allocations: dict[str, int] = {}      # owner -> bytes (pinned)
         self._warm_data: dict[str, tuple[int, float]] = {}  # owner -> (bytes, last_used)
         self._resident: dict[int, KernelLaunch] = {}
         self.kernels_launched = 0
@@ -54,28 +51,6 @@ class GpuDevice:
     @property
     def current_occupancy(self) -> float:
         return sum(k.occupancy for k in self._resident.values())
-
-    def allocate_memory(self, owner: str, nbytes: int) -> None:
-        """Hard allocation; evicts warm datasets under pressure.
-
-        All-or-nothing: when even evicting *every* warm dataset could not
-        make the allocation fit, it raises without touching device state —
-        no warm data is sacrificed to an allocation that fails anyway.
-        """
-        if nbytes <= 0:
-            raise ValueError("allocation must be positive")
-        reclaimable = self._free_memory + sum(
-            size for size, _ in self._warm_data.values()
-        )
-        if reclaimable < nbytes:
-            raise GpuMemoryError(
-                f"{self.name}: {nbytes} B requested, {self._free_memory} B free"
-                f" ({reclaimable} B even after evicting all warm data)"
-            )
-        while self._free_memory < nbytes:
-            self._evict_lru_warm()
-        self._free_memory -= nbytes
-        self._allocations[owner] = self._allocations.get(owner, 0) + nbytes
 
     # -- warm data (soft allocations) --------------------------------------------
     def keep_warm(self, owner: str, nbytes: int) -> None:

@@ -1,22 +1,17 @@
-"""GPU functions and the local-vs-remote GPU access comparison.
+"""GPU functions: the kernel sequence and data a GPU function moves.
 
-The paper's argument for co-located GPU functions over remote-GPU systems
-(rCUDA-style, Sec. III-D): remote access adds the network round trip to
-*every* command, and "applications such as machine learning inference can
-consist of hundreds of kernels with synchronization in between".  A
-co-located function pays data movement once and drives the device through
-the local PCIe path using a single CPU core.
+The paper co-locates GPU functions with batch jobs instead of driving a
+remote GPU (rCUDA-style, Sec. III-D): a co-located function pays data
+movement once and drives the device through the local PCIe path using a
+single CPU core.  :class:`GpuFunctionSpec` describes one such function;
+:mod:`repro.gpuservice` serves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..network.logp import LogGPParams
-from ..sim.engine import Environment, Process
-from .device import GpuDevice, GpuMemoryError
-
-__all__ = ["GpuFunctionSpec", "run_gpu_function", "remote_gpu_overhead", "inference_latency"]
+__all__ = ["GpuFunctionSpec"]
 
 
 @dataclass(frozen=True)
@@ -29,7 +24,6 @@ class GpuFunctionSpec:
     occupancy: float
     input_bytes: int
     device_memory_bytes: int
-    keep_data_warm: bool = True
 
     def __post_init__(self):
         if self.kernel_count < 1:
@@ -42,65 +36,3 @@ class GpuFunctionSpec:
     @property
     def device_time_s(self) -> float:
         return self.kernel_count * self.kernel_time_s
-
-
-def run_gpu_function(
-    env: Environment,
-    device: GpuDevice,
-    spec: GpuFunctionSpec,
-    pcie_bandwidth: float = 12e9,
-) -> Process:
-    """Execute a GPU function on a co-located device.
-
-    Pays host-to-device transfer (skipped when the dataset is already
-    warm on the device), then runs the kernel sequence back-to-back —
-    local launch latency is negligible against the Fig.-12 kernel sizes.
-    Yields the wall time consumed.
-    """
-
-    def run():
-        start = env.now
-        if not device.has_warm(spec.name):
-            yield env.timeout(spec.input_bytes / pcie_bandwidth)
-            if spec.keep_data_warm:
-                try:
-                    device.keep_warm(spec.name, spec.device_memory_bytes)
-                except GpuMemoryError:
-                    pass  # caching is best-effort; hard allocations win
-        for _ in range(spec.kernel_count):
-            yield device.launch(spec.name, spec.kernel_time_s, spec.occupancy)
-        return env.now - start
-
-    return env.process(run(), name=f"gpufn-{spec.name}")
-
-
-def remote_gpu_overhead(spec: GpuFunctionSpec, network: LogGPParams) -> float:
-    """Extra latency of driving the same function through a remote GPU.
-
-    Every kernel launch plus its synchronization crosses the network:
-    one round trip per kernel (command + completion), as in API-remoting
-    systems.  The input still crosses the wire once.
-    """
-    per_kernel = network.round_trip(256, 64)   # launch command + completion
-    return spec.kernel_count * per_kernel
-
-
-def inference_latency(
-    spec: GpuFunctionSpec,
-    network: LogGPParams,
-    remote: bool,
-    pcie_bandwidth: float = 12e9,
-    data_warm: bool = False,
-) -> float:
-    """Analytic end-to-end latency for one invocation (no contention).
-
-    ``remote=False`` is the paper's co-located GPU function; ``remote=True``
-    the rCUDA-style alternative it argues against.
-    """
-    transfer = 0.0 if data_warm else spec.input_bytes / pcie_bandwidth
-    if remote and not data_warm:
-        transfer += spec.input_bytes * network.G
-    total = transfer + spec.device_time_s
-    if remote:
-        total += remote_gpu_overhead(spec, network)
-    return total

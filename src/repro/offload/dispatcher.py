@@ -32,16 +32,11 @@ class DispatchReport:
     local_time_s: float          # time spent computing local chunks
     gather_wait_s: float         # extra time waiting on remote futures
 
-    @property
-    def remote_hidden(self) -> bool:
-        """True when remote work was fully hidden behind local compute."""
-        return self.gather_wait_s < 0.05 * max(self.wall_time_s, 1e-9)
-
 
 class OffloadDispatcher:
     """Runs payload batches with model-guided local/remote splitting."""
 
-    def __init__(self, runtime: LocalRuntime, model: Optional[OffloadModel] = None,
+    def __init__(self, runtime: LocalRuntime, model: OffloadModel,
                  telemetry: Optional[Any] = None):
         self.runtime = runtime
         self.model = model
@@ -65,10 +60,7 @@ class OffloadDispatcher:
         t_start = time.perf_counter()
         if n == 0:
             return DispatchReport([], OffloadPlan(0, 0, 0.0), 0.0, 0.0, 0.0)
-        if self.model is None:
-            plan = OffloadPlan(n, 0, 0.0)
-        else:
-            plan = self.model.split(n, remote_workers=self.runtime.workers)
+        plan = self.model.split(n, remote_workers=self.runtime.workers)
 
         tracer = self.telemetry.tracer
         # Submit the tail chunks remotely first (never-wait principle).

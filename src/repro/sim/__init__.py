@@ -10,7 +10,6 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import FilterStore
 from .trace import EventLog, EventRecord, TimeSeries
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "FilterStore",
     "EventLog",
     "EventRecord",
     "TimeSeries",

@@ -88,7 +88,6 @@ def test_utilization_fractions():
     node = make_node()
     node.allocate("job", cores=18, memory_bytes=32 * GiB)
     assert node.core_utilization() == pytest.approx(0.5)
-    assert node.memory_utilization() == pytest.approx(0.25)
 
 
 def test_allocations_of_kind():

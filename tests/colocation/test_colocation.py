@@ -35,15 +35,6 @@ def test_history_record_and_means():
     assert len(db) == 2
 
 
-def test_history_worst_partners():
-    db = HistoryDB()
-    db.record(CoLocationRecord("milc", "cg.A", 1.20, 1.5))
-    db.record(CoLocationRecord("milc", "ep.W", 1.01, 1.0))
-    worst = db.worst_partners("milc")
-    assert worst[0][0] == "cg.A"
-    assert db.worst_partners("unknown") == []
-
-
 def test_record_validation():
     with pytest.raises(ValueError):
         CoLocationRecord("a", "b", 0.5, 1.0)

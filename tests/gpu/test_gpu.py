@@ -1,17 +1,9 @@
-"""GPU device and GPU-function tests."""
+"""GPU device and GPU-function-spec tests."""
 
 import pytest
 
 from repro.cluster.specs import P100
-from repro.gpu import (
-    GpuDevice,
-    GpuFunctionSpec,
-    GpuMemoryError,
-    inference_latency,
-    remote_gpu_overhead,
-    run_gpu_function,
-)
-from repro.network import UGNI
+from repro.gpu import GpuDevice, GpuFunctionSpec, GpuMemoryError
 from repro.sim import Environment
 
 MiB = 1024**2
@@ -23,36 +15,22 @@ def make_device():
     return env, GpuDevice(env, P100)
 
 
-def spec(kernels=10, kernel_time=1e-3, occupancy=0.5, input_mb=64, warm=True):
+def spec(kernels=10, kernel_time=1e-3, occupancy=0.5, input_mb=64):
     return GpuFunctionSpec(
         name="fn", kernel_count=kernels, kernel_time_s=kernel_time,
         occupancy=occupancy, input_bytes=input_mb * MiB,
-        device_memory_bytes=256 * MiB, keep_data_warm=warm,
+        device_memory_bytes=256 * MiB,
     )
-
-
-def test_memory_allocation_and_free():
-    env, dev = make_device()
-    dev.allocate_memory("a", 4 * GiB)
-    assert dev.free_memory == P100.memory_bytes - 4 * GiB
-
-
-def test_memory_exhaustion():
-    env, dev = make_device()
-    dev.allocate_memory("a", 15 * GiB)
-    with pytest.raises(GpuMemoryError):
-        dev.allocate_memory("b", 2 * GiB)
-    with pytest.raises(ValueError):
-        dev.allocate_memory("c", 0)
 
 
 def test_warm_data_evicted_under_pressure():
     env, dev = make_device()
     dev.keep_warm("model-a", 10 * GiB)
     assert dev.has_warm("model-a")
-    # A hard allocation forces warm eviction.
-    dev.allocate_memory("job", 12 * GiB)
+    # A second owner's dataset that does not fit forces warm eviction.
+    dev.keep_warm("model-b", 12 * GiB)
     assert not dev.has_warm("model-a")
+    assert dev.has_warm("model-b")
     assert dev.warm_evictions == 1
 
 
@@ -135,46 +113,23 @@ def test_kernel_validation():
         dev.launch("a", runtime_s=1, occupancy=0)
     with pytest.raises(ValueError):
         spec(kernels=0)
-
-
-def test_gpu_function_pays_transfer_once_when_warm():
-    env, dev = make_device()
-    times = []
-
-    def proc():
-        t = yield run_gpu_function(env, dev, spec())
-        times.append(t)
-        t = yield run_gpu_function(env, dev, spec())
-        times.append(t)
-
-    env.process(proc())
-    env.run()
-    # Second call: data warm, no PCIe transfer.
-    assert times[1] < times[0]
-    assert times[1] == pytest.approx(10 * 1e-3, rel=0.01)
-
-
-def test_remote_gpu_adds_per_kernel_latency():
-    s = spec(kernels=200)
-    local = inference_latency(s, UGNI.params, remote=False, data_warm=True)
-    remote = inference_latency(s, UGNI.params, remote=True, data_warm=True)
-    assert remote > local
-    overhead = remote_gpu_overhead(s, UGNI.params)
-    assert remote == pytest.approx(local + overhead)
-    # Hundreds of kernels -> overhead scales linearly with kernel count.
-    assert remote_gpu_overhead(spec(kernels=400), UGNI.params) == pytest.approx(2 * overhead)
+    with pytest.raises(ValueError):
+        dev.keep_warm("fn", 0)
 
 
 # -- warm-data eviction edge cases (regression tests) -------------------------
+# A second owner's ``keep_warm`` is the call the GPU service makes when a
+# function's dataset must displace another's.
 
 def test_exact_fit_allocation_after_lru_eviction():
     env, dev = make_device()
     dev.keep_warm("old", 4 * GiB)
     dev.keep_warm("new", 4 * GiB)
     # Exactly free + all warm data: must succeed by evicting both.
-    dev.allocate_memory("job", P100.memory_bytes)
+    dev.keep_warm("job", P100.memory_bytes)
     assert dev.free_memory == 0
     assert not dev.has_warm("old") and not dev.has_warm("new")
+    assert dev.has_warm("job")
     assert dev.warm_evictions == 2
 
 
@@ -185,7 +140,7 @@ def test_eviction_tie_break_is_deterministic_on_owner_name():
         env, dev = make_device()
         for owner in order:
             dev.keep_warm(owner, 4 * GiB)
-        dev.allocate_memory("job", P100.memory_bytes - 8 * GiB)
+        dev.keep_warm("job", P100.memory_bytes - 8 * GiB)
         # One eviction was needed; the name tie-break picks "a".
         assert dev.warm_evictions == 1
         assert not dev.has_warm("a")
@@ -196,9 +151,9 @@ def test_failed_allocation_leaves_warm_data_untouched():
     env, dev = make_device()
     dev.keep_warm("cache", 4 * GiB)
     with pytest.raises(GpuMemoryError):
-        dev.allocate_memory("job", P100.memory_bytes + 1)
-    # All-or-nothing: the doomed allocation must not have evicted the
-    # warm dataset (or drained free memory) on its way to the error.
+        dev.keep_warm("job", P100.memory_bytes + 1)
+    # All-or-nothing: the doomed dataset must not have evicted the
+    # other owner's (or drained free memory) on its way to the error.
     assert dev.has_warm("cache")
     assert dev.warm_evictions == 0
     assert dev.free_memory == P100.memory_bytes - 4 * GiB
@@ -206,11 +161,13 @@ def test_failed_allocation_leaves_warm_data_untouched():
 
 def test_failed_keep_warm_preserves_the_owners_old_dataset():
     env, dev = make_device()
-    dev.allocate_memory("pin", P100.memory_bytes - 4 * GiB)
+    dev.keep_warm("other", P100.memory_bytes - 4 * GiB)
     dev.keep_warm("cache", 2 * GiB)
     with pytest.raises(GpuMemoryError):
-        dev.keep_warm("cache", 8 * GiB)  # cannot fit even after evictions
+        # Cannot fit even after evicting every dataset.
+        dev.keep_warm("cache", P100.memory_bytes + 1)
     # Re-warming is fit-checked *before* dropping the old entry: a
     # failed re-warm keeps the previous dataset resident.
-    assert dev.has_warm("cache")
+    assert dev.has_warm("cache") and dev.has_warm("other")
+    assert dev.warm_evictions == 0
     assert dev.free_memory == 2 * GiB

@@ -115,28 +115,36 @@ def runtime():
     rt.shutdown()
 
 
+def eq1_model(t_inv):
+    return OffloadModel(t_local=0.005, t_inv=t_inv, latency=0.001,
+                        bandwidth=2e9, data_per_task=120_000)
+
+
 def test_dispatcher_results_match_serial(runtime):
     batch = generate_options(20_000, seed=1)
     payloads = split_batch(batch, 8)
-    model = OffloadModel(t_local=0.005, t_inv=0.006, latency=0.001,
-                         bandwidth=2e9, data_per_task=120_000)
-    dispatcher = OffloadDispatcher(runtime, model)
-    report = dispatcher.run("price", price_chunk, payloads, iterations=2)
+    report = OffloadDispatcher(runtime, eq1_model(0.006)).run(
+        "price", price_chunk, payloads, iterations=2)
     assert report.plan.total == 8
+    assert report.plan.n_remote > 0
     serial = np.concatenate([price_chunk(p, iterations=2) for p in payloads])
-    got = np.concatenate(report.results)
-    np.testing.assert_allclose(got, serial)
+    np.testing.assert_allclose(np.concatenate(report.results), serial)
 
 
 def test_dispatcher_without_model_runs_local(runtime):
+    # Without a model that pays for offloading, nothing leaves the node:
+    # N_local_min is 21 at t_inv=100 ms, so 4 tasks sit below the Eq.-1
+    # threshold and all run locally.
     payloads = split_batch(generate_options(1000, seed=2), 4)
-    report = OffloadDispatcher(runtime, model=None).run("price", price_chunk, payloads)
+    report = OffloadDispatcher(runtime, eq1_model(0.1)).run("price", price_chunk, payloads)
     assert report.plan.n_remote == 0
     assert len(report.results) == 4
+    serial = np.concatenate([price_chunk(p) for p in payloads])
+    np.testing.assert_allclose(np.concatenate(report.results), serial)
 
 
 def test_dispatcher_empty_batch(runtime):
-    report = OffloadDispatcher(runtime).run("price", price_chunk, [])
+    report = OffloadDispatcher(runtime, eq1_model(0.006)).run("price", price_chunk, [])
     assert report.results == []
     assert report.wall_time_s >= 0
 

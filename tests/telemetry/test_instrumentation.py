@@ -261,6 +261,16 @@ def test_untraced_runs_build_no_telemetry(name, monkeypatch):
     assert built == []
 
 
+def test_fig13_doubled_variant_runs_through_the_dispatcher():
+    collector = TelemetryCollector()
+    with collector:
+        point = _first_point("fig13", **SMALLEST["fig13"])
+    assert point["checks_passed"]
+    kinds = [s.name for s in collector.spans]
+    assert kinds.count("offload.local") == 1
+    assert kinds.count("offload.remote") == 1
+
+
 def _metric_total(collector, name, **labels):
     wanted = set(labels.items())
     return sum(m.value for registry in collector.registries() for m in registry

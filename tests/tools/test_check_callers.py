@@ -1,5 +1,6 @@
-"""The callers check: every ``src`` member has a caller outside tests/,
-or an allowlist entry with a ``view:``/``reference:``/``paper:`` reason."""
+"""The callers check: every ``src`` member has a caller outside tests/
+and examples/, or an allowlist entry with a ``view:``/``reference:``/
+``paper:`` reason."""
 
 import pathlib
 import sys
@@ -39,7 +40,7 @@ def make_tree(root):
         def helper():
             return 1
     """)
-    write(root, "examples/demo.py", """
+    write(root, "tools/demo.py", """
         from pkg import Engine
 
         Engine().run()
@@ -101,6 +102,28 @@ def test_a_function_reached_only_through_a_reexport_is_flagged(tmp_path):
     assert flagged(problems, "pkg.extra.orphan has no caller")
 
 
+def test_a_method_called_only_from_examples_is_flagged(tmp_path):
+    make_tree(tmp_path)
+    write(tmp_path, "src/pkg/extra.py", """
+        class Gauge:
+            def drain(self):
+                return 0
+    """)
+    write(tmp_path, "src/pkg/use.py", """
+        from .extra import Gauge
+
+        Gauge()
+    """)
+    write(tmp_path, "examples/demo_drain.py", """
+        from pkg.extra import Gauge
+
+        print(Gauge().drain())
+    """)
+    problems = check_callers.violations(tmp_path, allowlist={})
+    assert len(problems) == 1
+    assert flagged(problems, "pkg.extra.Gauge.drain has no caller")
+
+
 def test_getattr_strings_and_bench_count_as_callers(tmp_path):
     make_tree(tmp_path)
     write(tmp_path, "src/pkg/extra.py", """
@@ -138,7 +161,7 @@ def test_an_allowlisted_member_passes(tmp_path):
 def test_a_stale_allowlist_entry_is_flagged(tmp_path):
     make_tree(tmp_path)
     allow = {
-        "pkg.core.Engine.run": "view: it has a caller in examples/",
+        "pkg.core.Engine.run": "view: it has a caller in tools/",
         "pkg.core.Engine.gone": "view: deleted long ago",
     }
     problems = check_callers.violations(tmp_path, allowlist=allow)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Lint: nothing in ``src/`` lives for its tests alone.
+"""Lint: nothing in ``src/`` lives for its tests or examples alone.
 
 An AST pass over every module under ``src/``.  For each module-level
 def or class, and each method of a module-level class, it looks for a
-reference to the name outside ``tests/``: in ``src/``, ``bench/``
-(skipping ``bench/out/``), ``tools/*.py`` and ``examples/``.  A
-reference is the name as an ``ast.Name``, as an ``ast.Attribute``, or
+reference to the name in ``src/``, ``bench/`` (skipping
+``bench/out/``) or ``tools/*.py``.  ``tests/`` and ``examples/`` are
+not scanned: a demo script and its smoke test do not keep a member
+alive.  A reference is the name as an ``ast.Name``, as an ``ast.Attribute``, or
 as the string argument of ``getattr``/``hasattr``.  The match is by
 name only, so a duck-typed hook (``_observe``) counts as called as soon
 as any call site names it.
@@ -88,6 +89,12 @@ ALLOWLIST: Dict[str, str] = {
     # -- paper: workload kernels, models and predicates a test pins
     "repro.cluster.machine.build_daint":
         "paper: the Piz Daint testbed shape (1813 XC40 + 5704 XC50 nodes)",
+    "repro.colocation.policy.CoLocationPolicy":
+        "paper: Fig. 4 / Sec. III-E co-location policy, history first with "
+        "the requirement model as fallback",
+    "repro.colocation.policy.CoLocationPolicy.decide":
+        "paper: Fig. 4 / Sec. III-E admit-or-reject decision for one "
+        "function next to a batch job",
     "repro.colocation.requirements.RequirementModel":
         "paper: Sec. III-E cold-start resource-requirement model",
     "repro.colocation.requirements.RequirementModel.fit":
@@ -100,6 +107,9 @@ ALLOWLIST: Dict[str, str] = {
         "paper: the Table II / Sec. IV-C sandbox requirement predicate",
     "repro.disagg.billing.JobBill.fair_shared_cost":
         "paper: interference-fair pricing of co-located jobs (ref. [40])",
+    "repro.disagg.controller.DisaggregationController":
+        "paper: Fig. 2/6 batch-to-rFaaS loop: idle-node and leftover "
+        "harvesting (Sec. III-A/B), drain on reclaim (Sec. IV-E)",
     "repro.network.logp.fit_loggp":
         "paper: LogGP fit of (L, G) from one-way timings, the model's calibration",
     "repro.offload.taskgraph.prefix_scan_graph":
@@ -134,14 +144,16 @@ ALLOWLIST: Dict[str, str] = {
 
 
 def _py_files(root: pathlib.Path) -> Iterator[pathlib.Path]:
-    """Every file whose references count: src, bench, tools, examples."""
+    """Every file whose references count: src, bench and tools.
+
+    Neither tests/ nor examples/ is a caller.
+    """
     yield from sorted((root / "src").rglob("*.py"))
     out = root / "bench" / "out"
     for path in sorted((root / "bench").rglob("*.py")):
         if out not in path.parents:
             yield path
     yield from sorted((root / "tools").glob("*.py"))
-    yield from sorted((root / "examples").rglob("*.py"))
 
 
 def _module_name(src: pathlib.Path, path: pathlib.Path) -> str:
@@ -219,7 +231,7 @@ def _referenced_names(root: pathlib.Path) -> Set[str]:
 
 def violations(root: pathlib.Path = REPO_ROOT,
                allowlist: Optional[Mapping[str, str]] = None) -> List[str]:
-    """Members with no caller outside tests/, and bad allowlist entries."""
+    """Members with no caller in src, bench or tools, and bad allowlist entries."""
     allowlist = ALLOWLIST if allowlist is None else allowlist
     root = pathlib.Path(root)
     defined = _definitions(root / "src")
@@ -229,7 +241,7 @@ def violations(root: pathlib.Path = REPO_ROOT,
     for qualname, (name, where) in defined.items():
         if name not in referenced and qualname not in allowlist:
             problems.append(
-                f"{where}: {qualname} has no caller outside tests/ "
+                f"{where}: {qualname} has no caller outside tests/ and examples/ "
                 f"(delete it, or allowlist it with a reason starting "
                 f"{', '.join(REASONS)})"
             )
