@@ -15,14 +15,14 @@ Package map (see DESIGN.md for the full inventory):
 - ``repro.containers``   images, runtimes (Table II), warm pools
 - ``repro.storage``      Lustre / object-store / tiered function I/O
 - ``repro.rfaas``        the serverless platform: leases, executors, manager
-- ``repro.memservice``   RMA memory functions, remote paging
+- ``repro.memservice``   durable RMA memory functions, remote paging
 - ``repro.gpu``          GPU device model and GPU functions
 - ``repro.interference`` demand vectors and the contention model
-- ``repro.colocation``   history DB, requirement models, admission policy
+- ``repro.colocation``   history DB, admission policy
 - ``repro.disagg``       the disaggregation controller, billing, metrics
-- ``repro.offload``      Eq.-1 planner, task graphs, live dispatcher
+- ``repro.offload``      Eq.-1 planner, live dispatcher
 - ``repro.local``        real multiprocessing-based function runtime
-- ``repro.workloads``    app demand models + runnable numpy mini-kernels
+- ``repro.workloads``    app demand models + Fig. 13's numpy kernels
 - ``repro.experiments``  one module per paper table/figure
 - ``repro.sweep``        parallel sweep fabric: fan scenarios out, merge in order
 - ``repro.analysis``     utilization statistics, report tables

@@ -209,7 +209,7 @@ class Platform:
         durable = None
         if config.durable_memory is not None:
             durable = ReplicatedMemoryService(
-                env, cluster, fabric, config=config.durable_memory, loads=loads,
+                env, cluster, fabric, config=config.durable_memory,
             )
             durable.attach_manager(manager)
             durable.start()

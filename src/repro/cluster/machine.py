@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .node import Node
-from .specs import DAINT_GPU, DAINT_MC, NodeSpec
+from .specs import NodeSpec
 from .topology import DragonflyTopology
 
-__all__ = ["Cluster", "build_daint", "group_interleave"]
+__all__ = ["Cluster", "group_interleave"]
 
 
 class Cluster:
@@ -117,16 +117,3 @@ def group_interleave(
     for rank in range(max(map(len, queues), default=0)):
         order.extend(queue[rank] for queue in queues if rank < len(queue))
     return order
-
-
-def build_daint(mc_nodes: int = 1813, gpu_nodes: int = 5704) -> Cluster:
-    """A Piz-Daint-shaped cluster (defaults: production node counts).
-
-    Tests and benchmarks usually pass far smaller counts; the defaults
-    document the real machine (XC50 GPU partition 5704 nodes, XC40
-    multicore partition 1813 nodes).
-    """
-    cluster = Cluster()
-    cluster.add_nodes("mc", mc_nodes, DAINT_MC)
-    cluster.add_nodes("gpu", gpu_nodes, DAINT_GPU)
-    return cluster

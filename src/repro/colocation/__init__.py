@@ -1,8 +1,7 @@
-"""Co-location policies: history, requirement models, admission."""
+"""Co-location policies: history and admission."""
 
 from .history import CoLocationRecord, HistoryDB
 from .policy import CoLocationPolicy, Decision, PolicyConfig
-from .requirements import PerformanceModel, RequirementModel, fit_performance_model
 
 __all__ = [
     "CoLocationRecord",
@@ -10,7 +9,4 @@ __all__ = [
     "CoLocationPolicy",
     "Decision",
     "PolicyConfig",
-    "PerformanceModel",
-    "RequirementModel",
-    "fit_performance_model",
 ]

@@ -5,7 +5,7 @@ thirds of core-hours), so the serverless resource manager can afford a
 global history: "for each co-location, we record the runtime of the batch
 job and the function, and compare it later against an exclusive run with
 the same parameters."  The history is the *primary* metric for estimating
-interference; the requirements-model heuristic is the cold-start
+interference; a preview of the interference model is the cold-start
 fallback.
 """
 

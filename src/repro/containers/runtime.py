@@ -48,15 +48,6 @@ class ContainerRuntime:
             raise ValueError(f"{self.name} cannot run {image.format} images")
         return self.create_start_s + image.size_bytes / self.unpack_bandwidth
 
-    def suitable_for_hpc_functions(self) -> bool:
-        """The Sec. IV-C requirement set for HPC FaaS sandboxes."""
-        return (
-            self.rootless
-            and self.automatic_device_access
-            and self.batch_system_integration
-            and self.native_mpi_support
-        )
-
 
 DOCKER = ContainerRuntime(
     name="docker",

@@ -63,20 +63,6 @@ class JobBill:
         """Net saving of opting into sharing, slowdown included."""
         return 1.0 - self.shared_cost() / self.exclusive_cost()
 
-    # -- fair pricing under interference [Breslow'13, ref 40] ---------------------
-    def fair_shared_cost(self) -> float:
-        """Interference-adjusted bill: pay for exclusive-equivalent time.
-
-        Traditional billing is unfair to co-located jobs: they pay for
-        the wall-clock the *operator's* co-location inflated.  Fair
-        pricing bills the runtime the job would have had exclusively
-        (``billed_runtime / slowdown``), so the interference cost lands
-        on the operator, who recovers it from the function tenants that
-        caused it.
-        """
-        hours = self.runtime_s / 3600.0  # billed_runtime / slowdown == runtime
-        return self.nodes * self.requested_cores_per_node * hours * self.core_hour_price
-
 
 @dataclass(frozen=True)
 class FunctionBill:

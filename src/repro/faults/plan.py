@@ -53,7 +53,7 @@ kind                  meaning
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Optional
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
@@ -221,13 +221,6 @@ class FaultPlan:
         partition heals after ``duration_s`` (0 = never)."""
         return self.add(FaultEvent(FaultKind.MANAGER_PARTITION, at_s,
                                    duration_s=duration_s))
-
-    def shifted(self, offset_s: float) -> "FaultPlan":
-        """A copy with every event delayed by ``offset_s``."""
-        return FaultPlan(
-            events=[replace(ev, at_s=ev.at_s + offset_s) for ev in self.events],
-            name=self.name,
-        )
 
     # -- (de)serialization ---------------------------------------------------
     def to_dict(self) -> dict:

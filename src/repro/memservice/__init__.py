@@ -7,15 +7,13 @@ from .durable import (
     DurableMemoryConfig,
     ReplicatedMemoryService,
 )
-from .memory_function import MemoryClient, MemoryServiceFunction, TrafficPattern
+from .memory_function import MemoryServiceFunction
 from .paging import RemotePager
 from .placement import ReplicaPlacement
 from .repair import RepairLoop
 
 __all__ = [
-    "MemoryClient",
     "MemoryServiceFunction",
-    "TrafficPattern",
     "RemotePager",
     "Chunk",
     "ChunkReplica",

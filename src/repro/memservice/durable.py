@@ -46,7 +46,6 @@ from typing import Optional
 from ..cluster.machine import Cluster
 from ..network.transport import Connection, NetworkFabric, TransferDropped
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
-from ..rfaas.load import NodeLoadRegistry
 from ..sim.engine import Environment, Process
 from ..telemetry import telemetry_of
 from ..telemetry.context import TraceContext
@@ -142,13 +141,11 @@ class ReplicatedMemoryService:
         cluster: Cluster,
         fabric: NetworkFabric,
         config: Optional[DurableMemoryConfig] = None,
-        loads: Optional[NodeLoadRegistry] = None,
     ):
         self.env = env
         self.cluster = cluster
         self.fabric = fabric
         self.config = config or DurableMemoryConfig()
-        self.loads = loads
         self.service_id = env.next_id("memservice-durable")
         hosts = self.config.hosts
         if hosts is None:
@@ -257,7 +254,7 @@ class ReplicatedMemoryService:
         """Allocate + start one chunk buffer on ``node_name``."""
         service = MemoryServiceFunction(
             self.env, self.cluster.node(node_name), chunk.size_bytes,
-            loads=self.loads, mr_registration_s=self.config.mr_registration_s,
+            mr_registration_s=self.config.mr_registration_s,
         )
         service.start()
         return ChunkReplica(
@@ -556,10 +553,8 @@ class ReplicatedMemoryService:
 class DurableMemoryClient:
     """Chunk-aware client with checksum-verified replica failover.
 
-    API-compatible with :class:`~repro.memservice.memory_function.MemoryClient`
-    for the paths :class:`~repro.memservice.paging.RemotePager` uses
-    (``read``/``write`` processes plus ``.service.size_bytes``), so a
-    pager rides the durable service unchanged.
+    :class:`~repro.memservice.paging.RemotePager` pages through it: its
+    ``read``/``write`` processes and ``.service.size_bytes``.
     """
 
     def __init__(self, env: Environment, fabric: NetworkFabric,

@@ -10,10 +10,8 @@ require (Sec. VII).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
-
 from ..sim.engine import Environment
-from .memory_function import MemoryClient
+from .durable import DurableMemoryClient
 
 __all__ = ["RemotePager"]
 
@@ -24,7 +22,7 @@ class RemotePager:
     def __init__(
         self,
         env: Environment,
-        client: MemoryClient,
+        client: DurableMemoryClient,
         page_bytes: int = 2 << 20,
         resident_pages: int = 64,
     ):

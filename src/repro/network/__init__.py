@@ -2,7 +2,7 @@
 
 from .drc import Credential, DrcError, DrcManager
 from .fabric import EFA, IBVERBS, PROVIDERS, TCP, UGNI, FabricProvider
-from .logp import LogGPParams, fit_loggp
+from .logp import LogGPParams
 from .transport import (
     Connection,
     LinkConditioner,
@@ -22,7 +22,6 @@ __all__ = [
     "UGNI",
     "FabricProvider",
     "LogGPParams",
-    "fit_loggp",
     "Connection",
     "NetworkFabric",
     "TransferStats",

@@ -9,10 +9,6 @@ where ``L`` is wire latency, ``o`` per-message CPU overhead and ``G`` the
 per-byte gap (inverse bandwidth).  We keep the continuous LogGP form and
 add a multiplicative lognormal jitter term so percentile plots (Fig. 7
 reports median and p95) are meaningful.
-
-``fit_loggp`` recovers (L+2o, G) from (size, time) samples by linear
-least squares — the same procedure used to "learn the network parameters"
-for the offloading model.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["LogGPParams", "fit_loggp"]
+__all__ = ["LogGPParams"]
 
 
 @dataclass(frozen=True)
@@ -75,19 +71,3 @@ class LogGPParams:
 
     def with_jitter(self, sigma: float) -> "LogGPParams":
         return replace(self, jitter_sigma=sigma)
-
-
-def fit_loggp(sizes: np.ndarray, times: np.ndarray) -> LogGPParams:
-    """Least-squares fit of (L + 2o, G) from one-way time measurements.
-
-    ``L`` and ``o`` cannot be separated from end-to-end timings alone, so
-    the constant term is attributed to ``L`` and ``o`` is set to zero —
-    exactly what a client-side measurement procedure can observe.
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if sizes.shape != times.shape or sizes.size < 2:
-        raise ValueError("need >= 2 matching (size, time) samples")
-    design = np.stack([np.ones_like(sizes), sizes], axis=1)
-    (intercept, slope), *_ = np.linalg.lstsq(design, times, rcond=None)
-    return LogGPParams(L=max(float(intercept), 0.0), o=0.0, G=max(float(slope), 0.0))

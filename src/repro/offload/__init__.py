@@ -1,13 +1,7 @@
-"""LogP-based offloading: Eq. 1 planner, task graphs, live dispatcher."""
+"""LogP-based offloading: Eq. 1 planner and live dispatcher."""
 
 from .dispatcher import DispatchReport, OffloadDispatcher, calibrate_model
 from .model import OffloadModel, OffloadPlan
-from .taskgraph import (
-    ScheduleResult,
-    TaskGraph,
-    prefix_scan_graph,
-    schedule_with_offloading,
-)
 
 __all__ = [
     "DispatchReport",
@@ -15,8 +9,4 @@ __all__ = [
     "calibrate_model",
     "OffloadModel",
     "OffloadPlan",
-    "ScheduleResult",
-    "TaskGraph",
-    "prefix_scan_graph",
-    "schedule_with_offloading",
 ]

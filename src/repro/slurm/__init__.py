@@ -4,7 +4,6 @@ from .job import Job, JobSpec, JobState
 from .partition import Partition, gres_available_gpus
 from .sampling import NodeStateTracker, UtilizationSampler
 from .scheduler import BatchScheduler
-from .swf import SwfRecord, read_swf, write_swf
 from .workload import WorkloadConfig, WorkloadGenerator, drive_workload
 
 __all__ = [
@@ -16,9 +15,6 @@ __all__ = [
     "NodeStateTracker",
     "UtilizationSampler",
     "BatchScheduler",
-    "SwfRecord",
-    "read_swf",
-    "write_swf",
     "WorkloadConfig",
     "WorkloadGenerator",
     "drive_workload",

@@ -1,28 +1,20 @@
-"""Workloads: demand models for simulation + runnable numpy mini-kernels."""
+"""Workloads: demand models for simulation, plus the two numpy kernels
+(Black-Scholes pricing and particle transport) that Fig. 13 runs live."""
 
 from .base import AppModel
 from .blackscholes import (
     OptionBatch,
-    blackscholes_model,
     generate_options,
     price_chunk,
     price_options,
     split_batch,
 )
-from .blackscholes_pde import PdeGrid, pde_chunk, solve_european_pde
-from .lulesh import (
-    LULESH_PROBLEM_SIZES,
-    is_valid_rank_count,
-    lulesh_kernel,
-    lulesh_model,
-    valid_rank_counts,
-)
-from .milc import MILC_LATTICE_SIZES, milc_kernel, milc_model
-from .nas import NAS_KERNELS, NAS_MODELS, nas_kernel, nas_model, nas_model_for_class
+from .lulesh import LULESH_PROBLEM_SIZES, lulesh_model
+from .milc import MILC_LATTICE_SIZES, milc_model
+from .nas import NAS_MODELS, nas_model
 from .openmc_like import (
     ReactorModel,
     TransportResult,
-    openmc_model,
     run_transport,
     transport_chunk,
 )
@@ -31,30 +23,18 @@ from .rodinia import RODINIA_BENCHMARKS, RodiniaBenchmark, rodinia_benchmark
 __all__ = [
     "AppModel",
     "OptionBatch",
-    "blackscholes_model",
     "generate_options",
     "price_chunk",
     "price_options",
     "split_batch",
-    "PdeGrid",
-    "pde_chunk",
-    "solve_european_pde",
     "LULESH_PROBLEM_SIZES",
-    "is_valid_rank_count",
-    "lulesh_kernel",
     "lulesh_model",
-    "valid_rank_counts",
     "MILC_LATTICE_SIZES",
-    "milc_kernel",
     "milc_model",
-    "NAS_KERNELS",
     "NAS_MODELS",
-    "nas_kernel",
     "nas_model",
-    "nas_model_for_class",
     "ReactorModel",
     "TransportResult",
-    "openmc_model",
     "run_transport",
     "transport_chunk",
     "RODINIA_BENCHMARKS",

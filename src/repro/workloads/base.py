@@ -1,12 +1,13 @@
 """Workload abstractions.
 
-Every application in the paper's evaluation appears here in two forms:
+Every application in the paper's evaluation appears here in the form
+its experiment needs:
 
 * an :class:`AppModel` — a calibrated resource-demand profile used by the
   simulation-side experiments (co-location slowdowns, Table III, Figs. 9,
-  11, 12); and
-* where the experiment executes real code (Fig. 13, the local runtime
-  examples), a vectorized numpy *mini-kernel* in the same module.
+  11, 12) for LULESH, MILC, NAS and Rodinia; or
+* a vectorized numpy kernel for the two applications Fig. 13 executes
+  on the live runtime (Black-Scholes and Monte Carlo transport).
 
 ``AppModel`` demands scale linearly in ranks: ``ranks`` MPI processes on
 one node consume ``ranks x`` the per-rank bandwidths and cache footprint.

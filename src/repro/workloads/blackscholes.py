@@ -14,19 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import AppModel
-
 __all__ = [
     "OptionBatch",
     "generate_options",
     "price_options",
     "price_chunk",
     "split_batch",
-    "blackscholes_model",
 ]
-
-GBs = 1e9
-MiB = 1024**2
 
 
 @dataclass(frozen=True)
@@ -129,17 +123,3 @@ def split_batch(batch: OptionBatch, chunks: int) -> list[dict]:
                 )
             )
     return out
-
-
-def blackscholes_model(options: int = 10_000_000) -> AppModel:
-    """Demand model: streaming, compute-heavy, fully parallel."""
-    if options < 1:
-        raise ValueError("options must be >= 1")
-    return AppModel(
-        name="blackscholes",
-        runtime_s=options * 7.3e-9 * 100,  # 100 iterations like the paper
-        membw_per_rank=2.0 * GBs,
-        netbw_per_rank=0.0,
-        llc_per_rank=4 * MiB,
-        frac_membw=0.18,
-    )

@@ -6,10 +6,6 @@ motivates software disaggregation twice in the paper: it must run on a
 (Sec. III-B), and its CPU-only main version leaves GPUs idle (Sec. III-D).
 Its demand profile is compute-dominated with modest memory traffic, which
 is why co-location barely perturbs it (Figs. 9, 11, 12).
-
-The mini-kernel is a Lagrangian-flavoured 3-D stencil update (gather
-nodal forces, advance element energy) — enough to exercise a real
-memory-access pattern in the live runtime.
 """
 
 from __future__ import annotations
@@ -18,35 +14,13 @@ import numpy as np
 
 from .base import AppModel
 
-__all__ = [
-    "lulesh_model",
-    "valid_rank_counts",
-    "is_valid_rank_count",
-    "lulesh_kernel",
-    "LULESH_PROBLEM_SIZES",
-]
+__all__ = ["lulesh_model", "LULESH_PROBLEM_SIZES"]
 
 GBs = 1e9
 MiB = 1024**2
 
 #: Per-rank problem sizes (s^3 elements per rank) used in Fig. 9/11/12.
 LULESH_PROBLEM_SIZES = (20, 30, 45, 60)
-
-
-def valid_rank_counts(max_ranks: int) -> list[int]:
-    """All legal LULESH rank counts up to ``max_ranks`` (perfect cubes)."""
-    if max_ranks < 1:
-        return []
-    counts = []
-    k = 1
-    while k**3 <= max_ranks:
-        counts.append(k**3)
-        k += 1
-    return counts
-
-
-def is_valid_rank_count(ranks: int) -> bool:
-    return ranks >= 1 and round(ranks ** (1 / 3)) ** 3 == ranks
 
 
 def lulesh_model(problem_size: int = 30, gpu: bool = False) -> AppModel:
@@ -74,25 +48,3 @@ def lulesh_model(problem_size: int = 30, gpu: bool = False) -> AppModel:
         frac_netbw=0.05,
         gpu_fraction=0.85 if gpu else 0.0,
     )
-
-
-def lulesh_kernel(n: int = 48, iterations: int = 10, seed: int = 0) -> float:
-    """Runnable hydro surrogate: nodal-force gather + energy update."""
-    if n < 4 or iterations < 1:
-        raise ValueError("need n >= 4 and iterations >= 1")
-    rng = np.random.default_rng(seed)
-    energy = rng.random((n, n, n))
-    velocity = np.zeros((n, n, n))
-    for _ in range(iterations):
-        # Gather: 6-neighbour average approximates the nodal force sum.
-        force = (
-            energy[:-2, 1:-1, 1:-1] + energy[2:, 1:-1, 1:-1]
-            + energy[1:-1, :-2, 1:-1] + energy[1:-1, 2:, 1:-1]
-            + energy[1:-1, 1:-1, :-2] + energy[1:-1, 1:-1, 2:]
-            - 6.0 * energy[1:-1, 1:-1, 1:-1]
-        )
-        velocity[1:-1, 1:-1, 1:-1] += 0.1 * force
-        energy[1:-1, 1:-1, 1:-1] += 0.1 * velocity[1:-1, 1:-1, 1:-1]
-        # EOS-flavoured nonlinearity keeps it from being a pure stencil.
-        np.clip(energy, 0.0, 10.0, out=energy)
-    return float(energy.sum())

@@ -6,9 +6,6 @@ extremely sensitive to both memory bandwidth and network performance"
 workload that *does* feel perturbation, especially at larger problem
 sizes where its working set and bandwidth demand grow — the model below
 encodes exactly that trend.
-
-The mini-kernel multiplies SU(3)-like complex 3x3 matrices over a 4-D
-lattice, the dominant operation of the real code.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import numpy as np
 
 from .base import AppModel
 
-__all__ = ["milc_model", "milc_kernel", "MILC_LATTICE_SIZES"]
+__all__ = ["milc_model", "MILC_LATTICE_SIZES"]
 
 GBs = 1e9
 MiB = 1024**2
@@ -52,26 +49,3 @@ def milc_model(lattice: int = 16, gpu: bool = False) -> AppModel:
         frac_netbw=0.12,
         gpu_fraction=0.8 if gpu else 0.0,
     )
-
-
-def milc_kernel(lattice: int = 8, iterations: int = 2, seed: int = 0) -> float:
-    """Runnable QCD surrogate: staple-like SU(3) matrix products."""
-    if lattice < 2 or iterations < 1:
-        raise ValueError("need lattice >= 2 and iterations >= 1")
-    rng = np.random.default_rng(seed)
-    sites = lattice**4
-    # Gauge field: one complex 3x3 matrix per site and direction.
-    links = rng.standard_normal((4, sites, 3, 3)) + 1j * rng.standard_normal((4, sites, 3, 3))
-    links /= np.sqrt(3.0)
-    accum = np.zeros((sites, 3, 3), dtype=complex)
-    for _ in range(iterations):
-        for mu in range(4):
-            for nu in range(4):
-                if mu == nu:
-                    continue
-                # Staple product U_mu(x) U_nu(x+mu) U_mu(x+nu)^dagger,
-                # neighbour shifts approximated by a site roll.
-                shifted = np.roll(links[nu], lattice**mu % sites, axis=0)
-                staple = links[mu] @ shifted @ np.conj(np.swapaxes(links[mu], -1, -2))
-                accum += staple
-    return float(np.abs(accum).sum())

@@ -1,4 +1,4 @@
-"""NAS Parallel Benchmarks: demand models and runnable mini-kernels.
+"""NAS Parallel Benchmarks: demand models.
 
 The paper uses serial NAS benchmarks (runtimes 0.6–4.2 s) as the
 FaaS-like workload for the idle-node study (Table III) and the CPU
@@ -8,22 +8,13 @@ characterizations: EP is embarrassingly parallel and compute-bound, CG is
 the worst-case memory-bandwidth benchmark (irregular sparse matvec), BT
 and LU are mixed stencil solvers, MG and FT memory-heavy, IS bandwidth-
 plus-communication bound.
-
-Each benchmark also has a *mini-kernel*: a genuinely executable numpy
-routine with the same computational character, used by the real local
-runtime (examples, Fig. 13 harness, integration tests).  Kernels return a
-float checksum so callers can verify remote execution did real work.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
-
 from .base import AppModel
 
-__all__ = ["NAS_MODELS", "nas_model", "nas_model_for_class", "NAS_KERNELS", "nas_kernel"]
+__all__ = ["NAS_MODELS", "nas_model"]
 
 GBs = 1e9
 MiB = 1024**2
@@ -82,195 +73,3 @@ def nas_model(key: str) -> AppModel:
         raise KeyError(
             f"unknown NAS benchmark {key!r}; available: {sorted(NAS_MODELS)}"
         ) from None
-
-
-#: Relative problem-size factors of the NAS classes (each step grows the
-#: problem roughly 4-16x; runtime factors below are the common rule of
-#: thumb for serial execution).
-NAS_CLASS_RUNTIME_SCALE: dict[str, float] = {
-    "S": 0.05, "W": 1.0, "A": 4.0, "B": 16.0, "C": 64.0,
-}
-
-MAX_LLC_FOOTPRINT = 64 * MiB  # beyond this, streaming: footprint saturates
-
-
-def nas_model_for_class(bench: str, cls: str) -> AppModel:
-    """Scale a calibrated model to another NAS class.
-
-    ``bench`` is the benchmark mnemonic (``"cg"``); ``cls`` one of
-    S/W/A/B/C.  Runtime scales with the class's work factor; the cache
-    footprint grows with the working set until it saturates at streaming
-    scale; bandwidth demand and boundness stay (first order) constant —
-    they are properties of the algorithm, not the size.
-    """
-    cls = cls.upper()
-    if cls not in NAS_CLASS_RUNTIME_SCALE:
-        raise KeyError(f"unknown NAS class {cls!r}; use one of S/W/A/B/C")
-    base = next((m for k, m in NAS_MODELS.items() if k.startswith(bench + ".")), None)
-    if base is None:
-        raise KeyError(f"unknown NAS benchmark {bench!r}")
-    base_cls = base.name.split(".")[1]
-    ratio = NAS_CLASS_RUNTIME_SCALE[cls] / NAS_CLASS_RUNTIME_SCALE[base_cls]
-    from dataclasses import replace
-
-    return replace(
-        base,
-        name=f"{bench}.{cls}",
-        runtime_s=base.runtime_s * ratio,
-        llc_per_rank=min(base.llc_per_rank * ratio**0.5, MAX_LLC_FOOTPRINT),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Runnable mini-kernels
-# ---------------------------------------------------------------------------
-
-def ep_kernel(scale: int = 20, seed: int = 0) -> float:
-    """EP: embarrassingly parallel Gaussian-pair counting (Marsaglia).
-
-    Generates 2^scale uniform pairs and counts acceptances per annulus,
-    exactly the EP benchmark's structure.
-    """
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = 1 << scale
-    x = rng.uniform(-1.0, 1.0, size=n)
-    y = rng.uniform(-1.0, 1.0, size=n)
-    t = x * x + y * y
-    mask = t <= 1.0
-    factor = np.sqrt(-2.0 * np.log(t[mask]) / t[mask])
-    gx, gy = x[mask] * factor, y[mask] * factor
-    counts = np.histogram(np.maximum(np.abs(gx), np.abs(gy)), bins=10, range=(0, 10))[0]
-    return float(counts.sum() + gx.sum() + gy.sum())
-
-
-def cg_kernel(n: int = 4000, iterations: int = 25, seed: int = 0) -> float:
-    """CG: conjugate-gradient solve on a random sparse SPD matrix."""
-    if n < 2 or iterations < 1:
-        raise ValueError("need n >= 2 and iterations >= 1")
-    rng = np.random.default_rng(seed)
-    # Sparse SPD matrix: tridiagonal + random off-diagonal couplings.
-    import scipy.sparse as sp
-
-    main = 4.0 + rng.random(n)
-    off = -1.0 * np.ones(n - 1)
-    A = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    b = rng.random(n)
-    x = np.zeros(n)
-    r = b - A @ x
-    p = r.copy()
-    rs = float(r @ r)
-    for _ in range(iterations):
-        Ap = A @ p
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        if rs < 1e-20:
-            break
-    return float(np.linalg.norm(x))
-
-
-def mg_kernel(levels: int = 5, iterations: int = 4, seed: int = 0) -> float:
-    """MG: V-cycle multigrid relaxation of a 2-D Poisson problem."""
-    if levels < 2 or iterations < 1:
-        raise ValueError("need levels >= 2 and iterations >= 1")
-    n = 2**levels + 1
-    rng = np.random.default_rng(seed)
-    u = np.zeros((n, n))
-    f = rng.random((n, n))
-
-    def smooth(u, f, sweeps=2):
-        for _ in range(sweeps):
-            u[1:-1, 1:-1] = 0.25 * (
-                u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-                + f[1:-1, 1:-1]
-            )
-        return u
-
-    def vcycle(u, f):
-        if u.shape[0] <= 3:
-            return smooth(u, f, sweeps=10)
-        u = smooth(u, f)
-        residual = np.zeros_like(u)
-        residual[1:-1, 1:-1] = f[1:-1, 1:-1] - (
-            4 * u[1:-1, 1:-1]
-            - u[:-2, 1:-1] - u[2:, 1:-1] - u[1:-1, :-2] - u[1:-1, 2:]
-        )
-        coarse_f = residual[::2, ::2].copy()
-        coarse_u = vcycle(np.zeros_like(coarse_f), coarse_f)
-        fine_correction = np.kron(coarse_u, np.ones((2, 2)))[: u.shape[0], : u.shape[1]]
-        u = u + fine_correction
-        return smooth(u, f)
-
-    for _ in range(iterations):
-        u = vcycle(u, f)
-    return float(np.abs(u).sum())
-
-
-def ft_kernel(n: int = 128, iterations: int = 3, seed: int = 0) -> float:
-    """FT: repeated 3-D FFT / inverse-FFT with evolution, like NAS FT."""
-    if n < 4 or iterations < 1:
-        raise ValueError("need n >= 4 and iterations >= 1")
-    rng = np.random.default_rng(seed)
-    data = rng.random((n, n, n)) + 1j * rng.random((n, n, n))
-    freq = np.fft.fftn(data)
-    checksum = 0.0
-    for step in range(1, iterations + 1):
-        evolved = freq * np.exp(-1e-6 * step * np.arange(n)[:, None, None] ** 2)
-        back = np.fft.ifftn(evolved)
-        checksum += float(np.abs(back[0, 0, 0]))
-    return checksum
-
-
-def is_kernel(scale: int = 20, seed: int = 0) -> float:
-    """IS: integer bucket sort via key histogram + rank computation."""
-    if scale < 4:
-        raise ValueError("scale must be >= 4")
-    rng = np.random.default_rng(seed)
-    n = 1 << scale
-    max_key = 1 << (scale // 2)
-    keys = rng.integers(0, max_key, size=n)
-    counts = np.bincount(keys, minlength=max_key)
-    ranks = np.cumsum(counts)
-    return float(ranks[-1] + ranks[max_key // 2])
-
-
-def bt_kernel(n: int = 64, iterations: int = 5, seed: int = 0) -> float:
-    """BT/SP/LU surrogate: 3-D 7-point stencil sweep with line relaxation."""
-    if n < 4 or iterations < 1:
-        raise ValueError("need n >= 4 and iterations >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, n, n))
-    for _ in range(iterations):
-        u[1:-1, 1:-1, 1:-1] = (
-            0.5 * u[1:-1, 1:-1, 1:-1]
-            + (
-                u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
-                + u[1:-1, :-2, 1:-1] + u[1:-1, 2:, 1:-1]
-                + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
-            ) / 12.0
-        )
-    return float(u.sum())
-
-
-NAS_KERNELS: dict[str, Callable[..., float]] = {
-    "ep": ep_kernel,
-    "cg": cg_kernel,
-    "mg": mg_kernel,
-    "ft": ft_kernel,
-    "is": is_kernel,
-    "bt": bt_kernel,
-    "lu": bt_kernel,   # same stencil character at this fidelity
-    "sp": bt_kernel,
-}
-
-
-def nas_kernel(name: str) -> Callable[..., float]:
-    try:
-        return NAS_KERNELS[name]
-    except KeyError:
-        raise KeyError(f"unknown NAS kernel {name!r}; available: {sorted(NAS_KERNELS)}") from None

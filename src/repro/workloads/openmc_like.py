@@ -21,18 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import AppModel
-
-__all__ = [
-    "ReactorModel",
-    "TransportResult",
-    "run_transport",
-    "transport_chunk",
-    "openmc_model",
-]
-
-GBs = 1e9
-MiB = 1024**2
+__all__ = ["ReactorModel", "TransportResult", "run_transport", "transport_chunk"]
 
 
 @dataclass(frozen=True)
@@ -175,17 +164,3 @@ def transport_chunk(payload: dict) -> dict:
         "fissions": result.fissions,
         "k_estimate": result.k_estimate,
     }
-
-
-def openmc_model(particles: int = 10_000) -> AppModel:
-    """Demand model: latency-bound random table lookups, light bandwidth."""
-    if particles < 1:
-        raise ValueError("particles must be >= 1")
-    return AppModel(
-        name=f"openmc-{particles}p",
-        runtime_s=particles * 95e-6,   # ~0.1 ms/particle in the opr config
-        membw_per_rank=1.1 * GBs,
-        netbw_per_rank=0.0,
-        llc_per_rank=12 * MiB,          # cross-section tables
-        frac_membw=0.35,
-    )

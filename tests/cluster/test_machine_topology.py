@@ -7,7 +7,6 @@ from repro.cluster import (
     DAINT_MC,
     DragonflyTopology,
     Node,
-    build_daint,
 )
 
 GiB = 1024**3
@@ -72,12 +71,3 @@ def test_cluster_hop_latency_by_name():
     assert cluster.hop_latency("n0000", "n0000") == 0
     assert cluster.hop_latency("n0000", "n0001") > 0
     assert cluster.hop_latency("n0000", "n0002") > cluster.hop_latency("n0000", "n0001")
-
-
-def test_build_daint_shapes():
-    daint = build_daint(mc_nodes=10, gpu_nodes=5)
-    assert len(daint) == 15
-    mc = daint.node("mc0000")
-    gpu = daint.node("gpu0000")
-    assert mc.total_cores == 36 and mc.total_memory == 128 * GiB
-    assert gpu.total_cores == 12 and gpu.total_gpus == 1

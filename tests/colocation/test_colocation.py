@@ -1,6 +1,5 @@
-"""History DB, requirement models, and admission policy tests."""
+"""History DB and admission policy tests."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster, DAINT_GPU, DAINT_MC, Node
@@ -10,10 +9,8 @@ from repro.colocation import (
     Decision,
     HistoryDB,
     PolicyConfig,
-    RequirementModel,
-    fit_performance_model,
 )
-from repro.interference import InterferenceModel, ResourceDemand, sample_counters
+from repro.interference import InterferenceModel, ResourceDemand
 from repro.rfaas import NodeLoadRegistry
 from repro.workloads import milc_model, nas_model
 
@@ -38,58 +35,6 @@ def test_history_record_and_means():
 def test_record_validation():
     with pytest.raises(ValueError):
         CoLocationRecord("a", "b", 0.5, 1.0)
-
-
-# ---- requirement models ------------------------------------------------------------
-
-def test_fit_recovers_linear_model():
-    p = np.array([1, 2, 4, 8, 16], dtype=float)
-    y = 3.0 * p
-    model = fit_performance_model(p, y)
-    assert model.exponent == pytest.approx(1.0)
-    assert model.log_power == 0
-    assert model(32) == pytest.approx(96.0, rel=1e-6)
-
-
-def test_fit_recovers_nlogn_model():
-    p = np.array([2, 4, 8, 16, 32], dtype=float)
-    y = 2.0 * p * np.log2(p)
-    model = fit_performance_model(p, y)
-    assert model.exponent == pytest.approx(1.0)
-    assert model.log_power == 1
-
-
-def test_fit_validation():
-    with pytest.raises(ValueError):
-        fit_performance_model([1.0], [1.0])
-    with pytest.raises(ValueError):
-        fit_performance_model([0.0, 1.0], [1.0, 2.0])
-
-
-def test_requirement_model_stress_factors():
-    rng = np.random.default_rng(0)
-    model = RequirementModel("cg")
-    params = [1.0, 2.0, 4.0, 8.0]
-    groups = []
-    for p in params:
-        demand = ResourceDemand(
-            cores=1, membw=3 * GBs * p, netbw=0.1 * GBs * p, frac_membw=0.5
-        )
-        groups.append(sample_counters(demand, rng, windows=20))
-    model.fit(params, groups)
-    assert model.fitted
-    stress = model.stress_factors(16.0, dram_capacity=136 * GBs,
-                                  net_capacity=10 * GBs, flops_capacity=1e12)
-    # Extrapolation: 16x the base 3 GB/s ~= 48 GB/s -> ~0.35 of capacity.
-    assert stress["dram"] == pytest.approx(48 * GBs / (136 * GBs), rel=0.2)
-
-
-def test_requirement_model_validation():
-    model = RequirementModel("x")
-    with pytest.raises(ValueError):
-        model.fit([1.0], [[], []])
-    with pytest.raises(KeyError):
-        model.predict("dram", 2.0)
 
 
 # ---- policy ----------------------------------------------------------------------

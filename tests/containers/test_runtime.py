@@ -47,12 +47,6 @@ def test_table2_feature_matrix():
     assert not DOCKER.batch_system_integration and not DOCKER.native_mpi_support
 
 
-def test_only_hpc_runtimes_qualify_for_hpc_functions():
-    assert not DOCKER.suitable_for_hpc_functions()
-    assert SINGULARITY.suitable_for_hpc_functions()
-    assert SARUS.suitable_for_hpc_functions()
-
-
 def test_cold_start_hundreds_of_ms():
     image = img()
     for runtime in (DOCKER, SARUS):

@@ -31,7 +31,6 @@ def test_quickstart():
 def test_memory_service():
     out = run_example("memory_service.py")
     assert "hit rate" in out
-    assert "GB/s sustained" in out
 
 
 def test_gpu_sharing():

@@ -41,14 +41,6 @@ def test_sorted_events_is_stable_on_ties():
     assert [ev.count for ev in ordered] == [2, 3, 1]
 
 
-def test_shifted_delays_every_event_and_copies():
-    plan = sample_plan()
-    shifted = plan.shifted(10.0)
-    assert [ev.at_s for ev in shifted] == [ev.at_s + 10.0 for ev in plan]
-    assert [ev.at_s for ev in plan] == [5.0, 8.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # untouched
-    assert shifted.name == plan.name
-
-
 def test_json_round_trip_preserves_every_field():
     plan = sample_plan()
     clone = FaultPlan.from_json(plan.to_json())

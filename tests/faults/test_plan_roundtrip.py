@@ -79,10 +79,3 @@ def test_unknown_kind_rejected_on_deserialization_too():
     data = {"name": "bad", "events": [{"kind": "power_outage", "at_s": 1.0}]}
     with pytest.raises(ValueError):
         FaultPlan.from_dict(data)
-
-
-def test_shifted_preserves_round_trip_equality():
-    shifted = full_plan().shifted(2.5)
-    assert FaultPlan.from_json(shifted.to_json()).to_dict() == shifted.to_dict()
-    assert [ev.at_s for ev in shifted] == [
-        at + 2.5 for at in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]]

@@ -6,20 +6,26 @@ import numpy as np
 import pytest
 
 from repro.local import LocalRuntime, payload_nbytes, resolve_target, serialize
+from repro.workloads import generate_options, price_chunk, split_batch
+
+PRICE = "repro.workloads.blackscholes:price_chunk"
+
+
+def options(count=64, seed=5):
+    return split_batch(generate_options(count, seed=seed), 1)[0]
 
 
 @pytest.fixture(scope="module")
 def runtime():
     rt = LocalRuntime(workers=2)
     rt.register("transport", "repro.workloads.openmc_like:transport_chunk")
-    rt.register("price", "repro.workloads.blackscholes:price_chunk")
-    rt.register("ep", "repro.workloads.nas:ep_kernel")
+    rt.register("price", PRICE)
     yield rt
     rt.shutdown()
 
 
 def test_resolve_target_validation():
-    assert resolve_target("repro.workloads.nas:ep_kernel") is not None
+    assert resolve_target(PRICE) is price_chunk
     with pytest.raises(ValueError):
         resolve_target("no-colon")
     with pytest.raises(ModuleNotFoundError):
@@ -32,7 +38,7 @@ def test_resolve_target_validation():
 
 def test_register_validates_and_rejects_duplicates(runtime):
     with pytest.raises(ValueError):
-        runtime.register("transport", "repro.workloads.nas:ep_kernel")
+        runtime.register("transport", PRICE)
     with pytest.raises(ValueError):
         runtime.register("bad", "not-a-target")
     assert "price" in runtime.registered()
@@ -48,10 +54,9 @@ def test_invoke_executes_in_worker_process(runtime):
 
 
 def test_invoke_kwargs(runtime):
-    a = runtime.invoke_sync("ep", scale=12, seed=5)
-    from repro.workloads.nas import ep_kernel
-
-    assert a == ep_kernel(scale=12, seed=5)
+    payload = options()
+    a = runtime.invoke_sync("price", arrays=payload, iterations=3)
+    np.testing.assert_array_equal(a, price_chunk(payload, iterations=3))
 
 
 def test_unregistered_function_raises(runtime):
@@ -82,19 +87,20 @@ def test_cold_start_measured_and_warm_reuse(runtime):
 
 def test_shutdown_and_restart():
     rt = LocalRuntime(workers=1)
-    rt.register("ep", "repro.workloads.nas:ep_kernel")
-    rt.invoke_sync("ep", scale=10)
+    rt.register("price", PRICE)
+    rt.invoke_sync("price", options())
     rt.shutdown()
     assert not rt.warm
     # Next invocation re-warms transparently (a new cold start).
-    assert rt.invoke_sync("ep", scale=10) == rt.invoke_sync("ep", scale=10)
+    np.testing.assert_array_equal(rt.invoke_sync("price", options()),
+                                  rt.invoke_sync("price", options()))
     rt.shutdown()
 
 
 def test_context_manager():
     with LocalRuntime(workers=1) as rt:
-        rt.register("ep", "repro.workloads.nas:ep_kernel")
-        rt.invoke_sync("ep", scale=10)
+        rt.register("price", PRICE)
+        rt.invoke_sync("price", options())
     assert not rt.warm
 
 

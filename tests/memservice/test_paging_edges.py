@@ -9,7 +9,7 @@ MiB = 1024**2
 
 
 class SpyClient:
-    """Stand-in MemoryClient recording the operation order."""
+    """Stand-in DurableMemoryClient recording the operation order."""
 
     class _Service:
         def __init__(self, size_bytes):

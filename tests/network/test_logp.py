@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network import LogGPParams, fit_loggp
+from repro.network import LogGPParams
 
 
 def params(**kw):
@@ -67,21 +67,3 @@ def test_one_way_monotone_in_size(size1, size2):
     p = params()
     lo, hi = sorted([size1, size2])
     assert p.one_way(lo) <= p.one_way(hi)
-
-
-@given(
-    L=st.floats(min_value=1e-7, max_value=1e-4),
-    G=st.floats(min_value=1e-11, max_value=1e-8),
-)
-def test_fit_recovers_exact_parameters(L, G):
-    truth = LogGPParams(L=L, o=0.0, G=G)
-    sizes = np.array([1, 64, 1024, 65536, 1 << 20], dtype=float)
-    times = np.array([truth.one_way(int(s)) for s in sizes])
-    fitted = fit_loggp(sizes, times)
-    assert fitted.L == pytest.approx(L, rel=1e-6, abs=1e-12)
-    assert fitted.G == pytest.approx(G, rel=1e-6, abs=1e-15)
-
-
-def test_fit_requires_two_samples():
-    with pytest.raises(ValueError):
-        fit_loggp(np.array([1.0]), np.array([1.0]))

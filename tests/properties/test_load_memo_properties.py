@@ -1,10 +1,10 @@
 """A state-machine test of the load registry's memoized slowdowns.
 
-Hypothesis interleaves ``add``, ``remove`` and background-traffic calls
-over one or two nodes of different shapes, drawing demands and streams
-from small pools so that tenant mixes recur.  After every step each
-query the registry answers (``slowdowns``, every ``slowdown_of`` and
-``preview_slowdown`` of every candidate) must equal a fresh
+Hypothesis interleaves ``add`` and ``remove`` calls over one or two
+nodes of different shapes, drawing demands from a small pool so that
+tenant mixes recur.  After every step each query the registry answers
+(``slowdowns``, every ``slowdown_of`` and ``preview_slowdown`` of every
+candidate) must equal a fresh
 ``InterferenceModel.slowdowns`` call on the same ordered tenant list.
 An over-subscribed mix must raise ``PlacementError`` on every query,
 ahead of the ``KeyError`` of an unknown key.
@@ -32,7 +32,6 @@ DEMANDS = [
     ResourceDemand(cores=8, netbw=3 * GBs, frac_netbw=0.4, frac_membw=0.1),
     ResourceDemand(cores=16, membw=40 * GBs, llc_bytes=60 * MiB, frac_membw=0.5),
 ]
-STREAMS = [(1 * GBs, 1 * GBs), (2 * GBs / 3, 0.0), (0.0, 7 * GBs / 3)]
 
 
 class LoadMemoMachine(RuleBasedStateMachine):
@@ -45,7 +44,6 @@ class LoadMemoMachine(RuleBasedStateMachine):
         self.loads = NodeLoadRegistry(cluster)
         self.nodes = NODES[:nodes]
         self.mix: dict[str, dict[str, ResourceDemand]] = {n: {} for n in self.nodes}
-        self.streams: dict[str, list] = {n: [] for n in self.nodes}
 
     def node(self, data):
         return data.draw(st.sampled_from(self.nodes))
@@ -71,32 +69,12 @@ class LoadMemoMachine(RuleBasedStateMachine):
             with pytest.raises(KeyError):
                 self.loads.remove(node, key)
 
-    @rule(data=st.data(), stream=st.sampled_from(STREAMS))
-    def add_background_traffic(self, data, stream):
-        node = self.node(data)
-        self.loads.add_background_traffic(node, netbw=stream[0], membw=stream[1])
-        self.streams[node].append(stream)
-
-    @rule(data=st.data(), stream=st.sampled_from(STREAMS))
-    def remove_background_traffic(self, data, stream):
-        node = self.node(data)
-        if stream in self.streams[node]:
-            self.loads.remove_background_traffic(node, netbw=stream[0], membw=stream[1])
-            self.streams[node].remove(stream)
-        else:
-            with pytest.raises(KeyError):
-                self.loads.remove_background_traffic(node, netbw=stream[0], membw=stream[1])
-
     # -- the check ------------------------------------------------------------------
     def fresh(self, node, demands):
         """A fresh model evaluation, or the ``PlacementError`` it raises."""
-        netbw = membw = 0.0
-        for stream_netbw, stream_membw in self.streams[node]:
-            netbw += stream_netbw
-            membw += stream_membw
         spec = self.loads.cluster.node(node).spec
         try:
-            return self.loads.model.slowdowns(spec, demands, extra_netbw=netbw, extra_membw=membw)
+            return self.loads.model.slowdowns(spec, demands)
         except PlacementError as exc:
             return exc
 

@@ -1,10 +1,12 @@
 """The callers check: every ``src`` member has a caller outside tests/
 and examples/, or an allowlist entry with a ``view:``/``reference:``/
-``paper:`` reason."""
+``paper:`` reason.  A type annotation is not a caller."""
 
 import pathlib
 import sys
 import textwrap
+
+import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 sys.path.insert(0, str(REPO_ROOT))
@@ -122,6 +124,32 @@ def test_a_method_called_only_from_examples_is_flagged(tmp_path):
     problems = check_callers.violations(tmp_path, allowlist={})
     assert len(problems) == 1
     assert flagged(problems, "pkg.extra.Gauge.drain has no caller")
+
+
+def annotated_tree(tmp_path, use):
+    """The base tree, plus a ``Gauge`` class named only by ``use``."""
+    make_tree(tmp_path)
+    write(tmp_path, "src/pkg/extra.py", """
+        class Gauge:
+            pass
+    """)
+    write(tmp_path, "src/pkg/use.py", "from .extra import Gauge\n\n" + use)
+    return check_callers.violations(tmp_path, allowlist={})
+
+
+@pytest.mark.parametrize("use", [
+    "def read(gauge: Gauge):\n    return gauge\n\nread(None)\n",
+    "def make() -> Gauge:\n    return None\n\nmake()\n",
+    "current: Gauge = None\n",
+], ids=["argument", "return", "variable"])
+def test_a_class_named_only_in_an_annotation_is_flagged(tmp_path, use):
+    problems = annotated_tree(tmp_path, use)
+    assert len(problems) == 1
+    assert flagged(problems, "pkg.extra.Gauge has no caller")
+
+
+def test_a_name_in_an_annotated_assignment_value_is_a_caller(tmp_path):
+    assert annotated_tree(tmp_path, "current: object = Gauge()\n") == []
 
 
 def test_getattr_strings_and_bench_count_as_callers(tmp_path):

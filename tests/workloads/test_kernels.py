@@ -1,87 +1,16 @@
-"""Runnable mini-kernel tests: determinism, correctness, real work."""
+"""Fig. 13's numpy kernels: determinism, correctness, real work."""
 
 import numpy as np
 import pytest
 
 from repro.workloads import (
     generate_options,
-    lulesh_kernel,
-    milc_kernel,
-    nas_kernel,
     price_chunk,
     price_options,
     run_transport,
     split_batch,
     transport_chunk,
 )
-from repro.workloads.nas import (
-    bt_kernel,
-    cg_kernel,
-    ep_kernel,
-    ft_kernel,
-    is_kernel,
-    mg_kernel,
-)
-
-
-# ---- NAS kernels -------------------------------------------------------------
-
-@pytest.mark.parametrize("kernel,kwargs", [
-    (ep_kernel, dict(scale=14)),
-    (cg_kernel, dict(n=500, iterations=10)),
-    (mg_kernel, dict(levels=4, iterations=2)),
-    (ft_kernel, dict(n=16, iterations=2)),
-    (is_kernel, dict(scale=12)),
-    (bt_kernel, dict(n=16, iterations=2)),
-])
-def test_nas_kernels_deterministic_and_finite(kernel, kwargs):
-    a = kernel(seed=3, **kwargs)
-    b = kernel(seed=3, **kwargs)
-    assert a == b
-    assert np.isfinite(a)
-    assert kernel(seed=4, **kwargs) != a
-
-
-def test_nas_kernel_lookup():
-    assert nas_kernel("ep") is ep_kernel
-    with pytest.raises(KeyError):
-        nas_kernel("zz")
-
-
-def test_cg_kernel_actually_solves():
-    # More iterations -> closer to the true solution norm (monotone-ish).
-    loose = cg_kernel(n=400, iterations=3, seed=0)
-    tight = cg_kernel(n=400, iterations=60, seed=0)
-    tighter = cg_kernel(n=400, iterations=120, seed=0)
-    assert abs(tighter - tight) < abs(tight - loose) + 1e-9
-
-
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        ep_kernel(scale=0)
-    with pytest.raises(ValueError):
-        cg_kernel(n=1)
-    with pytest.raises(ValueError):
-        mg_kernel(levels=1)
-    with pytest.raises(ValueError):
-        lulesh_kernel(n=2)
-    with pytest.raises(ValueError):
-        milc_kernel(lattice=1)
-
-
-# ---- LULESH / MILC surrogates ---------------------------------------------------
-
-def test_lulesh_kernel_conserves_bounds():
-    result = lulesh_kernel(n=16, iterations=5, seed=1)
-    assert np.isfinite(result)
-    assert result >= 0.0  # energies clipped to [0, 10]
-    assert lulesh_kernel(n=16, iterations=5, seed=1) == result
-
-
-def test_milc_kernel_deterministic():
-    a = milc_kernel(lattice=4, iterations=1, seed=2)
-    assert a == milc_kernel(lattice=4, iterations=1, seed=2)
-    assert a > 0
 
 
 # ---- Black-Scholes -----------------------------------------------------------------

@@ -5,14 +5,10 @@ import pytest
 from repro.workloads import (
     AppModel,
     RODINIA_BENCHMARKS,
-    blackscholes_model,
-    is_valid_rank_count,
     lulesh_model,
     milc_model,
     nas_model,
-    openmc_model,
     rodinia_benchmark,
-    valid_rank_counts,
 )
 
 GBs = 1e9
@@ -51,13 +47,6 @@ def test_nas_runtimes_in_paper_band():
         assert 0.5 <= nas_model(key).runtime_s <= 4.3
 
 
-def test_lulesh_cubic_rank_constraint():
-    assert valid_rank_counts(130) == [1, 8, 27, 64, 125]
-    assert is_valid_rank_count(27)
-    assert not is_valid_rank_count(36)
-    assert valid_rank_counts(0) == []
-
-
 def test_lulesh_compute_bound_and_size_trend():
     small, large = lulesh_model(20), lulesh_model(60)
     assert small.frac_membw < 0.5  # compute-dominated
@@ -92,33 +81,3 @@ def test_rodinia_catalog():
     assert rodinia_benchmark("hotspot").gpu_occupancy == pytest.approx(0.7)
     with pytest.raises(KeyError):
         rodinia_benchmark("nope")
-
-
-def test_blackscholes_and_openmc_models():
-    bs = blackscholes_model(10**6)
-    assert bs.frac_membw < 0.5
-    mc = openmc_model(10_000)
-    assert mc.runtime_s == pytest.approx(0.95, rel=0.01)
-    with pytest.raises(ValueError):
-        blackscholes_model(0)
-    with pytest.raises(ValueError):
-        openmc_model(0)
-
-
-def test_nas_class_scaling():
-    from repro.workloads import nas_model_for_class
-
-    base = nas_model("cg.A")
-    big = nas_model_for_class("cg", "B")
-    small = nas_model_for_class("cg", "S")
-    assert big.runtime_s == pytest.approx(base.runtime_s * 4.0)
-    assert small.runtime_s < base.runtime_s
-    # Bandwidth demand is an algorithm property, unchanged by class.
-    assert big.membw_per_rank == base.membw_per_rank
-    # Footprint grows but saturates.
-    assert base.llc_per_rank <= big.llc_per_rank <= 64 * 1024 * 1024
-    assert nas_model_for_class("ep", "C").name == "ep.C"
-    with pytest.raises(KeyError):
-        nas_model_for_class("cg", "Z")
-    with pytest.raises(KeyError):
-        nas_model_for_class("zz", "A")

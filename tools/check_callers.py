@@ -12,8 +12,11 @@ name only, so a duck-typed hook (``_observe``) counts as called as soon
 as any call site names it.
 
 These are *not* callers: the def itself (a self-recursive call), a
-``from .x import name`` re-export, an ``__all__`` string, and
-``tools/public_api.json``.  Dunder methods are exempt.
+``from .x import name`` re-export, an ``__all__`` string,
+``tools/public_api.json``, and type annotations (an argument's, a
+return's, and the annotation of an annotated assignment; its value
+still counts).  Naming a type is not using it.  Dunder methods are
+exempt.
 
 A member with no caller fails the check unless :data:`ALLOWLIST` names
 it with a reason that starts with one of :data:`REASONS`.  An allowlist
@@ -42,7 +45,7 @@ REASONS = (
     "view:",
     # A second implementation a tier-1 test compares the main path to.
     "reference:",
-    # A paper workload kernel or paper-table predicate a test pins.
+    # A paper component waiting for its sweep caller.
     "paper:",
 )
 
@@ -86,60 +89,16 @@ ALLOWLIST: Dict[str, str] = {
     "repro.experiments.tab03_idle_node.run_platform":
         "reference: Table III through the Platform facade, compared with the "
         "tab03 sweep's points",
-    # -- paper: workload kernels, models and predicates a test pins
-    "repro.cluster.machine.build_daint":
-        "paper: the Piz Daint testbed shape (1813 XC40 + 5704 XC50 nodes)",
+    # -- paper: paper components waiting for their sweep caller
     "repro.colocation.policy.CoLocationPolicy":
         "paper: Fig. 4 / Sec. III-E co-location policy, history first with "
-        "the requirement model as fallback",
+        "an interference-model preview as fallback",
     "repro.colocation.policy.CoLocationPolicy.decide":
         "paper: Fig. 4 / Sec. III-E admit-or-reject decision for one "
         "function next to a batch job",
-    "repro.colocation.requirements.RequirementModel":
-        "paper: Sec. III-E cold-start resource-requirement model",
-    "repro.colocation.requirements.RequirementModel.fit":
-        "paper: Sec. III-E per-resource fit over counter sweeps",
-    "repro.colocation.requirements.RequirementModel.fitted":
-        "paper: Sec. III-E model readiness (every resource class fitted)",
-    "repro.colocation.requirements.RequirementModel.stress_factors":
-        "paper: Sec. III-E stress factors, predicted demand / capacity",
-    "repro.containers.runtime.ContainerRuntime.suitable_for_hpc_functions":
-        "paper: the Table II / Sec. IV-C sandbox requirement predicate",
-    "repro.disagg.billing.JobBill.fair_shared_cost":
-        "paper: interference-fair pricing of co-located jobs (ref. [40])",
     "repro.disagg.controller.DisaggregationController":
         "paper: Fig. 2/6 batch-to-rFaaS loop: idle-node and leftover "
         "harvesting (Sec. III-A/B), drain on reclaim (Sec. IV-E)",
-    "repro.network.logp.fit_loggp":
-        "paper: LogGP fit of (L, G) from one-way timings, the model's calibration",
-    "repro.offload.taskgraph.prefix_scan_graph":
-        "paper: the prefix-scan DAG of the offloading study (Sec. VI-D)",
-    "repro.offload.taskgraph.schedule_with_offloading":
-        "paper: Eq.-1-guarded level schedule of the prefix-scan study",
-    "repro.slurm.swf.SwfRecord.to_spec":
-        "paper: SWF import of the Parallel Workloads Archive traces behind Fig. 1",
-    "repro.slurm.swf.read_swf":
-        "paper: SWF import of the Parallel Workloads Archive traces behind Fig. 1",
-    "repro.slurm.swf.write_swf":
-        "paper: SWF export of the synthetic Fig. 1 batch trace",
-    "repro.workloads.blackscholes.blackscholes_model":
-        "paper: PARSEC Black-Scholes demand model",
-    "repro.workloads.blackscholes_pde.pde_chunk":
-        "paper: Black-Scholes PDE kernel (remote entry point)",
-    "repro.workloads.lulesh.is_valid_rank_count":
-        "paper: LULESH runs only on cubic rank counts",
-    "repro.workloads.lulesh.valid_rank_counts":
-        "paper: LULESH's legal (cubic) rank counts",
-    "repro.workloads.lulesh.lulesh_kernel":
-        "paper: LULESH hydro surrogate kernel",
-    "repro.workloads.milc.milc_kernel":
-        "paper: MILC SU(3) surrogate kernel",
-    "repro.workloads.nas.nas_kernel":
-        "paper: NAS benchmark kernel lookup by mnemonic",
-    "repro.workloads.nas.nas_model_for_class":
-        "paper: NAS demand model scaled to a problem class",
-    "repro.workloads.openmc_like.openmc_model":
-        "paper: OpenMC demand model",
 }
 
 
@@ -200,10 +159,20 @@ class _References(ast.NodeVisitor):
 
     def _visit_def(self, node) -> None:
         self._enclosing.append(node.name)
-        self.generic_visit(node)
+        for child in ast.iter_child_nodes(node):
+            if child is not getattr(node, "returns", None):
+                self.visit(child)
         self._enclosing.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _visit_def
+
+    def visit_arg(self, node: ast.arg) -> None:
+        """An argument's annotation is not a caller."""
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
 
     def visit_Name(self, node: ast.Name) -> None:
         self._add(node.id)
