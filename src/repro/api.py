@@ -62,6 +62,9 @@ from .telemetry import Telemetry, TelemetryCollector, install, telemetry_of
 
 __all__ = ["Platform", "PlatformConfig"]
 
+#: Dragonfly topology group width of a built cluster.
+NODES_PER_GROUP = 2
+
 
 @dataclass(frozen=True)
 class PlatformConfig:
@@ -79,8 +82,6 @@ class PlatformConfig:
     provider: FabricProvider = UGNI
     #: The provider's latency jitter fraction, if set (``0.0``: none).
     jitter: Optional[float] = None
-    #: Dragonfly topology group width.
-    nodes_per_group: int = 2
     #: A capacity plane (forecast, autoscale, admit, burst), ``platform.capacity``.
     capacity: Optional[CapacityConfig] = None
     #: A replicated memory service at ``platform.durable_memory``.
@@ -95,8 +96,6 @@ class PlatformConfig:
     def __post_init__(self):
         if self.nodes < 1:
             raise ValueError("need at least one node")
-        if self.nodes_per_group < 1:
-            raise ValueError("nodes_per_group must be >= 1")
         for name, kind in _SUBSYSTEMS.items():
             value = getattr(self, name)
             if value is not None and not isinstance(value, kind):
@@ -176,7 +175,7 @@ class Platform:
                 "telemetry must be None, a Telemetry, or a TelemetryCollector"
             )
         cluster = Cluster(
-            topology=DragonflyTopology(nodes_per_group=config.nodes_per_group)
+            topology=DragonflyTopology(nodes_per_group=NODES_PER_GROUP)
         )
         cluster.add_nodes("n", config.nodes, DAINT_MC)
         drc = DrcManager()
@@ -216,7 +215,6 @@ class Platform:
         gpu = None
         if config.gpu is not None:
             gpu = GpuService(env, cluster, config=config.gpu)
-            gpu.start()
         injector = None
         if faults is not None and not faults.empty:
             injector = Injector(env, faults, manager, fabric=fabric,

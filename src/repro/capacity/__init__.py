@@ -24,24 +24,21 @@ from .admission import (
     TenantQuota,
     TokenBucket,
 )
-from .autoscaler import AutoscalerConfig, WarmPoolAutoscaler
-from .burst import BurstConfig, BurstRecord, CloudBurstRouter
-from .forecast import DemandForecaster, ForecastConfig
+from .autoscaler import WarmPoolAutoscaler
+from .burst import BurstRecord, CloudBurstRouter
+from .forecast import DemandForecaster
 from .plane import CapacityConfig, CapacityPlane, CapacityResult
 
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionRejected",
-    "AutoscalerConfig",
-    "BurstConfig",
     "BurstRecord",
     "CapacityConfig",
     "CapacityPlane",
     "CapacityResult",
     "CloudBurstRouter",
     "DemandForecaster",
-    "ForecastConfig",
     "TenantQuota",
     "TokenBucket",
     "WarmPoolAutoscaler",

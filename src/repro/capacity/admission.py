@@ -5,8 +5,9 @@ redirect/retry loops: every client hammers ``ResourceManager.lease`` until
 its deadline.  The admission controller converts that into explicit,
 bounded behaviour:
 
-* **per-tenant token buckets** — each tenant gets a sustained rate plus a
-  burst allowance; excess arrivals wait rather than crowd out others;
+* **per-tenant token buckets** — each tenant gets its own bucket with
+  the same sustained rate and burst allowance; excess arrivals wait
+  rather than crowd out others;
 * **priority queue** — waiting requests are served by (priority, arrival)
   order, so latency-critical tenants overtake best-effort ones;
 * **bounded depth with backpressure** — once the queue is full the
@@ -99,10 +100,8 @@ class AdmissionConfig:
     #: Reject a queued request once it has waited this long (None: wait
     #: for tokens however long that takes).
     max_queue_wait_s: Optional[float] = None
-    #: Quota applied to tenants without an explicit entry in ``quotas``.
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
-    #: Per-tenant overrides.
-    quotas: dict[str, TenantQuota] = field(default_factory=dict)
+    #: Every tenant's quota; each tenant draws from its own bucket.
+    quota: TenantQuota = field(default_factory=TenantQuota)
 
     def __post_init__(self):
         if self.max_queue_depth < 0:
@@ -167,8 +166,8 @@ class AdmissionController:
     def bucket_for(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            quota = self.config.quotas.get(tenant, self.config.default_quota)
-            bucket = self._buckets[tenant] = TokenBucket(quota, now=self.env.now)
+            bucket = self._buckets[tenant] = TokenBucket(
+                self.config.quota, now=self.env.now)
         return bucket
 
     # -- the gate ------------------------------------------------------------

@@ -5,26 +5,21 @@ image on a node pays the cold start, and only then is a container parked.
 The autoscaler closes that gap the way Kernel-as-a-Service does for
 accelerator backends — a periodic control loop compares the forecast
 demand against what is already warm and pre-warms the deficit *before*
-the invocations arrive.  One loop serves every harvested resource:
+the invocations arrive:
 
-1. each tick, record supply on a gauge (containers: the registered
-   executor cores) and read a warm target per key from the demand
-   forecast over the provisioning horizon;
-2. the deficit per key is ``target − (warm + in flight)``, where the
-   in-flight ledger counts prewarms still starting, per (key, slot);
+1. each tick (every :data:`INTERVAL_S`), record the registered executor
+   cores on a supply gauge and read a warm-container target per image
+   from the demand forecast over :data:`HORIZON_S`;
+2. the deficit per image is ``target − (warm + in flight)``, where the
+   in-flight ledger counts prewarms still starting, per (image, node);
 3. spread the deficit across topology groups with
-   :func:`~repro.cluster.group_interleave`, each slot's budget being its
-   free room minus its own in-flight prewarms, so a whole-group failure
-   cannot take every warm instance with it and a slow cold start cannot
-   overfill a slot;
-4. start one prewarm process per chosen slot.
-
-This class is the *container* side: keys are images, slots are the
-registered executor nodes with room ``max_warm_per_node`` minus parked
-containers, and a prewarm starts containers through the normal
-``WarmPool.acquire`` path (paying the real cold-start time) and parks
-them.  :class:`~repro.gpuservice.GpuService` runs the same loop over
-(function, device) contexts with its own target and prewarm.
+   :func:`~repro.cluster.group_interleave`, each node's budget being its
+   room below :data:`MAX_WARM_PER_NODE` minus its own in-flight
+   prewarms, so a whole-group failure cannot take every warm instance
+   with it and a slow cold start cannot overfill a node;
+4. start one prewarm process per chosen node.  A prewarm starts
+   containers through the normal ``WarmPool.acquire`` path (paying the
+   real cold-start time) and parks them.
 
 A node that crashes and heals (``FaultPlan`` node-crash with a recovery
 duration) re-registers with an empty pool; the next tick sees the
@@ -37,8 +32,7 @@ giving experiments a true reactive baseline under identical wiring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..cluster.machine import Cluster, group_interleave
 from ..cluster.node import AllocationError
@@ -48,40 +42,22 @@ from ..sim.engine import Environment
 from ..telemetry import telemetry_of
 from .forecast import DemandForecaster
 
-__all__ = ["AutoscalerConfig", "WarmPoolAutoscaler"]
+__all__ = ["WarmPoolAutoscaler"]
 
-
-@dataclass(frozen=True)
-class AutoscalerConfig:
-    """Control-loop knobs of the warm-pool autoscaler."""
-
-    #: Seconds between control-loop ticks.
-    interval_s: float = 0.5
-    #: How far ahead demand is provisioned for.
-    horizon_s: float = 1.0
-    #: Quantile of the sliding-window rate used for sizing.
-    percentile: float = 0.9
-    #: Multiplier on the forecast (provision above the point estimate).
-    headroom: float = 1.2
-    #: Cap on warm containers per image per node.
-    max_warm_per_node: int = 4
-    #: Provision ahead of demand; False = reactive baseline (on-miss only).
-    predictive: bool = True
-
-    def __post_init__(self):
-        if self.interval_s <= 0 or self.horizon_s <= 0:
-            raise ValueError("interval_s and horizon_s must be positive")
-        if not 0.0 <= self.percentile <= 1.0:
-            raise ValueError("percentile must be in [0, 1]")
-        if self.headroom <= 0 or self.max_warm_per_node < 1:
-            raise ValueError("invalid headroom/max_warm_per_node")
+#: Seconds between control-loop ticks.
+INTERVAL_S = 0.5
+#: How far ahead demand is provisioned for.
+HORIZON_S = 1.0
+#: Quantile of the sliding-window rate used for sizing.
+PERCENTILE = 0.9
+#: Multiplier on the forecast (provision above the point estimate).
+HEADROOM = 1.2
+#: Cap on warm containers per image per node.
+MAX_WARM_PER_NODE = 4
 
 
 class WarmPoolAutoscaler:
     """Periodic control loop resizing warm pools ahead of demand."""
-
-    _loop_name = "autoscaler"
-    _prewarm_name = "prewarm-{slot}-{key}"
 
     def __init__(
         self,
@@ -90,11 +66,18 @@ class WarmPoolAutoscaler:
         cluster: Cluster,
         functions: FunctionRegistry,
         forecaster: DemandForecaster,
-        config: Optional[AutoscalerConfig] = None,
+        predictive: bool = True,
     ):
-        self._init_loop(env, cluster, forecaster, config)
+        self.env = env
+        self.cluster = cluster
+        self.forecaster = forecaster
+        #: Provision ahead of demand; False = reactive baseline (on-miss only).
+        self.predictive = predictive
         self.manager = manager
         self.functions = functions
+        self._proc = None
+        self._inflight: dict[tuple[str, str], int] = {}   # (image, node) -> n
+        self.ticks = 0
         self.prewarms = 0
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
@@ -112,23 +95,12 @@ class WarmPoolAutoscaler:
             help="registered executor cores observed at the last tick",
         )
 
-    def _init_loop(self, env: Environment, cluster: Cluster,
-                   forecaster: DemandForecaster,
-                   config: Optional[AutoscalerConfig]) -> None:
-        self.env = env
-        self.cluster = cluster
-        self.forecaster = forecaster
-        self.config = config or AutoscalerConfig()
-        self._proc = None
-        self._inflight: dict[tuple[str, str], int] = {}   # (key, slot) -> n
-        self.ticks = 0
-
     # -- lifecycle ------------------------------------------------------------
     def start(self):
         """Kick off the control loop (idempotent; it waits on ticks, so
         it never keeps an open-ended ``env.run()`` alive)."""
         if self._proc is None or self._proc.triggered:
-            self._proc = self.env.process(self._loop(), name=self._loop_name)
+            self._proc = self.env.process(self._loop(), name="autoscaler")
         return self._proc
 
     @property
@@ -138,11 +110,11 @@ class WarmPoolAutoscaler:
     # -- the loop --------------------------------------------------------------
     def _loop(self):
         while True:
-            yield self.env.tick(self.config.interval_s)
+            yield self.env.tick(INTERVAL_S)
             self.ticks += 1
             now = self.env.now
-            self._observe(now)
-            if not self.config.predictive:
+            self._m_supply.set(self.manager.total_registered_cores())
+            if not self.predictive:
                 continue
             targets = self._targets(now)
             self._m_target.set(sum(targets.values()))
@@ -169,7 +141,7 @@ class WarmPoolAutoscaler:
         for slot, want in per_slot.items():
             self._inflight[key, slot] = inflight.get(slot, 0) + want
             self.env.process(self._track(key, slot, want),
-                             name=self._prewarm_name.format(slot=slot, key=key))
+                             name=f"prewarm-{slot}-{key}")
 
     def _track(self, key: str, slot: str, want: int):
         try:
@@ -179,10 +151,7 @@ class WarmPoolAutoscaler:
             if left:
                 self._inflight[key, slot] = left
 
-    # -- the container side ----------------------------------------------------
-    def _observe(self, now: float) -> None:
-        self._m_supply.set(self.manager.total_registered_cores())
-
+    # -- containers ------------------------------------------------------------
     def _targets(self, now: float) -> dict[str, int]:
         """Warm-container target per image name from the demand forecast."""
         targets: dict[str, int] = {}
@@ -191,10 +160,9 @@ class WarmPoolAutoscaler:
                 continue
             fdef = self.functions.lookup(fname)
             expected = self.forecaster.forecast_arrivals(
-                now, self.config.horizon_s, q=self.config.percentile,
-                function=fname,
+                now, HORIZON_S, q=PERCENTILE, function=fname,
             )
-            target = math.ceil(self.config.headroom * expected)
+            target = math.ceil(HEADROOM * expected)
             if target > 0:
                 name = fdef.image.name
                 targets[name] = targets.get(name, 0) + target
@@ -212,10 +180,10 @@ class WarmPoolAutoscaler:
 
     def _slots(self, image_name: str) -> Iterable[tuple[str, str, int]]:
         """(node, node, room below the per-node cap) per executor node."""
-        cap = self.config.max_warm_per_node
         for node_name in self.manager.registered_nodes():
             pool = self.manager.node_info(node_name).warm_pool
-            yield node_name, node_name, cap - pool.warm_count_for(image_name)
+            yield node_name, node_name, (
+                MAX_WARM_PER_NODE - pool.warm_count_for(image_name))
 
     def _prewarm(self, image_name: str, node_name: str, want: int):
         image = self._image_of(image_name)

@@ -25,25 +25,15 @@ from ..sim.engine import Environment
 from ..telemetry import telemetry_of
 from ..telemetry.context import TraceContext
 
-__all__ = ["BurstConfig", "BurstRecord", "CloudBurstRouter"]
+__all__ = ["BurstRecord", "CloudBurstRouter"]
 
-
-@dataclass(frozen=True)
-class BurstConfig:
-    """Pricing of overflow capacity relative to the harvested pool."""
-
-    #: Commercial FaaS price premium over harvested core-hours.
-    premium: float = 3.0
-    core_hour_price: float = 1.0
-    gib_hour_price: float = 0.05
-    #: Cores billed per cloud invocation (cloud functions are 1-vCPU here).
-    billed_cores: int = 1
-
-    def __post_init__(self):
-        if self.premium <= 0 or self.core_hour_price < 0 or self.gib_hour_price < 0:
-            raise ValueError("invalid pricing")
-        if self.billed_cores < 1:
-            raise ValueError("billed_cores must be >= 1")
+#: Commercial FaaS price premium over harvested core-hours.
+PREMIUM = 3.0
+#: Harvested-pool prices the premium multiplies.
+CORE_HOUR_PRICE = 1.0
+GIB_HOUR_PRICE = 0.05
+#: Cores billed per cloud invocation (cloud functions are 1-vCPU here).
+BILLED_CORES = 1
 
 
 @dataclass(frozen=True)
@@ -61,15 +51,9 @@ class BurstRecord:
 class CloudBurstRouter:
     """Sends admitted-but-unplaceable invocations to the cloud baseline."""
 
-    def __init__(
-        self,
-        env: Environment,
-        cloud: CloudFaaSPlatform,
-        config: Optional[BurstConfig] = None,
-    ):
+    def __init__(self, env: Environment, cloud: CloudFaaSPlatform):
         self.env = env
         self.cloud = cloud
-        self.config = config or BurstConfig()
         self._registered: set[str] = set()
         self.bursts = 0
         self.total_cost = 0.0
@@ -100,7 +84,7 @@ class CloudBurstRouter:
         """Process body (``yield from``): run ``fdef`` on the cloud.
 
         Returns a :class:`BurstRecord`; the bill is the cloud run billed
-        at the configured premium over harvested-pool prices.
+        at :data:`PREMIUM` over harvested-pool prices.
         """
         self._ensure_registered(fdef)
         record: CloudInvocation = yield self.cloud.invoke(
@@ -110,11 +94,11 @@ class CloudBurstRouter:
             output_bytes=fdef.output_bytes,
         )
         bill = FunctionBill(
-            cores=self.config.billed_cores,
+            cores=BILLED_CORES,
             memory_bytes=fdef.image.runtime_memory_bytes + fdef.memory_bytes,
             duration_s=record.total_s,
-            core_hour_price=self.config.core_hour_price * self.config.premium,
-            gib_hour_price=self.config.gib_hour_price * self.config.premium,
+            core_hour_price=CORE_HOUR_PRICE * PREMIUM,
+            gib_hour_price=GIB_HOUR_PRICE * PREMIUM,
         )
         cost = bill.cost()
         self.bursts += 1

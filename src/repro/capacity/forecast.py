@@ -17,31 +17,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ForecastConfig", "DemandForecaster"]
+__all__ = ["DemandForecaster"]
 
 #: Key under which whole-plane arrivals are tracked alongside per-function ones.
 _ALL = "<all>"
 
-
-@dataclass(frozen=True)
-class ForecastConfig:
-    """Knobs of the demand estimators."""
-
-    #: EWMA time constant: observations older than ~tau_s barely count.
-    tau_s: float = 2.0
-    #: Sliding-window length for the percentile estimator.
-    window_s: float = 10.0
-    #: Width of one counting bucket inside the window.
-    bucket_s: float = 0.5
-
-    def __post_init__(self):
-        if self.tau_s <= 0:
-            raise ValueError("tau_s must be positive")
-        if self.bucket_s <= 0 or self.window_s < self.bucket_s:
-            raise ValueError("need 0 < bucket_s <= window_s")
+#: EWMA time constant: observations older than ~TAU_S barely count.
+TAU_S = 2.0
+#: Sliding-window length for the percentile estimator.
+WINDOW_S = 10.0
+#: Width of one counting bucket inside the window.
+BUCKET_S = 0.5
 
 
 class _EwmaRate:
@@ -137,8 +125,7 @@ class _BucketWindow:
 class DemandForecaster:
     """Per-function and whole-plane invocation demand."""
 
-    def __init__(self, config: Optional[ForecastConfig] = None):
-        self.config = config or ForecastConfig()
+    def __init__(self):
         self._ewma: dict[str, _EwmaRate] = {}
         self._window: dict[str, _BucketWindow] = {}
         self.arrivals = 0
@@ -147,10 +134,8 @@ class DemandForecaster:
     def _streams(self, key: str) -> tuple[_EwmaRate, _BucketWindow]:
         ewma = self._ewma.get(key)
         if ewma is None:
-            ewma = self._ewma[key] = _EwmaRate(self.config.tau_s)
-            self._window[key] = _BucketWindow(
-                self.config.bucket_s, self.config.window_s
-            )
+            ewma = self._ewma[key] = _EwmaRate(TAU_S)
+            self._window[key] = _BucketWindow(BUCKET_S, WINDOW_S)
         return ewma, self._window[key]
 
     def observe_arrival(self, now: float, function: Optional[str] = None) -> None:

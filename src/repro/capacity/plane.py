@@ -32,9 +32,9 @@ from ..telemetry import telemetry_of
 from ..telemetry.context import TraceContext
 from ..telemetry.span import SpanKind
 from .admission import AdmissionConfig, AdmissionController
-from .autoscaler import AutoscalerConfig, WarmPoolAutoscaler
-from .burst import BurstConfig, BurstRecord, CloudBurstRouter
-from .forecast import DemandForecaster, ForecastConfig
+from .autoscaler import WarmPoolAutoscaler
+from .burst import BurstRecord, CloudBurstRouter
+from .forecast import DemandForecaster
 
 __all__ = ["CapacityConfig", "CapacityResult", "CapacityPlane"]
 
@@ -43,10 +43,10 @@ __all__ = ["CapacityConfig", "CapacityResult", "CapacityPlane"]
 class CapacityConfig:
     """Aggregate configuration of the capacity control plane."""
 
-    forecast: ForecastConfig = field(default_factory=ForecastConfig)
-    autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
+    #: Warm pools ahead of forecast demand; False = the reactive
+    #: baseline (on-miss only) under identical wiring.
+    predictive: bool = True
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    burst: BurstConfig = field(default_factory=BurstConfig)
     #: Route admitted-but-unplaceable invocations to the cloud baseline.
     burst_enabled: bool = True
 
@@ -84,17 +84,17 @@ class CapacityPlane:
         self.manager = manager
         self.functions = functions
         self.config = config or CapacityConfig()
-        self.forecaster = DemandForecaster(self.config.forecast)
+        self.forecaster = DemandForecaster()
         self.admission = AdmissionController(env, self.config.admission)
         self.autoscaler = WarmPoolAutoscaler(
             env, manager, cluster, functions, self.forecaster,
-            self.config.autoscaler,
+            predictive=self.config.predictive,
         )
         self.router: Optional[CloudBurstRouter] = None
         if self.config.burst_enabled:
             if cloud is None:
                 raise ValueError("burst_enabled requires a cloud platform")
-            self.router = CloudBurstRouter(env, cloud, self.config.burst)
+            self.router = CloudBurstRouter(env, cloud)
         self._inflight: dict[str, int] = {}
         self.invocations = 0
         self.completed = 0

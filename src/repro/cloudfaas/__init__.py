@@ -1,5 +1,5 @@
 """Classical cloud FaaS baseline: gateway, central scheduling, storage detours."""
 
-from .platform import CloudConfig, CloudFaaSPlatform, CloudInvocation
+from .platform import CloudFaaSPlatform, CloudInvocation
 
-__all__ = ["CloudConfig", "CloudFaaSPlatform", "CloudInvocation"]
+__all__ = ["CloudFaaSPlatform", "CloudInvocation"]

@@ -14,40 +14,30 @@ to the HPC-specialized platform on identical workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..containers.image import Image
-from ..containers.runtime import DOCKER, ContainerRuntime
+from ..containers.runtime import DOCKER
 from ..sim.engine import Environment, Process
 from ..storage.objectstore import ObjectStoreModel
 
-__all__ = ["CloudConfig", "CloudInvocation", "CloudFaaSPlatform"]
+__all__ = ["CloudInvocation", "CloudFaaSPlatform"]
 
-
-
-@dataclass(frozen=True)
-class CloudConfig:
-    """Latency/behaviour constants of a typical commercial platform."""
-
-    # API gateway + auth + routing, one way (seconds).
-    gateway_latency_s: float = 4e-3
-    gateway_jitter_sigma: float = 0.35
-    # Central scheduler decision + worker dispatch.
-    scheduling_s: float = 6e-3
-    # Payloads above this must round-trip through object storage.
-    inline_payload_limit: int = 256 * 1024
-    # Idle containers are purged after this keep-alive window.
-    keepalive_s: float = 600.0
-    runtime: ContainerRuntime = DOCKER
-
-    def __post_init__(self):
-        if self.gateway_latency_s < 0 or self.scheduling_s < 0:
-            raise ValueError("latencies must be non-negative")
-        if self.inline_payload_limit < 0 or self.keepalive_s <= 0:
-            raise ValueError("invalid limits")
+# Latency/behaviour constants of a typical commercial platform.
+#: API gateway + auth + routing, one way (seconds), and its lognormal sigma.
+GATEWAY_LATENCY_S = 4e-3
+GATEWAY_JITTER_SIGMA = 0.35
+#: Central scheduler decision + worker dispatch.
+SCHEDULING_S = 6e-3
+#: Payloads above this must round-trip through object storage.
+INLINE_PAYLOAD_LIMIT = 256 * 1024
+#: Idle containers are purged after this keep-alive window.
+KEEPALIVE_S = 600.0
+#: The sandbox runtime.
+RUNTIME = DOCKER
 
 
 @dataclass
@@ -73,12 +63,10 @@ class CloudFaaSPlatform:
     def __init__(
         self,
         env: Environment,
-        config: Optional[CloudConfig] = None,
         storage: Optional[ObjectStoreModel] = None,
         rng: Optional[np.random.Generator] = None,
     ):
         self.env = env
-        self.config = config or CloudConfig()
         self.storage = storage or ObjectStoreModel(
             request_latency_s=15e-3,      # cloud storage: tens of ms (Sec. IV-D)
             server_bandwidth=2.5e9,
@@ -92,13 +80,13 @@ class CloudFaaSPlatform:
     def register(self, name: str, image: Image) -> None:
         if name in self._functions:
             raise ValueError(f"function {name!r} already registered")
-        if not self.config.runtime.supports_image(image):
-            raise ValueError(f"runtime {self.config.runtime.name} cannot run this image")
+        if not RUNTIME.supports_image(image):
+            raise ValueError(f"runtime {RUNTIME.name} cannot run this image")
         self._functions[name] = image
 
     def _gateway_hop(self) -> float:
-        base = self.config.gateway_latency_s
-        return float(base * self.rng.lognormal(0.0, self.config.gateway_jitter_sigma))
+        return float(GATEWAY_LATENCY_S
+                     * self.rng.lognormal(0.0, GATEWAY_JITTER_SIGMA))
 
     def invoke(self, function: str, payload_bytes: int = 0,
                runtime_s: float = 0.0, output_bytes: int = 1024) -> Process:
@@ -114,23 +102,23 @@ class CloudFaaSPlatform:
             # 1. Client -> gateway -> scheduler.
             record.gateway_s = self._gateway_hop()
             yield self.env.timeout(record.gateway_s)
-            record.scheduling_s = self.config.scheduling_s
+            record.scheduling_s = SCHEDULING_S
             yield self.env.timeout(record.scheduling_s)
             # 2. Sandbox: warm within keep-alive, else cold start.
             last = self._last_used.get(function)
-            if last is None or self.env.now - last > self.config.keepalive_s:
+            if last is None or self.env.now - last > KEEPALIVE_S:
                 record.cold = True
-                record.startup_s = self.config.runtime.cold_start_time(image)
+                record.startup_s = RUNTIME.cold_start_time(image)
                 self.cold_starts += 1
             else:
-                record.startup_s = self.config.runtime.warm_attach_s
+                record.startup_s = RUNTIME.warm_attach_s
                 self.warm_invocations += 1
             yield self.env.timeout(record.startup_s)
             # 3. Data: inline or the storage detour (write + read each way).
             storage_time = 0.0
-            if payload_bytes > self.config.inline_payload_limit:
+            if payload_bytes > INLINE_PAYLOAD_LIMIT:
                 storage_time += 2 * self.storage.single_read_time(payload_bytes)
-            if output_bytes > self.config.inline_payload_limit:
+            if output_bytes > INLINE_PAYLOAD_LIMIT:
                 storage_time += 2 * self.storage.single_read_time(output_bytes)
             record.storage_s = storage_time
             if storage_time:

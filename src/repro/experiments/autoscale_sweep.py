@@ -40,7 +40,6 @@ import numpy as np
 from ..api import Platform, PlatformConfig
 from ..capacity import (
     AdmissionConfig,
-    AutoscalerConfig,
     CapacityConfig,
     TenantQuota,
 )
@@ -113,13 +112,13 @@ def default_crash_plan(window_s: float) -> FaultPlan:
 
 def _capacity_config(predictive: bool) -> CapacityConfig:
     return CapacityConfig(
-        autoscaler=AutoscalerConfig(predictive=predictive),
+        predictive=predictive,
         # Quotas sized so backpressure engages only at the extreme end of
         # the default sweep (per-tenant rate passes 3/s at 16x load).
         admission=AdmissionConfig(
             max_queue_depth=16,
             max_queue_wait_s=0.5,
-            default_quota=TenantQuota(rate_per_s=3.0, burst=6.0),
+            quota=TenantQuota(rate_per_s=3.0, burst=6.0),
         ),
     )
 
@@ -204,7 +203,7 @@ def scenario(params: dict, seed: int) -> dict:
     injector = platform.injector
     return asdict(AutoscalePoint(
         load=load,
-        mode="predictive" if plane.autoscaler.config.predictive else "reactive",
+        mode="predictive" if plane.config.predictive else "reactive",
         invocations=len(results),
         completed=len(hpc),
         bursts=sum(1 for r in results if r.route == "cloud"),

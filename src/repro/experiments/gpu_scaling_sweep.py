@@ -34,6 +34,7 @@ from itertools import count, islice
 from ..api import Platform, PlatformConfig
 from ..gpu.gpu_function import GpuFunctionSpec
 from ..gpuservice import BatchPolicy, GpuServiceConfig
+from ..gpuservice.service import batch_service_time
 from ..loadgen import open_loop
 from .base import ScenarioSpec, Sweep, SweepPlan
 
@@ -89,20 +90,10 @@ def _function_spec(name: str) -> GpuFunctionSpec:
     )
 
 
-def _service_time_s(batch_size: int, config: GpuServiceConfig) -> float:
-    """Steady-state per-batch service time S(B) of one full batch."""
-    transfer = batch_size * INPUT_BYTES / config.pcie_bandwidth
-    kernel = KERNEL_COUNT * (
-        config.launch_overhead_s
-        + KERNEL_TIME_S * (1.0 + (batch_size - 1) * config.batch_marginal)
-    )
-    return transfer + config.setup_s + kernel
-
-
-def _offered_rate(batch_size: int, max_rate_rps: float,
-                  config: GpuServiceConfig) -> float:
+def _offered_rate(batch_size: int, max_rate_rps: float) -> float:
     """Sustainable offered rate across both streams for one batch size."""
-    capacity = len(FUNCTIONS) * batch_size / _service_time_s(batch_size, config)
+    service_s = batch_service_time(_function_spec(FUNCTIONS[0]), batch_size)
+    capacity = len(FUNCTIONS) * batch_size / service_s
     return min(max_rate_rps, UTILIZATION * capacity)
 
 
@@ -124,10 +115,9 @@ def scenario(params: dict, seed: int) -> dict:
     per_stream: int = params["requests"]
     max_rate_rps: float = params["max_rate_rps"]
     platform = Platform.build(params["platform"], seed=seed)
-    config = platform.config.gpu
-    batch_size = config.policy.max_batch_size
+    batch_size = platform.config.gpu.policy.max_batch_size
     env, service = platform.env, platform.gpu
-    offered = _offered_rate(batch_size, max_rate_rps, config)
+    offered = _offered_rate(batch_size, max_rate_rps)
     gap_s = len(FUNCTIONS) / offered   # per-stream arrival gap
     latencies: list = []
     last_done = 0.0

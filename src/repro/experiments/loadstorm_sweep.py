@@ -186,8 +186,8 @@ def scenario(params: dict, seed: int) -> dict:
         # nodes can hold: the heaviest tenants feel admission control,
         # everyone else passes, and hot-shard capacity stays bounded so
         # the shard-saturation signal dominates the curve.
-        default_quota=TenantQuota(rate_per_s=0.08 * rate_per_s,
-                                  burst=max(1.0, 0.02 * rate_per_s)),
+        quota=TenantQuota(rate_per_s=0.08 * rate_per_s,
+                          burst=max(1.0, 0.02 * rate_per_s)),
     ))
 
     census = {"completed": 0, "rejected": 0, "degraded": 0}

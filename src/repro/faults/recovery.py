@@ -2,9 +2,9 @@
 
 This generalizes the redirect loop that used to live inline in
 ``RFaaSClient._invoke``: every invocation runs under a
-:class:`RetryPolicy` (attempt budget, exponential backoff with seeded
-jitter, an optional per-invocation deadline, and node-exclusion memory),
-and callers who need more than a bare
+:class:`RetryPolicy` (attempt budget, exponential backoff, an
+optional per-invocation deadline, and node-exclusion memory), and
+callers who need more than a bare
 :class:`~repro.rfaas.messages.InvocationResult` can ask for a
 :class:`DegradedResult` that says *how* the invocation ended:
 first-try success, recovered-after-retries, gave up, timed out, or
@@ -20,8 +20,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     # Imported lazily everywhere else: ``repro.rfaas.client`` imports
@@ -50,8 +48,6 @@ class RetryPolicy:
     * ``backoff_base_s`` — wait before the first retry; doubles (by
       ``backoff_multiplier``) per further retry, capped at
       ``backoff_max_s``.  0 retries immediately (historical behaviour);
-    * ``jitter_frac`` — ±fraction of uniform, *seeded* jitter applied to
-      each backoff (requires the client to hold an rng);
     * ``timeout_s`` — per-invocation deadline across all attempts; on
       expiry a running execution is aborted and the invocation reports
       ``TIMED_OUT``.  ``None`` disables.
@@ -61,7 +57,6 @@ class RetryPolicy:
     backoff_base_s: float = 0.0
     backoff_multiplier: float = 2.0
     backoff_max_s: float = 10.0
-    jitter_frac: float = 0.0
     timeout_s: Optional[float] = None
 
     def __post_init__(self):
@@ -71,25 +66,17 @@ class RetryPolicy:
             raise ValueError("backoff times must be non-negative")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError("jitter_frac must be in [0, 1]")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
 
-    def backoff(self, retry_index: int,
-                rng: Optional[np.random.Generator] = None) -> float:
+    def backoff(self, retry_index: int) -> float:
         """Seconds to wait before retry number ``retry_index`` (1-based)."""
         if retry_index < 1:
             raise ValueError("retry_index is 1-based")
         if self.backoff_base_s <= 0:
             return 0.0
         delay = self.backoff_base_s * self.backoff_multiplier ** (retry_index - 1)
-        delay = min(delay, self.backoff_max_s)
-        if self.jitter_frac > 0:
-            if rng is None:
-                raise ValueError("jittered backoff requires a seeded rng")
-            delay *= 1.0 + self.jitter_frac * float(rng.uniform(-1.0, 1.0))
-        return delay
+        return min(delay, self.backoff_max_s)
 
 
 @dataclass

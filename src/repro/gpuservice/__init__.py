@@ -1,11 +1,10 @@
-"""GPU disaggregation control plane: leases, batching, warm pools, recovery.
+"""GPU disaggregation control plane: leases, batching, warm contexts, recovery.
 
 Brings the accelerator path up to parity with the CPU serverless path
 (see ``docs/gpu.md``): fractional MPS-style leases
 (:class:`GpuLeaseManager`), invocation batching into coalesced kernel
-launches (:class:`GpuBatcher`), forecast-driven warm-context
-autoscaling (the capacity plane's warm-pool loop, switched on by
-``GpuServiceConfig.autoscale``), and device-loss recovery
+launches (:class:`GpuBatcher`), device contexts kept warm after a
+function's first batch, and device-loss recovery
 (``FaultPlan.gpu_device_loss`` → lease revocation → batch replay on
 surviving devices).  Built by ``PlatformConfig(gpu=...)``.
 """

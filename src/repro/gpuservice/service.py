@@ -1,7 +1,7 @@
 """The GPU disaggregation control plane (accelerator parity, Sec. III-D).
 
-The CPU path got leases, warm pools, autoscaling, and fault recovery;
-this module gives accelerators the same treatment:
+The CPU path got leases, warm pools, and fault recovery; this module
+gives accelerators the same treatment:
 
 * **fractional leases** — functions hold MPS-style occupancy +
   device-memory shares through :class:`~repro.gpuservice.GpuLeaseManager`;
@@ -11,12 +11,10 @@ this module gives accelerators the same treatment:
   costs amortize across the batch, so device time per request falls as
   ``T(B)/B`` with ``T(B) = setup + K·(launch + kernel·(1+(B−1)·m))``,
   ``m < 1`` the marginal cost of one more batch element;
-* **warm device contexts** — a prewarmed (device, function) pair has
-  its CUDA context initialized and its dataset resident
-  (``GpuDevice.keep_warm``), so batches skip context setup and the
-  host-to-device weight transfer; with ``autoscale`` set, the capacity
-  plane's :class:`~repro.capacity.WarmPoolAutoscaler` loop prewarms
-  contexts ahead of forecast demand;
+* **warm device contexts** — a function's first batch on a device
+  initializes its CUDA context and moves its dataset over PCIe, then
+  parks it resident (``GpuDevice.keep_warm``), so later batches skip
+  context setup and the host-to-device weight transfer;
 * **fault recovery** — ``FaultPlan.gpu_device_loss`` revokes the lost
   devices' leases (:class:`~repro.rfaas.GpuLeaseRevokedError`), and the
   service replays queued *and* in-flight batched invocations on
@@ -33,14 +31,11 @@ hops devices.  Untraced, a request carries no context and no span.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..capacity.autoscaler import AutoscalerConfig, WarmPoolAutoscaler
-from ..capacity.forecast import DemandForecaster
 from ..cluster.machine import Cluster
-from ..cluster.specs import GpuSpec, P100
+from ..cluster.specs import P100
 from ..disagg.billing import FunctionBill
 from ..faults.plan import FaultKind
 from ..gpu.device import GpuDevice, GpuMemoryError
@@ -56,46 +51,51 @@ from .lease import GpuLease, GpuLeaseManager
 __all__ = ["GpuServiceConfig", "GpuRequest", "GpuService"]
 
 
+#: Devices attached to each hosting node.
+DEVICES_PER_HOST = 1
+#: The attached device: the paper's Tesla P100 (Sec. IV-F).
+GPU_SPEC = P100
+#: Host-to-device PCIe bandwidth, bytes/s.
+PCIE_BANDWIDTH = 12e9
+#: Cold cost of initializing a device context for a function.
+CONTEXT_SETUP_S = 0.005
+#: Fixed cost of dispatching one batched launch.
+SETUP_S = 150e-6
+#: Per-kernel launch overhead inside a batch.
+LAUNCH_OVERHEAD_S = 20e-6
+#: Marginal kernel-time cost of one more batch element (< 1 is the
+#: whole point of batching).
+BATCH_MARGINAL = 0.15
+#: Replay attempts per request before it fails with the lease error.
+MAX_REPLAYS = 3
+
+
 @dataclass(frozen=True)
 class GpuServiceConfig:
-    """Shape and cost model of the GPU fleet."""
+    """How many nodes host a GPU, and how their invocations batch."""
 
-    #: Host node names; empty = the first ``gpu_nodes`` cluster nodes.
-    hosts: tuple[str, ...] = ()
-    #: Number of hosting nodes when ``hosts`` is empty.
+    #: The GPU hosts are the first ``gpu_nodes`` cluster nodes.
     gpu_nodes: int = 2
-    #: Devices attached to each hosting node.
-    devices_per_host: int = 1
-    gpu_spec: GpuSpec = P100
     policy: BatchPolicy = BatchPolicy()
-    #: Warm-pool autoscaling config; None = no control loop.
-    autoscale: Optional[AutoscalerConfig] = None
-    pcie_bandwidth: float = 12e9
-    #: Cold cost of initializing a device context for a function.
-    context_setup_s: float = 0.005
-    #: Fixed cost of dispatching one batched launch.
-    setup_s: float = 150e-6
-    #: Per-kernel launch overhead inside a batch.
-    launch_overhead_s: float = 20e-6
-    #: Marginal kernel-time cost of one more batch element (< 1 is the
-    #: whole point of batching).
-    batch_marginal: float = 0.15
-    #: Replay attempts per request before it fails with the lease error.
-    max_replays: int = 3
 
     def __post_init__(self):
-        if not self.hosts and self.gpu_nodes < 1:
+        if self.gpu_nodes < 1:
             raise ValueError("need at least one GPU host")
-        if self.devices_per_host < 1:
-            raise ValueError("devices_per_host must be >= 1")
-        if self.pcie_bandwidth <= 0:
-            raise ValueError("pcie_bandwidth must be positive")
-        if min(self.context_setup_s, self.setup_s, self.launch_overhead_s) < 0:
-            raise ValueError("negative cost parameter")
-        if not 0 <= self.batch_marginal <= 1:
-            raise ValueError("batch_marginal must be in [0, 1]")
-        if self.max_replays < 0:
-            raise ValueError("max_replays must be non-negative")
+
+
+def batch_device_time(spec: GpuFunctionSpec, size: int) -> float:
+    """Kernel-sequence time of one coalesced launch of ``size`` requests."""
+    per_kernel = LAUNCH_OVERHEAD_S + spec.kernel_time_s * (
+        1.0 + (size - 1) * BATCH_MARGINAL
+    )
+    return spec.kernel_count * per_kernel
+
+
+def batch_service_time(spec: GpuFunctionSpec, size: int) -> float:
+    """Warm service time of one full batch: input transfer, dispatch
+    setup, then the kernel sequence, as :class:`GpuService` charges it."""
+    transfer = size * spec.input_bytes / PCIE_BANDWIDTH
+    return transfer + SETUP_S + batch_device_time(spec, size)
 
 
 class GpuRequest:
@@ -134,7 +134,7 @@ class _Slot:
 
 
 class GpuService:
-    """Leases, batches, prewarms, and heals a fleet of GPU devices."""
+    """Leases, batches, and heals a fleet of GPU devices."""
 
     def __init__(
         self,
@@ -145,31 +145,22 @@ class GpuService:
         self.env = env
         self.cluster = cluster
         self.config = config or GpuServiceConfig()
-        hosts = self.config.hosts
-        for host in hosts:
-            if host not in cluster:
-                raise ValueError(f"GPU host {host!r} is not a cluster node")
-        if not hosts:
-            names = [node.name for node in cluster.nodes()]
-            if len(names) < self.config.gpu_nodes:
-                raise ValueError(
-                    f"cluster has {len(names)} nodes, config wants "
-                    f"{self.config.gpu_nodes} GPU hosts"
-                )
-            hosts = tuple(names[: self.config.gpu_nodes])
-        self.hosts = hosts
+        names = [node.name for node in cluster.nodes()]
+        if len(names) < self.config.gpu_nodes:
+            raise ValueError(
+                f"cluster has {len(names)} nodes, config wants "
+                f"{self.config.gpu_nodes} GPU hosts"
+            )
+        self.hosts = tuple(names[: self.config.gpu_nodes])
         self.leases = GpuLeaseManager(env)
         self._slots: dict[str, _Slot] = {}
-        for host in hosts:
-            for i in range(self.config.devices_per_host):
+        for host in self.hosts:
+            for i in range(DEVICES_PER_HOST):
                 name = f"{host}/gpu{i}"
-                slot = _Slot(GpuDevice(env, self.config.gpu_spec, name=name), host)
+                slot = _Slot(GpuDevice(env, GPU_SPEC, name=name), host)
                 self._slots[name] = slot
                 self.leases.add_device(slot.device, host)
         self.batcher = GpuBatcher(env, self.config.policy, self._on_flush)
-        self.autoscaler = None
-        if self.config.autoscale is not None:
-            self.autoscaler = _WarmContexts(self, self.config.autoscale)
         self._functions: dict[str, GpuFunctionSpec] = {}
         self._lease_of: dict[str, GpuLease] = {}
         self.submitted = 0
@@ -178,7 +169,6 @@ class GpuService:
         self.batches = 0
         self.replays = 0
         self.replay_cost = 0.0
-        self.prewarms = 0
         self.devices_lost = 0
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
@@ -208,10 +198,6 @@ class GpuService:
             "repro_gpu_replay_cost_total",
             help="billed cost of attempts wasted by device loss",
         )
-        self._m_prewarms = metrics.counter(
-            "repro_gpu_prewarms_total",
-            help="(device, function) contexts warmed ahead of demand",
-        )
         self._m_transferred = metrics.counter(
             "repro_gpu_transferred_bytes",
             help="host-to-device bytes moved over PCIe",
@@ -219,13 +205,6 @@ class GpuService:
         self._m_online = metrics.gauge(
             "repro_gpu_devices_online_count", help="devices currently online")
         self._m_online.set(len(self._slots))
-
-    # -- lifecycle ------------------------------------------------------------
-    def start(self) -> "GpuService":
-        """Start background loops (the autoscaler, when configured)."""
-        if self.autoscaler is not None:
-            self.autoscaler.start()
-        return self
 
     # -- registry -------------------------------------------------------------
     def register(self, spec: GpuFunctionSpec) -> GpuFunctionSpec:
@@ -244,23 +223,12 @@ class GpuService:
         """(device, node) pairs for online devices, sorted by device name."""
         return [(n, self._slots[n].node) for n in self.devices_online()]
 
-    def is_warm(self, function: str, device: str) -> bool:
-        slot = self._slots.get(device)
-        return bool(slot and slot.online and function in slot.warm)
-
-    def warm_devices_for(self, function: str) -> list[str]:
-        return [n for n in self.devices_online()
-                if function in self._slots[n].warm]
-
     # -- the hot path ---------------------------------------------------------
     def submit(self, function: str,
                ctx: Optional[TraceContext] = None) -> GpuRequest:
         """Queue one invocation; yield ``.done`` for its result dict."""
         if function not in self._functions:
             raise ValueError(f"unknown GPU function {function!r}")
-        now = self.env.now
-        if self.autoscaler is not None:
-            self.autoscaler.forecaster.observe_arrival(now, function)
         span = None
         if self._tracer.enabled:
             if ctx is None:
@@ -272,7 +240,7 @@ class GpuService:
         request = GpuRequest(
             req_id=self.env.next_id("gpu-request"),
             function=function,
-            submitted_at=now,
+            submitted_at=self.env.now,
             ctx=ctx,
             done=self.env.event(),
             span=span,
@@ -308,13 +276,6 @@ class GpuService:
         )
         slot.inflight[process] = None
 
-    def _batch_device_time(self, spec: GpuFunctionSpec, size: int) -> float:
-        """Kernel-sequence time of one coalesced launch of ``size`` requests."""
-        per_kernel = self.config.launch_overhead_s + spec.kernel_time_s * (
-            1.0 + (size - 1) * self.config.batch_marginal
-        )
-        return spec.kernel_count * per_kernel
-
     def _run_batch(self, device: str, function: str, batch: list,
                    trigger: str):
         slot = self._slots[device]
@@ -343,10 +304,8 @@ class GpuService:
             if function not in slot.warm:
                 # Cold: initialize the context and move the dataset over
                 # PCIe, then park it warm so the next batch skips both.
-                yield env.timeout(self.config.context_setup_s)
-                yield env.timeout(
-                    spec.device_memory_bytes / self.config.pcie_bandwidth
-                )
+                yield env.timeout(CONTEXT_SETUP_S)
+                yield env.timeout(spec.device_memory_bytes / PCIE_BANDWIDTH)
                 self._m_transferred.inc(spec.device_memory_bytes)
                 try:
                     slot.device.keep_warm(function, spec.device_memory_bytes)
@@ -355,13 +314,11 @@ class GpuService:
                 slot.warm.add(function)
             else:
                 slot.device.has_warm(function)  # refresh the LRU stamp
-            yield env.timeout(
-                size * spec.input_bytes / self.config.pcie_bandwidth
-            )
+            yield env.timeout(size * spec.input_bytes / PCIE_BANDWIDTH)
             self._m_transferred.inc(size * spec.input_bytes)
-            yield env.timeout(self.config.setup_s)
+            yield env.timeout(SETUP_S)
             yield slot.device.launch(
-                function, self._batch_device_time(spec, size), spec.occupancy
+                function, batch_device_time(spec, size), spec.occupancy
             )
         except Interrupt as interrupt:
             if traced:
@@ -374,7 +331,7 @@ class GpuService:
         self._m_batches.inc()
         self._m_batch_size.observe(size)
         if traced:
-            tracer.finish(span, device_time_s=self._batch_device_time(spec, size))
+            tracer.finish(span, device_time_s=batch_device_time(spec, size))
         now = env.now
         for index, request in enumerate(batch):
             latency = now - request.submitted_at
@@ -413,10 +370,10 @@ class GpuService:
                 request=request.req_id, from_device=lost_device,
                 attempt=request.attempts,
             )
-            if request.attempts > self.config.max_replays:
+            if request.attempts > MAX_REPLAYS:
                 self._fail(request, GpuLeaseRevokedError(
                     f"request {request.req_id} exhausted "
-                    f"{self.config.max_replays} replays",
+                    f"{MAX_REPLAYS} replays",
                     device=lost_device, cause=cause,
                 ), error="replays_exhausted")
                 continue
@@ -478,88 +435,10 @@ class GpuService:
             slot = self._slots[name]
             if slot.node != node or slot.online:
                 continue
-            slot.device = GpuDevice(self.env, self.config.gpu_spec, name=name)
+            slot.device = GpuDevice(self.env, GPU_SPEC, name=name)
             slot.online = True
             self.leases.add_device(slot.device, node)
             restored += 1
         if restored:
             self._m_online.set(len(self.devices_online()))
         return restored
-
-    # -- prewarming (used by the autoscaler loop) -----------------------------
-    def prewarm(self, function: str, device: str):
-        """Generator: warm one (device, function) context ahead of demand."""
-        slot = self._slots.get(device)
-        spec = self._functions.get(function)
-        if slot is None or spec is None or not slot.online:
-            return
-        if function in slot.warm:
-            return
-        yield self.env.timeout(self.config.context_setup_s)
-        yield self.env.timeout(
-            spec.device_memory_bytes / self.config.pcie_bandwidth
-        )
-        if not slot.online or function in slot.warm:
-            return  # lost, or raced with a cold batch, while transferring
-        self._m_transferred.inc(spec.device_memory_bytes)
-        try:
-            slot.device.keep_warm(function, spec.device_memory_bytes)
-        except GpuMemoryError:
-            return
-        slot.warm.add(function)
-        self.prewarms += 1
-        self._m_prewarms.inc()
-        self._tracer.instant(
-            "gpu.prewarm", track="gpu", device=device, function=function,
-        )
-
-
-class _WarmContexts(WarmPoolAutoscaler):
-    """The warm-pool loop over (function, device) contexts.
-
-    A warm device absorbs up to ``max_batch_size`` requests per batch,
-    so a function's target is ``ceil(headroom · forecast /
-    max_batch_size)`` devices, clamped to the online fleet.  Slots are
-    the online devices, grouped by host; each holds at most one context
-    per function.
-    """
-
-    _loop_name = "gpu-autoscaler"
-    _prewarm_name = "gpu-prewarm:{slot}:{key}"
-
-    def __init__(self, service: GpuService, config: AutoscalerConfig):
-        # Only this loop reads the forecaster, so it exists only here.
-        self._init_loop(service.env, service.cluster, DemandForecaster(), config)
-        self.service = service
-        self._m_target = telemetry_of(service.env).metrics.gauge(
-            "repro_gpu_warm_target_count",
-            help="warm (device, function) contexts the autoscaler aims for",
-        )
-
-    def _observe(self, now: float) -> None:
-        pass
-
-    def _targets(self, now: float) -> dict[str, int]:
-        online = len(self.service.devices_online())
-        per_device = max(1, self.service.config.policy.max_batch_size)
-        targets: dict[str, int] = {}
-        for function in self.forecaster.functions_seen():
-            if function not in self.service._functions:
-                continue
-            expected = self.forecaster.forecast_arrivals(
-                now, self.config.horizon_s, q=self.config.percentile,
-                function=function,
-            )
-            targets[function] = min(
-                online, math.ceil(self.config.headroom * expected / per_device))
-        return targets
-
-    def _warm(self, function: str) -> int:
-        return len(self.service.warm_devices_for(function))
-
-    def _slots(self, function: str):
-        for device, node in self.service.online_slots():
-            yield device, node, 0 if self.service.is_warm(function, device) else 1
-
-    def _prewarm(self, function: str, device: str, want: int):
-        return self.service.prewarm(function, device)

@@ -16,9 +16,8 @@ leftover memory into a usable disaggregated-memory substrate:
   replicas that miss a write fall behind and are *fenced* by an epoch
   token, so a partitioned stale primary can never serve torn reads.
   Writes commit when at least one replica acks; acks below the quorum
-  (majority of the replica set) are counted as *degraded* and, under
-  ``strict_quorum``, surfaced as
-  :class:`~repro.rfaas.errors.MemoryServiceUnavailable`.
+  (majority of the replica set) are counted as *degraded*.  Each hosted
+  chunk buffer pays the fabric provider's memory-registration time.
 * **Drain-triggered live migration** — ``attach_manager`` subscribes
   to ``ResourceManager.remove_node``; a graceful reclaim copies every
   chunk off the leaving node *before* its memory disappears, with the
@@ -73,11 +72,6 @@ class DurableMemoryConfig:
     repair_interval_s: float = 0.5
     #: Candidate host nodes (None = every cluster node).
     hosts: Optional[tuple[str, ...]] = None
-    #: Memory-registration time per hosted chunk buffer.
-    mr_registration_s: float = 120e-6
-    #: Surface acks-below-majority writes as MemoryServiceUnavailable
-    #: (the write still commits on the replicas that acked).
-    strict_quorum: bool = False
 
     def __post_init__(self):
         if self.size_bytes <= 0 or self.chunk_bytes <= 0:
@@ -254,7 +248,7 @@ class ReplicatedMemoryService:
         """Allocate + start one chunk buffer on ``node_name``."""
         service = MemoryServiceFunction(
             self.env, self.cluster.node(node_name), chunk.size_bytes,
-            mr_registration_s=self.config.mr_registration_s,
+            mr_registration_s=self.fabric.provider.mr_registration_s,
         )
         service.start()
         return ChunkReplica(
@@ -332,17 +326,18 @@ class ReplicatedMemoryService:
 
     def commit_write(self, chunk_index: int, version: int,
                      acked: list[ChunkReplica], failed: list[ChunkReplica],
-                     nbytes: int) -> bool:
+                     nbytes: int) -> None:
         """Apply the outcome of one replicated chunk write.
 
         Commits ``version`` when at least one replica acked; replicas
         that failed the transfer are *fenced* by advancing the chunk
         epoch so their (now stale) contents can never satisfy a read.
-        Returns True when the ack count reached the quorum.
+        A commit acked by fewer replicas than the quorum is counted as
+        degraded.
         """
         chunk = self.chunks[chunk_index]
         if not acked:
-            return False  # aborted: committed state unchanged everywhere
+            return  # aborted: committed state unchanged everywhere
         chunk.version = version
         if failed:
             self.epoch += 1
@@ -358,13 +353,11 @@ class ReplicatedMemoryService:
             replica.epoch = chunk.epoch
             replica.checksum = checksum
         self.bytes_written += nbytes * len(acked)
-        met = len(acked) >= chunk.quorum
-        if not met:
+        if len(acked) < chunk.quorum:
             self.degraded_writes += 1
             self._m_degraded.inc()
         if failed:
             self._record_under_replication()
-        return met
 
     def record_read(self, nbytes: int) -> None:
         self.bytes_read += nbytes
@@ -723,19 +716,12 @@ class DurableMemoryClient:
         yield self.env.all_of(attempts)
         acked = [r for r, proc in zip(live, attempts) if proc.value]
         failed = [r for r, proc in zip(live, attempts) if not proc.value]
-        met = self.service.commit_write(index, version, acked, failed, nbytes)
+        self.service.commit_write(index, version, acked, failed, nbytes)
         if not acked:
             self.quorum_failures += 1
             raise MemoryServiceUnavailable(
                 f"chunk {index}: write reached no replica",
                 cause="unreachable",
-            )
-        if not met and self.service.config.strict_quorum:
-            self.quorum_failures += 1
-            raise MemoryServiceUnavailable(
-                f"chunk {index}: write acked by {len(acked)} replica(s), "
-                f"quorum is {chunk.quorum}",
-                cause="quorum",
             )
         return nbytes
 

@@ -7,7 +7,7 @@ transparently re-leasing and redirecting when the platform cancels a
 lease underneath the client (Sec. III-A).
 
 Recovery is governed by a :class:`~repro.faults.RetryPolicy`: attempt
-budget, exponential backoff with seeded jitter, an optional
+budget, exponential backoff, an optional
 per-invocation deadline, and node-exclusion memory.  The default policy
 is four attempts with immediate retries and no deadline; callers who
 care *how* an invocation concluded use :meth:`RFaaSClient.invoke_detailed`
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
 
 from ..faults.recovery import DegradedResult, RecoveryOutcome, RetryPolicy
 from ..network.transport import Connection, NetworkFabric, TransferDropped
@@ -90,7 +89,6 @@ class RFaaSClient:
         client_node: str,
         name: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         self.env = env
         self.manager = manager
@@ -99,7 +97,6 @@ class RFaaSClient:
         self.client_node = client_node
         self.name = name or f"client-{env.next_id('rfaas-client')}"
         self.retry_policy = retry_policy or RetryPolicy()
-        self.rng = rng
         self._lease: Optional[Lease] = None
         self._executor: Optional[Executor] = None
         self._connection: Optional[Connection] = None
@@ -355,7 +352,7 @@ class RFaaSClient:
 
         for attempt_index in range(policy.max_attempts):
             if attempt_index > 0:
-                delay = policy.backoff(attempt_index, self.rng)
+                delay = policy.backoff(attempt_index)
                 if delay > 0:
                     yield self.env.timeout(delay)
                     backoff_total += delay

@@ -21,7 +21,7 @@ under 10 minutes, median 5–6.5 min).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -56,36 +56,40 @@ _DEFAULT_APPS: tuple[tuple[str, float, tuple[int, ...]], ...] = (
 )
 
 
+# The generator's fixed shape, calibrated for Fig. 1.
+#: Cores and memory of one node.
+NODE_CORES = 36
+NODE_MEMORY = 128 * GiB
+#: Node-count distribution: log2-geometric, P(nodes=2^k) ~ p*(1-p)^k.
+SIZE_GEOM_P = 0.45
+#: Runtime: lognormal (seconds), clipped below at MIN_RUNTIME_S.
+RUNTIME_SIGMA = 1.1
+MIN_RUNTIME_S = 30.0
+#: Walltime request factor: runtime * U(1.1, overestimate), capped.
+WALLTIME_OVERESTIMATE = 3.0
+MAX_WALLTIME_S = 24 * 3600.0
+#: Memory: Beta(a, b) fraction of node memory, mean a/(a+b) ~ 0.25.
+MEMORY_BETA_A = 1.3
+MEMORY_BETA_B = 3.9
+#: Fraction of jobs asking for a GPU per node.
+GPU_FRACTION = 0.0
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Tunable knobs of the generator, defaults calibrated for Fig. 1."""
 
     target_utilization: float = 0.93
-    node_cores: int = 36
-    node_memory: int = 128 * GiB
-    # Node-count distribution: log2-geometric, P(nodes=2^k) ~ p*(1-p)^k.
-    size_geom_p: float = 0.45
     max_nodes: int = 256
-    # Runtime: lognormal (seconds).
+    # Runtime: lognormal median and upper clip (seconds).
     runtime_median_s: float = 1500.0
-    runtime_sigma: float = 1.1
-    min_runtime_s: float = 30.0
     max_runtime_s: float = 12 * 3600.0
-    # Walltime request factor: runtime * U(1.1, overestimate).
-    walltime_overestimate: float = 3.0
-    max_walltime_s: float = 24 * 3600.0
-    # Memory: Beta(a, b) fraction of node memory, mean a/(a+b) ~ 0.25.
-    memory_beta_a: float = 1.3
-    memory_beta_b: float = 3.9
     # Fraction of jobs opting into sharing (disaggregation is opt-in).
     shared_fraction: float = 0.5
-    gpu_fraction: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.target_utilization <= 1:
             raise ValueError("target_utilization in (0, 1]")
-        if not 0 < self.size_geom_p < 1:
-            raise ValueError("size_geom_p in (0, 1)")
 
 
 class WorkloadGenerator:
@@ -115,28 +119,26 @@ class WorkloadGenerator:
 
     # -- moments used for calibration -------------------------------------------
     def _node_count(self) -> int:
-        cfg = self.config
-        k = int(self.rng.geometric(cfg.size_geom_p)) - 1
+        k = int(self.rng.geometric(SIZE_GEOM_P)) - 1
         nodes = 2**k
-        return int(min(nodes, cfg.max_nodes, self.cluster_nodes))
+        return int(min(nodes, self.config.max_nodes, self.cluster_nodes))
 
     def _mean_node_count(self, samples: int = 4096) -> float:
         probe = np.random.default_rng(12345)
-        cfg = self.config
-        ks = probe.geometric(cfg.size_geom_p, size=samples) - 1
-        vals = np.minimum(2.0**ks, min(cfg.max_nodes, self.cluster_nodes))
+        ks = probe.geometric(SIZE_GEOM_P, size=samples) - 1
+        vals = np.minimum(2.0**ks, min(self.config.max_nodes, self.cluster_nodes))
         return float(vals.mean())
 
     def _runtime(self) -> float:
         cfg = self.config
-        r = self.rng.lognormal(mean=np.log(cfg.runtime_median_s), sigma=cfg.runtime_sigma)
-        return float(np.clip(r, cfg.min_runtime_s, cfg.max_runtime_s))
+        r = self.rng.lognormal(mean=np.log(cfg.runtime_median_s), sigma=RUNTIME_SIGMA)
+        return float(np.clip(r, MIN_RUNTIME_S, cfg.max_runtime_s))
 
     def _mean_runtime(self, samples: int = 4096) -> float:
         probe = np.random.default_rng(54321)
         cfg = self.config
-        r = probe.lognormal(np.log(cfg.runtime_median_s), cfg.runtime_sigma, size=samples)
-        return float(np.clip(r, cfg.min_runtime_s, cfg.max_runtime_s).mean())
+        r = probe.lognormal(np.log(cfg.runtime_median_s), RUNTIME_SIGMA, size=samples)
+        return float(np.clip(r, MIN_RUNTIME_S, cfg.max_runtime_s).mean())
 
     # -- drawing -------------------------------------------------------------------
     def draw_spec(self) -> JobSpec:
@@ -144,14 +146,14 @@ class WorkloadGenerator:
         app = str(self.rng.choice(self._app_names, p=self._app_probs))
         cores_choices = self._app_cores[app]
         cores = int(self.rng.choice(cores_choices))
-        cores = min(cores, cfg.node_cores)
+        cores = min(cores, NODE_CORES)
         runtime = self._runtime()
         walltime = min(
-            runtime * float(self.rng.uniform(1.1, cfg.walltime_overestimate)),
-            cfg.max_walltime_s,
+            runtime * float(self.rng.uniform(1.1, WALLTIME_OVERESTIMATE)),
+            MAX_WALLTIME_S,
         )
-        mem_fraction = float(self.rng.beta(cfg.memory_beta_a, cfg.memory_beta_b))
-        memory = int(mem_fraction * cfg.node_memory)
+        mem_fraction = float(self.rng.beta(MEMORY_BETA_A, MEMORY_BETA_B))
+        memory = int(mem_fraction * NODE_MEMORY)
         return JobSpec(
             user=f"user{int(self.rng.integers(0, 200)):03d}",
             app=app,
@@ -160,7 +162,10 @@ class WorkloadGenerator:
             memory_per_node=memory,
             walltime=walltime,
             runtime=runtime,
-            gpus_per_node=1 if self.rng.random() < cfg.gpu_fraction else 0,
+            # Always drawn, after the node count and before ``shared``,
+            # even though no job gets a GPU: dropping or moving this draw
+            # shifts every later sample of the seeded stream.
+            gpus_per_node=1 if self.rng.random() < GPU_FRACTION else 0,
             shared=bool(self.rng.random() < cfg.shared_fraction),
         )
 

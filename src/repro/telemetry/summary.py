@@ -143,6 +143,13 @@ def red_rows(spans: Iterable[Span]) -> List[dict]:
     ]
 
 
+#: Fixed bucket count of an SLO window: it advances one bucket at a time.
+SLO_BUCKETS = 12
+#: Burn rate at or above which an episode starts (1.0 = the budget is
+#: being spent exactly as fast as the window allows).
+BURN_THRESHOLD = 1.0
+
+
 @dataclass(frozen=True)
 class SloConfig:
     """One tenant-wide SLO: latency threshold plus an error budget."""
@@ -153,21 +160,14 @@ class SloConfig:
     error_budget: float = 0.01
     #: Sliding window over which the burn rate is evaluated.
     window_s: float = 60.0
-    #: Fixed bucket count: the window advances one bucket at a time.
-    buckets: int = 12
-    #: Burn rate at or above which an episode starts (1.0 = the budget
-    #: is being spent exactly as fast as the window allows).
-    burn_threshold: float = 1.0
 
     def __post_init__(self):
         if self.latency_threshold_s <= 0:
             raise ValueError("latency_threshold_s must be positive")
         if not 0 < self.error_budget < 1:
             raise ValueError("error_budget must be in (0, 1)")
-        if self.window_s <= 0 or self.buckets < 1:
-            raise ValueError("window must be positive with >= 1 bucket")
-        if self.burn_threshold <= 0:
-            raise ValueError("burn_threshold must be positive")
+        if self.window_s <= 0:
+            raise ValueError("window_s must be positive")
 
 
 class _TenantWindow:
@@ -176,10 +176,10 @@ class _TenantWindow:
     __slots__ = ("bucket_s", "buckets", "totals", "bads", "head_index")
 
     def __init__(self, config: SloConfig):
-        self.bucket_s = config.window_s / config.buckets
-        self.buckets = config.buckets
-        self.totals = [0] * config.buckets
-        self.bads = [0] * config.buckets
+        self.bucket_s = config.window_s / SLO_BUCKETS
+        self.buckets = SLO_BUCKETS
+        self.totals = [0] * SLO_BUCKETS
+        self.bads = [0] * SLO_BUCKETS
         self.head_index = None   # absolute bucket index of the head
 
     def observe(self, t: float, bad: bool) -> None:
@@ -210,7 +210,7 @@ def slo_episodes(spans: Iterable[Span],
     a request is bad when it failed or took longer than the latency
     threshold: 1.0 means the tenant spends its budget exactly as fast
     as allowed.  An episode starts when the rate reaches
-    ``burn_threshold`` and the tenant re-arms only after it drops back
+    :data:`BURN_THRESHOLD` and the tenant re-arms only after it drops back
     below, so a sustained burn is one row, not thousands.
 
     Each run in the file (:func:`~repro.telemetry.span.closed_spans_by_run`)
@@ -235,7 +235,7 @@ def slo_episodes(spans: Iterable[Span],
         window.observe(span.end, bad)
         total, bads = sum(window.totals), sum(window.bads)
         rate = (bads / total) / config.error_budget
-        if rate < config.burn_threshold:
+        if rate < BURN_THRESHOLD:
             burning.discard(tenant)
         elif tenant not in burning:
             burning.add(tenant)

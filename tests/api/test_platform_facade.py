@@ -64,8 +64,6 @@ def test_build_defaults():
 def test_platform_config_validation():
     with pytest.raises(ValueError):
         PlatformConfig(nodes=0)
-    with pytest.raises(ValueError):
-        PlatformConfig(nodes_per_group=0)
     for name in ("capacity", "durable_memory", "gpu", "ha"):
         with pytest.raises(TypeError, match=f"PlatformConfig.{name}"):
             PlatformConfig(**{name: True})
@@ -77,7 +75,6 @@ FIELD_VALUES = {
     "nodes": 3,
     "provider": IBVERBS,
     "jitter": 0.0,
-    "nodes_per_group": 1,
     "capacity": CapacityConfig(),
     "durable_memory": DurableMemoryConfig(),
     "gpu": GpuServiceConfig(),

@@ -11,11 +11,10 @@ import pytest
 
 from repro.api import Platform, PlatformConfig
 from repro.cluster import DAINT_MC, Cluster
-from repro.capacity import AutoscalerConfig, CapacityConfig
+from repro.capacity import CapacityConfig
+from repro.capacity.autoscaler import INTERVAL_S
 from repro.containers import Image
 from repro.controlplane import HAConfig
-from repro.gpu import GpuFunctionSpec
-from repro.gpuservice import BatchPolicy, GpuServiceConfig
 from repro.interference import ResourceDemand
 from repro.memservice import DurableMemoryConfig
 from repro.shard import ShardConfig
@@ -73,7 +72,7 @@ def _capacity():
     results = _invocations(platform)
     autoscaler = platform.capacity.autoscaler
     return (platform.env, lambda: len(results) == 3,
-            autoscaler.config.interval_s, lambda: [autoscaler.ticks])
+            INTERVAL_S, lambda: [autoscaler.ticks])
 
 
 def _durable_memory():
@@ -89,24 +88,6 @@ def _durable_memory():
     repair = platform.durable_memory.repair
     return (platform.env, lambda: all(r.processed for r in reads),
             repair.interval_s, lambda: [repair.ticks])
-
-
-def _gpu_autoscale():
-    platform = Platform.build(
-        PlatformConfig(nodes=2, gpu=GpuServiceConfig(
-            policy=BatchPolicy(max_batch_size=4), autoscale=AutoscalerConfig(),
-        )),
-        seed=0,
-    )
-    service = platform.gpu
-    service.register(GpuFunctionSpec(
-        name="fn", kernel_count=2, kernel_time_s=1e-3, occupancy=0.5,
-        input_bytes=1_000, device_memory_bytes=64 * MiB,
-    ))
-    requests = [service.submit("fn") for _ in range(6)]  # one partial batch
-    autoscaler = service.autoscaler
-    return (platform.env, lambda: all(r.done.processed for r in requests),
-            autoscaler.config.interval_s, lambda: [autoscaler.ticks])
 
 
 def _sharded_ha_rebalance():
@@ -148,7 +129,6 @@ BUILDS = {
     "ha": _ha,
     "capacity": _capacity,
     "durable_memory": _durable_memory,
-    "gpu_autoscale": _gpu_autoscale,
     "sharded_ha_rebalance": _sharded_ha_rebalance,
     "utilization_sampler": _utilization_sampler,
 }

@@ -1,9 +1,8 @@
 """Warm-pool autoscaler tests against a real platform."""
 
-import pytest
-
 from repro.api import Platform, PlatformConfig
-from repro.capacity import AutoscalerConfig, DemandForecaster, WarmPoolAutoscaler
+from repro.capacity import DemandForecaster, WarmPoolAutoscaler
+from repro.capacity.autoscaler import INTERVAL_S, MAX_WARM_PER_NODE
 from repro.containers import Image
 from repro.interference import ResourceDemand
 
@@ -12,7 +11,7 @@ GiB = 1024**3
 
 
 def build(nodes=3, executors=("n0001", "n0002"), images=1,
-          image_bytes=100 * MiB, **cfg):
+          image_bytes=100 * MiB, predictive=True):
     platform = Platform.build(PlatformConfig(nodes=nodes, jitter=0.0), seed=0)
     for node in executors:
         platform.register_node(node, cores=2, memory_bytes=8 * GiB)
@@ -26,8 +25,7 @@ def build(nodes=3, executors=("n0001", "n0002"), images=1,
     forecaster = DemandForecaster()
     scaler = WarmPoolAutoscaler(
         platform.env, platform.manager, platform.cluster,
-        platform.functions, forecaster,
-        AutoscalerConfig(**cfg) if cfg else None,
+        platform.functions, forecaster, predictive=predictive,
     )
     return platform, forecaster, scaler
 
@@ -46,7 +44,7 @@ def drive_arrivals(forecaster, rate, duration, function="fn0"):
 
 
 def test_predictive_prewarms_toward_forecast():
-    platform, forecaster, scaler = build(interval_s=0.5, horizon_s=1.0)
+    platform, forecaster, scaler = build()
     drive_arrivals(forecaster, rate=4.0, duration=2.0)
     scaler.start()
     platform.run(3.0)
@@ -71,21 +69,20 @@ def test_reactive_mode_never_prewarms():
 
 
 def test_per_node_cap_respected():
-    platform, forecaster, scaler = build(max_warm_per_node=2)
+    platform, forecaster, scaler = build()
     drive_arrivals(forecaster, rate=50.0, duration=2.0)   # huge demand
     scaler.start()
     platform.run(5.0)
     platform.run()
     counts = warm_counts(platform, "img0")
-    assert all(count <= 2 for count in counts.values())
+    assert max(counts.values()) == MAX_WARM_PER_NODE
 
 
 def test_per_node_cap_counts_in_flight_prewarms():
-    # A 2 GiB image cold-starts for longer than a tick: containers still
+    # A 2 GiB image cold-starts for several ticks: containers still
     # starting are held by their prewarm, not parked, and must count
     # against the cap, or every tick re-fills the same nodes.
-    platform, forecaster, scaler = build(
-        image_bytes=2 * GiB, max_warm_per_node=2, interval_s=0.1)
+    platform, forecaster, scaler = build(image_bytes=2 * GiB)
     drive_arrivals(forecaster, rate=50.0, duration=2.0)
     env = platform.env
     worst = []
@@ -93,20 +90,21 @@ def test_per_node_cap_counts_in_flight_prewarms():
     def sample():
         # Half a tick after each tick, every container on an executor
         # is either parked or held by an in-flight prewarm.
-        yield env.timeout(0.05)
+        yield env.timeout(INTERVAL_S / 2)
         while True:
             worst.append(max(
                 len(platform.cluster.node(node).allocations_of_kind("container"))
                 for node in ("n0001", "n0002")
             ))
-            yield env.timeout(0.1)
+            yield env.timeout(INTERVAL_S)
 
     scaler.start()
     platform.process(sample())
     platform.run(6.0)
     assert scaler.prewarms > 0
-    assert max(worst) <= 2
-    assert all(count <= 2 for count in warm_counts(platform, "img0").values())
+    assert max(worst) <= MAX_WARM_PER_NODE
+    assert all(count <= MAX_WARM_PER_NODE
+               for count in warm_counts(platform, "img0").values())
 
 
 def test_loop_never_keeps_the_run_alive():
@@ -120,7 +118,7 @@ def test_loop_never_keeps_the_run_alive():
 
 
 def test_reprovisions_after_crash_and_heal():
-    platform, forecaster, scaler = build(interval_s=0.25)
+    platform, forecaster, scaler = build()
     drive_arrivals(forecaster, rate=8.0, duration=2.0)
     scaler.start()
     platform.run(2.0)
@@ -151,10 +149,3 @@ def test_multiple_images_each_get_pools():
     assert sum(warm_counts(platform, "img1").values()) > 0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AutoscalerConfig(interval_s=0.0)
-    with pytest.raises(ValueError):
-        AutoscalerConfig(percentile=1.5)
-    with pytest.raises(ValueError):
-        AutoscalerConfig(max_warm_per_node=0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.capacity import BurstConfig, CloudBurstRouter
+from repro.capacity import CloudBurstRouter
+from repro.capacity.burst import CORE_HOUR_PRICE, GIB_HOUR_PRICE, PREMIUM
 from repro.cloudfaas import CloudFaaSPlatform
 from repro.containers import Image
 from repro.disagg.billing import FunctionBill
@@ -14,7 +15,7 @@ from repro.sim import Environment
 MiB = 1024**2
 
 
-def build(config=None):
+def build():
     env = Environment()
     cloud = CloudFaaSPlatform(env, rng=np.random.default_rng(0))
     registry = FunctionRegistry()
@@ -23,7 +24,7 @@ def build(config=None):
         runtime_s=0.05,
         demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0),
     )
-    router = CloudBurstRouter(env, cloud, config)
+    router = CloudBurstRouter(env, cloud)
     return env, cloud, registry.lookup("fn"), router
 
 
@@ -40,8 +41,7 @@ def run_burst(env, router, fdef, **kw):
 
 
 def test_burst_runs_on_cloud_and_bills_at_premium():
-    config = BurstConfig(premium=3.0)
-    env, cloud, fdef, router = build(config)
+    env, cloud, fdef, router = build()
     record = run_burst(env, router, fdef)
     assert record.invocation.cold          # first touch on the cloud
     assert record.latency_s > 0.0
@@ -49,8 +49,8 @@ def test_burst_runs_on_cloud_and_bills_at_premium():
         cores=1,
         memory_bytes=fdef.image.runtime_memory_bytes + fdef.memory_bytes,
         duration_s=record.invocation.total_s,
-        core_hour_price=config.core_hour_price * 3.0,
-        gib_hour_price=config.gib_hour_price * 3.0,
+        core_hour_price=CORE_HOUR_PRICE * PREMIUM,
+        gib_hour_price=GIB_HOUR_PRICE * PREMIUM,
     ).cost()
     assert record.cost == pytest.approx(expected)
     assert record.cost > 0.0
@@ -74,12 +74,3 @@ def test_costs_accumulate_across_bursts():
     first = run_burst(env, router, fdef)
     second = run_burst(env, router, fdef)
     assert router.total_cost == pytest.approx(first.cost + second.cost)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BurstConfig(premium=0.0)
-    with pytest.raises(ValueError):
-        BurstConfig(billed_cores=0)
-    with pytest.raises(ValueError):
-        BurstConfig(core_hour_price=-1.0)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.capacity import DemandForecaster, ForecastConfig
+from repro.capacity import DemandForecaster
+from repro.capacity.forecast import BUCKET_S, TAU_S, WINDOW_S
 
 
 def feed_uniform(forecaster, rate, duration, function=None, start=0.0):
@@ -16,22 +17,22 @@ def feed_uniform(forecaster, rate, duration, function=None, start=0.0):
 
 
 def test_ewma_converges_to_uniform_rate():
-    f = DemandForecaster(ForecastConfig(tau_s=1.0))
+    f = DemandForecaster()
     end = feed_uniform(f, rate=10.0, duration=5.0)
     assert f.rate(end) == pytest.approx(10.0, rel=0.2)
 
 
 def test_ewma_decays_when_arrivals_stop():
-    f = DemandForecaster(ForecastConfig(tau_s=1.0))
+    f = DemandForecaster()
     end = feed_uniform(f, rate=10.0, duration=5.0)
-    assert f.rate(end + 10.0) < 0.01 * f.rate(end)
+    assert f.rate(end + 5 * TAU_S) < 0.01 * f.rate(end)
 
 
 def test_percentile_remembers_burst_after_ewma_forgot():
-    cfg = ForecastConfig(tau_s=0.5, window_s=10.0, bucket_s=0.5)
-    f = DemandForecaster(cfg)
+    f = DemandForecaster()
     end = feed_uniform(f, rate=40.0, duration=1.0)   # one-second burst
-    later = end + 5.0                                 # EWMA has decayed ~5 tau
+    later = end + 4 * TAU_S                           # EWMA has decayed ~4 tau
+    assert later + BUCKET_S < WINDOW_S
     assert f.rate(later) < 1.0
     # The burst's buckets are still inside the window: high quantile sees it.
     assert f.percentile_rate(later, q=0.95) >= 20.0
@@ -40,16 +41,16 @@ def test_percentile_remembers_burst_after_ewma_forgot():
 
 
 def test_idle_buckets_pull_the_low_quantiles_down():
-    f = DemandForecaster(ForecastConfig(window_s=10.0, bucket_s=0.5))
+    f = DemandForecaster()
     end = feed_uniform(f, rate=40.0, duration=1.0)
     # Most of the window is empty: the median bucket rate is zero.
     assert f.percentile_rate(end + 5.0, q=0.5) == 0.0
 
 
 def test_per_function_streams_are_independent():
-    f = DemandForecaster(ForecastConfig(tau_s=1.0))
+    f = DemandForecaster()
     end_a = feed_uniform(f, rate=10.0, duration=3.0, function="a")
-    end_b = feed_uniform(f, rate=2.0, duration=3.0, function="b", start=end_a)
+    end_b = feed_uniform(f, rate=2.0, duration=6.0, function="b", start=end_a)
     assert f.functions_seen() == ["a", "b"]
     # Each stream's estimate tracks its own rate at its own end.
     assert f.rate(end_a, "a") > 5.0
@@ -57,14 +58,10 @@ def test_per_function_streams_are_independent():
     # "a" has been silent while "b" ran: its estimate decayed below "b"'s.
     assert f.rate(end_b, "a") < f.rate(end_b, "b")
     # The aggregate stream saw every arrival.
-    assert f.arrivals == 30 + 6
+    assert f.arrivals == 30 + 12
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        ForecastConfig(tau_s=0.0)
-    with pytest.raises(ValueError):
-        ForecastConfig(bucket_s=2.0, window_s=1.0)
     f = DemandForecaster()
     f.observe_arrival(5.0)
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from repro.api import Platform, PlatformConfig
 from repro.capacity import (
     AdmissionConfig,
-    AutoscalerConfig,
     CapacityConfig,
     CapacityPlane,
     TenantQuota,
@@ -100,7 +99,7 @@ def test_admission_backpressure_surfaces_as_rejected_route():
     config = CapacityConfig(
         admission=AdmissionConfig(
             max_queue_depth=0,
-            default_quota=TenantQuota(rate_per_s=1.0, burst=1.0),
+            quota=TenantQuota(rate_per_s=1.0, burst=1.0),
         ),
     )
     platform = build(capacity=config)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cloudfaas import CloudConfig, CloudFaaSPlatform
+from repro.cloudfaas import CloudFaaSPlatform
+from repro.cloudfaas import platform as cloud
 from repro.containers import Image, ImageFormat
 from repro.sweep import run_sweep
 from repro.sim import Environment
@@ -11,10 +12,9 @@ from repro.sim import Environment
 MiB = 1024**2
 
 
-def make_platform(**cfg):
+def make_platform():
     env = Environment()
-    platform = CloudFaaSPlatform(env, config=CloudConfig(**cfg) if cfg else None,
-                                 rng=np.random.default_rng(0))
+    platform = CloudFaaSPlatform(env, rng=np.random.default_rng(0))
     platform.register("fn", Image("fn", size_bytes=300 * MiB))
     return env, platform
 
@@ -40,7 +40,7 @@ def test_first_invocation_cold():
 
 
 def test_warm_within_keepalive_cold_after():
-    env, platform = make_platform(keepalive_s=100.0)
+    env, platform = make_platform()
     first = invoke(env, platform)
     assert first.cold
 
@@ -49,7 +49,7 @@ def test_warm_within_keepalive_cold_after():
     def proc():
         record = yield platform.invoke("fn")
         out.append(record)
-        yield env.timeout(200.0)  # past keep-alive
+        yield env.timeout(2 * cloud.KEEPALIVE_S)  # past keep-alive
         record = yield platform.invoke("fn")
         out.append(record)
 
@@ -113,7 +113,7 @@ def test_inline_limit_is_a_strict_boundary():
     """Edge path the burst router rides: == limit inline, limit+1 detours."""
     env, platform = make_platform()
     invoke(env, platform)  # warm it
-    limit = platform.config.inline_payload_limit
+    limit = cloud.INLINE_PAYLOAD_LIMIT
     at_limit = invoke(env, platform, payload_bytes=limit)
     over = invoke(env, platform, payload_bytes=limit + 1)
     assert at_limit.storage_s == 0.0
@@ -136,11 +136,11 @@ def test_detour_cost_is_two_object_store_round_trips():
 
 def test_keepalive_purge_then_recovery_counters():
     """purge -> cold start -> warm again; counters track the sequence."""
-    env, platform = make_platform(keepalive_s=50.0)
+    env, platform = make_platform()
     records = []
 
     def proc():
-        for gap in (0.0, 10.0, 100.0, 1.0):
+        for gap in (0.0, 10.0, cloud.KEEPALIVE_S + 100.0, 1.0):
             if gap:
                 yield env.timeout(gap)
             record = yield platform.invoke("fn")
@@ -152,9 +152,8 @@ def test_keepalive_purge_then_recovery_counters():
     assert [r.cold for r in records] == [True, False, True, False]
     image = platform._functions["fn"]
     assert purged.startup_s == pytest.approx(
-        platform.config.runtime.cold_start_time(image))
-    assert rewarmed.startup_s == pytest.approx(
-        platform.config.runtime.warm_attach_s)
+        cloud.RUNTIME.cold_start_time(image))
+    assert rewarmed.startup_s == pytest.approx(cloud.RUNTIME.warm_attach_s)
     assert platform.cold_starts == 2
     assert platform.warm_invocations == 2
 
@@ -169,7 +168,3 @@ def test_validation():
         platform.register("fn", Image("fn", size_bytes=1))
     with pytest.raises(ValueError):
         platform.register("sif", Image("sif", size_bytes=1, format=ImageFormat.SINGULARITY))
-    with pytest.raises(ValueError):
-        CloudConfig(gateway_latency_s=-1)
-    with pytest.raises(ValueError):
-        CloudConfig(keepalive_s=0)

@@ -1,6 +1,5 @@
 """RetryPolicy and DegradedResult behave as documented."""
 
-import numpy as np
 import pytest
 
 from repro.faults import DegradedResult, RecoveryOutcome, RetryPolicy
@@ -18,7 +17,6 @@ def test_default_policy_matches_legacy_redirect_knob():
     {"backoff_base_s": -1.0},
     {"backoff_max_s": -1.0},
     {"backoff_multiplier": 0.5},
-    {"jitter_frac": 1.5},
     {"timeout_s": 0.0},
 ])
 def test_policy_validation_rejects(kwargs):
@@ -33,16 +31,6 @@ def test_backoff_is_exponential_and_capped():
     ]
     with pytest.raises(ValueError):
         policy.backoff(0)
-
-
-def test_jittered_backoff_is_seeded_and_bounded():
-    policy = RetryPolicy(backoff_base_s=0.1, jitter_frac=0.5)
-    with pytest.raises(ValueError):
-        policy.backoff(1)  # jitter without an rng is an error, not silent
-    a = policy.backoff(1, np.random.default_rng(7))
-    b = policy.backoff(1, np.random.default_rng(7))
-    assert a == b  # same seed, same delay
-    assert 0.05 <= a <= 0.15
 
 
 def _result(status=InvocationStatus.OK):

@@ -19,6 +19,11 @@ def spec(name="fn"):
     )
 
 
+def is_warm(service, function, device):
+    """The device holds a warm context for ``function``."""
+    return function in service._slots[device].warm
+
+
 def build(plan=None, gpu_nodes=2, max_batch_size=4):
     config = GpuServiceConfig(
         gpu_nodes=gpu_nodes,
@@ -90,7 +95,7 @@ def test_device_loss_replays_in_flight_batches_on_the_survivor():
     assert replayed_traces == len(replayed)
     # The node healed: both devices are back online, cold.
     assert service.devices_online() == ["n0000/gpu0", "n0001/gpu0"]
-    assert not service.is_warm(fn.name, "n0000/gpu0")
+    assert not is_warm(service, fn.name, "n0000/gpu0")
 
 
 def test_device_loss_replays_in_flight_batches_in_launch_order():
@@ -161,12 +166,12 @@ def test_restored_devices_rejoin_the_lease_pool_cold():
     fn_b = service.register(spec("fn_b"))
     service.submit(fn_a.name)
     platform.run()
-    assert service.is_warm(fn_a.name, "n0000/gpu0")
+    assert is_warm(service, fn_a.name, "n0000/gpu0")
     service.lose_node("n0000")
     assert service.devices_online() == ["n0001/gpu0"]
     assert service.restore_node("n0000") == 1
     assert service.devices_online() == ["n0000/gpu0", "n0001/gpu0"]
-    assert not service.is_warm(fn_a.name, "n0000/gpu0")
+    assert not is_warm(service, fn_a.name, "n0000/gpu0")
     # The restored device is grantable again: fn_b's first grant picks
     # the least-committed device, which is the fresh n0000/gpu0.
     service.submit(fn_b.name)

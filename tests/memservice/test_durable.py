@@ -306,25 +306,6 @@ def test_transient_partition_is_unavailable_not_data_loss():
     assert client.data_losses == 0  # the data was never gone
 
 
-def test_strict_quorum_surfaces_degraded_writes():
-    platform = build(replication=2, repair_interval_s=30.0, strict_quorum=True)
-    service = platform.durable_memory
-    client = platform.memory_client("n0000")
-    primary = service.chunks[0].nodes()[0]
-
-    def work():
-        platform.fabric.conditioner.partition([primary])
-        with pytest.raises(MemoryServiceUnavailable):
-            yield client.write(0, 1 * MiB)
-        platform.fabric.conditioner.heal([primary])
-        return True
-
-    assert drive(platform, work())
-    # Strict mode still commits on the replicas that acked.
-    assert service.chunks[0].version == 1
-    assert service.degraded_writes == 1
-
-
 # -- reclaim integration: manager hooks and scheduler drains -------------------
 
 def test_immediate_manager_reclaim_destroys_hosted_replicas():

@@ -48,7 +48,7 @@ def test_admission_depth_counts_the_blocked_waiters(arrivals, max_depth, max_wai
     telemetry = Telemetry(env=env).install(env)
     controller = AdmissionController(env, AdmissionConfig(
         max_queue_depth=max_depth, max_queue_wait_s=max_wait,
-        default_quota=TenantQuota(rate_per_s=rate, burst=burst),
+        quota=TenantQuota(rate_per_s=rate, burst=burst),
     ))
     gauge = telemetry.metrics.get("repro_capacity_queue_depth_count")
     blocked = set()

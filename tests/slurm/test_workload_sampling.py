@@ -57,8 +57,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WorkloadConfig(target_utilization=0.0)
     with pytest.raises(ValueError):
-        WorkloadConfig(size_geom_p=1.0)
-    with pytest.raises(ValueError):
         WorkloadGenerator(np.random.default_rng(0), cluster_nodes=0)
 
 

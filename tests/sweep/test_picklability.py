@@ -3,7 +3,9 @@
 The sweep fabric ships :class:`~repro.experiments.base.ScenarioSpec`
 objects to workers, and specs embed the experiment configuration
 objects — so both the specs of every registered sweep's plan and the
-public config types must survive a pickle round-trip unchanged.
+public config types must survive a pickle round-trip unchanged.  A
+frozen :class:`~repro.api.PlatformConfig` is a value, so it must hash
+too.
 """
 
 import pickle
@@ -12,10 +14,14 @@ import pytest
 
 from repro.api import PlatformConfig
 from repro.capacity import CapacityConfig
+from repro.controlplane import HAConfig
 from repro.experiments import (autoscale_sweep, chaos_sweep,
                                gpu_scaling_sweep, memdurability_sweep)
+from repro.experiments.base import registered_sweeps
 from repro.faults import FaultPlan
+from repro.gpuservice import GpuServiceConfig
 from repro.memservice import DurableMemoryConfig
+from repro.shard import ShardConfig
 
 
 def _roundtrip(obj):
@@ -40,7 +46,7 @@ def test_capacity_config_roundtrips():
 
 
 def test_durable_memory_config_roundtrips():
-    config = DurableMemoryConfig(replication=3, strict_quorum=True)
+    config = DurableMemoryConfig(replication=3, hosts=("n0001", "n0002"))
     clone = _roundtrip(config)
     assert clone == config
 
@@ -50,6 +56,36 @@ def test_platform_config_roundtrips():
                             capacity=CapacityConfig(burst_enabled=False))
     clone = _roundtrip(config)
     assert clone == config
+
+
+def _unhashable(config) -> bool:
+    try:
+        hash(config)
+    except TypeError:
+        return True
+    return False
+
+
+def test_every_default_plan_platform_config_hashes():
+    platforms = {
+        f"{name}:{spec.label}": spec.params["platform"]
+        for name, sweep in registered_sweeps().items()
+        for spec in sweep.plan().scenarios
+        if "platform" in spec.params
+    }
+    assert any(label.startswith("autoscale:") for label in platforms)
+    assert [label for label, config in platforms.items()
+            if _unhashable(config)] == []
+
+
+@pytest.mark.parametrize("config", [
+    PlatformConfig(capacity=CapacityConfig(), durable_memory=DurableMemoryConfig(),
+                   gpu=GpuServiceConfig(), ha=HAConfig()),
+    PlatformConfig(capacity=CapacityConfig(), gpu=GpuServiceConfig(),
+                   ha=HAConfig(), shards=ShardConfig(shards=2)),
+], ids=["durable_memory", "shards"])
+def test_a_platform_config_with_every_subsystem_hashes(config):
+    assert hash(config) == hash(_roundtrip(config))
 
 
 @pytest.mark.parametrize("module", [chaos_sweep, autoscale_sweep,

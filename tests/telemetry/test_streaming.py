@@ -95,7 +95,7 @@ def test_red_counts_bare_client_requests():
 
 def test_slo_breach_fires_once_per_episode():
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.1,
-                       window_s=10.0, buckets=10, burn_threshold=1.0)
+                       window_s=10.0)
     # Fast requests, then a burst of slow ones that blows the 10% budget,
     # and one more slow request while the burn persists.
     spans = [request_root("a", i * 0.1) for i in range(5)]
@@ -110,7 +110,7 @@ def test_slo_breach_fires_once_per_episode():
 
 def test_slo_rearms_after_rate_recovers():
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.5,
-                       window_s=1.0, buckets=2, burn_threshold=1.0)
+                       window_s=1.0)
     spans = [request_root("a", 0.0, duration=0.5)]
     # The window slides past the bad bucket; plenty of good requests.
     spans += [request_root("a", 2.0 + i * 0.1, duration=0.01) for i in range(20)]
@@ -122,7 +122,7 @@ def test_slo_rearms_after_rate_recovers():
 
 def test_slo_tenants_are_independent():
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.1,
-                       window_s=10.0, buckets=10)
+                       window_s=10.0)
     spans = []
     for i in range(5):
         spans.append(request_root("slow", i * 0.1, duration=0.5))
@@ -134,7 +134,7 @@ def test_slo_tenants_are_independent():
 def test_slo_replays_each_run_separately():
     """A clock restart starts the next run with empty windows."""
     config = SloConfig(latency_threshold_s=0.1, error_budget=0.1,
-                       window_s=10.0, buckets=10)
+                       window_s=10.0)
     burning = [request_root("a", i * 0.1, duration=0.5) for i in range(3)]
     healthy = [request_root("a", i * 0.1) for i in range(30)]
     episodes = slo_episodes(healthy + burning, config)
@@ -149,9 +149,7 @@ def test_slo_config_validation():
     with pytest.raises(ValueError):
         SloConfig(error_budget=1.5)
     with pytest.raises(ValueError):
-        SloConfig(buckets=0)
-    with pytest.raises(ValueError):
-        SloConfig(burn_threshold=0.0)
+        SloConfig(window_s=0.0)
 
 
 # -- the streaming collector: nothing retained --------------------------------
@@ -176,7 +174,7 @@ def test_streaming_collector_keeps_no_span_in_memory(tmp_path):
 def test_pipeline_stream_holds_only_appended_spans(tmp_path):
     """Burn episodes are read from the file, never synthesized into it."""
     config = SloConfig(latency_threshold_s=0.01, error_budget=0.01,
-                       window_s=10.0, buckets=10)
+                       window_s=10.0)
     path = tmp_path / "stream.jsonl"
     spans = [request_root("a", i * 0.1, duration=0.5) for i in range(10)]
     with JsonlStreamWriter(path) as writer:

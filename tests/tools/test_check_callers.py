@@ -1,6 +1,8 @@
 """The callers check: every ``src`` member has a caller outside tests/
 and examples/, or an allowlist entry with a ``view:``/``reference:``/
-``paper:`` reason.  A type annotation is not a caller."""
+``paper:`` reason.  A type annotation is not a caller.  Every config
+field has a setter there too, or a knob entry with a ``paper:`` or
+``certify:`` reason."""
 
 import pathlib
 import sys
@@ -61,7 +63,7 @@ def flagged(problems, name):
 
 def test_a_fully_called_tree_passes(tmp_path):
     make_tree(tmp_path)
-    assert check_callers.violations(tmp_path, allowlist={}) == []
+    assert check_callers.violations(tmp_path, allowlist={}, knobs={}) == []
 
 
 def test_a_method_called_only_from_tests_is_flagged(tmp_path):
@@ -82,7 +84,7 @@ def test_a_method_called_only_from_tests_is_flagged(tmp_path):
         def test_drain():
             assert Gauge().drain() == 0
     """)
-    problems = check_callers.violations(tmp_path, allowlist={})
+    problems = check_callers.violations(tmp_path, allowlist={}, knobs={})
     assert len(problems) == 1
     assert flagged(problems, "pkg.extra.Gauge.drain")
     assert "src/pkg/extra.py:3" in problems[0]
@@ -99,7 +101,7 @@ def test_a_function_reached_only_through_a_reexport_is_flagged(tmp_path):
 
         __all__ = ["orphan"]
     """)
-    problems = check_callers.violations(tmp_path, allowlist={})
+    problems = check_callers.violations(tmp_path, allowlist={}, knobs={})
     assert len(problems) == 1
     assert flagged(problems, "pkg.extra.orphan has no caller")
 
@@ -121,7 +123,7 @@ def test_a_method_called_only_from_examples_is_flagged(tmp_path):
 
         print(Gauge().drain())
     """)
-    problems = check_callers.violations(tmp_path, allowlist={})
+    problems = check_callers.violations(tmp_path, allowlist={}, knobs={})
     assert len(problems) == 1
     assert flagged(problems, "pkg.extra.Gauge.drain has no caller")
 
@@ -134,7 +136,7 @@ def annotated_tree(tmp_path, use):
             pass
     """)
     write(tmp_path, "src/pkg/use.py", "from .extra import Gauge\n\n" + use)
-    return check_callers.violations(tmp_path, allowlist={})
+    return check_callers.violations(tmp_path, allowlist={}, knobs={})
 
 
 @pytest.mark.parametrize("use", [
@@ -168,7 +170,7 @@ def test_getattr_strings_and_bench_count_as_callers(tmp_path):
         getattr(Hooks(), "on_tick")()
     """)
     write(tmp_path, "bench/out/stale.py", "Hooks().on_stop()\n")
-    problems = check_callers.violations(tmp_path, allowlist={})
+    problems = check_callers.violations(tmp_path, allowlist={}, knobs={})
     assert len(problems) == 1
     assert flagged(problems, "pkg.extra.Hooks.on_stop")
 
@@ -183,7 +185,7 @@ def test_an_allowlisted_member_passes(tmp_path):
     """)
     write(tmp_path, "tools/use.py", "from pkg.extra import Gauge\nGauge()\n")
     allow = {"pkg.extra.Gauge.depth": "view: queue depth the tests read"}
-    assert check_callers.violations(tmp_path, allowlist=allow) == []
+    assert check_callers.violations(tmp_path, allowlist=allow, knobs={}) == []
 
 
 def test_a_stale_allowlist_entry_is_flagged(tmp_path):
@@ -192,7 +194,7 @@ def test_a_stale_allowlist_entry_is_flagged(tmp_path):
         "pkg.core.Engine.run": "view: it has a caller in tools/",
         "pkg.core.Engine.gone": "view: deleted long ago",
     }
-    problems = check_callers.violations(tmp_path, allowlist=allow)
+    problems = check_callers.violations(tmp_path, allowlist=allow, knobs={})
     assert len(problems) == 2
     assert flagged(problems, "stale allowlist entry pkg.core.Engine.run: it has a caller")
     assert flagged(problems, "stale allowlist entry pkg.core.Engine.gone: no such member")
@@ -205,7 +207,7 @@ def test_a_reason_without_an_allowed_prefix_is_flagged(tmp_path):
             return 0
     """)
     allow = {"pkg.extra.kernel": "kept because the tests like it"}
-    problems = check_callers.violations(tmp_path, allowlist=allow)
+    problems = check_callers.violations(tmp_path, allowlist=allow, knobs={})
     assert len(problems) == 1
     assert flagged(problems, "allowlist entry pkg.extra.kernel: reason")
 
@@ -213,6 +215,114 @@ def test_a_reason_without_an_allowed_prefix_is_flagged(tmp_path):
 def test_the_repo_allowlist_uses_only_the_three_reasons():
     for qualname, reason in check_callers.ALLOWLIST.items():
         assert reason.startswith(check_callers.REASONS), qualname
+
+
+def config_tree(tmp_path, use, test_use=""):
+    """The base tree, plus a config class whose fields only ``use`` sets."""
+    make_tree(tmp_path)
+    write(tmp_path, "src/pkg/config.py", """
+        from dataclasses import dataclass
+        from typing import ClassVar
+
+
+        @dataclass(frozen=True)
+        class PoolConfig:
+            size: int = 1
+            depth: int = 2
+            unit: ClassVar[str] = "slots"
+
+
+        @dataclass
+        class PoolState:
+            free: int = 0
+
+
+        def build(config=None):
+            return config or PoolConfig(), PoolState()
+    """)
+    write(tmp_path, "tools/use_config.py",
+          "from pkg.config import PoolConfig, build\n\n" + use)
+    if test_use:
+        write(tmp_path, "tests/test_config.py",
+              "from pkg.config import PoolConfig\n\n" + test_use)
+
+
+def knob_problems(tmp_path, use, test_use="", knobs=None):
+    config_tree(tmp_path, use, test_use)
+    return check_callers.violations(tmp_path, allowlist={}, knobs=knobs or {})
+
+
+def test_a_field_set_only_under_tests_is_flagged(tmp_path):
+    problems = knob_problems(tmp_path, "build()\n",
+                             test_use="PoolConfig(size=3, depth=4)\n")
+    assert len(problems) == 2
+    assert flagged(problems, "pkg.config.PoolConfig.size is set by no call")
+    assert flagged(problems, "pkg.config.PoolConfig.depth is set by no call")
+    assert "src/pkg/config.py:7" in problems[0]
+
+
+@pytest.mark.parametrize("use", [
+    "build(PoolConfig(3, depth=4))\n",
+    "build(PoolConfig(**{'size': 3}))\n",
+    "from dataclasses import replace as swap\n\n"
+    "build(swap(PoolConfig(), size=3, depth=4))\n",
+    "import dataclasses\n\n"
+    "build(dataclasses.replace(PoolConfig(), size=3, depth=4))\n",
+], ids=["position-and-keyword", "splat", "replace", "dataclasses-replace"])
+def test_calls_splats_and_replace_keywords_set_fields(tmp_path, use):
+    assert knob_problems(tmp_path, use) == []
+
+
+def test_a_method_named_replace_does_not_set_fields(tmp_path):
+    problems = knob_problems(
+        tmp_path, "build(PoolConfig(size=3))\n'x'.replace(depth=4)\n")
+    assert len(problems) == 1
+    assert flagged(problems, "pkg.config.PoolConfig.depth is set by no call")
+
+
+def test_a_class_level_knob_entry_covers_its_fields(tmp_path):
+    knobs = {"pkg.config.PoolConfig": "paper: a component waiting for its sweep"}
+    assert knob_problems(tmp_path, "build()\n", knobs=knobs) == []
+
+
+def test_a_field_level_knob_entry_covers_only_its_field(tmp_path):
+    knobs = {"pkg.config.PoolConfig.size": "certify: a value certify draws"}
+    problems = knob_problems(tmp_path, "build()\n", knobs=knobs)
+    assert len(problems) == 1
+    assert flagged(problems, "pkg.config.PoolConfig.depth is set by no call")
+
+
+def test_a_stale_knob_entry_is_flagged(tmp_path):
+    knobs = {
+        "pkg.config.PoolConfig.size": "certify: set by a sweep now",
+        "pkg.config.PoolConfig.gone": "paper: deleted long ago",
+        "pkg.config.PoolState": "paper: not a config class",
+    }
+    problems = knob_problems(tmp_path, "build(PoolConfig(size=3, depth=4))\n",
+                             knobs=knobs)
+    assert len(problems) == 3
+    assert flagged(problems, "stale knob entry pkg.config.PoolConfig.size: it is set")
+    assert flagged(problems, "stale knob entry pkg.config.PoolConfig.gone: no such")
+    assert flagged(problems, "stale knob entry pkg.config.PoolState: no such")
+
+
+def test_a_class_level_knob_entry_is_stale_once_every_field_is_set(tmp_path):
+    knobs = {"pkg.config.PoolConfig": "paper: waiting for its sweep"}
+    problems = knob_problems(tmp_path, "build(PoolConfig(3, 4))\n", knobs=knobs)
+    assert problems == [
+        "stale knob entry pkg.config.PoolConfig: it is set now"]
+
+
+def test_a_knob_reason_without_an_allowed_prefix_is_flagged(tmp_path):
+    knobs = {"pkg.config.PoolConfig": "kept because the tests set it"}
+    problems = knob_problems(tmp_path, "build()\n", knobs=knobs)
+    assert len(problems) == 1
+    assert flagged(problems, "knob entry pkg.config.PoolConfig: reason")
+
+
+def test_the_repo_knobs_use_only_the_knob_reasons():
+    for entry, reason in check_callers.KNOBS.items():
+        assert reason.startswith(check_callers.KNOB_REASONS), entry
 
 
 def test_main_takes_the_root_and_exits_nonzero_on_a_finding(tmp_path, capsys):

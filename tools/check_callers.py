@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Lint: nothing in ``src/`` lives for its tests or examples alone.
 
+Two rules share one scan: every member has a caller, and every config
+field has a setter.
+
 An AST pass over every module under ``src/``.  For each module-level
 def or class, and each method of a module-level class, it looks for a
 reference to the name in ``src/``, ``bench/`` (skipping
@@ -22,6 +25,18 @@ A member with no caller fails the check unless :data:`ALLOWLIST` names
 it with a reason that starts with one of :data:`REASONS`.  An allowlist
 entry that has gained a caller, or whose member is gone, fails too, so
 the list cannot rot.
+
+The knob rule applies the same test to options.  It checks every field
+of a frozen dataclass under ``src/`` whose name ends in ``Config``,
+``Policy`` or ``Quota`` (a ``ClassVar`` is not a field).  A field is
+set by a call in those roots that names the class and passes the field
+by position or by keyword, by a ``*``/``**`` splat in such a call
+(which sets every field), or by a ``dataclasses.replace`` keyword of
+the field's name.  A field nothing sets fails unless :data:`KNOBS` names
+it, or its class, with a reason that starts with one of
+:data:`KNOB_REASONS`; otherwise it belongs in a module constant.  A
+knob entry whose fields are all set, or that names no config class or
+field, is stale and fails too.
 
 Run standalone or through the unified entry point::
 
@@ -48,6 +63,34 @@ REASONS = (
     # A paper component waiting for its sweep caller.
     "paper:",
 )
+
+#: The accepted reasons for keeping a config field that no code sets.
+KNOB_REASONS = (
+    # A paper component's setting, waiting for the sweep that varies it.
+    "paper:",
+    # A value ROADMAP item 7's certify draws.
+    "certify:",
+)
+
+#: Frozen dataclasses whose name ends with one of these are configs.
+CONFIG_SUFFIXES = ("Config", "Policy", "Quota")
+
+#: {qualified class or "class.field": reason} for fields no code sets.
+KNOBS: Dict[str, str] = {
+    "repro.colocation.policy.PolicyConfig":
+        "paper: Fig. 4 / Sec. III-E co-location thresholds, waiting for "
+        "CoLocationPolicy's sweep caller",
+    "repro.disagg.controller.ControllerConfig":
+        "paper: Fig. 2/6 harvesting loop settings, waiting for "
+        "DisaggregationController's sweep caller",
+    "repro.slurm.workload.WorkloadConfig.shared_fraction":
+        "paper: Fig. 1 share of co-location-tolerant jobs, the axis of the "
+        "harvest sweep",
+    "repro.faults.recovery.RetryPolicy.timeout_s":
+        "certify: the per-attempt deadline certify draws",
+    "repro.capacity.plane.CapacityConfig.burst_enabled":
+        "certify: capacity with cloud burst on, a plane certify draws",
+}
 
 #: {qualified name: reason} for members kept with no caller.
 ALLOWLIST: Dict[str, str] = {
@@ -198,9 +241,155 @@ def _referenced_names(root: pathlib.Path) -> Set[str]:
     return refs.names
 
 
+def _bare(node: ast.expr) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(dec, ast.Call) and _bare(dec.func) == "dataclass"
+        and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                and kw.value.value is True for kw in dec.keywords)
+        for dec in node.decorator_list
+    )
+
+
+def _is_classvar(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return _bare(annotation) == "ClassVar"
+
+
+def config_classes(src: pathlib.Path) -> Dict[str, Tuple[str, List[str], str]]:
+    """{qualified name: (bare name, fields in order, "path:line")}.
+
+    A config class is a module-level frozen dataclass whose name ends
+    with one of :data:`CONFIG_SUFFIXES`.
+    """
+    found: Dict[str, Tuple[str, List[str], str]] = {}
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(src, path)
+        where = path.relative_to(src.parent)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name.endswith(CONFIG_SUFFIXES)
+                    and _is_frozen_dataclass(node)):
+                continue
+            fields = [
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and not _is_classvar(stmt.annotation)
+            ]
+            found[f"{module}.{node.name}"] = (
+                node.name, fields, f"{where}:{node.lineno}")
+    return found
+
+
+def _replace_names(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
+    """Names bound to ``dataclasses.replace`` and to ``dataclasses``."""
+    functions: Set[str] = set()
+    modules: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            functions.update(alias.asname or alias.name
+                             for alias in node.names if alias.name == "replace")
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "dataclasses")
+    return functions, modules
+
+
+def _set_fields(root: pathlib.Path,
+                classes: Mapping[str, Tuple[str, List[str], str]]) -> Set[str]:
+    """``"qualname.field"`` for every config field some call sets.
+
+    A call naming the class sets the fields it passes by position or by
+    keyword, and every field through a ``*``/``**`` splat.  A
+    ``dataclasses.replace`` keyword sets that field of every config
+    class that has one.
+    """
+    by_bare: Dict[str, List[str]] = {}
+    for qualname, (name, _, _) in classes.items():
+        by_bare.setdefault(name, []).append(qualname)
+    replaced: Set[str] = set()
+    found: Set[str] = set()
+    for path in _py_files(root):
+        tree = ast.parse(path.read_text(), str(path))
+        functions, modules = _replace_names(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if ((isinstance(func, ast.Name) and func.id in functions)
+                    or (isinstance(func, ast.Attribute) and func.attr == "replace"
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in modules)):
+                replaced.update(kw.arg for kw in call.keywords if kw.arg)
+                continue
+            for qualname in by_bare.get(_bare(func), ()):
+                fields = classes[qualname][1]
+                if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                        or any(kw.arg is None for kw in call.keywords)):
+                    named = fields
+                else:
+                    named = fields[:len(call.args)] + [
+                        kw.arg for kw in call.keywords]
+                found.update(f"{qualname}.{field}" for field in named)
+    for qualname, (_, fields, _) in classes.items():
+        found.update(f"{qualname}.{field}" for field in fields
+                     if field in replaced)
+    return found
+
+
+def knob_violations(root: pathlib.Path = REPO_ROOT,
+                    knobs: Optional[Mapping[str, str]] = None) -> List[str]:
+    """Config fields no call in src, bench or tools sets, and bad knob entries."""
+    knobs = KNOBS if knobs is None else knobs
+    root = pathlib.Path(root)
+    classes = config_classes(root / "src")
+    set_fields = _set_fields(root, classes)
+
+    problems: List[str] = []
+    fields: Set[str] = set()
+    # Every unset field, and the class of each one.
+    unset: Set[str] = set()
+    for qualname, (_, names, where) in classes.items():
+        for name in names:
+            knob = f"{qualname}.{name}"
+            fields.add(knob)
+            if knob in set_fields:
+                continue
+            unset.update((knob, qualname))
+            if qualname not in knobs and knob not in knobs:
+                problems.append(
+                    f"{where}: {knob} is set by no call outside tests/ and "
+                    f"examples/ (make it a module constant, or list it in "
+                    f"KNOBS with a reason starting {', '.join(KNOB_REASONS)})"
+                )
+    for entry, reason in sorted(knobs.items()):
+        if entry not in classes and entry not in fields:
+            problems.append(
+                f"stale knob entry {entry}: no such config class or field")
+        elif entry not in unset:
+            problems.append(f"stale knob entry {entry}: it is set now")
+        if not reason.startswith(KNOB_REASONS):
+            problems.append(
+                f"knob entry {entry}: reason {reason!r} does not start "
+                f"with {', '.join(KNOB_REASONS)}"
+            )
+    return problems
+
+
 def violations(root: pathlib.Path = REPO_ROOT,
-               allowlist: Optional[Mapping[str, str]] = None) -> List[str]:
-    """Members with no caller in src, bench or tools, and bad allowlist entries."""
+               allowlist: Optional[Mapping[str, str]] = None,
+               knobs: Optional[Mapping[str, str]] = None) -> List[str]:
+    """Members with no caller and config fields with no setter in src,
+    bench or tools, and bad allowlist or knob entries."""
     allowlist = ALLOWLIST if allowlist is None else allowlist
     root = pathlib.Path(root)
     defined = _definitions(root / "src")
@@ -225,7 +414,7 @@ def violations(root: pathlib.Path = REPO_ROOT,
                 f"allowlist entry {qualname}: reason {reason!r} does not "
                 f"start with {', '.join(REASONS)}"
             )
-    return problems
+    return problems + knob_violations(root, knobs)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -234,7 +423,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     problems = violations(root)
     for problem in problems:
         print(problem, file=sys.stderr)
-    print(f"checked src/ members for callers, {len(problems)} violation(s)")
+    classes = config_classes(root / "src")
+    fields = sum(len(names) for _, names, _ in classes.values())
+    print(f"checked src/ members for callers and {fields} fields of "
+          f"{len(classes)} config classes for setters, "
+          f"{len(problems)} violation(s)")
     return 1 if problems else 0
 
 
