@@ -31,7 +31,7 @@ def main() -> None:
     policy = CoLocationPolicy(loads, config=PolicyConfig(max_batch_slowdown=1.05))
 
     # The batch job: MILC, 16 ranks, memory-bandwidth heavy.
-    batch = milc_model(16).demand(16)
+    batch = milc_model(16, gpu=False).demand(16)
     loads.add("n0000", "batch", batch)
     node.allocate("milc-job", cores=16, kind="batch")
     batch_alone = model.slowdowns(DAINT_MC, [batch])[0]

@@ -29,7 +29,7 @@ platform replays from ``(config, seed)`` alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, is_dataclass, replace as _dc_replace
-from typing import Optional, Union, get_args, get_type_hints
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 # numpy imports these on first use: random for a run's first rng, ma on
@@ -58,7 +58,7 @@ from .rfaas import (
 )
 from .shard import ShardConfig, ShardedControlPlane
 from .sim import Environment
-from .telemetry import Telemetry, TelemetryCollector, install, telemetry_of
+from .telemetry import telemetry_of
 
 __all__ = ["Platform", "PlatformConfig"]
 
@@ -153,27 +153,18 @@ class Platform:
         cls,
         config: Optional[PlatformConfig] = None,
         seed: int = 0,
-        telemetry: Union[None, Telemetry, TelemetryCollector] = None,
         faults: Optional[FaultPlan] = None,
     ) -> "Platform":
         """Build and start the platform ``config`` describes.
 
-        ``telemetry`` is ``None`` (an active collector, else the no-op
-        null telemetry), a :class:`TelemetryCollector` (this environment
-        joins its scopes) or a :class:`Telemetry` (pinned as-is).  A
-        non-empty ``faults`` plan gets a seeded :class:`Injector`,
-        started at once; an empty or absent plan changes nothing.
+        The environment traces into the active
+        :class:`~repro.telemetry.TelemetryCollector`, if one is open,
+        and into the no-op null telemetry otherwise.  A non-empty
+        ``faults`` plan gets a seeded :class:`Injector`, started at
+        once; an empty or absent plan changes nothing.
         """
         config = config if config is not None else PlatformConfig()
         env = Environment()
-        if isinstance(telemetry, TelemetryCollector):
-            install(env, telemetry.scope_for(env))
-        elif isinstance(telemetry, Telemetry):
-            install(env, telemetry)
-        elif telemetry is not None:
-            raise TypeError(
-                "telemetry must be None, a Telemetry, or a TelemetryCollector"
-            )
         cluster = Cluster(
             topology=DragonflyTopology(nodes_per_group=NODES_PER_GROUP)
         )

@@ -76,19 +76,20 @@ class TokenBucket:
             self.tokens = min(self.capacity, self.tokens + gap * self.rate)
         self.last_t = now
 
-    def try_take(self, now: float, cost: float = 1.0) -> bool:
+    def try_take(self, now: float) -> bool:
+        """Take one request's token if the bucket holds it."""
         self._refill(now)
-        if self.tokens >= cost - self._EPS:
-            self.tokens = max(0.0, self.tokens - cost)
+        if self.tokens >= 1.0 - self._EPS:
+            self.tokens = max(0.0, self.tokens - 1.0)
             return True
         return False
 
-    def eta(self, now: float, cost: float = 1.0) -> float:
-        """Seconds until ``cost`` tokens will be available (0 if now)."""
+    def eta(self, now: float) -> float:
+        """Seconds until one token will be available (0 if now)."""
         self._refill(now)
-        if self.tokens >= cost - self._EPS:
+        if self.tokens >= 1.0 - self._EPS:
             return 0.0
-        return (cost - self.tokens) / self.rate
+        return (1.0 - self.tokens) / self.rate
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,12 @@ class AdmissionConfig:
 
 
 class _QueueEntry:
-    __slots__ = ("priority", "seq", "tenant", "cost", "event", "enqueued_at", "cancelled")
+    __slots__ = ("priority", "seq", "tenant", "event", "enqueued_at", "cancelled")
 
-    def __init__(self, priority, seq, tenant, cost, event, enqueued_at):
+    def __init__(self, priority, seq, tenant, event, enqueued_at):
         self.priority = priority
         self.seq = seq
         self.tenant = tenant
-        self.cost = cost
         self.event = event
         self.enqueued_at = enqueued_at
         self.cancelled = False
@@ -171,30 +171,25 @@ class AdmissionController:
         return bucket
 
     # -- the gate ------------------------------------------------------------
-    def admit(self, tenant: str, priority: int = 1, cost: float = 1.0,
+    def admit(self, tenant: str, priority: int = 1,
               ctx: Optional[TraceContext] = None):
         """Process body (``yield from`` it): returns seconds spent queued.
 
-        Raises :class:`AdmissionRejected` with ``reason="queue_full"``
-        when the bounded queue is at depth, ``reason="timeout"`` when
-        the request waited past ``max_queue_wait_s``, or
-        ``reason="cost_exceeds_burst"`` when even a full bucket could
-        never cover ``cost``.
+        Each request costs one token; :class:`TenantQuota` guarantees a
+        full bucket holds one.  Raises :class:`AdmissionRejected` with
+        ``reason="queue_full"`` when the bounded queue is at depth, or
+        ``reason="timeout"`` when the request waited past
+        ``max_queue_wait_s``.
         """
         bucket = self.bucket_for(tenant)
-        # Tokens never accrue past the burst, so such a request would
-        # wait forever (or time out, hiding the cause): refuse it now.
-        if cost - TokenBucket._EPS > bucket.capacity:
-            self._reject(tenant, "cost_exceeds_burst", ctx)
-        # Fast path: nothing ahead of us and tokens available right now.
-        if not self._depth and bucket.try_take(self.env.now, cost):
+        # Fast path: nothing ahead of us and a token available right now.
+        if not self._depth and bucket.try_take(self.env.now):
             self._note_admitted(tenant, 0.0, ctx)
             return 0.0
         if self._depth >= self.config.max_queue_depth:
             self._reject(tenant, "queue_full", ctx)
         entry = _QueueEntry(
-            priority, next(self._seq), tenant, cost,
-            self.env.event(), self.env.now,
+            priority, next(self._seq), tenant, self.env.event(), self.env.now,
         )
         heapq.heappush(self._queue, entry)
         self._depth += 1
@@ -259,11 +254,11 @@ class AdmissionController:
                 heapq.heappop(self._queue)
                 continue
             bucket = self.bucket_for(head.tenant)
-            eta = bucket.eta(self.env.now, head.cost)
+            eta = bucket.eta(self.env.now)
             if eta > 0:
                 yield self.env.timeout(eta)
                 continue  # re-examine: a higher-priority entry may have arrived
-            bucket.try_take(self.env.now, head.cost)
+            bucket.try_take(self.env.now)
             heapq.heappop(self._queue)
             self._depth -= 1
             self._m_depth.set(self._depth)

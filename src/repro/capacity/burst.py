@@ -95,7 +95,7 @@ class CloudBurstRouter:
         )
         bill = FunctionBill(
             cores=BILLED_CORES,
-            memory_bytes=fdef.image.runtime_memory_bytes + fdef.memory_bytes,
+            memory_bytes=fdef.image.runtime_memory_bytes,
             duration_s=record.total_s,
             core_hour_price=CORE_HOUR_PRICE * PREMIUM,
             gib_hour_price=GIB_HOUR_PRICE * PREMIUM,

@@ -63,11 +63,10 @@ class CloudFaaSPlatform:
     def __init__(
         self,
         env: Environment,
-        storage: Optional[ObjectStoreModel] = None,
         rng: Optional[np.random.Generator] = None,
     ):
         self.env = env
-        self.storage = storage or ObjectStoreModel(
+        self.storage = ObjectStoreModel(
             request_latency_s=15e-3,      # cloud storage: tens of ms (Sec. IV-D)
             server_bandwidth=2.5e9,
         )

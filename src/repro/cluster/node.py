@@ -99,14 +99,9 @@ class Node:
         return self.allocated_cores / self.spec.cores
 
     # -- allocation ---------------------------------------------------------
-    def can_allocate(self, cores: int = 0, memory_bytes: int = 0, gpus: int = 0) -> bool:
-        if self.draining:
-            return False
-        return (
-            cores <= self._free_cores
-            and memory_bytes <= self._free_memory
-            and gpus <= len(self._free_gpus)
-        )
+    def can_allocate(self, memory_bytes: int) -> bool:
+        """Whether ``memory_bytes`` would fit (a warm container's runtime)."""
+        return not self.draining and memory_bytes <= self._free_memory
 
     def allocate(
         self,

@@ -27,6 +27,12 @@ from .runtime import ContainerRuntime
 
 __all__ = ["ContainerState", "WarmContainer", "WarmPool", "AcquireResult"]
 
+#: Bytes/s a swapped container image is restored at from the parallel
+#: filesystem.
+SWAP_BANDWIDTH = 5e9
+#: The allocation owner a warm container's memory is charged to.
+OWNER = "rfaas-warmpool"
+
 
 class ContainerState(enum.Enum):
     WARM = "warm"          # resident in node memory, ready for dispatch
@@ -61,21 +67,10 @@ class AcquireResult:
 class WarmPool:
     """Per-node cache of warm containers living in idle memory."""
 
-    def __init__(
-        self,
-        env: Environment,
-        node: Node,
-        runtime: ContainerRuntime,
-        swap_bandwidth: float = 5e9,
-        owner: str = "rfaas-warmpool",
-    ):
-        if swap_bandwidth <= 0:
-            raise ValueError("swap_bandwidth must be positive")
+    def __init__(self, env: Environment, node: Node, runtime: ContainerRuntime):
         self.env = env
         self.node = node
         self.runtime = runtime
-        self.swap_bandwidth = swap_bandwidth
-        self.owner = owner
         self._warm: dict[int, WarmContainer] = {}
         self._swapped: dict[int, WarmContainer] = {}
         # Statistics for the ablation benches.
@@ -157,7 +152,7 @@ class WarmPool:
             self.swap_ins += 1
             self._m_swapins.inc()
             self._note_acquire(image, "swapped", parent)
-            cost = image.runtime_memory_bytes / self.swap_bandwidth + self.runtime.warm_attach_s
+            cost = image.runtime_memory_bytes / SWAP_BANDWIDTH + self.runtime.warm_attach_s
             return AcquireResult(container, cost, "swapped")
 
         # 3. Cold start.
@@ -183,7 +178,7 @@ class WarmPool:
             self._evict_lru(swap=True)
         try:
             return self.node.allocate(
-                owner=self.owner, memory_bytes=need, kind="container"
+                owner=OWNER, memory_bytes=need, kind="container"
             )
         except AllocationError as exc:
             raise AllocationError(

@@ -485,11 +485,11 @@ class ReplicatedResourceManager(ResourceManager):
             self._commit("remove", {"node": node_name, "immediate": immediate})
         return removed
 
-    def try_lease(self, client: str, cores: int = 1, memory_bytes: int = 0,
-                  gpus: int = 0, image=None, exclude: tuple = ()):
+    def try_lease(self, client: str, cores: int = 1, image=None,
+                  exclude: tuple = ()):
         return self._grant(
             self._require_primary("lease"), client, cores=cores,
-            memory_bytes=memory_bytes, gpus=gpus, image=image, exclude=exclude,
+            image=image, exclude=exclude,
         )
 
     def revoke_lease(self, lease, reason: str = "revoked") -> bool:
@@ -526,6 +526,5 @@ class ReplicatedResourceManager(ResourceManager):
         self._commit("grant", {
             "lease_id": lease.lease_id, "client": client,
             "node": lease.node_name, "cores": lease.cores,
-            "memory_bytes": lease.memory_bytes, "gpus": lease.gpus,
         })
         return lease, executor

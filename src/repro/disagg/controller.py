@@ -6,7 +6,7 @@ Wires the batch system to the serverless platform (Fig. 2 / Fig. 6):
   registered with the rFaaS resource manager — whole node, minutes of
   availability are enough;
 * **partially allocated nodes** (Sec. III-B): when a consenting batch job
-  starts, each of its nodes' leftover cores/memory/GPUs are registered,
+  starts, each of its nodes' leftover cores and memory are registered,
   and the job's own resource demand is published to the load registry so
   the interference model sees the full tenant mix;
 * **reclamation** (Sec. IV-E): just before the batch scheduler hands
@@ -123,7 +123,7 @@ class DisaggregationController:
                 continue
             self.manager.register_node(
                 name, cores=cores, memory_bytes=memory,
-                gpus=len(node.free_gpu_ids), mode=self.config.executor_mode,
+                mode=self.config.executor_mode,
             )
             self._reason[name] = "idle"
             self.idle_registrations += 1
@@ -160,7 +160,7 @@ class DisaggregationController:
                 continue
             self.manager.register_node(
                 name, cores=cores, memory_bytes=memory,
-                gpus=len(node.free_gpu_ids), mode=self.config.executor_mode,
+                mode=self.config.executor_mode,
             )
             self._reason[name] = job.job_id
             self.coloc_registrations += 1

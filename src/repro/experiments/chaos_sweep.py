@@ -93,7 +93,7 @@ class ChaosPoint:
         return self.completed / self.invocations if self.invocations else 0.0
 
 
-def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
+def default_plan(rate: float, window_s: float) -> FaultPlan:
     """A deterministic plan with ``rate`` faults per simulated minute.
 
     Events cycle through the whole taxonomy and are spaced evenly
@@ -101,7 +101,7 @@ def default_plan(rate: float, window_s: float, name: str = "") -> FaultPlan:
     pool never collapses entirely (reclamation is routine, not an
     outage).
     """
-    plan = FaultPlan(name=name or f"rate-{rate:g}")
+    plan = FaultPlan(name=f"rate-{rate:g}")
     count = int(round(rate * window_s / 60.0))
     for i in range(count):
         at = (i + 1) * window_s / (count + 1)

@@ -46,7 +46,7 @@ class Fig09Point:
 def scenario(params: dict, seed: int) -> dict:
     """One batch job sharing its nodes with one NAS function."""
     batch_cores: int = params["batch_cores"]
-    app = BATCH_MODELS[params["batch_app"]](params["problem_size"])
+    app = BATCH_MODELS[params["batch_app"]](params["problem_size"], gpu=False)
     spec, model = DAINT_MC, InterferenceModel()
     batch_demand = app.demand(batch_cores)
     faas_demand = nas_model(params["nas"]).demand(spec.cores - batch_cores)

@@ -38,7 +38,7 @@ def scenario(params: dict, seed: int) -> dict:
     batch_cores: int = params["batch_cores"]
     spec, model = DAINT_MC, InterferenceModel()
     faas_cores = spec.cores - batch_cores
-    app = lulesh_model(params["lulesh_size"])
+    app = lulesh_model(params["lulesh_size"], gpu=False)
     batch_demand = app.demand(batch_cores)
     batch_alone = model.slowdowns(spec, [batch_demand])[0]
     faas_demand = nas_model(params["nas"]).demand(faas_cores)

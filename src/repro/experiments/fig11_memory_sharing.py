@@ -65,7 +65,7 @@ def scenario(params: dict, seed: int) -> dict:
     size: int = params["problem_size"]
     interval: float = params["interval_s"]
     model = InterferenceModel()
-    demand = BATCH_MODELS[app_name](size).demand(ranks)
+    demand = BATCH_MODELS[app_name](size, gpu=False).demand(ranks)
     # Exclusive baseline: the job alone on the node, no service traffic.
     alone = model.slowdowns(AULT, [demand])[0]
     bw = _traffic_bandwidth(params["op_bytes"], interval)

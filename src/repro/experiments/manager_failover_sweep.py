@@ -84,7 +84,7 @@ class FailoverPoint:
         return self.completed / self.invocations if self.invocations else 0.0
 
 
-def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
+def default_plan(window_s: float) -> FaultPlan:
     """The canonical storm: clients must re-lease *into* each outage.
 
     A client holding a valid lease never talks to the manager, so each
@@ -93,7 +93,7 @@ def default_plan(window_s: float, name: str = "managerha") -> FaultPlan:
     clients then hit a dead/partitioned control plane and exercise the
     typed :class:`~repro.rfaas.ManagerUnavailableError` retry path.
     """
-    return (FaultPlan(name=name)
+    return (FaultPlan(name="managerha")
             .lease_storm(at_s=0.2 * window_s, count=8)
             .manager_crash(at_s=0.2 * window_s, duration_s=0.25 * window_s)
             .lease_storm(at_s=0.55 * window_s, count=8)

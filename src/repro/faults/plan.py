@@ -186,22 +186,20 @@ class FaultPlan:
         return self.add(FaultEvent(FaultKind.NETWORK_PARTITION, at_s,
                                    duration_s=duration_s, node=node))
 
-    def straggler(self, at_s: float, duration_s: float, multiplier: float = 10.0,
-                  node: Optional[str] = None) -> "FaultPlan":
+    def straggler(self, at_s: float, duration_s: float,
+                  multiplier: float = 10.0) -> "FaultPlan":
         return self.add(FaultEvent(FaultKind.STRAGGLER, at_s, duration_s=duration_s,
-                                   node=node, magnitude=multiplier))
+                                   magnitude=multiplier))
 
-    def warmpool_pressure(self, at_s: float, fraction: float = 1.0,
-                          node: Optional[str] = None, swap: bool = True) -> "FaultPlan":
-        return self.add(FaultEvent(FaultKind.WARMPOOL_PRESSURE, at_s, node=node,
-                                   magnitude=fraction, swap=swap))
+    def warmpool_pressure(self, at_s: float, fraction: float = 1.0) -> "FaultPlan":
+        return self.add(FaultEvent(FaultKind.WARMPOOL_PRESSURE, at_s,
+                                   magnitude=fraction))
 
-    def memservice_kill(self, at_s: float, node: Optional[str] = None) -> "FaultPlan":
-        return self.add(FaultEvent(FaultKind.MEMSERVICE_KILL, at_s, node=node))
+    def memservice_kill(self, at_s: float) -> "FaultPlan":
+        return self.add(FaultEvent(FaultKind.MEMSERVICE_KILL, at_s))
 
-    def gpu_device_loss(self, at_s: float, node: Optional[str] = None,
-                        duration_s: float = 0.0) -> "FaultPlan":
-        return self.add(FaultEvent(FaultKind.GPU_DEVICE_LOSS, at_s, node=node,
+    def gpu_device_loss(self, at_s: float, duration_s: float = 0.0) -> "FaultPlan":
+        return self.add(FaultEvent(FaultKind.GPU_DEVICE_LOSS, at_s,
                                    duration_s=duration_s))
 
     def manager_crash(self, at_s: float, duration_s: float = 0.0,

@@ -142,7 +142,6 @@ class GpuLeaseManager:
         function: str,
         occupancy: float,
         memory_bytes: int,
-        node: Optional[str] = None,
     ) -> GpuLease:
         """Lease a fractional share on the least-committed eligible device.
 
@@ -158,9 +157,7 @@ class GpuLeaseManager:
         best: Optional[str] = None
         best_load = float("inf")
         for name in sorted(self._devices):
-            device, host = self._devices[name]
-            if node is not None and host != node:
-                continue
+            device = self._devices[name][0]
             load = self.committed_occupancy(name)
             if load + occupancy > 1.0:
                 continue

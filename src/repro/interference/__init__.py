@@ -1,12 +1,8 @@
-"""Interference substrate: demand vectors, contention model, counters."""
+"""Interference substrate: demand vectors and the contention model."""
 
-from .counters import CounterProfile, CounterSample, sample_counters
 from .model import InterferenceModel, PlacementError, ResourceDemand
 
 __all__ = [
-    "CounterProfile",
-    "CounterSample",
-    "sample_counters",
     "InterferenceModel",
     "PlacementError",
     "ResourceDemand",

@@ -197,7 +197,6 @@ class InterferenceModel:
         spec: NodeSpec,
         demand: ResourceDemand,
         instances: int,
-        extra_netbw: float = 0.0,
     ) -> float:
         """Aggregate throughput of N identical instances vs. one alone.
 
@@ -207,5 +206,5 @@ class InterferenceModel:
         if instances < 1:
             raise ValueError("need >= 1 instance")
         base = self.slowdowns(spec, [demand])[0]
-        colocated = self.slowdowns(spec, demand.scaled(instances), extra_netbw=extra_netbw)
+        colocated = self.slowdowns(spec, demand.scaled(instances))
         return sum(base / s for s in colocated)

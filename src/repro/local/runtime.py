@@ -62,11 +62,11 @@ class RuntimeStats:
 class LocalRuntime:
     """Warm pool of worker processes executing registered functions."""
 
-    def __init__(self, workers: int = 2, start_method: str = "spawn"):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise ValueError("need >= 1 worker")
         self.workers = workers
-        self._ctx = get_context(start_method)
+        self._ctx = get_context("spawn")
         self._pool: Optional[ProcessPoolExecutor] = None
         self._functions: dict[str, str] = {}
         self.stats = RuntimeStats()

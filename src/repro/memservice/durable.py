@@ -47,7 +47,6 @@ from ..network.transport import Connection, NetworkFabric, TransferDropped
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from ..sim.engine import Environment, Process
 from ..telemetry import telemetry_of
-from ..telemetry.context import TraceContext
 from .memory_function import MemoryServiceFunction
 from .placement import ReplicaPlacement
 from .repair import RepairLoop
@@ -601,13 +600,12 @@ class DurableMemoryClient:
         self._conns.clear()
 
     # -- reads ----------------------------------------------------------------
-    def read(self, offset: int, size: int,
-             ctx: Optional[TraceContext] = None) -> Process:
+    def read(self, offset: int, size: int) -> Process:
         self.service.validate_access(offset, size)
 
         def run():
             with self._tracer.span(
-                "memservice.read", track="memservice", ctx=ctx,
+                "memservice.read", track="memservice",
                 offset=offset, size=size,
             ):
                 total = 0
@@ -681,13 +679,12 @@ class DurableMemoryClient:
         self._m_failovers.inc()
 
     # -- writes ---------------------------------------------------------------
-    def write(self, offset: int, size: int,
-              ctx: Optional[TraceContext] = None) -> Process:
+    def write(self, offset: int, size: int) -> Process:
         self.service.validate_access(offset, size)
 
         def run():
             with self._tracer.span(
-                "memservice.write", track="memservice", ctx=ctx,
+                "memservice.write", track="memservice",
                 offset=offset, size=size,
             ):
                 total = 0

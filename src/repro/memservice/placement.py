@@ -45,8 +45,7 @@ class ReplicaPlacement:
             if name not in excluded and not self.cluster.node(name).draining
         ), start)
 
-    def replica_nodes(self, chunk_index: int, k: int,
-                      exclude: Iterable[str] = ()) -> list[str]:
+    def replica_nodes(self, chunk_index: int, k: int) -> list[str]:
         """``k`` distinct hosts for one chunk, spread across groups.
 
         Returns fewer than ``k`` names when the candidate set is too
@@ -55,7 +54,7 @@ class ReplicaPlacement:
         """
         if k < 1:
             raise ValueError("replication factor must be >= 1")
-        return self._order(chunk_index, exclude)[:k]
+        return self._order(chunk_index, ())[:k]
 
     def pick_target(self, exclude: Iterable[str], need_bytes: int) -> Optional[str]:
         """One host for a repaired/migrated replica, or None.

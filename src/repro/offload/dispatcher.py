@@ -36,12 +36,11 @@ class DispatchReport:
 class OffloadDispatcher:
     """Runs payload batches with model-guided local/remote splitting."""
 
-    def __init__(self, runtime: LocalRuntime, model: OffloadModel,
-                 telemetry: Optional[Any] = None):
+    def __init__(self, runtime: LocalRuntime, model: OffloadModel):
         self.runtime = runtime
         self.model = model
         # Wall-clock telemetry scope (this runtime is live, not simulated).
-        self.telemetry = telemetry if telemetry is not None else telemetry_of(None)
+        self.telemetry = telemetry_of(None)
 
     def run(
         self,

@@ -1,10 +1,11 @@
 """rFaaS client library.
 
 Handles the client side of the invocation protocol: leasing executor
-resources, establishing the RDMA connection (with DRC credentials on
+cores, establishing the RDMA connection (with DRC credentials on
 uGNI), sending payloads, and — crucially for ephemeral HPC capacity —
 transparently re-leasing and redirecting when the platform cancels a
-lease underneath the client (Sec. III-A).
+lease underneath the client (Sec. III-A).  A reclaimed invocation
+restarts from the beginning on its redirect target.
 
 Recovery is governed by a :class:`~repro.faults.RetryPolicy`: attempt
 budget, exponential backoff, an optional
@@ -72,9 +73,7 @@ def race_deadline(env: Environment, execution: Event, deadline: float):
         return result
     if execution.ok:
         return execution.value
-    raise TerminationError(str(execution.value),
-                           checkpoint_s=execution.value.checkpoint_s,
-                           cause=_TIMEOUT_CAUSE)
+    raise TerminationError(str(execution.value), cause=_TIMEOUT_CAUSE)
 
 
 class RFaaSClient:
@@ -174,11 +173,7 @@ class RFaaSClient:
             self._leasing = self.env.event()
             try:
                 lease, executor = self.manager.lease(
-                    client=self.name,
-                    cores=cores,
-                    memory_bytes=fdef.memory_bytes,
-                    gpus=1 if fdef.needs_gpu else 0,
-                    image=fdef.image,
+                    client=self.name, cores=cores, image=fdef.image,
                     exclude=exclude,
                 )
                 lease.on_cancel.append(self._on_cancel)
@@ -255,7 +250,7 @@ class RFaaSClient:
             name=f"{self.name}-invoke-{function}",
         )
 
-    def invoke_detailed(self, function: str, payload_bytes: int = 0, cores: int = 1,
+    def invoke_detailed(self, function: str, payload_bytes: int = 0,
                         ctx: Optional[TraceContext] = None):
         """Process: one invocation; yields a :class:`DegradedResult`.
 
@@ -270,7 +265,7 @@ class RFaaSClient:
         """
         fdef = self.functions.lookup(function)
         return self.env.process(
-            self._invoke_detailed(fdef, payload_bytes, cores, ctx=ctx),
+            self._invoke_detailed(fdef, payload_bytes, 1, ctx=ctx),
             name=f"{self.name}-invoke-{function}",
         )
 
@@ -303,7 +298,6 @@ class RFaaSClient:
             invocation_id=self.env.next_id("rfaas-invocation"),
         )
         exclude: tuple[str, ...] = ()
-        resume_offset = 0.0
         t_begin = self.env.now
         deadline = None if policy.timeout_s is None else t_begin + policy.timeout_s
         first_failure: Optional[float] = None
@@ -417,8 +411,6 @@ class RFaaSClient:
                 try:
                     yield connection.send(payload_bytes)
                     network_out = self.env.now - t_start
-                    if resume_offset:
-                        request = replace(request, resume_offset_s=resume_offset)
                     if deadline is None:
                         result: InvocationResult = yield executor.execute(fdef, request)
                     else:
@@ -454,12 +446,10 @@ class RFaaSClient:
                     if term.cause == _TIMEOUT_CAUSE:
                         attempt_span.set(outcome="timeout")
                         return timed_out()
-                    # Reclaimed mid-flight: redirect to a new lease, resuming
-                    # from the checkpoint if the function supports it.
+                    # Reclaimed mid-flight: redirect to a new lease.
                     last_error = term
                     if first_failure is None:
                         first_failure = self.env.now
-                    resume_offset = max(resume_offset, term.checkpoint_s)
                     exclude = exclude + (executor.node.name,)
                     self.redirects += 1
                     if self._lease is not None and not self._lease.active:

@@ -7,7 +7,7 @@ Every failure the platform reports to user code derives from
     RFaaSError(RuntimeError)
     ├── NoCapacityError       no registered node can satisfy a lease
     ├── TerminationError      invocation aborted: executor reclaimed
-    │                         (carries ``checkpoint_s`` + ``cause``)
+    │                         (carries ``cause``)
     ├── LeaseRevokedError     a lease was cancelled by the platform
     │                         before/while the client was using it
     │   └── GpuLeaseRevokedError
@@ -85,16 +85,13 @@ class NoCapacityError(RFaaSError):
 class TerminationError(RFaaSError):
     """Invocation aborted because the executor was reclaimed.
 
-    ``checkpoint_s`` carries the nominal-runtime seconds already completed
-    and checkpointed (0 for non-checkpointable functions): the client
-    library resumes from there on its redirect target.  ``cause`` names
-    what interrupted the invocation (e.g. ``"reclaim"``, or the fault
-    kind injected by :class:`repro.faults.Injector`).
+    The client library restarts it on its redirect target.  ``cause``
+    names what interrupted the invocation (e.g. ``"reclaim"``, or the
+    fault kind injected by :class:`repro.faults.Injector`).
     """
 
-    def __init__(self, message: str, checkpoint_s: float = 0.0, cause: Any = "reclaim"):
+    def __init__(self, message: str, cause: Any = "reclaim"):
         super().__init__(message)
-        self.checkpoint_s = checkpoint_s
         self.cause = cause
 
 

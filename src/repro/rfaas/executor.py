@@ -17,7 +17,7 @@ interference becomes visible to serverless users.
 As in rFaaS's hot executor, which serves an RDMA-written request on one
 path with no scheduler queue, an invocation is served without a
 process: :meth:`Executor.execute` returns an :class:`Invocation` event
-whose steps (core, dispatch, sandbox, inputs, execution) run as a chain
+whose steps (core, dispatch, sandbox, execution) run as a chain
 of timer callbacks, the last of which succeeds the invocation.  An
 immediate drain interrupts each invocation in flight: the pending step
 becomes a no-op and the invocation fails with :class:`TerminationError`.
@@ -34,7 +34,6 @@ from ..cluster.node import Node
 from ..containers.image import Image
 from ..containers.warmpool import WarmContainer, WarmPool
 from ..sim.engine import Environment, Event, SimulationError
-from ..storage.tiered import TieredFunctionStorage
 from ..telemetry import SpanKind, telemetry_of
 from .errors import TerminationError
 from .load import NodeLoadRegistry
@@ -68,7 +67,6 @@ class Executor:
         cores: int,
         mode: str = ExecutorMode.HOT,
         rng: Optional[np.random.Generator] = None,
-        storage: Optional[TieredFunctionStorage] = None,
         max_invocation_s: float = 30.0,
     ):
         if cores < 1:
@@ -85,9 +83,6 @@ class Executor:
         self.cores = cores
         self.mode = mode
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        # Function storage tier (Sec. IV-D): the mounted parallel FS plus
-        # the object-store warm cache; None disables I/O modeling.
-        self.storage = storage if storage is not None else TieredFunctionStorage()
         # Functions must be time-limited (Sec. III-A): that is what lets
         # a temporarily-available node drain quickly for batch jobs.
         self.max_invocation_s = max_invocation_s
@@ -139,10 +134,6 @@ class Executor:
         )
 
     # -- lifecycle ----------------------------------------------------------
-    @property
-    def active_invocations(self) -> int:
-        return len(self._active)
-
     def drain(self, immediate: bool = False) -> None:
         """Stop accepting invocations; optionally abort in-flight ones.
 
@@ -221,8 +212,8 @@ class Invocation(Event):
     """One invocation on an executor: an event that fires with its
     :class:`InvocationResult`, or fails with :class:`TerminationError`.
 
-    No process serves it.  Its steps (core, dispatch, sandbox, inputs,
-    execution) are a chain of callbacks, each run by the timer (or core
+    No process serves it.  Its steps (core, dispatch, sandbox, execution)
+    are a chain of callbacks, each run by the timer (or core
     grant) the step before it set, and the last one succeeds the
     invocation itself.  Once the invocation has ended, a step still
     queued is a no-op.
@@ -233,8 +224,7 @@ class Invocation(Event):
     """
 
     __slots__ = ("executor", "fdef", "request", "timings", "_traced", "_grant",
-                 "_holding", "_load_key", "_kind", "_started_at", "_slowdown",
-                 "_span", "_step")
+                 "_holding", "_load_key", "_kind", "_span", "_step")
 
     def __init__(self, executor: Executor, fdef: FunctionDef, request: InvocationRequest):
         Event.__init__(self, executor.env)
@@ -247,7 +237,6 @@ class Invocation(Event):
         self._holding = False
         self._load_key: Optional[str] = None
         self._kind = ""
-        self._started_at = self._slowdown = 0.0
         self._span = self._step = None
 
     def interrupt(self, cause: Any = None) -> None:
@@ -296,46 +285,21 @@ class Invocation(Event):
         self._sandboxed(None)
 
     def _sandboxed(self, _event: Optional[Event]) -> None:
-        """Stage inputs through the function storage tier (mounted PFS /
-        object cache, Sec. IV-D)."""
-        if self._triggered:
-            return
-        executor = self.executor
-        fdef = self.fdef
-        if self._traced:
-            self._step.set(kind=self._kind)
-            executor._tracer.finish(self._step)
-            self._span.set(sandbox=self._kind)
-        if not fdef.input_read_bytes:
-            self._staged(None)
-            return
-        if self._traced:
-            self._step = executor._tracer.begin(
-                SpanKind.IO, track=executor._track, parent=self._span,
-                bytes=fdef.input_read_bytes)
-        concurrent = max(1, executor.active_invocations)
-        self.timings.io = executor.storage.read_time(
-            fdef.input_read_bytes, concurrent_readers=concurrent
-        )
-        self.env.timer(self.timings.io, self._staged)
-
-    def _staged(self, _event: Optional[Event]) -> None:
-        """Execute under the node's current interference, skipping work
-        already checkpointed elsewhere."""
+        """Execute under the node's current interference."""
         if self._triggered:
             return
         executor = self.executor
         fdef = self.fdef
         traced = self._traced
-        if traced and fdef.input_read_bytes:
+        if traced:
+            self._step.set(kind=self._kind)
             executor._tracer.finish(self._step)
+            self._span.set(sandbox=self._kind)
         node_name = executor.node.name
         self._load_key = load_key = f"inv-{self.request.invocation_id}"
         executor.loads.add(node_name, load_key, fdef.demand)
-        self._slowdown = slowdown = executor.loads.slowdown_of(node_name, load_key)
-        remaining = max(fdef.runtime_s - self.request.resume_offset_s, 0.0)
-        self.timings.execution = execution = remaining * slowdown
-        self._started_at = self.env.now
+        slowdown = executor.loads.slowdown_of(node_name, load_key)
+        self.timings.execution = execution = fdef.runtime_s * slowdown
         if execution > executor.max_invocation_s:
             # Admission-time enforcement of the time limit: the
             # platform never starts work it would have to kill.
@@ -390,8 +354,6 @@ class Invocation(Event):
             return  # an earlier interrupt at this instant ended it
         cause = event.value
         executor = self.executor
-        fdef = self.fdef
-        request = self.request
         executor.terminated += 1
         if self._traced:
             tracer = executor._tracer
@@ -400,19 +362,9 @@ class Invocation(Event):
                 tracer.finish(self._step, error="Interrupt")
             tracer.finish(self._span, error="Interrupt")
             executor._m_terminated.inc()
-        checkpoint = request.resume_offset_s
-        if fdef.checkpointable and self._load_key is not None:
-            # Progress in nominal-runtime seconds, rounded down to the
-            # last completed checkpoint.
-            elapsed = (self.env.now - self._started_at) / self._slowdown
-            interval = fdef.checkpoint_interval_s
-            checkpoint += (elapsed // interval) * interval
-            checkpoint = min(checkpoint, fdef.runtime_s)
         self._release()
         self.fail(TerminationError(
-            f"invocation {request.invocation_id}: {cause}",
-            checkpoint_s=checkpoint,
-            cause=cause,
+            f"invocation {self.request.invocation_id}: {cause}", cause=cause,
         ))
 
     def _release(self) -> None:

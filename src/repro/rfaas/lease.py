@@ -29,8 +29,6 @@ class Lease:
     client: str
     node_name: str
     cores: int
-    memory_bytes: int
-    gpus: int = 0
     # The manager passes env.next_id("rfaas-lease"): ids are per-environment.
     lease_id: int = field(kw_only=True)
     # Control-plane term the grant was fenced under.  0 = granted by a
@@ -42,10 +40,8 @@ class Lease:
     on_cancel: list[Callable[["Lease"], None]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.cores < 0 or self.memory_bytes < 0 or self.gpus < 0:
-            raise ValueError("lease resources must be non-negative")
-        if self.cores == 0 and self.memory_bytes == 0 and self.gpus == 0:
-            raise ValueError("empty lease")
+        if self.cores < 1:
+            raise ValueError("a lease holds at least one core")
 
     @property
     def active(self) -> bool:

@@ -12,13 +12,10 @@ order)`` to the tuple of slowdowns, and every query (``slowdowns``,
 ``slowdown_of``, ``preview_slowdown``) reads through it.  The key is by
 mix, not by node, because ``add``/``remove`` change a node's mix right
 before each query.  The memo lives on the registry, not in a module
-global, because the model's calibration constants are not part of the
-key.
+global, so it dies with its platform.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..cluster.machine import Cluster
 from ..interference.model import InterferenceModel, ResourceDemand
@@ -29,9 +26,9 @@ __all__ = ["NodeLoadRegistry"]
 class NodeLoadRegistry:
     """Tracks the active demand vectors of every node."""
 
-    def __init__(self, cluster: Cluster, model: Optional[InterferenceModel] = None):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        self.model = model if model is not None else InterferenceModel()
+        self.model = InterferenceModel()
         self._demands: dict[str, dict[str, ResourceDemand]] = {}
         self._memo: dict[tuple, tuple[float, ...]] = {}
 

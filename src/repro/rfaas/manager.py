@@ -9,9 +9,10 @@ the cluster:
 * ``remove_node`` — the batch manager retrieves resources ("12" in
   Fig. 6): graceful lets active invocations finish, immediate aborts them
   with *termination* replies;
-* ``lease`` — clients obtain executor slices; computing, memory, and GPU
-  resources are allocated and billed independently (software
-  disaggregation's core property).
+* ``lease`` — clients obtain executor cores.  Computing is leased here;
+  GPUs are shared through :mod:`repro.gpuservice` and remote memory is
+  served by :mod:`repro.memservice`, each allocated and billed
+  independently (software disaggregation's core property).
 
 Placement prefers nodes that hold warm containers for the client's image,
 implementing the warm-aware scheduling of Sec. IV-B.
@@ -40,37 +41,27 @@ from .load import NodeLoadRegistry
 __all__ = ["ResourceManager", "RegisteredNode", "NoCapacityError"]
 
 
-def no_capacity_error(cores: int, memory_bytes: int, gpus: int) -> NoCapacityError:
-    """The one denial a lease request for this shape fails with."""
-    return NoCapacityError(
-        f"no registered node fits {cores} cores / {memory_bytes} B / {gpus} GPUs"
-    )
+def no_capacity_error(cores: int) -> NoCapacityError:
+    """The one denial a lease request for ``cores`` fails with."""
+    return NoCapacityError(f"no registered node fits {cores} cores")
 
 
 class RegisteredNode:
     """Book-keeping for one node's registered spare capacity."""
 
-    def __init__(self, node_name: str, cores: int, memory_bytes: int, gpus: int,
+    def __init__(self, node_name: str, cores: int, memory_bytes: int,
                  executor: Executor, warm_pool: WarmPool, credential: Credential):
         self.node_name = node_name
         self.cores_total = cores
         self.memory_total = memory_bytes
-        self.gpus_total = gpus
         self.cores_free = cores
-        self.memory_free = memory_bytes
-        self.gpus_free = gpus
         self.executor = executor
         self.warm_pool = warm_pool
         self.credential = credential
         self.leases: dict[int, tuple[Lease, Allocation]] = {}
 
-    def fits(self, cores: int, memory_bytes: int, gpus: int) -> bool:
-        return (
-            cores <= self.cores_free
-            and memory_bytes <= self.memory_free
-            and gpus <= self.gpus_free
-            and not self.executor.draining
-        )
+    def fits(self, cores: int) -> bool:
+        return cores <= self.cores_free and not self.executor.draining
 
 
 class ResourceManager:
@@ -135,7 +126,6 @@ class ResourceManager:
         node_name: str,
         cores: int,
         memory_bytes: int,
-        gpus: int = 0,
         mode: str = ExecutorMode.HOT,
         max_invocation_s: float = 30.0,
     ) -> RegisteredNode:
@@ -145,10 +135,10 @@ class ResourceManager:
         if cores < 1:
             raise ValueError("must register >= 1 core to run the executor")
         node = self.cluster.node(node_name)
-        if cores > node.free_cores or memory_bytes > node.free_memory or gpus > len(node.free_gpu_ids):
+        if cores > node.free_cores or memory_bytes > node.free_memory:
             raise AllocationError(
                 f"registering more than node {node_name} has free "
-                f"({cores} cores / {memory_bytes} B / {gpus} GPUs)"
+                f"({cores} cores / {memory_bytes} B)"
             )
         warm_pool = WarmPool(self.env, node, self.runtime)
         executor = Executor(
@@ -157,14 +147,14 @@ class ResourceManager:
         )
         credential = self.drc.acquire(owner=f"executor-{node_name}")
         registered = RegisteredNode(
-            node_name, cores, memory_bytes, gpus, executor, warm_pool, credential
+            node_name, cores, memory_bytes, executor, warm_pool, credential
         )
         self._nodes[node_name] = registered
         self._free_cores += cores
         self._record_pool()
         self._tracer.instant(
             "manager.register_node", track="manager",
-            node=node_name, cores=cores, memory=memory_bytes, gpus=gpus,
+            node=node_name, cores=cores, memory=memory_bytes,
         )
         return registered
 
@@ -211,7 +201,6 @@ class ResourceManager:
             "node_name": node_name,
             "cores": registered.cores_total,
             "memory_bytes": registered.memory_total,
-            "gpus": registered.gpus_total,
             "mode": registered.executor.mode,
             "max_invocation_s": registered.executor.max_invocation_s,
         }
@@ -227,24 +216,19 @@ class ResourceManager:
         self,
         client: str,
         cores: int = 1,
-        memory_bytes: int = 0,
-        gpus: int = 0,
         image: Optional[Image] = None,
         exclude: tuple[str, ...] = (),
     ) -> tuple[Lease, Executor]:
         """Grant a lease, or raise :class:`NoCapacityError` on a denial."""
-        granted = self.try_lease(client, cores=cores, memory_bytes=memory_bytes,
-                                 gpus=gpus, image=image, exclude=exclude)
+        granted = self.try_lease(client, cores=cores, image=image, exclude=exclude)
         if granted is None:
-            raise no_capacity_error(cores, memory_bytes, gpus)
+            raise no_capacity_error(cores)
         return granted
 
     def try_lease(
         self,
         client: str,
         cores: int = 1,
-        memory_bytes: int = 0,
-        gpus: int = 0,
         image: Optional[Image] = None,
         exclude: tuple[str, ...] = (),
     ) -> Optional[tuple[Lease, Executor]]:
@@ -258,7 +242,7 @@ class ResourceManager:
         # so skip the scan and deny exactly as an empty scan would.
         candidates = [] if cores > self._free_cores else [
             r for name, r in self._nodes.items()
-            if name not in exclude and r.fits(cores, memory_bytes, gpus)
+            if name not in exclude and r.fits(cores)
         ]
         if not candidates:
             self._m_denied.inc()
@@ -276,19 +260,14 @@ class ResourceManager:
         alloc = node.allocate(
             owner=f"lease-{client}",
             cores=cores,
-            memory_bytes=memory_bytes,
-            gpus=gpus,
             kind="function",
         )
         lease = Lease(
-            client=client, node_name=chosen.node_name,
-            cores=cores, memory_bytes=memory_bytes, gpus=gpus,
+            client=client, node_name=chosen.node_name, cores=cores,
             lease_id=self.env.next_id("rfaas-lease"),
         )
         chosen.cores_free -= cores
         self._free_cores -= cores
-        chosen.memory_free -= memory_bytes
-        chosen.gpus_free -= gpus
         chosen.leases[lease.lease_id] = (lease, alloc)
         self._lease_owner[lease.lease_id] = chosen.node_name
         self.drc.grant(chosen.credential.cred_id, chosen.credential.owner, client)
@@ -364,8 +343,6 @@ class ResourceManager:
         self.cluster.node(registered.node_name).release(alloc)
         registered.cores_free += lease.cores
         self._free_cores += lease.cores
-        registered.memory_free += lease.memory_bytes
-        registered.gpus_free += lease.gpus
         self._lease_owner.pop(lease.lease_id, None)
         self._record_pool()
         self._tracer.instant(

@@ -27,9 +27,6 @@ class InvocationRequest:
     # The client passes env.next_id("rfaas-invocation"): ids are
     # per-environment.
     invocation_id: int
-    # Completed work (seconds of nominal runtime) restored from a
-    # checkpoint after a termination; 0 = fresh start.
-    resume_offset_s: float = 0.0
     # Causal trace identity carried across the client -> executor hop;
     # None when telemetry is off (the common case) or for bare sends.
     trace: Optional[TraceContext] = field(default=None, compare=False)
@@ -37,8 +34,6 @@ class InvocationRequest:
     def __post_init__(self):
         if self.payload_bytes < 0:
             raise ValueError("payload must be non-negative")
-        if self.resume_offset_s < 0:
-            raise ValueError("resume offset must be non-negative")
 
 
 @dataclass
@@ -48,7 +43,6 @@ class Timings:
     network_out: float = 0.0
     dispatch: float = 0.0       # executor wakeup / polling pickup
     startup: float = 0.0        # container acquire (cold/warm/swapped)
-    io: float = 0.0             # input staging through function storage
     execution: float = 0.0
     network_back: float = 0.0
 
@@ -56,7 +50,7 @@ class Timings:
     def total(self) -> float:
         return (
             self.network_out + self.dispatch + self.startup
-            + self.io + self.execution + self.network_back
+            + self.execution + self.network_back
         )
 
 

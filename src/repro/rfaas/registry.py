@@ -1,21 +1,17 @@
-"""Function registry with registration-time profiling (Sec. III-E).
+"""Function registry (Sec. III-E).
 
 "When registering a new code container, the function can be profiled
 using user-provided or synthetic input data."  Registration stores the
-function's container image, resource demand (user-declared or recovered
-from counter sampling), and a runtime estimate used by both the placement
-policy and the LogP offloading planner.
+function's container image, its user-declared resource demand, and a
+runtime estimate used by both the placement policy and the LogP
+offloading planner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from ..containers.image import Image
-from ..interference.counters import CounterProfile, sample_counters
 from ..interference.model import ResourceDemand
 
 __all__ = ["FunctionDef", "FunctionRegistry"]
@@ -30,33 +26,19 @@ class FunctionDef:
     demand: ResourceDemand
     runtime_s: float              # estimated execution time per invocation
     output_bytes: int = 1024
-    needs_gpu: bool = False
-    # Memory the invocation itself needs beyond the container runtime.
-    memory_bytes: int = 0
-    # Input data staged through the function storage tier per invocation
-    # (the mounted parallel FS / object-store cache of Sec. IV-D).
-    input_read_bytes: int = 0
-    # Functions "are very easy to checkpoint" (Sec. III): when enabled,
-    # a terminated invocation resumes from its last checkpoint on the
-    # redirect target instead of restarting.
-    checkpointable: bool = False
-    checkpoint_interval_s: float = 0.5
 
     def __post_init__(self):
         if self.runtime_s < 0:
             raise ValueError("runtime estimate must be non-negative")
-        if self.output_bytes < 0 or self.memory_bytes < 0 or self.input_read_bytes < 0:
+        if self.output_bytes < 0:
             raise ValueError("sizes must be non-negative")
-        if self.checkpoint_interval_s <= 0:
-            raise ValueError("checkpoint interval must be positive")
 
 
 class FunctionRegistry:
-    """Named function definitions plus profiling support."""
+    """Named function definitions."""
 
-    def __init__(self, rng: Optional[np.random.Generator] = None):
+    def __init__(self):
         self._functions: dict[str, FunctionDef] = {}
-        self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def __contains__(self, name: str) -> bool:
         return name in self._functions
@@ -69,41 +51,19 @@ class FunctionRegistry:
         name: str,
         image: Image,
         runtime_s: float,
-        demand: Optional[ResourceDemand] = None,
+        demand: ResourceDemand,
         output_bytes: int = 1024,
-        needs_gpu: bool = False,
-        memory_bytes: int = 0,
-        input_read_bytes: int = 0,
-        checkpointable: bool = False,
-        checkpoint_interval_s: float = 0.5,
     ) -> FunctionDef:
-        """Register a function; profiles the demand vector if not supplied.
-
-        Users are incentivized to declare demand (lower prices, Sec.
-        III-E); otherwise the platform runs a synthetic-input profiling
-        pass — modeled here by sampling counters for a default profile
-        and recovering the demand from them.
-        """
+        """Register a function with its user-declared demand vector
+        (users are incentivized to declare it: lower prices, Sec. III-E)."""
         if name in self._functions:
             raise ValueError(f"function {name!r} already registered")
-        if demand is None:
-            demand = self._profile(cores=1)
         fdef = FunctionDef(
             name=name, image=image, demand=demand, runtime_s=runtime_s,
-            output_bytes=output_bytes, needs_gpu=needs_gpu, memory_bytes=memory_bytes,
-            input_read_bytes=input_read_bytes,
-            checkpointable=checkpointable, checkpoint_interval_s=checkpoint_interval_s,
+            output_bytes=output_bytes,
         )
         self._functions[name] = fdef
         return fdef
-
-    def _profile(self, cores: int) -> ResourceDemand:
-        # Synthetic-input profiling: assume a middle-of-the-road function
-        # and measure it. The counters pipeline adds realistic noise.
-        assumed = ResourceDemand(cores=cores, membw=2e9, llc_bytes=4 << 20, frac_membw=0.25)
-        samples = sample_counters(assumed, self._rng, windows=20)
-        return CounterProfile.from_samples(samples).to_demand(llc_bytes=assumed.llc_bytes)
-
     def lookup(self, name: str) -> FunctionDef:
         try:
             return self._functions[name]

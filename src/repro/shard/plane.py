@@ -272,23 +272,22 @@ class ShardedControlPlane:
         return sum(s.manager.total_free_cores() for s in self.shards)
 
     # -- the lease API, routed by client to its home shard -----------------------
-    def try_lease(self, client: str, cores: int = 1, memory_bytes: int = 0,
-                  gpus: int = 0, image=None, exclude: tuple[str, ...] = ()):
+    def try_lease(self, client: str, cores: int = 1, image=None,
+                  exclude: tuple[str, ...] = ()):
         """Grant on ``client``'s home shard now, or return ``None`` when
         none of its nodes fits (as :meth:`ResourceManager.try_lease`)."""
         return self._grant(self.shards[self.shard_of(client)], client, cores,
-                           memory_bytes, gpus, image, exclude)
+                           image, exclude)
 
     #: :meth:`try_lease`, raising :class:`NoCapacityError` on a denial.
     lease = ResourceManager.lease
 
-    def _grant(self, shard: Shard, client: str, cores: int, memory_bytes: int,
-               gpus: int, image, exclude: tuple[str, ...] = ()):
+    def _grant(self, shard: Shard, client: str, cores: int, image=None,
+               exclude: tuple[str, ...] = ()):
         """The one grant body: ``shard``'s ``try_lease``, entered in the
         conservation ledger.  A down bare shard raises."""
         granted = shard.up().try_lease(
-            client, cores=cores, memory_bytes=memory_bytes, gpus=gpus,
-            image=image, exclude=exclude,
+            client, cores=cores, image=image, exclude=exclude,
         )
         if granted is not None:
             lease = granted[0]
@@ -298,14 +297,11 @@ class ShardedControlPlane:
         return granted
 
     # -- batched front door ------------------------------------------------------
-    def request_grant(self, tenant: str, cores: int = 1, memory_bytes: int = 0,
-                      gpus: int = 0, image=None) -> Event:
+    def request_grant(self, tenant: str, cores: int = 1) -> Event:
         """Queue a grant on the tenant's home shard; yields ``(lease,
         executor)`` or fails with the underlying platform error."""
         shard = self.shards[self.shard_of(tenant)]
-        event = shard.batcher.submit(
-            "grant", (tenant, cores, memory_bytes, gpus, image),
-        )
+        event = shard.batcher.submit("grant", (tenant, cores))
         self._g_depth[shard.index].set(shard.batcher.depth())
         return event
 
@@ -333,8 +329,8 @@ class ShardedControlPlane:
             raise
         if granted is None:
             self._m_rejected.inc()
-            _tenant, cores, memory_bytes, gpus, _image = op.payload
-            return no_capacity_error(cores, memory_bytes, gpus)
+            _tenant, cores = op.payload
+            return no_capacity_error(cores)
         self._h_grant_latency.observe(self.env.now - op.submitted_s)
         return granted
 

@@ -7,7 +7,7 @@ two properties the sharded control plane needs:
   not the builtin ``hash`` (which is salted per process): the same
   tenant maps to the same shard in every worker of a parallel sweep,
   which the byte-identical serial-vs-parallel contract requires.
-* **minimal movement.**  Each shard projects ``vnodes`` points onto the
+* **minimal movement.**  Each shard projects :data:`VNODES` points onto the
   ring, so adding or removing one shard remaps only ~1/N of the tenant
   space instead of reshuffling everything (the classic consistent-
   hashing argument; ``tests/shard/test_ring.py`` asserts the bound).
@@ -20,6 +20,9 @@ import zlib
 from typing import Iterable, Iterator
 
 __all__ = ["HashRing"]
+
+#: Virtual nodes each shard projects onto the ring.
+VNODES = 64
 
 
 def _point(shard: int, vnode: int) -> int:
@@ -34,10 +37,7 @@ def _key_point(key: str) -> int:
 class HashRing:
     """A consistent-hash ring over integer shard ids."""
 
-    def __init__(self, shards: Iterable[int] = (), vnodes: int = 64):
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self, shards: Iterable[int] = ()):
         self._members: set[int] = set()
         # Sorted (point, shard) pairs; ties break to the lower shard id,
         # which the tuple ordering gives us for free.
@@ -58,11 +58,11 @@ class HashRing:
         return sorted(self._members)
 
     def add(self, shard: int) -> None:
-        """Project ``vnodes`` points for ``shard`` onto the ring."""
+        """Project :data:`VNODES` points for ``shard`` onto the ring."""
         if shard in self._members:
             raise ValueError(f"shard {shard} already on the ring")
         self._members.add(shard)
-        for vnode in range(self.vnodes):
+        for vnode in range(VNODES):
             bisect.insort(self._ring, (_point(shard, vnode), shard))
 
     def remove(self, shard: int) -> None:

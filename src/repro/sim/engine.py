@@ -456,8 +456,8 @@ class Environment:
     ``_queue``'s entries.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._immediate: deque[tuple[float, int, Event]] = deque()
         self._urgent: list[tuple[float, int, int, Event]] = []
@@ -501,8 +501,8 @@ class Environment:
         event._waiter = callback
         return event
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def timeout(self, delay: float) -> Timeout:
+        return Timeout(self, delay)
 
     def tick(self, delay: float) -> Timeout:
         """A :class:`Timeout` that is a background entry: a loop that

@@ -79,16 +79,16 @@ class NodeStateTracker:
     def idle_intervals(self, node_name: str) -> list[tuple[float, float]]:
         return self.series[node_name].intervals_where(lambda v: v == 0.0)
 
-    def all_idle_durations(self, skip_leading: bool = True) -> list[float]:
+    def all_idle_durations(self) -> list[float]:
         """Durations of every idle period across all nodes.
 
-        ``skip_leading`` drops each node's initial cold-start idle span,
-        which reflects simulation warm-up rather than scheduler churn.
+        Each node's initial cold-start idle span is dropped: it reflects
+        simulation warm-up rather than scheduler churn.
         """
         durations: list[float] = []
         for name in self.series:
             intervals = self.idle_intervals(name)
-            if skip_leading and intervals and intervals[0][0] == 0.0:
+            if intervals and intervals[0][0] == 0.0:
                 intervals = intervals[1:]
             durations.extend(end - start for start, end in intervals if end > start)
         return durations

@@ -34,10 +34,10 @@ __all__ = ["WorkloadConfig", "WorkloadGenerator", "drive_workload"]
 
 GiB = 1024**3
 
-#: Default application catalog: (name, popularity weight, core-count choices).
+#: Application catalog: (name, popularity weight, core-count choices).
 #: Core choices reflect real constraints — LULESH cubic ranks, MILC even
 #: lattice decompositions, full-node codes.
-_DEFAULT_APPS: tuple[tuple[str, float, tuple[int, ...]], ...] = (
+APPS: tuple[tuple[str, float, tuple[int, ...]], ...] = (
     ("lulesh", 4.0, (27, 8)),            # cubic rank counts
     ("milc", 4.0, (32, 24, 16)),
     ("vasp", 6.0, (36, 24)),
@@ -73,6 +73,9 @@ MEMORY_BETA_A = 1.3
 MEMORY_BETA_B = 3.9
 #: Fraction of jobs asking for a GPU per node.
 GPU_FRACTION = 0.0
+#: Probe draws behind the mean node count and runtime the arrival rate
+#: is calibrated on.
+MOMENT_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -100,17 +103,16 @@ class WorkloadGenerator:
         rng: np.random.Generator,
         cluster_nodes: int,
         config: Optional[WorkloadConfig] = None,
-        apps: tuple[tuple[str, float, tuple[int, ...]], ...] = _DEFAULT_APPS,
     ):
         if cluster_nodes < 1:
             raise ValueError("cluster_nodes must be >= 1")
         self.rng = rng
         self.cluster_nodes = cluster_nodes
         self.config = config or WorkloadConfig()
-        self._app_names = [a[0] for a in apps]
-        weights = np.array([a[1] for a in apps], dtype=float)
+        self._app_names = [a[0] for a in APPS]
+        weights = np.array([a[1] for a in APPS], dtype=float)
         self._app_probs = weights / weights.sum()
-        self._app_cores = {a[0]: a[2] for a in apps}
+        self._app_cores = {a[0]: a[2] for a in APPS}
         # lambda such that E[nodes] * E[runtime] * lambda = util * N.
         mean_nodes = self._mean_node_count()
         mean_runtime = self._mean_runtime()
@@ -123,9 +125,9 @@ class WorkloadGenerator:
         nodes = 2**k
         return int(min(nodes, self.config.max_nodes, self.cluster_nodes))
 
-    def _mean_node_count(self, samples: int = 4096) -> float:
+    def _mean_node_count(self) -> float:
         probe = np.random.default_rng(12345)
-        ks = probe.geometric(SIZE_GEOM_P, size=samples) - 1
+        ks = probe.geometric(SIZE_GEOM_P, size=MOMENT_SAMPLES) - 1
         vals = np.minimum(2.0**ks, min(self.config.max_nodes, self.cluster_nodes))
         return float(vals.mean())
 
@@ -134,10 +136,11 @@ class WorkloadGenerator:
         r = self.rng.lognormal(mean=np.log(cfg.runtime_median_s), sigma=RUNTIME_SIGMA)
         return float(np.clip(r, MIN_RUNTIME_S, cfg.max_runtime_s))
 
-    def _mean_runtime(self, samples: int = 4096) -> float:
+    def _mean_runtime(self) -> float:
         probe = np.random.default_rng(54321)
         cfg = self.config
-        r = probe.lognormal(np.log(cfg.runtime_median_s), RUNTIME_SIGMA, size=samples)
+        r = probe.lognormal(np.log(cfg.runtime_median_s), RUNTIME_SIGMA,
+                            size=MOMENT_SAMPLES)
         return float(np.clip(r, MIN_RUNTIME_S, cfg.max_runtime_s).mean())
 
     # -- drawing -------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The paper's final I/O design mounts the user's Lustre partitions inside
 the function container *and* keeps MinIO "as a warm cache for lower
-latency on small files".  The tier selector routes each read to whichever
-backend the Fig. 8 curves favour.
+latency on small files".  Fig. 8 reports the size at which the parallel
+filesystem starts to beat the cache.
 """
 
 from __future__ import annotations
@@ -16,43 +16,36 @@ from .objectstore import ObjectStoreModel
 __all__ = ["TieredFunctionStorage"]
 
 
+#: The bisection bracket of :meth:`TieredFunctionStorage.crossover_size`.
+CROSSOVER_LO = 1024
+CROSSOVER_HI = 1 << 30
+
+
 @dataclass
 class TieredFunctionStorage:
-    """Routes reads to the object-store cache or the parallel filesystem."""
+    """The two tiers whose Fig. 8 curves decide where a read goes."""
 
     pfs: LustreModel = field(default_factory=LustreModel)
     cache: ObjectStoreModel = field(default_factory=ObjectStoreModel)
-    # Objects at or below this size are served from the cache tier.
-    cache_threshold_bytes: int = 4 << 20
 
-    def __post_init__(self):
-        if self.cache_threshold_bytes < 0:
-            raise ValueError("threshold must be non-negative")
+    def crossover_size(self) -> int:
+        """Smallest size at which the PFS beats the cache for a single
+        reader (bisection over [``CROSSOVER_LO``, ``CROSSOVER_HI``]).
 
-    def tier_for(self, size_bytes: int) -> str:
-        return "cache" if size_bytes <= self.cache_threshold_bytes else "pfs"
-
-    def read_time(self, size_bytes: int, concurrent_readers: int = 1) -> float:
-        if self.tier_for(size_bytes) == "cache":
-            return self.cache.read_time(size_bytes, concurrent_readers)
-        return self.pfs.read_time(size_bytes, concurrent_readers)
-
-    def crossover_size(self, concurrent_readers: int = 1, lo: int = 1024, hi: int = 1 << 30) -> int:
-        """Smallest size at which the PFS beats the cache (bisection).
-
-        Returns ``hi`` if the cache wins everywhere in [lo, hi].
+        Returns ``CROSSOVER_HI`` if the cache wins everywhere.
         """
-        if not self._pfs_wins(hi, concurrent_readers):
+        lo, hi = CROSSOVER_LO, CROSSOVER_HI
+        if not self._pfs_wins(hi):
             return hi
-        if self._pfs_wins(lo, concurrent_readers):
+        if self._pfs_wins(lo):
             return lo
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._pfs_wins(mid, concurrent_readers):
+            if self._pfs_wins(mid):
                 hi = mid
             else:
                 lo = mid
         return hi
 
-    def _pfs_wins(self, size: int, readers: int) -> bool:
-        return self.pfs.read_time(size, readers) < self.cache.read_time(size, readers)
+    def _pfs_wins(self, size: int) -> bool:
+        return self.pfs.read_time(size, 1) < self.cache.read_time(size, 1)

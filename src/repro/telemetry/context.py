@@ -3,7 +3,7 @@
 A :class:`TraceContext` is the pair ``(trace_id, span_id)`` that a
 request carries from hop to hop — admission queue, warm-pool
 acquisition, executor dispatch, retry re-attempts after a crash, the
-cloud-burst detour, memory-service quorum writes — so that every span
+cloud-burst detour — so that every span
 recorded anywhere on its behalf joins **one causal tree** keyed by
 ``trace_id``, even when the request crosses a node death and resumes on
 different hardware.

@@ -76,7 +76,7 @@ class Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, labels: LabelPairs = (), help: str = ""):
+    def __init__(self, name: str, labels: LabelPairs, help: str):
         self.name = name
         self.labels = labels
         self.help = help
@@ -85,7 +85,7 @@ class Metric:
 class Counter(Metric):
     kind = "counter"
 
-    def __init__(self, name: str, labels: LabelPairs = (), help: str = ""):
+    def __init__(self, name: str, labels: LabelPairs, help: str):
         super().__init__(name, labels, help)
         self.value = 0.0
 
@@ -99,7 +99,7 @@ class Gauge(Metric):
     kind = "gauge"
 
     def __init__(self, name: str, clock: Callable[[], float],
-                 labels: LabelPairs = (), help: str = ""):
+                 labels: LabelPairs, help: str):
         super().__init__(name, labels, help)
         self._clock = clock
         self.series = TimeSeries(name=name)
@@ -122,20 +122,16 @@ class Gauge(Metric):
         return self.series.time_weighted_mean(start, now)
 
 
-def default_buckets(lo: float = 1e-7, hi: float = 1e4, per_decade: int = 1) -> list[float]:
-    """Fixed log-spaced bucket upper bounds spanning [lo, hi]."""
-    if lo <= 0 or hi <= lo:
-        raise ValueError("need 0 < lo < hi")
-    decades = math.log10(hi / lo)
-    n = int(round(decades * per_decade))
-    return [lo * 10 ** (i / per_decade) for i in range(n + 1)]
+def default_buckets() -> list[float]:
+    """Fixed bucket upper bounds, one per decade from 1e-7 to 1e4."""
+    return [1e-7 * 10 ** i for i in range(12)]
 
 
 class Histogram(Metric):
     kind = "histogram"
 
-    def __init__(self, name: str, labels: LabelPairs = (), help: str = "",
-                 buckets: Optional[Iterable[float]] = None):
+    def __init__(self, name: str, labels: LabelPairs, help: str,
+                 buckets: Optional[Iterable[float]]):
         super().__init__(name, labels, help)
         bounds = sorted(buckets) if buckets is not None else default_buckets()
         if not bounds:

@@ -50,13 +50,11 @@ class Telemetry:
     def __init__(
         self,
         env: Any = None,
-        clock: Optional[Callable[[], float]] = None,
         sink: Optional[Any] = None,
         scope: str = "",
         ids: Optional[IdSource] = None,
     ):
-        if clock is None:
-            clock = (lambda: env.now) if env is not None else time.perf_counter
+        clock = (lambda: env.now) if env is not None else time.perf_counter
         key_fn: Callable[[], Any]
         if env is not None:
             # Per-process span stacks: generator processes interleave.

@@ -31,7 +31,6 @@ class SpanKind:
     INVOCATION = "rfaas.invocation"
     DISPATCH = "rfaas.dispatch"
     SANDBOX = "rfaas.sandbox"
-    IO = "rfaas.io"
     EXECUTION = "rfaas.execution"
     LEASE = "rfaas.lease"
     WARMPOOL_ACQUIRE = "warmpool.acquire"

@@ -3,7 +3,7 @@
 :class:`JsonlStreamWriter` is the span sink of a streaming
 :class:`~repro.telemetry.provider.TelemetryCollector` (and of a bare
 :class:`~repro.telemetry.tracer.Tracer`): every closed span goes to disk
-as one JSONL line and is then dropped, flushed every ``flush_every``
+as one JSONL line and is then dropped, flushed every :data:`FLUSH_EVERY`
 spans, so a crash loses at most one flush window and the heap never
 holds the trace.  A sweep streams each scenario into its own part file
 this way (:func:`repro.sweep.run_sweep`).
@@ -28,20 +28,20 @@ from .span import Span
 
 __all__ = ["JsonlStreamWriter"]
 
+#: Spans written between two flushes of the stream file.
+FLUSH_EVERY = 256
+
 
 class JsonlStreamWriter:
     """Writes each span as one JSONL line the moment it is appended."""
 
-    def __init__(self, path_or_file: Any, flush_every: int = 256):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
+    def __init__(self, path_or_file: Any):
         if isinstance(path_or_file, (str,)) or hasattr(path_or_file, "__fspath__"):
             self._fh: TextIO = open(path_or_file, "w", encoding="utf-8")
             self._owns = True
         else:
             self._fh = path_or_file
             self._owns = False
-        self.flush_every = flush_every
         self.written = 0
         self._since_flush = 0
         self.closed = False
@@ -52,7 +52,7 @@ class JsonlStreamWriter:
         self._fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
         self.written += 1
         self._since_flush += 1
-        if self._since_flush >= self.flush_every:
+        if self._since_flush >= FLUSH_EVERY:
             self._fh.flush()
             self._since_flush = 0
 

@@ -97,7 +97,7 @@ def price_options(batch: OptionBatch, iterations: int = 1) -> np.ndarray:
     return prices
 
 
-def price_chunk(arrays: dict, iterations: int = 1) -> np.ndarray:
+def price_chunk(arrays: dict, iterations: int) -> np.ndarray:
     """Pickle-friendly entry point for remote executors.
 
     Remote invocation payloads travel as plain dict-of-arrays; this

@@ -23,7 +23,7 @@ MiB = 1024**2
 LULESH_PROBLEM_SIZES = (20, 30, 45, 60)
 
 
-def lulesh_model(problem_size: int = 30, gpu: bool = False) -> AppModel:
+def lulesh_model(problem_size: int, gpu: bool) -> AppModel:
     """Demand model for one LULESH rank at edge length ``problem_size``.
 
     Larger problems shift time toward compute (better surface-to-volume),

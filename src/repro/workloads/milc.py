@@ -23,7 +23,7 @@ MiB = 1024**2
 MILC_LATTICE_SIZES = (8, 12, 16, 24)
 
 
-def milc_model(lattice: int = 16, gpu: bool = False) -> AppModel:
+def milc_model(lattice: int, gpu: bool) -> AppModel:
     """Demand model for one MILC rank on an L^4 local lattice.
 
     Bandwidth demand per rank grows with the lattice because the working

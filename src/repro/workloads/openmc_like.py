@@ -73,11 +73,12 @@ class TransportResult:
 
 def run_transport(
     particles: int,
-    model: ReactorModel = ReactorModel(),
     seed: int = 0,
     max_collisions: int = 200,
 ) -> TransportResult:
-    """Track a batch of particle histories to termination."""
+    """Track a batch of particle histories to termination through the
+    default :class:`ReactorModel` lattice."""
+    model = ReactorModel()
     if particles < 1:
         raise ValueError("particles must be >= 1")
     if max_collisions < 1:

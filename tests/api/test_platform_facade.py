@@ -18,7 +18,7 @@ from repro.interference import ResourceDemand
 from repro.memservice import DurableMemoryConfig
 from repro.network import IBVERBS
 from repro.shard import ShardConfig
-from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryCollector
+from repro.telemetry import NULL_TELEMETRY, TelemetryCollector
 
 MiB = 1024**2
 GiB = 1024**3
@@ -138,26 +138,20 @@ def test_invoke_roundtrip_through_facade():
 
 
 def test_a_fresh_collector_pins_a_fresh_scope():
-    platform = _ready_platform(telemetry=TelemetryCollector())
+    with TelemetryCollector():
+        platform = _ready_platform()
     assert platform.telemetry is not NULL_TELEMETRY
     _run_some(platform)
     counter = platform.telemetry.metrics.get("repro_manager_leases_total")
     assert counter is not None and counter.value >= 1
 
 
-def test_telemetry_accepts_collector_and_instance():
-    collector = TelemetryCollector()
-    with collector:
-        platform = Platform.build(telemetry=collector)
-        assert platform.telemetry in collector.scopes
-        assert platform.telemetry is not NULL_TELEMETRY
-
-    scope = Telemetry()
-    platform = Platform.build(telemetry=scope)
-    assert platform.telemetry is scope
-
-    with pytest.raises(TypeError):
-        Platform.build(telemetry="yes please")
+def test_an_active_collector_scopes_the_platform():
+    with TelemetryCollector() as collector:
+        platform = Platform.build()
+    assert platform.telemetry in collector.scopes
+    assert platform.telemetry is not NULL_TELEMETRY
+    assert Platform.build().telemetry is NULL_TELEMETRY
 
 
 def test_empty_fault_plan_changes_nothing():

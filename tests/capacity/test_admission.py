@@ -11,7 +11,6 @@ from repro.capacity import (
 )
 from repro.rfaas import AdmissionRejected as ReexportedRejection
 from repro.sim import Environment
-from repro.telemetry import Telemetry
 
 
 def admit_all(env, controller, requests):
@@ -135,59 +134,6 @@ def test_per_tenant_buckets_are_isolated():
     # "busy" spent its whole burst, yet "quiet" draws from its own bucket.
     assert quiet_times == [0.0, 0.0]
     assert busy_times == pytest.approx([0.0, 0.0, 1.0])
-
-
-@pytest.mark.parametrize("max_wait", [None, 5.0])
-def test_cost_beyond_burst_is_rejected_at_once(max_wait):
-    """Tokens cap at the burst, so such a request could never be served:
-    it is refused immediately instead of sleeping forever (no wait bound)
-    or surfacing as a misleading timeout (with one)."""
-    env = Environment()
-    telemetry = Telemetry(env=env).install(env)
-    controller = AdmissionController(env, AdmissionConfig(
-        max_queue_wait_s=max_wait,
-        quota=TenantQuota(rate_per_s=1.0, burst=2.0),
-    ))
-    errors = []
-
-    def one():
-        try:
-            yield from controller.admit("t", cost=3.0)
-        except AdmissionRejected as err:
-            errors.append((env.now, err.reason))
-
-    env.process(one())
-    # Bounded so a regression fails instead of hanging; with nothing
-    # left scheduled, a bare env.run() returns at once.
-    env.run(until=60.0)
-    assert env.peek() == float("inf")
-    env.run()
-    assert controller.rejected == 1 and controller.admitted == 0
-    assert errors == [(0.0, "cost_exceeds_burst")]
-    assert controller.queue_depth() == 0
-    counter = telemetry.metrics.get(
-        "repro_capacity_rejected_total", {"reason": "cost_exceeds_burst"})
-    assert counter is not None and counter.value == 1
-    rejects = [s for s in telemetry.spans if s.name == "capacity.reject"]
-    assert [s.attrs["reason"] for s in rejects] == ["cost_exceeds_burst"]
-
-
-def test_cost_equal_to_burst_is_still_served():
-    env = Environment()
-    controller = AdmissionController(env, AdmissionConfig(
-        quota=TenantQuota(rate_per_s=1.0, burst=2.0),
-    ))
-    waits = []
-
-    def one():
-        waits.append((yield from controller.admit("t", cost=2.0)))
-
-    env.process(one())
-    env.process(one())
-    env.run()
-    # The first empties the full bucket; the second waits for a refill.
-    assert waits == [0.0, pytest.approx(2.0)]
-    assert controller.admitted == 2 and controller.rejected == 0
 
 
 def test_config_validation():

@@ -47,7 +47,7 @@ def test_burst_runs_on_cloud_and_bills_at_premium():
     assert record.latency_s > 0.0
     expected = FunctionBill(
         cores=1,
-        memory_bytes=fdef.image.runtime_memory_bytes + fdef.memory_bytes,
+        memory_bytes=fdef.image.runtime_memory_bytes,
         duration_s=record.invocation.total_s,
         core_hour_price=CORE_HOUR_PRICE * PREMIUM,
         gib_hour_price=GIB_HOUR_PRICE * PREMIUM,

@@ -19,10 +19,10 @@ GiB = 1024**3
 
 
 def build(nodes=3, executors=("n0001", "n0002"), cores=2,
-          capacity=CapacityConfig(), faults=None, seed=0, telemetry=None):
+          capacity=CapacityConfig(), faults=None, seed=0):
     platform = Platform.build(
         PlatformConfig(nodes=nodes, jitter=0.0, capacity=capacity), seed=seed,
-        faults=faults, telemetry=telemetry,
+        faults=faults,
     )
     for node in executors:
         platform.register_node(node, cores=cores, memory_bytes=8 * GiB)
@@ -165,7 +165,8 @@ def test_no_capacity_by_default():
 
 
 def test_capacity_metrics_emitted():
-    platform = build(telemetry=TelemetryCollector())
+    with TelemetryCollector():
+        platform = build()
     govern(platform, count=10)
     names = {m.name for m in platform.telemetry.metrics}
     assert "repro_capacity_admitted_total" in names

@@ -71,7 +71,7 @@ def test_empty_and_negative_allocations_rejected():
 def test_draining_node_rejects_allocations():
     node = make_node()
     node.draining = True
-    assert not node.can_allocate(cores=1)
+    assert not node.can_allocate(memory_bytes=1)
     with pytest.raises(AllocationError):
         node.allocate("x", cores=1)
 

@@ -111,7 +111,7 @@ def test_policy_bounds_batch_slowdown_that_naive_admission_breaks():
 
     def batch_slowdown(use_policy):
         node, loads, policy = make_policy(PolicyConfig(max_batch_slowdown=1.05))
-        batch = milc_model(16).demand(16)
+        batch = milc_model(16, gpu=False).demand(16)
         loads.add(node.name, "batch", batch)
         node.allocate("job", cores=16)
         admitted = 0

@@ -160,9 +160,3 @@ def test_warm_pool_and_swap_beat_cold_starts():
 
     assert (total_startup_s("pooled+swap") < total_startup_s("pooled")
             < total_startup_s("cold-always"))
-
-
-def test_swap_bandwidth_validation():
-    env, node, _ = make_pool()
-    with pytest.raises(ValueError):
-        WarmPool(env, node, SARUS, swap_bandwidth=0)

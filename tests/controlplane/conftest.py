@@ -25,13 +25,14 @@ def build_ha_platform(standbys=1, heartbeat_interval_s=HEARTBEAT_S,
     The wrapper is reachable both as ``platform.manager`` (what every
     downstream consumer sees) and ``platform.ha`` (typed accessor).
     """
-    platform = Platform.build(
-        PlatformConfig(nodes=nodes, provider=IBVERBS, jitter=0.0,
-                       ha=HAConfig(standbys=standbys,
-                                   heartbeat_interval_s=heartbeat_interval_s,
-                                   suspect_after=suspect_after)),
-        seed=seed, telemetry=TelemetryCollector(), faults=plan,
-    )
+    with TelemetryCollector():
+        platform = Platform.build(
+            PlatformConfig(nodes=nodes, provider=IBVERBS, jitter=0.0,
+                           ha=HAConfig(standbys=standbys,
+                                       heartbeat_interval_s=heartbeat_interval_s,
+                                       suspect_after=suspect_after)),
+            seed=seed, faults=plan,
+        )
     for name in executors:
         platform.register_node(name, cores=4, memory_bytes=8 * GiB)
     image = Image("fn-image", size_bytes=50 * MiB)

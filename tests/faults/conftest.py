@@ -17,10 +17,11 @@ def build_platform(nodes=5, executors=("n0001", "n0002", "n0003"), plan=None,
     The image is exposed as ``platform.image`` so tests can prewarm or
     register further functions against it.
     """
-    platform = Platform.build(
-        PlatformConfig(nodes=nodes, provider=IBVERBS, jitter=0.0),
-        seed=seed, telemetry=TelemetryCollector(), faults=plan,
-    )
+    with TelemetryCollector():
+        platform = Platform.build(
+            PlatformConfig(nodes=nodes, provider=IBVERBS, jitter=0.0),
+            seed=seed, faults=plan,
+        )
     for name in executors:
         platform.register_node(name, cores=4, memory_bytes=8 * GiB)
     image = Image("fn-image", size_bytes=50 * MiB)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.faults import FaultPlan, Injector, RecoveryOutcome, RetryPolicy
+from repro.faults import (FaultEvent, FaultKind, FaultPlan, Injector,
+                          RecoveryOutcome, RetryPolicy)
+from repro.interference import ResourceDemand
 
 from .conftest import build_platform
 
@@ -97,7 +99,8 @@ def test_lease_storm_revokes_and_client_releases():
 
 
 def test_straggler_sets_and_restores_dispatch_multiplier():
-    plan = FaultPlan().straggler(at_s=1.0, duration_s=1.0, multiplier=8.0, node="n0001")
+    plan = FaultPlan().add(FaultEvent(FaultKind.STRAGGLER, 1.0, duration_s=1.0,
+                                      magnitude=8.0, node="n0001"))
     platform = build_platform(plan=plan)
     executor = platform.manager.node_info("n0001").executor
     seen = {}
@@ -114,7 +117,8 @@ def test_straggler_sets_and_restores_dispatch_multiplier():
 
 
 def test_warmpool_pressure_evicts_parked_containers():
-    plan = FaultPlan().warmpool_pressure(at_s=1.0, fraction=1.0, node="n0001")
+    plan = FaultPlan().add(FaultEvent(FaultKind.WARMPOOL_PRESSURE, 1.0,
+                                      magnitude=1.0, node="n0001"))
     platform = build_platform(plan=plan)
     info = platform.manager.node_info("n0001")
     info.executor.prewarm(platform.image)
@@ -149,7 +153,10 @@ def test_partition_mid_flight_forces_redirect_to_healthy_node():
     # and the retry loop re-runs the invocation on an unpartitioned node.
     plan = FaultPlan().network_partition(at_s=0.5, duration_s=2.0, node="n0001")
     platform = build_platform(plan=plan)
-    platform.functions.register("slow", platform.image, runtime_s=1.0, output_bytes=1)
+    platform.functions.register(
+        "slow", platform.image, runtime_s=1.0,
+        demand=ResourceDemand(cores=1, membw=0.0, frac_membw=0.0), output_bytes=1,
+    )
     client = platform.client("n0000", retry_policy=RetryPolicy(max_attempts=4))
     out = {}
 

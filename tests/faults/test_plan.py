@@ -14,9 +14,9 @@ def sample_plan():
                          bandwidth_factor=0.25, drop_rate=0.05)
         .network_partition(at_s=13.0, duration_s=2.0, node="n0002")
         .straggler(at_s=14.0, duration_s=1.0, multiplier=30.0)
-        .warmpool_pressure(at_s=15.0, fraction=0.5, swap=False)
-        .memservice_kill(at_s=16.0, node="n0003")
-        .gpu_device_loss(at_s=17.0, node="n0004", duration_s=5.0)
+        .warmpool_pressure(at_s=15.0, fraction=0.5)
+        .memservice_kill(at_s=16.0)
+        .gpu_device_loss(at_s=17.0, duration_s=5.0)
         .manager_crash(at_s=18.0, duration_s=4.0)
         .manager_partition(at_s=19.0, duration_s=2.0)
     )

@@ -12,17 +12,20 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 
 
 def full_plan() -> FaultPlan:
-    """One event per builder, every non-default knob set."""
+    """One event per kind, every non-default field set: through the
+    builder where it takes the field, as a :class:`FaultEvent` (the
+    form a plan file targets a node in) where it does not."""
     return (FaultPlan(name="everything")
             .node_crash(at_s=1.0, node="n0001", duration_s=4.0, immediate=False)
             .lease_storm(at_s=2.0, count=5)
             .network_degrade(at_s=3.0, duration_s=2.0, latency_factor=7.5,
                              bandwidth_factor=0.4, drop_rate=0.03)
             .network_partition(at_s=4.0, duration_s=1.5, node="n0002")
-            .straggler(at_s=5.0, duration_s=2.5, multiplier=12.0, node="n0003")
-            .warmpool_pressure(at_s=6.0, fraction=0.75, node="n0001", swap=False)
-            .memservice_kill(at_s=7.0, node="n0002")
-            .gpu_device_loss(at_s=8.0, node="n0003", duration_s=3.0)
+            .straggler(at_s=5.0, duration_s=2.5, multiplier=12.0)
+            .add(FaultEvent(FaultKind.WARMPOOL_PRESSURE, 6.0, magnitude=0.75,
+                            node="n0001", swap=False))
+            .add(FaultEvent(FaultKind.MEMSERVICE_KILL, 7.0, node="n0002"))
+            .gpu_device_loss(at_s=8.0, duration_s=3.0)
             .manager_crash(at_s=9.0, duration_s=2.0)
             .manager_partition(at_s=10.0, duration_s=1.0))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Platform, PlatformConfig
-from repro.faults import FaultPlan
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.gpu import GpuFunctionSpec
 from repro.gpuservice import BatchPolicy, GpuServiceConfig
 from repro.rfaas import GpuLeaseRevokedError, NoCapacityError
@@ -37,8 +37,8 @@ def build(plan=None, gpu_nodes=2, max_batch_size=4):
 
 
 def test_device_loss_replays_in_flight_batches_on_the_survivor():
-    plan = FaultPlan().gpu_device_loss(at_s=0.02, node="n0000",
-                                       duration_s=0.1)
+    plan = FaultPlan().add(FaultEvent(FaultKind.GPU_DEVICE_LOSS, 0.02,
+                                      node="n0000", duration_s=0.1))
     with TelemetryCollector() as collector:
         platform, service = build(plan)
         fn = service.register(spec())

@@ -46,14 +46,6 @@ def test_grant_respects_occupancy_and_memory_ceilings():
     assert lease.device == "a/gpu0"
 
 
-def test_node_pinned_grant_only_considers_that_node():
-    _, manager = make_fleet()
-    lease = manager.grant("fn", 0.5, MiB, node="b")
-    assert lease.device == "b/gpu0" and lease.node == "b"
-    with pytest.raises(NoCapacityError):
-        manager.grant("fn2", 0.6, MiB, node="b")  # "a" is free but off-limits
-
-
 def test_release_returns_capacity_without_callbacks():
     _, manager = make_fleet(devices=("a/gpu0",))
     lease = manager.grant("fn", 1.0, MiB)
@@ -90,7 +82,8 @@ def test_revoked_lease_error_carries_device_and_cause():
 
 def test_double_revoke_and_revoke_after_release_are_noops():
     _, manager = make_fleet(devices=("a/gpu0", "b/gpu0"))
-    lease = manager.grant("fn", 0.5, MiB, node="a")
+    lease = manager.grant("fn", 0.5, MiB)       # ties break to "a/gpu0"
+    assert lease.device == "a/gpu0"
     manager.remove_device("a/gpu0", cause="first")
     assert manager.remove_device("a/gpu0", cause="second") == []
     assert lease.revoked_cause == "first"

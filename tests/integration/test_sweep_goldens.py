@@ -34,7 +34,10 @@ parameters their points equal the rows of the per-figure runners that
 predate them, except fig07, whose sizes each run on their own
 platforms now.  The fig07 pin replaces that runner's report digest
 (``samples=25, seed=3``).  The stream pins were recorded on CPython
-3.11.7.
+3.11.7.  The streams that hold ``manager.register_node`` instants were
+re-pinned once when the instant lost its always-zero ``gpus``
+attribute; each new stream is the old one with ``"gpus": 0, `` deleted
+from those lines.
 """
 
 import hashlib
@@ -63,7 +66,7 @@ GOLDENS = {
         dict(samples=25, seed=3),
         "043c9787b5f52823282555d4ba22df472176e9d4974ab3b157a09424c94934e0",
         "174d6f3c1e8df950154a260126fb038c06c0a51ec2c6277d4fe1183cf22dd686",
-        "1722784b01c9e55c0e694719bca670aef01eae891dc3a28cabfefc195c5aba5b",
+        "5ff2d5ebc4226b0124e01feb305dc108d65d895302a4a6d46776d8af3f20034c",
     ),
     "fig08": (
         dict(sizes=(4096, 1048576), readers=(1, 16)),
@@ -105,20 +108,20 @@ GOLDENS = {
         dict(rates=(0.0, 8.0), window_s=4.0),
         "299bcbac506c52e62f42379e471c6a0b3588aafbadd9ff1844be44eeeb0e799a",
         "eccd71ce909fcde47c4beeec8f90a051ab76709cfc23f69c29e06bf9a7c25435",
-        "8b6c1fcf48de1cfccb7526b1433fccffae1ea204e5dca20dd5a0e3089211a7d0",
+        "16259492d422cc75635fe2dc9f7179600e419953f0809cb3f3deaa1eeac213cf",
     ),
     # crash=True is the default: every point replays the node-crash storm.
     "autoscale": (
         dict(loads=(1.0, 4.0), window_s=4.0),
         "64752beaa1033098608bf1e4e8249b445b99453437b338731ceb07dd27d6f53c",
         "bb1ab63aa9e01b64dd567debd3212a7878f3023b113353ec78528f4a4991f178",
-        "f88bf28a2255834519cd6695e2e4c3236366c2ec5d3aace8df8f5324e56911df",
+        "0a4c7e2bd2caf2b6c283cee9c14efda32e680dcc07696f56825e4396a5236f5c",
     ),
     "memdurability": (
         dict(factors=(1, 2), window_s=4.0, accesses=40),
         "ec11d564a643591490cb4c89fb89243de83b10dce865df18705f671b1c3cace4",
         "23d59f9d371f596b42423c4e2044539e6ffb07142a3ad93dad0fd69cd4ddc18a",
-        "e9c06b5bae53379347d8f40e2e55c2ff9a2dc24133e83d7aa61707c769c8d5f2",
+        "e25311c9d112d068b84d2a1aac7c5e6378d413d079fe2818c5e880fdf3f9385d",
     ),
     "gpu_scaling": (
         dict(batch_sizes=(1, 8), requests=64),
@@ -130,19 +133,19 @@ GOLDENS = {
         dict(standbys=(0, 1), window_s=4.0),
         "8be948abd19e4fee07a5eebf54656a815b4e36acb3a6c70b61040941e9b0cec6",
         "f96a992f66a3c64ae3837f8770ba015a6f31b75595d7c17731fcf65151c583d0",
-        "7b2d415416a22052ed53ed32ab7d024e038a31c87d1c34583d056b3f66515685",
+        "061a9e8dc20fd823196882467ba3483340e343117326832f69ec317cf93a1f60",
     ),
     "loadstorm": (
         dict(shards=(1, 2), window_s=2.0, rate_per_s=600.0, population=50000),
         "01ee6ade635b0ecbdfc47b4c14616f16dc38923a67d708dc4fb5f6045f25e415",
         "a1a3565654f3a2dfa6cbdeea45fa55bd0dfacc6a0b716963dfb936c4f10ad98b",
-        "a2f720d4b23c6ea6de2ee5664c9921ff9d5a93e622bc80f22bee3e4a3c055327",
+        "2b686f37561b7dbe0bf23e678c104df0311b999c5fa13c3c7e29998efe9433c7",
     ),
     "certify": (
         dict(budget=2, window_s=4.0),
         "90e1a802d1954d982fe66d886727d7ef5ffe4a5c27b17c60b01e3111030ff2b8",
         "5a6a2e178e28c43abb91ee8f08f2c00534e7389e5fa281a5b420bed885fd23c3",
-        "c69cac80a1c82a9b9373c790f0c422713ddcfc10ec1589ab6c0e9ef7afbdf255",
+        "e0ad4175ea58daf9b037d4c2212145752f99de33fff5512340a2d80ff200c6cd",
     ),
 }
 
@@ -178,7 +181,7 @@ EXTRA_PLANS = {
     "autoscale-calm": (
         "autoscale", dict(loads=(1, 4), window_s=4, crash=False),
         "eeab75e6850ed0185c57b38e4aa1b1114d161d12e55b99380b355fba959d18cb",
-        "9a983dd69f54b0187cd7d34a35e05ca8be6f1d337fd29920554381c3f27a630f",
+        "e8275c280e0af6529c83863208110bba214054d4ac343a0e527e757fd1e2b837",
     ),
     # With zero standbys the crash withdraws every node at once and
     # interrupts all in-flight invocations at one instant: the order
@@ -186,7 +189,7 @@ EXTRA_PLANS = {
     "manager_failover-orphans": (
         "manager_failover", dict(standbys=(0,), window_s=8),
         "2c6bf0d6fa0800effd6f3b3572f16695421479466ef2ad7ba22a25ffeeb01c1b",
-        "b7ac77c21c67d8fdea094cffad0280ee75b3bc37ff23c6253066330f00eb3b42",
+        "f964109a93bba9d094bfbeb895dde1a540986919d58d3039b83db236722237ed",
     ),
 }
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.loadgen import closed_loop, open_loop
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 
 TICK = 1 / 8
 
@@ -78,7 +78,7 @@ def run_closed(chained, streams, services, until, pause_s, instants):
         service = services[k % len(services)]
         if k % 2:
             return env.timer(service, lambda _: log.append((env.now, "timer", k)), k)
-        event = env.timeout(service, value=k)
+        event = Timeout(env, service, k)
         env.process(watch(event, k))
         return event
 

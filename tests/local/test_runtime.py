@@ -88,19 +88,19 @@ def test_cold_start_measured_and_warm_reuse(runtime):
 def test_shutdown_and_restart():
     rt = LocalRuntime(workers=1)
     rt.register("price", PRICE)
-    rt.invoke_sync("price", options())
+    rt.invoke_sync("price", options(), iterations=1)
     rt.shutdown()
     assert not rt.warm
     # Next invocation re-warms transparently (a new cold start).
-    np.testing.assert_array_equal(rt.invoke_sync("price", options()),
-                                  rt.invoke_sync("price", options()))
+    np.testing.assert_array_equal(rt.invoke_sync("price", options(), iterations=1),
+                                  rt.invoke_sync("price", options(), iterations=1))
     rt.shutdown()
 
 
 def test_context_manager():
     with LocalRuntime(workers=1) as rt:
         rt.register("price", PRICE)
-        rt.invoke_sync("price", options())
+        rt.invoke_sync("price", options(), iterations=1)
     assert not rt.warm
 
 

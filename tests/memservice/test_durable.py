@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Platform, PlatformConfig
-from repro.faults import FaultPlan
+from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.memservice import DurableMemoryConfig
 from repro.rfaas.errors import DataLossError, MemoryServiceUnavailable
 from repro.sim import Environment
@@ -21,10 +21,11 @@ def build(replication=2, repair_interval_s=0.2, size=48 * MiB, chunk=16 * MiB,
         size_bytes=size, chunk_bytes=chunk, replication=replication,
         repair_interval_s=repair_interval_s, hosts=hosts, **config_kwargs,
     )
-    platform = Platform.build(
-        PlatformConfig(nodes=nodes, jitter=0.0, durable_memory=config), seed=0,
-        telemetry=TelemetryCollector(), faults=faults,
-    )
+    with TelemetryCollector():
+        platform = Platform.build(
+            PlatformConfig(nodes=nodes, jitter=0.0, durable_memory=config),
+            seed=0, faults=faults,
+        )
     return platform
 
 
@@ -366,7 +367,7 @@ def test_injector_memservice_kill_hits_a_hosting_node():
 
 def test_injector_memservice_kill_explicit_node_must_host_replicas():
     plan = (FaultPlan(name="kill")
-            .memservice_kill(at_s=0.5, node="n0005"))  # not a host
+            .add(FaultEvent(FaultKind.MEMSERVICE_KILL, 0.5, node="n0005")))  # not a host
     platform = build(replication=2, faults=plan)
     platform.run(1.0)
     assert platform.injector.injected == []

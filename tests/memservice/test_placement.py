@@ -61,7 +61,8 @@ def test_exclude_and_draining_nodes_are_skipped():
     cluster = make_cluster(nodes=6, nodes_per_group=2)
     hosts = names(6)
     placement = ReplicaPlacement(cluster, hosts)
-    assert "n0002" not in placement.replica_nodes(0, 5, exclude=("n0002",))
+    first = placement.pick_target((), 1 * MiB)
+    assert placement.pick_target((first,), 1 * MiB) not in (first, None)
     cluster.node("n0003").draining = True
     for chunk in range(6):
         assert "n0003" not in placement.replica_nodes(chunk, 5)

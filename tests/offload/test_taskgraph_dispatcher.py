@@ -38,10 +38,11 @@ def test_dispatcher_without_model_runs_local(runtime):
     # N_local_min is 21 at t_inv=100 ms, so 4 tasks sit below the Eq.-1
     # threshold and all run locally.
     payloads = split_batch(generate_options(1000, seed=2), 4)
-    report = OffloadDispatcher(runtime, eq1_model(0.1)).run("price", price_chunk, payloads)
+    report = OffloadDispatcher(runtime, eq1_model(0.1)).run(
+        "price", price_chunk, payloads, iterations=1)
     assert report.plan.n_remote == 0
     assert len(report.results) == 4
-    serial = np.concatenate([price_chunk(p) for p in payloads])
+    serial = np.concatenate([price_chunk(p, iterations=1) for p in payloads])
     np.testing.assert_allclose(np.concatenate(report.results), serial)
 
 

@@ -32,7 +32,6 @@ INF = float("inf")
         st.tuples(
             st.sampled_from(["a", "b", "c"]),          # tenant
             st.integers(min_value=0, max_value=2),      # priority
-            st.floats(min_value=0.1, max_value=1.0),    # cost, as a share of the burst
             st.integers(min_value=0, max_value=8),      # gap before it, in 1/8 s
         ),
         min_size=1, max_size=40,
@@ -54,10 +53,10 @@ def test_admission_depth_counts_the_blocked_waiters(arrivals, max_depth, max_wai
     blocked = set()
     outcomes = {}
 
-    def request(i, tenant, priority, cost):
+    def request(i, tenant, priority):
         blocked.add(i)
         try:
-            yield from controller.admit(tenant, priority=priority, cost=cost)
+            yield from controller.admit(tenant, priority=priority)
         except AdmissionRejected as err:
             outcomes[i] = err.reason
         else:
@@ -76,11 +75,11 @@ def test_admission_depth_counts_the_blocked_waiters(arrivals, max_depth, max_wai
             assert gauge.value == controller.queue_depth()
 
     t = 0.0
-    for i, (tenant, priority, share, gap) in enumerate(arrivals):
+    for i, (tenant, priority, gap) in enumerate(arrivals):
         t += gap / 8
         advance(t)
         env.run(until=t)
-        env.process(request(i, tenant, priority, share * burst))
+        env.process(request(i, tenant, priority))
     advance()
 
     assert not blocked and controller.queue_depth() == 0 and gauge.value == 0
@@ -97,7 +96,6 @@ manager_ops = st.lists(
         st.tuples(st.just("register"), st.sampled_from(NODES),
                   st.integers(min_value=1, max_value=8)),
         st.tuples(st.just("lease"), st.integers(min_value=1, max_value=12),
-                  st.integers(min_value=0, max_value=3),          # GiB
                   st.sampled_from([None] + NODES)),              # excluded node
         st.tuples(st.just("release"), st.integers(min_value=0, max_value=31)),
         st.tuples(st.just("revoke"), st.integers(min_value=0, max_value=31)),
@@ -128,16 +126,14 @@ def test_manager_free_cores_match_a_scan_of_the_nodes(ops):
             if not manager.is_registered(name):
                 manager.register_node(name, cores=cores, memory_bytes=4 * GiB)
         elif kind == "lease":
-            _, cores, gib, excluded = op
+            _, cores, excluded = op
             exclude = () if excluded is None else (excluded,)
             fits = any(
-                info.node_name not in exclude
-                and info.cores_free >= cores and info.memory_free >= gib * GiB
+                info.node_name not in exclude and info.cores_free >= cores
                 for info in registered()
             )
             try:
-                lease, _ = manager.lease("c", cores=cores, memory_bytes=gib * GiB,
-                                         exclude=exclude)
+                lease, _ = manager.lease("c", cores=cores, exclude=exclude)
             except NoCapacityError:
                 assert not fits
             else:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Environment
+from repro.sim import Environment, Timeout
 from repro.sim.engine import SimulationError
 
 
@@ -91,7 +91,7 @@ mixes = st.lists(
 
 def _worker(env, tag, delays, trace):
     for delay in delays:
-        value = yield env.timeout(delay, value=(tag, delay))
+        value = yield Timeout(env, delay, (tag, delay))
         trace.append((tag, env.now, value))
     return tag
 

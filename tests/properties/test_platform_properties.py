@@ -106,11 +106,8 @@ def test_interference_monotone_in_tenants(demands):
 
 @settings(max_examples=30)
 @given(
-    lease_plan=st.lists(
-        st.tuples(st.integers(min_value=1, max_value=4),
-                  st.integers(min_value=0, max_value=2 * GiB)),
-        min_size=1, max_size=10,
-    )
+    lease_plan=st.lists(st.integers(min_value=1, max_value=4),
+                        min_size=1, max_size=10)
 )
 def test_manager_lease_accounting_conserves_resources(lease_plan):
     import numpy as np
@@ -126,17 +123,15 @@ def test_manager_lease_accounting_conserves_resources(lease_plan):
                               rng=np.random.default_rng(0))
     registered = manager.register_node("n0000", cores=16, memory_bytes=8 * GiB)
     leases = []
-    for cores, memory in lease_plan:
+    for cores in lease_plan:
         try:
-            lease, _ = manager.lease(client="c", cores=cores, memory_bytes=memory)
+            lease, _ = manager.lease(client="c", cores=cores)
             leases.append(lease)
         except NoCapacityError:
             pass
         # Invariant: free + leased == registered totals.
         leased_cores = sum(l.cores for l in leases)
-        leased_mem = sum(l.memory_bytes for l in leases)
         assert registered.cores_free + leased_cores == 16
-        assert registered.memory_free + leased_mem == 8 * GiB
         # Node-level allocation matches too.
         node = cluster.node("n0000")
         assert node.allocated_cores == leased_cores

@@ -44,13 +44,13 @@ class Harness:
             self.env, self.cluster, loads=self.loads, drc=self.drc,
             rng=np.random.default_rng(seed),
         )
-        self.functions = FunctionRegistry(rng=np.random.default_rng(seed))
+        self.functions = FunctionRegistry()
         self.image = Image(name="fn-image", size_bytes=300 * MiB)
         self.mode = mode
 
-    def register_node(self, name, cores=4, memory=8 * GiB, gpus=0):
+    def register_node(self, name, cores=4, memory=8 * GiB):
         return self.manager.register_node(
-            name, cores=cores, memory_bytes=memory, gpus=gpus, mode=self.mode
+            name, cores=cores, memory_bytes=memory, mode=self.mode
         )
 
     def register_function(self, name="noop", runtime_s=0.0, **kw):

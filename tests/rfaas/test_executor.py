@@ -172,7 +172,7 @@ def test_cores_are_never_oversubscribed_and_granted_fifo(cores, arrivals, drains
     # Every core is back and nobody is stranded in the queue.
     assert executor._free == cores
     assert not executor._waiters
-    assert executor.active_invocations == 0
+    assert len(executor._active) == 0
 
 
 def test_a_core_handed_to_a_drained_waiter_is_passed_on():

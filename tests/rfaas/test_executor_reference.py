@@ -119,18 +119,10 @@ class ReferenceExecutor(Executor):
                 if timings.startup > 0:
                     yield env.timeout(timings.startup)
                     step()
-            if fdef.input_read_bytes:
-                concurrent = max(1, self.active_invocations)
-                timings.io = self.storage.read_time(
-                    fdef.input_read_bytes, concurrent_readers=concurrent)
-                yield env.timeout(timings.io)
-                step()
             self.loads.add(self.node.name, load_key, fdef.demand)
             registered = True
             slowdown = self.loads.slowdown_of(self.node.name, load_key)
-            remaining = max(fdef.runtime_s - request.resume_offset_s, 0.0)
-            timings.execution = remaining * slowdown
-            execution_started = env.now
+            timings.execution = fdef.runtime_s * slowdown
             if timings.execution > self.max_invocation_s:
                 self.rejected += 1
                 return InvocationResult(request=request, status=InvocationStatus.REJECTED,
@@ -145,14 +137,8 @@ class ReferenceExecutor(Executor):
         except Interrupt as intr:
             step()
             self.terminated += 1
-            checkpoint = request.resume_offset_s
-            if fdef.checkpointable and registered:
-                elapsed = (env.now - execution_started) / slowdown
-                interval = fdef.checkpoint_interval_s
-                checkpoint += (elapsed // interval) * interval
-                checkpoint = min(checkpoint, fdef.runtime_s)
             raise TerminationError(f"invocation {request.invocation_id}: {intr.cause}",
-                                   checkpoint_s=checkpoint, cause=intr.cause) from None
+                                   cause=intr.cause) from None
         finally:
             if holding:
                 self._release_core()
@@ -166,7 +152,7 @@ class ReferenceExecutor(Executor):
 
 
 def simulate(executor_cls, cores, arrivals, drains):
-    """Serve every arrival ``(at, runtime, image, inputs, resume, deadline)``
+    """Serve every arrival ``(at, runtime, image, deadline)``
     (``deadline`` None or a time budget, raced by the client library's
     :func:`race_deadline`) and each drain ``(at, hops)``.  Returns the executor and the
     log of endings in the order clients saw them."""
@@ -183,14 +169,12 @@ def simulate(executor_cls, cores, arrivals, drains):
     executor.prewarm(IMAGES[0])
     log = []
 
-    def invoke(index, at, runtime, image, inputs, resume, deadline):
+    def invoke(index, at, runtime, image, deadline):
         yield env.timeout(at)
         fdef = FunctionDef(name=f"f{index}", image=IMAGES[image],
-                           demand=ResourceDemand(cores=1), runtime_s=runtime,
-                           input_read_bytes=inputs, checkpointable=True,
-                           checkpoint_interval_s=2 * TICK)
+                           demand=ResourceDemand(cores=1), runtime_s=runtime)
         request = InvocationRequest(function=fdef.name, payload_bytes=0,
-                                    invocation_id=index, resume_offset_s=resume)
+                                    invocation_id=index)
         try:
             invocation = executor.execute(fdef, request)
             if deadline is None:
@@ -199,7 +183,7 @@ def simulate(executor_cls, cores, arrivals, drains):
                 result = yield from race_deadline(env, invocation, env.now + deadline)
             log.append((index, result.status, env.now, result.timings.execution))
         except TerminationError as term:
-            log.append((index, "terminated", env.now, term.checkpoint_s, term.cause))
+            log.append((index, "terminated", env.now, term.cause))
 
     def drainer(at, hops):
         yield env.timeout(at)
@@ -221,8 +205,6 @@ arrival = st.tuples(
     ticks,
     st.integers(min_value=0, max_value=24).map(lambda k: k * TICK),
     st.integers(min_value=0, max_value=1),
-    st.sampled_from([0, 0, 1 << 20, 64 << 20]),
-    st.sampled_from([0.0, 0.0, 3 * TICK]),
     st.one_of(st.none(), st.integers(min_value=1, max_value=32).map(lambda k: k * TICK)),
 )
 
@@ -258,7 +240,7 @@ def test_the_chain_matches_the_process_reference(cores, arrivals, drains):
         reference.completed, reference.rejected, reference.terminated)
     for executor in (chain, reference):
         assert executor._free == cores and not executor._waiters
-        assert executor.active_invocations == 0
+        assert len(executor._active) == 0
 
 
 def test_an_arrival_racing_a_drain_is_terminated():
@@ -266,9 +248,9 @@ def test_an_arrival_racing_a_drain_is_terminated():
     process started one hop after the arrival, behind the drain, so it
     found the executor draining and rejected the invocation; the chain
     is in flight from the arrival on, so the drain terminates it."""
-    arrivals = [(1.0, 0.5, 0, 0, 0.0, None)]
+    arrivals = [(1.0, 0.5, 0, None)]
     drains = [(1.0, 0)]
     _, reference = simulate(ReferenceExecutor, 1, arrivals, drains)
     _, chain = simulate(ObservedExecutor, 1, arrivals, drains)
     assert reference == [(0, InvocationStatus.REJECTED, 1.0, 0.0)]
-    assert chain == [(0, "terminated", 1.0, 0.0, "reclaim")]
+    assert chain == [(0, "terminated", 1.0, "reclaim")]

@@ -1,6 +1,5 @@
 """Lease state machine and function registry tests."""
 
-import numpy as np
 import pytest
 
 from repro.containers import Image
@@ -11,22 +10,16 @@ MiB = 1024**2
 
 
 def lease(**kw):
-    defaults = dict(client="c", node_name="n0", cores=1, memory_bytes=0,
-                    lease_id=1)
+    defaults = dict(client="c", node_name="n0", cores=1, lease_id=1)
     defaults.update(kw)
     return Lease(**defaults)
 
 
 def test_lease_validation():
     with pytest.raises(ValueError):
-        lease(cores=0, memory_bytes=0, gpus=0)
+        lease(cores=0)
     with pytest.raises(ValueError):
         lease(cores=-1)
-
-
-def test_memory_only_lease_allowed():
-    l = lease(cores=0, memory_bytes=1024)
-    assert l.active
 
 
 def test_lease_cancel_notifies_once():
@@ -59,15 +52,6 @@ def test_registry_register_and_lookup():
         reg.register("fn", image, runtime_s=0.5, demand=demand)
     with pytest.raises(KeyError):
         reg.lookup("missing")
-
-
-def test_registry_profiles_when_demand_missing():
-    reg = FunctionRegistry(rng=np.random.default_rng(0))
-    image = Image("img", size_bytes=100 * MiB)
-    fdef = reg.register("fn", image, runtime_s=0.1)
-    assert fdef.demand.cores == 1
-    assert fdef.demand.membw > 0
-    assert 0 <= fdef.demand.frac_membw < 1
 
 
 def test_function_def_validation():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import AllocationError
 from repro.interference import ResourceDemand
-from repro.rfaas import ExecutorMode, InvocationStatus, NoCapacityError
+from repro.rfaas import ExecutorMode, InvocationStatus
 
 from .conftest import Harness
 
@@ -148,7 +148,7 @@ def reclaim_mid_invocation(h, immediate, invocations=1, at_s=0.5):
         executor = h.manager.node_info("n0001").executor
         t0 = h.env.now
         h.manager.remove_node("n0001", immediate=immediate)
-        while executor.active_invocations:
+        while len(executor._active):
             yield h.env.timeout(0.001)
         drain.append(h.env.now - t0)
 
@@ -232,18 +232,3 @@ def test_lease_prefers_warm_node(harness):
     (result,) = run_invocations(harness, client, 1)
     assert result.node_name == "n0002"
     assert result.startup_kind == "warm"
-
-
-def test_gpu_lease(harness):
-    # Register a GPU node.
-    from repro.cluster import DAINT_GPU, Node
-
-    harness.cluster.add_node(Node("gpu0", DAINT_GPU))
-    harness.manager.register_node("gpu0", cores=2, memory_bytes=4 * GiB, gpus=1)
-    harness.register_function("gpufn", runtime_s=0.1, needs_gpu=True)
-    client = harness.client()
-    (result,) = run_invocations(harness, client, 1, function="gpufn")
-    assert result.ok
-    assert result.node_name == "gpu0"
-    with pytest.raises(NoCapacityError):
-        harness.manager.lease(client="x", cores=1, gpus=1)  # GPU now leased? no...

@@ -11,15 +11,16 @@ def build_plane(shards=2, nodes=4, cores=4, ha=None, max_batch=8,
                 rebalance_interval_s=0.0):
     """(env, plane) with ``nodes`` registered nodes spread over ``shards``,
     built from ``PlatformConfig(shards=, ha=)`` with a fresh telemetry."""
-    platform = Platform.build(
-        PlatformConfig(
-            nodes=max(nodes, 1), ha=ha,
-            shards=ShardConfig(shards=shards, max_batch=max_batch,
-                               batch_overhead_s=1e-4, per_op_s=1e-4,
-                               rebalance_interval_s=rebalance_interval_s),
-        ),
-        seed=0, telemetry=TelemetryCollector(),
-    )
+    with TelemetryCollector():
+        platform = Platform.build(
+            PlatformConfig(
+                nodes=max(nodes, 1), ha=ha,
+                shards=ShardConfig(shards=shards, max_batch=max_batch,
+                                   batch_overhead_s=1e-4, per_op_s=1e-4,
+                                   rebalance_interval_s=rebalance_interval_s),
+            ),
+            seed=0,
+        )
     for i in range(nodes):
         platform.register_node(f"n{i:04d}", cores=cores, memory_bytes=4 * GiB)
     return platform.env, platform.manager

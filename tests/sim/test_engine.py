@@ -214,8 +214,8 @@ def test_all_of_collects_values():
     env = Environment()
 
     def proc():
-        t1 = env.timeout(1, value="a")
-        t2 = env.timeout(2, value="b")
+        t1 = Timeout(env, 1, "a")
+        t2 = Timeout(env, 2, "b")
         results = yield env.all_of([t1, t2])
         return sorted(results.values())
 
@@ -229,8 +229,8 @@ def test_any_of_fires_on_first():
     env = Environment()
 
     def proc():
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(10, value="slow")
+        t1 = Timeout(env, 1, "fast")
+        t2 = Timeout(env, 10, "slow")
         results = yield env.any_of([t1, t2])
         return (env.now, list(results.values()))
 

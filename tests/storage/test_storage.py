@@ -82,14 +82,6 @@ def test_per_reader_latency_never_improves_with_contention(size, readers):
         assert model.read_time(size, readers) >= model.read_time(size, 1) - 1e-12
 
 
-def test_tiered_routes_by_size():
-    tiered = TieredFunctionStorage(cache_threshold_bytes=4 * MiB)
-    assert tiered.tier_for(1 * MiB) == "cache"
-    assert tiered.tier_for(64 * MiB) == "pfs"
-    assert tiered.read_time(1 * MiB) == tiered.cache.read_time(1 * MiB)
-    assert tiered.read_time(64 * MiB) == tiered.pfs.read_time(64 * MiB)
-
-
 def test_tiered_crossover_is_consistent():
     tiered = TieredFunctionStorage()
     crossover = tiered.crossover_size()

@@ -64,7 +64,8 @@ def test_gauge_time_weighted_mean_uses_sim_clock():
 
 
 def test_histogram_exact_quantiles_and_buckets():
-    hist = Histogram("repro_test_latency_seconds", buckets=[1e-6, 1e-3, 1.0])
+    hist = Histogram("repro_test_latency_seconds", (), "",
+                     buckets=[1e-6, 1e-3, 1.0])
     for v in [5e-7, 5e-4, 0.5, 2.0]:
         hist.observe(v)
     assert hist.count == 4
@@ -79,8 +80,9 @@ def test_histogram_exact_quantiles_and_buckets():
 
 
 def test_default_buckets_log_spaced():
-    buckets = default_buckets(1e-6, 1e3, per_decade=1)
-    assert len(buckets) == 10
+    buckets = default_buckets()
+    assert len(buckets) == 12
+    assert buckets[0] == 1e-7 and buckets[-1] == pytest.approx(1e4)
     for lo, hi in zip(buckets[:-1], buckets[1:]):
         assert hi / lo == pytest.approx(10.0)
 

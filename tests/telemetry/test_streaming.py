@@ -25,6 +25,7 @@ from repro.telemetry import (
     slo_episodes,
 )
 from repro.telemetry.summary import duration_stats
+from repro.telemetry.streaming import FLUSH_EVERY
 
 
 def test_stream_stats_snapshot_keys():
@@ -51,15 +52,16 @@ def make_span(name, start, duration=0.01, parent_id=None, **attrs):
 
 def test_jsonl_writer_streams_and_flushes(tmp_path):
     path = tmp_path / "stream.jsonl"
-    writer = JsonlStreamWriter(path, flush_every=2)
-    writer.append(make_span("a", 0.0))
-    writer.append(make_span("b", 1.0))       # hits the flush threshold
-    assert len(path.read_text().strip().splitlines()) == 2
+    writer = JsonlStreamWriter(path)
+    names = [f"s{i}" for i in range(FLUSH_EVERY)]
+    for i, name in enumerate(names):
+        writer.append(make_span(name, float(i)))   # the last hits the flush threshold
+    assert len(path.read_text().strip().splitlines()) == FLUSH_EVERY
     writer.close()
-    writer.append(make_span("c", 2.0))       # ignored after close
-    assert writer.written == 2
+    writer.append(make_span("late", 0.0))          # ignored after close
+    assert writer.written == FLUSH_EVERY
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["name"] for r in records] == ["a", "b"]
+    assert [r["name"] for r in records] == names
 
 
 # -- RED rollup ---------------------------------------------------------------
@@ -184,7 +186,3 @@ def test_pipeline_stream_holds_only_appended_spans(tmp_path):
     assert [s.span_id for s in loaded] == [s.span_id for s in spans]
     assert len(slo_episodes(loaded, config)) == 1
 
-
-def test_stream_config_validation():
-    with pytest.raises(ValueError):
-        JsonlStreamWriter("unused", flush_every=0)

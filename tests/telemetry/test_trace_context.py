@@ -96,10 +96,11 @@ def test_begin_finish_and_instant_accept_ctx():
 
 def build(executors=("n0001", "n0002"), cores=2, capacity=CapacityConfig(),
           faults=None, seed=0):
-    platform = Platform.build(
-        PlatformConfig(nodes=3, jitter=0.0, capacity=capacity), seed=seed,
-        faults=faults, telemetry=TelemetryCollector(),
-    )
+    with TelemetryCollector():
+        platform = Platform.build(
+            PlatformConfig(nodes=3, jitter=0.0, capacity=capacity), seed=seed,
+            faults=faults,
+        )
     for node in executors:
         platform.register_node(node, cores=cores, memory_bytes=8 * GiB)
     platform.functions.register(

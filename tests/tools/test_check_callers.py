@@ -1,8 +1,9 @@
 """The callers check: every ``src`` member has a caller outside tests/
 and examples/, or an allowlist entry with a ``view:``/``reference:``/
 ``paper:`` reason.  A type annotation is not a caller.  Every config
-field has a setter there too, or a knob entry with a ``paper:`` or
-``certify:`` reason."""
+field has a setter there too, and every defaulted parameter a call
+that passes it, or a knob entry with a ``paper:``, ``certify:`` or
+``deploy:`` reason."""
 
 import pathlib
 import sys
@@ -237,7 +238,7 @@ def config_tree(tmp_path, use, test_use=""):
             free: int = 0
 
 
-        def build(config=None):
+        def build(config):
             return config or PoolConfig(), PoolState()
     """)
     write(tmp_path, "tools/use_config.py",
@@ -253,7 +254,7 @@ def knob_problems(tmp_path, use, test_use="", knobs=None):
 
 
 def test_a_field_set_only_under_tests_is_flagged(tmp_path):
-    problems = knob_problems(tmp_path, "build()\n",
+    problems = knob_problems(tmp_path, "build(None)\n",
                              test_use="PoolConfig(size=3, depth=4)\n")
     assert len(problems) == 2
     assert flagged(problems, "pkg.config.PoolConfig.size is set by no call")
@@ -282,12 +283,12 @@ def test_a_method_named_replace_does_not_set_fields(tmp_path):
 
 def test_a_class_level_knob_entry_covers_its_fields(tmp_path):
     knobs = {"pkg.config.PoolConfig": "paper: a component waiting for its sweep"}
-    assert knob_problems(tmp_path, "build()\n", knobs=knobs) == []
+    assert knob_problems(tmp_path, "build(None)\n", knobs=knobs) == []
 
 
 def test_a_field_level_knob_entry_covers_only_its_field(tmp_path):
     knobs = {"pkg.config.PoolConfig.size": "certify: a value certify draws"}
-    problems = knob_problems(tmp_path, "build()\n", knobs=knobs)
+    problems = knob_problems(tmp_path, "build(None)\n", knobs=knobs)
     assert len(problems) == 1
     assert flagged(problems, "pkg.config.PoolConfig.depth is set by no call")
 
@@ -315,7 +316,7 @@ def test_a_class_level_knob_entry_is_stale_once_every_field_is_set(tmp_path):
 
 def test_a_knob_reason_without_an_allowed_prefix_is_flagged(tmp_path):
     knobs = {"pkg.config.PoolConfig": "kept because the tests set it"}
-    problems = knob_problems(tmp_path, "build()\n", knobs=knobs)
+    problems = knob_problems(tmp_path, "build(None)\n", knobs=knobs)
     assert len(problems) == 1
     assert flagged(problems, "knob entry pkg.config.PoolConfig: reason")
 
@@ -323,6 +324,125 @@ def test_a_knob_reason_without_an_allowed_prefix_is_flagged(tmp_path):
 def test_the_repo_knobs_use_only_the_knob_reasons():
     for entry, reason in check_callers.KNOBS.items():
         assert reason.startswith(check_callers.KNOB_REASONS), entry
+
+
+def param_tree(tmp_path, use, extra="", test_use=""):
+    """The base tree, plus defaulted parameters only ``use`` passes."""
+    make_tree(tmp_path)
+    write(tmp_path, "src/pkg/params.py", textwrap.dedent("""
+        class Pool:
+            def __init__(self, size=1):
+                self.size = size
+
+            def resize(self, size, grow=False):
+                return size, grow
+
+
+        def spawn(count=1):
+            return [Pool() for _ in range(count)]
+    """) + textwrap.dedent(extra))
+    write(tmp_path, "tools/use_params.py",
+          "from pkg.params import *  # noqa: F403\n\n" + use)
+    if test_use:
+        write(tmp_path, "tests/test_params.py",
+              "from pkg.params import Pool, spawn\n\n" + test_use)
+
+
+def param_problems(tmp_path, use, extra="", test_use="", allowlist=None,
+                   knobs=None):
+    param_tree(tmp_path, use, extra, test_use)
+    return check_callers.violations(tmp_path, allowlist=allowlist or {},
+                                    knobs=knobs or {})
+
+
+PASS_ALL = "Pool(size=2).resize(2, grow=True)\nspawn(count=3)\n"
+
+
+def test_a_parameter_passed_only_from_tests_is_flagged(tmp_path):
+    problems = param_problems(
+        tmp_path, "spawn()\nPool().resize(2)\n",
+        test_use="spawn(count=2)\nPool(size=3).resize(1, grow=True)\n")
+    assert len(problems) == 3
+    assert flagged(problems, "pkg.params.Pool.__init__.size is passed by no call")
+    assert flagged(problems, "pkg.params.Pool.resize.grow is passed by no call")
+    assert flagged(problems, "pkg.params.spawn.count is passed by no call")
+    assert "src/pkg/params.py:3" in problems[0]
+
+
+@pytest.mark.parametrize("extra, use", [
+    ("", PASS_ALL),
+    ("", "Pool(2).resize(2, True)\nspawn(3)\n"),
+    ("", "args, kwargs = (), {}\nPool(*args).resize(**kwargs)\nspawn(*args)\n"),
+    ("""
+        class Bucket:
+            def __init__(self, size=1):
+                self.size = size
+
+            @classmethod
+            def large(cls):
+                return cls(size=64)
+     """, PASS_ALL + "Bucket.large()\n"),
+    ("""
+        class Big(Pool):
+            def __init__(self):
+                super().__init__(size=8)
+     """, "Big().resize(2, grow=True)\nspawn(count=3)\n"),
+], ids=["keyword", "position-after-self", "splat", "cls-call", "super-init"])
+def test_keywords_positions_splats_cls_and_super_pass_parameters(
+        tmp_path, extra, use):
+    assert param_problems(tmp_path, use, extra) == []
+
+
+def test_an_underscore_parameter_is_skipped(tmp_path):
+    extra = """
+        def flush(_timer=None):
+            return _timer
+    """
+    assert param_problems(tmp_path, PASS_ALL + "flush()\n", extra) == []
+
+
+def test_an_allowlisted_members_parameters_are_skipped(tmp_path):
+    extra = """
+        def harvest(depth=1):
+            return depth
+    """
+    assert flagged(param_problems(tmp_path, PASS_ALL, extra),
+                   "pkg.params.harvest.depth is passed by no call")
+    allow = {"pkg.params.harvest": "paper: a component waiting for its sweep"}
+    assert param_problems(tmp_path, PASS_ALL, extra, allowlist=allow) == []
+
+
+def test_a_stale_parameter_entry_is_flagged(tmp_path):
+    knobs = {
+        "pkg.params.spawn.count": "deploy: passed by a caller now",
+        "pkg.params.spawn.gone": "paper: deleted long ago",
+    }
+    problems = param_problems(tmp_path, PASS_ALL, knobs=knobs)
+    assert len(problems) == 2
+    assert flagged(problems, "stale knob entry pkg.params.spawn.count: it is passed")
+    assert flagged(problems, "stale knob entry pkg.params.spawn.gone: no such")
+
+
+def test_a_deploy_reason_keeps_a_parameter(tmp_path):
+    use = "Pool(size=2).resize(2, grow=True)\nspawn()\n"
+    knobs = {"pkg.params.spawn.count": "deploy: the operator's pool count"}
+    assert param_problems(tmp_path, use, knobs=knobs) == []
+    knobs = {"pkg.params.spawn.count": "kept because the tests pass it"}
+    problems = param_problems(tmp_path, use, knobs=knobs)
+    assert problems == [
+        f"knob entry pkg.params.spawn.count: reason {knobs['pkg.params.spawn.count']!r} "
+        f"does not start with {', '.join(check_callers.KNOB_REASONS)}"]
+
+
+#: What the three scans covered when the parameter rule landed; a
+#: scanner that silently stops matching drops far below it.
+SCAN_FLOOR = {"members": 976, "fields": 57, "parameters": 351}
+
+
+def test_the_repo_scans_cover_what_they_did():
+    size = check_callers.scan_size(REPO_ROOT)
+    for scan, floor in SCAN_FLOOR.items():
+        assert size[scan] >= 0.9 * floor, (scan, size[scan])
 
 
 def test_main_takes_the_root_and_exits_nonzero_on_a_finding(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_split_batch_covers_everything():
     assert sum(len(c["spot"]) for c in chunks) == 1000
     # Chunked pricing matches whole-batch pricing.
     whole = price_options(batch)
-    parts = np.concatenate([price_chunk(c) for c in chunks])
+    parts = np.concatenate([price_chunk(c, iterations=1) for c in chunks])
     np.testing.assert_allclose(parts, whole)
 
 

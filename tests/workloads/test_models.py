@@ -48,28 +48,28 @@ def test_nas_runtimes_in_paper_band():
 
 
 def test_lulesh_compute_bound_and_size_trend():
-    small, large = lulesh_model(20), lulesh_model(60)
+    small, large = lulesh_model(20, gpu=False), lulesh_model(60, gpu=False)
     assert small.frac_membw < 0.5  # compute-dominated
     # Larger problems are less memory-bound (better surface/volume).
     assert large.frac_membw < small.frac_membw
     assert large.runtime_s > small.runtime_s
     with pytest.raises(ValueError):
-        lulesh_model(2)
+        lulesh_model(2, gpu=False)
 
 
 def test_milc_memory_bound_and_size_trend():
-    small, large = milc_model(8), milc_model(24)
+    small, large = milc_model(8, gpu=False), milc_model(24, gpu=False)
     assert large.frac_membw > small.frac_membw
     assert large.membw_per_rank > small.membw_per_rank
     # MILC is distinctly more memory-bound than LULESH (Sec. V-C).
-    assert milc_model(16).frac_membw > lulesh_model(30).frac_membw
+    assert milc_model(16, gpu=False).frac_membw > lulesh_model(30, gpu=False).frac_membw
     with pytest.raises(ValueError):
-        milc_model(2)
+        milc_model(2, gpu=False)
 
 
 def test_gpu_variants():
     assert lulesh_model(30, gpu=True).gpu_fraction > 0.5
-    assert lulesh_model(30).gpu_fraction == 0.0
+    assert lulesh_model(30, gpu=False).gpu_fraction == 0.0
     assert milc_model(16, gpu=True).gpu_fraction > 0.5
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Lint: nothing in ``src/`` lives for its tests or examples alone.
 
-Two rules share one scan: every member has a caller, and every config
-field has a setter.
+Three rules share one scan: every member has a caller, every config
+field has a setter, and every defaulted parameter has a caller that
+passes it.
 
 An AST pass over every module under ``src/``.  For each module-level
 def or class, and each method of a module-level class, it looks for a
@@ -38,6 +39,21 @@ it, or its class, with a reason that starts with one of
 knob entry whose fields are all set, or that names no config class or
 field, is stale and fails too.
 
+The parameter rule applies it to arguments.  It checks every defaulted
+parameter, positional or keyword-only, of each module-level function
+and each method of a module-level class (``__init__`` included, other
+dunders not) whose name does not start with ``_``; the members on
+:data:`ALLOWLIST` are skipped.  A parameter is passed by a call in
+those roots that names the callable and passes it by keyword or by
+position, or by a ``*``/``**`` splat (which passes every parameter).
+A method's positions are counted after ``self`` (``cls`` for a
+classmethod).  ``__init__`` is called by a call naming its class, by
+``cls(...)`` inside the class, and by ``super().__init__(...)`` in a
+subclass.  A parameter nothing passes fails unless :data:`KNOBS` names
+it as ``module.func.param`` or ``module.Class.method.param``; otherwise
+it belongs in a constant.  A parameter entry that is passed now, or
+that names no such parameter, is stale and fails too.
+
 Run standalone or through the unified entry point::
 
     python tools/check_callers.py [REPO_ROOT]
@@ -64,18 +80,22 @@ REASONS = (
     "paper:",
 )
 
-#: The accepted reasons for keeping a config field that no code sets.
+#: The accepted reasons for keeping a config field that no code sets,
+#: or a parameter that no call passes.
 KNOB_REASONS = (
     # A paper component's setting, waiting for the sweep that varies it.
     "paper:",
     # A value ROADMAP item 7's certify draws.
     "certify:",
+    # A deployment setting, such as the CLI's argv and output stream.
+    "deploy:",
 )
 
 #: Frozen dataclasses whose name ends with one of these are configs.
 CONFIG_SUFFIXES = ("Config", "Policy", "Quota")
 
-#: {qualified class or "class.field": reason} for fields no code sets.
+#: {qualified class, "class.field", "func.param" or "Class.method.param":
+#: reason} for config fields no code sets and parameters no call passes.
 KNOBS: Dict[str, str] = {
     "repro.colocation.policy.PolicyConfig":
         "paper: Fig. 4 / Sec. III-E co-location thresholds, waiting for "
@@ -90,6 +110,18 @@ KNOBS: Dict[str, str] = {
         "certify: the per-attempt deadline certify draws",
     "repro.capacity.plane.CapacityConfig.burst_enabled":
         "certify: capacity with cloud burst on, a plane certify draws",
+    # -- parameters
+    "repro.cli.main.argv":
+        "deploy: the command line, sys.argv[1:] unless a caller passes one",
+    "repro.cli.main.out":
+        "deploy: where the CLI writes its report, print unless a caller "
+        "passes one",
+    "repro.slurm.scheduler.BatchScheduler.__init__.partitions":
+        "paper: Sec. III-B's shared partition, the batch side of the "
+        "co-location sweep",
+    "repro.slurm.scheduler.BatchScheduler.free_node_names.partition":
+        "paper: Sec. III-B's idle nodes of one partition, the batch side of "
+        "the co-location sweep",
 }
 
 #: {qualified name: reason} for members kept with no caller.
@@ -347,8 +379,11 @@ def _set_fields(root: pathlib.Path,
 
 
 def knob_violations(root: pathlib.Path = REPO_ROOT,
-                    knobs: Optional[Mapping[str, str]] = None) -> List[str]:
-    """Config fields no call in src, bench or tools sets, and bad knob entries."""
+                    knobs: Optional[Mapping[str, str]] = None,
+                    params: Set[str] = frozenset()) -> List[str]:
+    """Config fields no call in src, bench or tools sets, and bad knob
+    entries; an entry in ``params`` names a parameter, which
+    :func:`parameter_violations` checks for staleness."""
     knobs = KNOBS if knobs is None else knobs
     root = pathlib.Path(root)
     classes = config_classes(root / "src")
@@ -372,9 +407,12 @@ def knob_violations(root: pathlib.Path = REPO_ROOT,
                     f"KNOBS with a reason starting {', '.join(KNOB_REASONS)})"
                 )
     for entry, reason in sorted(knobs.items()):
-        if entry not in classes and entry not in fields:
+        if entry in params:
+            pass
+        elif entry not in classes and entry not in fields:
             problems.append(
-                f"stale knob entry {entry}: no such config class or field")
+                f"stale knob entry {entry}: no such config class, field "
+                f"or parameter")
         elif entry not in unset:
             problems.append(f"stale knob entry {entry}: it is set now")
         if not reason.startswith(KNOB_REASONS):
@@ -385,11 +423,162 @@ def knob_violations(root: pathlib.Path = REPO_ROOT,
     return problems
 
 
+class _Callable:
+    """A def whose defaulted parameters the parameter rule checks."""
+
+    def __init__(self, qualname: str, node, owner: Optional[str],
+                 where: str) -> None:
+        args = node.args
+        positional = [arg.arg for arg in args.posonlyargs + args.args]
+        decorators = {_bare(dec) for dec in node.decorator_list}
+        if owner is not None and "staticmethod" not in decorators:
+            positional = positional[1:]
+        self.qualname = qualname
+        self.where = where
+        #: The bare name calls match: the class for ``__init__``.
+        self.name = owner if node.name == "__init__" else node.name
+        self.is_init = node.name == "__init__"
+        self.positional = positional
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [arg.arg for arg, default in zip(args.kwonlyargs,
+                                                      args.kw_defaults)
+                      if default is not None]
+        self.defaulted = [name for name in defaulted
+                          if not name.startswith("_")]
+
+
+def callables(src: pathlib.Path, skip: Mapping[str, str]) -> List[_Callable]:
+    """Every function and method with a defaulted parameter to check.
+
+    A member named in ``skip`` (an allowlist) is left out; so is the
+    ``__init__`` of a class named there.
+    """
+    found: List[_Callable] = []
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(src, path)
+        where = path.relative_to(src.parent)
+        for node in ast.parse(path.read_text(), str(path)).body:
+            defs = [(node, None)]
+            if isinstance(node, ast.ClassDef):
+                defs = [(member, node.name) for member in node.body]
+            for member, owner in defs:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if (member.name.startswith("__") and member.name.endswith("__")
+                        and member.name != "__init__"):
+                    continue
+                prefix = f"{module}.{owner}" if owner else module
+                qualname = f"{prefix}.{member.name}"
+                if qualname in skip or (member.name == "__init__"
+                                        and prefix in skip):
+                    continue
+                found.append(_Callable(qualname, member, owner,
+                                       f"{where}:{member.lineno}"))
+    return [c for c in found if c.defaulted]
+
+
+class _Calls(ast.NodeVisitor):
+    """Records, per callable, the parameter names some call passes."""
+
+    def __init__(self, targets: List[_Callable]) -> None:
+        self.by_name: Dict[str, List[_Callable]] = {}
+        for target in targets:
+            self.by_name.setdefault(target.name, []).append(target)
+        self.passed: Dict[str, Set[str]] = {t.qualname: set() for t in targets}
+        self._classes: List[ast.ClassDef] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def _targets(self, call: ast.Call) -> List[_Callable]:
+        func = call.func
+        if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and _bare(func.value.func) == "super"):
+            bases = {_bare(base) for cls in self._classes[-1:]
+                     for base in cls.bases}
+            return [t for name in bases for t in self.by_name.get(name, ())
+                    if t.is_init]
+        name = _bare(func)
+        if name == "cls" and self._classes:
+            name = self._classes[-1].name
+        return self.by_name.get(name, [])
+
+    def visit_Call(self, call: ast.Call) -> None:
+        splat = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                 or any(kw.arg is None for kw in call.keywords))
+        for target in self._targets(call):
+            if splat:
+                named = target.defaulted
+            else:
+                named = target.positional[:len(call.args)] + [
+                    kw.arg for kw in call.keywords]
+            self.passed[target.qualname].update(named)
+        self.generic_visit(call)
+
+
+def parameter_violations(root: pathlib.Path = REPO_ROOT,
+                         allowlist: Optional[Mapping[str, str]] = None,
+                         knobs: Optional[Mapping[str, str]] = None
+                         ) -> Tuple[List[str], Set[str]]:
+    """Defaulted parameters no call in src, bench or tools passes.
+
+    Returns the problems and the set of knob entries that name a
+    parameter (so :func:`knob_violations` does not call them stale).
+    """
+    allowlist = ALLOWLIST if allowlist is None else allowlist
+    knobs = KNOBS if knobs is None else knobs
+    root = pathlib.Path(root)
+    targets = callables(root / "src", allowlist)
+    calls = _Calls(targets)
+    for path in _py_files(root):
+        calls.visit(ast.parse(path.read_text(), str(path)))
+
+    problems: List[str] = []
+    params: Set[str] = set()
+    unpassed: Set[str] = set()
+    for target in targets:
+        for name in target.defaulted:
+            entry = f"{target.qualname}.{name}"
+            params.add(entry)
+            if name in calls.passed[target.qualname]:
+                continue
+            unpassed.add(entry)
+            if entry not in knobs:
+                problems.append(
+                    f"{target.where}: {entry} is passed by no call outside "
+                    f"tests/ and examples/ (make it a constant, or list it in "
+                    f"KNOBS with a reason starting {', '.join(KNOB_REASONS)})"
+                )
+    for entry in sorted(params & set(knobs)):
+        if entry not in unpassed:
+            problems.append(f"stale knob entry {entry}: it is passed now")
+    return problems, params
+
+
+def scan_size(root: pathlib.Path = REPO_ROOT) -> Dict[str, int]:
+    """How much the three rules look at: members, config fields and
+    defaulted parameters, and the classes and callables holding them."""
+    src = pathlib.Path(root) / "src"
+    classes = config_classes(src)
+    targets = callables(src, ALLOWLIST)
+    return {
+        "members": len(_definitions(src)),
+        "fields": sum(len(names) for _, names, _ in classes.values()),
+        "config_classes": len(classes),
+        "parameters": sum(len(t.defaulted) for t in targets),
+        "callables": len(targets),
+    }
+
+
 def violations(root: pathlib.Path = REPO_ROOT,
                allowlist: Optional[Mapping[str, str]] = None,
                knobs: Optional[Mapping[str, str]] = None) -> List[str]:
-    """Members with no caller and config fields with no setter in src,
-    bench or tools, and bad allowlist or knob entries."""
+    """Members with no caller, config fields with no setter and
+    defaulted parameters no call passes in src, bench or tools, and bad
+    allowlist or knob entries."""
     allowlist = ALLOWLIST if allowlist is None else allowlist
     root = pathlib.Path(root)
     defined = _definitions(root / "src")
@@ -414,7 +603,8 @@ def violations(root: pathlib.Path = REPO_ROOT,
                 f"allowlist entry {qualname}: reason {reason!r} does not "
                 f"start with {', '.join(REASONS)}"
             )
-    return problems + knob_violations(root, knobs)
+    param_problems, params = parameter_violations(root, allowlist, knobs)
+    return problems + knob_violations(root, knobs, params) + param_problems
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -423,10 +613,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     problems = violations(root)
     for problem in problems:
         print(problem, file=sys.stderr)
-    classes = config_classes(root / "src")
-    fields = sum(len(names) for _, names, _ in classes.values())
-    print(f"checked src/ members for callers and {fields} fields of "
-          f"{len(classes)} config classes for setters, "
+    size = scan_size(root)
+    print(f"checked {size['members']} src/ members for callers, "
+          f"{size['fields']} fields in {size['config_classes']} config classes "
+          f"for setters and {size['parameters']} parameters in "
+          f"{size['callables']} callables for callers, "
           f"{len(problems)} violation(s)")
     return 1 if problems else 0
 
