@@ -16,8 +16,9 @@ still fail.  For every plan in :data:`GOLDENS`:
    must hash to the JSON pin and the stream to the stream pin.  That
    one run covers an interpreter with no history, the 2-worker pool,
    traced output equal to untraced output, the span stream and CLI
-   literal parsing.  :data:`EXTRA_PLANS` adds two plans no golden
-   reaches, checked the same way.
+   literal parsing.  The same run writes ``--metrics-out``, whose text
+   must hash to its :data:`METRICS_PINS` pin.  :data:`EXTRA_PLANS` adds
+   plans no golden reaches, checked the same way.
 3. **After another traced run in the same interpreter**:
    ``tests/telemetry/test_span_identity.py`` re-checks the chaos stream
    pin, so a module-global id counter fails even though forked workers
@@ -49,6 +50,7 @@ import sys
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.sweep import run_sweep, sweep_names
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent.parent / "src"
@@ -174,8 +176,13 @@ INT_LITERALS = {
     "certify": dict(budget=2, window_s=4),
 }
 
-#: Plans no golden reaches, checked through the CLI only:
-#: label -> (sweep, ``--set`` kwargs, sha256 of the JSON, sha256 of the stream)
+#: CI's mid-flight drain plan: a crash of n0001 with executions in flight.
+MIDFLIGHT = (FaultPlan(name="midflight").lease_storm(at_s=2.0)
+             .node_crash(at_s=4.0, node="n0001", duration_s=2.0))
+
+#: Plans no golden reaches, checked through the CLI only: label ->
+#: (sweep, ``--set`` kwargs, sha256 of the JSON, sha256 of the stream).
+#: A ``plan`` kwarg is written to a file and passed as ``--plan``.
 EXTRA_PLANS = {
     # The golden autoscale plan runs the crash storm; this is the calm run.
     "autoscale-calm": (
@@ -191,6 +198,61 @@ EXTRA_PLANS = {
         "2c6bf0d6fa0800effd6f3b3572f16695421479466ef2ad7ba22a25ffeeb01c1b",
         "f964109a93bba9d094bfbeb895dde1a540986919d58d3039b83db236722237ed",
     ),
+    "chaos-midflight": (
+        "chaos", dict(plan=MIDFLIGHT, window_s=8),
+        "67ae40f0a62fedbd4a7bb9a5abde05fd5137b90083b1aa399b2d2972128fa8c7",
+        "841955cb81fd2d98607da2dd5d6fc5f37c7316f09a9ce8a499afb4d123c29719",
+    ),
+    # One shard crashes halfway through the storm.
+    "loadstorm-crash": (
+        "loadstorm", dict(shards=(1, 2), window_s=2, rate_per_s=600,
+                          population=50000, crash_at_frac=0.5),
+        "9ac8a122112ed576b1f7f5bf45be5cee45be5bdffbc32e809337227c0a1501b4",
+        "9cbe2c46115e61e38b4b863572716f7653b1c672750c377773b01ef358f04a4d",
+    ),
+}
+
+#: label -> sha256 of the ``--metrics-out`` text of that CLI plan's run.
+#: Families a plan does not export are simply absent from its text.
+METRICS_PINS = {
+    "autoscale":
+        "90ae33e2787f54d2fb5ee101c9ec3338dd8f8215c6ca15b05b866479b528431c",
+    "autoscale-calm":
+        "51fc60d67e1dce6bdca452ef95ad26964f159068b881e91e581536e19d05e3c0",
+    "certify":
+        "4be149efed0ab755c612a7ed9d8b9306f6f80f2db823fe8c3852c048820b8d14",
+    "chaos":
+        "3261e12b6a68ec435d17912ea2700e847d9759e60323ecae767e8ae91aacc0c7",
+    "chaos-midflight":
+        "59e91f05805124704d9b33a810911f53b7649774846b64ef7c7f0bf12f44bc12",
+    "fig01":
+        "06c08a4abcf74855c2e6e5594c0d9331bd4f96db9c620ac2fd03813949b0af59",
+    "fig07":
+        "a073931b426f286b48f1e370432d2b93de8b2088a3fe3528c706c3ab248f067f",
+    "fig08":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fig09":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fig10":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fig11":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fig12":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "gpu_scaling":
+        "f1658d7459ff52527f3dba1228d8bd5add641ac62a115e1ca51c0dae33225c9f",
+    "loadstorm":
+        "5adc3c83bfd3dd5078679934a2e045558b6506c8a7bc58568279037da217b4d5",
+    "loadstorm-crash":
+        "037f360c9c81fdd864180e941127b2624450c9a9b70d7c15768331ce51ef0ff9",
+    "manager_failover":
+        "e31f18ac72b0f208b30f2cdc67113f8c0f8590f0f70976a397b64d43a4568849",
+    "manager_failover-orphans":
+        "862cc37694b867cd1ef89b4917da4e626e021329247d2fc7e979c27b8612d269",
+    "memdurability":
+        "03e2041dc47b41a7f0b9ed684259ea4b346ee3e8cc2ca41d95ff665315ef5449",
+    "tab03":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 CLI_PLANS = {
@@ -217,6 +279,14 @@ def _orphans_were_executing(points, stream):
     assert b'"rfaas.execution"' in stream
 
 
+def _executions_were_interrupted(points, stream):
+    assert b'"error": "Interrupt"' in stream
+
+
+def _a_shard_crashed(points, stream):
+    assert [p["crashes"] for p in points] == [1, 1]
+
+
 def _every_schedule_struck_and_held(points, stream):
     assert all(p["injected"] >= 1 for p in points)
     assert all(problems == [] for p in points
@@ -230,6 +300,8 @@ NON_VACUOUS = {
     "autoscale": _crash_storm_ran,
     "memdurability": _durability_divides_the_factors,
     "manager_failover-orphans": _orphans_were_executing,
+    "chaos-midflight": _executions_were_interrupted,
+    "loadstorm-crash": _a_shard_crashed,
     "certify": _every_schedule_struck_and_held,
 }
 
@@ -242,6 +314,10 @@ def _sha256(data) -> str:
 
 def test_every_registered_sweep_is_pinned():
     assert sorted(GOLDENS) == sorted(set(sweep_names()) - set(UNPINNED))
+
+
+def test_every_cli_plan_pins_its_metrics():
+    assert sorted(METRICS_PINS) == sorted(CLI_PLANS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
@@ -262,13 +338,21 @@ def test_int_literals_give_the_float_json(name):
 def test_fresh_cli_run_matches_the_pins(plan, tmp_path):
     name, kwargs, json_sha, stream_sha = CLI_PLANS[plan]
     out, stream = tmp_path / "sweep.json", tmp_path / "spans.jsonl"
+    metrics = tmp_path / "metrics.txt"
+    kwargs = dict(kwargs)
+    plan_args = []
+    if "plan" in kwargs:
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(kwargs.pop("plan").to_json(), encoding="utf-8")
+        plan_args = ["--plan", str(plan_file)]
     sets = [arg for key, value in kwargs.items()
             for arg in ("--set", f"{key}={value!r}")]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "sweep", name, *sets, "--jobs", "2",
-         "--json", str(out), "--stream-spans", str(stream)],
+        [sys.executable, "-m", "repro", "sweep", name, *plan_args, *sets,
+         "--jobs", "2", "--json", str(out), "--stream-spans", str(stream),
+         "--metrics-out", str(metrics)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr or proc.stdout
@@ -278,3 +362,4 @@ def test_fresh_cli_run_matches_the_pins(plan, tmp_path):
     assert text.endswith("\n")
     assert _sha256(text[:-1]) == json_sha
     assert _sha256(spans) == stream_sha
+    assert _sha256(metrics.read_bytes()) == METRICS_PINS[plan]
