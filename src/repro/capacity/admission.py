@@ -140,15 +140,15 @@ class AdmissionController:
         self._seq = itertools.count()
         self._pump = None
         self.admitted = 0
-        self.rejected = 0
+        #: Rejections by reason, read by ``repro_capacity_rejected_total``.
+        self.rejected: dict[str, int] = {}
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_admitted = metrics.counter(
-            "repro_capacity_admitted_total",
+        metrics.counter(
+            "repro_capacity_admitted_total", lambda: self.admitted,
             help="invocations admitted past the quota gate",
         )
-        self._m_rejected: dict = {}
         self._metrics = metrics
         self._m_wait = metrics.histogram(
             "repro_capacity_queue_wait_seconds",
@@ -214,15 +214,14 @@ class AdmissionController:
 
     def _reject(self, tenant: str, reason: str,
                 ctx: Optional[TraceContext] = None) -> None:
-        self.rejected += 1
-        counter = self._m_rejected.get(reason)
-        if counter is None:
-            counter = self._metrics.counter(
-                "repro_capacity_rejected_total", labels={"reason": reason},
+        if reason not in self.rejected:
+            self.rejected[reason] = 0
+            self._metrics.counter(
+                "repro_capacity_rejected_total", lambda: self.rejected[reason],
+                labels={"reason": reason},
                 help="invocations rejected by the admission gate, by reason",
             )
-            self._m_rejected[reason] = counter
-        counter.inc()
+        self.rejected[reason] += 1
         self._tracer.instant(
             "capacity.reject", track="capacity", ctx=ctx,
             tenant=tenant, reason=reason,
@@ -234,7 +233,6 @@ class AdmissionController:
     def _note_admitted(self, tenant: str, waited: float,
                        ctx: Optional[TraceContext] = None) -> None:
         self.admitted += 1
-        self._m_admitted.inc()
         self._m_wait.observe(waited)
         self._tracer.instant(
             "capacity.admit", track="capacity", ctx=ctx,

@@ -86,8 +86,8 @@ class WarmPoolAutoscaler:
             "repro_capacity_warm_target_count",
             help="warm containers the autoscaler is currently aiming for",
         )
-        self._m_prewarms = metrics.counter(
-            "repro_capacity_prewarms_total",
+        metrics.counter(
+            "repro_capacity_prewarms_total", lambda: self.prewarms,
             help="containers started ahead of demand by the autoscaler",
         )
         self._m_supply = metrics.gauge(
@@ -207,7 +207,6 @@ class WarmPoolAutoscaler:
             if acquired.startup_cost_s > 0:
                 yield self.env.timeout(acquired.startup_cost_s)
             self.prewarms += 1
-            self._m_prewarms.inc()
             self._tracer.instant(
                 "capacity.prewarm", track="capacity",
                 node=node_name, image=image_name, kind=acquired.kind,

@@ -60,12 +60,12 @@ class CloudBurstRouter:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_bursts = metrics.counter(
-            "repro_capacity_bursts_total",
+        metrics.counter(
+            "repro_capacity_bursts_total", lambda: self.bursts,
             help="invocations overflowed to the cloud baseline",
         )
-        self._m_cost = metrics.counter(
-            "repro_capacity_burst_cost_total",
+        metrics.counter(
+            "repro_capacity_burst_cost_total", lambda: self.total_cost,
             help="accumulated cloud-burst bill (currency units)",
         )
         self._m_latency = metrics.histogram(
@@ -103,8 +103,6 @@ class CloudBurstRouter:
         cost = bill.cost()
         self.bursts += 1
         self.total_cost += cost
-        self._m_bursts.inc()
-        self._m_cost.inc(cost)
         self._m_latency.observe(record.total_s)
         self._tracer.instant(
             "capacity.burst", track="capacity", ctx=ctx,

@@ -68,6 +68,11 @@ class CapacityResult:
     error: Optional[Exception] = None
 
 
+#: route -> the :class:`CapacityPlane` count that
+#: ``repro_capacity_invocations_total`` reads for it.
+_ROUTE_COUNTS = {"hpc": "completed", "cloud": "bursts", "rejected": "rejected"}
+
+
 class CapacityPlane:
     """Forecast, admission, autoscaling, and overflow behind one call."""
 
@@ -103,7 +108,6 @@ class CapacityPlane:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         self._metrics = telemetry.metrics
-        self._m_route: dict[str, Any] = {}
         self._m_latency: dict[str, Any] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -112,17 +116,15 @@ class CapacityPlane:
         self.autoscaler.start()
 
     # -- accounting helpers ----------------------------------------------------
-    def _count_route(self, route: str, latency_s: float) -> None:
-        counter = self._m_route.get(route)
-        if counter is None:
-            counter = self._metrics.counter(
-                "repro_capacity_invocations_total", labels={"route": route},
-                help="governed invocations, by final route",
-            )
-            self._m_route[route] = counter
-        counter.inc()
+    def _record_route(self, route: str, latency_s: float) -> None:
         histogram = self._m_latency.get(route)
         if histogram is None:
+            count = _ROUTE_COUNTS[route]
+            self._metrics.counter(
+                "repro_capacity_invocations_total",
+                lambda: getattr(self, count), labels={"route": route},
+                help="governed invocations, by final route",
+            )
             histogram = self._metrics.histogram(
                 "repro_capacity_latency_seconds", labels={"route": route},
                 help="end-to-end latency of governed invocations, by route",
@@ -182,7 +184,7 @@ class CapacityPlane:
         except AdmissionRejected as err:
             self.rejected += 1
             latency = self.env.now - t_begin
-            self._count_route("rejected", latency)
+            self._record_route("rejected", latency)
             conclude("rejected")
             return CapacityResult(
                 function=function, tenant=tenant, route="rejected", ok=False,
@@ -198,7 +200,7 @@ class CapacityPlane:
         if degraded.ok:
             self.completed += 1
             latency = self.env.now - t_begin
-            self._count_route("hpc", latency)
+            self._record_route("hpc", latency)
             conclude("hpc")
             return CapacityResult(
                 function=function, tenant=tenant, route="hpc", ok=True,
@@ -213,7 +215,7 @@ class CapacityPlane:
             )
             self.bursts += 1
             latency = self.env.now - t_begin
-            self._count_route("cloud", latency)
+            self._record_route("cloud", latency)
             conclude("cloud")
             return CapacityResult(
                 function=function, tenant=tenant, route="cloud", ok=True,
@@ -222,7 +224,7 @@ class CapacityPlane:
             )
         self.rejected += 1
         latency = self.env.now - t_begin
-        self._count_route("rejected", latency)
+        self._record_route("rejected", latency)
         conclude("rejected")
         return CapacityResult(
             function=function, tenant=tenant, route="rejected", ok=False,

@@ -73,7 +73,6 @@ class WarmPool:
         self.runtime = runtime
         self._warm: dict[int, WarmContainer] = {}
         self._swapped: dict[int, WarmContainer] = {}
-        # Statistics for the ablation benches.
         self.hits = 0
         self.swap_ins = 0
         self.cold_starts = 0
@@ -83,21 +82,21 @@ class WarmPool:
         self._tracer = telemetry.tracer
         labels = {"node": node.name}
         metrics = telemetry.metrics
-        self._m_hits = metrics.counter(
-            "repro_warmpool_hits_total", labels=labels,
+        metrics.counter(
+            "repro_warmpool_hits_total", lambda: self.hits, labels=labels,
             help="acquisitions served by a resident warm container",
         )
-        self._m_swapins = metrics.counter(
-            "repro_warmpool_swapins_total", labels=labels,
+        metrics.counter(
+            "repro_warmpool_swapins_total", lambda: self.swap_ins, labels=labels,
             help="acquisitions restored from the parallel filesystem",
         )
-        self._m_cold = metrics.counter(
-            "repro_warmpool_cold_starts_total", labels=labels,
-            help="acquisitions that paid a full cold start",
+        metrics.counter(
+            "repro_warmpool_cold_starts_total", lambda: self.cold_starts,
+            labels=labels, help="acquisitions that paid a full cold start",
         )
-        self._m_evictions = metrics.counter(
-            "repro_warmpool_evictions_total", labels=labels,
-            help="warm containers evicted for memory reclamation",
+        metrics.counter(
+            "repro_warmpool_evictions_total", lambda: self.evictions,
+            labels=labels, help="warm containers evicted for memory reclamation",
         )
         self._m_resident = metrics.gauge(
             "repro_warmpool_resident_bytes", labels=labels,
@@ -137,7 +136,6 @@ class WarmPool:
             del self._warm[container.container_id]
             container.state = ContainerState.IN_USE
             self.hits += 1
-            self._m_hits.inc()
             self._note_acquire(image, "warm", parent)
             return AcquireResult(container, self.runtime.warm_attach_s, "warm")
 
@@ -150,7 +148,6 @@ class WarmPool:
             container.alloc = alloc
             container.state = ContainerState.IN_USE
             self.swap_ins += 1
-            self._m_swapins.inc()
             self._note_acquire(image, "swapped", parent)
             cost = image.runtime_memory_bytes / SWAP_BANDWIDTH + self.runtime.warm_attach_s
             return AcquireResult(container, cost, "swapped")
@@ -160,7 +157,6 @@ class WarmPool:
         container = WarmContainer(image, self.node.name, alloc,
                                   container_id=self.env.next_id("container"))
         self.cold_starts += 1
-        self._m_cold.inc()
         self._note_acquire(image, "cold", parent)
         return AcquireResult(container, self.runtime.cold_start_time(image), "cold")
 
@@ -208,7 +204,6 @@ class WarmPool:
         self.node.release(container.alloc)
         container.alloc = None
         self.evictions += 1
-        self._m_evictions.inc()
         self._record_resident()
         self._tracer.instant(
             "warmpool.evict", track=f"{self.node.name}/warmpool",

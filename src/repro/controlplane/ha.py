@@ -132,35 +132,40 @@ class ReplicatedResourceManager(ResourceManager):
         self._pending_releases: list["Lease"] = []
         self._lost_at: Optional[float] = None
         self._process = None
-        #: Takeovers, fenced mutations and k=0 orphaned leases, counted
-        #: with their ``repro_controlplane_*`` metrics.
+        #: Counts read by the ``repro_controlplane_*`` counters.
+        self.heartbeats = 0
         self.failovers = 0
         self.fenced_grants = 0
+        self.unavailable = 0
+        self.reconciled = 0
+        self.crashes = 0
+        self.partitions = 0
+        self.stepdowns = 0
         self.orphaned_leases = 0
 
         metrics = telemetry_of(env).metrics
-        self._m_heartbeats = metrics.counter(
-            "repro_controlplane_heartbeats_total",
+        metrics.counter(
+            "repro_controlplane_heartbeats_total", lambda: self.heartbeats,
             help="heartbeat rounds delivered primary -> standbys",
         )
-        self._m_failovers = metrics.counter(
-            "repro_controlplane_failovers_total",
+        metrics.counter(
+            "repro_controlplane_failovers_total", lambda: self.failovers,
             help="standby takeovers (epoch bumps by election)",
         )
         self._m_epoch = metrics.gauge(
             "repro_controlplane_epoch_count", help="current control-plane epoch",
         )
         self._m_epoch.set(self.epoch)
-        self._m_fenced = metrics.counter(
-            "repro_controlplane_fenced_grants_total",
+        metrics.counter(
+            "repro_controlplane_fenced_grants_total", lambda: self.fenced_grants,
             help="mutations rejected because the issuer's epoch was stale",
         )
-        self._m_unavailable = metrics.counter(
-            "repro_controlplane_unavailable_total",
+        metrics.counter(
+            "repro_controlplane_unavailable_total", lambda: self.unavailable,
             help="front-door mutations rejected: no reachable primary",
         )
-        self._m_reconciled = metrics.counter(
-            "repro_controlplane_reconciled_leases_total",
+        metrics.counter(
+            "repro_controlplane_reconciled_leases_total", lambda: self.reconciled,
             help="leases revoked or released by takeover reconciliation",
         )
         self._m_detection = metrics.histogram(
@@ -168,19 +173,21 @@ class ReplicatedResourceManager(ResourceManager):
             help="primary loss -> takeover latency",
             buckets=(0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0),
         )
-        self._m_crashes = metrics.counter(
-            "repro_controlplane_crashes_total", help="primary crashes injected",
+        metrics.counter(
+            "repro_controlplane_crashes_total", lambda: self.crashes,
+            help="primary crashes injected",
         )
-        self._m_partitions = metrics.counter(
-            "repro_controlplane_partitions_total",
+        metrics.counter(
+            "repro_controlplane_partitions_total", lambda: self.partitions,
             help="primary partitions injected",
         )
-        self._m_stepdowns = metrics.counter(
-            "repro_controlplane_stepdowns_total",
+        metrics.counter(
+            "repro_controlplane_stepdowns_total", lambda: self.stepdowns,
             help="fenced ex-primaries that rejoined as standbys after heal",
         )
-        self._m_orphaned = metrics.counter(
+        metrics.counter(
             "repro_controlplane_orphaned_leases_total",
+            lambda: self.orphaned_leases,
             help="active leases lost to total control-plane loss (k=0)",
         )
 
@@ -227,7 +234,7 @@ class ReplicatedResourceManager(ResourceManager):
             for replica in self.replicas:
                 if replica.role is ReplicaRole.STANDBY:
                     replica.last_heartbeat_s = now
-            self._m_heartbeats.inc()
+            self.heartbeats += 1
             return
         self._maybe_failover(now)
 
@@ -258,7 +265,6 @@ class ReplicatedResourceManager(ResourceManager):
         detection_s = now - (self._lost_at if self._lost_at is not None else oldest)
         self._lost_at = None
         self.failovers += 1
-        self._m_failovers.inc()
         self._m_epoch.set(self.epoch)
         self._m_detection.observe(detection_s)
         self._tracer.instant(
@@ -283,7 +289,7 @@ class ReplicatedResourceManager(ResourceManager):
                 self._commit("release", {"lease_id": lease.lease_id})
                 released += 1
         if stale or pending:
-            self._m_reconciled.inc(len(stale) + released)
+            self.reconciled += len(stale) + released
             self._tracer.instant(
                 "controlplane.reconcile", track="controlplane",
                 epoch=self.epoch, revoked=len(stale), released=released,
@@ -307,7 +313,7 @@ class ReplicatedResourceManager(ResourceManager):
         self._partitioned.discard(rank)
         self._primary_rank = None
         self._lost_at = self.env.now
-        self._m_crashes.inc()
+        self.crashes += 1
         self._tracer.instant(
             "controlplane.crash", track="controlplane",
             rank=rank, epoch=self.epoch, outage_s=outage_s,
@@ -334,7 +340,7 @@ class ReplicatedResourceManager(ResourceManager):
             return None
         self._partitioned.add(rank)
         self._lost_at = self.env.now
-        self._m_partitions.inc()
+        self.partitions += 1
         self._tracer.instant(
             "controlplane.partition", track="controlplane",
             rank=rank, epoch=self.epoch, heal_after_s=heal_after_s,
@@ -392,7 +398,7 @@ class ReplicatedResourceManager(ResourceManager):
             replica.resync_from(current)
             replica.role = ReplicaRole.STANDBY
             replica.last_heartbeat_s = self.env.now
-            self._m_stepdowns.inc()
+            self.stepdowns += 1
             self._tracer.instant(
                 "controlplane.stepdown", track="controlplane",
                 rank=rank, epoch=self.epoch,
@@ -421,7 +427,6 @@ class ReplicatedResourceManager(ResourceManager):
             super().remove_node(node_name, immediate=True)
             self._commit("remove", {"node": node_name, "immediate": True})
         self.orphaned_leases += orphaned
-        self._m_orphaned.inc(orphaned)
         self._tracer.instant(
             "controlplane.orphan", track="controlplane",
             leases=orphaned, epoch=self.epoch,
@@ -431,13 +436,13 @@ class ReplicatedResourceManager(ResourceManager):
     def _require_primary(self, op: str) -> ManagerReplica:
         rank = self._primary_rank
         if rank is None:
-            self._m_unavailable.inc()
+            self.unavailable += 1
             raise ManagerUnavailableError(
                 f"{op}: no live primary (takeover pending)",
                 epoch=self.epoch, cause="crash",
             )
         if rank in self._partitioned:
-            self._m_unavailable.inc()
+            self.unavailable += 1
             raise ManagerUnavailableError(
                 f"{op}: primary rm-{rank} unreachable (partitioned)",
                 epoch=self.epoch, cause="partition",
@@ -447,7 +452,6 @@ class ReplicatedResourceManager(ResourceManager):
     def _fence(self, issuer: ManagerReplica) -> None:
         if issuer.role is not ReplicaRole.PRIMARY or issuer.epoch != self.epoch:
             self.fenced_grants += 1
-            self._m_fenced.inc()
             self._tracer.instant(
                 "controlplane.fenced", track="controlplane",
                 rank=issuer.rank, stale_epoch=issuer.epoch,

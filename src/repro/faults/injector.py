@@ -60,6 +60,8 @@ class Injector:
         self.started = False
         #: (time, kind, target) triples of faults actually applied.
         self.injected: list[tuple[float, str, Optional[str]]] = []
+        #: Crashed nodes re-registered after their outage window.
+        self.recoveries = 0
         #: events that found no viable target (e.g. nothing registered).
         self.skipped: list[FaultEvent] = []
         needs_fabric = {FaultKind.NETWORK_DEGRADE, FaultKind.NETWORK_PARTITION}
@@ -68,15 +70,14 @@ class Injector:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_injected = {
-            kind: metrics.counter(
-                "repro_faults_injected_total", labels={"kind": kind},
-                help="faults applied, by kind",
+        for kind in FaultKind.ALL:
+            metrics.counter(
+                "repro_faults_injected_total",
+                lambda kind=kind: [k for _, k, _ in self.injected].count(kind),
+                labels={"kind": kind}, help="faults applied, by kind",
             )
-            for kind in FaultKind.ALL
-        }
-        self._m_recoveries = metrics.counter(
-            "repro_faults_node_recoveries_total",
+        metrics.counter(
+            "repro_faults_node_recoveries_total", lambda: self.recoveries,
             help="crashed nodes re-registered after their outage window",
         )
 
@@ -100,7 +101,6 @@ class Injector:
     # -- application ---------------------------------------------------------
     def _note(self, event: FaultEvent, target: Optional[str], **attrs) -> None:
         self.injected.append((self.env.now, event.kind, target))
-        self._m_injected[event.kind].inc()
         self._tracer.instant(
             f"fault.{event.kind}", track="faults", node=target, **attrs
         )
@@ -160,7 +160,7 @@ class Injector:
             # down; the crash becomes permanent for this run.
             self._tracer.instant("fault.recovery_failed", track="faults", node=node)
             return
-        self._m_recoveries.inc()
+        self.recoveries += 1
         self._tracer.instant("fault.node_recovered", track="faults", node=node)
 
     def _apply_lease_storm(self, event: FaultEvent) -> None:

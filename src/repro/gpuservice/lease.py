@@ -96,12 +96,12 @@ class GpuLeaseManager:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_granted = metrics.counter(
-            "repro_gpu_leases_granted_total",
+        metrics.counter(
+            "repro_gpu_leases_granted_total", lambda: self.granted,
             help="fractional GPU leases granted",
         )
-        self._m_revoked = metrics.counter(
-            "repro_gpu_leases_revoked_total",
+        metrics.counter(
+            "repro_gpu_leases_revoked_total", lambda: self.revoked,
             help="fractional GPU leases revoked by the platform",
         )
 
@@ -181,7 +181,6 @@ class GpuLeaseManager:
         )
         self._active[best].append(lease)
         self.granted += 1
-        self._m_granted.inc()
         self._tracer.instant(
             "gpu.lease.granted", track="gpu",
             lease=lease.lease_id, function=function, device=best,
@@ -202,7 +201,6 @@ class GpuLeaseManager:
         lease.state = GpuLeaseState.REVOKED
         lease.revoked_cause = cause
         self.revoked += 1
-        self._m_revoked.inc()
         self._tracer.instant(
             "gpu.lease.revoked", track="gpu",
             lease=lease.lease_id, function=lease.function,

@@ -170,13 +170,14 @@ class GpuService:
         self.replays = 0
         self.replay_cost = 0.0
         self.devices_lost = 0
+        self.transferred_bytes = 0
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_requests = metrics.counter(
-            "repro_gpu_requests_total", help="GPU invocations submitted")
-        self._m_batches = metrics.counter(
-            "repro_gpu_batches_total", help="coalesced batch launches")
+        metrics.counter("repro_gpu_requests_total", lambda: self.submitted,
+                        help="GPU invocations submitted")
+        metrics.counter("repro_gpu_batches_total", lambda: self.batches,
+                        help="coalesced batch launches")
         self._m_batch_size = metrics.histogram(
             "repro_gpu_batch_size_count",
             help="requests per coalesced launch",
@@ -190,16 +191,16 @@ class GpuService:
             "repro_gpu_request_latency_seconds",
             help="submit-to-completion latency per request",
         )
-        self._m_replays = metrics.counter(
-            "repro_gpu_replays_total",
+        metrics.counter(
+            "repro_gpu_replays_total", lambda: self.replays,
             help="invocations replayed after a device loss",
         )
-        self._m_replay_cost = metrics.counter(
-            "repro_gpu_replay_cost_total",
+        metrics.counter(
+            "repro_gpu_replay_cost_total", lambda: self.replay_cost,
             help="billed cost of attempts wasted by device loss",
         )
-        self._m_transferred = metrics.counter(
-            "repro_gpu_transferred_bytes",
+        metrics.counter(
+            "repro_gpu_transferred_bytes", lambda: self.transferred_bytes,
             help="host-to-device bytes moved over PCIe",
         )
         self._m_online = metrics.gauge(
@@ -246,7 +247,6 @@ class GpuService:
             span=span,
         )
         self.submitted += 1
-        self._m_requests.inc()
         self._dispatch(request)
         return request
 
@@ -306,7 +306,7 @@ class GpuService:
                 # PCIe, then park it warm so the next batch skips both.
                 yield env.timeout(CONTEXT_SETUP_S)
                 yield env.timeout(spec.device_memory_bytes / PCIE_BANDWIDTH)
-                self._m_transferred.inc(spec.device_memory_bytes)
+                self.transferred_bytes += spec.device_memory_bytes
                 try:
                     slot.device.keep_warm(function, spec.device_memory_bytes)
                 except GpuMemoryError:
@@ -315,7 +315,7 @@ class GpuService:
             else:
                 slot.device.has_warm(function)  # refresh the LRU stamp
             yield env.timeout(size * spec.input_bytes / PCIE_BANDWIDTH)
-            self._m_transferred.inc(size * spec.input_bytes)
+            self.transferred_bytes += size * spec.input_bytes
             yield env.timeout(SETUP_S)
             yield slot.device.launch(
                 function, batch_device_time(spec, size), spec.occupancy
@@ -328,7 +328,6 @@ class GpuService:
             self._replay(batch, lost_device=device, cause=interrupt.cause)
             return
         self.batches += 1
-        self._m_batches.inc()
         self._m_batch_size.observe(size)
         if traced:
             tracer.finish(span, device_time_s=batch_device_time(spec, size))
@@ -357,14 +356,12 @@ class GpuService:
         for request in batch:
             request.attempts += 1
             self.replays += 1
-            self._m_replays.inc()
             spec = self._functions[request.function]
             wasted = FunctionBill(
                 cores=1, memory_bytes=spec.device_memory_bytes,
                 duration_s=spec.device_time_s, gpus=1,
             ).cost()
             self.replay_cost += wasted
-            self._m_replay_cost.inc(wasted)
             self._tracer.instant(
                 "gpu.replay", track="gpu", ctx=request.ctx,
                 request=request.req_id, from_device=lost_device,
@@ -414,7 +411,6 @@ class GpuService:
             self.leases.remove_device(name, cause=cause)
             for request in self.batcher.drain(device=name):
                 self.replays += 1
-                self._m_replays.inc()
                 self._tracer.instant(
                     "gpu.replay", track="gpu", ctx=request.ctx,
                     request=request.req_id, from_device=name,

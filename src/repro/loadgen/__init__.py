@@ -14,9 +14,8 @@ Four pieces:
   draws tenant *indices* from a folded Zipf over a population that is a
   number, not a list, so memory scales with arrivals, not clients;
 * :mod:`~repro.loadgen.trace` — :class:`LoadSpec` (the seeded recipe)
-  and :class:`WorkloadTrace` (the arrivals): picklable, with
-  byte-identical JSON round trips.  ``synthesize(spec)`` is a pure
-  function of the spec, in any interpreter or worker process;
+  and :class:`WorkloadTrace` (the arrivals).  ``synthesize(spec)`` is
+  a pure function of the spec, in any interpreter or worker process;
 * :mod:`~repro.loadgen.drivers` — :func:`open_loop` submits at each
   arrival time and :func:`closed_loop` issues the next call when the
   last completes.  They are engine timer chains that keep no reference

@@ -2,9 +2,9 @@
 
 An arrival process turns ``(window, rng)`` into a sorted array of
 arrival timestamps.  Both processes here are frozen dataclasses of
-plain numbers — they pickle across the sweep fabric's pool boundary and
-round-trip through JSON — and both draw *only* from the generator they
-are handed, so the caller owns the seed discipline.
+plain numbers — they pickle across the sweep fabric's pool boundary —
+and both draw *only* from the generator they are handed, so the caller
+owns the seed discipline.
 
 :class:`PoissonArrivals` is the memoryless baseline: exponential
 inter-arrival gaps at a constant rate.

@@ -160,7 +160,7 @@ class ReplicatedMemoryService:
         self.credential = None
         if fabric.provider.requires_credentials() and fabric.drc is not None:
             self.credential = fabric.drc.acquire(owner=self._user)
-        # Plain counters (survive NULL telemetry) + metric instruments.
+        # Counts, read by the repro_memservice_* counters at export.
         self.bytes_read = 0
         self.bytes_written = 0
         self.replicas_lost = 0
@@ -171,24 +171,25 @@ class ReplicatedMemoryService:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_lost = metrics.counter(
-            "repro_memservice_replicas_lost_total",
+        metrics.counter(
+            "repro_memservice_replicas_lost_total", lambda: self.replicas_lost,
             help="chunk replicas destroyed by crash, kill, or reclaim",
         )
-        self._m_migrations = metrics.counter(
-            "repro_memservice_chunk_migrations_total",
+        metrics.counter(
+            "repro_memservice_chunk_migrations_total", lambda: self.migrations,
             help="chunk replicas live-migrated off a draining node",
         )
-        self._m_migration_failures = metrics.counter(
+        metrics.counter(
             "repro_memservice_migration_failures_total",
+            lambda: self.migration_failures,
             help="chunk migrations that found no target or lost the copy",
         )
-        self._m_degraded = metrics.counter(
-            "repro_memservice_degraded_writes_total",
+        metrics.counter(
+            "repro_memservice_degraded_writes_total", lambda: self.degraded_writes,
             help="committed chunk writes acked by fewer replicas than the quorum",
         )
-        self._m_moved = metrics.counter(
-            "repro_memservice_moved_bytes",
+        metrics.counter(
+            "repro_memservice_moved_bytes", lambda: self.moved_bytes,
             help="bytes copied node-to-node by migration and repair",
         )
         self._m_under = metrics.gauge(
@@ -354,7 +355,6 @@ class ReplicatedMemoryService:
         self.bytes_written += nbytes * len(acked)
         if len(acked) < chunk.quorum:
             self.degraded_writes += 1
-            self._m_degraded.inc()
         if failed:
             self._record_under_replication()
 
@@ -399,7 +399,6 @@ class ReplicatedMemoryService:
                 lost += 1
         if lost:
             self.replicas_lost += lost
-            self._m_lost.inc(lost)
             self._record_under_replication()
             self._tracer.instant(
                 "memservice.node_lost", track="memservice",
@@ -434,9 +433,6 @@ class ReplicatedMemoryService:
                     failed += 1
         self.migrations += moved
         self.migration_failures += failed
-        self._m_migrations.inc(moved)
-        if failed:
-            self._m_migration_failures.inc(failed)
         self._record_under_replication()
         self._tracer.finish(span, moved=moved, failed=failed)
         return moved
@@ -475,7 +471,6 @@ class ReplicatedMemoryService:
         replica.checksum = source.checksum
         chunk.replicas.append(replica)
         self.moved_bytes += moved
-        self._m_moved.inc(moved)
         if remove_source:
             source.service.stop()
             chunk.replicas.remove(source)
@@ -497,7 +492,6 @@ class ReplicatedMemoryService:
         replica.epoch = chunk.epoch
         replica.checksum = _checksum(chunk.index, chunk.version)
         self.moved_bytes += moved
-        self._m_moved.inc(moved)
         self._record_under_replication()
         return True
 
@@ -567,20 +561,22 @@ class DurableMemoryClient:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_failovers = metrics.counter(
-            "repro_memservice_failovers_total",
+        metrics.counter(
+            "repro_memservice_failovers_total", lambda: self.failovers,
             help="reads redirected to another replica after a failure",
         )
-        self._m_checksum = metrics.counter(
+        metrics.counter(
             "repro_memservice_checksum_failures_total",
+            lambda: self.checksum_failures,
             help="replica reads rejected by checksum verification",
         )
-        self._m_stale = metrics.counter(
+        metrics.counter(
             "repro_memservice_stale_reads_averted_total",
+            lambda: self.stale_reads_averted,
             help="reads that skipped an epoch-fenced (stale) replica",
         )
-        self._m_loss = metrics.counter(
-            "repro_memservice_data_loss_total",
+        metrics.counter(
+            "repro_memservice_data_loss_total", lambda: self.data_losses,
             help="chunk accesses where every replica was gone or corrupt",
         )
 
@@ -637,13 +633,11 @@ class DurableMemoryClient:
             if replica.epoch != chunk.epoch:
                 # Fenced: the replica missed a write while unreachable.
                 self.stale_reads_averted += 1
-                self._m_stale.inc()
                 self._note_failover()
                 continue
             if (replica.version != chunk.version
                     or replica.checksum != _checksum(index, chunk.version)):
                 self.checksum_failures += 1
-                self._m_checksum.inc()
                 self._note_failover()
                 continue
             return got
@@ -653,7 +647,6 @@ class DurableMemoryClient:
                 cause="unreachable",
             )
         self.data_losses += 1
-        self._m_loss.inc()
         self._tracer.instant(
             "memservice.data_loss", track="memservice",
             chunk=index, replicas_tried=attempts,
@@ -676,7 +669,6 @@ class DurableMemoryClient:
 
     def _note_failover(self) -> None:
         self.failovers += 1
-        self._m_failovers.inc()
 
     # -- writes ---------------------------------------------------------------
     def write(self, offset: int, size: int) -> Process:
@@ -699,7 +691,6 @@ class DurableMemoryClient:
         live = [r for r in chunk.replicas if r.live]
         if not live:
             self.data_losses += 1
-            self._m_loss.inc()
             raise DataLossError(
                 f"chunk {index}: no live replicas to write",
                 chunk=index, replicas_lost=len(chunk.replicas),

@@ -40,12 +40,12 @@ class RepairLoop:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_repairs = metrics.counter(
-            "repro_memservice_repairs_total",
+        metrics.counter(
+            "repro_memservice_repairs_total", lambda: self.repairs,
             help="replicas restored onto a new node by the repair loop",
         )
-        self._m_resyncs = metrics.counter(
-            "repro_memservice_resyncs_total",
+        metrics.counter(
+            "repro_memservice_resyncs_total", lambda: self.resyncs,
             help="fenced/stale replicas rewritten in place by the repair loop",
         )
 
@@ -98,8 +98,6 @@ class RepairLoop:
         if restored or resynced:
             self.repairs += restored
             self.resyncs += resynced
-            self._m_repairs.inc(restored)
-            self._m_resyncs.inc(resynced)
             self._tracer.instant(
                 "memservice.repair", track="memservice",
                 restored=restored, resynced=resynced,

@@ -106,24 +106,26 @@ class RFaaSClient:
         # closed once its last in-flight user drains off it.
         self._inflight: dict[Connection, int] = {}
         self._stale: set[Connection] = set()
-        self.redirects = 0
-        #: Retry attempts by cause, counted with ``repro_faults_retries_total``.
+        #: Retry attempts by cause, read by ``repro_faults_retries_total``.
         self.retries: dict[str, int] = {}
+        #: Invocations that recovered, gave up, or hit the deadline.
+        self.recovered = 0
+        self.gave_up = 0
+        self.timeouts = 0
         # Recovery telemetry (no-ops under the default null telemetry).
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         self._metrics = telemetry.metrics
-        self._m_retries: dict = {}
-        self._m_recovered = self._metrics.counter(
-            "repro_faults_recovered_invocations_total",
+        self._metrics.counter(
+            "repro_faults_recovered_invocations_total", lambda: self.recovered,
             help="invocations that succeeded after at least one retry",
         )
-        self._m_gave_up = self._metrics.counter(
-            "repro_faults_abandoned_invocations_total",
+        self._metrics.counter(
+            "repro_faults_abandoned_invocations_total", lambda: self.gave_up,
             help="invocations that exhausted their retry budget",
         )
-        self._m_timeouts = self._metrics.counter(
-            "repro_faults_timeouts_total",
+        self._metrics.counter(
+            "repro_faults_timeouts_total", lambda: self.timeouts,
             help="invocations aborted by the client-side deadline",
         )
         self._m_recovery_s = self._metrics.histogram(
@@ -313,12 +315,12 @@ class RFaaSClient:
                 recovery_s=recovery, backoff_s=backoff_total, error=last_error,
             )
             if outcome is RecoveryOutcome.RECOVERED:
-                self._m_recovered.inc()
+                self.recovered += 1
                 self._m_recovery_s.observe(recovery)
             elif outcome is RecoveryOutcome.GAVE_UP:
-                self._m_gave_up.inc()
+                self.gave_up += 1
             elif outcome is RecoveryOutcome.TIMED_OUT:
-                self._m_timeouts.inc()
+                self.timeouts += 1
             if outcome in (RecoveryOutcome.RECOVERED, RecoveryOutcome.GAVE_UP,
                            RecoveryOutcome.TIMED_OUT):
                 self._tracer.instant(
@@ -378,7 +380,6 @@ class RFaaSClient:
                         first_failure = self.env.now
                     if err.node_name is not None:
                         exclude = exclude + (err.node_name,)
-                    self.redirects += 1
                     attempt_span.set(outcome="revoked")
                     self._note_retry("revoked", err.node_name, attempts)
                     if self._closed:
@@ -402,7 +403,6 @@ class RFaaSClient:
                     # immediate reclaim raced us); try again elsewhere.
                     if first_failure is None:
                         first_failure = self.env.now
-                    self.redirects += 1
                     attempt_span.set(outcome="race")
                     self._note_retry("race", None, attempts)
                     continue
@@ -425,7 +425,6 @@ class RFaaSClient:
                         if first_failure is None:
                             first_failure = self.env.now
                         exclude = exclude + (executor.node.name,)
-                        self.redirects += 1
                         attempt_span.set(outcome="rejected")
                         self._note_retry("rejected", executor.node.name, attempts)
                         continue
@@ -451,7 +450,6 @@ class RFaaSClient:
                     if first_failure is None:
                         first_failure = self.env.now
                     exclude = exclude + (executor.node.name,)
-                    self.redirects += 1
                     if self._lease is not None and not self._lease.active:
                         self._lease = None
                     attempt_span.set(outcome="termination")
@@ -466,7 +464,6 @@ class RFaaSClient:
                         first_failure = self.env.now
                     self._abandon_connection(connection)
                     exclude = exclude + (executor.node.name,)
-                    self.redirects += 1
                     attempt_span.set(outcome="dropped")
                     self._note_retry("dropped", executor.node.name, attempts)
                     continue
@@ -505,15 +502,14 @@ class RFaaSClient:
             connection.close()
 
     def _note_retry(self, reason: str, node: Optional[str], attempt: int) -> None:
-        self.retries[reason] = self.retries.get(reason, 0) + 1
-        counter = self._m_retries.get(reason)
-        if counter is None:
-            counter = self._metrics.counter(
-                "repro_faults_retries_total", labels={"reason": reason},
+        if reason not in self.retries:
+            self.retries[reason] = 0
+            self._metrics.counter(
+                "repro_faults_retries_total", lambda: self.retries[reason],
+                labels={"reason": reason},
                 help="client retry attempts, by cause",
             )
-            self._m_retries[reason] = counter
-        counter.inc()
+        self.retries[reason] += 1
         self._tracer.instant(
             "recovery.retry", track=f"{self.name}/recovery",
             reason=reason, node=node, attempt=attempt,

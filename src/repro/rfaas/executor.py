@@ -112,17 +112,18 @@ class Executor:
         self._track = f"{node.name}/executor-{self.executor_id}"
         labels = {"node": node.name, "mode": mode}
         metrics = telemetry.metrics
-        self._m_invocations = metrics.counter(
-            "repro_executor_invocations_total", labels=labels,
-            help="invocations served, by final status",
+        metrics.counter(
+            "repro_executor_invocations_total", lambda: self.completed,
+            labels=labels, help="invocations served, by final status",
         )
-        self._m_rejected = metrics.counter(
-            "repro_executor_rejected_total", labels=labels,
+        metrics.counter(
+            "repro_executor_rejected_total", lambda: self.rejected,
+            labels=labels,
             help="invocations rejected (draining or over the time limit)",
         )
-        self._m_terminated = metrics.counter(
-            "repro_executor_terminated_total", labels=labels,
-            help="invocations aborted by executor reclamation",
+        metrics.counter(
+            "repro_executor_terminated_total", lambda: self.terminated,
+            labels=labels, help="invocations aborted by executor reclamation",
         )
         self._m_dispatch = metrics.histogram(
             "repro_executor_dispatch_seconds", labels=labels,
@@ -165,8 +166,6 @@ class Executor:
         invocation = Invocation(self, fdef, request)
         if self.draining:
             self.rejected += 1
-            if invocation._traced:
-                self._m_rejected.inc()
             return invocation.succeed(InvocationResult(
                 request=request, status=InvocationStatus.REJECTED, node_name=self.node.name
             ))
@@ -305,7 +304,6 @@ class Invocation(Event):
             # platform never starts work it would have to kill.
             executor.rejected += 1
             if traced:
-                executor._m_rejected.inc()
                 self._span.set(status="rejected")
             self._end(InvocationResult(
                 request=self.request, status=InvocationStatus.REJECTED,
@@ -329,7 +327,6 @@ class Invocation(Event):
         if self._traced:
             executor._tracer.finish(self._step)
             executor._m_execution.observe(self.timings.execution)
-            executor._m_invocations.inc()
             self._span.set(status="ok")
         self._end(InvocationResult(
             request=self.request,
@@ -361,7 +358,6 @@ class Invocation(Event):
             if self._step is not None:
                 tracer.finish(self._step, error="Interrupt")
             tracer.finish(self._span, error="Interrupt")
-            executor._m_terminated.inc()
         self._release()
         self.fail(TerminationError(
             f"invocation {self.request.invocation_id}: {cause}", cause=cause,

@@ -92,15 +92,20 @@ class ResourceManager:
         # memory service) subscribe so a graceful reclaim lets them migrate
         # state off before the memory disappears.
         self.on_remove_node: list = []
+        #: Leases granted, requests denied and leases revoked.
+        self.granted = 0
+        self.denied = 0
+        self.revoked = 0
         # Telemetry: pool-level occupancy gauges and lease counters.
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_leases = metrics.counter(
-            "repro_manager_leases_total", help="leases granted",
+        metrics.counter(
+            "repro_manager_leases_total", lambda: self.granted,
+            help="leases granted",
         )
-        self._m_denied = metrics.counter(
-            "repro_manager_lease_denied_total",
+        metrics.counter(
+            "repro_manager_lease_denied_total", lambda: self.denied,
             help="lease requests denied for lack of capacity",
         )
         self._m_nodes = metrics.gauge(
@@ -111,8 +116,8 @@ class ResourceManager:
             "repro_manager_free_cores_count",
             help="registered executor cores not held by a lease",
         )
-        self._m_revoked = metrics.counter(
-            "repro_manager_revoked_leases_total",
+        metrics.counter(
+            "repro_manager_revoked_leases_total", lambda: self.revoked,
             help="leases cancelled by the platform (reclaim or fault injection)",
         )
 
@@ -245,7 +250,7 @@ class ResourceManager:
             if name not in exclude and r.fits(cores)
         ]
         if not candidates:
-            self._m_denied.inc()
+            self.denied += 1
             return None
         if image is not None:
             warm = [
@@ -271,7 +276,7 @@ class ResourceManager:
         chosen.leases[lease.lease_id] = (lease, alloc)
         self._lease_owner[lease.lease_id] = chosen.node_name
         self.drc.grant(chosen.credential.cred_id, chosen.credential.owner, client)
-        self._m_leases.inc()
+        self.granted += 1
         self._record_pool()
         self._tracer.instant(
             "manager.lease", track="manager",
@@ -313,7 +318,7 @@ class ResourceManager:
         if not lease.active and node_name is None:
             return False
         lease.cancel()
-        self._m_revoked.inc()
+        self.revoked += 1
         self._tracer.instant(
             "manager.revoke_lease", track="manager",
             lease_id=lease.lease_id, reason=reason,

@@ -132,23 +132,25 @@ class ShardedControlPlane:
         self._lease_shard: dict[int, int] = {}
         #: Every lease this plane ever granted (the conservation ledger).
         self._leases: dict[int, Lease] = {}
+        #: Ops failed with NoCapacityError, or on a down or fenced shard.
+        self.rejected = 0
+        self.unavailable = 0
         self.migrations = 0
+        self.crashes = 0
 
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_grants = [
+        for i in range(count):
             metrics.counter("repro_shard_grants_total",
+                            lambda i=i: list(self._lease_shard.values()).count(i),
                             labels={"shard": str(i)},
                             help="leases granted, per shard")
-            for i in range(count)
-        ]
-        self._m_batches = [
+        for i in range(count):
             metrics.counter("repro_shard_batches_total",
+                            lambda i=i: self.shards[i].batcher.batches,
                             labels={"shard": str(i)},
                             help="batch flushes, per shard")
-            for i in range(count)
-        ]
         self._g_depth = [
             metrics.gauge("repro_shard_queue_depth_count",
                           labels={"shard": str(i)},
@@ -165,20 +167,21 @@ class ShardedControlPlane:
             help="submit -> grant-applied latency through the batcher",
             buckets=(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0),
         )
-        self._m_rejected = metrics.counter(
-            "repro_shard_rejected_total",
+        metrics.counter(
+            "repro_shard_rejected_total", lambda: self.rejected,
             help="ops failed with NoCapacityError",
         )
-        self._m_unavailable = metrics.counter(
-            "repro_shard_unavailable_total",
+        metrics.counter(
+            "repro_shard_unavailable_total", lambda: self.unavailable,
             help="ops failed because the owning shard was down or fenced",
         )
-        self._m_migrations = metrics.counter(
-            "repro_shard_migrations_total",
+        metrics.counter(
+            "repro_shard_migrations_total", lambda: self.migrations,
             help="idle nodes migrated between shards",
         )
-        self._m_crashes = metrics.counter(
-            "repro_shard_crashes_total", help="shard crashes injected",
+        metrics.counter(
+            "repro_shard_crashes_total", lambda: self.crashes,
+            help="shard crashes injected",
         )
 
         self.shards = [Shard(index, manager)
@@ -293,7 +296,6 @@ class ShardedControlPlane:
             lease = granted[0]
             self._leases[lease.lease_id] = lease
             self._lease_shard[lease.lease_id] = shard.index
-            self._m_grants[shard.index].inc()
         return granted
 
     # -- batched front door ------------------------------------------------------
@@ -325,17 +327,16 @@ class ShardedControlPlane:
                 return True
             granted = self._grant(shard, *op.payload)
         except (ManagerUnavailableError, StaleEpochError):
-            self._m_unavailable.inc()
+            self.unavailable += 1
             raise
         if granted is None:
-            self._m_rejected.inc()
+            self.rejected += 1
             _tenant, cores = op.payload
             return no_capacity_error(cores)
         self._h_grant_latency.observe(self.env.now - op.submitted_s)
         return granted
 
     def _flushed(self, index: int, batch_size: int) -> None:
-        self._m_batches[index].inc()
         self._h_batch_ops.observe(batch_size)
         self._g_depth[index].set(self.shards[index].batcher.depth())
         self._tracer.instant(
@@ -356,7 +357,7 @@ class ShardedControlPlane:
             name = shard.manager.crash_primary(outage_s=outage_s)
             if name is None:
                 return None
-            self._m_crashes.inc()
+            self.crashes += 1
             self._tracer.instant(
                 "shard.crash", track="shard", shard=index, ha=True,
                 outage_s=outage_s,
@@ -365,7 +366,7 @@ class ShardedControlPlane:
         if shard.down:
             return None
         shard.down = True
-        self._m_crashes.inc()
+        self.crashes += 1
         victims = shard.manager.active_leases()
         for lease, _node in victims:
             shard.manager.revoke_lease(lease, reason="shard-crash")
@@ -406,7 +407,6 @@ class ShardedControlPlane:
         destination.manager.register_node(**spec)
         self._node_shard[node_name] = to_shard
         self.migrations += 1
-        self._m_migrations.inc()
         self._tracer.instant(
             "shard.migrate", track="shard", node=node_name,
             source=source_index, destination=to_shard,

@@ -73,8 +73,10 @@ class BatchScheduler:
         telemetry = telemetry_of(env)
         self._tracer = telemetry.tracer
         metrics = telemetry.metrics
-        self._m_submitted = metrics.counter(
-            "repro_scheduler_submitted_total", help="jobs submitted",
+        metrics.counter(
+            "repro_scheduler_submitted_total",
+            lambda: sum(record.kind == "submit" for record in self.log),
+            help="jobs submitted",
         )
         self._m_queue_wait = metrics.histogram(
             "repro_scheduler_queue_wait_seconds",
@@ -110,7 +112,6 @@ class BatchScheduler:
                   job_id=self.env.next_id("slurm-job"))
         self.queue.append(job)
         self.log.emit(self.env.now, "submit", job_id=job.job_id, app=spec.app, nodes=spec.nodes)
-        self._m_submitted.inc()
         self._tracer.instant(
             "slurm.submit", track="scheduler",
             job_id=job.job_id, app=spec.app, nodes=spec.nodes,

@@ -33,7 +33,6 @@ from .provider import (
     NULL_TELEMETRY,
     Telemetry,
     TelemetryCollector,
-    install,
     telemetry_of,
 )
 from .causal import (
@@ -82,7 +81,6 @@ __all__ = [
     "TelemetryCollector",
     "NULL_TELEMETRY",
     "telemetry_of",
-    "install",
     "load_spans",
     "chrome_trace_events",
     "write_chrome_trace",

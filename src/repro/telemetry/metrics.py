@@ -5,7 +5,8 @@ Naming is enforced at registration: every metric is
 set, so exports from different subsystems aggregate without collisions
 and the ``tools/check_metric_names.py`` lint can hold the line.
 
-* :class:`Counter` — monotone event count;
+* :class:`Counter` — monotone event count, read at export from the
+  count its component already keeps (one count per fact);
 * :class:`Gauge` — instantaneous level, backed by a
   :class:`~repro.sim.trace.TimeSeries` so time-weighted means (the only
   honest average of a step signal, cf. Fig. 1's sampled utilization) come
@@ -16,7 +17,9 @@ and the ``tools/check_metric_names.py`` lint can hold the line.
   would butcher).
 
 Metrics of the same name but different ``labels`` (e.g. one warm pool
-per node) are distinct instruments under one family name.
+per node) are distinct instruments under one family name.  Components
+that register the same counter (e.g. a sharded plane's managers) each
+add a reader, and the counter's value is the sum of its readers.
 """
 
 from __future__ import annotations
@@ -87,12 +90,11 @@ class Counter(Metric):
 
     def __init__(self, name: str, labels: LabelPairs, help: str):
         super().__init__(name, labels, help)
-        self.value = 0.0
+        self._readers: list[Callable[[], float]] = []
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
+    @property
+    def value(self) -> float:
+        return sum(read() for read in self._readers)
 
 
 class Gauge(Metric):
@@ -108,9 +110,6 @@ class Gauge(Metric):
     def set(self, value: float) -> None:
         self.value = float(value)
         self.series.record(self._clock(), self.value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
 
     def time_weighted_mean(self) -> float:
         if not len(self.series):
@@ -204,8 +203,10 @@ class MetricsRegistry:
             raise ValueError(f"metric {name!r} already registered as {metric.kind}")
         return metric
 
-    def counter(self, name: str, labels: Optional[dict] = None, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, labels, help)
+    def counter(self, name: str, read: Callable[[], float],
+                labels: Optional[dict] = None, help: str = "") -> None:
+        """Add ``read``, which returns its component's count, to the counter."""
+        self._get_or_create(Counter, name, labels, help)._readers.append(read)
 
     def gauge(self, name: str, labels: Optional[dict] = None, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, labels, help, clock=self._clock)
@@ -226,7 +227,6 @@ class _NullInstrument:
     count = 0
     sum = 0.0
 
-    def inc(self, amount: float = 1.0) -> None: ...
     def set(self, value: float) -> None: ...
     def observe(self, value: float) -> None: ...
     def time_weighted_mean(self) -> float:
@@ -244,9 +244,9 @@ class NullMetricsRegistry:
 
     enabled = False
 
-    def counter(self, name: str, labels: Optional[dict] = None, help: str = "") -> _NullInstrument:
+    def counter(self, name: str, read: Callable[[], float],
+                labels: Optional[dict] = None, help: str = "") -> None:
         validate_metric_name(name)
-        return _NULL_INSTRUMENT
 
     def gauge(self, name: str, labels: Optional[dict] = None, help: str = "") -> _NullInstrument:
         validate_metric_name(name)

@@ -1,18 +1,17 @@
 """Wiring telemetry to environments with zero overhead by default.
 
 Subsystems never construct tracers; they ask ``telemetry_of(env)`` once
-at init.  Resolution order:
+at init.  Telemetry attaches one way, through a collector.  Resolution
+order:
 
-1. a :class:`Telemetry` explicitly installed on that environment
-   (``Telemetry.install(env)`` / ``install(env, tel)``);
-2. the innermost *active* :class:`TelemetryCollector` — a streaming
+1. the innermost *active* :class:`TelemetryCollector` — a streaming
    sweep (:func:`repro.sweep.run_sweep` with ``stream_spans``)
    activates one around each scenario, so every environment the
    scenario constructs internally gets traced without the experiment
    knowing (each environment receives its own clock-bound scope,
    because simulated clocks restart at zero per environment while the
-   span sink is shared);
-3. otherwise the process-wide null telemetry: no-op tracer, no-op
+   span sink is shared); the environment keeps that scope for good;
+2. otherwise the process-wide null telemetry: no-op tracer, no-op
    metrics, no allocation per call.
 
 Nothing here schedules events or consumes random numbers, so enabling
@@ -34,7 +33,6 @@ __all__ = [
     "TelemetryCollector",
     "NULL_TELEMETRY",
     "telemetry_of",
-    "install",
 ]
 
 
@@ -69,10 +67,6 @@ class Telemetry:
     @property
     def spans(self) -> Any:
         return self.tracer.spans
-
-    def install(self, env: Any) -> "Telemetry":
-        install(env, self)
-        return self
 
 
 class _NullTelemetry:
@@ -141,9 +135,9 @@ class TelemetryCollector:
 def telemetry_of(env: Any) -> Any:
     """The telemetry handle for ``env`` (or wall-clock code when None)."""
     if env is not None:
-        installed = getattr(env, "_telemetry", None)
-        if installed is not None:
-            return installed
+        scoped = getattr(env, "_telemetry", None)
+        if scoped is not None:
+            return scoped
     if _ACTIVE:
         collector = _ACTIVE[-1]
         if env is None:
@@ -152,8 +146,3 @@ def telemetry_of(env: Any) -> Any:
         env._telemetry = telemetry
         return telemetry
     return NULL_TELEMETRY
-
-
-def install(env: Any, telemetry: Telemetry) -> None:
-    """Pin ``telemetry`` to ``env`` regardless of active collectors."""
-    env._telemetry = telemetry

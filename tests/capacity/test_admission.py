@@ -70,7 +70,7 @@ def test_burst_then_queue_then_rate_limited():
     # Two ride the burst immediately, the rest drain at 2/s.
     assert times[:2] == [0.0, 0.0]
     assert times[2:] == pytest.approx([0.5, 1.0, 1.5, 2.0])
-    assert controller.admitted == 6 and controller.rejected == 0
+    assert controller.admitted == 6 and controller.rejected == {}
 
 
 def test_bounded_queue_rejects_with_queue_full():
@@ -83,7 +83,7 @@ def test_bounded_queue_rejects_with_queue_full():
     rejections = [err for _, err in outcomes if isinstance(err, AdmissionRejected)]
     assert len(rejections) == 2          # 1 fast-path + 2 queued + 2 rejected
     assert all(err.reason == "queue_full" for err in rejections)
-    assert controller.admitted == 3 and controller.rejected == 2
+    assert controller.admitted == 3 and controller.rejected == {"queue_full": 2}
 
 
 def test_queue_wait_bound_rejects_with_timeout():

@@ -20,7 +20,7 @@ from repro.capacity import (
 from repro.cluster import DAINT_MC, Cluster
 from repro.rfaas import NoCapacityError, ResourceManager
 from repro.sim import Environment
-from repro.telemetry import Telemetry
+from repro.telemetry import TelemetryCollector, telemetry_of
 
 GiB = 1024**3
 INF = float("inf")
@@ -44,12 +44,12 @@ INF = float("inf")
 def test_admission_depth_counts_the_blocked_waiters(arrivals, max_depth, max_wait,
                                                     rate, burst):
     env = Environment()
-    telemetry = Telemetry(env=env).install(env)
-    controller = AdmissionController(env, AdmissionConfig(
-        max_queue_depth=max_depth, max_queue_wait_s=max_wait,
-        quota=TenantQuota(rate_per_s=rate, burst=burst),
-    ))
-    gauge = telemetry.metrics.get("repro_capacity_queue_depth_count")
+    with TelemetryCollector():
+        controller = AdmissionController(env, AdmissionConfig(
+            max_queue_depth=max_depth, max_queue_wait_s=max_wait,
+            quota=TenantQuota(rate_per_s=rate, burst=burst),
+        ))
+    gauge = telemetry_of(env).metrics.get("repro_capacity_queue_depth_count")
     blocked = set()
     outcomes = {}
 
@@ -84,9 +84,10 @@ def test_admission_depth_counts_the_blocked_waiters(arrivals, max_depth, max_wai
 
     assert not blocked and controller.queue_depth() == 0 and gauge.value == 0
     assert len(outcomes) == len(arrivals)
-    assert controller.admitted + controller.rejected == len(arrivals)
-    assert controller.admitted == sum(o == "admitted" for o in outcomes.values())
-    assert set(outcomes.values()) <= {"admitted", "queue_full", "timeout"}
+    reasons = [o for o in outcomes.values() if o != "admitted"]
+    assert controller.admitted + len(reasons) == len(arrivals)
+    assert controller.rejected == {r: reasons.count(r) for r in set(reasons)}
+    assert set(reasons) <= {"queue_full", "timeout"}
 
 
 NODES = [f"n{i:04d}" for i in range(4)]
@@ -109,11 +110,11 @@ manager_ops = st.lists(
 @given(ops=manager_ops)
 def test_manager_free_cores_match_a_scan_of_the_nodes(ops):
     env = Environment()
-    telemetry = Telemetry(env=env).install(env)
     cluster = Cluster()
     cluster.add_nodes("n", len(NODES), DAINT_MC)
-    manager = ResourceManager(env, cluster, rng=np.random.default_rng(0))
-    gauge = telemetry.metrics.get("repro_manager_free_cores_count")
+    with TelemetryCollector():
+        manager = ResourceManager(env, cluster, rng=np.random.default_rng(0))
+    gauge = telemetry_of(env).metrics.get("repro_manager_free_cores_count")
     leases = []      # every lease granted, stale ones included
 
     def registered():

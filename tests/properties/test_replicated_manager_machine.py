@@ -36,7 +36,7 @@ from repro.faults.certify import (
 )
 from repro.rfaas import ManagerUnavailableError, NoCapacityError
 from repro.sim import Environment
-from repro.telemetry import Telemetry
+from repro.telemetry import TelemetryCollector
 
 GiB = 1024**3
 NODES = [f"n{i:04d}" for i in range(4)]
@@ -49,13 +49,13 @@ class ReplicatedManagerMachine(RuleBasedStateMachine):
                                min_size=len(NODES), max_size=len(NODES)))
     def build(self, standbys, cores):
         self.env = Environment()
-        Telemetry(env=self.env).install(self.env)
         cluster = Cluster()
         cluster.add_nodes("n", len(NODES), DAINT_MC)
-        self.ha = ReplicatedResourceManager(
-            self.env, cluster, config=HAConfig(standbys=standbys),
-            rng=np.random.default_rng(0),
-        )
+        with TelemetryCollector():
+            self.ha = ReplicatedResourceManager(
+                self.env, cluster, config=HAConfig(standbys=standbys),
+                rng=np.random.default_rng(0),
+            )
         self.ha.start()
         self.nodes: dict[str, int] = {}   # node -> registered cores
         self.leases: dict = {}            # lease id -> lease that should be active

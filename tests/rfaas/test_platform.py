@@ -108,7 +108,7 @@ def test_lease_reuse_single_connection(harness):
     client = harness.client()
     results = run_invocations(harness, client, 5)
     assert all(r.ok for r in results)
-    assert client.redirects == 0
+    assert client.retries == {}
     assert len(harness.manager.node_info("n0001").leases) == 1
 
 
@@ -168,7 +168,7 @@ def test_graceful_remove_lets_invocation_finish(harness):
     # and the drain is bounded by the function still running (Sec. IV-E).
     assert all(result.ok for result in results) and len(results) == 3
     assert results[0].node_name == "n0001"
-    assert client.redirects == 0
+    assert client.retries == {}
     assert 0.01 < drain_s <= 1.0 + 0.1
     assert not harness.manager.is_registered("n0001")
 
@@ -184,7 +184,7 @@ def test_immediate_remove_terminates_and_redirects(harness):
     assert drain_s < 0.01
     assert all(result.ok for result in results) and len(results) == 3
     assert results[0].node_name == "n0002"
-    assert client.redirects == 1
+    assert client.retries == {"termination": 1}
 
 
 def test_immediate_remove_no_fallback_terminates(harness):

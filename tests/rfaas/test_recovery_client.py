@@ -50,10 +50,10 @@ def test_redirect_exhaustion_surfaces_terminated_not_hang():
     assert detailed.result.status is InvocationStatus.TERMINATED
     assert not detailed.ok
     assert isinstance(detailed.error, TerminationError)
-    # Every attempt made ended in a redirect, and the counter says so.
+    # Every attempt made ended in a redirect, and the retry count says so.
     assert detailed.attempts == client.retry_policy.max_attempts == 4
     assert detailed.retries == 3
-    assert client.redirects == detailed.attempts
+    assert client.retries == {"termination": 4}
 
 
 def test_plain_invoke_reports_terminated_on_exhaustion():
@@ -93,7 +93,7 @@ def test_single_reclaim_recovers_on_another_node():
     assert detailed.retries == 1 and detailed.attempts == 2
     assert detailed.recovery_s > 0
     assert detailed.result.node_name == "n0002"  # excluded the reclaimed node
-    assert client.redirects == 1
+    assert client.retries == {"termination": 1}
 
 
 def test_backoff_delays_retries():
@@ -163,7 +163,7 @@ def test_a_reclaim_at_the_deadline_instant_times_out():
     assert detailed.outcome is RecoveryOutcome.TIMED_OUT
     assert isinstance(detailed.error, InvocationTimeout)
     assert detailed.elapsed_s == 0.25 and detailed.attempts == 1
-    assert client.redirects == 0
+    assert client.retries == {}
 
 
 def test_no_capacity_is_rejected_not_retried():
@@ -180,7 +180,7 @@ def test_no_capacity_is_rejected_not_retried():
     detailed = out["d"]
     assert detailed.outcome is RecoveryOutcome.REJECTED
     assert detailed.result.status is InvocationStatus.REJECTED
-    assert client.redirects == 0  # rejection is terminal, not a redirect
+    assert client.retries == {}  # rejection is terminal, not a retry
 
 
 def test_close_is_idempotent_and_releases_the_lease():

@@ -89,7 +89,7 @@ def test_open_spans_are_skipped_by_chrome_export():
 
 def test_prometheus_text_format():
     registry = MetricsRegistry(clock=lambda: 1.0, scope="sim0")
-    registry.counter("repro_test_things_total", help="things").inc(3)
+    registry.counter("repro_test_things_total", lambda: 3, help="things")
     registry.gauge("repro_test_level_count").set(7)
     hist = registry.histogram("repro_test_wait_seconds", buckets=[1.0, 10.0])
     hist.observe(0.5)
@@ -108,8 +108,8 @@ def test_prometheus_text_format():
 def test_prometheus_merges_scopes_without_duplicate_headers():
     a = MetricsRegistry(clock=lambda: 0.0, scope="sim0")
     b = MetricsRegistry(clock=lambda: 0.0, scope="sim1")
-    a.counter("repro_test_things_total").inc()
-    b.counter("repro_test_things_total").inc(2)
+    a.counter("repro_test_things_total", lambda: 1)
+    b.counter("repro_test_things_total", lambda: 2)
     text = prometheus_text([a, b])
     assert text.count("# TYPE repro_test_things_total counter") == 1
     assert 'repro_test_things_total{scope="sim0"} 1' in text
@@ -144,11 +144,11 @@ def test_prometheus_groups_each_family_into_one_block():
     registries = [MetricsRegistry(clock=lambda: 0.0, scope=f"sim{i}")
                   for i in range(2)]
     for registry in registries:
-        registry.counter("repro_test_things_total", labels={"k": "a"},
-                         help="things").inc()
+        registry.counter("repro_test_things_total", lambda: 1,
+                         labels={"k": "a"}, help="things")
         registry.histogram("repro_test_wait_seconds", buckets=[1.0]).observe(0.5)
         registry.gauge("repro_test_depth_ratio").set(1.0)
-        registry.counter("repro_test_things_total", labels={"k": "b"}).inc()
+        registry.counter("repro_test_things_total", lambda: 1, labels={"k": "b"})
     blocks = exposition_blocks(prometheus_text(registries))
     assert list(blocks) == ["repro_test_things_total", "repro_test_wait_seconds",
                             "repro_test_depth_ratio"]
@@ -258,9 +258,9 @@ def test_load_spans_numbers_idless_records_locally(tmp_path):
 def test_prometheus_escapes_hostile_label_values():
     registry = MetricsRegistry(clock=lambda: 0.0, scope="sim0")
     registry.counter(
-        "repro_test_things_total",
+        "repro_test_things_total", lambda: 1,
         labels={"tenant": 'evil"} 1\nfake_metric 2\\'},
-    ).inc()
+    )
     text = prometheus_text(registry)
     # The hostile value stays inside one quoted label: backslash first,
     # then quotes, then newlines, per the exposition-format spec.

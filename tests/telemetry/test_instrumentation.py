@@ -29,7 +29,7 @@ from repro.sim import Environment
 from repro.slurm.job import JobSpec
 from repro.slurm.scheduler import BatchScheduler
 from repro.sweep import run_sweep, sweep_names
-from repro.telemetry import Telemetry, TelemetryCollector, install
+from repro.telemetry import Telemetry, TelemetryCollector, telemetry_of
 
 from ..manager_ops import record_manager_ops
 
@@ -59,6 +59,13 @@ def build_platform(env, seed=0, ops=None):
     return manager, client
 
 
+def traced_env():
+    """A fresh environment and the scope a collector pinned to it."""
+    env = Environment()
+    with TelemetryCollector():
+        return env, telemetry_of(env)
+
+
 def run_invocations(env, client, count=4):
     statuses = []
 
@@ -73,8 +80,7 @@ def run_invocations(env, client, count=4):
 
 
 def test_invocation_spans_nest_under_invocation():
-    env = Environment()
-    telemetry = Telemetry(env=env).install(env)
+    env, telemetry = traced_env()
     _, client = build_platform(env)
     run_invocations(env, client, count=3)
 
@@ -96,8 +102,7 @@ def test_invocation_spans_nest_under_invocation():
 
 
 def test_executor_metrics_match_executor_statistics():
-    env = Environment()
-    telemetry = Telemetry(env=env).install(env)
+    env, telemetry = traced_env()
     manager, client = build_platform(env)
     run_invocations(env, client, count=5)
 
@@ -111,8 +116,7 @@ def test_executor_metrics_match_executor_statistics():
 
 
 def test_manager_metrics_track_lease_lifecycle():
-    env = Environment()
-    telemetry = Telemetry(env=env).install(env)
+    env, telemetry = traced_env()
     manager, client = build_platform(env)
     run_invocations(env, client, count=2)
     client.close()
@@ -127,8 +131,7 @@ def test_manager_metrics_track_lease_lifecycle():
 
 
 def test_warmpool_metrics_match_pool_statistics():
-    env = Environment()
-    telemetry = Telemetry(env=env).install(env)
+    env, telemetry = traced_env()
     cluster = Cluster()
     cluster.add_nodes("m", 1, DAINT_MC)
     pool = WarmPool(env, cluster.node("m0000"), SARUS)
@@ -155,8 +158,7 @@ def test_warmpool_metrics_match_pool_statistics():
 
 
 def test_scheduler_queue_wait_and_free_node_gauge():
-    env = Environment()
-    telemetry = Telemetry(env=env).install(env)
+    env, telemetry = traced_env()
     cluster = Cluster()
     cluster.add_nodes("s", 2, DAINT_MC)
     scheduler = BatchScheduler(env, cluster)
@@ -193,9 +195,8 @@ def test_traced_and_untraced_runs_are_identical():
     """Telemetry must not perturb simulated time or seeded determinism."""
     baseline = event_timeline(Environment(), seed=7, count=6)
 
-    env_traced = Environment()
-    install(env_traced, Telemetry(env=env_traced))
-    traced = event_timeline(env_traced, seed=7, count=6)
+    with TelemetryCollector():
+        traced = event_timeline(Environment(), seed=7, count=6)
 
     assert traced == baseline
 

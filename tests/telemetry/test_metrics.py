@@ -19,29 +19,30 @@ def make_registry(env=None):
     return env, MetricsRegistry(clock=lambda: env.now)
 
 
-def test_counter_monotone():
+def test_counter_reads_its_component_count():
     _, registry = make_registry()
-    counter = registry.counter("repro_test_things_total")
-    counter.inc()
-    counter.inc(2)
+    counts = {"things": 0}
+    registry.counter("repro_test_things_total", lambda: counts["things"])
+    counter = registry.get("repro_test_things_total")
+    assert counter.value == 0
+    counts["things"] += 3
     assert counter.value == 3
-    with pytest.raises(ValueError):
-        counter.inc(-1)
 
 
 def test_counter_get_or_create_shares_instrument():
     _, registry = make_registry()
-    a = registry.counter("repro_test_things_total")
-    b = registry.counter("repro_test_things_total")
-    assert a is b
-    c = registry.counter("repro_test_things_total", labels={"node": "n1"})
-    assert c is not a
+    registry.counter("repro_test_things_total", lambda: 1)
+    registry.counter("repro_test_things_total", lambda: 2)
+    registry.counter("repro_test_things_total", lambda: 5, labels={"node": "n1"})
     assert len(registry) == 2
+    # A shared family sums its readers; other labels are their own counter.
+    assert registry.get("repro_test_things_total").value == 3
+    assert registry.get("repro_test_things_total", {"node": "n1"}).value == 5
 
 
 def test_kind_conflict_rejected():
     _, registry = make_registry()
-    registry.counter("repro_test_things_total")
+    registry.counter("repro_test_things_total", lambda: 0)
     with pytest.raises(ValueError):
         registry.gauge("repro_test_things_total")
 
@@ -99,7 +100,7 @@ def test_naming_convention_enforced():
         with pytest.raises(ValueError):
             validate_metric_name(bad)
         with pytest.raises(ValueError):
-            registry.counter(bad)
+            registry.counter(bad, lambda: 0)
     assert validate_metric_name("repro_executor_invocations_total")
     assert validate_metric_name("repro_warmpool_resident_bytes")
     assert validate_metric_name("repro_scheduler_queue_wait_seconds")
@@ -107,9 +108,10 @@ def test_naming_convention_enforced():
 
 def test_null_registry_still_validates_names():
     with pytest.raises(ValueError):
-        NULL_REGISTRY.counter("bogus")
-    instrument = NULL_REGISTRY.counter("repro_test_things_total")
-    instrument.inc()
+        NULL_REGISTRY.counter("bogus", lambda: 0)
+    # A counter keeps no reader: nothing is called or held.
+    assert NULL_REGISTRY.counter("repro_test_things_total", lambda: 0) is None
+    instrument = NULL_REGISTRY.histogram("repro_test_wait_seconds")
     instrument.observe(1.0)
     instrument.set(2.0)
     assert instrument.value == 0.0

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.sim import Environment
-from repro.telemetry import NULL_TELEMETRY, Telemetry, Tracer, install, telemetry_of
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    Telemetry,
+    TelemetryCollector,
+    Tracer,
+    telemetry_of,
+)
 from repro.telemetry.tracer import NULL_TRACER
 
 
@@ -99,10 +105,12 @@ def test_telemetry_of_defaults_to_null():
     assert telemetry_of(None) is NULL_TELEMETRY
 
 
-def test_install_pins_telemetry_to_env():
+def test_a_collector_pins_a_scope_to_the_env():
     env = Environment()
-    telemetry = Telemetry(env=env)
-    install(env, telemetry)
+    with TelemetryCollector() as collector:
+        telemetry = telemetry_of(env)
+    assert collector.scopes == [telemetry]
+    # The environment keeps its scope once the collector is gone.
     assert telemetry_of(env) is telemetry
     other = Environment()
     assert telemetry_of(other) is NULL_TELEMETRY
