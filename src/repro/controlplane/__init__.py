@@ -12,12 +12,13 @@ accept, so this package replicates it: one **primary** plus ``k``
   after ``suspect_after`` missed ``heartbeat_interval_s`` beats), whose
   timeout is the knob trading detection latency against false
   positives;
-* **epoch-fenced replication** — every grant/revoke/register ships to
-  the standbys as a log record, and every mutation is fenced on the
-  issuing replica's epoch so a partitioned ex-primary can never grant
-  after a takeover (no split brain);
+* **epoch-fenced replication** — every grant/revoke/register is a
+  record of one commit log, the only replicated state (a replica is a
+  role over it), and every mutation is fenced on the issuing replica's
+  epoch so a partitioned ex-primary can never grant after a takeover
+  (no split brain);
 * **takeover reconciliation** — the new primary revokes data-plane
-  leases absent from its replicated records and applies releases
+  leases absent from a replay of the log and applies releases
   buffered while the control plane was dark.
 
 See ``docs/control_plane_ha.md`` for the failure matrix and the

@@ -25,8 +25,8 @@ intervals after the last heartbeat (detection is quantized to ticks).
 **Epoch fencing** replaces quorum commit (with k=1, a majority of two
 is two — the surviving replica could never commit after failover, which
 defeats the point).  Every mutation is stamped with the group epoch and
-shipped synchronously to the live, reachable standbys; every *issuer*
-is checked against the current epoch first, so a partitioned ex-primary
+appended to the one commit log every live replica follows; every
+*issuer* is checked against the current epoch first, so a partitioned ex-primary
 whose term ended raises :class:`~repro.rfaas.errors.StaleEpochError`
 before touching any state — no split brain, no double grant.
 
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Optional
 from ..rfaas.errors import ManagerUnavailableError, StaleEpochError
 from ..rfaas.manager import ResourceManager
 from ..telemetry import telemetry_of
-from .replica import LogRecord, ManagerReplica, ReplicaRole
+from .replica import LogRecord, ManagerReplica, ReplicaRole, replay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.machine import Cluster
@@ -272,11 +272,12 @@ class ReplicatedResourceManager(ResourceManager):
             epoch=self.epoch, rank=winner.rank, cause=cause,
             detection_s=detection_s,
         )
-        self._reconcile(winner)
+        self._reconcile()
 
-    def _reconcile(self, primary: ManagerReplica) -> None:
-        """Align the data plane with the new primary's replicated view."""
-        known = set(primary.lease_records)
+    def _reconcile(self) -> None:
+        """Align the data plane with the new primary's view: a replay
+        of the commit log."""
+        known = replay(self.commit_log).leases
         stale = [lease for lease, _node in self.active_leases()
                  if lease.lease_id not in known]
         for lease in stale:
@@ -284,7 +285,7 @@ class ReplicatedResourceManager(ResourceManager):
         pending, self._pending_releases = self._pending_releases, []
         released = 0
         for lease in pending:
-            if lease.lease_id in primary.lease_records:
+            if lease.lease_id in known:
                 super().release_lease(lease)
                 self._commit("release", {"lease_id": lease.lease_id})
                 released += 1
@@ -307,9 +308,6 @@ class ReplicatedResourceManager(ResourceManager):
             return None
         replica = self.replicas[rank]
         replica.role = ReplicaRole.DOWN
-        # In-memory state dies with the process; a rejoin resyncs.
-        replica.registrations = {}
-        replica.lease_records = {}
         self._partitioned.discard(rank)
         self._primary_rank = None
         self._lost_at = self.env.now
@@ -354,10 +352,10 @@ class ReplicatedResourceManager(ResourceManager):
             return
         live = [r for r in self.replicas if r.live]
         if live:
-            # Rejoin as a standby, state-transferred from the most
-            # advanced live member (they are all synchronous copies).
-            source = max(live, key=lambda r: r.applied_index)
-            replica.resync_from(source)
+            # Rejoin as a standby, resynced from the first live member
+            # (every live member follows the one commit log).
+            source = live[0]
+            replica.epoch = self.epoch
             replica.role = ReplicaRole.STANDBY
             replica.last_heartbeat_s = self.env.now
             self._tracer.instant(
@@ -365,15 +363,13 @@ class ReplicatedResourceManager(ResourceManager):
                 rank=replica.rank, source=source.rank, epoch=self.epoch,
             )
             return
-        # Total loss (k=0, or every standby died too): restart with
-        # empty state under a fresh epoch.  The data plane was already
-        # orphaned at crash time — this primary starts from scratch.
+        # Total loss (k=0, or every standby died too): restart under a
+        # fresh epoch.  The data plane was orphaned at crash time and
+        # every removal logged, so a replay of the log is empty — this
+        # primary starts from scratch.
         self.epoch += 1
         replica.epoch = self.epoch
         replica.role = ReplicaRole.PRIMARY
-        replica.registrations = {}
-        replica.lease_records = {}
-        replica.applied_index = len(self.commit_log)
         self._primary_rank = replica.rank
         self._lost_at = None
         self.elections.append(
@@ -394,8 +390,7 @@ class ReplicatedResourceManager(ResourceManager):
         if self._primary_rank is not None and self._primary_rank != rank:
             # Somebody took over behind the partition: the ex-primary
             # sees the higher epoch, steps down, and resyncs.
-            current = self.replicas[self._primary_rank]
-            replica.resync_from(current)
+            replica.epoch = self.epoch
             replica.role = ReplicaRole.STANDBY
             replica.last_heartbeat_s = self.env.now
             self.stepdowns += 1
@@ -467,9 +462,6 @@ class ReplicatedResourceManager(ResourceManager):
         record = LogRecord(index=len(self.commit_log) + 1, epoch=self.epoch,
                            op=op, at_s=self.env.now, payload=payload)
         self.commit_log.append(record)
-        for replica in self.replicas:
-            if replica.live and replica.rank not in self._partitioned:
-                replica.apply(record)
         return record
 
     # -- fenced mutations (the ResourceManager front door) -----------------------

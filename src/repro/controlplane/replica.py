@@ -1,29 +1,29 @@
-"""Replica state for the replicated resource manager.
+"""The replicated commit log and the replicas that take turns leading it.
 
-A :class:`ManagerReplica` is one member of the control-plane group: it
-holds a *materialized* copy of the lease/registration state, rebuilt
-purely by applying :class:`LogRecord` entries in index order.  The
-primary materializes its state from the same records it ships to the
-standbys, so "what a standby would know after takeover" is never a
-guess — it is exactly ``registrations`` + ``lease_records`` here.
+The commit log is the control plane's only replicated record: a
+:class:`ManagerReplica` is a role (rank, epoch, heartbeat) over it and
+holds no copy of its own.  "What a standby would know after takeover"
+is never a guess — it is :func:`replay` of the log, the one interpreter
+of :class:`LogRecord` ops, which takeover reconciliation and the
+certification invariants (:mod:`repro.faults.certify`) both call.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Iterable
 
-__all__ = ["ReplicaRole", "LogRecord", "ManagerReplica"]
+__all__ = ["ReplicaRole", "LogRecord", "LogReplay", "ManagerReplica", "replay"]
 
 
 class ReplicaRole(enum.Enum):
     """Where a replica stands in the current epoch."""
 
     PRIMARY = "primary"    # serves all front-door mutations
-    STANDBY = "standby"    # applies the primary's log, ready to take over
-    DOWN = "down"          # crashed; holds no state until it rejoins
-    FENCED = "fenced"      # ex-primary expelled by a takeover; must resync
+    STANDBY = "standby"    # follows the primary's log, ready to take over
+    DOWN = "down"          # crashed until it rejoins
+    FENCED = "fenced"      # ex-primary expelled by a takeover; must rejoin
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,93 @@ class LogRecord:
     payload: dict[str, Any]
 
 
+class LogReplay:
+    """The state a replay of the commit log implies.
+
+    ``registrations`` maps a node to its ``register_node`` keyword
+    arguments; ``leases`` maps each live lease id to its grant payload;
+    ``granted_cores`` is the cores those leases hold per node.
+    ``problems`` lists every record that contradicts the state before
+    it: a node registered twice, a lease granted while live or on an
+    unregistered node (neither grant is applied), and a node granted
+    more cores than it registered.
+    """
+
+    def __init__(self):
+        self.registrations: dict[str, dict] = {}
+        self.leases: dict[int, dict] = {}
+        self.granted_cores: dict[str, int] = {}
+        self.problems: list[str] = []
+
+    def apply(self, record: LogRecord) -> None:
+        payload = record.payload
+        if record.op == "register":
+            node = payload["node"]
+            if node in self.registrations:
+                self.problems.append(
+                    f"log[{record.index}]: node {node} registered twice"
+                )
+            self.registrations[node] = payload["registration"]
+            self.granted_cores.setdefault(node, 0)
+        elif record.op == "remove":
+            # Leases die with their node.
+            node = payload["node"]
+            self.registrations.pop(node, None)
+            self.granted_cores.pop(node, None)
+            for lid in [lid for lid, grant in self.leases.items()
+                        if grant["node"] == node]:
+                del self.leases[lid]
+        elif record.op == "grant":
+            self._grant(record)
+        elif record.op in ("revoke", "release"):
+            grant = self.leases.pop(payload["lease_id"], None)
+            if grant is not None and grant["node"] in self.granted_cores:
+                self.granted_cores[grant["node"]] -= int(grant["cores"])
+        else:
+            raise ValueError(f"unknown log op {record.op!r}")
+
+    def _grant(self, record: LogRecord) -> None:
+        payload = record.payload
+        lid, node = payload["lease_id"], payload["node"]
+        if lid in self.leases:
+            self.problems.append(
+                f"log[{record.index}]: lease {lid} granted while already "
+                f"active on {self.leases[lid]['node']} (double grant)"
+            )
+            return
+        if node not in self.registrations:
+            self.problems.append(
+                f"log[{record.index}]: lease {lid} granted on "
+                f"unregistered node {node}"
+            )
+            return
+        self.leases[lid] = payload
+        self.granted_cores[node] += int(payload["cores"])
+        capacity = int(self.registrations[node]["cores"])
+        if self.granted_cores[node] > capacity:
+            self.problems.append(
+                f"log[{record.index}]: node {node} over-committed "
+                f"({self.granted_cores[node]} cores granted > "
+                f"{capacity} registered)"
+            )
+
+
+def replay(log: Iterable[LogRecord]) -> LogReplay:
+    """Apply ``log`` in order to empty state."""
+    state = LogReplay()
+    for record in log:
+        state.apply(record)
+    return state
+
+
 @dataclass
 class ManagerReplica:
     """One member of the replicated resource-manager group."""
 
     rank: int
     role: ReplicaRole = ReplicaRole.STANDBY
+    #: Epoch this replica was elected, restarted or rejoined under.
     epoch: int = 0
-    applied_index: int = 0
-    #: node_name -> register_node kwargs (enough to recreate the pool).
-    registrations: dict[str, dict] = field(default_factory=dict)
-    #: lease_id -> grant payload for leases this replica believes live.
-    lease_records: dict[int, dict] = field(default_factory=dict)
     #: sim time of the last heartbeat received from the primary.
     last_heartbeat_s: float = 0.0
 
@@ -67,31 +142,3 @@ class ManagerReplica:
     @property
     def live(self) -> bool:
         return self.role in (ReplicaRole.PRIMARY, ReplicaRole.STANDBY)
-
-    def apply(self, record: LogRecord) -> None:
-        """Materialize one log record into this replica's state."""
-        payload = record.payload
-        if record.op == "register":
-            self.registrations[payload["node"]] = dict(payload["registration"])
-        elif record.op == "remove":
-            self.registrations.pop(payload["node"], None)
-            # Leases die with their node: drop the records too.
-            dead = [lid for lid, rec in self.lease_records.items()
-                    if rec["node"] == payload["node"]]
-            for lid in dead:
-                del self.lease_records[lid]
-        elif record.op == "grant":
-            self.lease_records[payload["lease_id"]] = dict(payload)
-        elif record.op in ("revoke", "release"):
-            self.lease_records.pop(payload["lease_id"], None)
-        else:
-            raise ValueError(f"unknown log op {record.op!r}")
-        self.applied_index = record.index
-        self.epoch = record.epoch
-
-    def resync_from(self, source: "ManagerReplica") -> None:
-        """Full state transfer from ``source`` (join / heal / step-down)."""
-        self.registrations = {k: dict(v) for k, v in source.registrations.items()}
-        self.lease_records = {k: dict(v) for k, v in source.lease_records.items()}
-        self.applied_index = source.applied_index
-        self.epoch = source.epoch

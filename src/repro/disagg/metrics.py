@@ -44,13 +44,6 @@ class ScenarioUtilization:
         """Relative utilization gain vs. ``other`` (0.52 = +52 %)."""
         return self.utilization / other.utilization - 1.0
 
-    def __str__(self) -> str:
-        return (
-            f"{self.name}: {self.utilization:.1%} utilization "
-            f"(used {self.used_core_time:.1f} / allocated "
-            f"{self.allocated_core_time:.1f} core-s)"
-        )
-
 
 def colocation_scenarios(
     node_cores: int,

@@ -66,57 +66,10 @@ def check_conservation(started: int, outcomes: Mapping[str, int]) -> list[str]:
 def check_no_double_grant(log: Sequence) -> list[str]:
     """Replay the fenced commit log; no lease id may be granted twice and
     no node may hold more granted cores than it registered."""
-    problems: list[str] = []
-    capacity: dict[str, int] = {}
-    outstanding: dict[str, int] = {}
-    active: dict[int, tuple[str, int]] = {}
-    for record in log:
-        payload = record.payload
-        if record.op == "register":
-            node = payload["node"]
-            if node in capacity:
-                problems.append(
-                    f"log[{record.index}]: node {node} registered twice"
-                )
-            capacity[node] = int(payload["registration"]["cores"])
-            outstanding.setdefault(node, 0)
-        elif record.op == "remove":
-            node = payload["node"]
-            capacity.pop(node, None)
-            outstanding.pop(node, None)
-            for lid in [lid for lid, (n, _) in active.items() if n == node]:
-                del active[lid]
-        elif record.op == "grant":
-            lid = payload["lease_id"]
-            node = payload["node"]
-            cores = int(payload["cores"])
-            if lid in active:
-                problems.append(
-                    f"log[{record.index}]: lease {lid} granted while already "
-                    f"active on {active[lid][0]} (double grant)"
-                )
-                continue
-            if node not in capacity:
-                problems.append(
-                    f"log[{record.index}]: lease {lid} granted on "
-                    f"unregistered node {node}"
-                )
-                continue
-            outstanding[node] = outstanding.get(node, 0) + cores
-            active[lid] = (node, cores)
-            if outstanding[node] > capacity[node]:
-                problems.append(
-                    f"log[{record.index}]: node {node} over-committed "
-                    f"({outstanding[node]} cores granted > "
-                    f"{capacity[node]} registered)"
-                )
-        elif record.op in ("revoke", "release"):
-            entry = active.pop(payload["lease_id"], None)
-            if entry is not None:
-                node, cores = entry
-                if node in outstanding:
-                    outstanding[node] -= cores
-    return problems
+    # Imported here: repro.rfaas.client imports this package.
+    from ..controlplane.replica import replay
+
+    return replay(log).problems
 
 
 def check_single_primary(elections: Sequence, replicas: Iterable = ()) -> list[str]:

@@ -105,11 +105,12 @@ class Injector:
             f"fault.{event.kind}", track="faults", node=target, **attrs
         )
 
-    def _pick_node(self, event: FaultEvent) -> Optional[str]:
-        """The event's target node, or a seeded pick among registered ones."""
+    def _pick_node(self, event: FaultEvent,
+                   candidates: list[str]) -> Optional[str]:
+        """The event's named node if it is one of ``candidates``, else a
+        seeded pick from them (sorted, so the pick is deterministic)."""
         if event.node is not None:
-            return event.node if self.manager.is_registered(event.node) else None
-        candidates = self.manager.registered_nodes()   # sorted, deterministic
+            return event.node if event.node in candidates else None
         if not candidates:
             return None
         return candidates[int(self.rng.integers(len(candidates)))]
@@ -137,7 +138,7 @@ class Injector:
             self.skipped.append(event)
 
     def _apply_node_crash(self, event: FaultEvent) -> None:
-        node = self._pick_node(event)
+        node = self._pick_node(event, self.manager.registered_nodes())
         if node is None:
             self.skipped.append(event)
             return
@@ -195,7 +196,7 @@ class Injector:
         self._tracer.instant("fault.network_restored", track="faults")
 
     def _apply_network_partition(self, event: FaultEvent) -> None:
-        node = self._pick_node(event)
+        node = self._pick_node(event, self.manager.registered_nodes())
         if node is None:
             self.skipped.append(event)
             return
@@ -209,7 +210,7 @@ class Injector:
         self._tracer.instant("fault.partition_healed", track="faults", node=node)
 
     def _apply_straggler(self, event: FaultEvent) -> None:
-        node = self._pick_node(event)
+        node = self._pick_node(event, self.manager.registered_nodes())
         if node is None:
             self.skipped.append(event)
             return
@@ -226,7 +227,7 @@ class Injector:
         self._tracer.instant("fault.straggler_healed", track="faults", node=node)
 
     def _apply_warmpool_pressure(self, event: FaultEvent) -> None:
-        node = self._pick_node(event)
+        node = self._pick_node(event, self.manager.registered_nodes())
         if node is None:
             self.skipped.append(event)
             return
@@ -245,13 +246,7 @@ class Injector:
         if service is None:
             self.skipped.append(event)
             return
-        hosts = service.hosting_nodes()
-        if event.node is not None:
-            node = event.node if event.node in hosts else None
-        elif hosts:
-            node = hosts[int(self.rng.integers(len(hosts)))]
-        else:
-            node = None
+        node = self._pick_node(event, service.hosting_nodes())
         if node is None:
             self.skipped.append(event)
             return
@@ -271,13 +266,7 @@ class Injector:
         if service is None:
             self.skipped.append(event)
             return
-        hosts = service.hosting_nodes()
-        if event.node is not None:
-            node = event.node if event.node in hosts else None
-        elif hosts:
-            node = hosts[int(self.rng.integers(len(hosts)))]
-        else:
-            node = None
+        node = self._pick_node(event, service.hosting_nodes())
         if node is None:
             self.skipped.append(event)
             return

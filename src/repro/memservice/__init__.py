@@ -7,13 +7,11 @@ from .durable import (
     DurableMemoryConfig,
     ReplicatedMemoryService,
 )
-from .memory_function import MemoryServiceFunction
 from .paging import RemotePager
 from .placement import ReplicaPlacement
 from .repair import RepairLoop
 
 __all__ = [
-    "MemoryServiceFunction",
     "RemotePager",
     "Chunk",
     "ChunkReplica",

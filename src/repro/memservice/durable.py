@@ -3,9 +3,9 @@
 The paper's memory-service functions (Sec. III-C, Fig. 11) pin RMA
 buffers in *idle* node memory — memory the batch system may reclaim at
 any moment, and that vanishes outright on a node crash.  A single
-:class:`~repro.memservice.memory_function.MemoryServiceFunction` has no
-story for either; this module supplies the durability layer that turns
-leftover memory into a usable disaggregated-memory substrate:
+buffer has no story for either; this module supplies the durability
+layer that turns leftover memory into a usable disaggregated-memory
+substrate:
 
 * **Striping + replication** — a logical buffer is cut into fixed-size
   chunks, each placed as ``k`` replicas on distinct nodes (and distinct
@@ -16,8 +16,8 @@ leftover memory into a usable disaggregated-memory substrate:
   replicas that miss a write fall behind and are *fenced* by an epoch
   token, so a partitioned stale primary can never serve torn reads.
   Writes commit when at least one replica acks; acks below the quorum
-  (majority of the replica set) are counted as *degraded*.  Each hosted
-  chunk buffer pays the fabric provider's memory-registration time.
+  (majority of the replica set) are counted as *degraded*.  Hosting a
+  chunk buffer charges no memory-registration time.
 * **Drain-triggered live migration** — ``attach_manager`` subscribes
   to ``ResourceManager.remove_node``; a graceful reclaim copies every
   chunk off the leaving node *before* its memory disappears, with the
@@ -43,11 +43,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.machine import Cluster
+from ..cluster.node import Allocation, Node
 from ..network.transport import Connection, NetworkFabric, TransferDropped
 from ..rfaas.errors import DataLossError, MemoryServiceUnavailable
 from ..sim.engine import Environment, Process
 from ..telemetry import telemetry_of
-from .memory_function import MemoryServiceFunction
 from .placement import ReplicaPlacement
 from .repair import RepairLoop
 
@@ -82,21 +82,34 @@ class DurableMemoryConfig:
 
 
 class ChunkReplica:
-    """One hosted copy of a chunk: a pinned buffer plus its freshness."""
+    """One hosted copy of a chunk: a buffer pinned in its node's idle
+    memory (one memory-service function, Sec. III-C) plus its freshness."""
 
-    __slots__ = ("node_name", "service", "version", "epoch", "checksum")
+    __slots__ = ("node", "alloc", "version", "epoch", "checksum")
 
-    def __init__(self, node_name: str, service: MemoryServiceFunction,
+    def __init__(self, node: Node, alloc: Allocation,
                  version: int, epoch: int, checksum: int):
-        self.node_name = node_name
-        self.service = service
+        self.node = node
+        self.alloc: Optional[Allocation] = alloc
         self.version = version
         self.epoch = epoch
         self.checksum = checksum
 
     @property
+    def node_name(self) -> str:
+        return self.node.name
+
+    @property
     def live(self) -> bool:
-        return self.service.active
+        return self.alloc is not None
+
+    def stop(self) -> None:
+        """Release the buffer.  Idempotent, so reclaim paths that race
+        (a migration finishing as a crash hits the node) never
+        double-free."""
+        if self.alloc is not None:
+            self.node.release(self.alloc)
+            self.alloc = None
 
 
 class Chunk:
@@ -242,17 +255,17 @@ class ReplicatedMemoryService:
         self.repair.stop()
         for chunk in self.chunks:
             for replica in chunk.replicas:
-                replica.service.stop()
+                replica.stop()
 
     def _host_replica(self, chunk: Chunk, node_name: str) -> ChunkReplica:
-        """Allocate + start one chunk buffer on ``node_name``."""
-        service = MemoryServiceFunction(
-            self.env, self.cluster.node(node_name), chunk.size_bytes,
-            mr_registration_s=self.fabric.provider.mr_registration_s,
+        """Allocate one chunk buffer on ``node_name``."""
+        node = self.cluster.node(node_name)
+        alloc = node.allocate(
+            owner=f"{self._user}-chunk-{chunk.index}",
+            memory_bytes=chunk.size_bytes, kind="memservice",
         )
-        service.start()
         return ChunkReplica(
-            node_name, service, version=chunk.version, epoch=chunk.epoch,
+            node, alloc, version=chunk.version, epoch=chunk.epoch,
             checksum=_checksum(chunk.index, chunk.version),
         )
 
@@ -394,7 +407,7 @@ class ReplicatedMemoryService:
         lost = 0
         for chunk in self.chunks:
             for replica in [r for r in chunk.replicas if r.node_name == node_name]:
-                replica.service.stop()
+                replica.stop()
                 chunk.replicas.remove(replica)
                 lost += 1
         if lost:
@@ -462,7 +475,7 @@ class ReplicatedMemoryService:
         except Exception as exc:
             # Dropped, or interrupted by a stop: the new buffer is in no
             # replica set yet, so nothing else would ever release it.
-            replica.service.stop()
+            replica.stop()
             if isinstance(exc, TransferDropped):
                 return False
             raise
@@ -472,7 +485,7 @@ class ReplicatedMemoryService:
         chunk.replicas.append(replica)
         self.moved_bytes += moved
         if remove_source:
-            source.service.stop()
+            source.stop()
             chunk.replicas.remove(source)
         return True
 
@@ -657,12 +670,19 @@ class DurableMemoryClient:
         )
 
     def _probe_read(self, replica: ChunkReplica, nbytes: int) -> Process:
+        def require_live():
+            if not replica.live:
+                raise MemoryServiceUnavailable(
+                    f"chunk replica on {replica.node_name} not active",
+                    node_name=replica.node_name,
+                )
+
         def run():
-            replica.service.validate_access(0, nbytes)
+            require_live()
             conn = yield from self._connection(replica.node_name)
             got = yield conn.rdma_read(nbytes)
             # The host may have died while the payload was in flight.
-            replica.service.validate_access(0, 0)
+            require_live()
             return got
 
         return self.env.process(run(), name=f"durable-read:{replica.node_name}")

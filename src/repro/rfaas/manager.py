@@ -83,7 +83,6 @@ class ResourceManager:
         self.runtime = runtime
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._nodes: dict[str, RegisteredNode] = {}
-        self._lease_owner: dict[int, str] = {}   # lease_id -> node_name
         # Sum of cores_free over registered nodes, kept live: every
         # mutation of RegisteredNode.cores_free happens in this class.
         self._free_cores = 0
@@ -274,7 +273,6 @@ class ResourceManager:
         chosen.cores_free -= cores
         self._free_cores -= cores
         chosen.leases[lease.lease_id] = (lease, alloc)
-        self._lease_owner[lease.lease_id] = chosen.node_name
         self.drc.grant(chosen.credential.cred_id, chosen.credential.owner, client)
         self.granted += 1
         self._record_pool()
@@ -291,15 +289,12 @@ class ResourceManager:
         The deterministic ordering is what lets a seeded revocation
         storm (:mod:`repro.faults`) pick identical victims run to run.
         """
-        out = []
-        for lease_id in sorted(self._lease_owner):
-            node_name = self._lease_owner[lease_id]
-            registered = self._nodes.get(node_name)
-            if registered is None:
-                continue
-            entry = registered.leases.get(lease_id)
-            if entry is not None and entry[0].active:
-                out.append((entry[0], node_name))
+        out = [
+            (lease, name)
+            for name, registered in self._nodes.items()
+            for lease, _alloc in registered.leases.values() if lease.active
+        ]
+        out.sort(key=lambda pair: pair[0].lease_id)
         return out
 
     def revoke_lease(self, lease: Lease, reason: str = "revoked") -> bool:
@@ -314,8 +309,8 @@ class ResourceManager:
         ``False`` (no double-counted metrics, no duplicate trace instants).
         Returns ``True`` when this call revoked or unlinked something.
         """
-        node_name = self._lease_owner.get(lease.lease_id)
-        if not lease.active and node_name is None:
+        registered = self._linked(lease)
+        if not lease.active and registered is None:
             return False
         lease.cancel()
         self.revoked += 1
@@ -323,22 +318,24 @@ class ResourceManager:
             "manager.revoke_lease", track="manager",
             lease_id=lease.lease_id, reason=reason,
         )
-        if node_name is None:
-            return True
-        registered = self._nodes.get(node_name)
         if registered is not None:
             self._release(registered, lease)
         return True
 
     def release_lease(self, lease: Lease) -> None:
         """Client returns a lease voluntarily."""
-        node_name = self._lease_owner.get(lease.lease_id)
-        if node_name is None:
+        registered = self._linked(lease)
+        if registered is None:
             return  # already gone (e.g. node removed)
-        registered = self._nodes.get(node_name)
         lease.release()
-        if registered is not None:
-            self._release(registered, lease)
+        self._release(registered, lease)
+
+    def _linked(self, lease: Lease) -> Optional[RegisteredNode]:
+        """The registered node still holding ``lease``, if any."""
+        registered = self._nodes.get(lease.node_name)
+        if registered is None or lease.lease_id not in registered.leases:
+            return None
+        return registered
 
     def _release(self, registered: RegisteredNode, lease: Lease) -> None:
         entry = registered.leases.pop(lease.lease_id, None)
@@ -348,7 +345,6 @@ class ResourceManager:
         self.cluster.node(registered.node_name).release(alloc)
         registered.cores_free += lease.cores
         self._free_cores += lease.cores
-        self._lease_owner.pop(lease.lease_id, None)
         self._record_pool()
         self._tracer.instant(
             "manager.release_lease", track="manager",

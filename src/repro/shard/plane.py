@@ -128,10 +128,9 @@ class ShardedControlPlane:
         self.config = config
         count = len(managers)
         self.ring = HashRing(range(count))
-        self._node_shard: dict[str, int] = {}
-        self._lease_shard: dict[int, int] = {}
-        #: Every lease this plane ever granted (the conservation ledger).
-        self._leases: dict[int, Lease] = {}
+        #: lease_id -> (lease, shard index) for every lease this plane
+        #: ever granted (the conservation ledger).
+        self._leases: dict[int, tuple[Lease, int]] = {}
         #: Ops failed with NoCapacityError, or on a down or fenced shard.
         self.rejected = 0
         self.unavailable = 0
@@ -143,7 +142,8 @@ class ShardedControlPlane:
         metrics = telemetry.metrics
         for i in range(count):
             metrics.counter("repro_shard_grants_total",
-                            lambda i=i: list(self._lease_shard.values()).count(i),
+                            lambda i=i: sum(1 for _, s in self._leases.values()
+                                            if s == i),
                             labels={"shard": str(i)},
                             help="leases granted, per shard")
         for i in range(count):
@@ -213,60 +213,67 @@ class ShardedControlPlane:
         shard = min(
             live, key=lambda s: (s.manager.total_registered_cores(), s.index),
         )
-        registered = shard.manager.register_node(node_name, **kwargs)
-        self._node_shard[node_name] = shard.index
-        return registered
+        return shard.manager.register_node(node_name, **kwargs)
 
     def remove_node(self, node_name: str, immediate: bool = False) -> bool:
-        index = self._node_shard.get(node_name)
-        if index is None:
+        shard = self._shard_holding(node_name)
+        if shard is None:
             return False
-        removed = self.shards[index].manager.remove_node(
-            node_name, immediate=immediate,
-        )
-        if removed:
-            del self._node_shard[node_name]
-        return removed
+        return shard.manager.remove_node(node_name, immediate=immediate)
 
     # -- the manager surface, routed by node or by lease ------------------------
+    def _shard_holding(self, node_name: str) -> Optional[Shard]:
+        """The shard whose manager has ``node_name`` registered."""
+        for shard in self.shards:
+            if shard.manager.is_registered(node_name):
+                return shard
+        return None
+
+    def _manager_of(self, node_name: str) -> ResourceManager:
+        shard = self._shard_holding(node_name)
+        if shard is None:
+            raise KeyError(node_name)
+        return shard.manager
+
     def registered_nodes(self) -> list[str]:
-        return sorted(self._node_shard)
+        return sorted(name for shard in self.shards
+                      for name in shard.manager.registered_nodes())
 
     def is_registered(self, node_name: str) -> bool:
-        return node_name in self._node_shard
+        return self._shard_holding(node_name) is not None
 
     def registration_of(self, node_name: str) -> dict:
-        return self.shards[self._node_shard[node_name]].manager.registration_of(node_name)
+        return self._manager_of(node_name).registration_of(node_name)
 
     def node_info(self, node_name: str):
-        return self.shards[self._node_shard[node_name]].manager.node_info(node_name)
+        return self._manager_of(node_name).node_info(node_name)
 
     def credential_for(self, node_name: str):
-        return self.shards[self._node_shard[node_name]].manager.credential_for(node_name)
+        return self._manager_of(node_name).credential_for(node_name)
 
     def active_leases(self) -> list[tuple[Lease, str]]:
         """All active ``(lease, node)`` pairs, globally ordered by lease
         id (ids come from one env-wide stream, so the order is total)."""
         out = []
-        for lease_id in sorted(self._lease_shard):
-            lease = self._leases.get(lease_id)
-            if lease is not None and lease.active:
+        for lease_id in sorted(self._leases):
+            lease = self._leases[lease_id][0]
+            if lease.active:
                 out.append((lease, lease.node_name))
         return out
 
     def revoke_lease(self, lease: Lease, reason: str = "revoked") -> bool:
         """Direct (unbatched) revocation — the fault injector's path."""
-        index = self._lease_shard.get(lease.lease_id)
-        if index is None:
+        entry = self._leases.get(lease.lease_id)
+        if entry is None:
             return False
-        return self.shards[index].manager.revoke_lease(lease, reason=reason)
+        return self.shards[entry[1]].manager.revoke_lease(lease, reason=reason)
 
     def release_lease(self, lease: Lease) -> None:
         """Return a lease to its shard; raises while that bare shard is
         down (its crash already revoked every lease it held)."""
-        index = self._lease_shard.get(lease.lease_id)
-        if index is not None:
-            self.shards[index].up().release_lease(lease)
+        entry = self._leases.get(lease.lease_id)
+        if entry is not None:
+            self.shards[entry[1]].up().release_lease(lease)
 
     def total_registered_cores(self) -> int:
         return sum(s.manager.total_registered_cores() for s in self.shards)
@@ -294,8 +301,7 @@ class ShardedControlPlane:
         )
         if granted is not None:
             lease = granted[0]
-            self._leases[lease.lease_id] = lease
-            self._lease_shard[lease.lease_id] = shard.index
+            self._leases[lease.lease_id] = (lease, shard.index)
         return granted
 
     # -- batched front door ------------------------------------------------------
@@ -309,7 +315,7 @@ class ShardedControlPlane:
 
     def request_release(self, lease: Lease) -> Event:
         """Queue :meth:`release_lease` on the lease's shard."""
-        shard = self.shards[self._lease_shard[lease.lease_id]]
+        shard = self.shards[self._leases[lease.lease_id][1]]
         event = shard.batcher.submit("release", lease)
         self._g_depth[shard.index].set(shard.batcher.depth())
         return event
@@ -393,10 +399,9 @@ class ShardedControlPlane:
         The warm pool does not follow: this is a control-plane handoff,
         and the destination shard rebuilds warm state on first use.
         """
-        source_index = self._node_shard.get(node_name)
-        if source_index is None or source_index == to_shard:
+        source = self._shard_holding(node_name)
+        if source is None or source.index == to_shard:
             return False
-        source = self.shards[source_index]
         destination = self.shards[to_shard]
         if not source.available or not destination.available:
             return False
@@ -405,11 +410,10 @@ class ShardedControlPlane:
         spec = source.manager.registration_of(node_name)
         source.manager.remove_node(node_name, immediate=False)
         destination.manager.register_node(**spec)
-        self._node_shard[node_name] = to_shard
         self.migrations += 1
         self._tracer.instant(
             "shard.migrate", track="shard", node=node_name,
-            source=source_index, destination=to_shard,
+            source=source.index, destination=to_shard,
         )
         return True
 
@@ -423,7 +427,7 @@ class ShardedControlPlane:
         donor first, lowest index on ties.
         """
         moves = 0
-        for _ in range(len(self._node_shard) + 1):
+        for _ in range(len(self.registered_nodes()) + 1):
             starved = [
                 s for s in self.shards
                 if s.available and s.manager.total_free_cores() == 0
@@ -472,7 +476,7 @@ class ShardedControlPlane:
         queued = sum(s.batcher.depth() for s in self.shards)
         states = {LeaseState.ACTIVE: 0, LeaseState.RELEASED: 0,
                   LeaseState.CANCELLED: 0}
-        for lease in self._leases.values():
+        for lease, _ in self._leases.values():
             states[lease.state] += 1
         return {
             "ops_submitted": submitted,

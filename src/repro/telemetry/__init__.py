@@ -51,7 +51,6 @@ from .summary import (
     slo_episodes,
     span_kind_stats,
     span_summary_table,
-    utilization_summary,
 )
 from .tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -92,5 +91,4 @@ __all__ = [
     "red_rows",
     "SloConfig",
     "slo_episodes",
-    "utilization_summary",
 ]

@@ -35,7 +35,6 @@ __all__ = [
     "slo_episodes",
     "span_kind_stats",
     "span_summary_table",
-    "utilization_summary",
 ]
 
 
@@ -244,16 +243,3 @@ def slo_episodes(spans: Iterable[Span],
                              "total": total})
     return episodes
 
-
-def utilization_summary(scenarios: Iterable) -> str:
-    """Render ScenarioUtilization objects via their ``__str__`` lines.
-
-    Accepts an iterable or the dict ``disagg.colocation_scenarios``
-    returns; used by the metrics summary alongside the span table.
-    """
-    if isinstance(scenarios, dict):
-        scenarios = scenarios.values()
-    lines = [str(s) for s in scenarios]
-    if not lines:
-        return "no scenarios"
-    return "\n".join(lines)

@@ -116,7 +116,7 @@ def test_every_sharded_combination_builds_and_serves(ha, capacity):
     platform.run()
 
     assert results == [True, True]
-    leases = plane._leases.values()
+    leases = [lease for lease, _shard in plane._leases.values()]
     assert sorted(lease.client for lease in leases) == sorted(
         client.name for client in clients)
     for lease in leases:
@@ -136,3 +136,29 @@ def test_durable_memory_with_shards_is_rejected_at_build():
 def test_shards_option_is_type_checked():
     with pytest.raises(TypeError, match="ShardConfig"):
         PlatformConfig(shards=2)
+
+
+def test_a_total_shard_loss_leaves_no_stale_node_in_the_plane():
+    """With k=0 a shard's crash orphans its nodes inside its manager:
+    the plane must stop reporting them, and a fault aimed at one is
+    skipped rather than crashing the run."""
+    plan = (FaultPlan(name="orphan")
+            .manager_crash(at_s=1.0, shard=0)
+            .node_crash(at_s=2.0, node="n0000"))
+    platform = Platform.build(
+        PlatformConfig(nodes=4, ha=HAConfig(standbys=0),
+                       shards=ShardConfig(shards=2)),
+        seed=0, faults=plan,
+    )
+    for node in ("n0000", "n0001", "n0002", "n0003"):
+        platform.register_node(node, cores=2, memory_bytes=8 * GiB)
+    plane = platform.manager
+    assert plane.shards[0].manager.registered_nodes() == ["n0000", "n0002"]
+    platform.run(5.0)
+    assert plane.shards[0].manager.registered_nodes() == []
+    assert plane.registered_nodes() == sorted(
+        name for shard in plane.shards
+        for name in shard.manager.registered_nodes())
+    assert not plane.is_registered("n0000")
+    skipped = platform.injector.skipped
+    assert [(ev.kind, ev.node) for ev in skipped] == [("node_crash", "n0000")]

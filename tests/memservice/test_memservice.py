@@ -1,26 +1,13 @@
-"""Memory service function and remote paging tests."""
+"""Memory service buffers and remote paging tests."""
 
 import pytest
 
 from repro.api import Platform, PlatformConfig
-from repro.cluster import Cluster, DAINT_MC
-from repro.memservice import DurableMemoryConfig, MemoryServiceFunction, RemotePager
+from repro.memservice import DurableMemoryConfig, RemotePager
 from repro.rfaas.errors import MemoryServiceUnavailable
-from repro.sim import Environment
 
 MiB = 1024**2
 GiB = 1024**3
-
-
-def start_service(size_bytes=1 * GiB):
-    """A memory service function started on n0001 of a two-node cluster."""
-    env = Environment()
-    cluster = Cluster()
-    cluster.add_nodes("n", 2, DAINT_MC)
-    service = MemoryServiceFunction(env, cluster.node("n0001"), size_bytes=size_bytes)
-    service.start()
-    env.run()
-    return cluster, service
 
 
 class Setup:
@@ -44,18 +31,18 @@ class Setup:
 
 
 def test_service_allocates_node_memory():
-    cluster, service = start_service()
-    node = cluster.node("n0001")
+    s = Setup()
+    node = s.platform.cluster.node("n0001")
     assert node.allocated_memory == 1 * GiB
-    assert node.allocations_of_kind("memservice")
-    service.stop()
+    assert len(node.allocations_of_kind("memservice")) == 4  # one per chunk
+    s.service.stop()
     assert node.allocated_memory == 0
 
 
 def test_double_start_rejected():
-    _, service = start_service()
+    s = Setup()
     with pytest.raises(RuntimeError):
-        service.start()
+        s.service.start()
 
 
 def test_read_write_counts_and_bounds():
@@ -76,11 +63,11 @@ def test_read_write_counts_and_bounds():
 
 
 def test_access_requires_active_service():
-    _, service = start_service()
-    service.validate_access(0, 1024)
-    service.stop()
+    s = Setup()
+    s.service.validate_access(0, 1024)
+    s.service.stop()
     with pytest.raises(MemoryServiceUnavailable):
-        service.validate_access(0, 1024)
+        s.service.validate_access(0, 1024)
 
 
 def test_pager_faults_then_hits():
@@ -142,8 +129,5 @@ def test_pager_validation():
 
 
 def test_service_validation():
-    env = Environment()
-    cluster = Cluster()
-    cluster.add_nodes("n", 1, DAINT_MC)
     with pytest.raises(ValueError):
-        MemoryServiceFunction(env, cluster.node("n0000"), size_bytes=0)
+        DurableMemoryConfig(size_bytes=0)

@@ -141,11 +141,17 @@ def test_loadstorm_denial_counts_under_a_collector():
     assert total("repro_manager_leases_total") == 881
 
 
+def _shard_holding(plane, node_name):
+    """Index of the one shard whose manager has ``node_name`` registered."""
+    (index,) = [shard.index for shard in plane.shards
+                if shard.manager.is_registered(node_name)]
+    return index
+
+
 def test_nodes_spread_across_shards_least_cores_first():
     env, plane = build_plane(shards=2, nodes=4, cores=4)
-    per_shard = {}
-    for name in plane.registered_nodes():
-        per_shard.setdefault(plane._node_shard[name], []).append(name)
+    per_shard = {shard.index: shard.manager.registered_nodes()
+                 for shard in plane.shards}
     assert sorted(per_shard) == [0, 1]
     assert all(len(nodes) == 2 for nodes in per_shard.values())
     env.run()
@@ -207,14 +213,14 @@ def test_migration_moves_only_idle_nodes():
     env.run()
     lease, _ = done[0][1]
     busy = lease.node_name
-    busy_shard = plane._node_shard[busy]
+    busy_shard = _shard_holding(plane, busy)
     other = 1 - busy_shard
 
     assert not plane.migrate_node(busy, other)  # leased: must not move
-    idle = next(n for n in plane.registered_nodes() if n != busy
-                and plane._node_shard[n] == busy_shard)
+    idle = next(n for n in plane.shards[busy_shard].manager.registered_nodes()
+                if n != busy)
     assert plane.migrate_node(idle, other)
-    assert plane._node_shard[idle] == other
+    assert _shard_holding(plane, idle) == other
     assert plane.migrations == 1
     env.run()
 
@@ -223,7 +229,7 @@ def test_drain_rebalances_toward_the_starved_shard():
     env, plane = build_plane(shards=2, nodes=4, cores=2)
     # Saturate every core shard 0 owns, then drain nothing — instead
     # exhaust it so rebalance() sees zero free cores.
-    shard0_nodes = [n for n, s in plane._node_shard.items() if s == 0]
+    shard0_nodes = plane.shards[0].manager.registered_nodes()
     done = []
     tenant = next(f"t{i}" for i in range(200) if plane.shard_of(f"t{i}") == 0)
     for _ in range(len(shard0_nodes) * 2):
